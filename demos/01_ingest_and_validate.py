@@ -1,4 +1,4 @@
-"""Ingest walkthrough: generate a region file, parse it back, validate, split, pool.
+"""Ingest walkthrough: generate region files, parse them back, validate, split.
 
 Run from the repository root after `pip install -e .`:
 
@@ -11,7 +11,6 @@ from pathlib import Path
 from regio_forecast import (
     SyntheticSpec,
     parse_regional_csv,
-    pool_regions,
     region_by_name,
     split_train_test,
     validate_dataset,
@@ -33,9 +32,9 @@ split = split_train_test(datasets[0], test_size=54, seed=1)
 print(f"\nsplit of {datasets[0].region.name}: "
       f"{len(split.train_indices)} train / {len(split.test_indices)} test days")
 print("first five held-out days:",
-      [str(datasets[0].rows[i].date) for i in split.test_indices[:5]])
+      [str(datasets[0].dates[i]) for i in split.test_indices[:5]])
 
-# Pool everything except the case-study region; provenance is retained.
-pooled = pool_regions(datasets, exclude=datasets[0].region)
-sources = sorted({region.name for region, _ in pooled})
-print(f"\npooled {len(pooled)} rows from {sources}")
+# Each dataset is columnar: one row per day, features and targets as arrays.
+ds = datasets[0]
+print(f"\n{ds.region.name}: features {ds.features.shape}, targets {ds.targets.shape}; "
+      f"feat_04 holds region code {int(ds.features[0, 3])} on every day")

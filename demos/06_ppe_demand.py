@@ -31,8 +31,7 @@ case_ds = datasets[0]
 split = split_train_test(case_ds, test_size=30, seed=8)
 model, _ = train_mtl(datasets, case_ds.region, split.train_indices)
 
-test_rows = [case_ds.rows[i] for i in split.test_indices]
-series = forecast_series(model, test_rows, operating_capacity=0.75,
+series = forecast_series(model, case_ds.subset(split.test_indices), operating_capacity=0.75,
                          personnel=220.0)
 print(f"\n{len(series)}-day forecast for {case_ds.region.name} "
       "(capacity 0.75, personnel 220):")

@@ -3,8 +3,9 @@
 The library covers the full pipeline: CSV ingestion of per-region daily
 records, derived-feature construction and selection, quantile-normal and
 min-max scaling, a distance-weighted kNN regressor with per-instance
-source weights, generic-to-dedicated instance transfer, bootstrap metric
-intervals, and a downstream PPE kit-demand predictor.
+source weights, weighted instance transfer from pooled regions into one
+store, bootstrap metric intervals, and a downstream PPE kit-demand
+predictor.
 """
 
 from .artifact import load_model, save_model
@@ -34,29 +35,24 @@ from .features import (
     select_features,
 )
 from .ingest import (
-    DataRow,
     RegionalDataset,
     RegionId,
     TrainTestSplit,
     parse_regional_csv,
-    pool_regions,
     region_by_code,
     region_by_name,
     split_train_test,
     validate_dataset,
     write_regional_csv,
 )
-from .knn import InstanceStore, KnnConfig, fit_knn, knn_oracle, predict_knn
+from .knn import InstanceStore, KnnConfig, fit_knn, predict_knn
 from .mtl import (
     MonitoringPrediction,
     MtlModel,
     TrainReport,
     predict_monitoring,
     rotate_regions,
-    train_dedicated,
-    train_generic,
     train_mtl,
-    transfer_to_dedicated,
 )
 from .ppe import (
     KitComposition,

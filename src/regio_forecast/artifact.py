@@ -1,10 +1,12 @@
 """Model artifact I/O: one JSON document per trained model.
 
 The document embeds everything needed to predict: kNN config, selected
-feature codes, both fitted scalers, both instance stores, the case-study
-region, and the generic transfer weight. Serialization is deterministic
-(sorted keys, shortest round-trip float repr), so retraining on identical
-inputs produces byte-identical artifacts.
+feature codes, both fitted scalers, the one weighted instance store
+(pooled-region instances at the generic weight, then the case-study
+instances), the case-study region, and the generic transfer weight. A
+document of any other version raises VersionMismatch. Serialization is
+deterministic (sorted keys, shortest round-trip float repr), so retraining
+on identical inputs produces byte-identical artifacts.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from .knn import InstanceStore, KnnConfig
 from .mtl import MtlModel
 from .scaling import MinMaxScalerState, QuantileNormalScaler
 
-ARTIFACT_VERSION = "1"
+ARTIFACT_VERSION = "2"
 
 
 def model_to_dict(model: MtlModel) -> dict:
@@ -32,8 +34,7 @@ def model_to_dict(model: MtlModel) -> dict:
         "case_study": {"code": model.case_study.code, "name": model.case_study.name},
         "feature_scaler": model.feature_scaler.to_json_dict(),
         "target_scaler": model.target_scaler.to_json_dict(),
-        "generic_store": model.generic_store.to_json_dict(),
-        "dedicated_store": model.dedicated_store.to_json_dict(),
+        "store": model.store.to_json_dict(),
     }
 
 
@@ -44,8 +45,7 @@ def model_from_dict(doc: dict) -> MtlModel:
     try:
         case = doc["case_study"]
         return MtlModel(
-            generic_store=InstanceStore.from_json_dict(doc["generic_store"]),
-            dedicated_store=InstanceStore.from_json_dict(doc["dedicated_store"]),
+            store=InstanceStore.from_json_dict(doc["store"]),
             feature_scaler=QuantileNormalScaler.from_json_dict(doc["feature_scaler"]),
             target_scaler=MinMaxScalerState.from_json_dict(doc["target_scaler"]),
             selected_features=tuple(doc["selected_features"]),

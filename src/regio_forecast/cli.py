@@ -145,7 +145,7 @@ def cmd_train(cfg: RunConfig) -> int:
     save_model(model, out / "model.json")
     doc = report.to_json_dict()
     doc["case_study"] = case.name
-    doc["pool_regions"] = sorted(
+    doc["pooled_regions"] = sorted(
         ds.region.name for ds in datasets if ds.region.code != case.code)
     doc["test_days_held_out"] = len(split.test_indices)
     doc["seed"] = cfg.seed
@@ -158,11 +158,11 @@ def cmd_train(cfg: RunConfig) -> int:
 
 def cmd_evaluate(cfg: RunConfig) -> int:
     _, case, case_ds, split, model, report = _train(cfg)
-    test_rows = [case_ds.rows[i] for i in split.test_indices]
+    test = case_ds.subset(split.test_indices)
     metric_report = evaluate_model(
-        model, test_rows,
+        model, test,
         BootstrapConfig(cfg.bootstrap, 0.95, cfg.seed),
-        training_time_seconds=report.total_fit_seconds)
+        training_time_seconds=report.fit_seconds)
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     atomic_write_text(out / "evaluation.csv",
@@ -170,7 +170,7 @@ def cmd_evaluate(cfg: RunConfig) -> int:
     atomic_write_text(out / "evaluation_long.csv", reports_to_long_csv([metric_report]))
     atomic_write_text(out / "evaluation.json",
                       json.dumps(metric_report.to_json_dict(), indent=2, sort_keys=True))
-    print(f"evaluated {case.name} on {len(test_rows)} held-out days -> {out}")
+    print(f"evaluated {case.name} on {test.n_rows} held-out days -> {out}")
     return 0
 
 
@@ -195,24 +195,24 @@ def cmd_rotate(cfg: RunConfig) -> int:
 def cmd_predict(cfg: RunConfig, model_path: str, input_csv: str) -> int:
     model = load_model(model_path)
     ds = parse_regional_csv(input_csv, model.case_study)
-    prediction = predict_monitoring(model, ds.rows)
+    prediction = predict_monitoring(model, ds)
     lines = ["date," + ",".join(TARGET_COLUMNS)
              + "," + ",".join(f"{t}_rounded" for t in TARGET_COLUMNS)]
-    for i, row in enumerate(ds.rows):
-        reals = ",".join(f"{v:.6f}" for v in prediction.counts[i])
-        ints = ",".join(str(int(v)) for v in prediction.rounded[i])
-        lines.append(f"{row.date.isoformat()},{reals},{ints}")
+    for date, counts, rounded in zip(ds.dates, prediction.counts, prediction.rounded):
+        reals = ",".join(f"{v:.6f}" for v in counts)
+        ints = ",".join(str(int(v)) for v in rounded)
+        lines.append(f"{date.isoformat()},{reals},{ints}")
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     atomic_write_text(out / "predictions.csv", "\n".join(lines) + "\n")
-    print(f"wrote {len(ds.rows)} prediction rows -> {out / 'predictions.csv'}")
+    print(f"wrote {ds.n_rows} prediction rows -> {out / 'predictions.csv'}")
     return 0
 
 
 def cmd_ppe(cfg: RunConfig, model_path: str, input_csv: str) -> int:
     model = load_model(model_path)
     ds = parse_regional_csv(input_csv, model.case_study)
-    series = forecast_series(model, ds.rows,
+    series = forecast_series(model, ds,
                              cfg.ppe_operating_capacity, cfg.ppe_personnel,
                              KitComposition())
     out = Path(cfg.out)

@@ -25,7 +25,8 @@ from .errors import (
     ZeroVariance,
 )
 from .features import TARGET_COLUMNS
-from .mtl import MonitoringPrediction, MtlModel, predict_monitoring, rows_to_targets
+from .ingest import RegionalDataset
+from .mtl import MonitoringPrediction, MtlModel, predict_monitoring
 
 METRIC_NAMES: tuple[str, ...] = ("r2", "evs", "mae", "rmse")
 
@@ -178,19 +179,18 @@ class MetricReport:
 
 def evaluate_model(
     model: MtlModel,
-    test_rows: Sequence,
+    test: RegionalDataset,
     cfg: BootstrapConfig = BootstrapConfig(),
     training_time_seconds: float = 0.0,
 ) -> MetricReport:
-    """Predict the held-out rows and report bootstrap intervals per target.
+    """Predict the held-out days and report bootstrap intervals per target.
 
     Metrics are computed on inverse-scaled counts, not on the [0, 1]
     training scale, so error magnitudes are comparable across regions.
-    Test rows must be disjoint from the rows the model trained on.
+    Test days must be disjoint from the days the model trained on.
     """
-    test_rows = list(test_rows)
-    prediction: MonitoringPrediction = predict_monitoring(model, test_rows)
-    actuals = rows_to_targets(test_rows).values
+    prediction: MonitoringPrediction = predict_monitoring(model, test)
+    actuals = test.targets.astype(np.float64)
 
     parent = np.random.SeedSequence(cfg.seed)
     combo_seeds = parent.spawn(len(TARGET_COLUMNS) * len(METRIC_NAMES))

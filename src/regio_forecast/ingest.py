@@ -1,4 +1,4 @@
-"""Reading, validating, splitting, and pooling regional daily datasets.
+"""Reading, validating, and splitting regional daily datasets.
 
 One CSV per region, UTF-8, comma-separated, with the exact header::
 
@@ -8,16 +8,18 @@ Dates are ISO-8601. A cell may be empty in real-world exports; empty cells
 are forward-filled from the previous day within the same column, and a
 file whose first row has an empty cell is rejected (daily administrative
 series behave like step functions, so the previous value is the best
-available estimate).
+available estimate). Every cell must be finite, and ``feat_04`` must hold
+the code of the region the file is parsed for.
 """
 
 from __future__ import annotations
 
 import csv
 import datetime as dt
+import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -27,7 +29,6 @@ from .errors import (
     DataError,
     DuplicateDate,
     EmptyFile,
-    EmptyPool,
     MissingColumn,
 )
 from .features import PRIMARY_FEATURE_CODES, TARGET_COLUMNS, FeatureMatrix, TargetMatrix
@@ -100,70 +101,78 @@ def region_by_name(name: str) -> RegionId:
 
 
 @dataclass(frozen=True, eq=False)
-class DataRow:
-    """One day of a regional dataset: 27 features plus the 4 target counts."""
+class RegionalDataset:
+    """All daily records of one region, ordered by date, held as columns.
 
-    date: dt.date
-    features: np.ndarray          # (27,) float64, ordered by PRIMARY_FEATURE_CODES
-    targets: np.ndarray           # (4,) int64, ordered by TARGET_COLUMNS
+    ``features`` is a read-only (n, 27) float array ordered by
+    PRIMARY_FEATURE_CODES and ``targets`` a read-only (n, 4) int array
+    ordered by TARGET_COLUMNS; row i of both belongs to ``dates[i]``.
+    """
+
+    region: RegionId
+    dates: tuple[dt.date, ...]
+    features: np.ndarray
+    targets: np.ndarray
 
     def __post_init__(self):
-        f = np.asarray(self.features, dtype=np.float64)
-        t = np.asarray(self.targets, dtype=np.int64)
-        if f.shape != (len(PRIMARY_FEATURE_CODES),):
-            raise DataError(f"expected {len(PRIMARY_FEATURE_CODES)} features, got {f.shape}")
-        if t.shape != (len(TARGET_COLUMNS),):
-            raise DataError(f"expected {len(TARGET_COLUMNS)} targets, got {t.shape}")
+        dates = tuple(self.dates)
+        f = np.array(self.features, dtype=np.float64)
+        t = np.array(self.targets, dtype=np.int64)
+        n = len(dates)
+        if f.shape != (n, len(PRIMARY_FEATURE_CODES)) or t.shape != (n, len(TARGET_COLUMNS)):
+            raise DataError(f"{n} dates need ({n}, {len(PRIMARY_FEATURE_CODES)}) features "
+                            f"and ({n}, {len(TARGET_COLUMNS)}) targets, "
+                            f"got {f.shape} and {t.shape}")
         f.setflags(write=False)
         t.setflags(write=False)
+        object.__setattr__(self, "dates", dates)
         object.__setattr__(self, "features", f)
         object.__setattr__(self, "targets", t)
 
-    def feature(self, code: str) -> float:
-        return float(self.features[PRIMARY_FEATURE_CODES.index(code)])
-
-
-@dataclass(frozen=True, eq=False)
-class RegionalDataset:
-    """All daily rows for one region, ordered by date."""
-
-    region: RegionId
-    rows: tuple[DataRow, ...]
-
     @property
     def n_rows(self) -> int:
-        return len(self.rows)
-
-    @property
-    def dates(self) -> tuple[dt.date, ...]:
-        return tuple(r.date for r in self.rows)
+        return len(self.dates)
 
     def feature_matrix(self) -> FeatureMatrix:
-        return FeatureMatrix(np.vstack([r.features for r in self.rows]),
-                             PRIMARY_FEATURE_CODES)
+        return FeatureMatrix(self.features, PRIMARY_FEATURE_CODES)
 
     def target_matrix(self) -> TargetMatrix:
-        return TargetMatrix(np.vstack([r.targets for r in self.rows]).astype(np.float64),
-                            TARGET_COLUMNS)
+        return TargetMatrix(self.targets.astype(np.float64), TARGET_COLUMNS)
 
     def subset(self, indices: Sequence[int]) -> "RegionalDataset":
-        return RegionalDataset(self.region, tuple(self.rows[i] for i in indices))
+        idx = np.asarray(indices, dtype=np.intp)
+        return RegionalDataset(self.region, tuple(self.dates[i] for i in idx),
+                               self.features[idx], self.targets[idx])
 
 
-def _check_categorical(value: float, code: str, row_number: int) -> None:
+# Largest target count stored exactly in both the parsed float and int64.
+MAX_COUNT = 2 ** 53
+
+
+def _cell_problem(code: str, value: float, region: RegionId) -> str | None:
+    """Why ``value`` is invalid in column ``code`` of ``region``'s file, or None."""
+    if not math.isfinite(value):
+        return f"{value} is not finite"
     allowed = CATEGORICAL_RANGES.get(code)
-    if allowed is None:
-        return
-    if value != int(value) or int(value) not in allowed:
-        raise BadValue(row_number, code,
-                       f"{value} not in enumerated range {sorted(allowed)}")
+    if allowed is not None and (value != int(value) or int(value) not in allowed):
+        return f"{value} not in enumerated range {sorted(allowed)}"
+    if code == "feat_04" and value != region.code:
+        return f"region code {int(value)} does not match {region.name} ({region.code})"
+    if code in TARGET_COLUMNS:
+        if value != int(value) or value > MAX_COUNT:
+            return f"{value} is not an integer count up to {MAX_COUNT}"
+        if value < 0:
+            return f"{value} is negative"
+    return None
 
 
 def parse_regional_csv(path: str | Path, region: RegionId) -> RegionalDataset:
     """Parse and validate one region's CSV into a RegionalDataset.
 
-    Rows come back sorted by date. Raises MissingColumn, BadValue,
-    DuplicateDate, or EmptyFile on schema or content violations.
+    Rows come back sorted by date. Raises MissingColumn, BadValue (with
+    the data row number and column), DuplicateDate, or EmptyFile on schema
+    or content violations; a non-finite cell or a ``feat_04`` region code
+    other than ``region``'s is a BadValue.
     """
     path = Path(path)
     with path.open(newline="", encoding="utf-8") as fh:
@@ -181,8 +190,8 @@ def parse_regional_csv(path: str | Path, region: RegionId) -> RegionalDataset:
                 "header columns out of order or extra; expected exactly: "
                 + ",".join(CSV_HEADER))
 
-        rows: list[DataRow] = []
-        previous: list[float] | None = None
+        dates: list[dt.date] = []
+        table: list[list[float]] = []
         for row_number, record in enumerate(reader, start=1):
             if not record or all(cell.strip() == "" for cell in record):
                 continue
@@ -190,45 +199,39 @@ def parse_regional_csv(path: str | Path, region: RegionId) -> RegionalDataset:
                 raise BadValue(row_number, "row",
                                f"expected {len(CSV_HEADER)} cells, got {len(record)}")
             try:
-                date = dt.date.fromisoformat(record[0].strip())
+                dates.append(dt.date.fromisoformat(record[0].strip()))
             except ValueError:
                 raise BadValue(row_number, "date", record[0]) from None
 
             cells: list[float] = []
-            for offset, code in enumerate(PRIMARY_FEATURE_CODES + TARGET_COLUMNS, start=1):
+            for offset, code in enumerate(CSV_HEADER[1:], start=1):
                 text = record[offset].strip()
                 if text == "":
-                    if previous is None:
+                    if not table:
                         raise BadValue(row_number, code,
                                        "missing cell in first data row (nothing to forward-fill)")
-                    cells.append(previous[offset - 1])
+                    cells.append(table[-1][offset - 1])
                     continue
                 try:
                     value = float(text)
                 except ValueError:
                     raise BadValue(row_number, code, text) from None
+                problem = _cell_problem(code, value, region)
+                if problem:
+                    raise BadValue(row_number, code, problem)
                 cells.append(value)
+            table.append(cells)
 
-            features = cells[:len(PRIMARY_FEATURE_CODES)]
-            target_vals = cells[len(PRIMARY_FEATURE_CODES):]
-            for code, value in zip(PRIMARY_FEATURE_CODES, features):
-                _check_categorical(value, code, row_number)
-            for name, value in zip(TARGET_COLUMNS, target_vals):
-                if value != int(value):
-                    raise BadValue(row_number, name, f"{value} is not an integer count")
-                if value < 0:
-                    raise BadValue(row_number, name, f"{value} is negative")
-            previous = cells
-            rows.append(DataRow(date, np.array(features),
-                                np.array([int(v) for v in target_vals])))
-
-    if not rows:
+    if not table:
         raise EmptyFile(f"{path} has a header but no data rows")
-    rows.sort(key=lambda r: r.date)
-    for a, b in zip(rows, rows[1:]):
-        if a.date == b.date:
-            raise DuplicateDate(a.date)
-    return RegionalDataset(region, tuple(rows))
+    order = sorted(range(len(dates)), key=dates.__getitem__)
+    for a, b in zip(order, order[1:]):
+        if dates[a] == dates[b]:
+            raise DuplicateDate(dates[a])
+    values = np.array(table)[order]
+    n_features = len(PRIMARY_FEATURE_CODES)
+    return RegionalDataset(region, tuple(dates[i] for i in order),
+                           values[:, :n_features], values[:, n_features:])
 
 
 def write_regional_csv(ds: RegionalDataset, path: str | Path) -> None:
@@ -237,12 +240,9 @@ def write_regional_csv(ds: RegionalDataset, path: str | Path) -> None:
     with path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_HEADER)
-        for row in ds.rows:
-            writer.writerow(
-                [row.date.isoformat()]
-                + [repr(float(v)) for v in row.features]
-                + [int(v) for v in row.targets]
-            )
+        for date, features, targets in zip(ds.dates, ds.features.tolist(),
+                                           ds.targets.tolist()):
+            writer.writerow([date.isoformat()] + [repr(v) for v in features] + targets)
 
 
 @dataclass(frozen=True)
@@ -265,28 +265,26 @@ class ValidationReport:
 
 
 def validate_dataset(ds: RegionalDataset) -> ValidationReport:
-    """Collect invariant violations; an empty report means the dataset is sound."""
+    """Collect invariant violations; an empty report means the dataset is sound.
+
+    Cells are checked by the same rules as at parse time.
+    """
     found: list[Violation] = []
     seen_dates: set[dt.date] = set()
     last_date: dt.date | None = None
-    for i, row in enumerate(ds.rows):
-        if row.date in seen_dates:
-            found.append(Violation(i, "date", f"DuplicateDate: {row.date}"))
-        elif last_date is not None and row.date < last_date:
-            found.append(Violation(i, "date", f"dates not increasing at {row.date}"))
-        seen_dates.add(row.date)
-        if last_date is None or row.date > last_date:
-            last_date = row.date
-        for name, value in zip(TARGET_COLUMNS, row.targets):
-            if value < 0:
-                found.append(Violation(i, name, f"negative count {value}"))
-        for code in CATEGORICAL_RANGES:
-            value = row.feature(code)
-            allowed = CATEGORICAL_RANGES[code]
-            if value != int(value) or int(value) not in allowed:
-                found.append(Violation(i, code, f"{value} outside enumerated range"))
-        if not np.all(np.isfinite(row.features)):
-            found.append(Violation(i, "features", "non-finite feature value"))
+    table = np.hstack([ds.features, ds.targets]).tolist()
+    for i, (date, cells) in enumerate(zip(ds.dates, table)):
+        if date in seen_dates:
+            found.append(Violation(i, "date", f"DuplicateDate: {date}"))
+        elif last_date is not None and date < last_date:
+            found.append(Violation(i, "date", f"dates not increasing at {date}"))
+        seen_dates.add(date)
+        if last_date is None or date > last_date:
+            last_date = date
+        for code, value in zip(CSV_HEADER[1:], cells):
+            problem = _cell_problem(code, value, ds.region)
+            if problem:
+                found.append(Violation(i, code, problem))
     return ValidationReport(tuple(found))
 
 
@@ -314,22 +312,3 @@ def split_train_test(ds: RegionalDataset, test_size: int, seed: int) -> TrainTes
     train = np.nonzero(mask)[0]
     return TrainTestSplit(tuple(int(i) for i in train),
                           tuple(int(i) for i in test), seed)
-
-
-def pool_regions(
-    datasets: Iterable[RegionalDataset],
-    exclude: RegionId,
-) -> list[tuple[RegionId, DataRow]]:
-    """Concatenate rows from every dataset except the excluded region.
-
-    Row provenance (the source region) is kept so instances can be
-    weighted per source later.
-    """
-    pooled: list[tuple[RegionId, DataRow]] = []
-    for ds in datasets:
-        if ds.region.code == exclude.code:
-            continue
-        pooled.extend((ds.region, row) for row in ds.rows)
-    if not pooled:
-        raise EmptyPool("every dataset was excluded from the pool")
-    return pooled

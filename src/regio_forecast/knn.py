@@ -5,15 +5,12 @@ prediction is the inverse-distance-weighted mean of the k nearest stored
 targets. Each instance carries a positive source weight so pooled
 instances from other regions can be up- or down-weighted as a group.
 
-Store sizes here are a few thousand rows at most, so neighbor search is
-an exhaustive scan. ``knn_oracle`` is a deliberately plain re-statement of
-the same contract (pure-Python loops, explicit sort) used to validate the
-vectorized predictor.
+Neighbor search is an exhaustive scan. The test suite holds a plain-loop
+oracle of the same contract that validates the vectorized predictor.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -48,11 +45,15 @@ class KnnConfig:
 
 @dataclass(frozen=True)
 class InstanceStore:
-    """Memorized training instances with per-instance source weights."""
+    """Memorized training instances with per-instance source weights.
+
+    ``source_tags`` records where each instance came from as an integer
+    (the region code in a monitoring model); -1 marks an untagged instance.
+    """
 
     features: np.ndarray           # (n, d)
     targets: np.ndarray            # (n, m)
-    source_tags: tuple[str, ...]
+    source_tags: np.ndarray        # (n,) int
     weights: np.ndarray            # (n,), all > 0
 
     def __post_init__(self):
@@ -60,19 +61,20 @@ class InstanceStore:
         f = np.ascontiguousarray(self.features, dtype=np.float64)
         t = np.ascontiguousarray(self.targets, dtype=np.float64)
         w = np.ascontiguousarray(self.weights, dtype=np.float64)
+        tags = np.ascontiguousarray(self.source_tags, dtype=np.int64)
         if f.ndim != 2 or t.ndim != 2:
             raise DimensionMismatch("features and targets must be 2-D")
         if f.shape[0] != t.shape[0] or f.shape[0] != w.shape[0] \
-                or f.shape[0] != len(self.source_tags):
+                or tags.shape != (f.shape[0],):
             raise DimensionMismatch("instance counts disagree across store fields")
         if np.any(w <= 0):
             raise DimensionMismatch("source weights must be strictly positive")
-        for arr in (f, t, w):
+        for arr in (f, t, w, tags):
             arr.setflags(write=False)
         object.__setattr__(self, "features", f)
         object.__setattr__(self, "targets", t)
         object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "source_tags", tuple(self.source_tags))
+        object.__setattr__(self, "source_tags", tags)
 
     def __len__(self) -> int:
         return self.features.shape[0]
@@ -85,7 +87,7 @@ class InstanceStore:
         return {
             "features": self.features.tolist(),
             "targets": self.targets.tolist(),
-            "source_tags": list(self.source_tags),
+            "source_tags": self.source_tags.tolist(),
             "weights": self.weights.tolist(),
         }
 
@@ -94,7 +96,7 @@ class InstanceStore:
         return cls(
             np.asarray(d["features"], dtype=np.float64),
             np.asarray(d["targets"], dtype=np.float64),
-            tuple(d["source_tags"]),
+            np.asarray(d["source_tags"], dtype=np.int64),
             np.asarray(d["weights"], dtype=np.float64),
         )
 
@@ -103,7 +105,7 @@ def fit_knn(
     features: np.ndarray,
     targets: np.ndarray,
     cfg: KnnConfig | None = None,
-    source_tags: Sequence[str] | None = None,
+    source_tags: Sequence[int] | None = None,
     weights: np.ndarray | None = None,
 ) -> InstanceStore:
     """Memorize (feature, target) rows; fitting is storage, nothing more."""
@@ -123,10 +125,10 @@ def fit_knn(
             f"{features.shape[0]} feature rows vs {targets.shape[0]} target rows")
     n = features.shape[0]
     if source_tags is None:
-        source_tags = ("",) * n
+        source_tags = np.full(n, -1)
     if weights is None:
         weights = np.ones(n)
-    return InstanceStore(features, targets, tuple(source_tags), np.asarray(weights))
+    return InstanceStore(features, targets, source_tags, weights)
 
 
 def predict_knn(store: InstanceStore, query: np.ndarray, cfg: KnnConfig) -> np.ndarray:
@@ -168,43 +170,3 @@ def predict_knn_batch(store: InstanceStore, queries: np.ndarray, cfg: KnnConfig)
     if queries.ndim != 2:
         raise DimensionMismatch(f"queries must be 2-D, got shape {queries.shape}")
     return np.vstack([predict_knn(store, q, cfg) for q in queries])
-
-
-def knn_oracle(store: InstanceStore, query: np.ndarray, cfg: KnnConfig) -> np.ndarray:
-    """Reference predictor: exhaustive scan with an explicit exact sort.
-
-    Implements the same contract as predict_knn with no shared code path,
-    so the two can cross-check each other.
-    """
-    query = [float(v) for v in np.asarray(query).ravel()]
-    if len(query) != store.dimension:
-        raise DimensionMismatch(
-            f"query has {len(query)} dims, store has {store.dimension}")
-    distances = []
-    for i in range(len(store)):
-        s = 0.0
-        for a, b in zip(store.features[i], query):
-            s += (float(a) - b) ** 2
-        distances.append(math.sqrt(s))
-
-    k = min(cfg.k, len(store))
-    ranked = sorted(range(len(store)), key=lambda i: (distances[i], i))[:k]
-
-    m = store.targets.shape[1]
-    exact = [i for i in ranked if distances[i] == 0.0]
-    if exact:
-        if len(exact) == 1:
-            return np.array([float(store.targets[exact[0], j]) for j in range(m)])
-        total_w = sum(float(store.weights[i]) for i in exact)
-        return np.array([
-            sum(float(store.weights[i]) * float(store.targets[i, j]) for i in exact) / total_w
-            for j in range(m)
-        ])
-    if len(ranked) == 1:
-        return np.array([float(store.targets[ranked[0], j]) for j in range(m)])
-    total_w = sum(float(store.weights[i]) / distances[i] for i in ranked)
-    return np.array([
-        sum((float(store.weights[i]) / distances[i]) * float(store.targets[i, j])
-            for i in ranked) / total_w
-        for j in range(m)
-    ])

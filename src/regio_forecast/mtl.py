@@ -1,23 +1,23 @@
-"""Generic/dedicated transfer composition for regional monitoring models.
+"""Instance-transfer composition of regional monitoring models.
 
-Training happens in two stages. A *generic* component memorizes scaled
-instances pooled from every region except the case study. Its instances
-are then transferred into the *dedicated* component, weighted by a
-``generic_weight`` multiplier, and the case-study training rows are
-appended at weight 1.0. Because the learner is instance-based, "adding"
-the generic model to the dedicated one can only mean contributing its
-instances (or their influence); the weight multiplier spans the spectrum
-from no transfer (0) to a plain union of the pools (1).
+The paper trains a *generic* model on the pooled regions and transfers it
+into a *dedicated* model for the case-study region. The learner is kNN, so
+that transfer is a weighted union of instances: one store holds the rows
+of every other region at weight ``generic_weight``, followed by the
+case-study training rows at weight 1.0. Weight 1 is plain kNN on the
+union, and weight 0 drops the pooled rows, leaving kNN on the case study
+alone.
 
-Both components share one scaling geometry: the quantile/min-max scalers
-are fitted on pool plus case-study *training* rows. Held-out rows are
-only ever transformed with the fitted state.
+The quantile/min-max scalers are fitted once, on pool plus case-study
+*training* rows. Held-out rows are only ever transformed with the fitted
+state.
 """
 
 from __future__ import annotations
 
+import math
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -39,7 +39,7 @@ from .features import (
     concat_features,
     select_features,
 )
-from .ingest import DataRow, RegionalDataset, RegionId, pool_regions, split_train_test
+from .ingest import RegionalDataset, RegionId, split_train_test
 from .knn import InstanceStore, KnnConfig, fit_knn, predict_knn_batch
 from .scaling import (
     MinMaxScalerState,
@@ -50,14 +50,7 @@ from .scaling import (
     l2_normalize_rows,
 )
 
-
-def rows_to_primary(rows: Sequence[DataRow]) -> FeatureMatrix:
-    return FeatureMatrix(np.vstack([r.features for r in rows]), PRIMARY_FEATURE_CODES)
-
-
-def rows_to_targets(rows: Sequence[DataRow]) -> TargetMatrix:
-    return TargetMatrix(np.vstack([r.targets for r in rows]).astype(np.float64),
-                        TARGET_COLUMNS)
+REGION_CODE_COLUMN = PRIMARY_FEATURE_CODES.index("feat_04")
 
 
 def build_design_matrix(
@@ -80,193 +73,41 @@ def transform_design(
 
 
 @dataclass(frozen=True)
-class GenericComponent:
-    """Pooled multi-region store plus the scalers it was built with."""
-
-    store: InstanceStore
-    feature_scaler: QuantileNormalScaler
-    target_scaler: MinMaxScalerState
-    fit_seconds: float
-
-
-@dataclass(frozen=True)
 class TrainReport:
-    """Instance counts, wall-clock fit times, and scaler summaries for one run."""
+    """Instance counts, wall-clock fit time, and scaler summaries for one run.
+
+    ``generic_instances`` counts the rows pooled from the other regions;
+    the store holds them only when the generic weight is above 0.
+    """
 
     generic_instances: int
     dedicated_instances: int
     case_train_rows: int
-    generic_fit_seconds: float
-    dedicated_fit_seconds: float
+    fit_seconds: float
     n_quantiles: int
     target_mins: tuple[float, ...] = ()
     target_maxs: tuple[float, ...] = ()
 
-    @property
-    def total_fit_seconds(self) -> float:
-        return self.generic_fit_seconds + self.dedicated_fit_seconds
-
     def to_json_dict(self) -> dict:
-        return {
-            "generic_instances": self.generic_instances,
-            "dedicated_instances": self.dedicated_instances,
-            "case_train_rows": self.case_train_rows,
-            "generic_fit_seconds": self.generic_fit_seconds,
-            "dedicated_fit_seconds": self.dedicated_fit_seconds,
-            "total_fit_seconds": self.total_fit_seconds,
-            "n_quantiles": self.n_quantiles,
-            "target_mins": list(self.target_mins),
-            "target_maxs": list(self.target_maxs),
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
 class MtlModel:
-    """Fully trained two-component model for one case-study region."""
+    """Trained monitoring model for one case-study region.
 
-    generic_store: InstanceStore
-    dedicated_store: InstanceStore
+    ``store`` holds the pooled-region instances at ``generic_weight``
+    (none when it is 0), then the case-study training instances at weight
+    1.0; its source tags are region codes.
+    """
+
+    store: InstanceStore
     feature_scaler: QuantileNormalScaler
     target_scaler: MinMaxScalerState
     selected_features: tuple[str, ...]
     cfg: KnnConfig
     generic_weight: float
     case_study: RegionId
-
-
-def train_generic(
-    pool: Sequence[tuple[RegionId, DataRow]],
-    cfg: KnnConfig = KnnConfig(),
-    selection: Sequence[str] = DEFAULT_SELECTED_FEATURES,
-    case_study: RegionId | None = None,
-    scalers: tuple[QuantileNormalScaler, MinMaxScalerState] | None = None,
-    n_quantiles: int | None = None,
-) -> GenericComponent:
-    """Fit the pooled component on rows from the non-case-study regions.
-
-    Scalers are fitted on the pool itself unless a pre-fitted pair is
-    passed in (the orchestrator passes the union-fitted pair so both
-    components share one geometry).
-    """
-    pool = list(pool)
-    if not pool:
-        raise EmptyPool("generic component needs a non-empty pool")
-    if case_study is not None:
-        for region, _ in pool:
-            if region.code == case_study.code:
-                raise CaseStudyLeak(
-                    f"pool contains rows from the case-study region {case_study.name!r}")
-
-    rows = [row for _, row in pool]
-    tags = [region.name for region, _ in pool]
-    raw_design = build_design_matrix(rows_to_primary(rows), selection)
-    raw_targets = rows_to_targets(rows)
-
-    t0 = time.perf_counter()
-    if scalers is None:
-        feature_scaler = fit_quantile_scaler(raw_design, n_quantiles)
-        target_scaler = fit_minmax(raw_targets)
-    else:
-        feature_scaler, target_scaler = scalers
-    x = transform_design(feature_scaler, raw_design)
-    y = target_scaler.transform_values(raw_targets.values)
-    store = fit_knn(x, y, cfg, source_tags=tags)
-    fit_seconds = time.perf_counter() - t0
-    return GenericComponent(store, feature_scaler, target_scaler, fit_seconds)
-
-
-def transfer_to_dedicated(generic: InstanceStore, generic_weight: float) -> InstanceStore:
-    """Seed a dedicated store with the generic instances, reweighted.
-
-    A weight of 0 is the documented no-transfer ablation and yields an
-    empty seed (zero-weight instances cannot participate in voting, so
-    they are dropped rather than stored).
-    """
-    if generic_weight < 0:
-        raise NegativeWeight(f"generic weight must be >= 0, got {generic_weight}")
-    if generic_weight == 0:
-        return InstanceStore(
-            np.empty((0, generic.dimension)),
-            np.empty((0, generic.targets.shape[1])),
-            (),
-            np.empty(0),
-        )
-    return InstanceStore(generic.features, generic.targets, generic.source_tags,
-                         generic.weights * generic_weight)
-
-
-def _concat_stores(a: InstanceStore, b: InstanceStore) -> InstanceStore:
-    return InstanceStore(
-        np.vstack([a.features, b.features]),
-        np.vstack([a.targets, b.targets]),
-        a.source_tags + b.source_tags,
-        np.concatenate([a.weights, b.weights]),
-    )
-
-
-def train_dedicated(
-    pool: Sequence[tuple[RegionId, DataRow]],
-    case_study: RegionId,
-    case_rows: Sequence[DataRow],
-    cfg: KnnConfig = KnnConfig(),
-    generic_weight: float = 1.0,
-    selection: Sequence[str] = DEFAULT_SELECTED_FEATURES,
-    n_quantiles: int | None = None,
-) -> tuple[MtlModel, TrainReport]:
-    """Train the full two-component model for one case-study region.
-
-    Scalers are fitted once on pool + case training rows; the generic
-    store is built with them, transferred at ``generic_weight``, and the
-    case-study instances are appended at weight 1.0.
-    """
-    case_rows = list(case_rows)
-    if not case_rows:
-        raise EmptyCaseData(f"no training rows for case study {case_study.name!r}")
-    pool = list(pool)
-    if not pool:
-        raise EmptyPool("dedicated training needs a non-empty generic pool")
-
-    all_rows = [row for _, row in pool] + case_rows
-    raw_all = build_design_matrix(rows_to_primary(all_rows), selection)
-    t0 = time.perf_counter()
-    feature_scaler = fit_quantile_scaler(raw_all, n_quantiles)
-    target_scaler = fit_minmax(rows_to_targets(all_rows))
-    scaler_seconds = time.perf_counter() - t0
-
-    generic = train_generic(pool, cfg, selection, case_study=case_study,
-                            scalers=(feature_scaler, target_scaler))
-
-    t1 = time.perf_counter()
-    seed_store = transfer_to_dedicated(generic.store, generic_weight)
-    case_design = build_design_matrix(rows_to_primary(case_rows), selection)
-    x_case = transform_design(feature_scaler, case_design)
-    y_case = target_scaler.transform_values(rows_to_targets(case_rows).values)
-    case_store = fit_knn(x_case, y_case, cfg,
-                         source_tags=[case_study.name] * len(case_rows))
-    dedicated_store = _concat_stores(seed_store, case_store)
-    dedicated_seconds = time.perf_counter() - t1
-
-    model = MtlModel(
-        generic_store=generic.store,
-        dedicated_store=dedicated_store,
-        feature_scaler=feature_scaler,
-        target_scaler=target_scaler,
-        selected_features=tuple(selection),
-        cfg=cfg,
-        generic_weight=float(generic_weight),
-        case_study=case_study,
-    )
-    report = TrainReport(
-        generic_instances=len(generic.store),
-        dedicated_instances=len(dedicated_store),
-        case_train_rows=len(case_rows),
-        generic_fit_seconds=generic.fit_seconds + scaler_seconds,
-        dedicated_fit_seconds=dedicated_seconds,
-        n_quantiles=feature_scaler.n_quantiles,
-        target_mins=tuple(float(v) for v in target_scaler.mins),
-        target_maxs=tuple(float(v) for v in target_scaler.maxs),
-    )
-    return model, report
 
 
 def train_mtl(
@@ -278,14 +119,64 @@ def train_mtl(
     selection: Sequence[str] = DEFAULT_SELECTED_FEATURES,
     n_quantiles: int | None = None,
 ) -> tuple[MtlModel, TrainReport]:
-    """Convenience wrapper: pool every non-case dataset, train on the case split."""
+    """Train the model for ``case_study`` on its rows ``case_train_indices``.
+
+    Every dataset of another region joins the pool, in the given order.
+    Instances keep that order, pool first, so kNN distance ties break the
+    same way on every run.
+    """
+    if not 0 <= generic_weight < math.inf:
+        raise NegativeWeight(f"generic weight must be finite and >= 0, got {generic_weight}")
     case_ds = next((d for d in datasets if d.region.code == case_study.code), None)
     if case_ds is None:
         raise EmptyCaseData(f"no dataset for case study {case_study.name!r}")
-    pool = pool_regions(datasets, exclude=case_study)
-    case_rows = [case_ds.rows[i] for i in case_train_indices]
-    return train_dedicated(pool, case_study, case_rows, cfg, generic_weight,
-                           selection, n_quantiles)
+    case = case_ds.subset(case_train_indices)
+    if case.n_rows == 0:
+        raise EmptyCaseData(f"no training rows for case study {case_study.name!r}")
+    pool = [d for d in datasets if d.region.code != case_study.code]
+    if not pool:
+        raise EmptyPool("training needs at least one region besides the case study")
+    n_pool = sum(d.n_rows for d in pool)
+    features = np.vstack([d.features for d in pool] + [case.features])
+    if np.any(features[:n_pool, REGION_CODE_COLUMN] == case_study.code):
+        raise CaseStudyLeak(
+            f"pool contains rows from the case-study region {case_study.name!r}")
+    targets = TargetMatrix(np.vstack([d.targets for d in pool] + [case.targets]))
+    tags = np.concatenate([np.full(d.n_rows, d.region.code) for d in pool + [case]])
+    weights = np.concatenate([np.full(n_pool, float(generic_weight)),
+                              np.ones(case.n_rows)])
+
+    t0 = time.perf_counter()
+    raw_design = build_design_matrix(
+        FeatureMatrix(features, PRIMARY_FEATURE_CODES), selection)
+    feature_scaler = fit_quantile_scaler(raw_design, n_quantiles)
+    target_scaler = fit_minmax(targets)
+    # zero-weight instances cannot vote, so they are dropped, not stored
+    keep = slice(n_pool if generic_weight == 0 else 0, None)
+    store = fit_knn(transform_design(feature_scaler, raw_design)[keep],
+                    target_scaler.transform_values(targets.values)[keep],
+                    cfg, source_tags=tags[keep], weights=weights[keep])
+    fit_seconds = time.perf_counter() - t0
+
+    model = MtlModel(
+        store=store,
+        feature_scaler=feature_scaler,
+        target_scaler=target_scaler,
+        selected_features=tuple(selection),
+        cfg=cfg,
+        generic_weight=float(generic_weight),
+        case_study=case_study,
+    )
+    report = TrainReport(
+        generic_instances=n_pool,
+        dedicated_instances=len(store),
+        case_train_rows=case.n_rows,
+        fit_seconds=fit_seconds,
+        n_quantiles=feature_scaler.n_quantiles,
+        target_mins=tuple(float(v) for v in target_scaler.mins),
+        target_maxs=tuple(float(v) for v in target_scaler.maxs),
+    )
+    return model, report
 
 
 @dataclass(frozen=True)
@@ -303,22 +194,15 @@ class MonitoringPrediction:
         return self.counts[:, TARGET_COLUMNS.index(target)]
 
 
-def predict_monitoring(
-    model: MtlModel,
-    rows: Sequence[DataRow] | FeatureMatrix,
-) -> MonitoringPrediction:
-    """Predict (infections, hospitalizations, recoveries, deaths) per row.
+def predict_monitoring(model: MtlModel, ds: RegionalDataset) -> MonitoringPrediction:
+    """Predict (infections, hospitalizations, recoveries, deaths) per day of ``ds``.
 
     Pipeline: derive features, select the model columns, apply the fitted
-    scalers, query the dedicated store, invert target scaling, floor at 0.
+    scalers, query the store, invert target scaling, floor at 0.
     """
-    if isinstance(rows, FeatureMatrix):
-        primary = rows
-    else:
-        primary = rows_to_primary(list(rows))
-    raw_design = build_design_matrix(primary, model.selected_features)
+    raw_design = build_design_matrix(ds.feature_matrix(), model.selected_features)
     x = transform_design(model.feature_scaler, raw_design)
-    scaled = predict_knn_batch(model.dedicated_store, x, model.cfg)
+    scaled = predict_knn_batch(model.store, x, model.cfg)
     counts = model.target_scaler.inverse_values(scaled, count_mode=True)
     return MonitoringPrediction(counts, np.rint(counts).astype(np.int64))
 
@@ -335,7 +219,7 @@ def rotate_regions(
 ):
     """Let every region take a turn as the case study and evaluate it.
 
-    For each region the remaining datasets form the generic pool, a
+    For each region the remaining datasets form the pool, a
     held-out split of ``test_size`` days is predicted, and metric
     intervals are computed. Returns one MetricReport per region, in
     dataset order. Per-region split and bootstrap seeds derive from the
@@ -355,12 +239,11 @@ def rotate_regions(
         split = split_train_test(ds, test_size, split_seed)
         model, train_report = train_mtl(
             datasets, case, split.train_indices, cfg, generic_weight, selection)
-        test_rows = [ds.rows[i] for i in split.test_indices]
         report = evaluate_model(
-            model, test_rows,
+            model, ds.subset(split.test_indices),
             BootstrapConfig(replicates=bootstrap_replicates,
                             confidence=confidence, seed=boot_seed),
-            training_time_seconds=train_report.total_fit_seconds,
+            training_time_seconds=train_report.fit_seconds,
         )
         reports.append(report)
     return reports

@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import BadConfig, InvalidCapacity, ZeroChcCount
-from .ingest import DataRow
+from .ingest import RegionalDataset
 from .mtl import MtlModel, predict_monitoring
 
 
@@ -105,7 +105,7 @@ PPE_CSV_HEADER = ("date,predicted_hospitalized,hsp_ratio,kits,kits_ceil,"
 
 def forecast_series(
     model: MtlModel,
-    rows: Sequence[DataRow],
+    ds: RegionalDataset,
     operating_capacity: float | Sequence[float],
     personnel: float | Sequence[float],
     comp: KitComposition = KitComposition(),
@@ -113,21 +113,21 @@ def forecast_series(
     """Chain the monitoring model's hospitalization predictions into kit demand.
 
     ``operating_capacity`` and ``personnel`` may be constants or one value
-    per row. The health centre count is read from each row's feat_11.
+    per day. The health centre count is read from each day's feat_11.
     """
-    rows = list(rows)
-    n = len(rows)
+    n = ds.n_rows
     caps = _broadcast(operating_capacity, n, "operating_capacity")
     staff = _broadcast(personnel, n, "personnel")
 
-    hospitalized = predict_monitoring(model, rows).column("hospitalizations")
+    hospitalized = predict_monitoring(model, ds).column("hospitalizations")
+    chcs = ds.feature_matrix().column("feat_11").tolist()
     out = []
-    for row, h, cap, p in zip(rows, hospitalized, caps, staff):
-        chc = int(round(row.feature("feat_11")))
+    for date, h, chc_value, cap, p in zip(ds.dates, hospitalized, chcs, caps, staff):
+        chc = int(round(chc_value))
         inputs = PpeInputs(float(h), chc, float(cap), float(p))
         kits = predict_ppe_kits(inputs)
         out.append(PpeDayForecast(
-            date=row.date,
+            date=date,
             predicted_hospitalized=float(h),
             hsp_ratio=float(h) / chc,
             kits=kits,
@@ -155,5 +155,5 @@ def _broadcast(value, n: int, name: str) -> np.ndarray:
         return np.full(n, float(value))
     arr = np.asarray(value, dtype=np.float64)
     if arr.shape != (n,):
-        raise BadConfig(f"{name} series has {arr.shape[0]} entries for {n} rows")
+        raise BadConfig(f"{name} series has {arr.shape[0]} entries for {n} days")
     return arr

@@ -206,13 +206,29 @@ class UnitRowMatrix:
         object.__setattr__(self, "zero_rows", z)
 
 
+# Inside this range the plain sum of squares neither overflows nor loses
+# precision to subnormal numbers, so rows there are divided by it directly.
+SAFE_NORM_RANGE = (1e-100, 1e100)
+
+
 def l2_normalize_rows(m: FeatureMatrix | np.ndarray) -> UnitRowMatrix:
-    """Divide each row by its Euclidean norm; all-zero rows stay zero and are flagged."""
+    """Divide each row by its Euclidean norm; all-zero rows stay zero and are flagged.
+
+    A row whose plain norm falls outside SAFE_NORM_RANGE is first divided
+    by its largest absolute value, which keeps its direction.
+    """
     if isinstance(m, FeatureMatrix):
         values, codes = m.values, m.column_codes
     else:
         values, codes = np.asarray(m, dtype=np.float64), ()
-    norms = np.linalg.norm(values, axis=1)
+    with np.errstate(over="ignore"):   # an overflowing row is rescaled below
+        norms = np.linalg.norm(values, axis=1)
+    unsafe = ~((norms > SAFE_NORM_RANGE[0]) & (norms < SAFE_NORM_RANGE[1]))
+    if np.any(unsafe):
+        values = values.copy()
+        peak = np.abs(values[unsafe]).max(axis=1, keepdims=True)
+        values[unsafe] /= np.where(peak > 0.0, peak, 1.0)
+        norms[unsafe] = np.linalg.norm(values[unsafe], axis=1)
     zero = norms == 0.0
     safe = np.where(zero, 1.0, norms)
     return UnitRowMatrix(values / safe[:, None], zero, codes)

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import BadSpec
-from .ingest import DataRow, RegionalDataset, region_by_code, write_regional_csv
+from .ingest import RegionalDataset, region_by_code, write_regional_csv
 
 DEFAULT_START_DATE = dt.date(2020, 1, 25)
 
@@ -178,9 +178,7 @@ def generate_regions(spec: SyntheticSpec) -> list[RegionalDataset]:
 
         matrix = np.column_stack(
             [features[f"feat_{i:02d}"] for i in range(1, 28)])
-        rows = tuple(
-            DataRow(dates[i], matrix[i], targets[i]) for i in range(spec.rows))
-        datasets.append(RegionalDataset(region_by_code(code), rows))
+        datasets.append(RegionalDataset(region_by_code(code), dates, matrix, targets))
     return datasets
 
 

@@ -9,6 +9,9 @@ import math
 
 import numpy as np
 
+from regio_forecast.errors import DimensionMismatch
+from regio_forecast.knn import InstanceStore, KnnConfig
+
 
 def normal_cdf(x: float) -> float:
     return 0.5 * math.erfc(-x / math.sqrt(2.0))
@@ -53,3 +56,43 @@ def empirical_cdf_prob(sorted_values: np.ndarray, x: float) -> float:
     x0, x1 = sorted_values[below - 1], sorted_values[below]
     t = (x - x0) / (x1 - x0)
     return ((below - 1) + t) / (n - 1)
+
+
+def knn_oracle(store: InstanceStore, query: np.ndarray, cfg: KnnConfig) -> np.ndarray:
+    """Reference kNN predictor: exhaustive scan with an explicit exact sort.
+
+    Implements the same contract as ``regio_forecast.knn.predict_knn`` with
+    no shared code path, so the two can cross-check each other.
+    """
+    query = [float(v) for v in np.asarray(query).ravel()]
+    if len(query) != store.dimension:
+        raise DimensionMismatch(
+            f"query has {len(query)} dims, store has {store.dimension}")
+    distances = []
+    for i in range(len(store)):
+        s = 0.0
+        for a, b in zip(store.features[i], query):
+            s += (float(a) - b) ** 2
+        distances.append(math.sqrt(s))
+
+    k = min(cfg.k, len(store))
+    ranked = sorted(range(len(store)), key=lambda i: (distances[i], i))[:k]
+
+    m = store.targets.shape[1]
+    exact = [i for i in ranked if distances[i] == 0.0]
+    if exact:
+        if len(exact) == 1:
+            return np.array([float(store.targets[exact[0], j]) for j in range(m)])
+        total_w = sum(float(store.weights[i]) for i in exact)
+        return np.array([
+            sum(float(store.weights[i]) * float(store.targets[i, j]) for i in exact) / total_w
+            for j in range(m)
+        ])
+    if len(ranked) == 1:
+        return np.array([float(store.targets[ranked[0], j]) for j in range(m)])
+    total_w = sum(float(store.weights[i]) / distances[i] for i in ranked)
+    return np.array([
+        sum((float(store.weights[i]) / distances[i]) * float(store.targets[i, j])
+            for i in ranked) / total_w
+        for j in range(m)
+    ])

@@ -17,18 +17,16 @@ import pytest
 from regio_forecast.cli import main as cli_main
 from regio_forecast.errors import ZeroVariance
 from regio_forecast.evaluation import BootstrapConfig, bootstrap_interval, evs, mae, r2, rmse
-from regio_forecast.features import FeatureMatrix, TargetMatrix
+from regio_forecast.features import PRIMARY_FEATURE_CODES, FeatureMatrix, TargetMatrix
 from regio_forecast.ingest import (
     parse_regional_csv,
     region_by_name,
     split_train_test,
 )
-from regio_forecast.knn import KnnConfig, fit_knn, knn_oracle, predict_knn
+from regio_forecast.knn import KnnConfig, fit_knn, predict_knn
 from regio_forecast.mtl import (
     build_design_matrix,
     predict_monitoring,
-    rows_to_primary,
-    rows_to_targets,
     train_mtl,
     transform_design,
 )
@@ -44,7 +42,7 @@ from regio_forecast.scaling import (
 )
 from regio_forecast.synth import SyntheticSpec, generate_regions
 
-from oracles import bisection_normal_ppf
+from oracles import bisection_normal_ppf, knn_oracle
 
 
 @contextmanager
@@ -133,31 +131,33 @@ def test_transfer_algebra():
         datasets = generate_regions(SyntheticSpec(regions=3, rows=90, seed=13))
         ds = datasets[0]
         split = split_train_test(ds, 18, seed=13)
-        case_rows = [ds.rows[i] for i in split.train_indices]
-        pool_rows = [row for other in datasets[1:] for row in other.rows]
+        case_train = ds.subset(split.train_indices)
 
         model_union, _ = train_mtl(datasets, ds.region, split.train_indices,
                                    generic_weight=1.0)
         model_solo, _ = train_mtl(datasets, ds.region, split.train_indices,
                                   generic_weight=0.0)
 
-        def scaled(model, rows):
-            design = build_design_matrix(rows_to_primary(rows), model.selected_features)
+        def scaled(model, parts):
+            primary = FeatureMatrix(np.vstack([p.features for p in parts]),
+                                    PRIMARY_FEATURE_CODES)
+            design = build_design_matrix(primary, model.selected_features)
             x = transform_design(model.feature_scaler, design)
-            y = model.target_scaler.transform_values(rows_to_targets(rows).values)
+            y = model.target_scaler.transform_values(
+                np.vstack([p.targets for p in parts]).astype(float))
             return x, y
 
-        xu, yu = scaled(model_union, pool_rows + case_rows)
+        xu, yu = scaled(model_union, [*datasets[1:], case_train])
         union_store = fit_knn(xu, yu, model_union.cfg)
-        xs, ys = scaled(model_solo, case_rows)
+        xs, ys = scaled(model_solo, [case_train])
         solo_store = fit_knn(xs, ys, model_solo.cfg)
 
         for _ in range(100):
             q = rng.normal(size=xu.shape[1])
             q /= np.linalg.norm(q)
-            assert np.allclose(predict_knn(model_union.dedicated_store, q, model_union.cfg),
+            assert np.allclose(predict_knn(model_union.store, q, model_union.cfg),
                                predict_knn(union_store, q, model_union.cfg), atol=1e-10)
-            assert np.allclose(predict_knn(model_solo.dedicated_store, q, model_solo.cfg),
+            assert np.allclose(predict_knn(model_solo.store, q, model_solo.cfg),
                                predict_knn(solo_store, q, model_solo.cfg), atol=1e-10)
 
 
@@ -231,15 +231,15 @@ def test_synthetic_transfer_benefit():
             rng = np.random.default_rng(seed)
             train60 = tuple(sorted(
                 int(i) for i in rng.choice(split.train_indices, 60, replace=False)))
-            test_rows = [ds.rows[i] for i in split.test_indices]
-            y = np.array([row.targets[0] for row in test_rows], dtype=float)
+            test = ds.subset(split.test_indices)
+            y = test.targets[:, 0].astype(float)
 
             with_transfer, _ = train_mtl(datasets, ds.region, train60,
                                          generic_weight=1.0)
             without, _ = train_mtl(datasets, ds.region, train60,
                                    generic_weight=0.0)
-            r2_transfer = r2(y, predict_monitoring(with_transfer, test_rows).counts[:, 0])
-            r2_solo = r2(y, predict_monitoring(without, test_rows).counts[:, 0])
+            r2_transfer = r2(y, predict_monitoring(with_transfer, test).counts[:, 0])
+            r2_solo = r2(y, predict_monitoring(without, test).counts[:, 0])
             wins += r2_transfer > r2_solo
         assert wins >= 4, f"transfer won on only {wins} of 5 seeds"
         assert time.perf_counter() - started < 60.0
@@ -295,8 +295,8 @@ def test_real_data_best_effort():
         ontario = next(ds for ds in datasets if ds.region.name == "Ontario")
         split = split_train_test(ontario, 54, seed=1)
         model, _ = train_mtl(datasets, ontario.region, split.train_indices)
-        test_rows = [ontario.rows[i] for i in split.test_indices]
-        prediction = predict_monitoring(model, test_rows)
-        actual = np.vstack([row.targets for row in test_rows]).astype(float)
+        test = ontario.subset(split.test_indices)
+        prediction = predict_monitoring(model, test)
+        actual = test.targets.astype(float)
         assert r2(actual[:, 0], prediction.counts[:, 0]) >= 0.85
         assert r2(actual[:, 1], prediction.counts[:, 1]) >= 0.85

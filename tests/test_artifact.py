@@ -21,10 +21,9 @@ def test_save_load_roundtrip(trained_small_model, small_datasets, tmp_path):
     clone = load_model(path)
     assert dumps_model(clone) == dumps_model(model)
 
-    ds = small_datasets[0]
-    rows = [ds.rows[i] for i in split.test_indices]
-    assert np.array_equal(predict_monitoring(clone, rows).counts,
-                          predict_monitoring(model, rows).counts)
+    test = small_datasets[0].subset(split.test_indices)
+    assert np.array_equal(predict_monitoring(clone, test).counts,
+                          predict_monitoring(model, test).counts)
 
 
 def test_artifact_is_plain_json(trained_small_model, tmp_path):
@@ -32,10 +31,9 @@ def test_artifact_is_plain_json(trained_small_model, tmp_path):
     path = tmp_path / "model.json"
     save_model(model, path)
     doc = json.loads(path.read_text())
-    assert doc["version"] == "1"
+    assert doc["version"] == "2"
     assert set(doc) == {"version", "config", "selected_features", "generic_weight",
-                        "case_study", "feature_scaler", "target_scaler",
-                        "generic_store", "dedicated_store"}
+                        "case_study", "feature_scaler", "target_scaler", "store"}
     assert len(doc["selected_features"]) == 13
 
 

@@ -1,4 +1,5 @@
 import json
+import shutil
 import subprocess
 import sys
 
@@ -30,10 +31,10 @@ def test_train_writes_artifact_and_report(data_dir, tmp_path):
                 "--test-days", "16", "--seed", "3", "--out", out])
     assert code == 0
     doc = json.loads((out / "model.json").read_text())
-    assert doc["version"] == "1"
+    assert doc["version"] == "2"
     assert doc["case_study"]["name"] == "Alberta"
     report = json.loads((out / "train_report.json").read_text())
-    assert report["pool_regions"] == ["British Columbia", "Manitoba"]
+    assert report["pooled_regions"] == ["British Columbia", "Manitoba"]
     assert report["generic_instances"] == 2 * 80
     assert report["dedicated_instances"] == 2 * 80 + 64
 
@@ -167,6 +168,49 @@ def test_unknown_artifact_version_exits_3(data_dir, tmp_path):
     code = run(["predict", "--model", bad, "--input", data_dir / "alberta.csv",
                 "--out", tmp_path / "x"])
     assert code == 3
+
+
+def test_version_1_artifact_exits_3(data_dir, tmp_path, capsys):
+    out = tmp_path / "model_out4"
+    assert run(["train", "--data-dir", data_dir, "--case-study", "alberta",
+                "--test-days", "16", "--out", out]) == 0
+    doc = json.loads((out / "model.json").read_text())
+    doc["version"] = "1"           # checked before any other field is read
+    old = tmp_path / "v1_model.json"
+    old.write_text(json.dumps(doc))
+    code = run(["predict", "--model", old, "--input", data_dir / "alberta.csv",
+                "--out", tmp_path / "x"])
+    assert code == 3
+    assert "version '1' not supported (expected '2')" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("column, text", [
+    ("feat_02", "nan"), ("infections", "inf"), ("feat_04", "1.0"),
+])
+def test_bad_cell_exits_3_naming_row_and_column(data_dir, tmp_path, capsys, column, text):
+    bad_dir = tmp_path / "bad_data"
+    shutil.copytree(data_dir, bad_dir)
+    path = bad_dir / "alberta.csv"
+    lines = path.read_text().splitlines()
+    header = lines[0].split(",")
+    cells = lines[5].split(",")
+    cells[header.index(column)] = text
+    lines[5] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+    code = run(["train", "--data-dir", bad_dir, "--case-study", "alberta",
+                "--test-days", "16", "--out", tmp_path / "x"])
+    assert code == 3
+    assert f"row 5, column '{column}'" in capsys.readouterr().err
+
+
+def test_predict_other_region_file_exits_3(data_dir, tmp_path, capsys):
+    out = tmp_path / "model_out5"
+    assert run(["train", "--data-dir", data_dir, "--case-study", "alberta",
+                "--test-days", "16", "--out", out]) == 0
+    code = run(["predict", "--model", out / "model.json",
+                "--input", data_dir / "british_columbia.csv", "--out", tmp_path / "x"])
+    assert code == 3
+    assert "does not match Alberta" in capsys.readouterr().err
 
 
 def test_relevance_export(data_dir, tmp_path):

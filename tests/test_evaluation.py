@@ -140,10 +140,9 @@ def test_bootstrap_all_degenerate():
 def test_evaluate_model_report_shape(trained_small_model, small_datasets):
     model, train_report, split = trained_small_model
     ds = small_datasets[0]
-    test_rows = [ds.rows[i] for i in split.test_indices]
-    report = evaluate_model(model, test_rows,
+    report = evaluate_model(model, ds.subset(split.test_indices),
                             BootstrapConfig(replicates=100, seed=5),
-                            training_time_seconds=train_report.total_fit_seconds)
+                            training_time_seconds=train_report.fit_seconds)
     assert report.region == ds.region.name
     assert len(report.to_long_rows()) == 16        # 4 targets x 4 metrics
     for target in report.intervals:
@@ -161,8 +160,8 @@ def test_evaluate_perfect_model(small_datasets):
     ds = small_datasets[0]
     split = split_train_test(ds, 16, seed=7)
     model, _ = train_mtl(small_datasets, ds.region, split.train_indices)
-    train_rows = [ds.rows[i] for i in split.train_indices[:20]]
-    report = evaluate_model(model, train_rows, BootstrapConfig(replicates=50, seed=1))
+    report = evaluate_model(model, ds.subset(split.train_indices[:20]),
+                            BootstrapConfig(replicates=50, seed=1))
     for target in report.intervals:
         assert report.interval(target, "r2").mid == pytest.approx(1.0, abs=1e-9)
         assert report.interval(target, "evs").mid == pytest.approx(1.0, abs=1e-9)
@@ -173,8 +172,7 @@ def test_evaluate_perfect_model(small_datasets):
 def test_csv_exports(trained_small_model, small_datasets):
     model, train_report, split = trained_small_model
     ds = small_datasets[0]
-    test_rows = [ds.rows[i] for i in split.test_indices]
-    report = evaluate_model(model, test_rows, BootstrapConfig(replicates=50, seed=5))
+    report = evaluate_model(model, ds.subset(split.test_indices), BootstrapConfig(replicates=50, seed=5))
     long_csv = reports_to_long_csv([report])
     assert long_csv.splitlines()[0] == "province,target,metric,low,mid,top,tt_seconds"
     assert len(long_csv.strip().splitlines()) == 17

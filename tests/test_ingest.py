@@ -14,31 +14,36 @@ from regio_forecast.errors import (
 )
 from regio_forecast.ingest import (
     CSV_HEADER,
-    DataRow,
     RegionalDataset,
     RegionId,
     parse_regional_csv,
-    pool_regions,
     region_by_code,
     region_by_name,
     split_train_test,
     validate_dataset,
     write_regional_csv,
 )
+from regio_forecast.mtl import train_mtl
 from regio_forecast.synth import SyntheticSpec, generate_regions
 
 
-def make_row(day, feat_02=1.0, deaths=0, date=None):
+def make_row(day, feat_02=1.0, deaths=0):
+    """(date, features, targets) of one valid Alberta day, with overrides."""
     features = np.ones(27)
     features[1] = feat_02          # feat_02
-    features[3] = 0.0              # feat_04 region code must be valid
+    features[3] = 0.0              # feat_04: Alberta's region code
     features[4] = 1.0              # feat_05 wave
     features[6] = 1.0              # feat_07
     features[7] = 0.0              # feat_08
     features[8] = 0.0              # feat_09
     features[9] = 0.0              # feat_10
-    return DataRow(date or dt.date(2020, 1, 25) + dt.timedelta(days=day),
-                   features, np.array([1, 1, 1, deaths]))
+    return (dt.date(2020, 1, 25) + dt.timedelta(days=day),
+            features, np.array([1, 1, 1, deaths]))
+
+
+def make_dataset(*rows):
+    dates, features, targets = zip(*rows)
+    return RegionalDataset(region_by_code(0), dates, np.array(features), np.array(targets))
 
 
 def test_region_encodings():
@@ -82,7 +87,7 @@ def test_parse_missing_column(tmp_path):
 
 
 def test_parse_bad_categorical(tmp_path):
-    ds = RegionalDataset(region_by_code(0), (make_row(0), make_row(1, feat_02=7.0)))
+    ds = make_dataset(make_row(0), make_row(1, feat_02=7.0))
     path = tmp_path / "alberta.csv"
     write_regional_csv(ds, path)
     with pytest.raises(BadValue) as err:
@@ -92,7 +97,7 @@ def test_parse_bad_categorical(tmp_path):
 
 
 def test_parse_duplicate_date(tmp_path):
-    ds = RegionalDataset(region_by_code(0), (make_row(0), make_row(0)))
+    ds = make_dataset(make_row(0), make_row(0))
     path = tmp_path / "alberta.csv"
     write_regional_csv(ds, path)
     with pytest.raises(DuplicateDate):
@@ -111,7 +116,7 @@ def test_parse_empty_file(tmp_path):
 
 
 def test_parse_forward_fills_missing_cells(tmp_path):
-    ds = RegionalDataset(region_by_code(0), (make_row(0), make_row(1)))
+    ds = make_dataset(make_row(0), make_row(1))
     path = tmp_path / "alberta.csv"
     write_regional_csv(ds, path)
     lines = path.read_text().splitlines()
@@ -120,11 +125,12 @@ def test_parse_forward_fills_missing_cells(tmp_path):
     lines[2] = ",".join(cells)
     path.write_text("\n".join(lines) + "\n")
     parsed = parse_regional_csv(path, ds.region)
-    assert parsed.rows[1].feature("feat_01") == parsed.rows[0].feature("feat_01")
+    feat_01 = parsed.feature_matrix().column("feat_01")
+    assert feat_01[1] == feat_01[0]
 
 
 def test_parse_rejects_missing_cell_in_first_row(tmp_path):
-    ds = RegionalDataset(region_by_code(0), (make_row(0),))
+    ds = make_dataset(make_row(0))
     path = tmp_path / "alberta.csv"
     write_regional_csv(ds, path)
     lines = path.read_text().splitlines()
@@ -136,12 +142,46 @@ def test_parse_rejects_missing_cell_in_first_row(tmp_path):
         parse_regional_csv(path, ds.region)
 
 
+def write_with_cell(tmp_path, row, column, text):
+    """Write 6 valid Alberta days with the cell (data row ``row``, ``column``) set to ``text``."""
+    path = tmp_path / "alberta.csv"
+    write_regional_csv(make_dataset(*(make_row(day) for day in range(6))), path)
+    lines = path.read_text().splitlines()
+    cells = lines[row].split(",")
+    cells[CSV_HEADER.index(column)] = text
+    lines[row] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+@pytest.mark.parametrize("row, column, text", [
+    (2, "feat_02", "nan"), (3, "infections", "inf"), (5, "feat_12", "inf"),
+    (1, "deaths", "-inf"),
+])
+def test_parse_rejects_non_finite_cells(tmp_path, row, column, text):
+    path = write_with_cell(tmp_path, row, column, text)
+    with pytest.raises(BadValue) as err:
+        parse_regional_csv(path, region_by_code(0))
+    assert (err.value.row, err.value.column) == (row, column)
+
+
+def test_parse_rejects_foreign_region_code(tmp_path):
+    path = write_with_cell(tmp_path, 3, "feat_04", "1.0")
+    with pytest.raises(BadValue) as err:
+        parse_regional_csv(path, region_by_code(0))
+    assert (err.value.row, err.value.column) == (3, "feat_04")
+    # a whole file of another region fails on its first row
+    with pytest.raises(BadValue) as err:
+        parse_regional_csv(write_with_cell(tmp_path, 1, "deaths", "0"), region_by_code(1))
+    assert (err.value.row, err.value.column) == (1, "feat_04")
+
+
 def test_validate_clean_dataset(small_datasets):
     assert validate_dataset(small_datasets[0]).ok
 
 
 def test_validate_negative_death_count():
-    ds = RegionalDataset(region_by_code(0), (make_row(0), make_row(1, deaths=-2)))
+    ds = make_dataset(make_row(0), make_row(1, deaths=-2))
     report = validate_dataset(ds)
     assert len(report) == 1
     assert report.violations[0].row == 1
@@ -149,7 +189,7 @@ def test_validate_negative_death_count():
 
 
 def test_validate_duplicate_date():
-    ds = RegionalDataset(region_by_code(0), (make_row(0), make_row(0)))
+    ds = make_dataset(make_row(0), make_row(0))
     report = validate_dataset(ds)
     assert any("DuplicateDate" in v.message for v in report.violations)
 
@@ -176,22 +216,25 @@ def test_split_bad_test_size(small_datasets):
 
 
 def test_pool_excludes_case_study(small_datasets):
-    exclude = small_datasets[0].region
-    pooled = pool_regions(small_datasets, exclude)
-    assert {region.name for region, _ in pooled} == \
-        {ds.region.name for ds in small_datasets[1:]}
-    assert len(pooled) == sum(ds.n_rows for ds in small_datasets[1:])
+    case = small_datasets[0]
+    model, report = train_mtl(small_datasets, case.region, range(10))
+    pooled = model.store.source_tags[:report.generic_instances]
+    assert set(pooled.tolist()) == {ds.region.code for ds in small_datasets[1:]}
+    assert report.generic_instances == sum(ds.n_rows for ds in small_datasets[1:])
 
 
 def test_pool_single_dataset_excluded(small_datasets):
     with pytest.raises(EmptyPool):
-        pool_regions([small_datasets[0]], small_datasets[0].region)
+        train_mtl([small_datasets[0]], small_datasets[0].region, range(10))
 
 
 def test_pool_keeps_all_when_exclude_absent(small_datasets):
-    two = list(small_datasets[:2])
-    pooled = pool_regions(two, region_by_code(9))
-    assert len(pooled) == sum(ds.n_rows for ds in two)
+    # the pool regions hold no row of the case study, so none of them is dropped
+    two, case = list(small_datasets[:2]), small_datasets[2]
+    model, report = train_mtl(two + [case], case.region, range(10))
+    assert report.generic_instances == sum(ds.n_rows for ds in two)
+    pooled = model.store.source_tags[:report.generic_instances]
+    assert set(pooled.tolist()) == {ds.region.code for ds in two}
 
 
 def test_dataset_subset(small_datasets):

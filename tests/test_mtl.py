@@ -9,25 +9,32 @@ from regio_forecast.errors import (
     NegativeWeight,
     TooFewRegions,
 )
-from regio_forecast.ingest import pool_regions, split_train_test
+from regio_forecast.features import PRIMARY_FEATURE_CODES, FeatureMatrix
+from regio_forecast.ingest import RegionalDataset, split_train_test
 from regio_forecast.knn import fit_knn, predict_knn
 from regio_forecast.mtl import (
     build_design_matrix,
     predict_monitoring,
     rotate_regions,
-    rows_to_primary,
-    rows_to_targets,
-    train_dedicated,
-    train_generic,
     train_mtl,
-    transfer_to_dedicated,
     transform_design,
 )
 from regio_forecast.synth import SyntheticSpec, generate_regions
 
 
+def scaled(model, datasets):
+    """Scaled design rows and targets of every day in ``datasets``, in order."""
+    primary = FeatureMatrix(np.vstack([ds.features for ds in datasets]),
+                            PRIMARY_FEATURE_CODES)
+    x = transform_design(model.feature_scaler,
+                         build_design_matrix(primary, model.selected_features))
+    y = model.target_scaler.transform_values(
+        np.vstack([ds.targets for ds in datasets]).astype(float))
+    return x, y
+
+
 def test_store_cardinalities_full_scale():
-    """6 pool regions x 362 rows -> 2172 generic; +308 case rows -> 2480."""
+    """6 pool regions x 362 rows -> 2172 pooled; +308 case rows -> 2480."""
     datasets = generate_regions(SyntheticSpec(regions=7, rows=362, seed=1))
     case_ds = datasets[0]
     split = split_train_test(case_ds, 54, seed=1)
@@ -35,52 +42,59 @@ def test_store_cardinalities_full_scale():
     assert report.generic_instances == 6 * 362 == 2172
     assert report.case_train_rows == 308
     assert report.dedicated_instances == 2172 + 308 == 2480
-    assert len(model.dedicated_store) == 2480
+    assert len(model.store) == 2480
 
 
-def test_train_generic_case_study_leak(small_datasets):
-    pool = pool_regions(small_datasets, small_datasets[1].region)
-    with pytest.raises(CaseStudyLeak):
-        train_generic(pool, case_study=small_datasets[0].region)
-
-
-def test_train_generic_empty_pool():
+def test_train_generic_empty_pool(small_datasets):
+    # every dataset belongs to the case study's region: nothing is left to pool
+    case = small_datasets[0]
     with pytest.raises(EmptyPool):
-        train_generic([])
+        train_mtl([case, case.subset(range(20))], case.region, range(10))
 
 
-def test_train_generic_single_region(small_datasets):
-    ds = small_datasets[0]
-    component = train_generic([(ds.region, row) for row in ds.rows])
-    assert len(component.store) == ds.n_rows
-    assert set(component.store.source_tags) == {ds.region.name}
+def test_train_mtl_case_study_leak(small_datasets):
+    case, other = small_datasets[0], small_datasets[1]
+    # the case study's rows filed under another region
+    mislabelled = RegionalDataset(other.region, case.dates, case.features, case.targets)
+    with pytest.raises(CaseStudyLeak):
+        train_mtl([case, mislabelled], case.region, range(10))
+
+
+def test_train_mtl_single_pool_region(small_datasets):
+    case, other = small_datasets[0], small_datasets[1]
+    model, report = train_mtl([case, other], case.region, range(10))
+    pooled = model.store.source_tags != case.region.code
+    assert pooled.sum() == report.generic_instances == other.n_rows
+    assert set(model.store.source_tags[pooled].tolist()) == {other.region.code}
 
 
 def test_transfer_weights_scaled(small_datasets):
-    ds = small_datasets[0]
-    component = train_generic([(ds.region, row) for row in ds.rows])
-    seeded = transfer_to_dedicated(component.store, 0.25)
-    assert np.allclose(seeded.weights, 0.25)
-    assert len(seeded) == len(component.store)
+    case = small_datasets[0]
+    model, report = train_mtl(small_datasets, case.region, range(10),
+                              generic_weight=0.25)
+    pooled = model.store.source_tags != case.region.code
+    assert np.allclose(model.store.weights[pooled], 0.25)
+    assert pooled.sum() == report.generic_instances
+    assert np.all(model.store.weights[~pooled] == 1.0)
 
 
 def test_transfer_zero_weight_drops_instances(small_datasets):
-    ds = small_datasets[0]
-    component = train_generic([(ds.region, row) for row in ds.rows])
-    seeded = transfer_to_dedicated(component.store, 0.0)
-    assert len(seeded) == 0
+    case = small_datasets[0]
+    model, report = train_mtl(small_datasets, case.region, range(10),
+                              generic_weight=0.0)
+    assert len(model.store) == report.case_train_rows == 10
+    assert set(model.store.source_tags.tolist()) == {case.region.code}
 
 
-def test_transfer_negative_weight():
+def test_transfer_negative_weight(small_datasets):
     with pytest.raises(NegativeWeight):
-        transfer_to_dedicated(
-            fit_knn(np.ones((1, 2)), np.ones((1, 1))), -0.5)
+        train_mtl(small_datasets, small_datasets[0].region, range(10),
+                  generic_weight=-0.5)
 
 
-def test_train_dedicated_empty_case(small_datasets):
-    pool = pool_regions(small_datasets, small_datasets[0].region)
+def test_train_mtl_empty_case(small_datasets):
     with pytest.raises(EmptyCaseData):
-        train_dedicated(pool, small_datasets[0].region, [])
+        train_mtl(small_datasets, small_datasets[0].region, [])
 
 
 def test_lambda_one_equals_union_knn(small_datasets, rng):
@@ -90,19 +104,13 @@ def test_lambda_one_equals_union_knn(small_datasets, rng):
     model, _ = train_mtl(small_datasets, ds.region, split.train_indices,
                          generic_weight=1.0)
 
-    pool_rows = [row for other in small_datasets[1:] for row in other.rows]
-    case_rows = [ds.rows[i] for i in split.train_indices]
-    union_design = build_design_matrix(rows_to_primary(pool_rows + case_rows),
-                                       model.selected_features)
-    x = transform_design(model.feature_scaler, union_design)
-    y = model.target_scaler.transform_values(
-        rows_to_targets(pool_rows + case_rows).values)
+    x, y = scaled(model, [*small_datasets[1:], ds.subset(split.train_indices)])
     union_store = fit_knn(x, y, model.cfg)
 
     for _ in range(100):
         q = rng.normal(size=x.shape[1])
         q /= np.linalg.norm(q)
-        a = predict_knn(model.dedicated_store, q, model.cfg)
+        a = predict_knn(model.store, q, model.cfg)
         b = predict_knn(union_store, q, model.cfg)
         assert np.allclose(a, b, atol=1e-10)
 
@@ -113,27 +121,24 @@ def test_lambda_zero_equals_dedicated_only_knn(small_datasets, rng):
     model, _ = train_mtl(small_datasets, ds.region, split.train_indices,
                          generic_weight=0.0)
 
-    case_rows = [ds.rows[i] for i in split.train_indices]
-    case_design = build_design_matrix(rows_to_primary(case_rows),
-                                      model.selected_features)
-    x = transform_design(model.feature_scaler, case_design)
-    y = model.target_scaler.transform_values(rows_to_targets(case_rows).values)
+    x, y = scaled(model, [ds.subset(split.train_indices)])
     dedicated_only = fit_knn(x, y, model.cfg)
 
-    assert len(model.dedicated_store) == len(case_rows)
+    assert len(model.store) == len(split.train_indices)
     for _ in range(100):
         q = rng.normal(size=x.shape[1])
         q /= np.linalg.norm(q)
-        a = predict_knn(model.dedicated_store, q, model.cfg)
+        a = predict_knn(model.store, q, model.cfg)
         b = predict_knn(dedicated_only, q, model.cfg)
         assert np.allclose(a, b, atol=1e-10)
 
 
-def test_generic_store_never_contains_case_tag(trained_small_model, small_datasets):
-    model, _, _ = trained_small_model
-    case_name = small_datasets[0].region.name
-    assert case_name not in set(model.generic_store.source_tags)
-    assert case_name in set(model.dedicated_store.source_tags)
+def test_pool_instances_never_carry_case_tag(trained_small_model, small_datasets):
+    model, report, _ = trained_small_model
+    case_code = small_datasets[0].region.code
+    tags = model.store.source_tags
+    assert case_code not in set(tags[:report.generic_instances].tolist())
+    assert np.all(tags[report.generic_instances:] == case_code)
 
 
 def test_retraining_is_byte_identical(small_datasets):
@@ -147,17 +152,16 @@ def test_retraining_is_byte_identical(small_datasets):
 def test_training_row_fed_back_recovers_targets(trained_small_model, small_datasets):
     model, _, split = trained_small_model
     ds = small_datasets[0]
-    train_rows = [ds.rows[i] for i in split.train_indices[:10]]
-    prediction = predict_monitoring(model, train_rows)
-    actual = np.vstack([r.targets for r in train_rows]).astype(float)
+    train = ds.subset(split.train_indices[:10])
+    prediction = predict_monitoring(model, train)
+    actual = train.targets.astype(float)
     assert np.all(np.abs(prediction.counts - actual) <= 1e-6)
 
 
 def test_predictions_non_negative_and_shaped(trained_small_model, small_datasets):
     model, _, split = trained_small_model
     ds = small_datasets[0]
-    test_rows = [ds.rows[i] for i in split.test_indices]
-    prediction = predict_monitoring(model, test_rows)
+    prediction = predict_monitoring(model, ds.subset(split.test_indices))
     assert prediction.counts.shape == (len(split.test_indices), 4)
     assert np.all(prediction.counts >= 0.0)
     assert prediction.rounded.dtype == np.int64

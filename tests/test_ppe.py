@@ -103,11 +103,11 @@ def test_kit_composition_rejects_negative():
 def test_forecast_series_composition(trained_small_model, small_datasets):
     model, _, split = trained_small_model
     ds = small_datasets[0]
-    rows = [ds.rows[i] for i in split.test_indices]
-    series = forecast_series(model, rows, 0.75, 200.0)
-    assert len(series) == len(rows)
-    for day, row in zip(series, rows):
-        chc = int(round(row.feature("feat_11")))
+    test = ds.subset(split.test_indices)
+    series = forecast_series(model, test, 0.75, 200.0)
+    assert len(series) == test.n_rows
+    for day, chc_value in zip(series, test.feature_matrix().column("feat_11")):
+        chc = int(round(chc_value))
         assert day.hsp_ratio == pytest.approx(day.predicted_hospitalized / chc)
         assert day.kits <= 0.75 * 200.0 + 1e-9
         assert day.kits_ceil == math.ceil(day.kits)
@@ -117,9 +117,8 @@ def test_forecast_series_composition(trained_small_model, small_datasets):
 def test_forecast_series_zero_personnel_day(trained_small_model, small_datasets):
     model, _, split = trained_small_model
     ds = small_datasets[0]
-    rows = [ds.rows[i] for i in split.test_indices[:3]]
     staff = [200.0, 0.0, 150.0]
-    series = forecast_series(model, rows, 1.0, staff)
+    series = forecast_series(model, ds.subset(split.test_indices[:3]), 1.0, staff)
     assert series[1].kits == 0.0
 
 
@@ -127,11 +126,11 @@ def test_forecast_series_saturation_everywhere(trained_small_model, small_datase
     """capacity 1 and hospitalized >= chc on every day -> kits == personnel."""
     model, _, split = trained_small_model
     ds = small_datasets[0]
-    rows = [ds.rows[i] for i in split.test_indices]
-    hospitalized = predict_monitoring(model, rows).column("hospitalizations")
-    chcs = [int(round(r.feature("feat_11"))) for r in rows]
+    test = ds.subset(split.test_indices)
+    hospitalized = predict_monitoring(model, test).column("hospitalizations")
+    chcs = [int(round(c)) for c in test.feature_matrix().column("feat_11")]
     saturated = [i for i, (h, c) in enumerate(zip(hospitalized, chcs)) if h / c > 1.0]
-    series = forecast_series(model, rows, 1.0, 320.0)
+    series = forecast_series(model, test, 1.0, 320.0)
     for i in saturated:
         assert series[i].kits == 320.0
 
@@ -139,10 +138,10 @@ def test_forecast_series_saturation_everywhere(trained_small_model, small_datase
 def test_forecast_csv_schema(trained_small_model, small_datasets):
     model, _, split = trained_small_model
     ds = small_datasets[0]
-    rows = [ds.rows[i] for i in split.test_indices[:5]]
-    text = forecast_to_csv(forecast_series(model, rows, 0.75, 200.0))
+    test = ds.subset(split.test_indices[:5])
+    text = forecast_to_csv(forecast_series(model, test, 0.75, 200.0))
     lines = text.strip().splitlines()
     assert lines[0] == ("date,predicted_hospitalized,hsp_ratio,kits,kits_ceil,"
                         "face_shields,n95,glove_pairs,shoe_cover_pairs,gowns")
     assert len(lines) == 6
-    assert lines[1].split(",")[0] == rows[0].date.isoformat()
+    assert lines[1].split(",")[0] == test.dates[0].isoformat()

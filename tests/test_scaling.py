@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from regio_forecast.errors import ColumnMismatch, EmptyMatrix, OutOfDomain, TooFewRows
@@ -171,16 +171,20 @@ def test_l2_zero_row_flagged():
 
 @given(st.lists(st.lists(st.floats(-1e8, 1e8), min_size=3, max_size=3),
                 min_size=1, max_size=20))
+@example(rows=[[0.0, 0.0, 1.3892954084877716e-159]])    # plain norm is subnormal
+@example(rows=[[1e200, 0.0]])                           # plain norm overflows
 def test_l2_norms_and_direction(rows):
     arr = np.asarray(rows, dtype=float)
     out = l2_normalize_rows(arr)
     norms = np.linalg.norm(out.values, axis=1)
     assert np.all(np.abs(norms[~out.zero_rows] - 1.0) <= 1e-9)
-    # direction preserved: output is a positive multiple of the input
+    # direction preserved: output is a positive multiple of the input,
+    # compared in units of the row's largest |value| so no norm overflows
     for i in range(arr.shape[0]):
         if not out.zero_rows[i]:
-            scale = np.linalg.norm(arr[i])
-            assert np.allclose(out.values[i] * scale, arr[i], rtol=1e-9, atol=1e-6)
+            unit = arr[i] / np.abs(arr[i]).max()
+            assert np.allclose(out.values[i] * np.linalg.norm(unit), unit,
+                               rtol=1e-9, atol=1e-12)
 
 
 # --- min-max ------------------------------------------------------------

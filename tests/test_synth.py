@@ -49,9 +49,9 @@ def test_noiseless_dedicated_model_is_nearly_exact():
     ds = datasets[0]
     split = split_train_test(ds, 54, seed=2)
     model, _ = train_mtl(datasets, ds.region, split.train_indices)
-    test_rows = [ds.rows[i] for i in split.test_indices]
-    prediction = predict_monitoring(model, test_rows)
-    y = np.vstack([r.targets for r in test_rows]).astype(float)
+    test = ds.subset(split.test_indices)
+    prediction = predict_monitoring(model, test)
+    y = test.targets.astype(float)
     for j in range(4):
         assert r2(y[:, j], prediction.counts[:, j]) > 0.99
 
