@@ -8,13 +8,11 @@ import numpy as np
 from regio_forecast import (
     FeatureMatrix,
     SyntheticSpec,
-    apply_minmax,
     apply_quantile_scaler,
     fit_minmax,
     fit_quantile_scaler,
     generate_regions,
     inverse_normal_cdf,
-    invert_minmax,
     l2_normalize_rows,
 )
 
@@ -34,18 +32,17 @@ for j, code in enumerate(z.column_codes):
     col = z.values[:, j]
     print(f"  {code:12s} mean={col.mean():7.4f} std={col.std():6.4f}")
 
-unit = l2_normalize_rows(z)
-norms = np.linalg.norm(unit.values, axis=1)
+unit = l2_normalize_rows(z.values)
+norms = np.linalg.norm(unit, axis=1)
 print(f"\nrow norms after L2 normalization: "
       f"min={norms.min():.12f} max={norms.max():.12f} "
-      f"(zero rows flagged: {int(unit.zero_rows.sum())})")
+      f"(zero rows left at zero: {int((norms == 0.0).sum())})")
 
 targets = ds.target_matrix()
 state = fit_minmax(targets)
-scaled = apply_minmax(state, targets)
-back = invert_minmax(state, scaled)
+back = state.inverse_values(state.transform_values(targets.values))
 print(f"\nmin-max roundtrip max error: "
-      f"{np.abs(back.values - targets.values).max():.2e}")
+      f"{np.abs(back - targets.values).max():.2e}")
 
 print("\nstandard-normal quantiles from the rational approximation:")
 for p in (0.025, 0.5, 0.975):

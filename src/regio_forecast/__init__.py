@@ -65,13 +65,10 @@ from .ppe import (
 from .scaling import (
     MinMaxScalerState,
     QuantileNormalScaler,
-    UnitRowMatrix,
-    apply_minmax,
     apply_quantile_scaler,
     fit_minmax,
     fit_quantile_scaler,
     inverse_normal_cdf,
-    invert_minmax,
     l2_normalize_rows,
 )
 from .synth import SyntheticSpec, generate_regions, write_region_files

@@ -23,7 +23,6 @@ from .errors import ConfigError, DataError
 from .evaluation import (
     BootstrapConfig,
     evaluate_model,
-    report_to_single_region_table,
     reports_to_long_csv,
     reports_to_target_table,
 )
@@ -93,45 +92,52 @@ def _load_datasets(data_dir: str) -> list[RegionalDataset]:
     if not root.is_dir():
         raise DataError(f"data directory not found: {root}")
     stems = {normalize_region_name(name): name for name in REGION_ENCODINGS.values()}
-    datasets = []
+    datasets, files = [], {}
     for path in sorted(root.glob("*.csv")):
         key = normalize_region_name(path.stem)
         if key not in stems:
             log.warning("skipping %s: not a known region file", path.name)
             continue
-        region = region_by_name(stems[key])
-        datasets.append(parse_regional_csv(path, region))
+        if key in files:
+            raise DataError(f"{files[key]} and {path} are both files of {stems[key]}")
+        files[key] = path
+        datasets.append(parse_regional_csv(path, region_by_name(stems[key])))
     if not datasets:
         raise DataError(f"no regional CSV files found in {root}")
     return datasets
 
 
-def _require_case(datasets: list[RegionalDataset], cfg: RunConfig):
+def _case_dataset(datasets: list[RegionalDataset], cfg: RunConfig) -> RegionalDataset:
     case = region_by_name(cfg.case_study)
-    if not any(ds.region.code == case.code for ds in datasets):
-        raise DataError(
-            f"case-study file missing: expected {case.file_stem}.csv in {cfg.data_dir}")
-    return case
+    for ds in datasets:
+        if ds.region.code == case.code:
+            return ds
+    raise DataError(
+        f"case-study file missing: expected {case.file_stem}.csv in {cfg.data_dir}")
 
 
-def _selection(cfg: RunConfig, datasets: list[RegionalDataset], case) -> tuple[str, ...]:
+def _relevance(case_ds: RegionalDataset):
+    """The 44-column feature matrix of the case study and its relevance scores."""
+    primary = case_ds.feature_matrix()
+    full = concat_features(primary, compute_derived_features(primary))
+    return full, score_relevance(full, case_ds.target_matrix())
+
+
+def _selection(cfg: RunConfig, case_ds: RegionalDataset) -> tuple[str, ...]:
     if cfg.selection == "default":
         return DEFAULT_SELECTED_FEATURES
     if cfg.selection == "ranked":
-        case_ds = next(d for d in datasets if d.region.code == case.code)
-        primary = case_ds.feature_matrix()
-        full = concat_features(primary, compute_derived_features(primary))
-        report = score_relevance(full, case_ds.target_matrix())
+        full, report = _relevance(case_ds)
         return select_features(full, report=report, top_n=cfg.top_n).column_codes
     raise ConfigError(f"selection must be 'default' or 'ranked', got {cfg.selection!r}")
 
 
 def _train(cfg: RunConfig):
     datasets = _load_datasets(cfg.data_dir)
-    case = _require_case(datasets, cfg)
-    case_ds = next(d for d in datasets if d.region.code == case.code)
+    case_ds = _case_dataset(datasets, cfg)
+    case = case_ds.region
     split = split_train_test(case_ds, cfg.test_days, cfg.seed)
-    selection = _selection(cfg, datasets, case)
+    selection = _selection(cfg, case_ds)
     model, report = train_mtl(
         datasets, case, split.train_indices,
         KnnConfig(k=cfg.k), cfg.generic_weight, selection)
@@ -165,8 +171,7 @@ def cmd_evaluate(cfg: RunConfig) -> int:
         training_time_seconds=report.fit_seconds)
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
-    atomic_write_text(out / "evaluation.csv",
-                      report_to_single_region_table(metric_report))
+    atomic_write_text(out / "evaluation.csv", reports_to_target_table([metric_report]))
     atomic_write_text(out / "evaluation_long.csv", reports_to_long_csv([metric_report]))
     atomic_write_text(out / "evaluation.json",
                       json.dumps(metric_report.to_json_dict(), indent=2, sort_keys=True))
@@ -175,6 +180,9 @@ def cmd_evaluate(cfg: RunConfig) -> int:
 
 
 def cmd_rotate(cfg: RunConfig) -> int:
+    if cfg.selection != "default":
+        raise ConfigError(f"rotate uses the default feature selection; "
+                          f"--selection {cfg.selection} is not supported")
     datasets = _load_datasets(cfg.data_dir)
     reports = rotate_regions(
         datasets, KnnConfig(k=cfg.k), cfg.test_days, cfg.seed,
@@ -223,16 +231,13 @@ def cmd_ppe(cfg: RunConfig, model_path: str, input_csv: str) -> int:
 
 
 def cmd_relevance(cfg: RunConfig) -> int:
-    datasets = _load_datasets(cfg.data_dir)
-    case = _require_case(datasets, cfg)
-    case_ds = next(d for d in datasets if d.region.code == case.code)
-    primary = case_ds.feature_matrix()
-    full = concat_features(primary, compute_derived_features(primary))
-    report = score_relevance(full, case_ds.target_matrix())
+    case_ds = _case_dataset(_load_datasets(cfg.data_dir), cfg)
+    full, report = _relevance(case_ds)
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     atomic_write_text(out / "relevance.csv", report.to_csv_text())
-    print(f"scored {full.n_columns} features for {case.name} -> {out / 'relevance.csv'}")
+    print(f"scored {full.n_columns} features for {case_ds.region.name} "
+          f"-> {out / 'relevance.csv'}")
     return 0
 
 

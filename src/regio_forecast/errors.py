@@ -91,7 +91,7 @@ class ColumnMismatch(DataError):
     pass
 
 
-class OutOfDomain(RegioForecastError):
+class OutOfDomain(DataError):
     pass
 
 

@@ -211,47 +211,40 @@ def evaluate_model(
     return MetricReport(model.case_study.name, intervals, training_time_seconds)
 
 
+def _csv_line(keys: Sequence[str], intervals: Sequence[Interval], tt_seconds: float) -> str:
+    """The key cells, then low/mid/top of each interval, then the training time."""
+    cells = list(keys)
+    for iv in intervals:
+        cells += [f"{iv.low:.6f}", f"{iv.mid:.6f}", f"{iv.top:.6f}"]
+    cells.append(f"{tt_seconds:.3f}")
+    return ",".join(cells)
+
+
 def reports_to_long_csv(reports: Sequence[MetricReport]) -> str:
     """Long-format CSV: province,target,metric,low,mid,top,tt_seconds."""
     lines = ["province,target,metric,low,mid,top,tt_seconds"]
     for report in reports:
-        for row in report.to_long_rows():
-            lines.append(
-                f"{row['province']},{row['target']},{row['metric']},"
-                f"{row['low']:.6f},{row['mid']:.6f},{row['top']:.6f},"
-                f"{row['tt_seconds']:.3f}")
+        for target, metrics in report.intervals.items():
+            for metric, iv in metrics.items():
+                lines.append(_csv_line((report.region, target, metric), (iv,),
+                                       report.training_time_seconds))
     return "\n".join(lines) + "\n"
 
 
-def reports_to_target_table(reports: Sequence[MetricReport], target: str) -> str:
-    """Wide per-target CSV: one province row, every metric interval as columns."""
-    header = ["province"]
-    for metric in METRIC_NAMES:
-        header += [f"{metric}_low", f"{metric}_mid", f"{metric}_top"]
-    header.append("tt_seconds")
+def reports_to_target_table(reports: Sequence[MetricReport], target: str | None = None) -> str:
+    """Wide CSV with every metric interval as columns.
+
+    Given a ``target``, one row per report; otherwise one row per (report,
+    target) pair, with a ``target`` column after ``province``.
+    """
+    keys = ["province"] if target else ["province", "target"]
+    header = keys + [f"{metric}_{bound}" for metric in METRIC_NAMES
+                     for bound in ("low", "mid", "top")] + ["tt_seconds"]
     lines = [",".join(header)]
     for report in reports:
-        cells = [report.region]
-        for metric in METRIC_NAMES:
-            iv = report.interval(target, metric)
-            cells += [f"{iv.low:.6f}", f"{iv.mid:.6f}", f"{iv.top:.6f}"]
-        cells.append(f"{report.training_time_seconds:.3f}")
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
-
-
-def report_to_single_region_table(report: MetricReport) -> str:
-    """Wide single-region CSV: one row per target."""
-    header = ["province", "target"]
-    for metric in METRIC_NAMES:
-        header += [f"{metric}_low", f"{metric}_mid", f"{metric}_top"]
-    header.append("tt_seconds")
-    lines = [",".join(header)]
-    for target in report.intervals:
-        cells = [report.region, target]
-        for metric in METRIC_NAMES:
-            iv = report.interval(target, metric)
-            cells += [f"{iv.low:.6f}", f"{iv.mid:.6f}", f"{iv.top:.6f}"]
-        cells.append(f"{report.training_time_seconds:.3f}")
-        lines.append(",".join(cells))
+        for t in [target] if target else report.intervals:
+            lines.append(_csv_line(
+                [report.region] if target else [report.region, t],
+                [report.interval(t, metric) for metric in METRIC_NAMES],
+                report.training_time_seconds))
     return "\n".join(lines) + "\n"

@@ -166,11 +166,47 @@ def _cell_problem(code: str, value: float, region: RegionId) -> str | None:
     return None
 
 
+def _read_rows(reader, region: RegionId) -> tuple[list[dt.date], list[list[float]]]:
+    """Dates and cell values of the data rows, empty cells forward-filled."""
+    dates: list[dt.date] = []
+    table: list[list[float]] = []
+    for row_number, record in enumerate(reader, start=1):
+        if not record or all(cell.strip() == "" for cell in record):
+            continue
+        if len(record) != len(CSV_HEADER):
+            raise BadValue(row_number, "row",
+                           f"expected {len(CSV_HEADER)} cells, got {len(record)}")
+        try:
+            dates.append(dt.date.fromisoformat(record[0].strip()))
+        except ValueError:
+            raise BadValue(row_number, "date", record[0]) from None
+
+        cells: list[float] = []
+        for offset, code in enumerate(CSV_HEADER[1:], start=1):
+            text = record[offset].strip()
+            if text == "":
+                if not table:
+                    raise BadValue(row_number, code,
+                                   "missing cell in first data row (nothing to forward-fill)")
+                cells.append(table[-1][offset - 1])
+                continue
+            try:
+                value = float(text)
+            except ValueError:
+                raise BadValue(row_number, code, text) from None
+            problem = _cell_problem(code, value, region)
+            if problem:
+                raise BadValue(row_number, code, problem)
+            cells.append(value)
+        table.append(cells)
+    return dates, table
+
+
 def parse_regional_csv(path: str | Path, region: RegionId) -> RegionalDataset:
     """Parse and validate one region's CSV into a RegionalDataset.
 
-    Rows come back sorted by date. Raises MissingColumn, BadValue (with
-    the data row number and column), DuplicateDate, or EmptyFile on schema
+    Rows come back sorted by date. Raises MissingColumn, BadValue (naming
+    the file, data row number and column), DuplicateDate, or EmptyFile on schema
     or content violations; a non-finite cell or a ``feat_04`` region code
     other than ``region``'s is a BadValue.
     """
@@ -190,37 +226,11 @@ def parse_regional_csv(path: str | Path, region: RegionId) -> RegionalDataset:
                 "header columns out of order or extra; expected exactly: "
                 + ",".join(CSV_HEADER))
 
-        dates: list[dt.date] = []
-        table: list[list[float]] = []
-        for row_number, record in enumerate(reader, start=1):
-            if not record or all(cell.strip() == "" for cell in record):
-                continue
-            if len(record) != len(CSV_HEADER):
-                raise BadValue(row_number, "row",
-                               f"expected {len(CSV_HEADER)} cells, got {len(record)}")
-            try:
-                dates.append(dt.date.fromisoformat(record[0].strip()))
-            except ValueError:
-                raise BadValue(row_number, "date", record[0]) from None
-
-            cells: list[float] = []
-            for offset, code in enumerate(CSV_HEADER[1:], start=1):
-                text = record[offset].strip()
-                if text == "":
-                    if not table:
-                        raise BadValue(row_number, code,
-                                       "missing cell in first data row (nothing to forward-fill)")
-                    cells.append(table[-1][offset - 1])
-                    continue
-                try:
-                    value = float(text)
-                except ValueError:
-                    raise BadValue(row_number, code, text) from None
-                problem = _cell_problem(code, value, region)
-                if problem:
-                    raise BadValue(row_number, code, problem)
-                cells.append(value)
-            table.append(cells)
+        try:
+            dates, table = _read_rows(reader, region)
+        except BadValue as exc:
+            exc.args = (f"{path}: {exc}",)
+            raise
 
     if not table:
         raise EmptyFile(f"{path} has a header but no data rows")

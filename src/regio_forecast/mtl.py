@@ -68,8 +68,7 @@ def transform_design(
     raw_design: FeatureMatrix,
 ) -> np.ndarray:
     """Quantile-normalize columns, then L2-normalize rows to unit vectors."""
-    z = apply_quantile_scaler(scaler, raw_design)
-    return l2_normalize_rows(z).values
+    return l2_normalize_rows(apply_quantile_scaler(scaler, raw_design).values)
 
 
 @dataclass(frozen=True)

@@ -186,41 +186,18 @@ def apply_quantile_scaler(scaler: QuantileNormalScaler, m: FeatureMatrix) -> Fea
     return FeatureMatrix(out, m.column_codes)
 
 
-@dataclass(frozen=True)
-class UnitRowMatrix:
-    """Matrix whose rows have unit Euclidean norm; all-zero rows are flagged."""
-
-    values: np.ndarray
-    zero_rows: np.ndarray          # boolean mask of rows left at zero
-    column_codes: tuple[str, ...] = ()
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
-        z = np.asarray(self.zero_rows, dtype=bool)
-        norms = np.linalg.norm(v, axis=1)
-        if np.any(np.abs(norms[~z] - 1.0) > 1e-9):
-            raise ColumnMismatch("non-flagged rows must have unit norm")
-        v.setflags(write=False)
-        z.setflags(write=False)
-        object.__setattr__(self, "values", v)
-        object.__setattr__(self, "zero_rows", z)
-
-
 # Inside this range the plain sum of squares neither overflows nor loses
 # precision to subnormal numbers, so rows there are divided by it directly.
 SAFE_NORM_RANGE = (1e-100, 1e100)
 
 
-def l2_normalize_rows(m: FeatureMatrix | np.ndarray) -> UnitRowMatrix:
-    """Divide each row by its Euclidean norm; all-zero rows stay zero and are flagged.
+def l2_normalize_rows(values: np.ndarray) -> np.ndarray:
+    """Divide each row by its Euclidean norm; all-zero rows stay zero.
 
     A row whose plain norm falls outside SAFE_NORM_RANGE is first divided
     by its largest absolute value, which keeps its direction.
     """
-    if isinstance(m, FeatureMatrix):
-        values, codes = m.values, m.column_codes
-    else:
-        values, codes = np.asarray(m, dtype=np.float64), ()
+    values = np.asarray(values, dtype=np.float64)
     with np.errstate(over="ignore"):   # an overflowing row is rescaled below
         norms = np.linalg.norm(values, axis=1)
     unsafe = ~((norms > SAFE_NORM_RANGE[0]) & (norms < SAFE_NORM_RANGE[1]))
@@ -229,9 +206,7 @@ def l2_normalize_rows(m: FeatureMatrix | np.ndarray) -> UnitRowMatrix:
         peak = np.abs(values[unsafe]).max(axis=1, keepdims=True)
         values[unsafe] /= np.where(peak > 0.0, peak, 1.0)
         norms[unsafe] = np.linalg.norm(values[unsafe], axis=1)
-    zero = norms == 0.0
-    safe = np.where(zero, 1.0, norms)
-    return UnitRowMatrix(values / safe[:, None], zero, codes)
+    return values / np.where(norms == 0.0, 1.0, norms)[:, None]
 
 
 @dataclass(frozen=True)
@@ -258,6 +233,12 @@ class MinMaxScalerState:
         return self.mins.shape[0]
 
     def transform_values(self, values: np.ndarray) -> np.ndarray:
+        """Scale targets onto the training [0, 1] range.
+
+        Values outside the training range extrapolate past [0, 1] on purpose
+        (no clipping), so the inverse transform can round-trip them. Columns
+        that were constant at fit time map to 0.
+        """
         values = np.asarray(values, dtype=np.float64)
         if values.shape[-1] != self.n_columns:
             raise ColumnMismatch(
@@ -269,6 +250,7 @@ class MinMaxScalerState:
         return out
 
     def inverse_values(self, scaled: np.ndarray, count_mode: bool = False) -> np.ndarray:
+        """Undo min-max scaling; with ``count_mode`` negative results floor at 0."""
         scaled = np.asarray(scaled, dtype=np.float64)
         if scaled.shape[-1] != self.n_columns:
             raise ColumnMismatch(
@@ -294,19 +276,3 @@ def fit_minmax(train_targets: TargetMatrix) -> MinMaxScalerState:
         raise EmptyMatrix("cannot fit min-max scaler on an empty matrix")
     return MinMaxScalerState(v.min(axis=0), v.max(axis=0))
 
-
-def apply_minmax(state: MinMaxScalerState, t: TargetMatrix) -> TargetMatrix:
-    """Scale targets onto the training [0, 1] range.
-
-    Values outside the training range extrapolate past [0, 1] on purpose
-    (no clipping), so the inverse transform can round-trip them. Columns
-    that were constant at fit time map to 0.
-    """
-    return TargetMatrix(state.transform_values(t.values), t.column_names)
-
-
-def invert_minmax(state: MinMaxScalerState, scaled: TargetMatrix,
-                  count_mode: bool = False) -> TargetMatrix:
-    """Undo min-max scaling; with ``count_mode`` negative results floor at 0."""
-    return TargetMatrix(state.inverse_values(scaled.values, count_mode=count_mode),
-                        scaled.column_names)

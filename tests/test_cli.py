@@ -200,7 +200,43 @@ def test_bad_cell_exits_3_naming_row_and_column(data_dir, tmp_path, capsys, colu
     code = run(["train", "--data-dir", bad_dir, "--case-study", "alberta",
                 "--test-days", "16", "--out", tmp_path / "x"])
     assert code == 3
-    assert f"row 5, column '{column}'" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"row 5, column '{column}'" in err
+    assert f"{path}: bad value" in err          # names the file among the 3 loaded
+
+
+def test_bad_clip_bounds_in_artifact_exits_3(data_dir, tmp_path, capsys):
+    out = tmp_path / "model_out6"
+    assert run(["train", "--data-dir", data_dir, "--case-study", "alberta",
+                "--test-days", "16", "--out", out]) == 0
+    doc = json.loads((out / "model.json").read_text())
+    doc["feature_scaler"]["p_lo"] = 0
+    bad = tmp_path / "bad_model.json"
+    bad.write_text(json.dumps(doc))
+    code = run(["predict", "--model", bad, "--input", data_dir / "alberta.csv",
+                "--out", tmp_path / "x"])
+    assert code == 3
+    assert "clip bounds" in capsys.readouterr().err
+
+
+def test_duplicate_region_files_exit_3(data_dir, tmp_path, capsys):
+    dup_dir = tmp_path / "dup_data"
+    shutil.copytree(data_dir, dup_dir)
+    shutil.copy(dup_dir / "manitoba.csv", dup_dir / "MANITOBA.csv")
+    code = run(["train", "--data-dir", dup_dir, "--case-study", "alberta",
+                "--test-days", "16", "--out", tmp_path / "x"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "MANITOBA.csv" in err and "manitoba.csv" in err
+
+
+def test_rotate_ranked_selection_exits_2(data_dir, tmp_path, capsys):
+    code = run(["rotate", "--data-dir", data_dir, "--test-days", "12",
+                "--bootstrap", "20", "--selection", "ranked", "--top-n", "5",
+                "--out", tmp_path / "x"])
+    assert code == 2
+    assert "--selection ranked" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
 
 
 def test_predict_other_region_file_exits_3(data_dir, tmp_path, capsys):

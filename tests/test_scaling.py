@@ -7,12 +7,10 @@ from regio_forecast.errors import ColumnMismatch, EmptyMatrix, OutOfDomain, TooF
 from regio_forecast.features import FeatureMatrix, TargetMatrix
 from regio_forecast.scaling import (
     MinMaxScalerState,
-    apply_minmax,
     apply_quantile_scaler,
     fit_minmax,
     fit_quantile_scaler,
     inverse_normal_cdf,
-    invert_minmax,
     l2_normalize_rows,
 )
 
@@ -154,19 +152,19 @@ def test_scaler_json_roundtrip():
 
 def test_l2_rows_345_triangle():
     out = l2_normalize_rows(np.array([[3.0, 4.0]]))
-    assert np.allclose(out.values, [[0.6, 0.8]])
-    assert not out.zero_rows[0]
+    assert np.allclose(out, [[0.6, 0.8]])
+    assert np.linalg.norm(out[0]) > 0.0
 
 
 def test_l2_rows_unit_vector_unchanged():
     out = l2_normalize_rows(np.array([[1.0, 0.0, 0.0]]))
-    assert np.array_equal(out.values, [[1.0, 0.0, 0.0]])
+    assert np.array_equal(out, [[1.0, 0.0, 0.0]])
 
 
 def test_l2_zero_row_flagged():
     out = l2_normalize_rows(np.array([[0.0, 0.0], [1.0, 1.0]]))
-    assert out.zero_rows.tolist() == [True, False]
-    assert np.array_equal(out.values[0], [0.0, 0.0])
+    assert (np.linalg.norm(out, axis=1) == 0.0).tolist() == [True, False]
+    assert np.array_equal(out[0], [0.0, 0.0])
 
 
 @given(st.lists(st.lists(st.floats(-1e8, 1e8), min_size=3, max_size=3),
@@ -176,14 +174,16 @@ def test_l2_zero_row_flagged():
 def test_l2_norms_and_direction(rows):
     arr = np.asarray(rows, dtype=float)
     out = l2_normalize_rows(arr)
-    norms = np.linalg.norm(out.values, axis=1)
-    assert np.all(np.abs(norms[~out.zero_rows] - 1.0) <= 1e-9)
+    zero = ~np.any(arr, axis=1)
+    norms = np.linalg.norm(out, axis=1)
+    assert np.all(np.abs(norms[~zero] - 1.0) <= 1e-9)
+    assert np.all(out[zero] == 0.0)
     # direction preserved: output is a positive multiple of the input,
     # compared in units of the row's largest |value| so no norm overflows
     for i in range(arr.shape[0]):
-        if not out.zero_rows[i]:
+        if not zero[i]:
             unit = arr[i] / np.abs(arr[i]).max()
-            assert np.allclose(out.values[i] * np.linalg.norm(unit), unit,
+            assert np.allclose(out[i] * np.linalg.norm(unit), unit,
                                rtol=1e-9, atol=1e-12)
 
 
@@ -210,40 +210,40 @@ def test_fit_minmax_empty():
 
 def test_apply_minmax_values():
     state = fit_minmax(targets([10.0, 20.0, 30.0]))
-    out = apply_minmax(state, targets([10.0, 20.0, 30.0]))
-    assert np.allclose(out.values.ravel(), [0.0, 0.5, 1.0])
+    out = state.transform_values(targets([10.0, 20.0, 30.0]).values)
+    assert np.allclose(out.ravel(), [0.0, 0.5, 1.0])
 
 
 def test_apply_minmax_extrapolates_unclipped():
     state = fit_minmax(targets([10.0, 20.0, 30.0]))
-    out = apply_minmax(state, targets([40.0]))
-    assert out.values[0, 0] == pytest.approx(1.5)
+    out = state.transform_values(targets([40.0]).values)
+    assert out[0, 0] == pytest.approx(1.5)
 
 
 def test_apply_minmax_constant_column_maps_to_zero():
     state = fit_minmax(targets([7.0, 7.0]))
-    out = apply_minmax(state, targets([7.0, 9.0]))
-    assert np.all(out.values == 0.0)
+    out = state.transform_values(targets([7.0, 9.0]).values)
+    assert np.all(out == 0.0)
 
 
 def test_invert_minmax_midpoint():
     state = MinMaxScalerState(np.array([10.0]), np.array([30.0]))
-    out = invert_minmax(state, targets([0.5]))
-    assert out.values[0, 0] == pytest.approx(20.0)
+    out = state.inverse_values(targets([0.5]).values)
+    assert out[0, 0] == pytest.approx(20.0)
 
 
 def test_invert_minmax_count_mode_floors():
     state = MinMaxScalerState(np.array([0.0]), np.array([100.0]))
-    out = invert_minmax(state, targets([-0.1]), count_mode=True)
-    assert out.values[0, 0] == 0.0
-    raw = invert_minmax(state, targets([-0.1]))
-    assert raw.values[0, 0] == pytest.approx(-10.0)
+    out = state.inverse_values(targets([-0.1]).values, count_mode=True)
+    assert out[0, 0] == 0.0
+    raw = state.inverse_values(targets([-0.1]).values)
+    assert raw[0, 0] == pytest.approx(-10.0)
 
 
 def test_minmax_column_mismatch():
     state = MinMaxScalerState(np.array([0.0, 0.0]), np.array([1.0, 2.0]))
     with pytest.raises(ColumnMismatch):
-        apply_minmax(state, targets([1.0]))
+        state.transform_values(targets([1.0]).values)
 
 
 @settings(deadline=None)
@@ -251,13 +251,13 @@ def test_minmax_column_mismatch():
 def test_minmax_roundtrip(values):
     t = targets(values)
     state = fit_minmax(t)
-    back = invert_minmax(state, apply_minmax(state, t))
+    back = state.inverse_values(state.transform_values(t.values))
     span = float(state.maxs[0] - state.mins[0])
     if span > 0:
-        assert np.all(np.abs(back.values - t.values) <= 1e-9 * max(1.0, span))
+        assert np.all(np.abs(back - t.values) <= 1e-9 * max(1.0, span))
 
 
 def test_minmax_order_preserving():
     state = fit_minmax(targets([1.0, 5.0, 9.0]))
-    out = apply_minmax(state, targets([2.0, 3.0, 8.0])).values.ravel()
+    out = state.transform_values(targets([2.0, 3.0, 8.0]).values).ravel()
     assert out[0] < out[1] < out[2]
