@@ -12,7 +12,6 @@ from regio_forecast import (
     fit_minmax,
     fit_quantile_scaler,
     generate_regions,
-    inverse_normal_cdf,
     l2_normalize_rows,
 )
 
@@ -44,6 +43,8 @@ back = state.inverse_values(state.transform_values(targets.values))
 print(f"\nmin-max roundtrip max error: "
       f"{np.abs(back - targets.values).max():.2e}")
 
-print("\nstandard-normal quantiles from the rational approximation:")
-for p in (0.025, 0.5, 0.975):
-    print(f"  p={p}: {inverse_normal_cdf(p): .6f}")
+print("\na training quantile at probability p maps to the normal quantile of p:")
+picks = [9, 180, 351]
+probe = FeatureMatrix(scaler.landmarks.T[picks], raw.column_codes)
+for p, row in zip(scaler.probabilities[picks], apply_quantile_scaler(scaler, probe).values):
+    print(f"  p={p:.3f}: {row[0]: .6f}")

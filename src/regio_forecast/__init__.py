@@ -68,7 +68,6 @@ from .scaling import (
     apply_quantile_scaler,
     fit_minmax,
     fit_quantile_scaler,
-    inverse_normal_cdf,
     l2_normalize_rows,
 )
 from .synth import SyntheticSpec, generate_regions, write_region_files

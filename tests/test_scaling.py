@@ -7,10 +7,10 @@ from regio_forecast.errors import ColumnMismatch, EmptyMatrix, OutOfDomain, TooF
 from regio_forecast.features import FeatureMatrix, TargetMatrix
 from regio_forecast.scaling import (
     MinMaxScalerState,
+    QuantileNormalScaler,
     apply_quantile_scaler,
     fit_minmax,
     fit_quantile_scaler,
-    inverse_normal_cdf,
     l2_normalize_rows,
 )
 
@@ -21,38 +21,54 @@ def column_matrix(values, code="x"):
     return FeatureMatrix(np.asarray(values, dtype=float)[:, None], (code,))
 
 
-# --- inverse normal CDF -------------------------------------------------
+# --- normal quantile step of the quantile scaler ----------------------
 
 def test_ppf_median_is_zero():
-    assert inverse_normal_cdf(0.5) == 0.0
+    scaler = fit_quantile_scaler(column_matrix(np.arange(1.0, 102.0)), n_quantiles=101)
+    assert apply_quantile_scaler(scaler, column_matrix([51.0])).values[0, 0] == 0.0
 
 
 def test_ppf_0975_matches_bisection_oracle():
     oracle = bisection_normal_ppf(0.975)
     assert abs(oracle - 1.959964) < 1e-6          # frozen from the oracle
-    assert abs(inverse_normal_cdf(0.975) - oracle) < 1e-8
+    scaler = fit_quantile_scaler(column_matrix(np.arange(1.0, 42.0)), n_quantiles=41)
+    z = apply_quantile_scaler(scaler, column_matrix([40.0])).values[0, 0]   # p = 39/40
+    assert abs(z - oracle) < 1e-8
 
 
 @pytest.mark.parametrize("p", [0.0, 1.0, -0.3, 1.7])
 def test_ppf_out_of_domain(p):
+    """Clip bounds outside 0 < p_lo < p_hi < 1 are rejected."""
+    landmarks = np.array([[0.0, 1.0]])
     with pytest.raises(OutOfDomain):
-        inverse_normal_cdf(p)
+        QuantileNormalScaler(("x",), landmarks, p_lo=p)
+    with pytest.raises(OutOfDomain):
+        QuantileNormalScaler(("x",), landmarks, p_hi=p)
 
 
 def test_ppf_against_bisection_oracle_grid():
+    """At every landmark, and inside the tail segments, z is the oracle's Phi^-1(clip(p))."""
     rng = np.random.default_rng(99)
-    ps = np.concatenate([
-        rng.uniform(1e-7, 1 - 1e-7, 300),
-        rng.uniform(1e-7, 1e-3, 100),       # tails, where the approximation is hardest
-        rng.uniform(1 - 1e-3, 1 - 1e-7, 100),
+    scaler = fit_quantile_scaler(column_matrix(rng.lognormal(0.0, 1.0, 2000)))
+    lm = scaler.landmarks[0]
+    tails = np.concatenate([                # tails, where Phi^-1 is hardest
+        lm[0] + rng.uniform(1e-4, 1.0, 100) * (lm[1] - lm[0]),
+        lm[-1] - rng.uniform(1e-4, 1.0, 100) * (lm[-1] - lm[-2]),
     ])
-    for p in ps:
-        assert abs(inverse_normal_cdf(float(p)) - bisection_normal_ppf(float(p))) <= 1e-8
+    xs = np.concatenate([lm, tails])
+    z = apply_quantile_scaler(scaler, column_matrix(xs)).values[:, 0]
+    for x, z_x in zip(xs, z):
+        p = min(max(empirical_cdf_prob(lm, x), scaler.p_lo), scaler.p_hi)
+        assert abs(z_x - bisection_normal_ppf(p)) <= 1e-8
 
 
 @given(st.floats(1e-6, 1 - 1e-6))
 def test_ppf_symmetry(p):
-    assert abs(inverse_normal_cdf(p) + inverse_normal_cdf(1 - p)) <= 1e-8
+    lm = np.linspace(-1.0, 1.0, 101)
+    scaler = QuantileNormalScaler(("x",), ((lm - lm[::-1]) / 2)[None, :])
+    x = 2.0 * p - 1.0
+    z = apply_quantile_scaler(scaler, column_matrix([x, -x])).values[:, 0]
+    assert abs(z[0] + z[1]) <= 1e-8
 
 
 # --- quantile scaler ----------------------------------------------------
@@ -140,7 +156,6 @@ def test_transform_monotone(train, x1, x2):
 
 
 def test_scaler_json_roundtrip():
-    from regio_forecast.scaling import QuantileNormalScaler
     data = np.random.default_rng(0).normal(size=(50, 2))
     scaler = fit_quantile_scaler(FeatureMatrix(data, ("a", "b")))
     clone = QuantileNormalScaler.from_json_dict(scaler.to_json_dict())
