@@ -206,9 +206,9 @@ def parse_regional_csv(path: str | Path, region: RegionId) -> RegionalDataset:
     """Parse and validate one region's CSV into a RegionalDataset.
 
     Rows come back sorted by date. Raises MissingColumn, BadValue (naming
-    the file, data row number and column), DuplicateDate, or EmptyFile on schema
-    or content violations; a non-finite cell or a ``feat_04`` region code
-    other than ``region``'s is a BadValue.
+    the file, data row number and column), DuplicateDate, or EmptyFile on
+    schema or content violations; a non-finite cell or a ``feat_04`` region
+    code other than ``region``'s is a BadValue.
     """
     path = Path(path)
     with path.open(newline="", encoding="utf-8") as fh:

@@ -82,7 +82,8 @@ def test_scaling_suite():
         assert np.max(np.abs(back - t.values)) <= 1e-9
 
         # at each landmark, z is the oracle's Phi^-1 of the clipped landmark probability
-        at_landmarks = apply_quantile_scaler(scaler, FeatureMatrix(scaler.landmarks.T, m.column_codes))
+        at_landmarks = apply_quantile_scaler(
+            scaler, FeatureMatrix(scaler.landmarks.T, m.column_codes))
         ps = np.clip(scaler.probabilities, scaler.p_lo, scaler.p_hi)
         for j in range(m.n_columns):
             for p, z_p in zip(ps, at_landmarks.values[:, j]):

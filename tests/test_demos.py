@@ -10,7 +10,7 @@ DEMOS = sorted((Path(__file__).parent.parent / "demos").glob("*.py"))
 
 
 def test_demos_found():
-    assert len(DEMOS) == 6
+    assert DEMOS, "no demo scripts found"
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
