@@ -168,7 +168,6 @@ def test_scaler_json_roundtrip():
 def test_l2_rows_345_triangle():
     out = l2_normalize_rows(np.array([[3.0, 4.0]]))
     assert np.allclose(out, [[0.6, 0.8]])
-    assert np.linalg.norm(out[0]) > 0.0
 
 
 def test_l2_rows_unit_vector_unchanged():
