@@ -45,7 +45,7 @@ from .ingest import (
     validate_dataset,
     write_regional_csv,
 )
-from .knn import InstanceStore, KnnConfig, fit_knn, predict_knn
+from .knn import InstanceStore, KnnConfig, fit_knn, predict_knn_batch
 from .mtl import (
     MonitoringPrediction,
     MtlModel,

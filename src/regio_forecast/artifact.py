@@ -4,9 +4,10 @@ The document embeds everything needed to predict: kNN config, selected
 feature codes, both fitted scalers, the one weighted instance store
 (pooled-region instances at the generic weight, then the case-study
 instances), the case-study region, and the generic transfer weight. A
-document of any other version raises VersionMismatch. Serialization is
-deterministic (sorted keys, shortest round-trip float repr), so retraining
-on identical inputs produces byte-identical artifacts.
+document of any other version raises VersionMismatch, and a NaN or
+Infinity token raises DataError. Serialization is deterministic (sorted
+keys, shortest round-trip float repr), so retraining on identical inputs
+produces byte-identical artifacts.
 """
 
 from __future__ import annotations
@@ -66,8 +67,11 @@ def save_model(model: MtlModel, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> MtlModel:
+    def non_finite(token: str):
+        raise DataError(f"{path}: model artifact holds a non-finite number ({token})")
+
     with Path(path).open(encoding="utf-8") as fh:
-        return model_from_dict(json.load(fh))
+        return model_from_dict(json.load(fh, parse_constant=non_finite))
 
 
 def atomic_write_text(path: str | Path, text: str) -> None:

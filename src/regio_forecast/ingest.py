@@ -205,39 +205,37 @@ def _read_rows(reader, region: RegionId) -> tuple[list[dt.date], list[list[float
 def parse_regional_csv(path: str | Path, region: RegionId) -> RegionalDataset:
     """Parse and validate one region's CSV into a RegionalDataset.
 
-    Rows come back sorted by date. Raises MissingColumn, BadValue (naming
-    the file, data row number and column), DuplicateDate, or EmptyFile on
-    schema or content violations; a non-finite cell or a ``feat_04`` region
-    code other than ``region``'s is a BadValue.
+    Rows come back sorted by date. Raises MissingColumn, BadValue (with the
+    data row number and column), DuplicateDate, or EmptyFile on schema or
+    content violations, each message starting with the file path; a
+    non-finite cell or a ``feat_04`` region code other than ``region``'s is
+    a BadValue.
     """
     path = Path(path)
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise EmptyFile(f"{path} is empty") from None
-        header = tuple(h.strip() for h in header)
-        for col in CSV_HEADER:
-            if col not in header:
-                raise MissingColumn(col)
-        if header != CSV_HEADER:
-            raise DataError(
-                "header columns out of order or extra; expected exactly: "
-                + ",".join(CSV_HEADER))
-
-        try:
+    try:
+        with path.open(newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
+                raise EmptyFile("file is empty")
+            header = tuple(h.strip() for h in header)
+            for col in CSV_HEADER:
+                if col not in header:
+                    raise MissingColumn(col)
+            if header != CSV_HEADER:
+                raise DataError(
+                    "header columns out of order or extra; expected exactly: "
+                    + ",".join(CSV_HEADER))
             dates, table = _read_rows(reader, region)
-        except BadValue as exc:
-            exc.args = (f"{path}: {exc}",)
-            raise
-
-    if not table:
-        raise EmptyFile(f"{path} has a header but no data rows")
-    order = sorted(range(len(dates)), key=dates.__getitem__)
-    for a, b in zip(order, order[1:]):
-        if dates[a] == dates[b]:
-            raise DuplicateDate(dates[a])
+        if not table:
+            raise EmptyFile("header but no data rows")
+        order = sorted(range(len(dates)), key=dates.__getitem__)
+        for a, b in zip(order, order[1:]):
+            if dates[a] == dates[b]:
+                raise DuplicateDate(dates[a])
+    except DataError as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise
     values = np.array(table)[order]
     n_features = len(PRIMARY_FEATURE_CODES)
     return RegionalDataset(region, tuple(dates[i] for i in order),

@@ -5,8 +5,13 @@ prediction is the inverse-distance-weighted mean of the k nearest stored
 targets. Each instance carries a positive source weight so pooled
 instances from other regions can be up- or down-weighted as a group.
 
-Neighbor search is an exhaustive scan. The test suite holds a plain-loop
-oracle of the same contract that validates the vectorized predictor.
+Neighbor search takes queries in blocks. One matrix product gives every
+approximate squared distance of a block, a partition finds each query's
+k-th smallest, and every instance within a forward-error margin of it is
+shortlisted. The shortlist is then ranked by exact distance, computed as
+an exhaustive scan would compute it, so predictions, ties and the
+zero-distance rule match the scan bit for bit. The test suite holds a
+plain-loop oracle of the same contract that validates the predictor.
 """
 
 from __future__ import annotations
@@ -131,42 +136,81 @@ def fit_knn(
     return InstanceStore(features, targets, source_tags, weights)
 
 
-def predict_knn(store: InstanceStore, query: np.ndarray, cfg: KnnConfig) -> np.ndarray:
-    """Predict one target vector for a query point.
-
-    The min(k, |store|) nearest instances by Euclidean distance vote with
-    weight source_weight / distance; ties at equal distance prefer the
-    earlier-inserted instance. If any selected neighbor sits at distance
-    exactly 0, the prediction is the source-weighted mean of the
-    zero-distance instances alone.
-    """
-    query = np.asarray(query, dtype=np.float64).ravel()
-    if query.shape[0] != store.dimension:
-        raise DimensionMismatch(
-            f"query has {query.shape[0]} dims, store has {store.dimension}")
-    diffs = store.features - query
-    d = np.sqrt(np.einsum("ij,ij->i", diffs, diffs))
-    k = min(cfg.k, len(store))
-    order = np.argsort(d, kind="stable")[:k]
-
-    nd = d[order]
-    nw = store.weights[order]
-    ny = store.targets[order]
-    zero = nd == 0.0
-    if np.any(zero):
-        if zero.sum() == 1:
-            return ny[zero][0].copy()
-        w = nw[zero]
-        return (w[:, None] * ny[zero]).sum(axis=0) / w.sum()
-    if k == 1:
-        return ny[0].copy()
-    w = nw / nd
-    return (w[:, None] * ny).sum(axis=0) / w.sum()
+# Queries are handled in blocks of about this many approximate distances
+# (2 MB of float64), so memory does not grow with the number of queries.
+_BLOCK_CELLS = 2 ** 18
 
 
 def predict_knn_batch(store: InstanceStore, queries: np.ndarray, cfg: KnnConfig) -> np.ndarray:
-    """Stack predict_knn over the rows of a query matrix."""
+    """Predict one target vector per row of a query matrix.
+
+    For each query the min(k, |store|) nearest instances by Euclidean
+    distance vote with weight source_weight / distance; ties at equal
+    distance prefer the earlier-inserted instance. If any selected neighbor
+    sits at distance exactly 0, the prediction is the source-weighted mean
+    of the zero-distance instances alone.
+
+    A block of queries gets approximate squared distances from one matrix
+    product, ||q||^2 + ||x||^2 - 2 q.x. Every instance within a rounding
+    margin of the k-th smallest approximation is shortlisted, and the
+    shortlist is ranked by exact distance, so the output equals that of
+    an exhaustive scan bit for bit.
+    """
     queries = np.asarray(queries, dtype=np.float64)
     if queries.ndim != 2:
         raise DimensionMismatch(f"queries must be 2-D, got shape {queries.shape}")
-    return np.vstack([predict_knn(store, q, cfg) for q in queries])
+    n, d = store.features.shape
+    if queries.shape[1] != d:
+        raise DimensionMismatch(f"query has {queries.shape[1]} dims, store has {d}")
+    k = min(cfg.k, n)
+    x_sq = np.einsum("ij,ij->i", store.features, store.features)
+    # Shortlist margin M. The expansion and the exact re-rank's sum of
+    # squared differences each lie within (d + 2)·eps·(||q||^2 + ||x||^2) of
+    # the true squared distance. So the k smallest approximations belong to
+    # instances whose re-rank value is at most kth + M, and an instance that
+    # ties or beats the k-th re-ranked distance has an approximation of at
+    # most kth + 2M (the square root adds a few ulps). M = 4·(d + 4)·eps·
+    # (||q||^2 + max ||x||^2) covers this with room to spare; the subnormal
+    # term covers products that underflow.
+    eps, tiny = np.finfo(np.float64).eps, np.finfo(np.float64).smallest_subnormal
+    x_sq_max = x_sq.max()
+    out = np.empty((queries.shape[0], store.targets.shape[1]))
+    step = max(1, _BLOCK_CELLS // n)
+    for start in range(0, queries.shape[0], step):
+        q = queries[start:start + step]
+        with np.errstate(over="ignore", invalid="ignore"):
+            q_sq = np.einsum("ij,ij->i", q, q)
+            approx = q @ store.features.T
+            approx *= -2.0
+            approx += x_sq
+            approx += q_sq[:, None]
+            margin = 4 * (d + 4) * (eps * (q_sq + x_sq_max) + tiny)
+            bound = np.partition(approx, k - 1, axis=1)[:, k - 1] + 2 * margin
+            shortlist = approx <= bound[:, None]
+        # values beyond ~1e154 overflow when squared; such rows scan everything
+        shortlist[~(np.isfinite(bound) & np.isfinite(approx).all(axis=1))] = True
+        for i, (query, mask) in enumerate(zip(q, shortlist), start=start):
+            out[i] = _nearest_vote(store, query, np.flatnonzero(mask), k)
+    return out
+
+
+def _nearest_vote(store: InstanceStore, query: np.ndarray, candidates: np.ndarray,
+                  k: int) -> np.ndarray:
+    """Vote of the k nearest among ascending ``candidates`` by exact distance."""
+    diffs = store.features[candidates] - query
+    dist = np.sqrt(np.einsum("ij,ij->i", diffs, diffs))
+    # candidates ascend, so a stable sort keeps earlier-inserted instances first
+    order = np.argsort(dist, kind="stable")[:k]
+    nd = dist[order]
+    nw = store.weights[candidates[order]]
+    ny = store.targets[candidates[order]]
+    zero = nd == 0.0
+    if np.any(zero):
+        if zero.sum() == 1:
+            return ny[zero][0]
+        w = nw[zero]
+        return (w[:, None] * ny[zero]).sum(axis=0) / w.sum()
+    if k == 1:
+        return ny[0]
+    w = nw / nd
+    return (w[:, None] * ny).sum(axis=0) / w.sum()

@@ -99,8 +99,26 @@ def fit_quantile_scaler(train: FeatureMatrix, n_quantiles: int | None = None) ->
     if n_quantiles < 2:
         raise TooFewRows(f"n_quantiles must be >= 2, got {n_quantiles}")
     probs = np.linspace(0.0, 1.0, n_quantiles)
-    landmarks = np.quantile(train.values, probs, axis=0).T  # (n_cols, n_quantiles)
+    landmarks = _linear_quantiles(np.sort(train.values, axis=0), probs).T
     return QuantileNormalScaler(column_codes=train.column_codes, landmarks=landmarks)
+
+
+def _linear_quantiles(ordered: np.ndarray, probs: np.ndarray) -> np.ndarray:
+    """``np.quantile(values, probs, axis=0)`` from the column-sorted values.
+
+    Uses numpy's default (linear) rule with its rounding: virtual index
+    (n - 1)·p, then a + (b - a)·t, or b - (b - a)·(1 - t) where t >= 0.5.
+    The values match np.quantile's to the bit (only a zero drawn from tied
+    -0.0 and 0.0 may carry the other sign), without a partition per
+    probability.
+    """
+    n = ordered.shape[0]
+    virtual = (n - 1) * probs
+    lo = np.minimum(np.floor(virtual), n - 2).astype(np.intp)
+    t = (virtual - lo)[:, None]
+    a, b = ordered[lo], ordered[lo + 1]
+    diff = b - a
+    return np.where(t >= 0.5, b - diff * (1 - t), a + diff * t)
 
 
 def _empirical_cdf(landmarks: np.ndarray, probs: np.ndarray, x: np.ndarray) -> np.ndarray:

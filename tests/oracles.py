@@ -61,8 +61,9 @@ def empirical_cdf_prob(sorted_values: np.ndarray, x: float) -> float:
 def knn_oracle(store: InstanceStore, query: np.ndarray, cfg: KnnConfig) -> np.ndarray:
     """Reference kNN predictor: exhaustive scan with an explicit exact sort.
 
-    Implements the same contract as ``regio_forecast.knn.predict_knn`` with
-    no shared code path, so the two can cross-check each other.
+    Implements, for one query, the same contract as
+    ``regio_forecast.knn.predict_knn_batch`` with no shared code path, so the
+    two can cross-check each other.
     """
     query = [float(v) for v in np.asarray(query).ravel()]
     if len(query) != store.dimension:

@@ -23,7 +23,7 @@ from regio_forecast.ingest import (
     region_by_name,
     split_train_test,
 )
-from regio_forecast.knn import KnnConfig, fit_knn, predict_knn
+from regio_forecast.knn import KnnConfig, fit_knn, predict_knn_batch
 from regio_forecast.mtl import (
     build_design_matrix,
     predict_monitoring,
@@ -111,7 +111,7 @@ def test_knn_oracle_equivalence():
             q = x[int(rng.integers(n))] if trial % 3 == 0 else \
                 rng.integers(0, 3, size=d).astype(float)
             cfg = KnnConfig(k=int(rng.integers(1, 10)))
-            assert np.allclose(predict_knn(store, q, cfg),
+            assert np.allclose(predict_knn_batch(store, [q], cfg)[0],
                                knn_oracle(store, q, cfg), atol=1e-10)
 
         for _ in range(100):
@@ -121,7 +121,7 @@ def test_knn_oracle_equivalence():
             y = rng.normal(size=(x.shape[0], 2))
             store = fit_knn(x, y)
             i = int(rng.integers(x.shape[0]))
-            assert np.array_equal(predict_knn(store, x[i], KnnConfig(k=6)), y[i])
+            assert np.array_equal(predict_knn_batch(store, [x[i]], KnnConfig(k=6))[0], y[i])
 
         assert time.perf_counter() - started < 10.0
 
@@ -157,10 +157,10 @@ def test_transfer_algebra():
         for _ in range(100):
             q = rng.normal(size=xu.shape[1])
             q /= np.linalg.norm(q)
-            assert np.allclose(predict_knn(model_union.store, q, model_union.cfg),
-                               predict_knn(union_store, q, model_union.cfg), atol=1e-10)
-            assert np.allclose(predict_knn(model_solo.store, q, model_solo.cfg),
-                               predict_knn(solo_store, q, model_solo.cfg), atol=1e-10)
+            assert np.allclose(predict_knn_batch(model_union.store, [q], model_union.cfg)[0],
+                               predict_knn_batch(union_store, [q], model_union.cfg)[0], atol=1e-10)
+            assert np.allclose(predict_knn_batch(model_solo.store, [q], model_solo.cfg)[0],
+                               predict_knn_batch(solo_store, [q], model_solo.cfg)[0], atol=1e-10)
 
 
 def test_kit_demand_laws():

@@ -205,6 +205,37 @@ def test_bad_cell_exits_3_naming_row_and_column(data_dir, tmp_path, capsys, colu
     assert f"{path}: bad value" in err          # names the file among the 3 loaded
 
 
+def _rename_feat_02(lines):
+    lines[0] = lines[0].replace("feat_02", "feat_2")
+
+
+def _repeat_a_day(lines):
+    lines.insert(6, lines[5])
+
+
+def _swap_two_columns(lines):
+    lines[:] = [",".join([c[0], c[2], c[1], *c[3:]]) for c in (ln.split(",") for ln in lines)]
+
+
+@pytest.mark.parametrize("mutate, message", [
+    (_rename_feat_02, "required column missing from header: 'feat_02'"),
+    (_repeat_a_day, "duplicate date in dataset"),
+    (_swap_two_columns, "header columns out of order"),
+], ids=["renamed_column", "repeated_date", "swapped_columns"])
+def test_bad_header_or_dates_exit_3_naming_the_file(data_dir, tmp_path, capsys,
+                                                    mutate, message):
+    bad_dir = tmp_path / "bad_data"
+    shutil.copytree(data_dir, bad_dir)
+    path = bad_dir / "manitoba.csv"
+    lines = path.read_text().splitlines()
+    mutate(lines)
+    path.write_text("\n".join(lines) + "\n")
+    code = run(["train", "--data-dir", bad_dir, "--case-study", "alberta",
+                "--test-days", "16", "--out", tmp_path / "x"])
+    assert code == 3
+    assert f"{path}: {message}" in capsys.readouterr().err
+
+
 def test_bad_clip_bounds_in_artifact_exits_3(data_dir, tmp_path, capsys):
     out = tmp_path / "model_out6"
     assert run(["train", "--data-dir", data_dir, "--case-study", "alberta",
@@ -217,6 +248,24 @@ def test_bad_clip_bounds_in_artifact_exits_3(data_dir, tmp_path, capsys):
                 "--out", tmp_path / "x"])
     assert code == 3
     assert "clip bounds" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("token", ["Infinity", "-Infinity", "NaN"])
+def test_non_finite_number_in_artifact_exits_3(data_dir, tmp_path, capsys, token):
+    out = tmp_path / "model_out7"
+    assert run(["train", "--data-dir", data_dir, "--case-study", "alberta",
+                "--test-days", "16", "--out", out]) == 0
+    doc = json.loads((out / "model.json").read_text())
+    doc["store"]["weights"] = [float(token)] * len(doc["store"]["weights"])
+    bad = tmp_path / "bad_model.json"
+    bad.write_text(json.dumps(doc))
+    assert token in bad.read_text()
+    code = run(["predict", "--model", bad, "--input", data_dir / "alberta.csv",
+                "--out", tmp_path / "x"])
+    assert code == 3
+    assert f"{bad}: model artifact holds a non-finite number ({token})" \
+        in capsys.readouterr().err
+    assert not (tmp_path / "x" / "predictions.csv").exists()
 
 
 def test_duplicate_region_files_exit_3(data_dir, tmp_path, capsys):

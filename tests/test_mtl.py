@@ -11,7 +11,7 @@ from regio_forecast.errors import (
 )
 from regio_forecast.features import PRIMARY_FEATURE_CODES, FeatureMatrix
 from regio_forecast.ingest import RegionalDataset, split_train_test
-from regio_forecast.knn import fit_knn, predict_knn
+from regio_forecast.knn import fit_knn, predict_knn_batch
 from regio_forecast.mtl import (
     build_design_matrix,
     predict_monitoring,
@@ -110,8 +110,8 @@ def test_lambda_one_equals_union_knn(small_datasets, rng):
     for _ in range(100):
         q = rng.normal(size=x.shape[1])
         q /= np.linalg.norm(q)
-        a = predict_knn(model.store, q, model.cfg)
-        b = predict_knn(union_store, q, model.cfg)
+        a = predict_knn_batch(model.store, [q], model.cfg)[0]
+        b = predict_knn_batch(union_store, [q], model.cfg)[0]
         assert np.allclose(a, b, atol=1e-10)
 
 
@@ -128,8 +128,8 @@ def test_lambda_zero_equals_dedicated_only_knn(small_datasets, rng):
     for _ in range(100):
         q = rng.normal(size=x.shape[1])
         q /= np.linalg.norm(q)
-        a = predict_knn(model.store, q, model.cfg)
-        b = predict_knn(dedicated_only, q, model.cfg)
+        a = predict_knn_batch(model.store, [q], model.cfg)[0]
+        b = predict_knn_batch(dedicated_only, [q], model.cfg)[0]
         assert np.allclose(a, b, atol=1e-10)
 
 

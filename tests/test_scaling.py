@@ -85,6 +85,26 @@ def test_fit_landmarks_match_interp_oracle():
     assert scaler.landmarks[0][-1] == 100.0
 
 
+@pytest.mark.parametrize("rows, n_quantiles", [
+    (2480, None), (2480, 37), (19715, None), (7, None), (2, None), (2, 5),
+])
+def test_fit_landmarks_bit_identical_to_numpy_quantile(rows, n_quantiles):
+    """Landmarks equal np.quantile's linear rule: random and tied columns,
+    fewer quantiles than rows and more, and 2 rows. Only the sign of a zero
+    drawn from tied -0.0 and 0.0 may differ, which array_equal ignores."""
+    rng = np.random.default_rng(rows)
+    values = np.column_stack([
+        rng.normal(size=rows),
+        rng.lognormal(0.0, 2.0, rows),
+        rng.integers(-2, 3, rows) * 1.5,
+        np.where(rng.random(rows) < 0.5, -0.0, 0.0),
+    ])
+    m = FeatureMatrix(values, ("a", "b", "c", "d"))
+    scaler = fit_quantile_scaler(m, n_quantiles)
+    expected = np.quantile(values, scaler.probabilities, axis=0).T
+    assert np.array_equal(scaler.landmarks, expected)
+
+
 def test_fit_constant_column_all_landmarks_equal():
     scaler = fit_quantile_scaler(column_matrix([5.0, 5.0, 5.0]), n_quantiles=7)
     assert np.all(scaler.landmarks[0] == 5.0)
