@@ -55,7 +55,6 @@ from .mtl import (
     train_mtl,
 )
 from .ppe import (
-    KitComposition,
     PpeDayForecast,
     PpeInputs,
     expand_kit_items,

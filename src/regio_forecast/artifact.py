@@ -1,11 +1,12 @@
 """Model artifact I/O: one JSON document per trained model.
 
-The document embeds everything needed to predict: kNN config, selected
-feature codes, both fitted scalers, the one weighted instance store
-(pooled-region instances at the generic weight, then the case-study
+The document embeds everything needed to predict: the kNN neighbor count,
+selected feature codes, both fitted scalers, the one weighted instance
+store (pooled-region instances at the generic weight, then the case-study
 instances), the case-study region, and the generic transfer weight. A
-document of any other version raises VersionMismatch, and a NaN or
-Infinity token raises DataError. Serialization is deterministic (sorted
+document of any other version raises VersionMismatch. Bytes that are not
+UTF-8, a NaN or Infinity token, and a literal that overflows to infinity
+(such as 1e999) raise DataError. Serialization is deterministic (sorted
 keys, shortest round-trip float repr), so retraining on identical inputs
 produces byte-identical artifacts.
 """
@@ -17,13 +18,15 @@ import os
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 from .errors import DataError, VersionMismatch
 from .ingest import RegionId
 from .knn import InstanceStore, KnnConfig
 from .mtl import MtlModel
 from .scaling import MinMaxScalerState, QuantileNormalScaler
 
-ARTIFACT_VERSION = "2"
+ARTIFACT_VERSION = "3"
 
 
 def model_to_dict(model: MtlModel) -> dict:
@@ -70,8 +73,27 @@ def load_model(path: str | Path) -> MtlModel:
     def non_finite(token: str):
         raise DataError(f"{path}: model artifact holds a non-finite number ({token})")
 
-    with Path(path).open(encoding="utf-8") as fh:
-        return model_from_dict(json.load(fh, parse_constant=non_finite))
+    try:
+        with Path(path).open(encoding="utf-8") as fh:
+            model = model_from_dict(json.load(fh, parse_constant=non_finite))
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text (byte 0x{exc.object[exc.start]:02x})") from None
+    except (AttributeError, TypeError, ValueError, OverflowError) as exc:
+        # not JSON, a field of the wrong type, or 1e999 where an integer belongs
+        raise DataError(f"{path}: malformed model artifact ({exc})") from None
+    numbers = {
+        "store.features": model.store.features,
+        "store.targets": model.store.targets,
+        "store.weights": model.store.weights,
+        "feature_scaler.landmarks": model.feature_scaler.landmarks,
+        "target_scaler.mins": model.target_scaler.mins,
+        "target_scaler.maxs": model.target_scaler.maxs,
+        "generic_weight": model.generic_weight,
+    }
+    for name, values in numbers.items():
+        if not np.all(np.isfinite(values)):
+            raise DataError(f"{path}: model artifact holds a non-finite number ({name})")
+    return model
 
 
 def atomic_write_text(path: str | Path, text: str) -> None:

@@ -44,7 +44,7 @@ from .ingest import (
 )
 from .knn import KnnConfig
 from .mtl import predict_monitoring, rotate_regions, train_mtl
-from .ppe import KitComposition, forecast_series, forecast_to_csv
+from .ppe import forecast_series, forecast_to_csv
 from .synth import SyntheticSpec, write_region_files
 
 log = logging.getLogger("regio_forecast")
@@ -66,18 +66,32 @@ class RunConfig:
     ppe_personnel: float = 200.0
 
 
+# JSON value types accepted for each RunConfig field type; an int is a float too.
+_JSON_TYPES = {"int": (int,), "float": (int, float), "str": (str,)}
+
+
 def _load_config(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig()
     if getattr(args, "config", None):
         try:
             with open(args.config, encoding="utf-8") as fh:
                 doc = json.load(fh)
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{args.config}: not UTF-8 text "
+                              f"(byte 0x{exc.object[exc.start]:02x})") from None
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config file {args.config}: {exc}") from None
-        known = {f.name for f in dataclasses.fields(RunConfig)}
-        unknown = set(doc) - known
+        if not isinstance(doc, dict):
+            raise ConfigError(f"{args.config}: config must be a JSON object")
+        types = {f.name: _JSON_TYPES[f.type] for f in dataclasses.fields(RunConfig)}
+        unknown = set(doc) - set(types)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        for key, value in doc.items():
+            # bool is an int subclass, but true/false is not a number here
+            if isinstance(value, bool) or not isinstance(value, types[key]):
+                raise ConfigError(f"{args.config}: config key {key!r} must be "
+                                  f"{types[key][-1].__name__}, got {value!r}")
         cfg = dataclasses.replace(cfg, **doc)
     overrides = {}
     for field in dataclasses.fields(RunConfig):
@@ -167,7 +181,7 @@ def cmd_evaluate(cfg: RunConfig) -> int:
     test = case_ds.subset(split.test_indices)
     metric_report = evaluate_model(
         model, test,
-        BootstrapConfig(cfg.bootstrap, 0.95, cfg.seed),
+        BootstrapConfig(cfg.bootstrap, cfg.seed),
         training_time_seconds=report.fit_seconds)
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -186,7 +200,7 @@ def cmd_rotate(cfg: RunConfig) -> int:
     datasets = _load_datasets(cfg.data_dir)
     reports = rotate_regions(
         datasets, KnnConfig(k=cfg.k), cfg.test_days, cfg.seed,
-        cfg.generic_weight, DEFAULT_SELECTED_FEATURES, cfg.bootstrap)
+        cfg.generic_weight, cfg.bootstrap)
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     for target in TARGET_COLUMNS:
@@ -220,9 +234,7 @@ def cmd_predict(cfg: RunConfig, model_path: str, input_csv: str) -> int:
 def cmd_ppe(cfg: RunConfig, model_path: str, input_csv: str) -> int:
     model = load_model(model_path)
     ds = parse_regional_csv(input_csv, model.case_study)
-    series = forecast_series(model, ds,
-                             cfg.ppe_operating_capacity, cfg.ppe_personnel,
-                             KitComposition())
+    series = forecast_series(model, ds, cfg.ppe_operating_capacity, cfg.ppe_personnel)
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     atomic_write_text(out / "ppe_forecast.csv", forecast_to_csv(series))

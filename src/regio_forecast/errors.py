@@ -91,10 +91,6 @@ class ColumnMismatch(DataError):
     pass
 
 
-class OutOfDomain(DataError):
-    pass
-
-
 class EmptyMatrix(DataError):
     pass
 

@@ -4,7 +4,7 @@ Four metrics are reported per target: coefficient of determination (r2),
 explained variance score (evs), mean absolute error (mae), and root mean
 squared error (rmse). Each is bracketed by a (low, mid, top) interval:
 mid is the metric on the full test set, low/top are the 2.5th/97.5th
-percentiles (at the default 95% level) of a pairs bootstrap over the
+percentiles (CONFIDENCE, fixed at 0.95) of a pairs bootstrap over the
 test points. Replicates whose resampled actuals are constant cannot
 support r2/evs and are skipped, with the skip count reported.
 """
@@ -29,6 +29,9 @@ from .ingest import RegionalDataset
 from .mtl import MonitoringPrediction, MtlModel, predict_monitoring
 
 METRIC_NAMES: tuple[str, ...] = ("r2", "evs", "mae", "rmse")
+
+# Level of every bootstrap interval.
+CONFIDENCE = 0.95
 
 
 def _check_pair(y, y_hat, min_len: int):
@@ -77,14 +80,11 @@ METRIC_FUNCTIONS: dict[str, Callable] = {"r2": r2, "evs": evs, "mae": mae, "rmse
 @dataclass(frozen=True)
 class BootstrapConfig:
     replicates: int = 1000
-    confidence: float = 0.95
     seed: int = 0
 
     def __post_init__(self):
         if self.replicates < 1:
             raise BadConfig(f"bootstrap replicates must be >= 1, got {self.replicates}")
-        if not 0.0 < self.confidence < 1.0:
-            raise BadConfig(f"confidence must be in (0, 1), got {self.confidence}")
 
 
 @dataclass(frozen=True)
@@ -129,7 +129,7 @@ def bootstrap_interval(y, y_hat, metric: Callable, cfg: BootstrapConfig) -> Inte
         raise AllReplicatesDegenerate(
             f"all {cfg.replicates} bootstrap replicates had constant actuals")
 
-    alpha = 1.0 - cfg.confidence
+    alpha = 1.0 - CONFIDENCE
     low, top = np.percentile(values, [100 * alpha / 2, 100 * (1 - alpha / 2)])
     return Interval(float(low), mid, float(top),
                     skipped_replicates=skipped, degenerate=len(values) < 2)
@@ -205,7 +205,7 @@ def evaluate_model(
                 actuals[:, t_idx],
                 prediction.counts[:, t_idx],
                 METRIC_FUNCTIONS[metric_name],
-                BootstrapConfig(cfg.replicates, cfg.confidence, child_seed),
+                BootstrapConfig(cfg.replicates, child_seed),
             )
         intervals[target] = per_metric
     return MetricReport(model.case_study.name, intervals, training_time_seconds)

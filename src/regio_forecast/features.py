@@ -171,11 +171,8 @@ DEFAULT_DERIVED_REGISTRY: tuple[DerivedFeature, ...] = (
 )
 
 
-def compute_derived_features(
-    primary: FeatureMatrix,
-    registry: Sequence[DerivedFeature] = DEFAULT_DERIVED_REGISTRY,
-) -> FeatureMatrix:
-    """Evaluate the derived-feature registry on a 27-column primary matrix.
+def compute_derived_features(primary: FeatureMatrix) -> FeatureMatrix:
+    """Evaluate DEFAULT_DERIVED_REGISTRY on a 27-column primary matrix.
 
     Each output column is a row-local function of the primary columns, so
     permuting input rows permutes output rows identically.
@@ -184,8 +181,8 @@ def compute_derived_features(
         if code not in primary.column_codes:
             raise MissingPrimaryColumn(code)
     cols = {code: primary.column(code) for code in PRIMARY_FEATURE_CODES}
-    values = np.column_stack([f.formula(cols) for f in registry])
-    return FeatureMatrix(values, tuple(f.code for f in registry))
+    values = np.column_stack([f.formula(cols) for f in DEFAULT_DERIVED_REGISTRY])
+    return FeatureMatrix(values, tuple(f.code for f in DEFAULT_DERIVED_REGISTRY))
 
 
 def concat_features(primary: FeatureMatrix, derived: FeatureMatrix) -> FeatureMatrix:

@@ -209,7 +209,8 @@ def parse_regional_csv(path: str | Path, region: RegionId) -> RegionalDataset:
     data row number and column), DuplicateDate, or EmptyFile on schema or
     content violations, each message starting with the file path; a
     non-finite cell or a ``feat_04`` region code other than ``region``'s is
-    a BadValue.
+    a BadValue. Bytes that are not UTF-8, and quoting that the csv module
+    cannot read, raise DataError with the file path too.
     """
     path = Path(path)
     try:
@@ -233,6 +234,10 @@ def parse_regional_csv(path: str | Path, region: RegionId) -> RegionalDataset:
         for a, b in zip(order, order[1:]):
             if dates[a] == dates[b]:
                 raise DuplicateDate(dates[a])
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text (byte 0x{exc.object[exc.start]:02x})") from None
+    except csv.Error as exc:     # e.g. an unclosed quote running past the field limit
+        raise DataError(f"{path}: malformed CSV: {exc}") from None
     except DataError as exc:
         exc.args = (f"{path}: {exc}",)
         raise

@@ -2,8 +2,10 @@
 
 The learner is instance-based: fitting memorizes the training rows, and a
 prediction is the inverse-distance-weighted mean of the k nearest stored
-targets. Each instance carries a positive source weight so pooled
-instances from other regions can be up- or down-weighted as a group.
+targets. The metric (Euclidean) and the vote weighting (inverse distance)
+are fixed; only k is configurable. Each instance carries a positive source
+weight so pooled instances from other regions can be up- or down-weighted
+as a group.
 
 Neighbor search takes queries in blocks. One matrix product gives every
 approximate squared distance of a block, a partition finds each query's
@@ -26,26 +28,20 @@ from .errors import BadConfig, DimensionMismatch, EmptyTrainingSet
 
 @dataclass(frozen=True)
 class KnnConfig:
-    """Neighbor count plus the (fixed) weighting and metric choices."""
+    """Neighbor count of the inverse-distance Euclidean vote."""
 
     k: int = 6
-    weighting: str = "distance"
-    distance: str = "euclidean"
 
     def __post_init__(self):
         if self.k < 1:
             raise BadConfig(f"k must be >= 1, got {self.k}")
-        if self.weighting != "distance":
-            raise BadConfig(f"unsupported weighting: {self.weighting!r}")
-        if self.distance != "euclidean":
-            raise BadConfig(f"unsupported distance: {self.distance!r}")
 
     def to_json_dict(self) -> dict:
-        return {"k": self.k, "weighting": self.weighting, "distance": self.distance}
+        return {"k": self.k}
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "KnnConfig":
-        return cls(k=int(d["k"]), weighting=d["weighting"], distance=d["distance"])
+        return cls(k=int(d["k"]))
 
 
 @dataclass(frozen=True)
@@ -109,7 +105,6 @@ class InstanceStore:
 def fit_knn(
     features: np.ndarray,
     targets: np.ndarray,
-    cfg: KnnConfig | None = None,
     source_tags: Sequence[int] | None = None,
     weights: np.ndarray | None = None,
 ) -> InstanceStore:

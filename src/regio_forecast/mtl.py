@@ -116,7 +116,6 @@ def train_mtl(
     cfg: KnnConfig = KnnConfig(),
     generic_weight: float = 1.0,
     selection: Sequence[str] = DEFAULT_SELECTED_FEATURES,
-    n_quantiles: int | None = None,
 ) -> tuple[MtlModel, TrainReport]:
     """Train the model for ``case_study`` on its rows ``case_train_indices``.
 
@@ -148,13 +147,13 @@ def train_mtl(
     t0 = time.perf_counter()
     raw_design = build_design_matrix(
         FeatureMatrix(features, PRIMARY_FEATURE_CODES), selection)
-    feature_scaler = fit_quantile_scaler(raw_design, n_quantiles)
+    feature_scaler = fit_quantile_scaler(raw_design)
     target_scaler = fit_minmax(targets)
     # zero-weight instances cannot vote, so they are dropped, not stored
     keep = slice(n_pool if generic_weight == 0 else 0, None)
     store = fit_knn(transform_design(feature_scaler, raw_design)[keep],
                     target_scaler.transform_values(targets.values)[keep],
-                    cfg, source_tags=tags[keep], weights=weights[keep])
+                    source_tags=tags[keep], weights=weights[keep])
     fit_seconds = time.perf_counter() - t0
 
     model = MtlModel(
@@ -212,17 +211,15 @@ def rotate_regions(
     test_size: int = 54,
     seed: int = 0,
     generic_weight: float = 1.0,
-    selection: Sequence[str] = DEFAULT_SELECTED_FEATURES,
     bootstrap_replicates: int = 1000,
-    confidence: float = 0.95,
 ):
     """Let every region take a turn as the case study and evaluate it.
 
-    For each region the remaining datasets form the pool, a
-    held-out split of ``test_size`` days is predicted, and metric
-    intervals are computed. Returns one MetricReport per region, in
-    dataset order. Per-region split and bootstrap seeds derive from the
-    master seed, so a fixed seed reproduces every number.
+    For each region the remaining datasets form the pool, a held-out
+    split of ``test_size`` days is predicted on the default feature
+    selection, and metric intervals are computed. Returns one MetricReport
+    per region, in dataset order. Per-region split and bootstrap seeds
+    derive from the master seed, so a fixed seed reproduces every number.
     """
     from .evaluation import BootstrapConfig, evaluate_model  # cycle: evaluation uses predict_monitoring
 
@@ -237,11 +234,10 @@ def rotate_regions(
         boot_seed = _derived_seed(seed, case.code, 1)
         split = split_train_test(ds, test_size, split_seed)
         model, train_report = train_mtl(
-            datasets, case, split.train_indices, cfg, generic_weight, selection)
+            datasets, case, split.train_indices, cfg, generic_weight)
         report = evaluate_model(
             model, ds.subset(split.test_indices),
-            BootstrapConfig(replicates=bootstrap_replicates,
-                            confidence=confidence, seed=boot_seed),
+            BootstrapConfig(replicates=bootstrap_replicates, seed=boot_seed),
             training_time_seconds=train_report.fit_seconds,
         )
         reports.append(report)

@@ -4,8 +4,8 @@ The kit estimate interpolates on the predicted hospitalized count: the
 average hospitalized patients per health centre (``hsp_ratio``) scales
 the active workforce until every centre has at least one patient, at
 which point demand saturates at operating_capacity x personnel. One kit
-bundles five items: face shield, N95 respirator, glove pair, shoe-cover
-pair, and isolation gown.
+bundles one of each of the five KIT_ITEMS: face shield, N95 respirator,
+glove pair, shoe-cover pair, and isolation gown.
 """
 
 from __future__ import annotations
@@ -14,36 +14,13 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from .errors import BadConfig, InvalidCapacity, ZeroChcCount
 from .ingest import RegionalDataset
 from .mtl import MtlModel, predict_monitoring
 
 
-@dataclass(frozen=True)
-class KitComposition:
-    """Item multipliers per kit; defaults describe the standard 5-item kit."""
-
-    face_shields: int = 1
-    n95_respirators: int = 1
-    glove_pairs: int = 1
-    shoe_cover_pairs: int = 1
-    isolation_gowns: int = 1
-
-    def __post_init__(self):
-        for name, mult in self.as_dict().items():
-            if mult < 0:
-                raise BadConfig(f"kit item multiplier {name} must be >= 0")
-
-    def as_dict(self) -> dict[str, int]:
-        return {
-            "face_shields": self.face_shields,
-            "n95_respirators": self.n95_respirators,
-            "glove_pairs": self.glove_pairs,
-            "shoe_cover_pairs": self.shoe_cover_pairs,
-            "isolation_gowns": self.isolation_gowns,
-        }
+KIT_ITEMS = ("face_shields", "n95_respirators", "glove_pairs",
+             "shoe_cover_pairs", "isolation_gowns")
 
 
 @dataclass(frozen=True)
@@ -81,12 +58,12 @@ def predict_ppe_kits(inputs: PpeInputs) -> float:
     return ceiling * ratio
 
 
-def expand_kit_items(kits: float, comp: KitComposition = KitComposition()) -> dict[str, int]:
+def expand_kit_items(kits: float) -> dict[str, int]:
     """Whole-item demand: kits are ceiled first (no fractional physical items)."""
     if kits < 0:
         raise BadConfig(f"kit count must be >= 0, got {kits}")
     whole = math.ceil(kits)
-    return {name: whole * mult for name, mult in comp.as_dict().items()}
+    return {name: whole for name in KIT_ITEMS}
 
 
 @dataclass(frozen=True)
@@ -106,25 +83,20 @@ PPE_CSV_HEADER = ("date,predicted_hospitalized,hsp_ratio,kits,kits_ceil,"
 def forecast_series(
     model: MtlModel,
     ds: RegionalDataset,
-    operating_capacity: float | Sequence[float],
-    personnel: float | Sequence[float],
-    comp: KitComposition = KitComposition(),
+    operating_capacity: float,
+    personnel: float,
 ) -> list[PpeDayForecast]:
     """Chain the monitoring model's hospitalization predictions into kit demand.
 
-    ``operating_capacity`` and ``personnel`` may be constants or one value
-    per day. The health centre count is read from each day's feat_11.
+    ``operating_capacity`` and ``personnel`` hold for every day. The health
+    centre count is read from each day's feat_11.
     """
-    n = ds.n_rows
-    caps = _broadcast(operating_capacity, n, "operating_capacity")
-    staff = _broadcast(personnel, n, "personnel")
-
     hospitalized = predict_monitoring(model, ds).column("hospitalizations")
     chcs = ds.feature_matrix().column("feat_11").tolist()
     out = []
-    for date, h, chc_value, cap, p in zip(ds.dates, hospitalized, chcs, caps, staff):
+    for date, h, chc_value in zip(ds.dates, hospitalized, chcs):
         chc = int(round(chc_value))
-        inputs = PpeInputs(float(h), chc, float(cap), float(p))
+        inputs = PpeInputs(float(h), chc, float(operating_capacity), float(personnel))
         kits = predict_ppe_kits(inputs)
         out.append(PpeDayForecast(
             date=date,
@@ -132,7 +104,7 @@ def forecast_series(
             hsp_ratio=float(h) / chc,
             kits=kits,
             kits_ceil=math.ceil(kits),
-            items=expand_kit_items(kits, comp),
+            items=expand_kit_items(kits),
         ))
     return out
 
@@ -148,12 +120,3 @@ def forecast_to_csv(series: Sequence[PpeDayForecast]) -> str:
             f"{items['glove_pairs']},{items['shoe_cover_pairs']},"
             f"{items['isolation_gowns']}")
     return "\n".join(lines) + "\n"
-
-
-def _broadcast(value, n: int, name: str) -> np.ndarray:
-    if np.isscalar(value):
-        return np.full(n, float(value))
-    arr = np.asarray(value, dtype=np.float64)
-    if arr.shape != (n,):
-        raise BadConfig(f"{name} series has {arr.shape[0]} entries for {n} days")
-    return arr

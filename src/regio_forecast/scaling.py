@@ -3,9 +3,10 @@
 Three transforms are provided:
 
 * a quantile-normal scaler that maps each feature column through its
-  empirical CDF and then the standard-normal quantile function
-  (``scipy.special.ndtri``), so a skewed training column comes out
-  approximately N(0, 1);
+  empirical CDF at min(1000, row count) landmarks, clips the probability
+  to [CDF_CLIP_LO, CDF_CLIP_HI] and applies the standard-normal quantile
+  function (``scipy.special.ndtri``), so a skewed training column comes
+  out approximately N(0, 1);
 * row-wise L2 normalization, so every sample becomes a unit vector (an
   all-zero row stays zero);
 * per-column min-max scaling of the target counts onto the training
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri
 
-from .errors import ColumnMismatch, EmptyMatrix, OutOfDomain, TooFewRows
+from .errors import ColumnMismatch, EmptyMatrix, TooFewRows
 from .features import FeatureMatrix, TargetMatrix
 
 # Probabilities are clipped away from {0, 1} before the normal quantile
@@ -42,8 +43,6 @@ class QuantileNormalScaler:
 
     column_codes: tuple[str, ...]
     landmarks: np.ndarray          # (n_columns, n_quantiles), each row sorted
-    p_lo: float = CDF_CLIP_LO
-    p_hi: float = CDF_CLIP_HI
 
     def __post_init__(self):
         lm = np.ascontiguousarray(self.landmarks, dtype=np.float64)
@@ -53,8 +52,6 @@ class QuantileNormalScaler:
             raise TooFewRows("at least 2 quantile landmarks per column are required")
         if np.any(np.diff(lm, axis=1) < 0):
             raise ColumnMismatch("landmarks must be sorted non-decreasing per column")
-        if not 0.0 < self.p_lo < self.p_hi < 1.0:
-            raise OutOfDomain("clip bounds must satisfy 0 < p_lo < p_hi < 1")
         lm.setflags(write=False)
         object.__setattr__(self, "landmarks", lm)
 
@@ -70,8 +67,6 @@ class QuantileNormalScaler:
         return {
             "column_codes": list(self.column_codes),
             "landmarks": [col.tolist() for col in self.landmarks],
-            "p_lo": self.p_lo,
-            "p_hi": self.p_hi,
         }
 
     @classmethod
@@ -79,26 +74,20 @@ class QuantileNormalScaler:
         return cls(
             column_codes=tuple(d["column_codes"]),
             landmarks=np.asarray(d["landmarks"], dtype=np.float64),
-            p_lo=float(d["p_lo"]),
-            p_hi=float(d["p_hi"]),
         )
 
 
-def fit_quantile_scaler(train: FeatureMatrix, n_quantiles: int | None = None) -> QuantileNormalScaler:
+def fit_quantile_scaler(train: FeatureMatrix) -> QuantileNormalScaler:
     """Fit per-column quantile landmarks on a training matrix.
 
-    ``n_quantiles`` defaults to min(1000, row count). Landmarks are the
-    empirical quantiles at equally spaced probabilities, computed with
-    linear interpolation between order statistics.
+    Landmarks are the empirical quantiles at min(1000, row count) equally
+    spaced probabilities, computed with linear interpolation between order
+    statistics.
     """
     n_rows = train.values.shape[0]
     if n_rows < 2:
         raise TooFewRows(f"need at least 2 training rows to fit quantiles, got {n_rows}")
-    if n_quantiles is None:
-        n_quantiles = min(1000, n_rows)
-    if n_quantiles < 2:
-        raise TooFewRows(f"n_quantiles must be >= 2, got {n_quantiles}")
-    probs = np.linspace(0.0, 1.0, n_quantiles)
+    probs = np.linspace(0.0, 1.0, min(1000, n_rows))
     landmarks = _linear_quantiles(np.sort(train.values, axis=0), probs).T
     return QuantileNormalScaler(column_codes=train.column_codes, landmarks=landmarks)
 
@@ -152,7 +141,8 @@ def apply_quantile_scaler(scaler: QuantileNormalScaler, m: FeatureMatrix) -> Fea
     """Map each column through the fitted CDF and the normal quantile function (ndtri).
 
     Out-of-range values are clipped to the training range before mapping,
-    and CDF outputs are clipped to (p_lo, p_hi) so results stay finite.
+    and CDF outputs are clipped to [CDF_CLIP_LO, CDF_CLIP_HI] so results
+    stay finite.
     A column that was constant at fit time maps to 0 everywhere.
     """
     if m.column_codes != scaler.column_codes:
@@ -162,7 +152,7 @@ def apply_quantile_scaler(scaler: QuantileNormalScaler, m: FeatureMatrix) -> Fea
     p = np.empty_like(m.values)
     for j in range(m.values.shape[1]):
         p[:, j] = _empirical_cdf(scaler.landmarks[j], probs, m.values[:, j])
-    return FeatureMatrix(ndtri(np.clip(p, scaler.p_lo, scaler.p_hi)), m.column_codes)
+    return FeatureMatrix(ndtri(np.clip(p, CDF_CLIP_LO, CDF_CLIP_HI)), m.column_codes)
 
 
 # Inside this range the plain sum of squares neither overflows nor loses

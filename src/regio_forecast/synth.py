@@ -26,6 +26,10 @@ from .ingest import RegionalDataset, region_by_code, write_regional_csv
 
 DEFAULT_START_DATE = dt.date(2020, 1, 25)
 
+# Per-target amplitude of the latent curve: infections, hospitalizations,
+# recoveries, deaths.
+TARGET_SCALES = (900.0, 210.0, 720.0, 28.0)
+
 # Baseline magnitudes for the slow-moving administrative columns.
 _STATIC_BASES = {
     "feat_03": 6.2e5,     # inhabited land, km^2
@@ -53,10 +57,6 @@ class SyntheticSpec:
     rows: int = 362
     noise: float = 0.05
     seed: int = 0
-    start_date: dt.date = DEFAULT_START_DATE
-    # Per-target amplitude of the latent curve: infections,
-    # hospitalizations, recoveries, deaths.
-    target_scales: tuple[float, float, float, float] = (900.0, 210.0, 720.0, 28.0)
 
     def __post_init__(self):
         if not 1 <= self.regions <= 10:
@@ -65,8 +65,6 @@ class SyntheticSpec:
             raise BadSpec(f"rows must be >= 10, got {self.rows}")
         if self.noise < 0:
             raise BadSpec(f"noise must be >= 0, got {self.noise}")
-        if len(self.target_scales) != 4 or any(s <= 0 for s in self.target_scales):
-            raise BadSpec("target_scales must be 4 positive values")
 
 
 def _season(date: dt.date) -> int:
@@ -94,7 +92,7 @@ def generate_regions(spec: SyntheticSpec) -> list[RegionalDataset]:
     shared_rng = np.random.default_rng(master.spawn(1)[0])
     latent = _shared_latent(spec.rows, shared_rng)
     t = np.arange(spec.rows)
-    dates = [spec.start_date + dt.timedelta(days=int(i)) for i in t]
+    dates = [DEFAULT_START_DATE + dt.timedelta(days=int(i)) for i in t]
     wave_boundary = int(np.argmin(
         latent[int(0.35 * spec.rows):int(0.70 * spec.rows)])) + int(0.35 * spec.rows)
 
@@ -121,7 +119,7 @@ def generate_regions(spec: SyntheticSpec) -> list[RegionalDataset]:
         amplitude = 1.0 + float(np.mean([static_offsets[c] for c in pop_cols]))
 
         targets = np.empty((spec.rows, 4), dtype=np.int64)
-        for j, scale in enumerate(spec.target_scales):
+        for j, scale in enumerate(TARGET_SCALES):
             eps = rng.standard_normal(spec.rows)
             series = scale * amplitude * intensity * (1.0 + spec.noise * eps)
             targets[:, j] = np.maximum(np.rint(series), 0).astype(np.int64)

@@ -32,6 +32,8 @@ from regio_forecast.mtl import (
 )
 from regio_forecast.ppe import PpeInputs, predict_ppe_kits
 from regio_forecast.scaling import (
+    CDF_CLIP_HI,
+    CDF_CLIP_LO,
     apply_quantile_scaler,
     fit_minmax,
     fit_quantile_scaler,
@@ -84,7 +86,7 @@ def test_scaling_suite():
         # at each landmark, z is the oracle's Phi^-1 of the clipped landmark probability
         at_landmarks = apply_quantile_scaler(
             scaler, FeatureMatrix(scaler.landmarks.T, m.column_codes))
-        ps = np.clip(scaler.probabilities, scaler.p_lo, scaler.p_hi)
+        ps = np.clip(scaler.probabilities, CDF_CLIP_LO, CDF_CLIP_HI)
         for j in range(m.n_columns):
             for p, z_p in zip(ps, at_landmarks.values[:, j]):
                 assert abs(z_p - bisection_normal_ppf(float(p))) <= 1e-8
@@ -150,9 +152,9 @@ def test_transfer_algebra():
             return x, y
 
         xu, yu = scaled(model_union, [*datasets[1:], case_train])
-        union_store = fit_knn(xu, yu, model_union.cfg)
+        union_store = fit_knn(xu, yu)
         xs, ys = scaled(model_solo, [case_train])
-        solo_store = fit_knn(xs, ys, model_solo.cfg)
+        solo_store = fit_knn(xs, ys)
 
         for _ in range(100):
             q = rng.normal(size=xu.shape[1])

@@ -31,9 +31,11 @@ def test_artifact_is_plain_json(trained_small_model, tmp_path):
     path = tmp_path / "model.json"
     save_model(model, path)
     doc = json.loads(path.read_text())
-    assert doc["version"] == "2"
+    assert doc["version"] == "3"
     assert set(doc) == {"version", "config", "selected_features", "generic_weight",
                         "case_study", "feature_scaler", "target_scaler", "store"}
+    assert doc["config"] == {"k": 6}
+    assert set(doc["feature_scaler"]) == {"column_codes", "landmarks"}
     assert len(doc["selected_features"]) == 13
 
 

@@ -4,6 +4,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from regio_forecast.cli import main
 
@@ -31,7 +33,7 @@ def test_train_writes_artifact_and_report(data_dir, tmp_path):
                 "--test-days", "16", "--seed", "3", "--out", out])
     assert code == 0
     doc = json.loads((out / "model.json").read_text())
-    assert doc["version"] == "2"
+    assert doc["version"] == "3"
     assert doc["case_study"]["name"] == "Alberta"
     report = json.loads((out / "train_report.json").read_text())
     assert report["pooled_regions"] == ["British Columbia", "Manitoba"]
@@ -81,6 +83,26 @@ def test_unknown_config_key_exits_2(data_dir, tmp_path):
     cfg.write_text(json.dumps({"not_a_key": 1}))
     assert run(["train", "--config", cfg, "--data-dir", data_dir,
                 "--out", tmp_path / "x"]) == 2
+
+
+@pytest.mark.parametrize("key, value", [
+    ("k", "six"), ("k", 6.0), ("k", True), ("generic_weight", False),
+    ("generic_weight", "1"), ("case_study", 3), ("out", None),
+])
+def test_config_value_of_wrong_type_exits_2(data_dir, tmp_path, capsys, key, value):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps({key: value}))
+    assert run(["train", "--config", cfg, "--data-dir", data_dir, "--case-study", "alberta",
+                "--test-days", "16", "--out", tmp_path / "x"]) == 2
+    assert f"{cfg}: config key {key!r} must be" in capsys.readouterr().err
+
+
+def test_non_utf8_config_exits_2(data_dir, tmp_path, capsys):
+    cfg = tmp_path / "bad.json"
+    cfg.write_bytes(b'{"case_study": "Qu\xe9bec"}')
+    assert run(["train", "--config", cfg, "--data-dir", data_dir,
+                "--out", tmp_path / "x"]) == 2
+    assert f"{cfg}: not UTF-8 text (byte 0xe9)" in capsys.readouterr().err
 
 
 def test_evaluate_single_region(data_dir, tmp_path):
@@ -175,13 +197,14 @@ def test_version_1_artifact_exits_3(data_dir, tmp_path, capsys):
     assert run(["train", "--data-dir", data_dir, "--case-study", "alberta",
                 "--test-days", "16", "--out", out]) == 0
     doc = json.loads((out / "model.json").read_text())
-    doc["version"] = "1"           # checked before any other field is read
-    old = tmp_path / "v1_model.json"
-    old.write_text(json.dumps(doc))
-    code = run(["predict", "--model", old, "--input", data_dir / "alberta.csv",
-                "--out", tmp_path / "x"])
-    assert code == 3
-    assert "version '1' not supported (expected '2')" in capsys.readouterr().err
+    for version in ("1", "2"):     # checked before any other field is read
+        doc["version"] = version
+        old = tmp_path / f"v{version}_model.json"
+        old.write_text(json.dumps(doc))
+        code = run(["predict", "--model", old, "--input", data_dir / "alberta.csv",
+                    "--out", tmp_path / "x"])
+        assert code == 3
+        assert f"version '{version}' not supported (expected '3')" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("column, text", [
@@ -217,11 +240,23 @@ def _swap_two_columns(lines):
     lines[:] = [",".join([c[0], c[2], c[1], *c[3:]]) for c in (ln.split(",") for ln in lines)]
 
 
+def _latin1_byte_in_header(lines):
+    lines[0] = lines[0].replace("feat_02", "f\udce9at_02")    # written as the byte 0xe9
+
+
+def _unclosed_quote(lines):
+    lines[1] = '"' + lines[1]
+    lines.extend(lines[2:] * 5)     # the quoted field runs past csv's 131072-char limit
+
+
 @pytest.mark.parametrize("mutate, message", [
     (_rename_feat_02, "required column missing from header: 'feat_02'"),
     (_repeat_a_day, "duplicate date in dataset"),
     (_swap_two_columns, "header columns out of order"),
-], ids=["renamed_column", "repeated_date", "swapped_columns"])
+    (_latin1_byte_in_header, "not UTF-8 text (byte 0xe9)"),
+    (_unclosed_quote, "malformed CSV: field larger than field limit"),
+], ids=["renamed_column", "repeated_date", "swapped_columns", "non_utf8_header",
+        "unclosed_quote"])
 def test_bad_header_or_dates_exit_3_naming_the_file(data_dir, tmp_path, capsys,
                                                     mutate, message):
     bad_dir = tmp_path / "bad_data"
@@ -229,43 +264,103 @@ def test_bad_header_or_dates_exit_3_naming_the_file(data_dir, tmp_path, capsys,
     path = bad_dir / "manitoba.csv"
     lines = path.read_text().splitlines()
     mutate(lines)
-    path.write_text("\n".join(lines) + "\n")
+    path.write_bytes(("\n".join(lines) + "\n").encode("utf-8", "surrogateescape"))
     code = run(["train", "--data-dir", bad_dir, "--case-study", "alberta",
                 "--test-days", "16", "--out", tmp_path / "x"])
     assert code == 3
     assert f"{path}: {message}" in capsys.readouterr().err
 
 
-def test_bad_clip_bounds_in_artifact_exits_3(data_dir, tmp_path, capsys):
-    out = tmp_path / "model_out6"
-    assert run(["train", "--data-dir", data_dir, "--case-study", "alberta",
-                "--test-days", "16", "--out", out]) == 0
-    doc = json.loads((out / "model.json").read_text())
-    doc["feature_scaler"]["p_lo"] = 0
-    bad = tmp_path / "bad_model.json"
-    bad.write_text(json.dumps(doc))
-    code = run(["predict", "--model", bad, "--input", data_dir / "alberta.csv",
-                "--out", tmp_path / "x"])
-    assert code == 3
-    assert "clip bounds" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("token", ["Infinity", "-Infinity", "NaN"])
+@pytest.mark.parametrize("token", ["Infinity", "-Infinity", "NaN", "1e999"])
 def test_non_finite_number_in_artifact_exits_3(data_dir, tmp_path, capsys, token):
     out = tmp_path / "model_out7"
     assert run(["train", "--data-dir", data_dir, "--case-study", "alberta",
                 "--test-days", "16", "--out", out]) == 0
     doc = json.loads((out / "model.json").read_text())
-    doc["store"]["weights"] = [float(token)] * len(doc["store"]["weights"])
+    doc["store"]["weights"] = ["TOKEN"] * len(doc["store"]["weights"])
     bad = tmp_path / "bad_model.json"
-    bad.write_text(json.dumps(doc))
+    bad.write_text(json.dumps(doc).replace('"TOKEN"', token))
     assert token in bad.read_text()
     code = run(["predict", "--model", bad, "--input", data_dir / "alberta.csv",
                 "--out", tmp_path / "x"])
     assert code == 3
-    assert f"{bad}: model artifact holds a non-finite number ({token})" \
+    # 1e999 is no token: json reads it as inf, caught after loading
+    detail = "store.weights" if token == "1e999" else token
+    assert f"{bad}: model artifact holds a non-finite number ({detail})" \
         in capsys.readouterr().err
     assert not (tmp_path / "x" / "predictions.csv").exists()
+
+
+@pytest.mark.parametrize("field, value", [
+    (("store", "source_tags"), "1e999"),
+    (("case_study", "code"), "1e999"),
+    (("config", "k"), '"six"'),
+    (("store", "features"), '"abc"'),
+])
+def test_malformed_artifact_field_exits_3(data_dir, tmp_path, capsys, field, value):
+    out = tmp_path / "model_out8"
+    assert run(["train", "--data-dir", data_dir, "--case-study", "alberta",
+                "--test-days", "16", "--out", out]) == 0
+    doc = json.loads((out / "model.json").read_text())
+    doc[field[0]][field[1]] = "TOKEN"
+    bad = tmp_path / "bad_model.json"
+    bad.write_text(json.dumps(doc).replace('"TOKEN"', value))
+    code = run(["predict", "--model", bad, "--input", data_dir / "alberta.csv",
+                "--out", tmp_path / "x"])
+    assert code == 3
+    assert f"{bad}: malformed model artifact" in capsys.readouterr().err
+
+
+def test_non_utf8_artifact_exits_3(data_dir, tmp_path, capsys):
+    out = tmp_path / "model_out9"
+    assert run(["train", "--data-dir", data_dir, "--case-study", "alberta",
+                "--test-days", "16", "--out", out]) == 0
+    bad = tmp_path / "bad_model.json"
+    bad.write_bytes((out / "model.json").read_bytes().replace(b"Alberta", b"Alb\xe9rta"))
+    code = run(["predict", "--model", bad, "--input", data_dir / "alberta.csv",
+                "--out", tmp_path / "x"])
+    assert code == 3
+    assert f"{bad}: not UTF-8 text (byte 0xe9)" in capsys.readouterr().err
+
+
+# Byte strings that break CSV structure, text decoding or number parsing.
+_FUZZ_TOKENS = [b",", b'"', b"\r", b"\n", b"\x00", b"\xe9", b"\xff", b"nan", b"1e999"]
+
+_edits = st.lists(st.tuples(
+    st.sampled_from(["insert", "delete", "replace"]),
+    st.integers(min_value=0),
+    st.one_of(st.sampled_from(_FUZZ_TOKENS), st.binary(min_size=1, max_size=3)),
+), min_size=1, max_size=4)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(data_dir, tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz_data")
+    shutil.copytree(data_dir, root, dirs_exist_ok=True)
+    return root
+
+
+@settings(max_examples=60, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(name=st.sampled_from(["alberta.csv", "manitoba.csv"]), edits=_edits)
+def test_mutated_region_csv_never_exits_4(data_dir, fuzz_dir, capsys, name, edits):
+    """Inserted, deleted or replaced bytes end in exit 0, 2 or 3, never 4."""
+    data = bytearray((data_dir / name).read_bytes())
+    for op, at, token in edits:
+        at %= len(data) + 1
+        if op == "insert":
+            data[at:at] = token
+        elif op == "delete":
+            del data[at:at + len(token)]
+        else:
+            data[at:at + len(token)] = token
+    (fuzz_dir / name).write_bytes(bytes(data))
+    try:
+        code = run(["train", "--data-dir", fuzz_dir, "--case-study", "alberta",
+                    "--test-days", "16", "--out", fuzz_dir / "out"])
+    finally:
+        shutil.copy(data_dir / name, fuzz_dir / name)
+    assert code in (0, 2, 3), capsys.readouterr().err
 
 
 def test_duplicate_region_files_exit_3(data_dir, tmp_path, capsys):

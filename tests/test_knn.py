@@ -20,8 +20,6 @@ def two_point_store():
 def test_config_validation():
     with pytest.raises(BadConfig):
         KnnConfig(k=0)
-    with pytest.raises(BadConfig):
-        KnnConfig(weighting="uniform")
     assert KnnConfig().k == 6
 
 

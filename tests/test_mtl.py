@@ -105,7 +105,7 @@ def test_lambda_one_equals_union_knn(small_datasets, rng):
                          generic_weight=1.0)
 
     x, y = scaled(model, [*small_datasets[1:], ds.subset(split.train_indices)])
-    union_store = fit_knn(x, y, model.cfg)
+    union_store = fit_knn(x, y)
 
     for _ in range(100):
         q = rng.normal(size=x.shape[1])
@@ -122,7 +122,7 @@ def test_lambda_zero_equals_dedicated_only_knn(small_datasets, rng):
                          generic_weight=0.0)
 
     x, y = scaled(model, [ds.subset(split.train_indices)])
-    dedicated_only = fit_knn(x, y, model.cfg)
+    dedicated_only = fit_knn(x, y)
 
     assert len(model.store) == len(split.train_indices)
     for _ in range(100):

@@ -5,10 +5,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from regio_forecast.errors import BadConfig, InvalidCapacity, ZeroChcCount
+from regio_forecast.errors import InvalidCapacity, ZeroChcCount
 from regio_forecast.mtl import predict_monitoring
 from regio_forecast.ppe import (
-    KitComposition,
     PpeInputs,
     expand_kit_items,
     forecast_series,
@@ -89,17 +88,6 @@ def test_expand_kit_items_ceils_first():
     assert all(v == 75 for v in items.values())
 
 
-def test_expand_kit_items_custom_multipliers():
-    comp = KitComposition(glove_pairs=2)
-    items = expand_kit_items(3.5, comp)
-    assert items["glove_pairs"] == 8 and items["face_shields"] == 4
-
-
-def test_kit_composition_rejects_negative():
-    with pytest.raises(BadConfig):
-        KitComposition(n95_respirators=-1)
-
-
 def test_forecast_series_composition(trained_small_model, small_datasets):
     model, _, split = trained_small_model
     ds = small_datasets[0]
@@ -117,9 +105,8 @@ def test_forecast_series_composition(trained_small_model, small_datasets):
 def test_forecast_series_zero_personnel_day(trained_small_model, small_datasets):
     model, _, split = trained_small_model
     ds = small_datasets[0]
-    staff = [200.0, 0.0, 150.0]
-    series = forecast_series(model, ds.subset(split.test_indices[:3]), 1.0, staff)
-    assert series[1].kits == 0.0
+    series = forecast_series(model, ds.subset(split.test_indices[:3]), 1.0, 0.0)
+    assert [day.kits for day in series] == [0.0, 0.0, 0.0]
 
 
 def test_forecast_series_saturation_everywhere(trained_small_model, small_datasets):

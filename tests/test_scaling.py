@@ -3,9 +3,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from regio_forecast.errors import ColumnMismatch, EmptyMatrix, OutOfDomain, TooFewRows
+from regio_forecast.errors import ColumnMismatch, EmptyMatrix, TooFewRows
 from regio_forecast.features import FeatureMatrix, TargetMatrix
 from regio_forecast.scaling import (
+    CDF_CLIP_HI,
+    CDF_CLIP_LO,
     MinMaxScalerState,
     QuantileNormalScaler,
     apply_quantile_scaler,
@@ -24,26 +26,16 @@ def column_matrix(values, code="x"):
 # --- normal quantile step of the quantile scaler ----------------------
 
 def test_ppf_median_is_zero():
-    scaler = fit_quantile_scaler(column_matrix(np.arange(1.0, 102.0)), n_quantiles=101)
+    scaler = fit_quantile_scaler(column_matrix(np.arange(1.0, 102.0)))    # 101 landmarks
     assert apply_quantile_scaler(scaler, column_matrix([51.0])).values[0, 0] == 0.0
 
 
 def test_ppf_0975_matches_bisection_oracle():
     oracle = bisection_normal_ppf(0.975)
     assert abs(oracle - 1.959964) < 1e-6          # frozen from the oracle
-    scaler = fit_quantile_scaler(column_matrix(np.arange(1.0, 42.0)), n_quantiles=41)
+    scaler = fit_quantile_scaler(column_matrix(np.arange(1.0, 42.0)))     # 41 landmarks
     z = apply_quantile_scaler(scaler, column_matrix([40.0])).values[0, 0]   # p = 39/40
     assert abs(z - oracle) < 1e-8
-
-
-@pytest.mark.parametrize("p", [0.0, 1.0, -0.3, 1.7])
-def test_ppf_out_of_domain(p):
-    """Clip bounds outside 0 < p_lo < p_hi < 1 are rejected."""
-    landmarks = np.array([[0.0, 1.0]])
-    with pytest.raises(OutOfDomain):
-        QuantileNormalScaler(("x",), landmarks, p_lo=p)
-    with pytest.raises(OutOfDomain):
-        QuantileNormalScaler(("x",), landmarks, p_hi=p)
 
 
 def test_ppf_against_bisection_oracle_grid():
@@ -58,7 +50,7 @@ def test_ppf_against_bisection_oracle_grid():
     xs = np.concatenate([lm, tails])
     z = apply_quantile_scaler(scaler, column_matrix(xs)).values[:, 0]
     for x, z_x in zip(xs, z):
-        p = min(max(empirical_cdf_prob(lm, x), scaler.p_lo), scaler.p_hi)
+        p = min(max(empirical_cdf_prob(lm, x), CDF_CLIP_LO), CDF_CLIP_HI)
         assert abs(z_x - bisection_normal_ppf(p)) <= 1e-8
 
 
@@ -74,8 +66,8 @@ def test_ppf_symmetry(p):
 # --- quantile scaler ----------------------------------------------------
 
 def test_fit_landmarks_match_interp_oracle():
-    data = np.arange(1.0, 101.0)
-    scaler = fit_quantile_scaler(column_matrix(data), n_quantiles=101)
+    data = np.linspace(1.0, 100.0, 101)     # 101 rows give 101 landmarks
+    scaler = fit_quantile_scaler(column_matrix(data))
     probs = np.linspace(0, 1, 101)
     expected = [interp_quantile(np.sort(data), p) for p in probs]
     assert np.allclose(scaler.landmarks[0], expected, atol=1e-12)
@@ -85,13 +77,12 @@ def test_fit_landmarks_match_interp_oracle():
     assert scaler.landmarks[0][-1] == 100.0
 
 
-@pytest.mark.parametrize("rows, n_quantiles", [
-    (2480, None), (2480, 37), (19715, None), (7, None), (2, None), (2, 5),
-])
-def test_fit_landmarks_bit_identical_to_numpy_quantile(rows, n_quantiles):
+@pytest.mark.parametrize("rows", [2480, 19715, 1001, 1000, 999, 7, 2])
+def test_fit_landmarks_bit_identical_to_numpy_quantile(rows):
     """Landmarks equal np.quantile's linear rule: random and tied columns,
-    fewer quantiles than rows and more, and 2 rows. Only the sign of a zero
-    drawn from tied -0.0 and 0.0 may differ, which array_equal ignores."""
+    1000 landmarks for more rows than that, one per row up to 1000, and 2
+    rows. Only the sign of a zero drawn from tied -0.0 and 0.0 may differ,
+    which array_equal ignores."""
     rng = np.random.default_rng(rows)
     values = np.column_stack([
         rng.normal(size=rows),
@@ -100,24 +91,20 @@ def test_fit_landmarks_bit_identical_to_numpy_quantile(rows, n_quantiles):
         np.where(rng.random(rows) < 0.5, -0.0, 0.0),
     ])
     m = FeatureMatrix(values, ("a", "b", "c", "d"))
-    scaler = fit_quantile_scaler(m, n_quantiles)
+    scaler = fit_quantile_scaler(m)
+    assert scaler.n_quantiles == min(1000, rows)
     expected = np.quantile(values, scaler.probabilities, axis=0).T
     assert np.array_equal(scaler.landmarks, expected)
 
 
 def test_fit_constant_column_all_landmarks_equal():
-    scaler = fit_quantile_scaler(column_matrix([5.0, 5.0, 5.0]), n_quantiles=7)
+    scaler = fit_quantile_scaler(column_matrix([5.0] * 7))
     assert np.all(scaler.landmarks[0] == 5.0)
 
 
 def test_fit_single_row_rejected():
     with pytest.raises(TooFewRows):
         fit_quantile_scaler(column_matrix([1.0]))
-
-
-def test_fit_bad_n_quantiles():
-    with pytest.raises(TooFewRows):
-        fit_quantile_scaler(column_matrix([1.0, 2.0]), n_quantiles=1)
 
 
 def test_transform_median_maps_near_zero():
