@@ -4,11 +4,11 @@ The document embeds everything needed to predict: the kNN neighbor count,
 selected feature codes, both fitted scalers, the one weighted instance
 store (pooled-region instances at the generic weight, then the case-study
 instances), the case-study region, and the generic transfer weight. A
-document of any other version raises VersionMismatch. Bytes that are not
-UTF-8, a NaN or Infinity token, and a literal that overflows to infinity
-(such as 1e999) raise DataError. Serialization is deterministic (sorted
-keys, shortest round-trip float repr), so retraining on identical inputs
-produces byte-identical artifacts.
+document of any other version, a missing field, bytes that are not UTF-8,
+a NaN or Infinity token, and a literal that overflows to infinity (such as
+1e999) raise DataError naming the file. Serialization is deterministic
+(sorted keys, shortest round-trip float repr), so retraining on identical
+inputs produces byte-identical artifacts.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, VersionMismatch
+from .errors import DataError
 from .ingest import RegionId
 from .knn import InstanceStore, KnnConfig
 from .mtl import MtlModel
@@ -45,7 +45,8 @@ def model_to_dict(model: MtlModel) -> dict:
 def model_from_dict(doc: dict) -> MtlModel:
     version = doc.get("version")
     if version != ARTIFACT_VERSION:
-        raise VersionMismatch(version, ARTIFACT_VERSION)
+        raise DataError(f"model artifact version {version!r} not supported "
+                        f"(expected {ARTIFACT_VERSION!r})")
     try:
         case = doc["case_study"]
         return MtlModel(
@@ -71,11 +72,14 @@ def save_model(model: MtlModel, path: str | Path) -> None:
 
 def load_model(path: str | Path) -> MtlModel:
     def non_finite(token: str):
-        raise DataError(f"{path}: model artifact holds a non-finite number ({token})")
+        raise DataError(f"model artifact holds a non-finite number ({token})")
 
     try:
         with Path(path).open(encoding="utf-8") as fh:
             model = model_from_dict(json.load(fh, parse_constant=non_finite))
+    except DataError as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text (byte 0x{exc.object[exc.start]:02x})") from None
     except (AttributeError, TypeError, ValueError, OverflowError) as exc:

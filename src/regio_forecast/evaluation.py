@@ -17,13 +17,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import (
-    AllReplicatesDegenerate,
-    BadConfig,
-    EmptyInput,
-    LengthMismatch,
-    ZeroVariance,
-)
+from .errors import ConfigError, DataError, ZeroVariance
 from .features import TARGET_COLUMNS
 from .ingest import RegionalDataset
 from .mtl import MonitoringPrediction, MtlModel, predict_monitoring
@@ -38,11 +32,11 @@ def _check_pair(y, y_hat, min_len: int):
     y = np.asarray(y, dtype=np.float64).ravel()
     y_hat = np.asarray(y_hat, dtype=np.float64).ravel()
     if y.shape[0] != y_hat.shape[0]:
-        raise LengthMismatch(f"{y.shape[0]} actuals vs {y_hat.shape[0]} predictions")
+        raise DataError(f"{y.shape[0]} actuals vs {y_hat.shape[0]} predictions")
     if y.shape[0] == 0:
-        raise EmptyInput("metric inputs are empty")
+        raise DataError("metric inputs are empty")
     if y.shape[0] < min_len:
-        raise LengthMismatch(f"need at least {min_len} points, got {y.shape[0]}")
+        raise DataError(f"need at least {min_len} points, got {y.shape[0]}")
     return y, y_hat
 
 
@@ -84,7 +78,7 @@ class BootstrapConfig:
 
     def __post_init__(self):
         if self.replicates < 1:
-            raise BadConfig(f"bootstrap replicates must be >= 1, got {self.replicates}")
+            raise ConfigError(f"bootstrap replicates must be >= 1, got {self.replicates}")
 
 
 @dataclass(frozen=True)
@@ -126,7 +120,7 @@ def bootstrap_interval(y, y_hat, metric: Callable, cfg: BootstrapConfig) -> Inte
         except ZeroVariance:
             skipped += 1
     if not values:
-        raise AllReplicatesDegenerate(
+        raise DataError(
             f"all {cfg.replicates} bootstrap replicates had constant actuals")
 
     alpha = 1.0 - CONFIDENCE
@@ -145,22 +139,6 @@ class MetricReport:
 
     def interval(self, target: str, metric: str) -> Interval:
         return self.intervals[target][metric]
-
-    def to_long_rows(self) -> list[dict]:
-        """Long-format rows: one per (target, metric)."""
-        rows = []
-        for target in self.intervals:
-            for metric, iv in self.intervals[target].items():
-                rows.append({
-                    "province": self.region,
-                    "target": target,
-                    "metric": metric,
-                    "low": iv.low,
-                    "mid": iv.mid,
-                    "top": iv.top,
-                    "tt_seconds": self.training_time_seconds,
-                })
-        return rows
 
     def to_json_dict(self) -> dict:
         return {

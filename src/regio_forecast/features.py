@@ -14,14 +14,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.stats import rankdata
 
-from .errors import (
-    BadTopN,
-    DataError,
-    MissingPrimaryColumn,
-    RowCountMismatch,
-    TooFewRows,
-    UnknownFeatureCode,
-)
+from .errors import ConfigError, DataError
 
 PRIMARY_FEATURE_CODES: tuple[str, ...] = tuple(f"feat_{i:02d}" for i in range(1, 28))
 DERIVED_FEATURE_CODES: tuple[str, ...] = tuple(f"d{i:02d}" for i in range(1, 18))
@@ -76,7 +69,7 @@ class FeatureMatrix:
         try:
             j = self.column_codes.index(code)
         except ValueError:
-            raise UnknownFeatureCode(code) from None
+            raise ConfigError(f"unknown feature code: {code!r}") from None
         return self.values[:, j]
 
 
@@ -179,7 +172,7 @@ def compute_derived_features(primary: FeatureMatrix) -> FeatureMatrix:
     """
     for code in PRIMARY_FEATURE_CODES:
         if code not in primary.column_codes:
-            raise MissingPrimaryColumn(code)
+            raise DataError(f"primary feature column missing: {code!r}")
     cols = {code: primary.column(code) for code in PRIMARY_FEATURE_CODES}
     values = np.column_stack([f.formula(cols) for f in DEFAULT_DERIVED_REGISTRY])
     return FeatureMatrix(values, tuple(f.code for f in DEFAULT_DERIVED_REGISTRY))
@@ -188,7 +181,7 @@ def compute_derived_features(primary: FeatureMatrix) -> FeatureMatrix:
 def concat_features(primary: FeatureMatrix, derived: FeatureMatrix) -> FeatureMatrix:
     """Concatenate two matrices column-wise, primary columns first."""
     if primary.n_rows != derived.n_rows:
-        raise RowCountMismatch(
+        raise DataError(
             f"row counts differ: {primary.n_rows} vs {derived.n_rows}")
     return FeatureMatrix(
         np.hstack([primary.values, derived.values]),
@@ -219,13 +212,10 @@ class RelevanceReport:
 
     def score(self, code: str, target: str) -> float:
         if code not in self.feature_codes:
-            raise UnknownFeatureCode(code)
+            raise ConfigError(f"unknown feature code: {code!r}")
         i = self.feature_codes.index(code)
         j = self.target_names.index(target)
         return float(self.scores[i, j])
-
-    def mean_scores(self) -> np.ndarray:
-        return self.scores.mean(axis=1)
 
     def ranking(self, target: str) -> tuple[str, ...]:
         """Feature codes sorted by descending score; ties keep column order."""
@@ -254,10 +244,10 @@ def score_relevance(features: FeatureMatrix, targets: TargetMatrix) -> Relevance
     targets regardless of their scale. Constant columns score 0.
     """
     if features.n_rows != targets.n_rows:
-        raise RowCountMismatch(
+        raise DataError(
             f"row counts differ: {features.n_rows} vs {targets.n_rows}")
     if features.n_rows < 3:
-        raise TooFewRows("relevance scoring needs at least 3 rows")
+        raise DataError("relevance scoring needs at least 3 rows")
 
     rf = _rank_columns(features.values)
     rt = _rank_columns(targets.values)
@@ -293,13 +283,13 @@ def select_features(
     """
     if codes is not None:
         if report is not None or top_n is not None:
-            raise BadTopN("pass either an explicit code list or (report, top_n), not both")
+            raise ConfigError("pass either an explicit code list or (report, top_n), not both")
         selected = list(codes)
     else:
         if report is None or top_n is None:
-            raise BadTopN("ranked selection needs both a relevance report and top_n")
+            raise ConfigError("ranked selection needs both a relevance report and top_n")
         if not 1 <= top_n <= features.n_columns:
-            raise BadTopN(f"top_n must be in [1, {features.n_columns}], got {top_n}")
+            raise ConfigError(f"top_n must be in [1, {features.n_columns}], got {top_n}")
         mean_by_code = {
             code: float(np.mean([report.score(code, t) for t in report.target_names]))
             for code in features.column_codes
@@ -311,6 +301,6 @@ def select_features(
     indices = []
     for code in selected:
         if code not in features.column_codes:
-            raise UnknownFeatureCode(code)
+            raise ConfigError(f"unknown feature code: {code!r}")
         indices.append(features.column_codes.index(code))
     return FeatureMatrix(features.values[:, indices], tuple(selected))

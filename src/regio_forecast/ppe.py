@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import BadConfig, InvalidCapacity, ZeroChcCount
+from .errors import ConfigError
 from .ingest import RegionalDataset
 from .mtl import MtlModel, predict_monitoring
 
@@ -34,14 +34,14 @@ class PpeInputs:
 
     def __post_init__(self):
         if not 0.0 <= self.operating_capacity <= 1.0:
-            raise InvalidCapacity(
+            raise ConfigError(
                 f"operating capacity must be in [0, 1], got {self.operating_capacity}")
         if self.chc_count < 1:
-            raise ZeroChcCount(f"health centre count must be >= 1, got {self.chc_count}")
+            raise ConfigError(f"health centre count must be >= 1, got {self.chc_count}")
         if self.hospitalized < 0:
-            raise BadConfig(f"hospitalized count must be >= 0, got {self.hospitalized}")
-        if self.personnel < 0:
-            raise BadConfig(f"personnel must be >= 0, got {self.personnel}")
+            raise ConfigError(f"hospitalized count must be >= 0, got {self.hospitalized}")
+        if not 0 <= self.personnel < math.inf:
+            raise ConfigError(f"personnel must be finite and >= 0, got {self.personnel}")
 
 
 def predict_ppe_kits(inputs: PpeInputs) -> float:
@@ -61,7 +61,7 @@ def predict_ppe_kits(inputs: PpeInputs) -> float:
 def expand_kit_items(kits: float) -> dict[str, int]:
     """Whole-item demand: kits are ceiled first (no fractional physical items)."""
     if kits < 0:
-        raise BadConfig(f"kit count must be >= 0, got {kits}")
+        raise ConfigError(f"kit count must be >= 0, got {kits}")
     whole = math.ceil(kits)
     return {name: whole for name in KIT_ITEMS}
 

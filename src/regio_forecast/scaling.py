@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri
 
-from .errors import ColumnMismatch, EmptyMatrix, TooFewRows
+from .errors import DataError
 from .features import FeatureMatrix, TargetMatrix
 
 # Probabilities are clipped away from {0, 1} before the normal quantile
@@ -47,11 +47,11 @@ class QuantileNormalScaler:
     def __post_init__(self):
         lm = np.ascontiguousarray(self.landmarks, dtype=np.float64)
         if lm.ndim != 2 or lm.shape[0] != len(self.column_codes):
-            raise ColumnMismatch("landmark array shape does not match column codes")
+            raise DataError("landmark array shape does not match column codes")
         if lm.shape[1] < 2:
-            raise TooFewRows("at least 2 quantile landmarks per column are required")
+            raise DataError("at least 2 quantile landmarks per column are required")
         if np.any(np.diff(lm, axis=1) < 0):
-            raise ColumnMismatch("landmarks must be sorted non-decreasing per column")
+            raise DataError("landmarks must be sorted non-decreasing per column")
         lm.setflags(write=False)
         object.__setattr__(self, "landmarks", lm)
 
@@ -86,7 +86,7 @@ def fit_quantile_scaler(train: FeatureMatrix) -> QuantileNormalScaler:
     """
     n_rows = train.values.shape[0]
     if n_rows < 2:
-        raise TooFewRows(f"need at least 2 training rows to fit quantiles, got {n_rows}")
+        raise DataError(f"need at least 2 training rows to fit quantiles, got {n_rows}")
     probs = np.linspace(0.0, 1.0, min(1000, n_rows))
     landmarks = _linear_quantiles(np.sort(train.values, axis=0), probs).T
     return QuantileNormalScaler(column_codes=train.column_codes, landmarks=landmarks)
@@ -146,7 +146,7 @@ def apply_quantile_scaler(scaler: QuantileNormalScaler, m: FeatureMatrix) -> Fea
     A column that was constant at fit time maps to 0 everywhere.
     """
     if m.column_codes != scaler.column_codes:
-        raise ColumnMismatch(
+        raise DataError(
             f"matrix columns {m.column_codes} do not match fitted columns {scaler.column_codes}")
     probs = scaler.probabilities
     p = np.empty_like(m.values)
@@ -189,9 +189,9 @@ class MinMaxScalerState:
         mins = np.asarray(self.mins, dtype=np.float64)
         maxs = np.asarray(self.maxs, dtype=np.float64)
         if mins.shape != maxs.shape or mins.ndim != 1:
-            raise ColumnMismatch("min/max arrays must be 1-D and equally shaped")
+            raise DataError("min/max arrays must be 1-D and equally shaped")
         if np.any(maxs < mins):
-            raise ColumnMismatch("per-column max must be >= min")
+            raise DataError("per-column max must be >= min")
         mins.setflags(write=False)
         maxs.setflags(write=False)
         object.__setattr__(self, "mins", mins)
@@ -210,7 +210,7 @@ class MinMaxScalerState:
         """
         values = np.asarray(values, dtype=np.float64)
         if values.shape[-1] != self.n_columns:
-            raise ColumnMismatch(
+            raise DataError(
                 f"expected {self.n_columns} columns, got {values.shape[-1]}")
         span = self.maxs - self.mins
         out = np.zeros_like(values)
@@ -222,7 +222,7 @@ class MinMaxScalerState:
         """Undo min-max scaling; with ``count_mode`` negative results floor at 0."""
         scaled = np.asarray(scaled, dtype=np.float64)
         if scaled.shape[-1] != self.n_columns:
-            raise ColumnMismatch(
+            raise DataError(
                 f"expected {self.n_columns} columns, got {scaled.shape[-1]}")
         out = scaled * (self.maxs - self.mins) + self.mins
         if count_mode:
@@ -242,6 +242,6 @@ def fit_minmax(train_targets: TargetMatrix) -> MinMaxScalerState:
     """Record per-column training minima and maxima."""
     v = train_targets.values
     if v.shape[0] < 1:
-        raise EmptyMatrix("cannot fit min-max scaler on an empty matrix")
+        raise DataError("cannot fit min-max scaler on an empty matrix")
     return MinMaxScalerState(v.min(axis=0), v.max(axis=0))
 

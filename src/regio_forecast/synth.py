@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import BadSpec
+from .errors import ConfigError
 from .ingest import RegionalDataset, region_by_code, write_regional_csv
 
 DEFAULT_START_DATE = dt.date(2020, 1, 25)
@@ -60,11 +60,11 @@ class SyntheticSpec:
 
     def __post_init__(self):
         if not 1 <= self.regions <= 10:
-            raise BadSpec(f"regions must be in [1, 10], got {self.regions}")
+            raise ConfigError(f"regions must be in [1, 10], got {self.regions}")
         if self.rows < 10:
-            raise BadSpec(f"rows must be >= 10, got {self.rows}")
-        if self.noise < 0:
-            raise BadSpec(f"noise must be >= 0, got {self.noise}")
+            raise ConfigError(f"rows must be >= 10, got {self.rows}")
+        if not 0 <= self.noise < np.inf:
+            raise ConfigError(f"noise must be finite and >= 0, got {self.noise}")
 
 
 def _season(date: dt.date) -> int:

@@ -9,7 +9,9 @@ import math
 
 import numpy as np
 
-from regio_forecast.errors import DimensionMismatch
+from regio_forecast.errors import DataError
+from regio_forecast.features import TARGET_COLUMNS
+from regio_forecast.ingest import CATEGORICAL_RANGES, CSV_HEADER, MAX_COUNT
 from regio_forecast.knn import InstanceStore, KnnConfig
 
 
@@ -67,7 +69,7 @@ def knn_oracle(store: InstanceStore, query: np.ndarray, cfg: KnnConfig) -> np.nd
     """
     query = [float(v) for v in np.asarray(query).ravel()]
     if len(query) != store.dimension:
-        raise DimensionMismatch(
+        raise DataError(
             f"query has {len(query)} dims, store has {store.dimension}")
     distances = []
     for i in range(len(store)):
@@ -97,3 +99,30 @@ def knn_oracle(store: InstanceStore, query: np.ndarray, cfg: KnnConfig) -> np.nd
             for i in ranked) / total_w
         for j in range(m)
     ])
+
+
+def cell_problem(code: str, value, region) -> str | None:
+    """Why ``value`` is invalid in column ``code`` of a ``region`` dataset, or None."""
+    if not math.isfinite(value):
+        return f"{value} is not finite"
+    allowed = CATEGORICAL_RANGES.get(code)
+    if allowed is not None and (value != int(value) or int(value) not in allowed):
+        return f"{value} not in enumerated range {sorted(allowed)}"
+    if code == "feat_04" and value != region.code:
+        return f"region code {int(value)} does not match {region.name} ({region.code})"
+    if code in TARGET_COLUMNS:
+        if value != int(value) or value > MAX_COUNT:
+            return f"{value} is not an integer count up to {MAX_COUNT}"
+        if value < 0:
+            return f"{value} is negative"
+    return None
+
+
+def first_bad_cell(features, targets, region):
+    """(row, column code, detail) of the first invalid cell, scanning row by row."""
+    for row, cells in enumerate(np.hstack([features, targets]).tolist()):
+        for code, value in zip(CSV_HEADER[1:], cells):
+            problem = cell_problem(code, value, region)
+            if problem:
+                return row, code, problem
+    return None

@@ -10,7 +10,7 @@ from regio_forecast.artifact import (
     model_to_dict,
     save_model,
 )
-from regio_forecast.errors import DataError, VersionMismatch
+from regio_forecast.errors import DataError
 from regio_forecast.mtl import predict_monitoring
 
 
@@ -43,7 +43,8 @@ def test_unknown_version_rejected(trained_small_model):
     model, _, _ = trained_small_model
     doc = model_to_dict(model)
     doc["version"] = "0"
-    with pytest.raises(VersionMismatch):
+    with pytest.raises(DataError,
+                       match=r"^model artifact version '0' not supported \(expected '3'\)$"):
         model_from_dict(doc)
 
 

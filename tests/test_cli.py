@@ -168,15 +168,28 @@ def test_predict_and_ppe_roundtrip(data_dir, tmp_path):
     assert lines[0].startswith("date,predicted_hospitalized,hsp_ratio,kits,")
 
 
-def test_ppe_invalid_capacity_exits_2(data_dir, tmp_path):
+def test_ppe_invalid_capacity_exits_2(data_dir, tmp_path, capsys):
     out = tmp_path / "model_out2"
     assert run(["train", "--data-dir", data_dir, "--case-study", "alberta",
                 "--test-days", "16", "--out", out]) == 0
-    code = run(["ppe", "--model", out / "model.json",
-                "--input", data_dir / "alberta.csv",
-                "--capacity", "1.2", "--personnel", "200",
-                "--out", tmp_path / "p"])
-    assert code == 2
+    for capacity, personnel, message in [
+            ("1.2", "200", "operating capacity must be in [0, 1], got 1.2"),
+            ("0.75", "nan", "personnel must be finite and >= 0, got nan"),
+            ("0.75", "inf", "personnel must be finite and >= 0, got inf")]:
+        code = run(["ppe", "--model", out / "model.json",
+                    "--input", data_dir / "alberta.csv",
+                    "--capacity", capacity, "--personnel", personnel,
+                    "--out", tmp_path / "p"])
+        assert code == 2
+        assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("noise", ["nan", "inf"])
+def test_synth_non_finite_noise_exits_2(tmp_path, capsys, noise):
+    assert run(["synth", "--regions", "1", "--rows", "10", "--noise", noise,
+                "--out", tmp_path]) == 2
+    assert f"noise must be finite and >= 0, got {noise}" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
 
 
 def test_unknown_artifact_version_exits_3(data_dir, tmp_path):
@@ -204,7 +217,14 @@ def test_version_1_artifact_exits_3(data_dir, tmp_path, capsys):
         code = run(["predict", "--model", old, "--input", data_dir / "alberta.csv",
                     "--out", tmp_path / "x"])
         assert code == 3
-        assert f"version '{version}' not supported (expected '3')" in capsys.readouterr().err
+        assert (f"{old}: model artifact version '{version}' not supported (expected '3')"
+                in capsys.readouterr().err)
+    doc["version"] = "3"
+    del doc["store"]
+    old.write_text(json.dumps(doc))
+    assert run(["predict", "--model", old, "--input", data_dir / "alberta.csv",
+                "--out", tmp_path / "x"]) == 3
+    assert f"{old}: model artifact is missing field 'store'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("column, text", [

@@ -5,12 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from regio_forecast.errors import (
-    AllReplicatesDegenerate,
-    EmptyInput,
-    LengthMismatch,
-    ZeroVariance,
-)
+from regio_forecast.errors import DataError, ZeroVariance
 from regio_forecast.evaluation import (
     BootstrapConfig,
     bootstrap_interval,
@@ -33,7 +28,7 @@ def test_r2_fixed_points():
 def test_r2_errors():
     with pytest.raises(ZeroVariance):
         r2([2, 2, 2], [1, 2, 3])
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(DataError, match="^2 actuals vs 3 predictions$"):
         r2([1, 2], [1, 2, 3])
 
 
@@ -58,7 +53,7 @@ def test_mae_rmse_values():
 
 
 def test_metric_empty_input():
-    with pytest.raises(EmptyInput):
+    with pytest.raises(DataError, match="^metric inputs are empty$"):
         mae([], [])
 
 
@@ -132,7 +127,7 @@ def test_bootstrap_all_degenerate():
         bootstrap_interval([3.0, 3.0], [2.0, 4.0], r2,
                            BootstrapConfig(replicates=20, seed=0))
     # seed 0's single replicate resamples index 1 twice -> constant actuals
-    with pytest.raises(AllReplicatesDegenerate):
+    with pytest.raises(DataError, match="^all 1 bootstrap replicates had constant actuals$"):
         bootstrap_interval([1.0, 2.0], [1.0, 2.0], r2,
                            BootstrapConfig(replicates=1, seed=0))
 
@@ -144,7 +139,7 @@ def test_evaluate_model_report_shape(trained_small_model, small_datasets):
                             BootstrapConfig(replicates=100, seed=5),
                             training_time_seconds=train_report.fit_seconds)
     assert report.region == ds.region.name
-    assert len(report.to_long_rows()) == 16        # 4 targets x 4 metrics
+    assert len(reports_to_long_csv([report]).splitlines()) == 1 + 16   # 4 targets x 4 metrics
     for target in report.intervals:
         for iv in report.intervals[target].values():
             assert iv.low <= iv.mid <= iv.top

@@ -1,13 +1,7 @@
 import numpy as np
 import pytest
 
-from regio_forecast.errors import (
-    BadTopN,
-    MissingPrimaryColumn,
-    RowCountMismatch,
-    TooFewRows,
-    UnknownFeatureCode,
-)
+from regio_forecast.errors import ConfigError, DataError
 from regio_forecast.features import (
     DEFAULT_SELECTED_FEATURES,
     PRIMARY_FEATURE_CODES,
@@ -61,7 +55,7 @@ def test_derived_shape_and_codes():
 
 def test_derived_missing_primary_column():
     m = FeatureMatrix(np.ones((2, 26)), PRIMARY_FEATURE_CODES[:26])
-    with pytest.raises(MissingPrimaryColumn):
+    with pytest.raises(DataError, match="^primary feature column missing: 'feat_27'$"):
         compute_derived_features(m)
 
 
@@ -87,7 +81,7 @@ def test_concat_shapes_and_order():
 
 
 def test_concat_row_mismatch():
-    with pytest.raises(RowCountMismatch):
+    with pytest.raises(DataError, match="^row counts differ: 2 vs 3$"):
         concat_features(primary_matrix([{}, {}]),
                         FeatureMatrix(np.ones((3, 1)), ("d01",)))
 
@@ -115,7 +109,7 @@ def test_relevance_constant_feature_scores_zero():
 def test_relevance_too_few_rows():
     features = FeatureMatrix(np.ones((2, 1)), ("a",))
     targets = TargetMatrix(np.ones((2, 4)))
-    with pytest.raises(TooFewRows):
+    with pytest.raises(DataError, match="^relevance scoring needs at least 3 rows$"):
         score_relevance(features, targets)
 
 
@@ -155,7 +149,7 @@ def test_select_explicit_default_list(small_datasets):
 
 def test_select_unknown_code():
     m = primary_matrix([{}])
-    with pytest.raises(UnknownFeatureCode):
+    with pytest.raises(ConfigError, match="^unknown feature code: 'feat_99'$"):
         select_features(m, ["feat_99"])
 
 
@@ -178,9 +172,10 @@ def test_select_ranked_bad_top_n():
     m = primary_matrix([{}, {}, {}])
     rng = np.random.default_rng(7)
     report = score_relevance(m, TargetMatrix(rng.normal(size=(3, 4))))
-    with pytest.raises(BadTopN):
+    with pytest.raises(ConfigError, match=r"^top_n must be in \[1, 27\], got 0$"):
         select_features(m, report=report, top_n=0)
-    with pytest.raises(BadTopN):
+    with pytest.raises(ConfigError, match=r"^top_n must be in \[1, 27\], got 28$"):
         select_features(m, report=report, top_n=28)
-    with pytest.raises(BadTopN):
+    with pytest.raises(ConfigError,
+                       match=r"^pass either an explicit code list or \(report, top_n\), not both$"):
         select_features(m, ["feat_01"], report=report, top_n=2)

@@ -1,17 +1,12 @@
 import datetime as dt
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from regio_forecast.errors import (
-    BadTestSize,
-    BadValue,
-    DataError,
-    DuplicateDate,
-    EmptyFile,
-    EmptyPool,
-    MissingColumn,
-)
+from regio_forecast.errors import ConfigError, DataError
 from regio_forecast.ingest import (
     CSV_HEADER,
     RegionalDataset,
@@ -20,11 +15,12 @@ from regio_forecast.ingest import (
     region_by_code,
     region_by_name,
     split_train_test,
-    validate_dataset,
     write_regional_csv,
 )
 from regio_forecast.mtl import train_mtl
 from regio_forecast.synth import SyntheticSpec, generate_regions
+
+from oracles import first_bad_cell
 
 
 def make_row(day, feat_02=1.0, deaths=0):
@@ -81,37 +77,32 @@ def test_parse_missing_column(tmp_path):
     path = tmp_path / "bad.csv"
     header = [c for c in CSV_HEADER if c != "feat_05"]
     path.write_text(",".join(header) + "\n")
-    with pytest.raises(MissingColumn) as err:
+    with pytest.raises(DataError, match=f"^{re.escape(str(path))}: "
+                                        "required column missing from header: 'feat_05'$"):
         parse_regional_csv(path, region_by_code(0))
-    assert err.value.column == "feat_05"
 
 
 def test_parse_bad_categorical(tmp_path):
-    ds = make_dataset(make_row(0), make_row(1, feat_02=7.0))
-    path = tmp_path / "alberta.csv"
-    write_regional_csv(ds, path)
-    with pytest.raises(BadValue) as err:
-        parse_regional_csv(path, ds.region)
-    assert err.value.column == "feat_02"
-    assert err.value.row == 2
+    path = write_with_cell(tmp_path, 2, "feat_02", "7.0")
+    with pytest.raises(DataError, match=(r"alberta\.csv: bad value at row 2, column 'feat_02': "
+                                         r"7\.0 not in enumerated range \[1, 2, 3, 4\]$")):
+        parse_regional_csv(path, region_by_code(0))
 
 
 def test_parse_duplicate_date(tmp_path):
-    ds = make_dataset(make_row(0), make_row(0))
-    path = tmp_path / "alberta.csv"
-    write_regional_csv(ds, path)
-    with pytest.raises(DuplicateDate):
-        parse_regional_csv(path, ds.region)
+    path = write_with_cell(tmp_path, 2, "date", "2020-01-25")    # the date of row 1
+    with pytest.raises(DataError, match=r"alberta\.csv: duplicate date in dataset: 2020-01-25$"):
+        parse_regional_csv(path, region_by_code(0))
 
 
 def test_parse_empty_file(tmp_path):
     path = tmp_path / "empty.csv"
     path.write_text("")
-    with pytest.raises(EmptyFile):
+    with pytest.raises(DataError, match=r"empty\.csv: file is empty$"):
         parse_regional_csv(path, region_by_code(0))
     header_only = tmp_path / "header.csv"
     header_only.write_text(",".join(CSV_HEADER) + "\n")
-    with pytest.raises(EmptyFile):
+    with pytest.raises(DataError, match=r"header\.csv: header but no data rows$"):
         parse_regional_csv(header_only, region_by_code(0))
 
 
@@ -138,19 +129,26 @@ def test_parse_rejects_missing_cell_in_first_row(tmp_path):
     cells[2] = ""
     lines[1] = ",".join(cells)
     path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(BadValue):
+    with pytest.raises(DataError, match=(
+            r"alberta\.csv: bad value at row 1, column 'feat_02': "
+            r"missing cell in first data row \(nothing to forward-fill\)$")):
         parse_regional_csv(path, ds.region)
+
+
+def set_cell(path, row, column, text):
+    """Replace the cell (data row ``row``, ``column``) of a CSV file with ``text``."""
+    lines = path.read_text().splitlines()
+    cells = lines[row].split(",")
+    cells[CSV_HEADER.index(column)] = text
+    lines[row] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
 
 
 def write_with_cell(tmp_path, row, column, text):
     """Write 6 valid Alberta days with the cell (data row ``row``, ``column``) set to ``text``."""
     path = tmp_path / "alberta.csv"
     write_regional_csv(make_dataset(*(make_row(day) for day in range(6))), path)
-    lines = path.read_text().splitlines()
-    cells = lines[row].split(",")
-    cells[CSV_HEADER.index(column)] = text
-    lines[row] = ",".join(cells)
-    path.write_text("\n".join(lines) + "\n")
+    set_cell(path, row, column, text)
     return path
 
 
@@ -160,38 +158,82 @@ def write_with_cell(tmp_path, row, column, text):
 ])
 def test_parse_rejects_non_finite_cells(tmp_path, row, column, text):
     path = write_with_cell(tmp_path, row, column, text)
-    with pytest.raises(BadValue) as err:
+    with pytest.raises(DataError,
+                       match=f"alberta\\.csv: bad value at row {row}, column '{column}': "
+                             f"{text} is not finite$"):
         parse_regional_csv(path, region_by_code(0))
-    assert (err.value.row, err.value.column) == (row, column)
 
 
 def test_parse_rejects_foreign_region_code(tmp_path):
     path = write_with_cell(tmp_path, 3, "feat_04", "1.0")
-    with pytest.raises(BadValue) as err:
+    with pytest.raises(DataError, match=(r"alberta\.csv: bad value at row 3, column 'feat_04': "
+                                         r"region code 1 does not match Alberta \(0\)$")):
         parse_regional_csv(path, region_by_code(0))
-    assert (err.value.row, err.value.column) == (3, "feat_04")
     # a whole file of another region fails on its first row
-    with pytest.raises(BadValue) as err:
+    with pytest.raises(DataError, match=(
+            r"alberta\.csv: bad value at row 1, column 'feat_04': "
+            r"region code 0 does not match British Columbia \(1\)$")):
         parse_regional_csv(write_with_cell(tmp_path, 1, "deaths", "0"), region_by_code(1))
-    assert (err.value.row, err.value.column) == (1, "feat_04")
+
+
+def test_parse_reports_text_fault_before_value_fault(tmp_path):
+    # the cell rules run on the whole table after every row is read as text
+    path = write_with_cell(tmp_path, 2, "feat_02", "7.0")
+    set_cell(path, 5, "feat_12", "abc")
+    with pytest.raises(DataError,
+                       match=r"alberta\.csv: bad value at row 5, column 'feat_12': abc$"):
+        parse_regional_csv(path, region_by_code(0))
 
 
 def test_validate_clean_dataset(small_datasets):
-    assert validate_dataset(small_datasets[0]).ok
+    ds = small_datasets[0]
+    again = RegionalDataset(ds.region, ds.dates, ds.features, ds.targets)
+    assert np.array_equal(again.features, ds.features)
+    assert np.array_equal(again.targets, ds.targets)
 
 
 def test_validate_negative_death_count():
-    ds = make_dataset(make_row(0), make_row(1, deaths=-2))
-    report = validate_dataset(ds)
-    assert len(report) == 1
-    assert report.violations[0].row == 1
-    assert report.violations[0].field == "deaths"
+    with pytest.raises(DataError,
+                       match="^bad value at 2020-01-26, column 'deaths': -2 is negative$"):
+        make_dataset(make_row(0), make_row(1, deaths=-2))
 
 
 def test_validate_duplicate_date():
-    ds = make_dataset(make_row(0), make_row(0))
-    report = validate_dataset(ds)
-    assert any("DuplicateDate" in v.message for v in report.violations)
+    with pytest.raises(DataError,
+                       match="^bad value at 2020-01-25, column 'date': not after 2020-01-25$"):
+        make_dataset(make_row(0), make_row(0))
+
+
+# Cell values that probe every rule: non-finite, signed zero, fractions,
+# negatives, the count bound and one past it, and categorical codes in and
+# out of range (0-4 are Alberta's feat_04 or a foreign region code).
+_PROBES = [float("nan"), float("inf"), float("-inf"), -0.0, 0.5, 1.5, -1.0,
+           float(2 ** 53), float(2 ** 53 + 2), 0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 11.0]
+# feat_02, feat_04, feat_05, feat_07-feat_10 and the four targets
+_RULED_COLUMNS = [1, 3, 4, 6, 7, 8, 9, 27, 28, 29, 30]
+
+
+@settings(deadline=None, max_examples=300, derandomize=True)
+@given(n_rows=st.integers(1, 4),
+       edits=st.lists(st.tuples(st.integers(0, 3),
+                                st.one_of(st.sampled_from(_RULED_COLUMNS), st.integers(0, 30)),
+                                st.sampled_from(_PROBES)), max_size=4))
+def test_construction_matches_cell_oracle(n_rows, edits):
+    rows = [make_row(day) for day in range(n_rows)]
+    dates = [date for date, _, _ in rows]
+    table = np.array([np.concatenate([f, t]) for _, f, t in rows], dtype=np.float64)
+    for row, col, value in edits:
+        table[row % n_rows, col] = value
+    region = region_by_code(0)
+    expected = first_bad_cell(table[:, :27], table[:, 27:], region)
+    if expected is None:
+        ds = RegionalDataset(region, dates, table[:, :27], table[:, 27:])
+        assert np.array_equal(ds.targets, table[:, 27:])
+        return
+    row, code, detail = expected
+    with pytest.raises(DataError) as err:
+        RegionalDataset(region, dates, table[:, :27], table[:, 27:])
+    assert str(err.value) == f"bad value at {dates[row]}, column {code!r}: {detail}"
 
 
 def test_split_sizes_and_determinism():
@@ -209,9 +251,10 @@ def test_split_sizes_and_determinism():
 
 def test_split_bad_test_size(small_datasets):
     ds = small_datasets[0]
-    with pytest.raises(BadTestSize):
+    with pytest.raises(ConfigError,
+                       match=rf"^test_size must be in \(0, {ds.n_rows}\), got {ds.n_rows}$"):
         split_train_test(ds, ds.n_rows, seed=1)
-    with pytest.raises(BadTestSize):
+    with pytest.raises(ConfigError, match=rf"^test_size must be in \(0, {ds.n_rows}\), got 0$"):
         split_train_test(ds, 0, seed=1)
 
 
@@ -224,7 +267,8 @@ def test_pool_excludes_case_study(small_datasets):
 
 
 def test_pool_single_dataset_excluded(small_datasets):
-    with pytest.raises(EmptyPool):
+    with pytest.raises(DataError,
+                       match="^training needs at least one region besides the case study$"):
         train_mtl([small_datasets[0]], small_datasets[0].region, range(10))
 
 

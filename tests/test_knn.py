@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from regio_forecast import knn
-from regio_forecast.errors import BadConfig, DimensionMismatch, EmptyTrainingSet
+from regio_forecast.errors import ConfigError, DataError
 from regio_forecast.knn import (
     InstanceStore,
     KnnConfig,
@@ -18,7 +18,7 @@ def two_point_store():
 
 
 def test_config_validation():
-    with pytest.raises(BadConfig):
+    with pytest.raises(ConfigError, match="^k must be >= 1, got 0$"):
         KnnConfig(k=0)
     assert KnnConfig().k == 6
 
@@ -34,12 +34,12 @@ def test_fit_memorizes_rows(rng):
 
 
 def test_fit_empty_rejected():
-    with pytest.raises(EmptyTrainingSet):
+    with pytest.raises(DataError, match="^cannot fit on zero rows$"):
         fit_knn(np.empty((0, 3)), np.empty((0, 1)))
 
 
 def test_fit_ragged_rows_rejected():
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(DataError, match="^ragged training rows: "):
         fit_knn([[1.0] * 13, [1.0] * 12], [[0.0], [0.0]])
 
 
@@ -61,7 +61,7 @@ def test_predict_inverse_distance_weights():
 
 def test_predict_dimension_mismatch():
     store = two_point_store()
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(DataError, match="^query has 2 dims, store has 1$"):
         predict_knn_batch(store, [[0.0, 1.0]], KnnConfig(k=1))
 
 

@@ -2,13 +2,7 @@ import numpy as np
 import pytest
 
 from regio_forecast.artifact import dumps_model
-from regio_forecast.errors import (
-    CaseStudyLeak,
-    EmptyCaseData,
-    EmptyPool,
-    NegativeWeight,
-    TooFewRegions,
-)
+from regio_forecast.errors import ConfigError, DataError
 from regio_forecast.features import PRIMARY_FEATURE_CODES, FeatureMatrix
 from regio_forecast.ingest import RegionalDataset, split_train_test
 from regio_forecast.knn import fit_knn, predict_knn_batch
@@ -48,16 +42,18 @@ def test_store_cardinalities_full_scale():
 def test_train_generic_empty_pool(small_datasets):
     # every dataset belongs to the case study's region: nothing is left to pool
     case = small_datasets[0]
-    with pytest.raises(EmptyPool):
+    with pytest.raises(DataError,
+                       match="^training needs at least one region besides the case study$"):
         train_mtl([case, case.subset(range(20))], case.region, range(10))
 
 
 def test_train_mtl_case_study_leak(small_datasets):
     case, other = small_datasets[0], small_datasets[1]
-    # the case study's rows filed under another region
-    mislabelled = RegionalDataset(other.region, case.dates, case.features, case.targets)
-    with pytest.raises(CaseStudyLeak):
-        train_mtl([case, mislabelled], case.region, range(10))
+    # the case study's rows cannot be filed under another region: feat_04 disagrees
+    with pytest.raises(DataError, match=(
+            rf"^bad value at {case.dates[0]}, column 'feat_04': region code "
+            rf"{case.region.code} does not match {other.region.name} \({other.region.code}\)$")):
+        RegionalDataset(other.region, case.dates, case.features, case.targets)
 
 
 def test_train_mtl_single_pool_region(small_datasets):
@@ -87,14 +83,15 @@ def test_transfer_zero_weight_drops_instances(small_datasets):
 
 
 def test_transfer_negative_weight(small_datasets):
-    with pytest.raises(NegativeWeight):
+    with pytest.raises(ConfigError, match="^generic weight must be finite and >= 0, got -0.5$"):
         train_mtl(small_datasets, small_datasets[0].region, range(10),
                   generic_weight=-0.5)
 
 
 def test_train_mtl_empty_case(small_datasets):
-    with pytest.raises(EmptyCaseData):
-        train_mtl(small_datasets, small_datasets[0].region, [])
+    case = small_datasets[0]
+    with pytest.raises(DataError, match=f"^no training rows for case study '{case.region.name}'$"):
+        train_mtl(small_datasets, case.region, [])
 
 
 def test_lambda_one_equals_union_knn(small_datasets, rng):
@@ -182,7 +179,7 @@ def test_rotate_regions_shapes():
 
 
 def test_rotate_too_few_regions(small_datasets):
-    with pytest.raises(TooFewRegions):
+    with pytest.raises(DataError, match="^region rotation needs at least 2 datasets$"):
         rotate_regions([small_datasets[0]], test_size=5, seed=1)
 
 

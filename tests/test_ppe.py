@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from regio_forecast.errors import InvalidCapacity, ZeroChcCount
+from regio_forecast.errors import ConfigError
 from regio_forecast.mtl import predict_monitoring
 from regio_forecast.ppe import (
     PpeInputs,
@@ -33,14 +33,14 @@ def test_zero_hospitalized():
 
 
 def test_invalid_capacity():
-    with pytest.raises(InvalidCapacity):
+    with pytest.raises(ConfigError, match=r"^operating capacity must be in \[0, 1\], got 1.2$"):
         PpeInputs(1.0, 10, 1.2, 50)
-    with pytest.raises(InvalidCapacity):
+    with pytest.raises(ConfigError, match=r"^operating capacity must be in \[0, 1\], got -0.1$"):
         PpeInputs(1.0, 10, -0.1, 50)
 
 
 def test_zero_chc_count():
-    with pytest.raises(ZeroChcCount):
+    with pytest.raises(ConfigError, match="^health centre count must be >= 1, got 0$"):
         PpeInputs(1.0, 0, 0.5, 50)
 
 

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from regio_forecast.errors import ColumnMismatch, EmptyMatrix, TooFewRows
+from regio_forecast.errors import DataError
 from regio_forecast.features import FeatureMatrix, TargetMatrix
 from regio_forecast.scaling import (
     CDF_CLIP_HI,
@@ -103,7 +103,7 @@ def test_fit_constant_column_all_landmarks_equal():
 
 
 def test_fit_single_row_rejected():
-    with pytest.raises(TooFewRows):
+    with pytest.raises(DataError, match="^need at least 2 training rows to fit quantiles, got 1$"):
         fit_quantile_scaler(column_matrix([1.0]))
 
 
@@ -134,7 +134,8 @@ def test_transform_constant_training_column_maps_to_zero():
 
 def test_transform_column_mismatch():
     scaler = fit_quantile_scaler(column_matrix([1.0, 2.0, 3.0], code="a"))
-    with pytest.raises(ColumnMismatch):
+    with pytest.raises(DataError,
+                       match=r"^matrix columns \('b',\) do not match fitted columns \('a',\)$"):
         apply_quantile_scaler(scaler, column_matrix([1.0], code="b"))
 
 
@@ -225,7 +226,7 @@ def test_fit_minmax_single_value():
 
 
 def test_fit_minmax_empty():
-    with pytest.raises(EmptyMatrix):
+    with pytest.raises(DataError, match="^cannot fit min-max scaler on an empty matrix$"):
         fit_minmax(targets(np.empty((0, 1))))
 
 
@@ -263,7 +264,7 @@ def test_invert_minmax_count_mode_floors():
 
 def test_minmax_column_mismatch():
     state = MinMaxScalerState(np.array([0.0, 0.0]), np.array([1.0, 2.0]))
-    with pytest.raises(ColumnMismatch):
+    with pytest.raises(DataError, match="^expected 2 columns, got 1$"):
         state.transform_values(targets([1.0]).values)
 
 
