@@ -1,9 +1,9 @@
 """Golden outputs: a fixed-seed CLI run must reproduce the committed files.
 
-The fixture under ``tests/golden/`` holds the ``predict`` output and the
-``evaluate`` interval tables for 3 synthetic regions. Every value must
-match as written, except the wall-clock training time. To regenerate the
-fixture after a deliberate change of outputs, run::
+The fixture under ``tests/golden/`` holds the ``predict`` and ``ppe``
+outputs and the ``evaluate`` interval tables for 3 synthetic regions.
+Every value must match as written, except the wall-clock training time.
+To regenerate the fixture after a deliberate change of outputs, run::
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -17,11 +17,11 @@ from pathlib import Path
 from regio_forecast.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
-FILES = ("predictions.csv", "evaluation.csv", "evaluation.json")
+FILES = ("predictions.csv", "ppe_forecast.csv", "evaluation.csv", "evaluation.json")
 
 
 def run_golden(work: Path) -> dict[str, str]:
-    """Run synth, train, predict and evaluate at the fixture's seed; return the outputs."""
+    """Run synth, train, predict, ppe and evaluate at the fixture's seed; return the outputs."""
     data, out = work / "data", work / "out"
     common = ["--data-dir", str(data), "--case-study", "alberta",
               "--test-days", "16", "--seed", "11"]
@@ -30,6 +30,8 @@ def run_golden(work: Path) -> dict[str, str]:
     assert main(["train", *common, "--out", str(out)]) == 0
     assert main(["predict", "--model", str(out / "model.json"),
                  "--input", str(data / "alberta.csv"), "--out", str(out)]) == 0
+    assert main(["ppe", "--model", str(out / "model.json"), "--input", str(data / "alberta.csv"),
+                 "--capacity", "0.75", "--personnel", "200", "--out", str(out)]) == 0
     assert main(["evaluate", *common, "--bootstrap", "200", "--out", str(out)]) == 0
     return {name: (out / name).read_text(encoding="utf-8") for name in FILES}
 
