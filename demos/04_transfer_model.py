@@ -35,14 +35,14 @@ print(f"generic pool: {[ds.region.name for ds in datasets[1:]]}\n")
 for weight in (0.0, 0.5, 1.0):
     model, report = train_mtl(datasets, case_ds.region, train60,
                               generic_weight=weight)
-    predicted = predict_monitoring(model, test).counts[:, 0]
+    predicted = predict_monitoring(model, test)[:, 0]
     score = r2(actual_infections, predicted)
     print(f"generic weight {weight:3.1f}: store of "
           f"{report.dedicated_instances:4d} instances, infections r2 = {score:.4f}")
 
 model, _ = train_mtl(datasets, case_ds.region, train60, generic_weight=1.0)
-prediction = predict_monitoring(model, test)
+rounded = np.rint(predict_monitoring(model, test)).astype(np.int64)
 print("\nsample of held-out predictions (infections):")
 for i in (0, 10, 20, 30):
     print(f"  {test.dates[i]}  actual={int(actual_infections[i]):4d}  "
-          f"predicted={prediction.rounded[i, 0]:4d}")
+          f"predicted={rounded[i, 0]:4d}")

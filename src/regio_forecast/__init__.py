@@ -22,7 +22,7 @@ from .features import (
 from .ingest import parse_regional_csv, region_by_name, split_train_test
 from .knn import KnnConfig
 from .mtl import predict_monitoring, rotate_regions, train_mtl
-from .ppe import PpeInputs, expand_kit_items, forecast_series, predict_ppe_kits
+from .ppe import forecast_series, predict_ppe_kits
 from .scaling import apply_quantile_scaler, fit_minmax, fit_quantile_scaler, l2_normalize_rows
 from .synth import SyntheticSpec, generate_regions, write_region_files
 

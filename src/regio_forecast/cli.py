@@ -18,6 +18,8 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from .artifact import atomic_write_text, load_model, save_model
 from .errors import ConfigError, DataError
 from .evaluation import (
@@ -163,7 +165,7 @@ def cmd_train(cfg: RunConfig) -> int:
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     save_model(model, out / "model.json")
-    doc = report.to_json_dict()
+    doc = dataclasses.asdict(report)
     doc["case_study"] = case.name
     doc["pooled_regions"] = sorted(
         ds.region.name for ds in datasets if ds.region.code != case.code)
@@ -217,11 +219,11 @@ def cmd_rotate(cfg: RunConfig) -> int:
 def cmd_predict(cfg: RunConfig, model_path: str, input_csv: str) -> int:
     model = load_model(model_path)
     ds = parse_regional_csv(input_csv, model.case_study)
-    prediction = predict_monitoring(model, ds)
+    counts = predict_monitoring(model, ds)
     lines = ["date," + ",".join(TARGET_COLUMNS)
              + "," + ",".join(f"{t}_rounded" for t in TARGET_COLUMNS)]
-    for date, counts, rounded in zip(ds.dates, prediction.counts, prediction.rounded):
-        reals = ",".join(f"{v:.6f}" for v in counts)
+    for date, day, rounded in zip(ds.dates, counts, np.rint(counts).astype(np.int64)):
+        reals = ",".join(f"{v:.6f}" for v in day)
         ints = ",".join(str(int(v)) for v in rounded)
         lines.append(f"{date.isoformat()},{reals},{ints}")
     out = Path(cfg.out)
@@ -234,11 +236,14 @@ def cmd_predict(cfg: RunConfig, model_path: str, input_csv: str) -> int:
 def cmd_ppe(cfg: RunConfig, model_path: str, input_csv: str) -> int:
     model = load_model(model_path)
     ds = parse_regional_csv(input_csv, model.case_study)
-    series = forecast_series(model, ds, cfg.ppe_operating_capacity, cfg.ppe_personnel)
+    try:
+        forecast = forecast_series(model, ds, cfg.ppe_operating_capacity, cfg.ppe_personnel)
+    except DataError as exc:
+        raise DataError(f"{input_csv}: {exc}") from None
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
-    atomic_write_text(out / "ppe_forecast.csv", forecast_to_csv(series))
-    print(f"wrote {len(series)} PPE demand rows -> {out / 'ppe_forecast.csv'}")
+    atomic_write_text(out / "ppe_forecast.csv", forecast_to_csv(forecast))
+    print(f"wrote {len(forecast)} PPE demand rows -> {out / 'ppe_forecast.csv'}")
     return 0
 
 

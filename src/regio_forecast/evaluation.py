@@ -20,7 +20,7 @@ import numpy as np
 from .errors import ConfigError, DataError, ZeroVariance
 from .features import TARGET_COLUMNS
 from .ingest import RegionalDataset
-from .mtl import MonitoringPrediction, MtlModel, predict_monitoring
+from .mtl import MtlModel, predict_monitoring
 
 METRIC_NAMES: tuple[str, ...] = ("r2", "evs", "mae", "rmse")
 
@@ -167,25 +167,18 @@ def evaluate_model(
     training scale, so error magnitudes are comparable across regions.
     Test days must be disjoint from the days the model trained on.
     """
-    prediction: MonitoringPrediction = predict_monitoring(model, test)
+    predicted = predict_monitoring(model, test)
     actuals = test.targets.astype(np.float64)
 
-    parent = np.random.SeedSequence(cfg.seed)
-    combo_seeds = parent.spawn(len(TARGET_COLUMNS) * len(METRIC_NAMES))
+    seeds = np.random.SeedSequence(cfg.seed).spawn(len(TARGET_COLUMNS) * len(METRIC_NAMES))
     intervals: dict[str, dict[str, Interval]] = {}
-    combo = 0
     for t_idx, target in enumerate(TARGET_COLUMNS):
-        per_metric: dict[str, Interval] = {}
-        for metric_name in METRIC_NAMES:
-            child_seed = int(combo_seeds[combo].generate_state(1, np.uint64)[0])
-            combo += 1
-            per_metric[metric_name] = bootstrap_interval(
-                actuals[:, t_idx],
-                prediction.counts[:, t_idx],
-                METRIC_FUNCTIONS[metric_name],
-                BootstrapConfig(cfg.replicates, child_seed),
-            )
-        intervals[target] = per_metric
+        intervals[target] = {}
+        for m_idx, metric in enumerate(METRIC_NAMES):
+            seed = seeds[t_idx * len(METRIC_NAMES) + m_idx].generate_state(1, np.uint64)[0]
+            intervals[target][metric] = bootstrap_interval(
+                actuals[:, t_idx], predicted[:, t_idx], METRIC_FUNCTIONS[metric],
+                BootstrapConfig(cfg.replicates, int(seed)))
     return MetricReport(model.case_study.name, intervals, training_time_seconds)
 
 

@@ -290,12 +290,9 @@ def select_features(
             raise ConfigError("ranked selection needs both a relevance report and top_n")
         if not 1 <= top_n <= features.n_columns:
             raise ConfigError(f"top_n must be in [1, {features.n_columns}], got {top_n}")
-        mean_by_code = {
-            code: float(np.mean([report.score(code, t) for t in report.target_names]))
-            for code in features.column_codes
-        }
-        order = sorted(range(features.n_columns),
-                       key=lambda i: (-mean_by_code[features.column_codes[i]], i))
+        if report.feature_codes != features.column_codes:
+            raise ConfigError("the relevance report scores other columns than the matrix")
+        order = np.argsort(-report.scores.mean(axis=1), kind="stable")
         selected = [features.column_codes[i] for i in order[:top_n]]
 
     indices = []

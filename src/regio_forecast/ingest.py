@@ -95,7 +95,7 @@ def region_by_name(name: str) -> RegionId:
     for code, canonical in REGION_ENCODINGS.items():
         if normalize_region_name(canonical) == wanted:
             return RegionId(code, canonical)
-    raise DataError(f"unknown region name: {name!r}")
+    raise ConfigError(f"unknown region name: {name!r}")
 
 
 @dataclass(frozen=True, eq=False)

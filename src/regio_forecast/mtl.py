@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -26,7 +26,6 @@ from .errors import ConfigError, DataError
 from .features import (
     DEFAULT_SELECTED_FEATURES,
     PRIMARY_FEATURE_CODES,
-    TARGET_COLUMNS,
     FeatureMatrix,
     TargetMatrix,
     compute_derived_features,
@@ -78,9 +77,6 @@ class TrainReport:
     n_quantiles: int
     target_mins: tuple[float, ...] = ()
     target_maxs: tuple[float, ...] = ()
-
-    def to_json_dict(self) -> dict:
-        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -166,32 +162,17 @@ def train_mtl(
     return model, report
 
 
-@dataclass(frozen=True)
-class MonitoringPrediction:
-    """Per-day predicted counts, both real-valued and rounded."""
-
-    counts: np.ndarray             # (n, 4) float, floored at 0
-    rounded: np.ndarray            # (n, 4) int64
-
-    @property
-    def n_rows(self) -> int:
-        return self.counts.shape[0]
-
-    def column(self, target: str) -> np.ndarray:
-        return self.counts[:, TARGET_COLUMNS.index(target)]
-
-
-def predict_monitoring(model: MtlModel, ds: RegionalDataset) -> MonitoringPrediction:
+def predict_monitoring(model: MtlModel, ds: RegionalDataset) -> np.ndarray:
     """Predict (infections, hospitalizations, recoveries, deaths) per day of ``ds``.
 
-    Pipeline: derive features, select the model columns, apply the fitted
-    scalers, query the store, invert target scaling, floor at 0.
+    Returns the (n, 4) float counts in TARGET_COLUMNS order. Pipeline:
+    derive features, select the model columns, apply the fitted scalers,
+    query the store, invert target scaling, floor at 0.
     """
     raw_design = build_design_matrix(ds.feature_matrix(), model.selected_features)
     x = transform_design(model.feature_scaler, raw_design)
     scaled = predict_knn_batch(model.store, x, model.cfg)
-    counts = model.target_scaler.inverse_values(scaled, count_mode=True)
-    return MonitoringPrediction(counts, np.rint(counts).astype(np.int64))
+    return model.target_scaler.inverse_values(scaled, count_mode=True)
 
 
 def rotate_regions(

@@ -4,76 +4,56 @@ The kit estimate interpolates on the predicted hospitalized count: the
 average hospitalized patients per health centre (``hsp_ratio``) scales
 the active workforce until every centre has at least one patient, at
 which point demand saturates at operating_capacity x personnel. One kit
-bundles one of each of the five KIT_ITEMS: face shield, N95 respirator,
-glove pair, shoe-cover pair, and isolation gown.
+bundles one face shield, N95 respirator, glove pair, shoe-cover pair and
+isolation gown, so the CSV's five item columns each equal ``kits_ceil``.
 """
 
 from __future__ import annotations
 
+import datetime as dt
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
-from .errors import ConfigError
+import numpy as np
+
+from .errors import ConfigError, DataError
+from .features import PRIMARY_FEATURE_CODES, TARGET_COLUMNS
 from .ingest import RegionalDataset
 from .mtl import MtlModel, predict_monitoring
 
 
-KIT_ITEMS = ("face_shields", "n95_respirators", "glove_pairs",
-             "shoe_cover_pairs", "isolation_gowns")
-
-
-@dataclass(frozen=True)
-class PpeInputs:
-    """One day's inputs to the kit-demand rule."""
-
-    hospitalized: float            # predicted hospitalized patients
-    chc_count: int                 # community health centres in the region
-    operating_capacity: float      # active fraction of the workforce, in [0, 1]
-    personnel: float               # frontline workforce headcount
-
-    def __post_init__(self):
-        if not 0.0 <= self.operating_capacity <= 1.0:
-            raise ConfigError(
-                f"operating capacity must be in [0, 1], got {self.operating_capacity}")
-        if self.chc_count < 1:
-            raise ConfigError(f"health centre count must be >= 1, got {self.chc_count}")
-        if self.hospitalized < 0:
-            raise ConfigError(f"hospitalized count must be >= 0, got {self.hospitalized}")
-        if not 0 <= self.personnel < math.inf:
-            raise ConfigError(f"personnel must be finite and >= 0, got {self.personnel}")
-
-
-def predict_ppe_kits(inputs: PpeInputs) -> float:
-    """Kit demand for one day.
+def predict_ppe_kits(hospitalized, chc_count, operating_capacity, personnel) -> np.ndarray:
+    """Kit demand per day; each argument is a scalar or an array, broadcast.
 
     With r = hospitalized / chc_count: demand is capacity x personnel x r
     while r <= 1, and saturates at capacity x personnel once every centre
     has a patient. Both branches agree at r = 1.
     """
-    ratio = inputs.hospitalized / inputs.chc_count
-    ceiling = inputs.operating_capacity * inputs.personnel
-    if ratio > 1.0:
-        return ceiling * 1.0
-    return ceiling * ratio
-
-
-def expand_kit_items(kits: float) -> dict[str, int]:
-    """Whole-item demand: kits are ceiled first (no fractional physical items)."""
-    if kits < 0:
-        raise ConfigError(f"kit count must be >= 0, got {kits}")
-    whole = math.ceil(kits)
-    return {name: whole for name in KIT_ITEMS}
+    capacity, personnel, chc, hospitalized = (
+        np.asarray(a) for a in (operating_capacity, personnel, chc_count, hospitalized))
+    for values, ok, rule in (
+            (capacity, (0 <= capacity) & (capacity <= 1), "operating capacity must be in [0, 1]"),
+            (personnel, (0 <= personnel) & (personnel < math.inf),
+             "personnel must be finite and >= 0"),
+            (chc, chc >= 1, "health centre count must be >= 1"),
+            (hospitalized, (0 <= hospitalized) & (hospitalized < math.inf),
+             "hospitalized count must be finite and >= 0")):
+        if not ok.all():
+            raise ConfigError(f"{rule}, got {values[~ok][0]}")
+    return capacity * personnel * np.minimum(hospitalized / chc, 1.0)
 
 
 @dataclass(frozen=True)
-class PpeDayForecast:
-    date: object                   # datetime.date
-    predicted_hospitalized: float
-    hsp_ratio: float
-    kits: float
-    kits_ceil: int
-    items: dict[str, int]
+class PpeForecast:
+    """Daily kit demand; element i of each array belongs to ``dates[i]``."""
+
+    dates: tuple[dt.date, ...]
+    predicted_hospitalized: np.ndarray
+    hsp_ratio: np.ndarray          # predicted hospitalized per health centre
+    kits: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.dates)
 
 
 PPE_CSV_HEADER = ("date,predicted_hospitalized,hsp_ratio,kits,kits_ceil,"
@@ -85,38 +65,30 @@ def forecast_series(
     ds: RegionalDataset,
     operating_capacity: float,
     personnel: float,
-) -> list[PpeDayForecast]:
+) -> PpeForecast:
     """Chain the monitoring model's hospitalization predictions into kit demand.
 
     ``operating_capacity`` and ``personnel`` hold for every day. The health
-    centre count is read from each day's feat_11.
+    centre count is each day's feat_11, rounded; a day with fewer than one
+    centre is a DataError naming its date.
     """
-    hospitalized = predict_monitoring(model, ds).column("hospitalizations")
-    chcs = ds.feature_matrix().column("feat_11").tolist()
-    out = []
-    for date, h, chc_value in zip(ds.dates, hospitalized, chcs):
-        chc = int(round(chc_value))
-        inputs = PpeInputs(float(h), chc, float(operating_capacity), float(personnel))
-        kits = predict_ppe_kits(inputs)
-        out.append(PpeDayForecast(
-            date=date,
-            predicted_hospitalized=float(h),
-            hsp_ratio=float(h) / chc,
-            kits=kits,
-            kits_ceil=math.ceil(kits),
-            items=expand_kit_items(kits),
-        ))
-    return out
+    hospitalized = predict_monitoring(model, ds)[:, TARGET_COLUMNS.index("hospitalizations")]
+    feat_11 = ds.features[:, PRIMARY_FEATURE_CODES.index("feat_11")]
+    chc = np.rint(feat_11)
+    low = chc < 1
+    if low.any():
+        i = low.argmax()
+        raise DataError(f"bad value at {ds.dates[i]}, column 'feat_11': "
+                        f"{feat_11[i]} rounds to fewer than 1 health centre")
+    kits = predict_ppe_kits(hospitalized, chc, operating_capacity, personnel)
+    return PpeForecast(ds.dates, hospitalized, hospitalized / chc, kits)
 
 
-def forecast_to_csv(series: Sequence[PpeDayForecast]) -> str:
+def forecast_to_csv(forecast: PpeForecast) -> str:
+    """One row per day; ``kits_ceil`` and the five item columns are the kits ceiled."""
     lines = [PPE_CSV_HEADER]
-    for day in series:
-        items = day.items
-        lines.append(
-            f"{day.date.isoformat()},{day.predicted_hospitalized:.6f},"
-            f"{day.hsp_ratio:.6f},{day.kits:.6f},{day.kits_ceil},"
-            f"{items['face_shields']},{items['n95_respirators']},"
-            f"{items['glove_pairs']},{items['shoe_cover_pairs']},"
-            f"{items['isolation_gowns']}")
+    for date, h, ratio, kits in zip(forecast.dates, forecast.predicted_hospitalized.tolist(),
+                                    forecast.hsp_ratio.tolist(), forecast.kits.tolist()):
+        whole = ",".join([str(math.ceil(kits))] * 6)   # kits_ceil, then the five items
+        lines.append(f"{date.isoformat()},{h:.6f},{ratio:.6f},{kits:.6f},{whole}")
     return "\n".join(lines) + "\n"

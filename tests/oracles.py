@@ -126,3 +126,13 @@ def first_bad_cell(features, targets, region):
             if problem:
                 return row, code, problem
     return None
+
+
+def ppe_kits_oracle(hospitalized: float, chc_count: float, capacity: float,
+                    personnel: float) -> float:
+    """One day's kit demand, branch by branch in plain floats."""
+    ratio = hospitalized / chc_count
+    ceiling = capacity * personnel
+    if ratio > 1.0:
+        return ceiling * 1.0
+    return ceiling * ratio

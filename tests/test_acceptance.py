@@ -30,7 +30,7 @@ from regio_forecast.mtl import (
     train_mtl,
     transform_design,
 )
-from regio_forecast.ppe import PpeInputs, predict_ppe_kits
+from regio_forecast.ppe import predict_ppe_kits
 from regio_forecast.scaling import (
     CDF_CLIP_HI,
     CDF_CLIP_LO,
@@ -168,30 +168,26 @@ def test_transfer_algebra():
 def test_kit_demand_laws():
     with criterion("kit demand: branch continuity, saturation bound on 10k "
                    "inputs, linear slope, worked examples 150 and 75"):
-        assert predict_ppe_kits(PpeInputs(120.0, 40, 0.75, 200)) == 150.0
-        assert predict_ppe_kits(PpeInputs(20.0, 40, 0.75, 200)) == 75.0
+        assert predict_ppe_kits(120.0, 40, 0.75, 200) == 150.0
+        assert predict_ppe_kits(20.0, 40, 0.75, 200) == 75.0
 
         for chc, cap, staff in ((40, 0.75, 200), (7, 0.33, 1234), (1, 1.0, 5)):
-            below = predict_ppe_kits(PpeInputs(float(chc), chc, cap, staff))
+            below = predict_ppe_kits(float(chc), chc, cap, staff)
             assert abs(below - cap * staff) <= 1e-12
 
         rng = np.random.default_rng(41)
-        for _ in range(10_000):
-            inputs = PpeInputs(
-                hospitalized=float(rng.uniform(0.0, 1e4)),
-                chc_count=int(rng.integers(1, 500)),
-                operating_capacity=float(rng.uniform(0.0, 1.0)),
-                personnel=float(rng.uniform(0.0, 5e3)),
-            )
-            kits = predict_ppe_kits(inputs)
-            assert kits <= inputs.operating_capacity * inputs.personnel + 1e-12
-            assert kits >= 0.0
+        hospitalized = rng.uniform(0.0, 1e4, 10_000)
+        chc_count = rng.integers(1, 500, 10_000)
+        operating_capacity = rng.uniform(0.0, 1.0, 10_000)
+        personnel = rng.uniform(0.0, 5e3, 10_000)
+        kits = predict_ppe_kits(hospitalized, chc_count, operating_capacity, personnel)
+        assert np.all(kits <= operating_capacity * personnel + 1e-12)
+        assert np.all(kits >= 0.0)
 
         cap, staff, chc = 0.62, 870.0, 31
         slope = cap * staff / chc
-        for h in np.linspace(0.0, float(chc), 41):
-            kits = predict_ppe_kits(PpeInputs(float(h), chc, cap, staff))
-            assert abs(kits - slope * h) <= 1e-9
+        h = np.linspace(0.0, float(chc), 41)
+        assert np.all(np.abs(predict_ppe_kits(h, chc, cap, staff) - slope * h) <= 1e-9)
 
 
 def test_metric_identities():
@@ -242,8 +238,8 @@ def test_synthetic_transfer_benefit():
                                          generic_weight=1.0)
             without, _ = train_mtl(datasets, ds.region, train60,
                                    generic_weight=0.0)
-            r2_transfer = r2(y, predict_monitoring(with_transfer, test).counts[:, 0])
-            r2_solo = r2(y, predict_monitoring(without, test).counts[:, 0])
+            r2_transfer = r2(y, predict_monitoring(with_transfer, test)[:, 0])
+            r2_solo = r2(y, predict_monitoring(without, test)[:, 0])
             wins += r2_transfer > r2_solo
         assert wins >= 4, f"transfer won on only {wins} of 5 seeds"
         assert time.perf_counter() - started < 60.0
@@ -300,7 +296,7 @@ def test_real_data_best_effort():
         split = split_train_test(ontario, 54, seed=1)
         model, _ = train_mtl(datasets, ontario.region, split.train_indices)
         test = ontario.subset(split.test_indices)
-        prediction = predict_monitoring(model, test)
+        predicted = predict_monitoring(model, test)
         actual = test.targets.astype(float)
-        assert r2(actual[:, 0], prediction.counts[:, 0]) >= 0.85
-        assert r2(actual[:, 1], prediction.counts[:, 1]) >= 0.85
+        assert r2(actual[:, 0], predicted[:, 0]) >= 0.85
+        assert r2(actual[:, 1], predicted[:, 1]) >= 0.85

@@ -184,6 +184,33 @@ def test_ppe_invalid_capacity_exits_2(data_dir, tmp_path, capsys):
         assert message in capsys.readouterr().err
 
 
+def test_ppe_health_centre_count_below_one_exits_3(data_dir, tmp_path, capsys):
+    out = tmp_path / "model_out"
+    assert run(["train", "--data-dir", data_dir, "--case-study", "alberta",
+                "--test-days", "16", "--out", out]) == 0
+    lines = (data_dir / "alberta.csv").read_text().splitlines()
+    column = lines[0].split(",").index("feat_11")
+    for text, expected in [("0", 3), ("1e300", 0)]:
+        cells = lines[5].split(",")
+        cells[column] = text
+        path = tmp_path / f"feat_11_{text}" / "alberta.csv"
+        path.parent.mkdir()
+        path.write_text("\n".join(lines[:5] + [",".join(cells)] + lines[6:]) + "\n")
+        code = run(["ppe", "--model", out / "model.json", "--input", path,
+                    "--out", tmp_path / "p"])
+        assert code == expected
+        if expected == 3:
+            assert (f"{path}: bad value at {cells[0]}, column 'feat_11': 0.0 rounds to "
+                    "fewer than 1 health centre") in capsys.readouterr().err
+
+
+def test_unknown_case_study_exits_2(data_dir, tmp_path, capsys):
+    code = run(["train", "--data-dir", data_dir, "--case-study", "atlantis",
+                "--out", tmp_path / "x"])
+    assert code == 2
+    assert "config error: unknown region name: 'atlantis'" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("noise", ["nan", "inf"])
 def test_synth_non_finite_noise_exits_2(tmp_path, capsys, noise):
     assert run(["synth", "--regions", "1", "--rows", "10", "--noise", noise,

@@ -6,6 +6,7 @@ from regio_forecast.features import (
     DEFAULT_SELECTED_FEATURES,
     PRIMARY_FEATURE_CODES,
     FeatureMatrix,
+    RelevanceReport,
     TargetMatrix,
     compute_derived_features,
     concat_features,
@@ -168,6 +169,15 @@ def test_select_ranked_full_width_is_rank_reorder():
     assert picked.column_codes[0] == "exact"
 
 
+def test_select_ranked_ties_keep_column_order():
+    codes = ("a", "b", "c", "d")
+    features = FeatureMatrix(np.zeros((2, 4)), codes)
+    # mean scores 0.5, 1.0, 0.5, 1.0 (b and d built from different per-target scores)
+    scores = [[0.5] * 4, [1.0] * 4, [0.25, 0.75, 0.5, 0.5], [1.0] * 4]
+    report = RelevanceReport(codes, ("t1", "t2", "t3", "t4"), np.array(scores))
+    assert select_features(features, report=report, top_n=3).column_codes == ("b", "d", "a")
+
+
 def test_select_ranked_bad_top_n():
     m = primary_matrix([{}, {}, {}])
     rng = np.random.default_rng(7)
@@ -179,3 +189,6 @@ def test_select_ranked_bad_top_n():
     with pytest.raises(ConfigError,
                        match=r"^pass either an explicit code list or \(report, top_n\), not both$"):
         select_features(m, ["feat_01"], report=report, top_n=2)
+    with pytest.raises(ConfigError,
+                       match="^the relevance report scores other columns than the matrix$"):
+        select_features(select_features(m, ["feat_02", "feat_01"]), report=report, top_n=1)

@@ -150,18 +150,18 @@ def test_training_row_fed_back_recovers_targets(trained_small_model, small_datas
     model, _, split = trained_small_model
     ds = small_datasets[0]
     train = ds.subset(split.train_indices[:10])
-    prediction = predict_monitoring(model, train)
+    predicted = predict_monitoring(model, train)
     actual = train.targets.astype(float)
-    assert np.all(np.abs(prediction.counts - actual) <= 1e-6)
+    assert np.all(np.abs(predicted - actual) <= 1e-6)
 
 
 def test_predictions_non_negative_and_shaped(trained_small_model, small_datasets):
     model, _, split = trained_small_model
     ds = small_datasets[0]
-    prediction = predict_monitoring(model, ds.subset(split.test_indices))
-    assert prediction.counts.shape == (len(split.test_indices), 4)
-    assert np.all(prediction.counts >= 0.0)
-    assert prediction.rounded.dtype == np.int64
+    predicted = predict_monitoring(model, ds.subset(split.test_indices))
+    assert predicted.shape == (len(split.test_indices), 4)
+    assert np.all(predicted >= 0.0)
+    assert predicted.dtype == np.float64
 
 
 def test_rotate_regions_shapes():

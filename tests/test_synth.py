@@ -50,10 +50,10 @@ def test_noiseless_dedicated_model_is_nearly_exact():
     split = split_train_test(ds, 54, seed=2)
     model, _ = train_mtl(datasets, ds.region, split.train_indices)
     test = ds.subset(split.test_indices)
-    prediction = predict_monitoring(model, test)
+    predicted = predict_monitoring(model, test)
     y = test.targets.astype(float)
     for j in range(4):
-        assert r2(y[:, j], prediction.counts[:, j]) > 0.99
+        assert r2(y[:, j], predicted[:, j]) > 0.99
 
 
 def test_targets_are_nonnegative_integers(small_datasets):
