@@ -6,11 +6,16 @@ Every value must match as written, except the wall-clock training time.
 To regenerate the fixture after a deliberate change of outputs, run::
 
     PYTHONPATH=src python tests/test_golden.py
+
+Before it writes, it prints for each file how many values changed and the
+largest absolute and relative change, wall-clock time aside; it rewrites
+only the files whose values changed.
 """
 
 import csv
 import io
 import json
+import math
 import tempfile
 from pathlib import Path
 
@@ -48,6 +53,36 @@ def without_training_time(name: str, text: str):
     return rows
 
 
+def leaves(value, path=()):
+    """(path, scalar) for every scalar of a parsed file."""
+    if isinstance(value, (dict, list)):
+        items = value.items() if isinstance(value, dict) else enumerate(value)
+        for key, item in items:
+            yield from leaves(item, path + (key,))
+    else:
+        yield path, value
+
+
+def changes(name: str, old_text: str, new_text: str) -> str:
+    """How many values of ``name`` moved, and by how much at most."""
+    old = dict(leaves(without_training_time(name, old_text)))
+    new = dict(leaves(without_training_time(name, new_text)))
+    moved, max_abs, max_rel = 0, 0.0, 0.0
+    for key in old.keys() | new.keys():
+        a, b = old.get(key), new.get(key)
+        if a == b:
+            continue
+        moved += 1
+        try:
+            diff = abs(float(b) - float(a))
+            rel = diff / abs(float(a)) if float(a) else math.inf
+        except (TypeError, ValueError):      # a text cell or a missing value
+            diff = rel = math.inf
+        max_abs, max_rel = max(max_abs, diff), max(max_rel, rel)
+    return (f"{name}: {moved} of {len(old)} values changed, "
+            f"largest change {max_abs:.3g} absolute, {max_rel:.3g} relative")
+
+
 def test_golden_outputs_unchanged(tmp_path):
     outputs = run_golden(tmp_path)
     for name in FILES:
@@ -58,6 +93,13 @@ def test_golden_outputs_unchanged(tmp_path):
 
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
-        for name, text in run_golden(Path(tmp)).items():
-            (GOLDEN / name).write_text(text, encoding="utf-8")
-            print(f"wrote {GOLDEN / name}")
+        outputs = run_golden(Path(tmp))
+        fixture = {name: (GOLDEN / name).read_text(encoding="utf-8") for name in FILES}
+        for name in FILES:
+            print(changes(name, fixture[name], outputs[name]))
+        for name in FILES:
+            # a file that moved only in wall-clock time is left as it is
+            if without_training_time(name, outputs[name]) != \
+                    without_training_time(name, fixture[name]):
+                (GOLDEN / name).write_text(outputs[name], encoding="utf-8")
+                print(f"wrote {GOLDEN / name}")
