@@ -26,7 +26,7 @@ full = concat_features(primary, derived)
 print(f"concatenated:   {full.values.shape}")
 
 # Rank every column against the four targets by normalized |rank correlation|.
-report = score_relevance(full, ds.target_matrix())
+report = score_relevance(full, ds.targets)
 print("\ntop five features for infections:")
 for code in report.ranking("infections")[:5]:
     print(f"  {code}: {100 * report.score(code, 'infections'):.0f}%")

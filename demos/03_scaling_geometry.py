@@ -1,4 +1,4 @@
-"""Scaling walkthrough: quantile-normal columns, unit rows, min-max targets.
+"""Scaling walkthrough: quantile-normal columns, unit rows, unscaled targets.
 
     python demos/03_scaling_geometry.py
 """
@@ -9,7 +9,6 @@ from regio_forecast import (
     FeatureMatrix,
     SyntheticSpec,
     apply_quantile_scaler,
-    fit_minmax,
     fit_quantile_scaler,
     generate_regions,
     l2_normalize_rows,
@@ -37,11 +36,17 @@ print(f"\nrow norms after L2 normalization: "
       f"min={norms.min():.12f} max={norms.max():.12f} "
       f"(zero rows left at zero: {int((norms == 0.0).sum())})")
 
-targets = ds.target_matrix()
-state = fit_minmax(targets)
-back = state.inverse_values(state.transform_values(targets.values))
-print(f"\nmin-max roundtrip max error: "
-      f"{np.abs(back - targets.values).max():.2e}")
+# Targets stay raw counts: a kNN vote is a weighted mean of stored rows,
+# and a weighted mean commutes with any per-column affine map, so min-max
+# scaling before the vote and inverting it after would change nothing.
+targets = ds.targets.astype(float)
+lo, span = targets.min(axis=0), np.ptp(targets, axis=0)
+w = np.random.default_rng(2).uniform(0.1, 1.0, size=6)
+rows = targets[:6]
+raw_vote = w @ rows / w.sum()
+scaled_vote = (w @ ((rows - lo) / span) / w.sum()) * span + lo
+print(f"\nweighted vote, raw vs min-max round trip: max difference "
+      f"{np.abs(raw_vote - scaled_vote).max():.2e}")
 
 print("\na training quantile at probability p maps to the normal quantile of p:")
 picks = [9, 180, 351]

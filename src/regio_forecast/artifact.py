@@ -1,14 +1,15 @@
 """Model artifact I/O: one JSON document per trained model.
 
 The document embeds everything needed to predict: the kNN neighbor count,
-selected feature codes, both fitted scalers, the one weighted instance
-store (pooled-region instances at the generic weight, then the case-study
-instances), the case-study region, and the generic transfer weight. A
-document of any other version, a missing field, bytes that are not UTF-8,
-a NaN or Infinity token, and a literal that overflows to infinity (such as
-1e999) raise DataError naming the file. Serialization is deterministic
-(sorted keys, shortest round-trip float repr), so retraining on identical
-inputs produces byte-identical artifacts.
+selected feature codes, the fitted quantile feature scaler, the one
+weighted instance store (pooled-region instances at the generic weight,
+then the case-study instances, with their raw target counts), the
+case-study region, and the generic transfer weight. A document of any
+other version, a missing field, bytes that are not UTF-8, a NaN or
+Infinity token, a literal that overflows to infinity (such as 1e999) and a
+negative stored count raise DataError naming the file. Serialization is
+deterministic (sorted keys, shortest round-trip float repr), so retraining
+on identical inputs produces byte-identical artifacts.
 """
 
 from __future__ import annotations
@@ -24,9 +25,9 @@ from .errors import DataError
 from .ingest import RegionId
 from .knn import InstanceStore, KnnConfig
 from .mtl import MtlModel
-from .scaling import MinMaxScalerState, QuantileNormalScaler
+from .scaling import QuantileNormalScaler
 
-ARTIFACT_VERSION = "3"
+ARTIFACT_VERSION = "4"
 
 
 def model_to_dict(model: MtlModel) -> dict:
@@ -37,7 +38,6 @@ def model_to_dict(model: MtlModel) -> dict:
         "generic_weight": model.generic_weight,
         "case_study": {"code": model.case_study.code, "name": model.case_study.name},
         "feature_scaler": model.feature_scaler.to_json_dict(),
-        "target_scaler": model.target_scaler.to_json_dict(),
         "store": model.store.to_json_dict(),
     }
 
@@ -52,7 +52,6 @@ def model_from_dict(doc: dict) -> MtlModel:
         return MtlModel(
             store=InstanceStore.from_json_dict(doc["store"]),
             feature_scaler=QuantileNormalScaler.from_json_dict(doc["feature_scaler"]),
-            target_scaler=MinMaxScalerState.from_json_dict(doc["target_scaler"]),
             selected_features=tuple(doc["selected_features"]),
             cfg=KnnConfig.from_json_dict(doc["config"]),
             generic_weight=float(doc["generic_weight"]),
@@ -90,13 +89,13 @@ def load_model(path: str | Path) -> MtlModel:
         "store.targets": model.store.targets,
         "store.weights": model.store.weights,
         "feature_scaler.landmarks": model.feature_scaler.landmarks,
-        "target_scaler.mins": model.target_scaler.mins,
-        "target_scaler.maxs": model.target_scaler.maxs,
         "generic_weight": model.generic_weight,
     }
     for name, values in numbers.items():
         if not np.all(np.isfinite(values)):
             raise DataError(f"{path}: model artifact holds a non-finite number ({name})")
+    if np.any(model.store.targets < 0):
+        raise DataError(f"{path}: model artifact holds a negative count (store.targets)")
     return model
 
 

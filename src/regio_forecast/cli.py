@@ -136,7 +136,7 @@ def _relevance(case_ds: RegionalDataset):
     """The 44-column feature matrix of the case study and its relevance scores."""
     primary = case_ds.feature_matrix()
     full = concat_features(primary, compute_derived_features(primary))
-    return full, score_relevance(full, case_ds.target_matrix())
+    return full, score_relevance(full, case_ds.targets)
 
 
 def _selection(cfg: RunConfig, case_ds: RegionalDataset) -> tuple[str, ...]:
@@ -236,10 +236,7 @@ def cmd_predict(cfg: RunConfig, model_path: str, input_csv: str) -> int:
 def cmd_ppe(cfg: RunConfig, model_path: str, input_csv: str) -> int:
     model = load_model(model_path)
     ds = parse_regional_csv(input_csv, model.case_study)
-    try:
-        forecast = forecast_series(model, ds, cfg.ppe_operating_capacity, cfg.ppe_personnel)
-    except DataError as exc:
-        raise DataError(f"{input_csv}: {exc}") from None
+    forecast = forecast_series(model, ds, cfg.ppe_operating_capacity, cfg.ppe_personnel)
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     atomic_write_text(out / "ppe_forecast.csv", forecast_to_csv(forecast))

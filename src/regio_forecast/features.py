@@ -73,31 +73,6 @@ class FeatureMatrix:
         return self.values[:, j]
 
 
-@dataclass(frozen=True)
-class TargetMatrix:
-    """Dense real matrix of target series, one column per monitored count."""
-
-    values: np.ndarray
-    column_names: tuple[str, ...] = TARGET_COLUMNS
-
-    def __post_init__(self):
-        v = np.ascontiguousarray(self.values, dtype=np.float64)
-        if v.ndim != 2:
-            raise DataError(f"target matrix must be 2-D, got shape {v.shape}")
-        names = tuple(self.column_names)
-        if len(names) != v.shape[1]:
-            raise DataError(f"{len(names)} column names for {v.shape[1]} columns")
-        if not np.all(np.isfinite(v)):
-            raise DataError("target matrix contains non-finite values")
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
-        object.__setattr__(self, "column_names", names)
-
-    @property
-    def n_rows(self) -> int:
-        return self.values.shape[0]
-
-
 def _safe_div(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     """Elementwise division that yields 0 where the denominator is 0."""
     num = np.asarray(num, dtype=np.float64)
@@ -205,7 +180,7 @@ class RelevanceReport:
         s = np.asarray(self.scores, dtype=np.float64)
         if s.shape != (len(self.feature_codes), len(self.target_names)):
             raise DataError("score matrix shape does not match codes/targets")
-        if np.any(s < 0) or np.any(s > 1):
+        if not np.all((0 <= s) & (s <= 1)):     # NaN fails both comparisons
             raise DataError("relevance scores must lie in [0, 1]")
         s.setflags(write=False)
         object.__setattr__(self, "scores", s)
@@ -236,27 +211,34 @@ def _rank_columns(values: np.ndarray) -> np.ndarray:
     return np.column_stack([rankdata(values[:, j]) for j in range(values.shape[1])])
 
 
-def score_relevance(features: FeatureMatrix, targets: TargetMatrix) -> RelevanceReport:
+def score_relevance(features: FeatureMatrix, targets: np.ndarray) -> RelevanceReport:
     """Score each feature against each target by normalized |rank correlation|.
 
-    The absolute Spearman correlation of every (feature, target) pair is
+    ``targets`` is the (n, 4) array of counts in TARGET_COLUMNS order. The
+    absolute Spearman correlation of every (feature, target) pair is
     divided by the per-target maximum, so ranks are comparable across
     targets regardless of their scale. Constant columns score 0.
     """
-    if features.n_rows != targets.n_rows:
+    targets = np.asarray(targets, dtype=np.float64)
+    if targets.ndim != 2 or targets.shape[1] != len(TARGET_COLUMNS):
+        raise DataError(f"targets must have shape (n, {len(TARGET_COLUMNS)}), "
+                        f"got {targets.shape}")
+    if features.n_rows != targets.shape[0]:
         raise DataError(
-            f"row counts differ: {features.n_rows} vs {targets.n_rows}")
+            f"row counts differ: {features.n_rows} vs {targets.shape[0]}")
+    if not np.all(np.isfinite(targets)):
+        raise DataError("targets contain non-finite values")
     if features.n_rows < 3:
         raise DataError("relevance scoring needs at least 3 rows")
 
     rf = _rank_columns(features.values)
-    rt = _rank_columns(targets.values)
+    rt = _rank_columns(targets)
     rf = rf - rf.mean(axis=0)
     rt = rt - rt.mean(axis=0)
     sf = np.sqrt((rf ** 2).sum(axis=0))
     st = np.sqrt((rt ** 2).sum(axis=0))
     denom = np.outer(sf, st)
-    raw = np.zeros((features.n_columns, targets.values.shape[1]))
+    raw = np.zeros((features.n_columns, len(TARGET_COLUMNS)))
     nz = denom > 0
     np.divide(np.abs(rf.T @ rt), denom, out=raw, where=nz)
 
@@ -265,7 +247,7 @@ def score_relevance(features: FeatureMatrix, targets: TargetMatrix) -> Relevance
     np.divide(raw, col_max, out=scores, where=col_max > 0)
     # guard against float drift pushing a ratio a hair past 1
     scores = np.clip(scores, 0.0, 1.0)
-    return RelevanceReport(features.column_codes, targets.column_names, scores)
+    return RelevanceReport(features.column_codes, TARGET_COLUMNS, scores)
 
 
 def select_features(

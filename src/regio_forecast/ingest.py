@@ -13,8 +13,9 @@ available estimate).
 Every RegionalDataset, whether parsed, generated, subset or built by a
 caller, holds these rules when it is constructed: every cell is finite,
 categorical cells lie in CATEGORICAL_RANGES, ``feat_04`` holds the code of
-the dataset's region, targets are integer counts in [0, MAX_COUNT], and
-dates strictly increase. A violation raises DataError naming the first bad
+the dataset's region, ``feat_11`` (health centres) is an integer count in
+[1, MAX_COUNT], targets are integer counts in [0, MAX_COUNT], and dates
+strictly increase. A violation raises DataError naming the first bad
 cell in row-major order.
 """
 
@@ -29,7 +30,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .features import PRIMARY_FEATURE_CODES, TARGET_COLUMNS, FeatureMatrix, TargetMatrix
+from .features import PRIMARY_FEATURE_CODES, TARGET_COLUMNS, FeatureMatrix
 
 CSV_HEADER: tuple[str, ...] = ("date",) + PRIMARY_FEATURE_CODES + TARGET_COLUMNS
 
@@ -145,19 +146,17 @@ class RegionalDataset:
     def feature_matrix(self) -> FeatureMatrix:
         return FeatureMatrix(self.features, PRIMARY_FEATURE_CODES)
 
-    def target_matrix(self) -> TargetMatrix:
-        return TargetMatrix(self.targets.astype(np.float64), TARGET_COLUMNS)
-
     def subset(self, indices: Sequence[int]) -> "RegionalDataset":
         idx = np.asarray(indices, dtype=np.intp)
         return RegionalDataset(self.region, tuple(self.dates[i] for i in idx),
                                self.features[idx], self.targets[idx])
 
 
-# Largest target count stored exactly in both the parsed float and int64.
+# Largest count stored exactly in both the parsed float and int64.
 MAX_COUNT = 2 ** 53
 
 _REGION_COLUMN = PRIMARY_FEATURE_CODES.index("feat_04")
+_CENTRES_COLUMN = PRIMARY_FEATURE_CODES.index("feat_11")
 
 
 def _bad_value(where: str, column: str, detail: str) -> DataError:
@@ -173,22 +172,27 @@ def _first_bad_cell(features: np.ndarray, targets: np.ndarray,
     Each rule is a mask over the (n, 31) table of features then targets.
     A cell that breaks several rules is reported under the first of:
     not finite, outside its categorical range, a ``feat_04`` other than
-    ``region``'s code, not an integer count up to MAX_COUNT, negative.
-    Integer targets are compared as integers, so no count is rounded.
+    ``region``'s code, a ``feat_11`` that is no integer in [1, MAX_COUNT],
+    not an integer count up to MAX_COUNT, negative. Integer targets are
+    compared as integers, so no count is rounded.
     """
     n_features = features.shape[1]
     codes = CSV_HEADER[1:]
     shape = (features.shape[0], len(codes))
-    off_range, foreign, not_count, negative = (np.zeros(shape, dtype=bool) for _ in range(4))
+    off_range, foreign, no_centres, not_count, negative = (
+        np.zeros(shape, dtype=bool) for _ in range(5))
     with np.errstate(invalid="ignore"):
         nonfinite = ~np.hstack([np.isfinite(features), np.isfinite(targets)])
         for code, allowed in CATEGORICAL_RANGES.items():
             j = codes.index(code)
             off_range[:, j] = ~np.isin(features[:, j], sorted(allowed))
         foreign[:, _REGION_COLUMN] = features[:, _REGION_COLUMN] != region.code
+        centres = features[:, _CENTRES_COLUMN]
+        no_centres[:, _CENTRES_COLUMN] = ((centres != np.floor(centres)) | (centres < 1)
+                                          | (centres > MAX_COUNT))
         not_count[:, n_features:] = (targets != np.floor(targets)) | (targets > MAX_COUNT)
         negative[:, n_features:] = targets < 0
-    bad = nonfinite | off_range | foreign | not_count | negative
+    bad = nonfinite | off_range | foreign | no_centres | not_count | negative
     if not bad.any():
         return None
     row, col = divmod(int(bad.argmax()), shape[1])
@@ -200,6 +204,8 @@ def _first_bad_cell(features: np.ndarray, targets: np.ndarray,
         detail = f"{value} not in enumerated range {sorted(CATEGORICAL_RANGES[code])}"
     elif foreign[row, col]:
         detail = f"region code {int(value)} does not match {region.name} ({region.code})"
+    elif no_centres[row, col]:
+        detail = f"{value} is not a health centre count in [1, {MAX_COUNT}]"
     elif not_count[row, col]:
         detail = f"{value} is not an integer count up to {MAX_COUNT}"
     else:

@@ -8,9 +8,10 @@ case-study training rows at weight 1.0. Weight 1 is plain kNN on the
 union, and weight 0 drops the pooled rows, leaving kNN on the case study
 alone.
 
-The quantile/min-max scalers are fitted once, on pool plus case-study
+The quantile feature scaler is fitted once, on pool plus case-study
 *training* rows. Held-out rows are only ever transformed with the fitted
-state.
+state. The store holds raw target counts: a vote is a weighted mean of
+them, so it is a non-negative count with no target scaling to undo.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from .features import (
     DEFAULT_SELECTED_FEATURES,
     PRIMARY_FEATURE_CODES,
     FeatureMatrix,
-    TargetMatrix,
     compute_derived_features,
     concat_features,
     select_features,
@@ -35,10 +35,8 @@ from .features import (
 from .ingest import RegionalDataset, RegionId, split_train_test
 from .knn import InstanceStore, KnnConfig, fit_knn, predict_knn_batch
 from .scaling import (
-    MinMaxScalerState,
     QuantileNormalScaler,
     apply_quantile_scaler,
-    fit_minmax,
     fit_quantile_scaler,
     l2_normalize_rows,
 )
@@ -64,7 +62,7 @@ def transform_design(
 
 @dataclass(frozen=True)
 class TrainReport:
-    """Instance counts, wall-clock fit time, and scaler summaries for one run.
+    """Instance counts, wall-clock fit time and quantile landmark count for one run.
 
     ``generic_instances`` counts the rows pooled from the other regions;
     the store holds them only when the generic weight is above 0.
@@ -75,8 +73,6 @@ class TrainReport:
     case_train_rows: int
     fit_seconds: float
     n_quantiles: int
-    target_mins: tuple[float, ...] = ()
-    target_maxs: tuple[float, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -90,7 +86,6 @@ class MtlModel:
 
     store: InstanceStore
     feature_scaler: QuantileNormalScaler
-    target_scaler: MinMaxScalerState
     selected_features: tuple[str, ...]
     cfg: KnnConfig
     generic_weight: float
@@ -124,7 +119,7 @@ def train_mtl(
         raise DataError("training needs at least one region besides the case study")
     n_pool = sum(d.n_rows for d in pool)
     features = np.vstack([d.features for d in pool] + [case.features])
-    targets = TargetMatrix(np.vstack([d.targets for d in pool] + [case.targets]))
+    targets = np.vstack([d.targets for d in pool] + [case.targets])
     tags = np.concatenate([np.full(d.n_rows, d.region.code) for d in pool + [case]])
     weights = np.concatenate([np.full(n_pool, float(generic_weight)),
                               np.ones(case.n_rows)])
@@ -133,18 +128,15 @@ def train_mtl(
     raw_design = build_design_matrix(
         FeatureMatrix(features, PRIMARY_FEATURE_CODES), selection)
     feature_scaler = fit_quantile_scaler(raw_design)
-    target_scaler = fit_minmax(targets)
     # zero-weight instances cannot vote, so they are dropped, not stored
     keep = slice(n_pool if generic_weight == 0 else 0, None)
-    store = fit_knn(transform_design(feature_scaler, raw_design)[keep],
-                    target_scaler.transform_values(targets.values)[keep],
+    store = fit_knn(transform_design(feature_scaler, raw_design)[keep], targets[keep],
                     source_tags=tags[keep], weights=weights[keep])
     fit_seconds = time.perf_counter() - t0
 
     model = MtlModel(
         store=store,
         feature_scaler=feature_scaler,
-        target_scaler=target_scaler,
         selected_features=tuple(selection),
         cfg=cfg,
         generic_weight=float(generic_weight),
@@ -156,8 +148,6 @@ def train_mtl(
         case_train_rows=case.n_rows,
         fit_seconds=fit_seconds,
         n_quantiles=feature_scaler.n_quantiles,
-        target_mins=tuple(float(v) for v in target_scaler.mins),
-        target_maxs=tuple(float(v) for v in target_scaler.maxs),
     )
     return model, report
 
@@ -166,13 +156,12 @@ def predict_monitoring(model: MtlModel, ds: RegionalDataset) -> np.ndarray:
     """Predict (infections, hospitalizations, recoveries, deaths) per day of ``ds``.
 
     Returns the (n, 4) float counts in TARGET_COLUMNS order. Pipeline:
-    derive features, select the model columns, apply the fitted scalers,
-    query the store, invert target scaling, floor at 0.
+    derive features, select the model columns, apply the fitted scaler,
+    then let the store's nearest instances vote.
     """
     raw_design = build_design_matrix(ds.feature_matrix(), model.selected_features)
     x = transform_design(model.feature_scaler, raw_design)
-    scaled = predict_knn_batch(model.store, x, model.cfg)
-    return model.target_scaler.inverse_values(scaled, count_mode=True)
+    return predict_knn_batch(model.store, x, model.cfg)
 
 
 def rotate_regions(

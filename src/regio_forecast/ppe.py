@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError
 from .features import PRIMARY_FEATURE_CODES, TARGET_COLUMNS
 from .ingest import RegionalDataset
 from .mtl import MtlModel, predict_monitoring
@@ -69,17 +69,11 @@ def forecast_series(
     """Chain the monitoring model's hospitalization predictions into kit demand.
 
     ``operating_capacity`` and ``personnel`` hold for every day. The health
-    centre count is each day's feat_11, rounded; a day with fewer than one
-    centre is a DataError naming its date.
+    centre count is each day's feat_11, which every dataset holds as an
+    integer of at least 1.
     """
     hospitalized = predict_monitoring(model, ds)[:, TARGET_COLUMNS.index("hospitalizations")]
-    feat_11 = ds.features[:, PRIMARY_FEATURE_CODES.index("feat_11")]
-    chc = np.rint(feat_11)
-    low = chc < 1
-    if low.any():
-        i = low.argmax()
-        raise DataError(f"bad value at {ds.dates[i]}, column 'feat_11': "
-                        f"{feat_11[i]} rounds to fewer than 1 health centre")
+    chc = ds.features[:, PRIMARY_FEATURE_CODES.index("feat_11")]
     kits = predict_ppe_kits(hospitalized, chc, operating_capacity, personnel)
     return PpeForecast(ds.dates, hospitalized, hospitalized / chc, kits)
 

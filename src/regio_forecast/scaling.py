@@ -1,6 +1,6 @@
 """Column and row scaling transforms for the monitoring pipeline.
 
-Three transforms are provided:
+Two transforms are provided:
 
 * a quantile-normal scaler that maps each feature column through its
   empirical CDF at min(1000, row count) landmarks, clips the probability
@@ -8,12 +8,12 @@ Three transforms are provided:
   function (``scipy.special.ndtri``), so a skewed training column comes
   out approximately N(0, 1);
 * row-wise L2 normalization, so every sample becomes a unit vector (an
-  all-zero row stays zero);
-* per-column min-max scaling of the target counts onto the training
-  [0, 1] range, with an inverse used to turn predictions back into counts.
+  all-zero row stays zero).
 
-Scalers are fitted on training rows only and are immutable afterwards;
-applying them to new data never refits anything.
+The quantile scaler is fitted on training rows only and is immutable
+afterwards; applying it to new data never refits anything. Targets are not
+scaled: the kNN vote is a weighted mean of stored counts, which commutes
+with any per-column affine map.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from .errors import DataError
-from .features import FeatureMatrix, TargetMatrix
+from .features import FeatureMatrix
 
 # Probabilities are clipped away from {0, 1} before the normal quantile
 # function so outputs stay finite.
@@ -176,72 +176,3 @@ def l2_normalize_rows(values: np.ndarray) -> np.ndarray:
         values[unsafe] /= np.where(peak > 0.0, peak, 1.0)
         norms[unsafe] = np.linalg.norm(values[unsafe], axis=1)
     return values / np.where(norms == 0.0, 1.0, norms)[:, None]
-
-
-@dataclass(frozen=True)
-class MinMaxScalerState:
-    """Per-column training minima and maxima for target scaling."""
-
-    mins: np.ndarray
-    maxs: np.ndarray
-
-    def __post_init__(self):
-        mins = np.asarray(self.mins, dtype=np.float64)
-        maxs = np.asarray(self.maxs, dtype=np.float64)
-        if mins.shape != maxs.shape or mins.ndim != 1:
-            raise DataError("min/max arrays must be 1-D and equally shaped")
-        if np.any(maxs < mins):
-            raise DataError("per-column max must be >= min")
-        mins.setflags(write=False)
-        maxs.setflags(write=False)
-        object.__setattr__(self, "mins", mins)
-        object.__setattr__(self, "maxs", maxs)
-
-    @property
-    def n_columns(self) -> int:
-        return self.mins.shape[0]
-
-    def transform_values(self, values: np.ndarray) -> np.ndarray:
-        """Scale targets onto the training [0, 1] range.
-
-        Values outside the training range extrapolate past [0, 1] on purpose
-        (no clipping), so the inverse transform can round-trip them. Columns
-        that were constant at fit time map to 0.
-        """
-        values = np.asarray(values, dtype=np.float64)
-        if values.shape[-1] != self.n_columns:
-            raise DataError(
-                f"expected {self.n_columns} columns, got {values.shape[-1]}")
-        span = self.maxs - self.mins
-        out = np.zeros_like(values)
-        nondeg = span > 0.0
-        out[..., nondeg] = (values[..., nondeg] - self.mins[nondeg]) / span[nondeg]
-        return out
-
-    def inverse_values(self, scaled: np.ndarray, count_mode: bool = False) -> np.ndarray:
-        """Undo min-max scaling; with ``count_mode`` negative results floor at 0."""
-        scaled = np.asarray(scaled, dtype=np.float64)
-        if scaled.shape[-1] != self.n_columns:
-            raise DataError(
-                f"expected {self.n_columns} columns, got {scaled.shape[-1]}")
-        out = scaled * (self.maxs - self.mins) + self.mins
-        if count_mode:
-            out = np.maximum(out, 0.0)
-        return out
-
-    def to_json_dict(self) -> dict:
-        return {"mins": self.mins.tolist(), "maxs": self.maxs.tolist()}
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "MinMaxScalerState":
-        return cls(np.asarray(d["mins"], dtype=np.float64),
-                   np.asarray(d["maxs"], dtype=np.float64))
-
-
-def fit_minmax(train_targets: TargetMatrix) -> MinMaxScalerState:
-    """Record per-column training minima and maxima."""
-    v = train_targets.values
-    if v.shape[0] < 1:
-        raise DataError("cannot fit min-max scaler on an empty matrix")
-    return MinMaxScalerState(v.min(axis=0), v.max(axis=0))
-

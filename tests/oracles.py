@@ -2,7 +2,8 @@
 
 Everything here is deliberately written the slow, obvious way (loops,
 bisection, direct formulas) with no code shared with the implementations
-under test.
+under test. The one exception, ``minmax_vote_oracle``, keeps an earlier
+model's target scaling around the package's own vote.
 """
 
 import math
@@ -12,7 +13,7 @@ import numpy as np
 from regio_forecast.errors import DataError
 from regio_forecast.features import TARGET_COLUMNS
 from regio_forecast.ingest import CATEGORICAL_RANGES, CSV_HEADER, MAX_COUNT
-from regio_forecast.knn import InstanceStore, KnnConfig
+from regio_forecast.knn import InstanceStore, KnnConfig, predict_knn_batch
 
 
 def normal_cdf(x: float) -> float:
@@ -101,6 +102,23 @@ def knn_oracle(store: InstanceStore, query: np.ndarray, cfg: KnnConfig) -> np.nd
     ])
 
 
+def minmax_vote_oracle(store: InstanceStore, queries: np.ndarray, cfg: KnnConfig) -> np.ndarray:
+    """The vote as models with min-max scaled targets gave it.
+
+    Scale each stored target column onto [0, 1] by its minimum and maximum
+    (a constant column maps to 0), vote with ``predict_knn_batch``, invert
+    the scaling, then floor at 0.
+    """
+    lo, hi = store.targets.min(axis=0), store.targets.max(axis=0)
+    span = hi - lo
+    varies = span > 0
+    scaled = np.zeros_like(store.targets)
+    scaled[:, varies] = (store.targets[:, varies] - lo[varies]) / span[varies]
+    scaled_store = InstanceStore(store.features, scaled, store.source_tags, store.weights)
+    votes = predict_knn_batch(scaled_store, queries, cfg)
+    return np.maximum(votes * span + lo, 0.0)
+
+
 def cell_problem(code: str, value, region) -> str | None:
     """Why ``value`` is invalid in column ``code`` of a ``region`` dataset, or None."""
     if not math.isfinite(value):
@@ -110,6 +128,8 @@ def cell_problem(code: str, value, region) -> str | None:
         return f"{value} not in enumerated range {sorted(allowed)}"
     if code == "feat_04" and value != region.code:
         return f"region code {int(value)} does not match {region.name} ({region.code})"
+    if code == "feat_11" and (value != int(value) or not 1 <= value <= MAX_COUNT):
+        return f"{value} is not a health centre count in [1, {MAX_COUNT}]"
     if code in TARGET_COLUMNS:
         if value != int(value) or value > MAX_COUNT:
             return f"{value} is not an integer count up to {MAX_COUNT}"

@@ -17,7 +17,7 @@ import pytest
 from regio_forecast.cli import main as cli_main
 from regio_forecast.errors import ZeroVariance
 from regio_forecast.evaluation import BootstrapConfig, bootstrap_interval, evs, mae, r2, rmse
-from regio_forecast.features import PRIMARY_FEATURE_CODES, FeatureMatrix, TargetMatrix
+from regio_forecast.features import PRIMARY_FEATURE_CODES, FeatureMatrix
 from regio_forecast.ingest import (
     parse_regional_csv,
     region_by_name,
@@ -35,7 +35,6 @@ from regio_forecast.scaling import (
     CDF_CLIP_HI,
     CDF_CLIP_LO,
     apply_quantile_scaler,
-    fit_minmax,
     fit_quantile_scaler,
     l2_normalize_rows,
 )
@@ -56,7 +55,7 @@ def criterion(name):
 
 
 def test_scaling_suite():
-    with criterion("scaling: normal-column stats, unit rows, min-max roundtrip, "
+    with criterion("scaling: normal-column stats, unit rows, "
                    "normal-quantile accuracy, < 5 s"):
         started = time.perf_counter()
 
@@ -77,11 +76,6 @@ def test_scaling_suite():
         unit = l2_normalize_rows(z.values)
         norms = np.linalg.norm(unit, axis=1)
         assert np.all(np.abs(norms[np.any(z.values, axis=1)] - 1.0) <= 1e-9)
-
-        t = TargetMatrix(rng.uniform(0.0, 500.0, size=(362, 4)))
-        state = fit_minmax(t)
-        back = state.inverse_values(state.transform_values(t.values))
-        assert np.max(np.abs(back - t.values)) <= 1e-9
 
         # at each landmark, z is the oracle's Phi^-1 of the clipped landmark probability
         at_landmarks = apply_quantile_scaler(
@@ -147,9 +141,7 @@ def test_transfer_algebra():
                                     PRIMARY_FEATURE_CODES)
             design = build_design_matrix(primary, model.selected_features)
             x = transform_design(model.feature_scaler, design)
-            y = model.target_scaler.transform_values(
-                np.vstack([p.targets for p in parts]).astype(float))
-            return x, y
+            return x, np.vstack([p.targets for p in parts])
 
         xu, yu = scaled(model_union, [*datasets[1:], case_train])
         union_store = fit_knn(xu, yu)

@@ -30,9 +30,9 @@ def test_artifact_is_plain_json(trained_small_model, tmp_path):
     path = tmp_path / "model.json"
     save_model(model, path)
     doc = json.loads(path.read_text())
-    assert doc["version"] == "3"
+    assert doc["version"] == "4"
     assert set(doc) == {"version", "config", "selected_features", "generic_weight",
-                        "case_study", "feature_scaler", "target_scaler", "store"}
+                        "case_study", "feature_scaler", "store"}
     assert doc["config"] == {"k": 6}
     assert set(doc["feature_scaler"]) == {"column_codes", "landmarks"}
     assert len(doc["selected_features"]) == 13
@@ -43,13 +43,13 @@ def test_unknown_version_rejected(trained_small_model):
     doc = model_to_dict(model)
     doc["version"] = "0"
     with pytest.raises(DataError,
-                       match=r"^model artifact version '0' not supported \(expected '3'\)$"):
+                       match=r"^model artifact version '0' not supported \(expected '4'\)$"):
         model_from_dict(doc)
 
 
 def test_missing_field_rejected(trained_small_model):
     model, _, _ = trained_small_model
     doc = model_to_dict(model)
-    del doc["target_scaler"]
-    with pytest.raises(DataError):
+    del doc["feature_scaler"]
+    with pytest.raises(DataError, match="^model artifact is missing field 'feature_scaler'$"):
         model_from_dict(doc)

@@ -33,9 +33,10 @@ def test_train_writes_artifact_and_report(data_dir, tmp_path):
                 "--test-days", "16", "--seed", "3", "--out", out])
     assert code == 0
     doc = json.loads((out / "model.json").read_text())
-    assert doc["version"] == "3"
+    assert doc["version"] == "4"
     assert doc["case_study"]["name"] == "Alberta"
     report = json.loads((out / "train_report.json").read_text())
+    assert not {"target_mins", "target_maxs"} & set(report)
     assert report["pooled_regions"] == ["British Columbia", "Manitoba"]
     assert report["generic_instances"] == 2 * 80
     assert report["dedicated_instances"] == 2 * 80 + 64
@@ -190,7 +191,7 @@ def test_ppe_health_centre_count_below_one_exits_3(data_dir, tmp_path, capsys):
                 "--test-days", "16", "--out", out]) == 0
     lines = (data_dir / "alberta.csv").read_text().splitlines()
     column = lines[0].split(",").index("feat_11")
-    for text, expected in [("0", 3), ("1e300", 0)]:
+    for text, shown in [("0", "0.0"), ("1e300", "1e+300"), ("2.5", "2.5")]:
         cells = lines[5].split(",")
         cells[column] = text
         path = tmp_path / f"feat_11_{text}" / "alberta.csv"
@@ -198,10 +199,10 @@ def test_ppe_health_centre_count_below_one_exits_3(data_dir, tmp_path, capsys):
         path.write_text("\n".join(lines[:5] + [",".join(cells)] + lines[6:]) + "\n")
         code = run(["ppe", "--model", out / "model.json", "--input", path,
                     "--out", tmp_path / "p"])
-        assert code == expected
-        if expected == 3:
-            assert (f"{path}: bad value at {cells[0]}, column 'feat_11': 0.0 rounds to "
-                    "fewer than 1 health centre") in capsys.readouterr().err
+        assert code == 3
+        assert (f"{path}: bad value at row 5, column 'feat_11': {shown} is not a health "
+                "centre count in [1, 9007199254740992]") in capsys.readouterr().err
+    assert not (tmp_path / "p" / "ppe_forecast.csv").exists()
 
 
 def test_unknown_case_study_exits_2(data_dir, tmp_path, capsys):
@@ -237,21 +238,37 @@ def test_version_1_artifact_exits_3(data_dir, tmp_path, capsys):
     assert run(["train", "--data-dir", data_dir, "--case-study", "alberta",
                 "--test-days", "16", "--out", out]) == 0
     doc = json.loads((out / "model.json").read_text())
-    for version in ("1", "2"):     # checked before any other field is read
+    for version in ("1", "2", "3"):     # checked before any other field is read
         doc["version"] = version
         old = tmp_path / f"v{version}_model.json"
         old.write_text(json.dumps(doc))
         code = run(["predict", "--model", old, "--input", data_dir / "alberta.csv",
                     "--out", tmp_path / "x"])
         assert code == 3
-        assert (f"{old}: model artifact version '{version}' not supported (expected '3')"
+        assert (f"{old}: model artifact version '{version}' not supported (expected '4')"
                 in capsys.readouterr().err)
-    doc["version"] = "3"
+    doc["version"] = "4"
     del doc["store"]
     old.write_text(json.dumps(doc))
     assert run(["predict", "--model", old, "--input", data_dir / "alberta.csv",
                 "--out", tmp_path / "x"]) == 3
     assert f"{old}: model artifact is missing field 'store'" in capsys.readouterr().err
+
+
+def test_negative_store_target_exits_3(data_dir, tmp_path, capsys):
+    out = tmp_path / "model_out"
+    assert run(["train", "--data-dir", data_dir, "--case-study", "alberta",
+                "--test-days", "16", "--out", out]) == 0
+    doc = json.loads((out / "model.json").read_text())
+    doc["store"]["targets"][7][2] = -1.0
+    bad = tmp_path / "bad_model.json"
+    bad.write_text(json.dumps(doc))
+    code = run(["predict", "--model", bad, "--input", data_dir / "alberta.csv",
+                "--out", tmp_path / "x"])
+    assert code == 3
+    assert f"{bad}: model artifact holds a negative count (store.targets)" \
+        in capsys.readouterr().err
+    assert not (tmp_path / "x" / "predictions.csv").exists()
 
 
 @pytest.mark.parametrize("column, text", [

@@ -5,9 +5,9 @@ from regio_forecast.errors import ConfigError, DataError
 from regio_forecast.features import (
     DEFAULT_SELECTED_FEATURES,
     PRIMARY_FEATURE_CODES,
+    TARGET_COLUMNS,
     FeatureMatrix,
     RelevanceReport,
-    TargetMatrix,
     compute_derived_features,
     concat_features,
     score_relevance,
@@ -91,9 +91,9 @@ def test_relevance_perfect_monotone_association():
     rng = np.random.default_rng(0)
     t = rng.normal(size=30)
     features = FeatureMatrix(np.column_stack([t, rng.normal(size=30)]), ("same", "noise"))
-    targets = TargetMatrix(np.column_stack([t] * 4))
+    targets = np.column_stack([t] * 4)
     report = score_relevance(features, targets)
-    for target in targets.column_names:
+    for target in TARGET_COLUMNS:
         assert report.score("same", target) == pytest.approx(1.0)
 
 
@@ -101,23 +101,42 @@ def test_relevance_constant_feature_scores_zero():
     rng = np.random.default_rng(1)
     features = FeatureMatrix(
         np.column_stack([np.full(20, 3.0), rng.normal(size=20)]), ("const", "varies"))
-    targets = TargetMatrix(rng.normal(size=(20, 4)))
+    targets = rng.normal(size=(20, 4))
     report = score_relevance(features, targets)
-    for target in targets.column_names:
+    for target in TARGET_COLUMNS:
         assert report.score("const", target) == 0.0
 
 
 def test_relevance_too_few_rows():
     features = FeatureMatrix(np.ones((2, 1)), ("a",))
-    targets = TargetMatrix(np.ones((2, 4)))
+    targets = np.ones((2, 4))
     with pytest.raises(DataError, match="^relevance scoring needs at least 3 rows$"):
         score_relevance(features, targets)
+
+
+@pytest.mark.parametrize("targets, message", [
+    (np.ones((5, 3)), r"^targets must have shape \(n, 4\), got \(5, 3\)$"),
+    (np.ones(5), r"^targets must have shape \(n, 4\), got \(5,\)$"),
+    (np.ones((4, 4)), "^row counts differ: 5 vs 4$"),
+    (np.where(np.eye(5, 4) > 0, np.nan, 1.0), "^targets contain non-finite values$"),
+    (np.full((5, 4), np.inf), "^targets contain non-finite values$"),
+], ids=["three_columns", "one_dimensional", "row_count", "nan", "inf"])
+def test_relevance_rejects_bad_targets(targets, message):
+    features = FeatureMatrix(np.arange(10.0).reshape(5, 2), ("a", "b"))
+    with pytest.raises(DataError, match=message):
+        score_relevance(features, targets)
+
+
+@pytest.mark.parametrize("bad", [np.nan, -0.1, 1.1])
+def test_relevance_report_rejects_scores_outside_unit_interval(bad):
+    with pytest.raises(DataError, match=r"^relevance scores must lie in \[0, 1\]$"):
+        RelevanceReport(("a", "b"), ("t",), np.array([[bad], [0.5]]))
 
 
 def test_relevance_invariant_under_monotone_transform():
     rng = np.random.default_rng(2)
     base = rng.normal(size=(40, 2))
-    targets = TargetMatrix(rng.normal(size=(40, 4)))
+    targets = rng.normal(size=(40, 4))
     plain = score_relevance(FeatureMatrix(base, ("f", "g")), targets)
     warped = score_relevance(
         FeatureMatrix(np.column_stack([np.exp(base[:, 0]), base[:, 1]]), ("f", "g")),
@@ -128,7 +147,7 @@ def test_relevance_invariant_under_monotone_transform():
 def test_relevance_csv_export():
     rng = np.random.default_rng(4)
     features = FeatureMatrix(rng.normal(size=(30, 2)), ("a", "b"))
-    targets = TargetMatrix(rng.normal(size=(30, 4)))
+    targets = rng.normal(size=(30, 4))
     text = score_relevance(features, targets).to_csv_text()
     lines = text.strip().splitlines()
     assert lines[0] == "feature,infections,hospitalizations,recoveries,deaths"
@@ -162,7 +181,7 @@ def test_select_ranked_full_width_is_rank_reorder():
                          rng.normal(size=50),
                          t]),
         ("close", "noise", "exact"))
-    targets = TargetMatrix(np.column_stack([t] * 4))
+    targets = np.column_stack([t] * 4)
     report = score_relevance(features, targets)
     picked = select_features(features, report=report, top_n=3)
     assert set(picked.column_codes) == {"close", "noise", "exact"}
@@ -181,7 +200,7 @@ def test_select_ranked_ties_keep_column_order():
 def test_select_ranked_bad_top_n():
     m = primary_matrix([{}, {}, {}])
     rng = np.random.default_rng(7)
-    report = score_relevance(m, TargetMatrix(rng.normal(size=(3, 4))))
+    report = score_relevance(m, rng.normal(size=(3, 4)))
     with pytest.raises(ConfigError, match=r"^top_n must be in \[1, 27\], got 0$"):
         select_features(m, report=report, top_n=0)
     with pytest.raises(ConfigError, match=r"^top_n must be in \[1, 27\], got 28$"):

@@ -68,7 +68,7 @@ def test_parse_roundtrip_identical(tmp_path):
     write_regional_csv(ds, path)
     back = parse_regional_csv(path, ds.region)
     assert back.dates == ds.dates
-    assert np.array_equal(back.target_matrix().values, ds.target_matrix().values)
+    assert np.array_equal(back.targets, ds.targets)
     # reals round-trip bit-exactly through repr, comfortably within 1e-12
     assert np.array_equal(back.feature_matrix().values, ds.feature_matrix().values)
 
@@ -206,11 +206,12 @@ def test_validate_duplicate_date():
 
 # Cell values that probe every rule: non-finite, signed zero, fractions,
 # negatives, the count bound and one past it, and categorical codes in and
-# out of range (0-4 are Alberta's feat_04 or a foreign region code).
+# out of range (0-4 are Alberta's feat_04 or a foreign region code; 0 and
+# the fractions are no health-centre count).
 _PROBES = [float("nan"), float("inf"), float("-inf"), -0.0, 0.5, 1.5, -1.0,
            float(2 ** 53), float(2 ** 53 + 2), 0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 11.0]
-# feat_02, feat_04, feat_05, feat_07-feat_10 and the four targets
-_RULED_COLUMNS = [1, 3, 4, 6, 7, 8, 9, 27, 28, 29, 30]
+# feat_02, feat_04, feat_05, feat_07-feat_11 and the four targets
+_RULED_COLUMNS = [1, 3, 4, 6, 7, 8, 9, 10, 27, 28, 29, 30]
 
 
 @settings(deadline=None, max_examples=300, derandomize=True)

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from regio_forecast.artifact import dumps_model
 from regio_forecast.errors import ConfigError, DataError
 from regio_forecast.features import PRIMARY_FEATURE_CODES, FeatureMatrix
 from regio_forecast.ingest import RegionalDataset, split_train_test
-from regio_forecast.knn import fit_knn, predict_knn_batch
+from regio_forecast.knn import KnnConfig, fit_knn, predict_knn_batch
 from regio_forecast.mtl import (
     build_design_matrix,
     predict_monitoring,
@@ -15,16 +17,16 @@ from regio_forecast.mtl import (
 )
 from regio_forecast.synth import SyntheticSpec, generate_regions
 
+from oracles import minmax_vote_oracle
+
 
 def scaled(model, datasets):
-    """Scaled design rows and targets of every day in ``datasets``, in order."""
+    """Scaled design rows and raw target counts of every day in ``datasets``, in order."""
     primary = FeatureMatrix(np.vstack([ds.features for ds in datasets]),
                             PRIMARY_FEATURE_CODES)
     x = transform_design(model.feature_scaler,
                          build_design_matrix(primary, model.selected_features))
-    y = model.target_scaler.transform_values(
-        np.vstack([ds.targets for ds in datasets]).astype(float))
-    return x, y
+    return x, np.vstack([ds.targets for ds in datasets])
 
 
 def test_store_cardinalities_full_scale():
@@ -128,6 +130,40 @@ def test_lambda_zero_equals_dedicated_only_knn(small_datasets, rng):
         a = predict_knn_batch(model.store, [q], model.cfg)[0]
         b = predict_knn_batch(dedicated_only, [q], model.cfg)[0]
         assert np.allclose(a, b, atol=1e-10)
+
+
+@st.composite
+def vote_cases(draw):
+    """A store of raw counts, queries and k, probing the vote's corner cases.
+
+    Points on a 3-value grid repeat, so queries often sit at distance 0
+    from one or several instances; some target columns are constant; the
+    source weights differ; k ranges from 1 to past the store size.
+    """
+    n = draw(st.integers(1, 12))
+    d = draw(st.integers(1, 3))
+    point = st.lists(st.one_of(st.sampled_from([0.0, 1.0, 2.0]), st.floats(-3.0, 3.0)),
+                     min_size=d, max_size=d)
+    features = np.array(draw(st.lists(point, min_size=n, max_size=n)))
+    targets = np.array(draw(st.lists(st.lists(st.integers(0, 10 ** 6), min_size=4, max_size=4),
+                                     min_size=n, max_size=n)), dtype=float)
+    constant = np.array(draw(st.lists(st.booleans(), min_size=4, max_size=4)))
+    targets[:, constant] = targets[0, constant]
+    weights = draw(st.lists(st.sampled_from([0.05, 0.25, 1.0, 3.0, 17.5]),
+                            min_size=n, max_size=n))
+    queries = np.array(draw(st.lists(point, min_size=1, max_size=4)))
+    k = draw(st.one_of(st.just(1), st.integers(1, n), st.integers(n + 1, n + 5)))
+    return fit_knn(features, targets, weights=np.array(weights)), queries, KnnConfig(k=k)
+
+
+@settings(deadline=None, max_examples=300, derandomize=True)
+@given(vote_cases())
+def test_raw_target_vote_matches_minmax_oracle(case):
+    """Voting on raw counts gives the min-max scale, vote, invert, floor result."""
+    store, queries, cfg = case
+    raw = predict_knn_batch(store, queries, cfg)
+    assert np.all(raw >= 0.0)
+    assert np.all(np.abs(raw - minmax_vote_oracle(store, queries, cfg)) <= 1e-12 * raw)
 
 
 def test_pool_instances_never_carry_case_tag(trained_small_model, small_datasets):

@@ -2,13 +2,14 @@ import csv
 import datetime as dt
 import io
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from regio_forecast.errors import ConfigError
+from regio_forecast.errors import ConfigError, DataError
 from regio_forecast.features import PRIMARY_FEATURE_CODES, TARGET_COLUMNS
 from regio_forecast.ingest import RegionalDataset
 from regio_forecast.mtl import predict_monitoring
@@ -129,14 +130,16 @@ def test_forecast_series_composition(trained_small_model, small_datasets):
         assert rows[i]["face_shields"] == rows[i]["kits_ceil"]
 
 
-def test_forecast_series_rounds_health_centres_half_to_even(trained_small_model, small_datasets):
-    model, _, split = trained_small_model
-    test = small_datasets[0].subset(split.test_indices[:4])
-    features = test.features.copy()
-    features[:, PRIMARY_FEATURE_CODES.index("feat_11")] = [2.5, 1.5, 3.49, 0.5000001]
-    forecast = forecast_series(model, RegionalDataset(test.region, test.dates, features,
-                                                      test.targets), 0.75, 200.0)
-    assert forecast.hsp_ratio.tolist() == (forecast.predicted_hospitalized / [2, 2, 3, 1]).tolist()
+def test_fractional_health_centre_count_rejected(small_datasets):
+    test = small_datasets[0].subset(range(4))
+    for value, shown in [(2.5, "2.5"), (0.5000001, "0.5000001"), (0.0, "0.0"),
+                         (1e300, "1e+300")]:
+        features = test.features.copy()
+        features[1, PRIMARY_FEATURE_CODES.index("feat_11")] = value
+        with pytest.raises(DataError, match=(
+                rf"^bad value at {test.dates[1]}, column 'feat_11': {re.escape(shown)} "
+                r"is not a health centre count in \[1, 9007199254740992\]$")):
+            RegionalDataset(test.region, test.dates, features, test.targets)
 
 
 def test_forecast_series_zero_personnel_day(trained_small_model, small_datasets):

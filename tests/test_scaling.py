@@ -4,14 +4,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from regio_forecast.errors import DataError
-from regio_forecast.features import FeatureMatrix, TargetMatrix
+from regio_forecast.features import FeatureMatrix
 from regio_forecast.scaling import (
     CDF_CLIP_HI,
     CDF_CLIP_LO,
-    MinMaxScalerState,
     QuantileNormalScaler,
     apply_quantile_scaler,
-    fit_minmax,
     fit_quantile_scaler,
     l2_normalize_rows,
 )
@@ -207,79 +205,3 @@ def test_l2_norms_and_direction(rows):
             unit = arr[i] / np.abs(arr[i]).max()
             assert np.allclose(out[i] * np.linalg.norm(unit), unit,
                                rtol=1e-9, atol=1e-12)
-
-
-# --- min-max ------------------------------------------------------------
-
-def targets(values, names=("count",)):
-    return TargetMatrix(np.asarray(values, dtype=float).reshape(-1, len(names)), names)
-
-
-def test_fit_minmax_basic():
-    state = fit_minmax(targets([10.0, 20.0, 30.0]))
-    assert state.mins[0] == 10.0 and state.maxs[0] == 30.0
-
-
-def test_fit_minmax_single_value():
-    state = fit_minmax(targets([7.0]))
-    assert state.mins[0] == 7.0 and state.maxs[0] == 7.0
-
-
-def test_fit_minmax_empty():
-    with pytest.raises(DataError, match="^cannot fit min-max scaler on an empty matrix$"):
-        fit_minmax(targets(np.empty((0, 1))))
-
-
-def test_apply_minmax_values():
-    state = fit_minmax(targets([10.0, 20.0, 30.0]))
-    out = state.transform_values(targets([10.0, 20.0, 30.0]).values)
-    assert np.allclose(out.ravel(), [0.0, 0.5, 1.0])
-
-
-def test_apply_minmax_extrapolates_unclipped():
-    state = fit_minmax(targets([10.0, 20.0, 30.0]))
-    out = state.transform_values(targets([40.0]).values)
-    assert out[0, 0] == pytest.approx(1.5)
-
-
-def test_apply_minmax_constant_column_maps_to_zero():
-    state = fit_minmax(targets([7.0, 7.0]))
-    out = state.transform_values(targets([7.0, 9.0]).values)
-    assert np.all(out == 0.0)
-
-
-def test_invert_minmax_midpoint():
-    state = MinMaxScalerState(np.array([10.0]), np.array([30.0]))
-    out = state.inverse_values(targets([0.5]).values)
-    assert out[0, 0] == pytest.approx(20.0)
-
-
-def test_invert_minmax_count_mode_floors():
-    state = MinMaxScalerState(np.array([0.0]), np.array([100.0]))
-    out = state.inverse_values(targets([-0.1]).values, count_mode=True)
-    assert out[0, 0] == 0.0
-    raw = state.inverse_values(targets([-0.1]).values)
-    assert raw[0, 0] == pytest.approx(-10.0)
-
-
-def test_minmax_column_mismatch():
-    state = MinMaxScalerState(np.array([0.0, 0.0]), np.array([1.0, 2.0]))
-    with pytest.raises(DataError, match="^expected 2 columns, got 1$"):
-        state.transform_values(targets([1.0]).values)
-
-
-@settings(deadline=None)
-@given(st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=50))
-def test_minmax_roundtrip(values):
-    t = targets(values)
-    state = fit_minmax(t)
-    back = state.inverse_values(state.transform_values(t.values))
-    span = float(state.maxs[0] - state.mins[0])
-    if span > 0:
-        assert np.all(np.abs(back - t.values) <= 1e-9 * max(1.0, span))
-
-
-def test_minmax_order_preserving():
-    state = fit_minmax(targets([1.0, 5.0, 9.0]))
-    out = state.transform_values(targets([2.0, 3.0, 8.0]).values).ravel()
-    assert out[0] < out[1] < out[2]

@@ -58,6 +58,6 @@ def test_noiseless_dedicated_model_is_nearly_exact():
 
 def test_targets_are_nonnegative_integers(small_datasets):
     for ds in small_datasets:
-        t = ds.target_matrix().values
+        t = ds.targets.astype(float)
         assert np.all(t >= 0)
         assert np.array_equal(t, np.rint(t))
