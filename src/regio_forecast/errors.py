@@ -1,11 +1,9 @@
-"""The two errors of the CLI exit-code contract, plus one internal signal.
+"""The two errors of the CLI exit-code contract.
 
 ConfigError maps to exit 2 (the caller asked for something invalid) and
 DataError to exit 3 (the inputs are broken); each carries its whole
 explanation in its message. Anything else escaping to the CLI is an
-internal invariant violation and maps to exit 4. ZeroVariance is the one
-subclass: ``evaluation.bootstrap_interval`` catches it to skip a
-degenerate replicate.
+internal invariant violation and maps to exit 4.
 """
 
 from __future__ import annotations
@@ -17,7 +15,3 @@ class ConfigError(Exception):
 
 class DataError(Exception):
     """An input dataset, matrix, or artifact is malformed or unusable."""
-
-
-class ZeroVariance(DataError):
-    """The actuals are constant, so r2 or explained variance is undefined."""

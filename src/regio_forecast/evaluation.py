@@ -5,8 +5,9 @@ explained variance score (evs), mean absolute error (mae), and root mean
 squared error (rmse). Each is bracketed by a (low, mid, top) interval:
 mid is the metric on the full test set, low/top are the 2.5th/97.5th
 percentiles (CONFIDENCE, fixed at 0.95) of a pairs bootstrap over the
-test points. Replicates whose resampled actuals are constant cannot
-support r2/evs and are skipped, with the skip count reported.
+test points. Every metric reduces the last axis, so one call scores a
+whole (replicates, n) matrix of resamples. r2 and evs are NaN where the
+actuals are constant; the bootstrap skips and counts those resamples.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DataError, ZeroVariance
+from .errors import ConfigError, DataError
 from .features import TARGET_COLUMNS
 from .ingest import RegionalDataset
 from .mtl import MtlModel, predict_monitoring
@@ -29,43 +30,51 @@ CONFIDENCE = 0.95
 
 
 def _check_pair(y, y_hat, min_len: int):
-    y = np.asarray(y, dtype=np.float64).ravel()
-    y_hat = np.asarray(y_hat, dtype=np.float64).ravel()
-    if y.shape[0] != y_hat.shape[0]:
-        raise DataError(f"{y.shape[0]} actuals vs {y_hat.shape[0]} predictions")
-    if y.shape[0] == 0:
+    y = np.atleast_1d(np.asarray(y, dtype=np.float64))
+    y_hat = np.atleast_1d(np.asarray(y_hat, dtype=np.float64))
+    if y.shape != y_hat.shape:
+        raise DataError(f"{_count(y)} actuals vs {_count(y_hat)} predictions")
+    if y.shape[-1] == 0:
         raise DataError("metric inputs are empty")
-    if y.shape[0] < min_len:
-        raise DataError(f"need at least {min_len} points, got {y.shape[0]}")
+    if y.shape[-1] < min_len:
+        raise DataError(f"need at least {min_len} points, got {y.shape[-1]}")
     return y, y_hat
 
 
-def r2(y, y_hat) -> float:
+def _count(a: np.ndarray) -> str:
+    return " x ".join(map(str, a.shape))
+
+
+def _result(values):
+    """A 1-D call's score as a float; a batch of rows stays an array."""
+    return float(values) if np.ndim(values) == 0 else values
+
+
+def r2(y, y_hat):
     """1 - SS_res / SS_tot; 1.0 is a perfect fit, 0.0 matches the mean predictor."""
     y, y_hat = _check_pair(y, y_hat, 2)
-    ss_tot = float(np.sum((y - y.mean()) ** 2))
-    if ss_tot == 0.0:
-        raise ZeroVariance("actuals are constant; r2 is undefined")
-    return 1.0 - float(np.sum((y - y_hat) ** 2)) / ss_tot
+    ss_tot = np.sum((y - y.mean(axis=-1, keepdims=True)) ** 2, axis=-1)
+    ss_res = np.sum((y - y_hat) ** 2, axis=-1)
+    with np.errstate(all="ignore"):
+        return _result(np.where(ss_tot == 0.0, np.nan, 1.0 - ss_res / ss_tot))
 
 
-def evs(y, y_hat) -> float:
+def evs(y, y_hat):
     """Explained variance, 1 - Var(residuals)/Var(actuals); shift-invariant."""
     y, y_hat = _check_pair(y, y_hat, 2)
-    var_y = float(np.var(y))
-    if var_y == 0.0:
-        raise ZeroVariance("actuals are constant; explained variance is undefined")
-    return 1.0 - float(np.var(y - y_hat)) / var_y
+    var_y = np.var(y, axis=-1)
+    with np.errstate(all="ignore"):
+        return _result(np.where(var_y == 0.0, np.nan, 1.0 - np.var(y - y_hat, axis=-1) / var_y))
 
 
-def mae(y, y_hat) -> float:
+def mae(y, y_hat):
     y, y_hat = _check_pair(y, y_hat, 1)
-    return float(np.mean(np.abs(y - y_hat)))
+    return _result(np.mean(np.abs(y - y_hat), axis=-1))
 
 
-def rmse(y, y_hat) -> float:
+def rmse(y, y_hat):
     y, y_hat = _check_pair(y, y_hat, 1)
-    return math.sqrt(float(np.mean((y - y_hat) ** 2)))
+    return _result(np.sqrt(np.mean((y - y_hat) ** 2, axis=-1)))
 
 
 METRIC_FUNCTIONS: dict[str, Callable] = {"r2": r2, "evs": evs, "mae": mae, "rmse": rmse}
@@ -85,48 +94,48 @@ class BootstrapConfig:
 class Interval:
     """(low, mid, top) bracket for one metric.
 
-    ``skipped_replicates`` counts degenerate resamples; ``degenerate`` is
-    set when fewer than 2 replicates survived, in which case low <= mid
-    <= top is not guaranteed.
+    ``skipped_replicates`` counts the resamples with constant actuals,
+    which r2 and evs cannot score.
     """
 
     low: float
     mid: float
     top: float
     skipped_replicates: int = 0
-    degenerate: bool = False
+
+
+# Long names of the metrics that constant actuals leave undefined.
+_LONG_NAMES = {"evs": "explained variance"}
 
 
 def bootstrap_interval(y, y_hat, metric: Callable, cfg: BootstrapConfig) -> Interval:
     """Pairs bootstrap of a metric over (actual, prediction) index pairs.
 
-    mid is the metric on the full sample; low/top are percentile bounds
-    of the replicate distribution. Replicate index draws come from
-    per-replicate generators spawned off the master seed, so a parallel
-    evaluation would reproduce the serial numbers exactly.
+    mid is the metric on the full sample. One generator seeded with
+    ``cfg.seed`` draws a (replicates, n) index matrix, and one metric call
+    scores every row; rows with constant actuals score NaN under r2 and
+    evs and are skipped. low/top are percentile bounds of the rest.
     """
-    y, y_hat = _check_pair(y, y_hat, 2)
+    y, y_hat = _check_pair(np.ravel(y), np.ravel(y_hat), 2)
+    if not (np.all(np.isfinite(y)) and np.all(np.isfinite(y_hat))):
+        raise DataError("metric inputs must be finite")
     mid = metric(y, y_hat)
+    if math.isnan(mid):
+        name = metric.__name__
+        raise DataError(f"actuals are constant; {_LONG_NAMES.get(name, name)} is undefined")
 
     n = y.shape[0]
-    children = np.random.SeedSequence(cfg.seed).spawn(cfg.replicates)
-    values = []
-    skipped = 0
-    for child in children:
-        rng = np.random.default_rng(child)
-        idx = rng.integers(0, n, size=n)
-        try:
-            values.append(metric(y[idx], y_hat[idx]))
-        except ZeroVariance:
-            skipped += 1
-    if not values:
+    idx = np.random.default_rng(cfg.seed).integers(0, n, size=(cfg.replicates, n))
+    values = metric(y[idx], y_hat[idx])
+    values = values[~np.isnan(values)]
+    if values.size == 0:
         raise DataError(
             f"all {cfg.replicates} bootstrap replicates had constant actuals")
 
     alpha = 1.0 - CONFIDENCE
     low, top = np.percentile(values, [100 * alpha / 2, 100 * (1 - alpha / 2)])
     return Interval(float(low), mid, float(top),
-                    skipped_replicates=skipped, degenerate=len(values) < 2)
+                    skipped_replicates=cfg.replicates - values.size)
 
 
 @dataclass(frozen=True)
@@ -163,8 +172,6 @@ def evaluate_model(
 ) -> MetricReport:
     """Predict the held-out days and report bootstrap intervals per target.
 
-    Metrics are computed on inverse-scaled counts, not on the [0, 1]
-    training scale, so error magnitudes are comparable across regions.
     Test days must be disjoint from the days the model trained on.
     """
     predicted = predict_monitoring(model, test)

@@ -119,6 +119,28 @@ def minmax_vote_oracle(store: InstanceStore, queries: np.ndarray, cfg: KnnConfig
     return np.maximum(votes * span + lo, 0.0)
 
 
+def metric_oracle(name: str, y, y_hat) -> float:
+    """r2, evs, mae or rmse of two equal-length sequences, by Python sums.
+
+    r2 and evs are NaN when the actuals are all equal.
+    """
+    y = [float(v) for v in y]
+    res = [a - float(b) for a, b in zip(y, y_hat)]
+    n = len(y)
+    if name == "mae":
+        return sum(abs(r) for r in res) / n
+    if name == "rmse":
+        return math.sqrt(sum(r * r for r in res) / n)
+    if all(v == y[0] for v in y):
+        return math.nan
+    mean_y = sum(y) / n
+    ss_tot = sum((v - mean_y) ** 2 for v in y)
+    if name == "r2":
+        return 1.0 - sum(r * r for r in res) / ss_tot
+    mean_r = sum(res) / n
+    return 1.0 - sum((r - mean_r) ** 2 for r in res) / ss_tot   # evs; the 1/n cancels
+
+
 def cell_problem(code: str, value, region) -> str | None:
     """Why ``value`` is invalid in column ``code`` of a ``region`` dataset, or None."""
     if not math.isfinite(value):

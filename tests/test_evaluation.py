@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from regio_forecast.errors import DataError, ZeroVariance
+from regio_forecast.errors import DataError
 from regio_forecast.evaluation import (
+    METRIC_FUNCTIONS,
     BootstrapConfig,
     bootstrap_interval,
     evaluate_model,
@@ -18,6 +19,8 @@ from regio_forecast.evaluation import (
     rmse,
 )
 
+from oracles import metric_oracle
+
 
 def test_r2_fixed_points():
     assert r2([1, 2, 3], [1, 2, 3]) == 1.0
@@ -26,8 +29,8 @@ def test_r2_fixed_points():
 
 
 def test_r2_errors():
-    with pytest.raises(ZeroVariance):
-        r2([2, 2, 2], [1, 2, 3])
+    assert math.isnan(r2([2, 2, 2], [1, 2, 3]))
+    assert math.isnan(evs([2, 2, 2], [1, 2, 3]))
     with pytest.raises(DataError, match="^2 actuals vs 3 predictions$"):
         r2([1, 2], [1, 2, 3])
 
@@ -83,12 +86,11 @@ def test_bootstrap_perfect_predictions():
     assert (iv.low, iv.mid, iv.top) == (1.0, 1.0, 1.0)
 
 
-def test_bootstrap_single_replicate_degenerate_flag(rng):
+def test_bootstrap_single_replicate_low_equals_top(rng):
     y = rng.normal(size=12)
     y_hat = y + rng.normal(size=12)
     iv = bootstrap_interval(y, y_hat, mae, BootstrapConfig(replicates=1, seed=4))
     assert iv.low == iv.top
-    assert iv.degenerate
 
 
 def test_bootstrap_deterministic(rng):
@@ -123,13 +125,74 @@ def test_bootstrap_skips_degenerate_replicates():
 
 def test_bootstrap_all_degenerate():
     # constant actuals fail in the full-sample metric itself
-    with pytest.raises(ZeroVariance):
+    with pytest.raises(DataError, match="^actuals are constant; r2 is undefined$"):
         bootstrap_interval([3.0, 3.0], [2.0, 4.0], r2,
                            BootstrapConfig(replicates=20, seed=0))
-    # seed 0's single replicate resamples index 1 twice -> constant actuals
+    with pytest.raises(DataError, match="^actuals are constant; explained variance is undefined$"):
+        bootstrap_interval([3.0, 3.0], [2.0, 4.0], evs,
+                           BootstrapConfig(replicates=20, seed=0))
+    # seed 0's single (1, 2) index draw is [[1, 1]] -> constant actuals
+    # (a search of seeds 0-9 finds 0, 4, 5 and 7)
     with pytest.raises(DataError, match="^all 1 bootstrap replicates had constant actuals$"):
         bootstrap_interval([1.0, 2.0], [1.0, 2.0], r2,
                            BootstrapConfig(replicates=1, seed=0))
+
+
+@st.composite
+def replicate_batches(draw):
+    """Integer actuals (often few distinct values), predictions and a (B, n) index matrix.
+
+    Rows repeat indices, and some rows repeat one index, so their actuals are constant.
+    """
+    n = draw(st.integers(2, 30))
+    top = draw(st.sampled_from([1, 3, 1000]))
+    y = np.array(draw(st.lists(st.integers(0, top), min_size=n, max_size=n)), dtype=np.float64)
+    y_hat = np.array(draw(st.lists(
+        st.integers(0, 1000) | st.floats(0.0, 1000.0), min_size=n, max_size=n)), dtype=np.float64)
+    b = draw(st.integers(1, 6))
+    idx = np.array(draw(st.lists(st.lists(st.integers(0, n - 1), min_size=n, max_size=n),
+                                 min_size=b, max_size=b)))
+    for row, same in enumerate(draw(st.lists(st.booleans(), min_size=b, max_size=b))):
+        if same:
+            idx[row] = idx[row, 0]
+    return y, y_hat, idx
+
+
+@settings(deadline=None, max_examples=300)
+@given(replicate_batches(), st.integers(0, 2**32 - 1))
+def test_batched_metrics_match_rows_and_oracle(batch, seed):
+    y, y_hat, idx = batch
+    constant = [len({y[i] for i in row}) == 1 for row in idx]
+    for name, metric in METRIC_FUNCTIONS.items():
+        values = metric(y[idx], y_hat[idx])
+        assert values.shape == (idx.shape[0],)
+        for row, value in zip(idx, values):
+            one = metric(y[row], y_hat[row])
+            assert one == value or (math.isnan(one) and math.isnan(value))
+            expected = metric_oracle(name, y[row], y_hat[row])
+            if math.isnan(expected):
+                assert math.isnan(value)
+            else:
+                assert math.isclose(value, expected, rel_tol=1e-9, abs_tol=1e-12)
+        assert np.array_equal(np.isnan(values), constant if name in ("r2", "evs") else
+                              np.zeros(len(idx), dtype=bool))
+
+    # bootstrap_interval draws one (B, n) index matrix from its seed and skips the constant rows
+    b, n = 40, len(y)
+    draws = np.random.default_rng(seed).integers(0, n, size=(b, n))
+    skips = sum(len({y[i] for i in row}) == 1 for row in draws)
+    for name, metric in METRIC_FUNCTIONS.items():
+        cfg = BootstrapConfig(replicates=b, seed=seed)
+        if name in ("mae", "rmse"):
+            assert bootstrap_interval(y, y_hat, metric, cfg).skipped_replicates == 0
+        elif len(set(y)) == 1:
+            with pytest.raises(DataError, match="^actuals are constant; "):
+                bootstrap_interval(y, y_hat, metric, cfg)
+        elif skips == b:
+            with pytest.raises(DataError, match=f"^all {b} bootstrap replicates"):
+                bootstrap_interval(y, y_hat, metric, cfg)
+        else:
+            assert bootstrap_interval(y, y_hat, metric, cfg).skipped_replicates == skips
 
 
 def test_evaluate_model_report_shape(trained_small_model, small_datasets):
