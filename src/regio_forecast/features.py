@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .errors import ConfigError, DataError
 
@@ -208,7 +207,9 @@ class RelevanceReport:
 
 
 def _rank_columns(values: np.ndarray) -> np.ndarray:
-    return np.column_stack([rankdata(values[:, j]) for j in range(values.shape[1])])
+    from scipy.stats import rankdata   # scipy.stats takes most of the import time; only this needs it
+
+    return rankdata(values, axis=0)
 
 
 def score_relevance(features: FeatureMatrix, targets: np.ndarray) -> RelevanceReport:

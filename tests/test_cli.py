@@ -473,3 +473,13 @@ def test_console_entry_point_smoke(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "d" / "alberta.csv").exists()
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # scipy.stats is most of the start-up time; only relevance scoring needs it
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, regio_forecast.cli; print('scipy.stats' in sys.modules)"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
