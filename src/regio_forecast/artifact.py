@@ -6,8 +6,10 @@ weighted instance store (pooled-region instances at the generic weight,
 then the case-study instances, with their raw target counts), the
 case-study region, and the generic transfer weight. A document of any
 other version, a missing field, bytes that are not UTF-8, a NaN or
-Infinity token, a literal that overflows to infinity (such as 1e999) and a
-negative stored count raise DataError naming the file. Serialization is
+Infinity token, a literal that overflows to infinity (such as 1e999), a
+negative stored count, a k that is not a JSON integer >= 1, and selected
+features that are unknown or disagree with the scaler or the store raise
+DataError naming the file. Serialization is
 deterministic (sorted keys, shortest round-trip float repr), so retraining
 on identical inputs produces byte-identical artifacts.
 """
@@ -21,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError
+from .errors import ConfigError, DataError
 from .ingest import RegionId
 from .knn import InstanceStore, KnnConfig
 from .mtl import MtlModel
@@ -49,6 +51,9 @@ def model_from_dict(doc: dict) -> MtlModel:
                         f"(expected {ARTIFACT_VERSION!r})")
     try:
         case = doc["case_study"]
+        if not isinstance(doc["selected_features"], list):
+            raise TypeError(f"selected_features must be a JSON list, "
+                            f"got {doc['selected_features']!r}")
         return MtlModel(
             store=InstanceStore.from_json_dict(doc["store"]),
             feature_scaler=QuantileNormalScaler.from_json_dict(doc["feature_scaler"]),
@@ -81,8 +86,8 @@ def load_model(path: str | Path) -> MtlModel:
         raise
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text (byte 0x{exc.object[exc.start]:02x})") from None
-    except (AttributeError, TypeError, ValueError, OverflowError) as exc:
-        # not JSON, a field of the wrong type, or 1e999 where an integer belongs
+    except (AttributeError, TypeError, ValueError, OverflowError, ConfigError) as exc:
+        # not JSON, a field of the wrong type, 1e999 where an integer belongs, or k < 1
         raise DataError(f"{path}: malformed model artifact ({exc})") from None
     numbers = {
         "store.features": model.store.features,

@@ -41,7 +41,10 @@ class KnnConfig:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "KnnConfig":
-        return cls(k=int(d["k"]))
+        k = d["k"]
+        if type(k) is not int:   # not 6.9, "6" or true, which int() would accept
+            raise TypeError(f"config.k must be a JSON integer, got {k!r}")
+        return cls(k=k)
 
 
 @dataclass(frozen=True)

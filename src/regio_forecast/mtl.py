@@ -26,6 +26,7 @@ import numpy as np
 from .errors import ConfigError, DataError
 from .features import (
     DEFAULT_SELECTED_FEATURES,
+    DERIVED_FEATURE_CODES,
     PRIMARY_FEATURE_CODES,
     FeatureMatrix,
     compute_derived_features,
@@ -90,6 +91,17 @@ class MtlModel:
     cfg: KnnConfig
     generic_weight: float
     case_study: RegionId
+
+    def __post_init__(self):
+        codes = self.selected_features
+        unknown = [c for c in codes if c not in PRIMARY_FEATURE_CODES + DERIVED_FEATURE_CODES]
+        if unknown:
+            raise DataError(f"unknown selected feature codes: {unknown}")
+        if codes != self.feature_scaler.column_codes:
+            raise DataError("selected features differ from the feature scaler's columns")
+        if self.store.dimension != len(codes):
+            raise DataError(f"store has {self.store.dimension} feature columns "
+                            f"for {len(codes)} selected features")
 
 
 def train_mtl(

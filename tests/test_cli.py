@@ -375,6 +375,45 @@ def test_malformed_artifact_field_exits_3(data_dir, tmp_path, capsys, field, val
     assert f"{bad}: malformed model artifact" in capsys.readouterr().err
 
 
+def _codes_to_feat_99(doc):
+    doc["selected_features"][0] = doc["feature_scaler"]["column_codes"][0] = "feat_99"
+
+
+@pytest.mark.parametrize("mutate, message", [
+    (lambda doc: doc["config"].update(k=0), "(k must be >= 1, got 0)"),
+    (lambda doc: doc["config"].update(k=-3), "(k must be >= 1, got -3)"),
+    (lambda doc: doc["config"].update(k=6.9), "(config.k must be a JSON integer, got 6.9)"),
+    (lambda doc: doc["config"].update(k="6"), "(config.k must be a JSON integer, got '6')"),
+    (lambda doc: doc["config"].update(k=True), "(config.k must be a JSON integer, got True)"),
+    (lambda doc: doc.update(selected_features="feat_05"),
+     "(selected_features must be a JSON list, got 'feat_05')"),
+    (lambda doc: doc["selected_features"].__setitem__(0, "feat_99"),
+     "unknown selected feature codes: ['feat_99']"),
+    (_codes_to_feat_99, "unknown selected feature codes: ['feat_99']"),
+    (lambda doc: doc["selected_features"].pop(),
+     "selected features differ from the feature scaler's columns"),
+    (lambda doc: [row.pop() for row in doc["store"]["features"]],
+     "store has 12 feature columns for 13 selected features"),
+], ids=["k_0", "k_-3", "k_6.9", "k_string", "k_true", "features_string",
+        "feature_unknown", "feature_unknown_to_scaler_too", "feature_missing",
+        "store_one_column_short"])
+def test_inconsistent_artifact_exits_3_naming_the_file(data_dir, tmp_path, capsys,
+                                                       mutate, message):
+    out = tmp_path / "model_out10"
+    assert run(["train", "--data-dir", data_dir, "--case-study", "alberta",
+                "--test-days", "16", "--out", out]) == 0
+    doc = json.loads((out / "model.json").read_text())
+    mutate(doc)
+    bad = tmp_path / "bad_model.json"
+    bad.write_text(json.dumps(doc))
+    code = run(["predict", "--model", bad, "--input", data_dir / "alberta.csv",
+                "--out", tmp_path / "x"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert f"{bad}: " in err and message in err
+    assert not (tmp_path / "x" / "predictions.csv").exists()
+
+
 def test_non_utf8_artifact_exits_3(data_dir, tmp_path, capsys):
     out = tmp_path / "model_out9"
     assert run(["train", "--data-dir", data_dir, "--case-study", "alberta",
