@@ -51,9 +51,6 @@ def model_from_dict(doc: dict) -> MtlModel:
                         f"(expected {ARTIFACT_VERSION!r})")
     try:
         case = doc["case_study"]
-        if not isinstance(doc["selected_features"], list):
-            raise TypeError(f"selected_features must be a JSON list, "
-                            f"got {doc['selected_features']!r}")
         return MtlModel(
             store=InstanceStore.from_json_dict(doc["store"]),
             feature_scaler=QuantileNormalScaler.from_json_dict(doc["feature_scaler"]),

@@ -33,7 +33,8 @@ def _check_pair(y, y_hat, min_len: int):
     y = np.atleast_1d(np.asarray(y, dtype=np.float64))
     y_hat = np.atleast_1d(np.asarray(y_hat, dtype=np.float64))
     if y.shape != y_hat.shape:
-        raise DataError(f"{_count(y)} actuals vs {_count(y_hat)} predictions")
+        raise DataError(f"{' x '.join(map(str, y.shape))} actuals vs "
+                        f"{' x '.join(map(str, y_hat.shape))} predictions")
     if y.shape[-1] == 0:
         raise DataError("metric inputs are empty")
     if y.shape[-1] < min_len:
@@ -41,40 +42,30 @@ def _check_pair(y, y_hat, min_len: int):
     return y, y_hat
 
 
-def _count(a: np.ndarray) -> str:
-    return " x ".join(map(str, a.shape))
-
-
-def _result(values):
-    """A 1-D call's score as a float; a batch of rows stays an array."""
-    return float(values) if np.ndim(values) == 0 else values
-
-
 def r2(y, y_hat):
     """1 - SS_res / SS_tot; 1.0 is a perfect fit, 0.0 matches the mean predictor."""
     y, y_hat = _check_pair(y, y_hat, 2)
     ss_tot = np.sum((y - y.mean(axis=-1, keepdims=True)) ** 2, axis=-1)
-    ss_res = np.sum((y - y_hat) ** 2, axis=-1)
-    with np.errstate(all="ignore"):
-        return _result(np.where(ss_tot == 0.0, np.nan, 1.0 - ss_res / ss_tot))
+    with np.errstate(over="ignore"):   # nearly constant actuals
+        return 1.0 - np.sum((y - y_hat) ** 2, axis=-1) / np.where(ss_tot == 0, np.nan, ss_tot)
 
 
 def evs(y, y_hat):
     """Explained variance, 1 - Var(residuals)/Var(actuals); shift-invariant."""
     y, y_hat = _check_pair(y, y_hat, 2)
     var_y = np.var(y, axis=-1)
-    with np.errstate(all="ignore"):
-        return _result(np.where(var_y == 0.0, np.nan, 1.0 - np.var(y - y_hat, axis=-1) / var_y))
+    with np.errstate(over="ignore"):
+        return 1.0 - np.var(y - y_hat, axis=-1) / np.where(var_y == 0, np.nan, var_y)
 
 
 def mae(y, y_hat):
     y, y_hat = _check_pair(y, y_hat, 1)
-    return _result(np.mean(np.abs(y - y_hat), axis=-1))
+    return np.mean(np.abs(y - y_hat), axis=-1)
 
 
 def rmse(y, y_hat):
     y, y_hat = _check_pair(y, y_hat, 1)
-    return _result(np.sqrt(np.mean((y - y_hat) ** 2, axis=-1)))
+    return np.sqrt(np.mean((y - y_hat) ** 2, axis=-1))
 
 
 METRIC_FUNCTIONS: dict[str, Callable] = {"r2": r2, "evs": evs, "mae": mae, "rmse": rmse}
@@ -104,10 +95,6 @@ class Interval:
     skipped_replicates: int = 0
 
 
-# Long names of the metrics that constant actuals leave undefined.
-_LONG_NAMES = {"evs": "explained variance"}
-
-
 def bootstrap_interval(y, y_hat, metric: Callable, cfg: BootstrapConfig) -> Interval:
     """Pairs bootstrap of a metric over (actual, prediction) index pairs.
 
@@ -119,18 +106,16 @@ def bootstrap_interval(y, y_hat, metric: Callable, cfg: BootstrapConfig) -> Inte
     y, y_hat = _check_pair(np.ravel(y), np.ravel(y_hat), 2)
     if not (np.all(np.isfinite(y)) and np.all(np.isfinite(y_hat))):
         raise DataError("metric inputs must be finite")
-    mid = metric(y, y_hat)
+    mid = float(metric(y, y_hat))
     if math.isnan(mid):
-        name = metric.__name__
-        raise DataError(f"actuals are constant; {_LONG_NAMES.get(name, name)} is undefined")
+        name = {"evs": "explained variance"}.get(metric.__name__, metric.__name__)
+        raise DataError(f"actuals are constant; {name} is undefined")
 
-    n = y.shape[0]
-    idx = np.random.default_rng(cfg.seed).integers(0, n, size=(cfg.replicates, n))
+    idx = np.random.default_rng(cfg.seed).integers(0, len(y), size=(cfg.replicates, len(y)))
     values = metric(y[idx], y_hat[idx])
     values = values[~np.isnan(values)]
     if values.size == 0:
-        raise DataError(
-            f"all {cfg.replicates} bootstrap replicates had constant actuals")
+        raise DataError(f"all {cfg.replicates} bootstrap replicates had constant actuals")
 
     alpha = 1.0 - CONFIDENCE
     low, top = np.percentile(values, [100 * alpha / 2, 100 * (1 - alpha / 2)])

@@ -206,12 +206,6 @@ class RelevanceReport:
         return "\n".join(lines) + "\n"
 
 
-def _rank_columns(values: np.ndarray) -> np.ndarray:
-    from scipy.stats import rankdata   # scipy.stats takes most of the import time; only this needs it
-
-    return rankdata(values, axis=0)
-
-
 def score_relevance(features: FeatureMatrix, targets: np.ndarray) -> RelevanceReport:
     """Score each feature against each target by normalized |rank correlation|.
 
@@ -232,8 +226,10 @@ def score_relevance(features: FeatureMatrix, targets: np.ndarray) -> RelevanceRe
     if features.n_rows < 3:
         raise DataError("relevance scoring needs at least 3 rows")
 
-    rf = _rank_columns(features.values)
-    rt = _rank_columns(targets)
+    from scipy.stats import rankdata   # most of the package's import time; only this needs it
+
+    rf = rankdata(features.values, axis=0)
+    rt = rankdata(targets, axis=0)
     rf = rf - rf.mean(axis=0)
     rt = rt - rt.mean(axis=0)
     sf = np.sqrt((rf ** 2).sum(axis=0))

@@ -41,10 +41,9 @@ class KnnConfig:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "KnnConfig":
-        k = d["k"]
-        if type(k) is not int:   # not 6.9, "6" or true, which int() would accept
-            raise TypeError(f"config.k must be a JSON integer, got {k!r}")
-        return cls(k=k)
+        if type(d["k"]) is not int:   # int() would take 6.9, "6" and true
+            raise TypeError(f"config.k must be a JSON integer, got {d['k']!r}")
+        return cls(k=d["k"])
 
 
 @dataclass(frozen=True)

@@ -94,11 +94,11 @@ class MtlModel:
 
     def __post_init__(self):
         codes = self.selected_features
+        if codes != self.feature_scaler.column_codes:
+            raise DataError("selected features differ from the feature scaler's columns")
         unknown = [c for c in codes if c not in PRIMARY_FEATURE_CODES + DERIVED_FEATURE_CODES]
         if unknown:
             raise DataError(f"unknown selected feature codes: {unknown}")
-        if codes != self.feature_scaler.column_codes:
-            raise DataError("selected features differ from the feature scaler's columns")
         if self.store.dimension != len(codes):
             raise DataError(f"store has {self.store.dimension} feature columns "
                             f"for {len(codes)} selected features")

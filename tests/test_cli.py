@@ -386,9 +386,9 @@ def _codes_to_feat_99(doc):
     (lambda doc: doc["config"].update(k="6"), "(config.k must be a JSON integer, got '6')"),
     (lambda doc: doc["config"].update(k=True), "(config.k must be a JSON integer, got True)"),
     (lambda doc: doc.update(selected_features="feat_05"),
-     "(selected_features must be a JSON list, got 'feat_05')"),
+     "selected features differ from the feature scaler's columns"),
     (lambda doc: doc["selected_features"].__setitem__(0, "feat_99"),
-     "unknown selected feature codes: ['feat_99']"),
+     "selected features differ from the feature scaler's columns"),
     (_codes_to_feat_99, "unknown selected feature codes: ['feat_99']"),
     (lambda doc: doc["selected_features"].pop(),
      "selected features differ from the feature scaler's columns"),
