@@ -9,9 +9,9 @@ other version, a missing field, bytes that are not UTF-8, a NaN or
 Infinity token, a literal that overflows to infinity (such as 1e999), a
 negative stored count, a k that is not a JSON integer >= 1, and selected
 features that are unknown or disagree with the scaler or the store raise
-DataError naming the file. Serialization is
-deterministic (sorted keys, shortest round-trip float repr), so retraining
-on identical inputs produces byte-identical artifacts.
+DataError naming the file. Serialization is deterministic (sorted keys,
+shortest round-trip float repr), so retraining on identical inputs
+produces byte-identical artifacts.
 """
 
 from __future__ import annotations

@@ -138,6 +138,15 @@ def test_bootstrap_all_degenerate():
                            BootstrapConfig(replicates=1, seed=0))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_bootstrap_rejects_non_finite_inputs(bad):
+    # a NaN mid would otherwise read as constant actuals
+    with pytest.raises(DataError, match="^metric inputs must be finite$"):
+        bootstrap_interval([1.0, bad, 3.0], [1.0, 2.0, 3.0], mae, BootstrapConfig(replicates=10))
+    with pytest.raises(DataError, match="^metric inputs must be finite$"):
+        bootstrap_interval([1.0, 2.0, 3.0], [1.0, bad, 3.0], r2, BootstrapConfig(replicates=10))
+
+
 @st.composite
 def replicate_batches(draw):
     """Integer actuals (often few distinct values), predictions and a (B, n) index matrix.
