@@ -42,20 +42,28 @@ def _check_pair(y, y_hat, min_len: int):
     return y, y_hat
 
 
+def _spread(y, spread):
+    """``spread`` where the actuals vary, NaN where they are equal or it underflows to 0.
+
+    Equality is tested exactly: equal float actuals can leave a spread of
+    rounding noise instead of 0.
+    """
+    return np.where(np.all(y == y[..., :1], axis=-1) | (spread == 0), np.nan, spread)
+
+
 def r2(y, y_hat):
     """1 - SS_res / SS_tot; 1.0 is a perfect fit, 0.0 matches the mean predictor."""
     y, y_hat = _check_pair(y, y_hat, 2)
     ss_tot = np.sum((y - y.mean(axis=-1, keepdims=True)) ** 2, axis=-1)
     with np.errstate(over="ignore"):   # nearly constant actuals
-        return 1.0 - np.sum((y - y_hat) ** 2, axis=-1) / np.where(ss_tot == 0, np.nan, ss_tot)
+        return 1.0 - np.sum((y - y_hat) ** 2, axis=-1) / _spread(y, ss_tot)
 
 
 def evs(y, y_hat):
     """Explained variance, 1 - Var(residuals)/Var(actuals); shift-invariant."""
     y, y_hat = _check_pair(y, y_hat, 2)
-    var_y = np.var(y, axis=-1)
     with np.errstate(over="ignore"):
-        return 1.0 - np.var(y - y_hat, axis=-1) / np.where(var_y == 0, np.nan, var_y)
+        return 1.0 - np.var(y - y_hat, axis=-1) / _spread(y, np.var(y, axis=-1))
 
 
 def mae(y, y_hat):
@@ -107,15 +115,16 @@ def bootstrap_interval(y, y_hat, metric: Callable, cfg: BootstrapConfig) -> Inte
     if not (np.all(np.isfinite(y)) and np.all(np.isfinite(y_hat))):
         raise DataError("metric inputs must be finite")
     mid = float(metric(y, y_hat))
+    name = {"evs": "explained variance"}.get(metric.__name__, metric.__name__)
     if math.isnan(mid):
-        name = {"evs": "explained variance"}.get(metric.__name__, metric.__name__)
         raise DataError(f"actuals are constant; {name} is undefined")
 
     idx = np.random.default_rng(cfg.seed).integers(0, len(y), size=(cfg.replicates, len(y)))
     values = metric(y[idx], y_hat[idx])
     values = values[~np.isnan(values)]
     if values.size == 0:
-        raise DataError(f"all {cfg.replicates} bootstrap replicates had constant actuals")
+        raise DataError(f"all {cfg.replicates} bootstrap replicates had constant actuals; "
+                        f"{name} is undefined")
 
     alpha = 1.0 - CONFIDENCE
     low, top = np.percentile(values, [100 * alpha / 2, 100 * (1 - alpha / 2)])
@@ -168,9 +177,12 @@ def evaluate_model(
         intervals[target] = {}
         for m_idx, metric in enumerate(METRIC_NAMES):
             seed = seeds[t_idx * len(METRIC_NAMES) + m_idx].generate_state(1, np.uint64)[0]
-            intervals[target][metric] = bootstrap_interval(
-                actuals[:, t_idx], predicted[:, t_idx], METRIC_FUNCTIONS[metric],
-                BootstrapConfig(cfg.replicates, int(seed)))
+            try:
+                intervals[target][metric] = bootstrap_interval(
+                    actuals[:, t_idx], predicted[:, t_idx], METRIC_FUNCTIONS[metric],
+                    BootstrapConfig(cfg.replicates, int(seed)))
+            except DataError as exc:
+                raise DataError(f"{model.case_study.name}, {target}: {exc}") from None
     return MetricReport(model.case_study.name, intervals, training_time_seconds)
 
 

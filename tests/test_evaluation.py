@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from regio_forecast.errors import DataError
@@ -68,7 +68,9 @@ def test_metric_inequalities(y, seed):
     y = np.asarray(y)
     y_hat = y + rng.normal(scale=max(1.0, np.abs(y).max() * 0.1), size=y.shape)
     assert rmse(y, y_hat) >= mae(y, y_hat) - 1e-12
-    if np.var(y) > 0:
+    if np.all(y == y[0]):   # np.var of equal floats can be rounding noise, not 0
+        assert math.isnan(r2(y, y_hat)) and math.isnan(evs(y, y_hat))
+    elif np.var(y) > 0:
         assert r2(y, y_hat) <= evs(y, y_hat) + 1e-12
 
 
@@ -133,7 +135,8 @@ def test_bootstrap_all_degenerate():
                            BootstrapConfig(replicates=20, seed=0))
     # seed 0's single (1, 2) index draw is [[1, 1]] -> constant actuals
     # (a search of seeds 0-9 finds 0, 4, 5 and 7)
-    with pytest.raises(DataError, match="^all 1 bootstrap replicates had constant actuals$"):
+    with pytest.raises(DataError, match=("^all 1 bootstrap replicates had constant actuals; "
+                                         "r2 is undefined$")):
         bootstrap_interval([1.0, 2.0], [1.0, 2.0], r2,
                            BootstrapConfig(replicates=1, seed=0))
 
@@ -149,13 +152,16 @@ def test_bootstrap_rejects_non_finite_inputs(bad):
 
 @st.composite
 def replicate_batches(draw):
-    """Integer actuals (often few distinct values), predictions and a (B, n) index matrix.
+    """Actuals with few distinct values, predictions and a (B, n) index matrix.
 
-    Rows repeat indices, and some rows repeat one index, so their actuals are constant.
+    The actuals are integers or fractions such as 0.1, whose mean rounds
+    off. Rows repeat indices, and some rows repeat one index, so their
+    actuals are constant.
     """
     n = draw(st.integers(2, 30))
     top = draw(st.sampled_from([1, 3, 1000]))
-    y = np.array(draw(st.lists(st.integers(0, top), min_size=n, max_size=n)), dtype=np.float64)
+    cells = draw(st.sampled_from([st.integers(0, top), st.sampled_from([0.1, 0.7, 1 / 3])]))
+    y = np.array(draw(st.lists(cells, min_size=n, max_size=n)), dtype=np.float64)
     y_hat = np.array(draw(st.lists(
         st.integers(0, 1000) | st.floats(0.0, 1000.0), min_size=n, max_size=n)), dtype=np.float64)
     b = draw(st.integers(1, 6))
@@ -169,6 +175,8 @@ def replicate_batches(draw):
 
 @settings(deadline=None, max_examples=300)
 @given(replicate_batches(), st.integers(0, 2**32 - 1))
+@example(batch=(np.array([0.1, 0.1, 0.1]), np.array([0.2, 0.1, 0.0]),
+                np.array([[0, 1, 2], [2, 2, 0]])), seed=0)
 def test_batched_metrics_match_rows_and_oracle(batch, seed):
     y, y_hat, idx = batch
     constant = [len({y[i] for i in row}) == 1 for row in idx]
