@@ -119,6 +119,22 @@ def test_evaluate_single_region(data_dir, tmp_path):
     assert len(long_lines) == 1 + 16
 
 
+@pytest.mark.parametrize("command", [["evaluate", "--case-study", "alberta"], ["rotate"]])
+def test_constant_held_out_target_names_region_and_target(data_dir, tmp_path, capsys,
+                                                          command):
+    bad_dir = tmp_path / "no_deaths"
+    shutil.copytree(data_dir, bad_dir)
+    path = bad_dir / "alberta.csv"
+    lines = path.read_text().splitlines()
+    lines[1:] = [line.rsplit(",", 1)[0] + ",0" for line in lines[1:]]    # deaths
+    path.write_text("\n".join(lines) + "\n")
+    code = run([*command, "--data-dir", bad_dir, "--test-days", "16", "--seed", "3",
+                "--bootstrap", "40", "--out", tmp_path / "x"])
+    assert code == 3
+    assert "data error: Alberta, deaths: actuals are constant; r2 is undefined\n" \
+        == capsys.readouterr().err
+
+
 def test_rotate_emits_per_target_tables(data_dir, tmp_path):
     out = tmp_path / "rot"
     code = run(["rotate", "--data-dir", data_dir, "--test-days", "12",
