@@ -86,23 +86,6 @@ class InstanceStore:
     def dimension(self) -> int:
         return self.features.shape[1]
 
-    def to_json_dict(self) -> dict:
-        return {
-            "features": self.features.tolist(),
-            "targets": self.targets.tolist(),
-            "source_tags": self.source_tags.tolist(),
-            "weights": self.weights.tolist(),
-        }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "InstanceStore":
-        return cls(
-            np.asarray(d["features"], dtype=np.float64),
-            np.asarray(d["targets"], dtype=np.float64),
-            np.asarray(d["source_tags"], dtype=np.int64),
-            np.asarray(d["weights"], dtype=np.float64),
-        )
-
 
 def fit_knn(
     features: np.ndarray,

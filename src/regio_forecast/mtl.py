@@ -82,7 +82,8 @@ class MtlModel:
 
     ``store`` holds the pooled-region instances at ``generic_weight``
     (none when it is 0), then the case-study training instances at weight
-    1.0; its source tags are region codes.
+    1.0; its source tags are region codes, so its weights follow from them
+    (``source_weights``).
     """
 
     store: InstanceStore
@@ -102,6 +103,16 @@ class MtlModel:
         if self.store.dimension != len(codes):
             raise DataError(f"store has {self.store.dimension} feature columns "
                             f"for {len(codes)} selected features")
+        if not np.array_equal(self.store.weights, source_weights(
+                self.store.source_tags, self.case_study, self.generic_weight)):
+            raise DataError("store weights are not 1.0 on case-study rows "
+                            "and the generic weight on pooled rows")
+
+
+def source_weights(source_tags: np.ndarray, case_study: RegionId,
+                   generic_weight: float) -> np.ndarray:
+    """Vote weight of each instance: 1.0 if tagged ``case_study``, else ``generic_weight``."""
+    return np.where(source_tags == case_study.code, 1.0, float(generic_weight))
 
 
 def train_mtl(
@@ -133,8 +144,7 @@ def train_mtl(
     features = np.vstack([d.features for d in pool] + [case.features])
     targets = np.vstack([d.targets for d in pool] + [case.targets])
     tags = np.concatenate([np.full(d.n_rows, d.region.code) for d in pool + [case]])
-    weights = np.concatenate([np.full(n_pool, float(generic_weight)),
-                              np.ones(case.n_rows)])
+    weights = source_weights(tags, case_study, generic_weight)
 
     t0 = time.perf_counter()
     raw_design = build_design_matrix(

@@ -63,19 +63,6 @@ class QuantileNormalScaler:
     def probabilities(self) -> np.ndarray:
         return np.linspace(0.0, 1.0, self.n_quantiles)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "column_codes": list(self.column_codes),
-            "landmarks": [col.tolist() for col in self.landmarks],
-        }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "QuantileNormalScaler":
-        return cls(
-            column_codes=tuple(d["column_codes"]),
-            landmarks=np.asarray(d["landmarks"], dtype=np.float64),
-        )
-
 
 def fit_quantile_scaler(train: FeatureMatrix) -> QuantileNormalScaler:
     """Fit per-column quantile landmarks on a training matrix.

@@ -1,8 +1,10 @@
+import base64
 import json
 import shutil
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -22,6 +24,17 @@ def run(args):
     return main([str(a) for a in args])
 
 
+def decoded(field):
+    """The writable array of an artifact's {"dtype", "shape", "b64"} object."""
+    raw = base64.b64decode(field["b64"], validate=True)
+    return np.frombuffer(raw, dtype=field["dtype"]).reshape(field["shape"]).copy()
+
+
+def encoded(values):
+    return {"dtype": values.dtype.str, "shape": list(values.shape),
+            "b64": base64.b64encode(values.tobytes()).decode("ascii")}
+
+
 def test_synth_writes_parseable_files(data_dir):
     files = sorted(p.name for p in data_dir.glob("*.csv"))
     assert files == ["alberta.csv", "british_columbia.csv", "manitoba.csv"]
@@ -33,7 +46,7 @@ def test_train_writes_artifact_and_report(data_dir, tmp_path):
                 "--test-days", "16", "--seed", "3", "--out", out])
     assert code == 0
     doc = json.loads((out / "model.json").read_text())
-    assert doc["version"] == "4"
+    assert doc["version"] == "5"
     assert doc["case_study"]["name"] == "Alberta"
     report = json.loads((out / "train_report.json").read_text())
     assert not {"target_mins", "target_maxs"} & set(report)
@@ -254,16 +267,16 @@ def test_version_1_artifact_exits_3(data_dir, tmp_path, capsys):
     assert run(["train", "--data-dir", data_dir, "--case-study", "alberta",
                 "--test-days", "16", "--out", out]) == 0
     doc = json.loads((out / "model.json").read_text())
-    for version in ("1", "2", "3"):     # checked before any other field is read
+    for version in ("1", "2", "3", "4"):     # checked before any other field is read
         doc["version"] = version
         old = tmp_path / f"v{version}_model.json"
         old.write_text(json.dumps(doc))
         code = run(["predict", "--model", old, "--input", data_dir / "alberta.csv",
                     "--out", tmp_path / "x"])
         assert code == 3
-        assert (f"{old}: model artifact version '{version}' not supported (expected '4')"
+        assert (f"{old}: model artifact version '{version}' not supported (expected '5')"
                 in capsys.readouterr().err)
-    doc["version"] = "4"
+    doc["version"] = "5"
     del doc["store"]
     old.write_text(json.dumps(doc))
     assert run(["predict", "--model", old, "--input", data_dir / "alberta.csv",
@@ -276,7 +289,9 @@ def test_negative_store_target_exits_3(data_dir, tmp_path, capsys):
     assert run(["train", "--data-dir", data_dir, "--case-study", "alberta",
                 "--test-days", "16", "--out", out]) == 0
     doc = json.loads((out / "model.json").read_text())
-    doc["store"]["targets"][7][2] = -1.0
+    targets = decoded(doc["store"]["targets"])
+    targets[7, 2] = -1.0
+    doc["store"]["targets"] = encoded(targets)
     bad = tmp_path / "bad_model.json"
     bad.write_text(json.dumps(doc))
     code = run(["predict", "--model", bad, "--input", data_dir / "alberta.csv",
@@ -357,7 +372,7 @@ def test_non_finite_number_in_artifact_exits_3(data_dir, tmp_path, capsys, token
     assert run(["train", "--data-dir", data_dir, "--case-study", "alberta",
                 "--test-days", "16", "--out", out]) == 0
     doc = json.loads((out / "model.json").read_text())
-    doc["store"]["weights"] = ["TOKEN"] * len(doc["store"]["weights"])
+    doc["generic_weight"] = "TOKEN"
     bad = tmp_path / "bad_model.json"
     bad.write_text(json.dumps(doc).replace('"TOKEN"', token))
     assert token in bad.read_text()
@@ -365,24 +380,55 @@ def test_non_finite_number_in_artifact_exits_3(data_dir, tmp_path, capsys, token
                 "--out", tmp_path / "x"])
     assert code == 3
     # 1e999 is no token: json reads it as inf, caught after loading
-    detail = "store.weights" if token == "1e999" else token
+    detail = "generic_weight" if token == "1e999" else token
     assert f"{bad}: model artifact holds a non-finite number ({detail})" \
         in capsys.readouterr().err
     assert not (tmp_path / "x" / "predictions.csv").exists()
 
 
+@pytest.mark.parametrize("field, cell, value", [
+    (("store", "features"), (5, 3), np.nan),
+    (("store", "features"), (0, 0), np.inf),
+    (("store", "features"), (-1, -1), -np.inf),
+    (("feature_scaler", "landmarks"), (2, 7), np.nan),
+    (("feature_scaler", "landmarks"), (0, -1), np.inf),
+    (("feature_scaler", "landmarks"), (4, 0), -np.inf),
+], ids=["features_nan", "features_inf", "features_-inf", "landmarks_nan", "landmarks_inf",
+        "landmarks_-inf"])
+def test_non_finite_array_value_in_artifact_exits_3(data_dir, tmp_path, capsys,
+                                                    field, cell, value):
+    out = tmp_path / "model_out7"
+    assert run(["train", "--data-dir", data_dir, "--case-study", "alberta",
+                "--test-days", "16", "--out", out]) == 0
+    doc = json.loads((out / "model.json").read_text())
+    values = decoded(doc[field[0]][field[1]])
+    values[cell] = value     # ends of a landmark row, so the row stays sorted
+    doc[field[0]][field[1]] = encoded(values)
+    bad = tmp_path / "bad_model.json"
+    bad.write_text(json.dumps(doc))
+    code = run(["predict", "--model", bad, "--input", data_dir / "alberta.csv",
+                "--out", tmp_path / "x"])
+    assert code == 3
+    assert (f"{bad}: model artifact holds a non-finite number ({'.'.join(field)})"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "x" / "predictions.csv").exists()
+
+
 @pytest.mark.parametrize("field, value", [
-    (("store", "source_tags"), "1e999"),
+    (("store", "source_tags", "shape"), "1e999"),
     (("case_study", "code"), "1e999"),
     (("config", "k"), '"six"'),
-    (("store", "features"), '"abc"'),
+    (("store", "features", "b64"), '"abc"'),
 ])
 def test_malformed_artifact_field_exits_3(data_dir, tmp_path, capsys, field, value):
     out = tmp_path / "model_out8"
     assert run(["train", "--data-dir", data_dir, "--case-study", "alberta",
                 "--test-days", "16", "--out", out]) == 0
     doc = json.loads((out / "model.json").read_text())
-    doc[field[0]][field[1]] = "TOKEN"
+    parent = doc
+    for key in field[:-1]:
+        parent = parent[key]
+    parent[field[-1]] = "TOKEN"
     bad = tmp_path / "bad_model.json"
     bad.write_text(json.dumps(doc).replace('"TOKEN"', value))
     code = run(["predict", "--model", bad, "--input", data_dir / "alberta.csv",
@@ -408,7 +454,7 @@ def _codes_to_feat_99(doc):
     (_codes_to_feat_99, "unknown selected feature codes: ['feat_99']"),
     (lambda doc: doc["selected_features"].pop(),
      "selected features differ from the feature scaler's columns"),
-    (lambda doc: [row.pop() for row in doc["store"]["features"]],
+    (lambda doc: doc["store"].update(features=encoded(decoded(doc["store"]["features"])[:, :-1])),
      "store has 12 feature columns for 13 selected features"),
 ], ids=["k_0", "k_-3", "k_6.9", "k_string", "k_true", "features_string",
         "feature_unknown", "feature_unknown_to_scaler_too", "feature_missing",
@@ -427,6 +473,79 @@ def test_inconsistent_artifact_exits_3_naming_the_file(data_dir, tmp_path, capsy
     assert code == 3
     err = capsys.readouterr().err
     assert f"{bad}: " in err and message in err
+    assert not (tmp_path / "x" / "predictions.csv").exists()
+
+
+_NOT_A_SHAPE = "is not a list of non-negative integers)"
+
+
+def _features_shape(shape):
+    return lambda doc: doc["store"]["features"].update(shape=shape)
+
+
+def _features_bytes(transform):
+    def mutate(doc):
+        raw = base64.b64decode(doc["store"]["features"]["b64"])
+        doc["store"]["features"]["b64"] = base64.b64encode(transform(raw)).decode("ascii")
+    return mutate
+
+
+@pytest.mark.parametrize("mutate, message", [
+    (lambda doc: doc["store"]["features"].update(b64="!!!!"),
+     "store.features: bad base64 (Only base64 data is allowed))"),
+    (lambda doc: doc["feature_scaler"]["landmarks"].update(b64="QUJD=A=="),
+     "feature_scaler.landmarks: bad base64 (Discontinuous padding not allowed))"),
+    (_features_bytes(lambda raw: raw[:-8]),
+     "store.features: 23288 bytes do not fill shape [224, 13] of <f8)"),
+    (_features_bytes(lambda raw: raw + b"\0"),
+     "store.features: 23297 bytes do not fill shape [224, 13] of <f8)"),
+    (lambda doc: doc["store"]["targets"]["shape"].__setitem__(0, 3),
+     "store.targets: 7168 bytes do not fill shape [3, 4] of <f8)"),
+    (lambda doc: doc["store"]["features"].update(dtype="<f4"),
+     "store.features: dtype '<f4', expected '<f8')"),
+    (lambda doc: doc["store"]["source_tags"].update(dtype="<f8"),
+     "store.source_tags: dtype '<f8', expected '<i8')"),
+    (lambda doc: doc["feature_scaler"]["landmarks"].update(dtype=">f8"),
+     "feature_scaler.landmarks: dtype '>f8', expected '<f8')"),
+    (_features_shape("224, 13"), "store.features: shape '224, 13' " + _NOT_A_SHAPE),
+    (_features_shape([224, -13]), "store.features: shape [224, -13] " + _NOT_A_SHAPE),
+    (_features_shape([224.0, 13]), "store.features: shape [224.0, 13] " + _NOT_A_SHAPE),
+    (_features_shape([224, True]), "store.features: shape [224, True] " + _NOT_A_SHAPE),
+    (_features_shape(None), "store.features: shape None " + _NOT_A_SHAPE),
+], ids=["bad_base64", "bad_padding", "bytes_short", "bytes_long", "shape_too_small",
+        "dtype_f4", "tags_dtype_f8", "big_endian", "shape_string", "shape_negative",
+        "shape_float", "shape_bool", "shape_null"])
+def test_undecodable_artifact_array_exits_3(data_dir, tmp_path, capsys, mutate, message):
+    out = tmp_path / "model_out11"
+    assert run(["train", "--data-dir", data_dir, "--case-study", "alberta",
+                "--test-days", "16", "--out", out]) == 0
+    doc = json.loads((out / "model.json").read_text())
+    mutate(doc)
+    bad = tmp_path / "bad_model.json"
+    bad.write_text(json.dumps(doc))
+    code = run(["predict", "--model", bad, "--input", data_dir / "alberta.csv",
+                "--out", tmp_path / "x"])
+    assert code == 3
+    assert f"{bad}: malformed model artifact ({message}" in capsys.readouterr().err
+    assert not (tmp_path / "x" / "predictions.csv").exists()
+
+
+def test_pooled_tag_in_dedicated_only_artifact_exits_3(data_dir, tmp_path, capsys):
+    # generic weight 0 stores no pooled rows; a pooled tag derives weight 0
+    out = tmp_path / "model_out12"
+    assert run(["train", "--data-dir", data_dir, "--case-study", "alberta",
+                "--generic-weight", "0", "--test-days", "16", "--out", out]) == 0
+    doc = json.loads((out / "model.json").read_text())
+    tags = decoded(doc["store"]["source_tags"])
+    assert set(tags.tolist()) == {0}
+    tags[3] = 1                 # British Columbia
+    doc["store"]["source_tags"] = encoded(tags)
+    bad = tmp_path / "bad_model.json"
+    bad.write_text(json.dumps(doc))
+    code = run(["predict", "--model", bad, "--input", data_dir / "alberta.csv",
+                "--out", tmp_path / "x"])
+    assert code == 3
+    assert f"{bad}: source weights must be strictly positive" in capsys.readouterr().err
     assert not (tmp_path / "x" / "predictions.csv").exists()
 
 

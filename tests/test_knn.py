@@ -3,12 +3,7 @@ import pytest
 
 from regio_forecast import knn
 from regio_forecast.errors import ConfigError, DataError
-from regio_forecast.knn import (
-    InstanceStore,
-    KnnConfig,
-    fit_knn,
-    predict_knn_batch,
-)
+from regio_forecast.knn import KnnConfig, fit_knn, predict_knn_batch
 
 from oracles import knn_oracle
 
@@ -250,12 +245,3 @@ def test_batch_prediction_matches_single(rng, monkeypatch):
     assert batch.shape == (9, 2)
     for i, q in enumerate(queries):
         assert np.array_equal(batch[i], predict_knn_batch(store, [q], KnnConfig(k=4))[0])
-
-
-def test_store_json_roundtrip(rng):
-    store = fit_knn(rng.normal(size=(5, 2)), rng.normal(size=(5, 1)),
-                    source_tags=[3] * 5, weights=rng.uniform(0.5, 2, 5))
-    clone = InstanceStore.from_json_dict(store.to_json_dict())
-    assert np.array_equal(clone.features, store.features)
-    assert np.array_equal(clone.weights, store.weights)
-    assert np.array_equal(clone.source_tags, store.source_tags)

@@ -161,14 +161,6 @@ def test_transform_monotone(train, x1, x2):
     assert out[0, 0] <= out[1, 0]
 
 
-def test_scaler_json_roundtrip():
-    data = np.random.default_rng(0).normal(size=(50, 2))
-    scaler = fit_quantile_scaler(FeatureMatrix(data, ("a", "b")))
-    clone = QuantileNormalScaler.from_json_dict(scaler.to_json_dict())
-    assert np.array_equal(clone.landmarks, scaler.landmarks)
-    assert clone.column_codes == scaler.column_codes
-
-
 # --- L2 row normalization ----------------------------------------------
 
 def test_l2_rows_345_triangle():
