@@ -213,6 +213,27 @@ def _first_bad_cell(features: np.ndarray, targets: np.ndarray,
     return row, code, detail
 
 
+def _read_table(records: list[list[str]]) -> tuple[list[int], list[dt.date], np.ndarray]:
+    """Row numbers, dates and the (n, 31) cell values of the data rows.
+
+    One conversion reads every cell of the file with Python's float
+    syntax. A file it cannot read whole (an empty cell to forward-fill,
+    text that is no number or date, a wrong cell count) is read again by
+    ``_read_rows``, which reports the first fault in row-major order.
+    """
+    rows = [i for i, record in enumerate(records, start=1) if any(map(str.strip, record))]
+    data = [records[i - 1] for i in rows]
+    try:
+        values = np.array([record[1:] for record in data], dtype=np.float64)
+        dates = [dt.date.fromisoformat(record[0].strip()) for record in data]
+        if values.shape == (len(data), len(CSV_HEADER) - 1):
+            return rows, dates, values
+    except ValueError:
+        pass
+    rows, dates, table = _read_rows(records)
+    return rows, dates, np.array(table)
+
+
 def _read_rows(reader) -> tuple[list[int], list[dt.date], list[list[float]]]:
     """Row numbers, dates and cell values of the data rows, empty cells forward-filled.
 
@@ -259,9 +280,9 @@ def parse_regional_csv(path: str | Path, region: RegionId) -> RegionalDataset:
     repeated date raises DataError, its message starting with the file
     path; so do bytes that are not UTF-8 and quoting that the csv module
     cannot read. Text faults (cell count, date, number syntax, an empty
-    first-row cell) are found row by row while reading; the cell rules of
-    RegionalDataset then run on the whole table in file order, so a text
-    fault anywhere is reported before a rule violation.
+    first-row cell) are found first, the first one in row-major order; the
+    cell rules of RegionalDataset then run on the whole table in file
+    order, so a text fault anywhere is reported before a rule violation.
     """
     path = Path(path)
     try:
@@ -278,10 +299,9 @@ def parse_regional_csv(path: str | Path, region: RegionId) -> RegionalDataset:
                 raise DataError(
                     "header columns out of order or extra; expected exactly: "
                     + ",".join(CSV_HEADER))
-            rows, dates, table = _read_rows(reader)
-        if not table:
+            rows, dates, values = _read_table(list(reader))
+        if not rows:
             raise DataError("header but no data rows")
-        values = np.array(table)
         n_features = len(PRIMARY_FEATURE_CODES)
         bad = _first_bad_cell(values[:, :n_features], values[:, n_features:], region)
         if bad is not None:

@@ -6,6 +6,8 @@ under test. The one exception, ``minmax_vote_oracle``, keeps an earlier
 model's target scaling around the package's own vote.
 """
 
+import csv
+import datetime as dt
 import math
 
 import numpy as np
@@ -168,6 +170,61 @@ def first_bad_cell(features, targets, region):
             if problem:
                 return row, code, problem
     return None
+
+
+def read_csv_oracle(path, region):
+    """(dates, features, targets) of a regional CSV with a valid header, sorted by date.
+
+    Reads cell by cell with ``float``: blank rows are skipped but keep
+    their row number, empty cells take the previous row's value, and the
+    first fault raises DataError with the parser's message.
+    """
+    def fault(row, column, detail):
+        detail = f": {detail}" if detail else ""
+        return DataError(f"{path}: bad value at row {row}, column {column!r}{detail}")
+
+    with open(path, newline="", encoding="utf-8") as fh:
+        records = list(csv.reader(fh))[1:]
+    rows, dates, table = [], [], []
+    for number, record in enumerate(records, start=1):
+        if all(cell.strip() == "" for cell in record):
+            continue
+        if len(record) != len(CSV_HEADER):
+            raise fault(number, "row", f"expected {len(CSV_HEADER)} cells, got {len(record)}")
+        try:
+            date = dt.date.fromisoformat(record[0].strip())
+        except ValueError:
+            raise fault(number, "date", record[0]) from None
+        cells = []
+        for j, (code, text) in enumerate(zip(CSV_HEADER[1:], record[1:])):
+            text = text.strip()
+            if text == "" and not table:
+                raise fault(number, code,
+                            "missing cell in first data row (nothing to forward-fill)")
+            if text == "":
+                cells.append(table[-1][j])
+                continue
+            try:
+                cells.append(float(text))
+            except ValueError:
+                raise fault(number, code, text) from None
+        rows.append(number)
+        dates.append(date)
+        table.append(cells)
+    if not table:
+        raise DataError(f"{path}: header but no data rows")
+    values = np.array(table)
+    n_features = len(CSV_HEADER) - 1 - len(TARGET_COLUMNS)
+    bad = first_bad_cell(values[:, :n_features], values[:, n_features:], region)
+    if bad is not None:
+        row, code, detail = bad
+        raise fault(rows[row], code, detail)
+    order = sorted(range(len(dates)), key=lambda i: dates[i])
+    for a, b in zip(order, order[1:]):
+        if dates[a] == dates[b]:
+            raise DataError(f"{path}: duplicate date in dataset: {dates[a]}")
+    values = values[order]
+    return [dates[i] for i in order], values[:, :n_features], values[:, n_features:]
 
 
 def ppe_kits_oracle(hospitalized: float, chc_count: float, capacity: float,

@@ -1,5 +1,7 @@
 import datetime as dt
 import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,7 +22,7 @@ from regio_forecast.ingest import (
 from regio_forecast.mtl import train_mtl
 from regio_forecast.synth import SyntheticSpec, generate_regions
 
-from oracles import first_bad_cell
+from oracles import first_bad_cell, read_csv_oracle
 
 
 def make_row(day, feat_02=1.0, deaths=0):
@@ -235,6 +237,55 @@ def test_construction_matches_cell_oracle(n_rows, edits):
     with pytest.raises(DataError) as err:
         RegionalDataset(region, dates, table[:, :27], table[:, 27:])
     assert str(err.value) == f"bad value at {dates[row]}, column {code!r}: {detail}"
+
+
+# Cell texts for the bulk-conversion test: numbers that float() reads
+# although they are padded or unusual, and text that it rejects, that
+# overflows or that the parser forward-fills.
+_ODD_NUMBERS = [" 1 ", "\t0\x0b", "\xa02.0\u3000", "1_0", "\u0661", "\uff12", "-0",
+                "1e-400", "3.0e0", "+1.", ".5"]
+_BAD_TEXTS = ["", " ", "\xa0", "1e999", "NaN", "-inf", "iNfInItY", "0x10", "nan(1)",
+              "abc", "1__0", "1\x00", "\t0\n"]
+
+
+@st.composite
+def csv_bodies(draw):
+    """Data lines of an Alberta CSV: valid days with edited cells, blank and short rows."""
+    odd, bad = st.sampled_from(_ODD_NUMBERS), st.sampled_from(_BAD_TEXTS)
+    lines = []
+    for day in range(draw(st.integers(1, 5))):
+        date, features, targets = make_row(day)
+        cells = [date.isoformat()] + [repr(float(v)) for v in features] + \
+            [str(int(v)) for v in targets]
+        for col, text in draw(st.lists(st.tuples(st.integers(0, 31),
+                                                 st.one_of(odd, odd, odd, bad)), max_size=2)):
+            cells[col] = text
+        width = draw(st.sampled_from([32] * 30 + [1, 31, 33]))
+        cells = cells[:width] + ["0"] * (width - 32)
+        lines.append(draw(st.sampled_from([None] * 6 + ["", ",,,", " , "])))
+        lines.append(",".join(cells))
+    return [line for line in lines if line is not None]
+
+
+@settings(deadline=None, max_examples=400, derandomize=True)
+@given(csv_bodies())
+def test_bulk_parse_matches_row_by_row_oracle(lines):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "alberta.csv"
+        path.write_text("\n".join([",".join(CSV_HEADER)] + lines) + "\n", encoding="utf-8")
+        region = region_by_code(0)
+        try:
+            expected = read_csv_oracle(path, region)
+        except DataError as exc:
+            with pytest.raises(DataError) as err:
+                parse_regional_csv(path, region)
+            assert str(err.value) == str(exc)
+            return
+        ds = parse_regional_csv(path, region)
+        dates, features, targets = expected
+        assert list(ds.dates) == dates
+        assert ds.features.tobytes() == features.tobytes()
+        assert np.array_equal(ds.targets, targets)
 
 
 def test_split_sizes_and_determinism():
