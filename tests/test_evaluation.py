@@ -31,6 +31,10 @@ def test_r2_fixed_points():
 def test_r2_errors():
     assert math.isnan(r2([2, 2, 2], [1, 2, 3]))
     assert math.isnan(evs([2, 2, 2], [1, 2, 3]))
+    # equal fractions leave a spread of rounding noise; unequal tiny values, one that underflows
+    for y in ([0.1, 0.1, 0.1], [0.0, 1e-170]):
+        assert math.isnan(r2(y, [0.2, 0.1, 0.0][:len(y)]))
+        assert math.isnan(evs(y, [0.2, 0.1, 0.0][:len(y)]))
     with pytest.raises(DataError, match="^2 actuals vs 3 predictions$"):
         r2([1, 2], [1, 2, 3])
 

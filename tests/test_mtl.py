@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,7 @@ from regio_forecast.artifact import dumps_model
 from regio_forecast.errors import ConfigError, DataError
 from regio_forecast.features import PRIMARY_FEATURE_CODES, FeatureMatrix
 from regio_forecast.ingest import RegionalDataset, split_train_test
-from regio_forecast.knn import KnnConfig, fit_knn, predict_knn_batch
+from regio_forecast.knn import InstanceStore, KnnConfig, fit_knn, predict_knn_batch
 from regio_forecast.mtl import (
     build_design_matrix,
     predict_monitoring,
@@ -74,6 +76,21 @@ def test_transfer_weights_scaled(small_datasets):
     assert np.allclose(model.store.weights[pooled], 0.25)
     assert pooled.sum() == report.generic_instances
     assert np.all(model.store.weights[~pooled] == 1.0)
+
+
+def test_model_store_weights_must_follow_the_tags(small_datasets):
+    # the artifact does not store weights; loading derives them from the tags
+    case = small_datasets[0]
+    model, _ = train_mtl(small_datasets, case.region, range(10), generic_weight=0.25)
+    store = model.store
+    weights = store.weights.copy()
+    weights[0] = 0.5        # a pooled row
+    off_rule = InstanceStore(store.features, store.targets, store.source_tags, weights)
+    with pytest.raises(DataError, match="^store weights are not 1.0 on case-study rows "
+                                        "and the generic weight on pooled rows$"):
+        dataclasses.replace(model, store=off_rule)
+    with pytest.raises(DataError, match="^store weights are not 1.0"):
+        dataclasses.replace(model, generic_weight=0.5)
 
 
 def test_transfer_zero_weight_drops_instances(small_datasets):
