@@ -234,7 +234,7 @@ def _read_table(records: list[list[str]]) -> tuple[list[int], list[dt.date], np.
     return rows, dates, np.array(table)
 
 
-def _read_rows(reader) -> tuple[list[int], list[dt.date], list[list[float]]]:
+def _read_rows(records) -> tuple[list[int], list[dt.date], list[list[float]]]:
     """Row numbers, dates and cell values of the data rows, empty cells forward-filled.
 
     Only text is checked here: the cell count, the ISO date, that each
@@ -243,7 +243,7 @@ def _read_rows(reader) -> tuple[list[int], list[dt.date], list[list[float]]]:
     rows: list[int] = []
     dates: list[dt.date] = []
     table: list[list[float]] = []
-    for row_number, record in enumerate(reader, start=1):
+    for row_number, record in enumerate(records, start=1):
         if not record or all(cell.strip() == "" for cell in record):
             continue
         if len(record) != len(CSV_HEADER):

@@ -91,7 +91,7 @@ def test_roundtrip_derives_store_weights(small_datasets, tmp_path):
     (np.array([-1, 0, 9, 2 ** 62]), "<i8"),
     (np.zeros((0, 13)), "<f8"),
     (np.asfortranarray(np.arange(12.0).reshape(3, 4)), "<f8"),
-])
+], ids=["f8_edge_values", "i8", "empty", "fortran_order"])
 def test_array_codec_roundtrip(values, dtype):
     field = json.loads(json.dumps(encode_array(values, dtype)))
     clone = decode_array(field, "x", dtype)
