@@ -51,15 +51,19 @@ def encode_array(values: np.ndarray, dtype: str) -> dict:
 def decode_array(d: dict, name: str, dtype: str) -> np.ndarray:
     """The read-only array of an ``encode_array`` object, whose dtype must be ``dtype``.
 
-    A field that does not decode raises ValueError naming ``name``.
+    A field that does not decode raises ValueError, and a missing key
+    KeyError, naming ``name``.
     """
-    if d["dtype"] != dtype:
-        raise ValueError(f"{name}: dtype {d['dtype']!r}, expected {dtype!r}")
-    shape = d["shape"]
+    try:
+        found, shape, text = d["dtype"], d["shape"], d["b64"]
+    except KeyError as exc:
+        raise KeyError(f"{name}.{exc.args[0]}") from None
+    if found != dtype:
+        raise ValueError(f"{name}: dtype {found!r}, expected {dtype!r}")
     if type(shape) is not list or not all(type(s) is int and s >= 0 for s in shape):
         raise ValueError(f"{name}: shape {shape!r} is not a list of non-negative integers")
     try:
-        raw = base64.b64decode(d["b64"], validate=True)
+        raw = base64.b64decode(text, validate=True)
     except ValueError as exc:
         raise ValueError(f"{name}: bad base64 ({exc})") from None
     if len(raw) != math.prod(shape) * np.dtype(dtype).itemsize:

@@ -70,6 +70,16 @@ def test_missing_field_rejected(trained_small_model):
         model_from_dict(doc)
 
 
+def test_missing_array_key_names_the_array(trained_small_model):
+    model, _, _ = trained_small_model
+    for field, key in [("targets", "b64"), ("features", "shape"), ("source_tags", "dtype")]:
+        doc = model_to_dict(model)
+        del doc["store"][field][key]
+        with pytest.raises(DataError,
+                           match=f"^model artifact is missing field 'store.{field}.{key}'$"):
+            model_from_dict(doc)
+
+
 def test_roundtrip_derives_store_weights(small_datasets, tmp_path):
     case = small_datasets[0]
     model, _ = train_mtl(small_datasets, case.region, range(30), generic_weight=0.5)
