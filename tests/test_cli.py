@@ -1,4 +1,5 @@
 import base64
+import hashlib
 import json
 import shutil
 import subprocess
@@ -638,6 +639,21 @@ def test_relevance_export(data_dir, tmp_path):
     lines = (out / "relevance.csv").read_text().strip().splitlines()
     assert lines[0] == "feature,infections,hospitalizations,recoveries,deaths"
     assert len(lines) == 1 + 44
+
+
+def test_train_ranked_selection_end_to_end(data_dir, tmp_path):
+    out = tmp_path / "ranked"
+    assert run(["train", "--data-dir", data_dir, "--case-study", "alberta",
+                "--test-days", "16", "--selection", "ranked", "--top-n", "9",
+                "--out", out]) == 0
+    doc = json.loads((out / "model.json").read_text())
+    assert tuple(doc["selected_features"]) == (
+        "d13", "d11", "feat_19", "feat_20", "feat_17", "feat_16", "feat_14",
+        "feat_15", "feat_12")
+    assert run(["relevance", "--data-dir", data_dir, "--case-study", "alberta",
+                "--out", out]) == 0
+    assert hashlib.sha256((out / "relevance.csv").read_bytes()).hexdigest() == (
+        "645b6e1d44f7261fbaf5c0f3a10ed1cbb308cda05fe310ffb3be6f7afc51f8e6")
 
 
 def test_console_entry_point_smoke(tmp_path):

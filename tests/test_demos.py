@@ -1,10 +1,16 @@
-"""Every walkthrough under ``demos/`` runs to completion against the current API."""
+"""Every walkthrough under ``demos/`` runs to completion against the current API,
+and the package root exports exactly the names README and the demos use."""
 
+import ast
+import inspect
+import re
 import runpy
 import tempfile
 from pathlib import Path
 
 import pytest
+
+import regio_forecast
 
 DEMOS = sorted((Path(__file__).parent.parent / "demos").glob("*.py"))
 
@@ -18,3 +24,22 @@ def test_demo_runs(demo, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
     runpy.run_path(str(demo), run_name="__main__")
+
+
+def _root_imports(source: str) -> set[str]:
+    """Names a script imports with ``from regio_forecast import ...``."""
+    return {alias.name for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom) and node.module == "regio_forecast"
+            for alias in node.names}
+
+
+def test_package_root_exports_exactly_the_documented_names():
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"```python\n(.*?)```", readme, flags=re.S)
+    assert blocks, "README has no python example"
+    documented = {"ConfigError", "DataError"}
+    for source in blocks + [demo.read_text(encoding="utf-8") for demo in DEMOS]:
+        documented |= _root_imports(source)
+    exported = {name for name, value in vars(regio_forecast).items()
+                if not name.startswith("_") and not inspect.ismodule(value)}
+    assert exported == documented
