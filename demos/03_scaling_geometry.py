@@ -6,7 +6,6 @@
 import numpy as np
 
 from regio_forecast import (
-    FeatureMatrix,
     SyntheticSpec,
     apply_quantile_scaler,
     fit_quantile_scaler,
@@ -15,22 +14,22 @@ from regio_forecast import (
 )
 
 ds = generate_regions(SyntheticSpec(regions=1, rows=362, seed=2))[0]
-raw = FeatureMatrix(ds.feature_matrix().values[:, [0, 16, 17]],
-                    ("rt_index", "residential", "travelers"))
+raw = ds.columns(["feat_01", "feat_17", "feat_18"])
+names = ("rt_index", "residential", "travelers")
 
 print("raw column skew (mean vs median):")
-for j, code in enumerate(raw.column_codes):
-    col = raw.values[:, j]
+for j, code in enumerate(names):
+    col = raw[:, j]
     print(f"  {code:12s} mean={col.mean():12.2f} median={np.median(col):12.2f}")
 
-scaler = fit_quantile_scaler(raw)
+scaler = fit_quantile_scaler(raw, names)
 z = apply_quantile_scaler(scaler, raw)
 print("\nafter the quantile-normal transform:")
-for j, code in enumerate(z.column_codes):
-    col = z.values[:, j]
+for j, code in enumerate(scaler.column_codes):
+    col = z[:, j]
     print(f"  {code:12s} mean={col.mean():7.4f} std={col.std():6.4f}")
 
-unit = l2_normalize_rows(z.values)
+unit = l2_normalize_rows(z)
 norms = np.linalg.norm(unit, axis=1)
 print(f"\nrow norms after L2 normalization: "
       f"min={norms.min():.12f} max={norms.max():.12f} "
@@ -50,6 +49,6 @@ print(f"\nweighted vote, raw vs min-max round trip: max difference "
 
 print("\na training quantile at probability p maps to the normal quantile of p:")
 picks = [9, 180, 351]
-probe = FeatureMatrix(scaler.landmarks.T[picks], raw.column_codes)
-for p, row in zip(scaler.probabilities[picks], apply_quantile_scaler(scaler, probe).values):
+probe = scaler.landmarks.T[picks]
+for p, row in zip(scaler.probabilities[picks], apply_quantile_scaler(scaler, probe)):
     print(f"  p={p:.3f}: {row[0]: .6f}")

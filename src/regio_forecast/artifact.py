@@ -74,7 +74,7 @@ def decode_array(d: dict, name: str, dtype: str) -> np.ndarray:
 def model_to_dict(model: MtlModel) -> dict:
     return {
         "version": ARTIFACT_VERSION,
-        "config": model.cfg.to_json_dict(),
+        "config": {"k": model.cfg.k},
         "selected_features": list(model.selected_features),
         "generic_weight": model.generic_weight,
         "case_study": {"code": model.case_study.code, "name": model.case_study.name},
@@ -109,12 +109,18 @@ def model_from_dict(doc: dict) -> MtlModel:
                 tuple(scaler["column_codes"]),
                 decode_array(scaler["landmarks"], "feature_scaler.landmarks", "<f8")),
             selected_features=tuple(doc["selected_features"]),
-            cfg=KnnConfig.from_json_dict(doc["config"]),
+            cfg=_knn_config(doc["config"]),
             generic_weight=generic_weight,
             case_study=case_study,
         )
     except KeyError as exc:
         raise DataError(f"model artifact is missing field {exc}") from None
+
+
+def _knn_config(d: dict) -> KnnConfig:
+    if type(d["k"]) is not int:   # int() would take 6.9, "6" and true
+        raise TypeError(f"config.k must be a JSON integer, got {d['k']!r}")
+    return KnnConfig(k=d["k"])
 
 
 def dumps_model(model: MtlModel) -> str:

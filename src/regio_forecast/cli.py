@@ -30,11 +30,11 @@ from .evaluation import (
 )
 from .features import (
     DEFAULT_SELECTED_FEATURES,
+    DERIVED_FEATURE_CODES,
+    PRIMARY_FEATURE_CODES,
     TARGET_COLUMNS,
-    concat_features,
-    compute_derived_features,
+    RelevanceReport,
     score_relevance,
-    select_features,
 )
 from .ingest import (
     REGION_ENCODINGS,
@@ -132,19 +132,17 @@ def _case_dataset(datasets: list[RegionalDataset], cfg: RunConfig) -> RegionalDa
         f"case-study file missing: expected {case.file_stem}.csv in {cfg.data_dir}")
 
 
-def _relevance(case_ds: RegionalDataset):
-    """The 44-column feature matrix of the case study and its relevance scores."""
-    primary = case_ds.feature_matrix()
-    full = concat_features(primary, compute_derived_features(primary))
-    return full, score_relevance(full, case_ds.targets)
+def _relevance(case_ds: RegionalDataset) -> RelevanceReport:
+    """Relevance scores of the case study's 27 primary and 17 derived features."""
+    codes = PRIMARY_FEATURE_CODES + DERIVED_FEATURE_CODES
+    return score_relevance(case_ds.columns(codes), codes, case_ds.targets)
 
 
 def _selection(cfg: RunConfig, case_ds: RegionalDataset) -> tuple[str, ...]:
     if cfg.selection == "default":
         return DEFAULT_SELECTED_FEATURES
     if cfg.selection == "ranked":
-        full, report = _relevance(case_ds)
-        return select_features(full, report=report, top_n=cfg.top_n).column_codes
+        return _relevance(case_ds).top(cfg.top_n)
     raise ConfigError(f"selection must be 'default' or 'ranked', got {cfg.selection!r}")
 
 
@@ -246,11 +244,11 @@ def cmd_ppe(cfg: RunConfig, model_path: str, input_csv: str) -> int:
 
 def cmd_relevance(cfg: RunConfig) -> int:
     case_ds = _case_dataset(_load_datasets(cfg.data_dir), cfg)
-    full, report = _relevance(case_ds)
+    report = _relevance(case_ds)
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     atomic_write_text(out / "relevance.csv", report.to_csv_text())
-    print(f"scored {full.n_columns} features for {case_ds.region.name} "
+    print(f"scored {len(report.feature_codes)} features for {case_ds.region.name} "
           f"-> {out / 'relevance.csv'}")
     return 0
 

@@ -1,9 +1,11 @@
-"""Feature space construction: derived features, relevance scoring, selection.
+"""Feature space: the column codes, the derived-feature registry, relevance.
 
 The raw daily record carries 27 primary features. A registry of 17 derived
-features (ratios and proportions over the primary ones) expands the space
-to 44 columns, after which selection cuts it down to the 13 columns the
-monitoring models actually train on.
+features (ratios and proportions over the primary ones) names 44 codes in
+all. A model trains on a selection of them, by default 13 primary columns;
+``RegionalDataset.columns`` evaluates a derived formula only when the
+selection names its code. Relevance scoring ranks all 44 against the
+targets, and ``RelevanceReport.top`` picks the ranked selection.
 """
 
 from __future__ import annotations
@@ -28,48 +30,6 @@ DEFAULT_SELECTED_FEATURES: tuple[str, ...] = (
     "feat_22", "feat_25", "feat_11", "feat_06", "feat_03", "feat_17",
     "feat_07",
 )
-
-
-@dataclass(frozen=True)
-class FeatureMatrix:
-    """Dense real matrix, rows are days and columns are named features."""
-
-    values: np.ndarray
-    column_codes: tuple[str, ...]
-
-    def __post_init__(self):
-        # C-contiguous storage keeps reduction order (and so results)
-        # independent of how the matrix was constructed
-        v = np.ascontiguousarray(self.values, dtype=np.float64)
-        if v.ndim != 2:
-            raise DataError(f"feature matrix must be 2-D, got shape {v.shape}")
-        codes = tuple(self.column_codes)
-        if len(codes) != v.shape[1]:
-            raise DataError(
-                f"{len(codes)} column codes for {v.shape[1]} columns")
-        if len(set(codes)) != len(codes):
-            raise DataError("column codes must be unique")
-        if not np.all(np.isfinite(v)):
-            i, j = np.argwhere(~np.isfinite(v))[0]
-            raise DataError(f"non-finite value at row {i}, column {codes[j]!r}")
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
-        object.__setattr__(self, "column_codes", codes)
-
-    @property
-    def n_rows(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def n_columns(self) -> int:
-        return self.values.shape[1]
-
-    def column(self, code: str) -> np.ndarray:
-        try:
-            j = self.column_codes.index(code)
-        except ValueError:
-            raise ConfigError(f"unknown feature code: {code!r}") from None
-        return self.values[:, j]
 
 
 def _safe_div(num: np.ndarray, den: np.ndarray) -> np.ndarray:
@@ -138,31 +98,6 @@ DEFAULT_DERIVED_REGISTRY: tuple[DerivedFeature, ...] = (
 )
 
 
-def compute_derived_features(primary: FeatureMatrix) -> FeatureMatrix:
-    """Evaluate DEFAULT_DERIVED_REGISTRY on a 27-column primary matrix.
-
-    Each output column is a row-local function of the primary columns, so
-    permuting input rows permutes output rows identically.
-    """
-    for code in PRIMARY_FEATURE_CODES:
-        if code not in primary.column_codes:
-            raise DataError(f"primary feature column missing: {code!r}")
-    cols = {code: primary.column(code) for code in PRIMARY_FEATURE_CODES}
-    values = np.column_stack([f.formula(cols) for f in DEFAULT_DERIVED_REGISTRY])
-    return FeatureMatrix(values, tuple(f.code for f in DEFAULT_DERIVED_REGISTRY))
-
-
-def concat_features(primary: FeatureMatrix, derived: FeatureMatrix) -> FeatureMatrix:
-    """Concatenate two matrices column-wise, primary columns first."""
-    if primary.n_rows != derived.n_rows:
-        raise DataError(
-            f"row counts differ: {primary.n_rows} vs {derived.n_rows}")
-    return FeatureMatrix(
-        np.hstack([primary.values, derived.values]),
-        primary.column_codes + derived.column_codes,
-    )
-
-
 @dataclass(frozen=True)
 class RelevanceReport:
     """Per-(feature, target) relevance scores in [0, 1].
@@ -197,6 +132,13 @@ class RelevanceReport:
         order = np.argsort(-self.scores[:, j], kind="stable")
         return tuple(self.feature_codes[i] for i in order)
 
+    def top(self, n: int) -> tuple[str, ...]:
+        """The n codes of highest mean score across targets; ties keep column order."""
+        if not 1 <= n <= len(self.feature_codes):
+            raise ConfigError(f"top_n must be in [1, {len(self.feature_codes)}], got {n}")
+        order = np.argsort(-self.scores.mean(axis=1), kind="stable")
+        return tuple(self.feature_codes[i] for i in order[:n])
+
     def to_csv_text(self) -> str:
         """Percentage table, one row per feature."""
         lines = ["feature," + ",".join(self.target_names)]
@@ -206,36 +148,43 @@ class RelevanceReport:
         return "\n".join(lines) + "\n"
 
 
-def score_relevance(features: FeatureMatrix, targets: np.ndarray) -> RelevanceReport:
+def score_relevance(features: np.ndarray, codes: Sequence[str],
+                    targets: np.ndarray) -> RelevanceReport:
     """Score each feature against each target by normalized |rank correlation|.
 
-    ``targets`` is the (n, 4) array of counts in TARGET_COLUMNS order. The
+    ``features`` is an (n, len(codes)) array whose columns ``codes`` name,
+    and ``targets`` the (n, 4) array of counts in TARGET_COLUMNS order. The
     absolute Spearman correlation of every (feature, target) pair is
     divided by the per-target maximum, so ranks are comparable across
     targets regardless of their scale. Constant columns score 0.
     """
+    features = np.asarray(features, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
+    if features.ndim != 2 or features.shape[1] != len(codes):
+        raise DataError(f"{len(codes)} column codes for features of shape {features.shape}")
     if targets.ndim != 2 or targets.shape[1] != len(TARGET_COLUMNS):
         raise DataError(f"targets must have shape (n, {len(TARGET_COLUMNS)}), "
                         f"got {targets.shape}")
-    if features.n_rows != targets.shape[0]:
+    if features.shape[0] != targets.shape[0]:
         raise DataError(
-            f"row counts differ: {features.n_rows} vs {targets.shape[0]}")
+            f"row counts differ: {features.shape[0]} vs {targets.shape[0]}")
+    if not np.all(np.isfinite(features)):
+        raise DataError("features contain non-finite values")
     if not np.all(np.isfinite(targets)):
         raise DataError("targets contain non-finite values")
-    if features.n_rows < 3:
+    if features.shape[0] < 3:
         raise DataError("relevance scoring needs at least 3 rows")
 
     from scipy.stats import rankdata   # most of the package's import time; only this needs it
 
-    rf = rankdata(features.values, axis=0)
+    rf = rankdata(features, axis=0)
     rt = rankdata(targets, axis=0)
     rf = rf - rf.mean(axis=0)
     rt = rt - rt.mean(axis=0)
     sf = np.sqrt((rf ** 2).sum(axis=0))
     st = np.sqrt((rt ** 2).sum(axis=0))
     denom = np.outer(sf, st)
-    raw = np.zeros((features.n_columns, len(TARGET_COLUMNS)))
+    raw = np.zeros((len(codes), len(TARGET_COLUMNS)))
     nz = denom > 0
     np.divide(np.abs(rf.T @ rt), denom, out=raw, where=nz)
 
@@ -244,39 +193,5 @@ def score_relevance(features: FeatureMatrix, targets: np.ndarray) -> RelevanceRe
     np.divide(raw, col_max, out=scores, where=col_max > 0)
     # guard against float drift pushing a ratio a hair past 1
     scores = np.clip(scores, 0.0, 1.0)
-    return RelevanceReport(features.column_codes, TARGET_COLUMNS, scores)
+    return RelevanceReport(tuple(codes), TARGET_COLUMNS, scores)
 
-
-def select_features(
-    features: FeatureMatrix,
-    codes: Sequence[str] | None = None,
-    *,
-    report: RelevanceReport | None = None,
-    top_n: int | None = None,
-) -> FeatureMatrix:
-    """Project a matrix onto a feature subset.
-
-    Explicit mode (``codes``) returns exactly the listed columns in listed
-    order. Ranked mode (``report`` + ``top_n``) keeps the top_n columns by
-    mean relevance across targets, ties broken by column order.
-    """
-    if codes is not None:
-        if report is not None or top_n is not None:
-            raise ConfigError("pass either an explicit code list or (report, top_n), not both")
-        selected = list(codes)
-    else:
-        if report is None or top_n is None:
-            raise ConfigError("ranked selection needs both a relevance report and top_n")
-        if not 1 <= top_n <= features.n_columns:
-            raise ConfigError(f"top_n must be in [1, {features.n_columns}], got {top_n}")
-        if report.feature_codes != features.column_codes:
-            raise ConfigError("the relevance report scores other columns than the matrix")
-        order = np.argsort(-report.scores.mean(axis=1), kind="stable")
-        selected = [features.column_codes[i] for i in order[:top_n]]
-
-    indices = []
-    for code in selected:
-        if code not in features.column_codes:
-            raise ConfigError(f"unknown feature code: {code!r}")
-        indices.append(features.column_codes.index(code))
-    return FeatureMatrix(features.values[:, indices], tuple(selected))

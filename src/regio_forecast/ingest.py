@@ -30,7 +30,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .features import PRIMARY_FEATURE_CODES, TARGET_COLUMNS, FeatureMatrix
+from .features import DEFAULT_DERIVED_REGISTRY, PRIMARY_FEATURE_CODES, TARGET_COLUMNS
 
 CSV_HEADER: tuple[str, ...] = ("date",) + PRIMARY_FEATURE_CODES + TARGET_COLUMNS
 
@@ -143,8 +143,29 @@ class RegionalDataset:
     def n_rows(self) -> int:
         return len(self.dates)
 
-    def feature_matrix(self) -> FeatureMatrix:
-        return FeatureMatrix(self.features, PRIMARY_FEATURE_CODES)
+    def columns(self, codes: Sequence[str]) -> np.ndarray:
+        """The (n, len(codes)) float array of the named primary and derived features.
+
+        A derived feature is evaluated only when ``codes`` names it. An
+        unknown code raises ConfigError, and a derived value that is not
+        finite raises DataError naming the region, date and code.
+        """
+        primary = dict(zip(PRIMARY_FEATURE_CODES, self.features.T))
+        out = np.empty((self.n_rows, len(codes)))
+        for j, code in enumerate(codes):
+            if code in primary:
+                out[:, j] = primary[code]
+            elif code in _DERIVED_FORMULAS:
+                with np.errstate(all="ignore"):    # a non-finite result is reported below
+                    out[:, j] = _DERIVED_FORMULAS[code](primary)
+            else:
+                raise ConfigError(f"unknown feature code: {code!r}")
+        bad = ~np.isfinite(out)
+        if bad.any():
+            row, j = divmod(int(bad.argmax()), len(codes))
+            raise _bad_value(f"{self.region.name}, {self.dates[row]}", codes[j],
+                             f"derived value {out[row, j]} is not finite")
+        return out
 
     def subset(self, indices: Sequence[int]) -> "RegionalDataset":
         idx = np.asarray(indices, dtype=np.intp)
@@ -155,6 +176,7 @@ class RegionalDataset:
 # Largest count stored exactly in both the parsed float and int64.
 MAX_COUNT = 2 ** 53
 
+_DERIVED_FORMULAS = {f.code: f.formula for f in DEFAULT_DERIVED_REGISTRY}
 _REGION_COLUMN = PRIMARY_FEATURE_CODES.index("feat_04")
 _CENTRES_COLUMN = PRIMARY_FEATURE_CODES.index("feat_11")
 

@@ -1,6 +1,7 @@
 """Distance-weighted k-nearest-neighbor multi-output regression.
 
-The learner is instance-based: fitting memorizes the training rows, and a
+The learner is instance-based: the model is an InstanceStore of the
+training rows, built directly from them with no fitting step, and a
 prediction is the inverse-distance-weighted mean of the k nearest stored
 targets. The metric (Euclidean) and the vote weighting (inverse distance)
 are fixed; only k is configurable. Each instance carries a positive source
@@ -19,7 +20,6 @@ plain-loop oracle of the same contract that validates the predictor.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -36,40 +36,41 @@ class KnnConfig:
         if self.k < 1:
             raise ConfigError(f"k must be >= 1, got {self.k}")
 
-    def to_json_dict(self) -> dict:
-        return {"k": self.k}
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "KnnConfig":
-        if type(d["k"]) is not int:   # int() would take 6.9, "6" and true
-            raise TypeError(f"config.k must be a JSON integer, got {d['k']!r}")
-        return cls(k=d["k"])
-
 
 @dataclass(frozen=True)
 class InstanceStore:
-    """Memorized training instances with per-instance source weights.
+    """Training instances with per-instance source weights.
 
     ``source_tags`` records where each instance came from as an integer
-    (the region code in a monitoring model); -1 marks an untagged instance.
+    (the region code in a monitoring model); -1, the default, marks an
+    untagged instance. ``weights`` default to 1.0.
     """
 
-    features: np.ndarray           # (n, d)
-    targets: np.ndarray            # (n, m)
-    source_tags: np.ndarray        # (n,) int
-    weights: np.ndarray            # (n,), all > 0
+    features: np.ndarray                    # (n, d)
+    targets: np.ndarray                     # (n, m)
+    source_tags: np.ndarray | None = None   # (n,) int
+    weights: np.ndarray | None = None       # (n,), all > 0
 
     def __post_init__(self):
         # contiguous storage so identical values give identical predictions
-        f = np.ascontiguousarray(self.features, dtype=np.float64)
-        t = np.ascontiguousarray(self.targets, dtype=np.float64)
-        w = np.ascontiguousarray(self.weights, dtype=np.float64)
-        tags = np.ascontiguousarray(self.source_tags, dtype=np.int64)
+        try:
+            f = np.ascontiguousarray(self.features, dtype=np.float64)
+            t = np.ascontiguousarray(self.targets, dtype=np.float64)
+        except ValueError as exc:
+            raise DataError(f"ragged training rows: {exc}") from None
         if f.ndim != 2 or t.ndim != 2:
-            raise DataError("features and targets must be 2-D")
-        if f.shape[0] != t.shape[0] or f.shape[0] != w.shape[0] \
-                or tags.shape != (f.shape[0],):
-            raise DataError("instance counts disagree across store fields")
+            raise DataError(f"features and targets must be 2-D, "
+                            f"got shapes {f.shape} and {t.shape}")
+        n = f.shape[0]
+        if n == 0:
+            raise DataError("cannot fit on zero rows")
+        tags = np.full(n, -1) if self.source_tags is None else self.source_tags
+        tags = np.ascontiguousarray(tags, dtype=np.int64)
+        w = np.ascontiguousarray(np.ones(n) if self.weights is None else self.weights,
+                                 dtype=np.float64)
+        if t.shape[0] != n or w.shape != (n,) or tags.shape != (n,):
+            raise DataError(f"instance counts disagree across store fields: {n} feature rows, "
+                            f"{t.shape[0]} target rows, {len(tags)} tags, {len(w)} weights")
         if np.any(w <= 0):
             raise DataError("source weights must be strictly positive")
         for arr in (f, t, w, tags):
@@ -85,35 +86,6 @@ class InstanceStore:
     @property
     def dimension(self) -> int:
         return self.features.shape[1]
-
-
-def fit_knn(
-    features: np.ndarray,
-    targets: np.ndarray,
-    source_tags: Sequence[int] | None = None,
-    weights: np.ndarray | None = None,
-) -> InstanceStore:
-    """Memorize (feature, target) rows; fitting is storage, nothing more."""
-    try:
-        features = np.asarray(features, dtype=np.float64)
-        targets = np.asarray(targets, dtype=np.float64)
-    except ValueError as exc:
-        raise DataError(f"ragged training rows: {exc}") from None
-    if features.ndim != 2:
-        raise DataError(f"features must be 2-D, got shape {features.shape}")
-    if targets.ndim == 1:
-        targets = targets[:, None]
-    if features.shape[0] == 0:
-        raise DataError("cannot fit on zero rows")
-    if targets.shape[0] != features.shape[0]:
-        raise DataError(
-            f"{features.shape[0]} feature rows vs {targets.shape[0]} target rows")
-    n = features.shape[0]
-    if source_tags is None:
-        source_tags = np.full(n, -1)
-    if weights is None:
-        weights = np.ones(n)
-    return InstanceStore(features, targets, source_tags, weights)
 
 
 # Queries are handled in blocks of about this many approximate distances

@@ -8,8 +8,11 @@ case-study training rows at weight 1.0. Weight 1 is plain kNN on the
 union, and weight 0 drops the pooled rows, leaving kNN on the case study
 alone.
 
-The quantile feature scaler is fitted once, on pool plus case-study
-*training* rows. Held-out rows are only ever transformed with the fitted
+Training and prediction share one feature path: ``RegionalDataset.columns``
+gives the selected columns (a derived one is computed only when
+selected), the quantile scaler maps each column, and each row is scaled
+to unit length. The scaler is fitted once, on pool plus case-study
+*training* rows; held-out rows are only ever transformed with the fitted
 state. The store holds raw target counts: a vote is a weighted mean of
 them, so it is a non-negative count with no target scaling to undo.
 """
@@ -24,41 +27,15 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .features import (
-    DEFAULT_SELECTED_FEATURES,
-    DERIVED_FEATURE_CODES,
-    PRIMARY_FEATURE_CODES,
-    FeatureMatrix,
-    compute_derived_features,
-    concat_features,
-    select_features,
-)
+from .features import DEFAULT_SELECTED_FEATURES, DERIVED_FEATURE_CODES, PRIMARY_FEATURE_CODES
 from .ingest import RegionalDataset, RegionId, split_train_test
-from .knn import InstanceStore, KnnConfig, fit_knn, predict_knn_batch
+from .knn import InstanceStore, KnnConfig, predict_knn_batch
 from .scaling import (
     QuantileNormalScaler,
     apply_quantile_scaler,
     fit_quantile_scaler,
     l2_normalize_rows,
 )
-
-
-def build_design_matrix(
-    primary: FeatureMatrix,
-    selection: Sequence[str] = DEFAULT_SELECTED_FEATURES,
-) -> FeatureMatrix:
-    """Primary 27 columns -> +17 derived -> selected model columns."""
-    derived = compute_derived_features(primary)
-    full = concat_features(primary, derived)
-    return select_features(full, list(selection))
-
-
-def transform_design(
-    scaler: QuantileNormalScaler,
-    raw_design: FeatureMatrix,
-) -> np.ndarray:
-    """Quantile-normalize columns, then L2-normalize rows to unit vectors."""
-    return l2_normalize_rows(apply_quantile_scaler(scaler, raw_design).values)
 
 
 @dataclass(frozen=True)
@@ -100,6 +77,8 @@ class MtlModel:
         unknown = [c for c in codes if c not in PRIMARY_FEATURE_CODES + DERIVED_FEATURE_CODES]
         if unknown:
             raise DataError(f"unknown selected feature codes: {unknown}")
+        if len(set(codes)) != len(codes):
+            raise DataError(f"selected feature codes repeat: {list(codes)}")
         if self.store.dimension != len(codes):
             raise DataError(f"store has {self.store.dimension} feature columns "
                             f"for {len(codes)} selected features")
@@ -140,26 +119,25 @@ def train_mtl(
     pool = [d for d in datasets if d.region.code != case_study.code]
     if not pool:
         raise DataError("training needs at least one region besides the case study")
+    selection = tuple(selection)
     n_pool = sum(d.n_rows for d in pool)
-    features = np.vstack([d.features for d in pool] + [case.features])
     targets = np.vstack([d.targets for d in pool] + [case.targets])
     tags = np.concatenate([np.full(d.n_rows, d.region.code) for d in pool + [case]])
     weights = source_weights(tags, case_study, generic_weight)
 
     t0 = time.perf_counter()
-    raw_design = build_design_matrix(
-        FeatureMatrix(features, PRIMARY_FEATURE_CODES), selection)
-    feature_scaler = fit_quantile_scaler(raw_design)
+    raw = np.vstack([d.columns(selection) for d in pool + [case]])
+    feature_scaler = fit_quantile_scaler(raw, selection)
     # zero-weight instances cannot vote, so they are dropped, not stored
     keep = slice(n_pool if generic_weight == 0 else 0, None)
-    store = fit_knn(transform_design(feature_scaler, raw_design)[keep], targets[keep],
-                    source_tags=tags[keep], weights=weights[keep])
+    unit_rows = l2_normalize_rows(apply_quantile_scaler(feature_scaler, raw))
+    store = InstanceStore(unit_rows[keep], targets[keep], tags[keep], weights[keep])
     fit_seconds = time.perf_counter() - t0
 
     model = MtlModel(
         store=store,
         feature_scaler=feature_scaler,
-        selected_features=tuple(selection),
+        selected_features=selection,
         cfg=cfg,
         generic_weight=float(generic_weight),
         case_study=case_study,
@@ -178,11 +156,11 @@ def predict_monitoring(model: MtlModel, ds: RegionalDataset) -> np.ndarray:
     """Predict (infections, hospitalizations, recoveries, deaths) per day of ``ds``.
 
     Returns the (n, 4) float counts in TARGET_COLUMNS order. Pipeline:
-    derive features, select the model columns, apply the fitted scaler,
-    then let the store's nearest instances vote.
+    compute the model's columns, apply the fitted scaler, normalize each
+    row to unit length, then let the store's nearest instances vote.
     """
-    raw_design = build_design_matrix(ds.feature_matrix(), model.selected_features)
-    x = transform_design(model.feature_scaler, raw_design)
+    raw = ds.columns(model.selected_features)
+    x = l2_normalize_rows(apply_quantile_scaler(model.feature_scaler, raw))
     return predict_knn_batch(model.store, x, model.cfg)
 
 

@@ -19,12 +19,12 @@ with any per-column affine map.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 from scipy.special import ndtri
 
 from .errors import DataError
-from .features import FeatureMatrix
 
 # Probabilities are clipped away from {0, 1} before the normal quantile
 # function so outputs stay finite.
@@ -64,19 +64,23 @@ class QuantileNormalScaler:
         return np.linspace(0.0, 1.0, self.n_quantiles)
 
 
-def fit_quantile_scaler(train: FeatureMatrix) -> QuantileNormalScaler:
-    """Fit per-column quantile landmarks on a training matrix.
+def fit_quantile_scaler(values: np.ndarray, codes: Sequence[str]) -> QuantileNormalScaler:
+    """Fit per-column quantile landmarks on training ``values``, whose columns ``codes`` name.
 
     Landmarks are the empirical quantiles at min(1000, row count) equally
     spaced probabilities, computed with linear interpolation between order
     statistics.
     """
-    n_rows = train.values.shape[0]
+    values = np.asarray(values, dtype=np.float64)
+    n_rows = values.shape[0]
     if n_rows < 2:
         raise DataError(f"need at least 2 training rows to fit quantiles, got {n_rows}")
+    if not np.all(np.isfinite(values)):
+        i, j = np.argwhere(~np.isfinite(values))[0]
+        raise DataError(f"non-finite value at row {i}, column {codes[j]!r}")
     probs = np.linspace(0.0, 1.0, min(1000, n_rows))
-    landmarks = _linear_quantiles(np.sort(train.values, axis=0), probs).T
-    return QuantileNormalScaler(column_codes=train.column_codes, landmarks=landmarks)
+    landmarks = _linear_quantiles(np.sort(values, axis=0), probs).T
+    return QuantileNormalScaler(column_codes=tuple(codes), landmarks=landmarks)
 
 
 def _linear_quantiles(ordered: np.ndarray, probs: np.ndarray) -> np.ndarray:
@@ -124,22 +128,24 @@ def _empirical_cdf(landmarks: np.ndarray, probs: np.ndarray, x: np.ndarray) -> n
     return p
 
 
-def apply_quantile_scaler(scaler: QuantileNormalScaler, m: FeatureMatrix) -> FeatureMatrix:
+def apply_quantile_scaler(scaler: QuantileNormalScaler, values: np.ndarray) -> np.ndarray:
     """Map each column through the fitted CDF and the normal quantile function (ndtri).
 
+    ``values`` has one column per fitted column, in the scaler's order.
     Out-of-range values are clipped to the training range before mapping,
     and CDF outputs are clipped to [CDF_CLIP_LO, CDF_CLIP_HI] so results
     stay finite.
     A column that was constant at fit time maps to 0 everywhere.
     """
-    if m.column_codes != scaler.column_codes:
-        raise DataError(
-            f"matrix columns {m.column_codes} do not match fitted columns {scaler.column_codes}")
+    values = np.asarray(values, dtype=np.float64)
+    if values.ndim != 2 or values.shape[1] != len(scaler.column_codes):
+        raise DataError(f"values of shape {values.shape} do not match "
+                        f"fitted columns {scaler.column_codes}")
     probs = scaler.probabilities
-    p = np.empty_like(m.values)
-    for j in range(m.values.shape[1]):
-        p[:, j] = _empirical_cdf(scaler.landmarks[j], probs, m.values[:, j])
-    return FeatureMatrix(ndtri(np.clip(p, CDF_CLIP_LO, CDF_CLIP_HI)), m.column_codes)
+    p = np.empty(values.shape)
+    for j in range(values.shape[1]):
+        p[:, j] = _empirical_cdf(scaler.landmarks[j], probs, values[:, j])
+    return ndtri(np.clip(p, CDF_CLIP_LO, CDF_CLIP_HI))
 
 
 # Inside this range the plain sum of squares neither overflows nor loses

@@ -17,19 +17,13 @@ import pytest
 
 from regio_forecast.cli import main as cli_main
 from regio_forecast.evaluation import BootstrapConfig, bootstrap_interval, evs, mae, r2, rmse
-from regio_forecast.features import PRIMARY_FEATURE_CODES, FeatureMatrix
 from regio_forecast.ingest import (
     parse_regional_csv,
     region_by_name,
     split_train_test,
 )
-from regio_forecast.knn import KnnConfig, fit_knn, predict_knn_batch
-from regio_forecast.mtl import (
-    build_design_matrix,
-    predict_monitoring,
-    train_mtl,
-    transform_design,
-)
+from regio_forecast.knn import InstanceStore, KnnConfig, predict_knn_batch
+from regio_forecast.mtl import predict_monitoring, train_mtl
 from regio_forecast.ppe import predict_ppe_kits
 from regio_forecast.scaling import (
     CDF_CLIP_HI,
@@ -66,23 +60,21 @@ def test_scaling_suite():
             rng.exponential(2.5, 362),
             rng.beta(2.0, 5.0, 362),
         ])
-        m = FeatureMatrix(values, ("a", "b", "c", "d"))
-        scaler = fit_quantile_scaler(m)
-        z = apply_quantile_scaler(scaler, m)
-        assert np.all(np.abs(z.values.mean(axis=0)) < 0.05)
-        stds = z.values.std(axis=0)
+        scaler = fit_quantile_scaler(values, ("a", "b", "c", "d"))
+        z = apply_quantile_scaler(scaler, values)
+        assert np.all(np.abs(z.mean(axis=0)) < 0.05)
+        stds = z.std(axis=0)
         assert np.all((stds >= 0.85) & (stds <= 1.15))
 
-        unit = l2_normalize_rows(z.values)
+        unit = l2_normalize_rows(z)
         norms = np.linalg.norm(unit, axis=1)
-        assert np.all(np.abs(norms[np.any(z.values, axis=1)] - 1.0) <= 1e-9)
+        assert np.all(np.abs(norms[np.any(z, axis=1)] - 1.0) <= 1e-9)
 
         # at each landmark, z is the oracle's Phi^-1 of the clipped landmark probability
-        at_landmarks = apply_quantile_scaler(
-            scaler, FeatureMatrix(scaler.landmarks.T, m.column_codes))
+        at_landmarks = apply_quantile_scaler(scaler, scaler.landmarks.T)
         ps = np.clip(scaler.probabilities, CDF_CLIP_LO, CDF_CLIP_HI)
-        for j in range(m.n_columns):
-            for p, z_p in zip(ps, at_landmarks.values[:, j]):
+        for j in range(values.shape[1]):
+            for p, z_p in zip(ps, at_landmarks[:, j]):
                 assert abs(z_p - bisection_normal_ppf(float(p))) <= 1e-8
 
         assert time.perf_counter() - started < 5.0
@@ -103,7 +95,7 @@ def test_knn_oracle_equivalence():
                 x = rng.normal(size=(n, d))
             y = rng.normal(size=(n, 3))
             w = rng.uniform(0.2, 4.0, size=n)
-            store = fit_knn(x, y, weights=w)
+            store = InstanceStore(x, y, weights=w)
             q = x[int(rng.integers(n))] if trial % 3 == 0 else \
                 rng.integers(0, 3, size=d).astype(float)
             cfg = KnnConfig(k=int(rng.integers(1, 10)))
@@ -115,7 +107,7 @@ def test_knn_oracle_equivalence():
             d = int(rng.integers(1, 6))
             x = np.unique(rng.normal(size=(n, d)), axis=0)
             y = rng.normal(size=(x.shape[0], 2))
-            store = fit_knn(x, y)
+            store = InstanceStore(x, y)
             i = int(rng.integers(x.shape[0]))
             assert np.array_equal(predict_knn_batch(store, [x[i]], KnnConfig(k=6))[0], y[i])
 
@@ -137,16 +129,14 @@ def test_transfer_algebra():
                                   generic_weight=0.0)
 
         def scaled(model, parts):
-            primary = FeatureMatrix(np.vstack([p.features for p in parts]),
-                                    PRIMARY_FEATURE_CODES)
-            design = build_design_matrix(primary, model.selected_features)
-            x = transform_design(model.feature_scaler, design)
+            raw = np.vstack([p.columns(model.selected_features) for p in parts])
+            x = l2_normalize_rows(apply_quantile_scaler(model.feature_scaler, raw))
             return x, np.vstack([p.targets for p in parts])
 
         xu, yu = scaled(model_union, [*datasets[1:], case_train])
-        union_store = fit_knn(xu, yu)
+        union_store = InstanceStore(xu, yu)
         xs, ys = scaled(model_solo, [case_train])
-        solo_store = fit_knn(xs, ys)
+        solo_store = InstanceStore(xs, ys)
 
         for _ in range(100):
             q = rng.normal(size=xu.shape[1])

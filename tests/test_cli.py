@@ -4,6 +4,7 @@ import json
 import shutil
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -442,6 +443,10 @@ def _codes_to_feat_99(doc):
     doc["selected_features"][0] = doc["feature_scaler"]["column_codes"][0] = "feat_99"
 
 
+def _repeat_first_code(doc):
+    doc["selected_features"][1] = doc["feature_scaler"]["column_codes"][1] = "feat_05"
+
+
 @pytest.mark.parametrize("mutate, message", [
     (lambda doc: doc["config"].update(k=0), "(k must be >= 1, got 0)"),
     (lambda doc: doc["config"].update(k=-3), "(k must be >= 1, got -3)"),
@@ -453,13 +458,14 @@ def _codes_to_feat_99(doc):
     (lambda doc: doc["selected_features"].__setitem__(0, "feat_99"),
      "selected features differ from the feature scaler's columns"),
     (_codes_to_feat_99, "unknown selected feature codes: ['feat_99']"),
+    (_repeat_first_code, "selected feature codes repeat: ['feat_05', 'feat_05', "),
     (lambda doc: doc["selected_features"].pop(),
      "selected features differ from the feature scaler's columns"),
     (lambda doc: doc["store"].update(features=encoded(decoded(doc["store"]["features"])[:, :-1])),
      "store has 12 feature columns for 13 selected features"),
 ], ids=["k_0", "k_-3", "k_6.9", "k_string", "k_true", "features_string",
-        "feature_unknown", "feature_unknown_to_scaler_too", "feature_missing",
-        "store_one_column_short"])
+        "feature_unknown", "feature_unknown_to_scaler_too", "feature_repeated",
+        "feature_missing", "store_one_column_short"])
 def test_inconsistent_artifact_exits_3_naming_the_file(data_dir, tmp_path, capsys,
                                                        mutate, message):
     out = tmp_path / "model_out10"
@@ -547,6 +553,22 @@ def test_pooled_tag_in_dedicated_only_artifact_exits_3(data_dir, tmp_path, capsy
                 "--out", tmp_path / "x"])
     assert code == 3
     assert f"{bad}: source weights must be strictly positive" in capsys.readouterr().err
+    assert not (tmp_path / "x" / "predictions.csv").exists()
+
+
+def test_zero_row_store_artifact_exits_3(data_dir, tmp_path, capsys):
+    out = tmp_path / "model_out13"
+    assert run(["train", "--data-dir", data_dir, "--case-study", "alberta",
+                "--test-days", "16", "--out", out]) == 0
+    doc = json.loads((out / "model.json").read_text())
+    for name in ("features", "targets", "source_tags"):
+        doc["store"][name] = encoded(decoded(doc["store"][name])[:0])
+    bad = tmp_path / "bad_model.json"
+    bad.write_text(json.dumps(doc))
+    code = run(["predict", "--model", bad, "--input", data_dir / "alberta.csv",
+                "--out", tmp_path / "x"])
+    assert code == 3
+    assert f"data error: {bad}: cannot fit on zero rows" in capsys.readouterr().err
     assert not (tmp_path / "x" / "predictions.csv").exists()
 
 
@@ -639,6 +661,44 @@ def test_relevance_export(data_dir, tmp_path):
     lines = (out / "relevance.csv").read_text().strip().splitlines()
     assert lines[0] == "feature,infections,hospitalizations,recoveries,deaths"
     assert len(lines) == 1 + 44
+
+
+@pytest.fixture()
+def zero_unemployment_dir(data_dir, tmp_path):
+    """A copy of ``data_dir`` whose Alberta file has feat_20 = -1e-9 on its fifth day,
+    so d11 = feat_19 / (feat_20 + 1e-9) divides by zero there."""
+    root = tmp_path / "zero_unemployment"
+    shutil.copytree(data_dir, root)
+    lines = (root / "alberta.csv").read_text().splitlines()
+    cells = lines[5].split(",")
+    cells[lines[0].split(",").index("feat_20")] = "-1e-09"
+    lines[5] = ",".join(cells)
+    (root / "alberta.csv").write_text("\n".join(lines) + "\n")
+    return root
+
+
+def test_unused_derived_column_cannot_fail_predict(data_dir, zero_unemployment_dir, tmp_path):
+    out = tmp_path / "model_out14"
+    assert run(["train", "--data-dir", data_dir, "--case-study", "alberta",
+                "--test-days", "16", "--out", out]) == 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["predict", "--model", out / "model.json",
+                    "--input", zero_unemployment_dir / "alberta.csv", "--out", out]) == 0
+    assert len((out / "predictions.csv").read_text().splitlines()) == 81
+
+
+def test_non_finite_derived_value_names_region_date_and_code(zero_unemployment_dir, tmp_path,
+                                                             capsys):
+    date = (zero_unemployment_dir / "alberta.csv").read_text().splitlines()[5].split(",")[0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run(["relevance", "--data-dir", zero_unemployment_dir, "--case-study", "alberta",
+                    "--out", tmp_path / "x"])
+    assert code == 3
+    assert capsys.readouterr().err == (f"data error: bad value at Alberta, {date}, column 'd11': "
+                                       "derived value inf is not finite\n")
+    assert not (tmp_path / "x").exists()
 
 
 def test_train_ranked_selection_end_to_end(data_dir, tmp_path):

@@ -72,7 +72,7 @@ def test_parse_roundtrip_identical(tmp_path):
     assert back.dates == ds.dates
     assert np.array_equal(back.targets, ds.targets)
     # reals round-trip bit-exactly through repr, comfortably within 1e-12
-    assert np.array_equal(back.feature_matrix().values, ds.feature_matrix().values)
+    assert np.array_equal(back.features, ds.features)
 
 
 def test_parse_missing_column(tmp_path):
@@ -118,7 +118,7 @@ def test_parse_forward_fills_missing_cells(tmp_path):
     lines[2] = ",".join(cells)
     path.write_text("\n".join(lines) + "\n")
     parsed = parse_regional_csv(path, ds.region)
-    feat_01 = parsed.feature_matrix().column("feat_01")
+    feat_01 = parsed.columns(["feat_01"])[:, 0]
     assert feat_01[1] == feat_01[0]
 
 

@@ -3,13 +3,13 @@ import pytest
 
 from regio_forecast import knn
 from regio_forecast.errors import ConfigError, DataError
-from regio_forecast.knn import KnnConfig, fit_knn, predict_knn_batch
+from regio_forecast.knn import InstanceStore, KnnConfig, predict_knn_batch
 
 from oracles import knn_oracle
 
 
 def two_point_store():
-    return fit_knn(np.array([[0.0], [1.0]]), np.array([[0.0], [10.0]]))
+    return InstanceStore(np.array([[0.0], [1.0]]), np.array([[0.0], [10.0]]))
 
 
 def test_config_validation():
@@ -21,21 +21,39 @@ def test_config_validation():
 def test_fit_memorizes_rows(rng):
     x = rng.normal(size=(308, 13))
     y = rng.normal(size=(308, 4))
-    store = fit_knn(x, y)
+    store = InstanceStore(x, y)
     assert len(store) == 308
     assert np.array_equal(store.features, x)
     assert np.array_equal(store.targets, y)
     assert np.all(store.weights == 1.0)
+    assert np.all(store.source_tags == -1)
+
+
+@pytest.mark.parametrize("fields, message", [
+    ((np.ones(3), np.ones((3, 1))),
+     r"^features and targets must be 2-D, got shapes \(3,\) and \(3, 1\)$"),
+    ((np.ones((3, 2)), np.ones((2, 1))),
+     "^instance counts disagree across store fields: 3 feature rows, 2 target rows, "
+     "3 tags, 3 weights$"),
+    ((np.ones((3, 2)), np.ones((3, 1)), [0, 1]),
+     "^instance counts disagree across store fields: 3 feature rows, 3 target rows, "
+     "2 tags, 3 weights$"),
+    ((np.ones((3, 2)), np.ones((3, 1)), None, [1.0, 0.0, 1.0]),
+     "^source weights must be strictly positive$"),
+], ids=["one_dimensional", "targets", "tags", "zero_weight"])
+def test_store_rejects_inconsistent_fields(fields, message):
+    with pytest.raises(DataError, match=message):
+        InstanceStore(*fields)
 
 
 def test_fit_empty_rejected():
     with pytest.raises(DataError, match="^cannot fit on zero rows$"):
-        fit_knn(np.empty((0, 3)), np.empty((0, 1)))
+        InstanceStore(np.empty((0, 3)), np.empty((0, 1)))
 
 
 def test_fit_ragged_rows_rejected():
     with pytest.raises(DataError, match="^ragged training rows: "):
-        fit_knn([[1.0] * 13, [1.0] * 12], [[0.0], [0.0]])
+        InstanceStore([[1.0] * 13, [1.0] * 12], [[0.0], [0.0]])
 
 
 def test_predict_exact_match_short_circuit():
@@ -117,7 +135,7 @@ def test_oracle_equivalence_random_cases(rng):
     cfgs = [KnnConfig(k=k) for k in (1, 2, 6, 50)]
     for trial, (x, q) in enumerate(_oracle_cases(rng)):
         n = x.shape[0]
-        store = fit_knn(x, rng.normal(size=(n, 2)), weights=rng.uniform(0.1, 3.0, size=n))
+        store = InstanceStore(x, rng.normal(size=(n, 2)), weights=rng.uniform(0.1, 3.0, size=n))
         cfg = cfgs[trial % len(cfgs)]
         assert np.allclose(predict_knn_batch(store, [q], cfg)[0],
                            knn_oracle(store, q, cfg), atol=1e-10)
@@ -132,7 +150,7 @@ def test_overflowing_store_matches_oracle(rng):
         x[:, 0] = 1e200
         q = rng.integers(0, 3, size=d).astype(float)
         q[0] = 1e200
-        store = fit_knn(x, rng.normal(size=(n, 2)), weights=rng.uniform(0.1, 3.0, size=n))
+        store = InstanceStore(x, rng.normal(size=(n, 2)), weights=rng.uniform(0.1, 3.0, size=n))
         cfg = KnnConfig(k=(1, 2, 6)[trial % 3])
         assert np.allclose(predict_knn_batch(store, [q], cfg)[0],
                            knn_oracle(store, q, cfg), atol=1e-10)
@@ -168,7 +186,7 @@ def test_matches_exhaustive_scan_bit_for_bit(rng, monkeypatch):
         else:
             x = rng.normal(size=(n, d))
             x /= np.linalg.norm(x, axis=1, keepdims=True)
-        store = fit_knn(x, rng.normal(size=(n, 4)), weights=rng.uniform(0.1, 3.0, size=n))
+        store = InstanceStore(x, rng.normal(size=(n, 4)), weights=rng.uniform(0.1, 3.0, size=n))
         queries = np.vstack([x[rng.integers(n, size=5)],
                              x.mean(axis=0) + rng.normal(size=(5, d)) * x.std()])
         cfg = KnnConfig(k=(1, 2, 6, 50)[trial % 4])
@@ -184,7 +202,7 @@ def test_k_larger_than_store_uses_all():
 
 
 def test_single_instance_store(rng):
-    store = fit_knn(np.array([[1.0, 2.0]]), np.array([[7.0]]))
+    store = InstanceStore(np.array([[1.0, 2.0]]), np.array([[7.0]]))
     assert predict_knn_batch(store, [rng.normal(size=2)], KnnConfig(k=6))[0, 0] == 7.0
 
 
@@ -195,7 +213,7 @@ def test_interpolation_at_training_points(rng):
         d = int(rng.integers(1, 5))
         x = np.unique(rng.normal(size=(n, d)), axis=0)
         y = rng.normal(size=(x.shape[0], 3))
-        store = fit_knn(x, y)
+        store = InstanceStore(x, y)
         i = int(rng.integers(x.shape[0]))
         assert np.array_equal(predict_knn_batch(store, [x[i]], KnnConfig(k=4))[0], y[i])
 
@@ -204,7 +222,7 @@ def test_prediction_within_neighbor_hull(rng):
     for _ in range(50):
         x = rng.normal(size=(20, 3))
         y = rng.normal(size=(20, 2))
-        store = fit_knn(x, y)
+        store = InstanceStore(x, y)
         out = predict_knn_batch(store, [rng.normal(size=3)], KnnConfig(k=5))[0]
         assert np.all(out <= y.max(axis=0) + 1e-12)
         assert np.all(out >= y.min(axis=0) - 1e-12)
@@ -214,8 +232,8 @@ def test_permutation_invariance_generic_position(rng):
     x = rng.normal(size=(25, 4))
     y = rng.normal(size=(25, 2))
     perm = rng.permutation(25)
-    store_a = fit_knn(x, y)
-    store_b = fit_knn(x[perm], y[perm])
+    store_a = InstanceStore(x, y)
+    store_b = InstanceStore(x[perm], y[perm])
     for _ in range(20):
         q = rng.normal(size=4)
         assert np.allclose(predict_knn_batch(store_a, [q], KnnConfig(k=6))[0],
@@ -226,8 +244,8 @@ def test_weight_scaling_invariance(rng):
     x = rng.normal(size=(20, 3))
     y = rng.normal(size=(20, 2))
     w = rng.uniform(0.5, 2.0, size=20)
-    store_a = fit_knn(x, y, weights=w)
-    store_b = fit_knn(x, y, weights=w * 37.5)
+    store_a = InstanceStore(x, y, weights=w)
+    store_b = InstanceStore(x, y, weights=w * 37.5)
     for _ in range(20):
         q = rng.normal(size=3)
         assert np.allclose(predict_knn_batch(store_a, [q], KnnConfig(k=5))[0],
@@ -239,7 +257,7 @@ def test_batch_prediction_matches_single(rng, monkeypatch):
     monkeypatch.setattr(knn, "_BLOCK_CELLS", 40)     # 2 queries per block of 15 instances
     x = rng.integers(0, 3, size=(15, 3)).astype(float)
     y = rng.normal(size=(15, 2))
-    store = fit_knn(x, y, weights=rng.uniform(0.5, 2.0, size=15))
+    store = InstanceStore(x, y, weights=rng.uniform(0.5, 2.0, size=15))
     queries = np.vstack([x[:3], rng.integers(0, 3, size=(3, 3)), rng.normal(size=(3, 3))])
     batch = predict_knn_batch(store, queries, KnnConfig(k=4))
     assert batch.shape == (9, 2)

@@ -7,27 +7,19 @@ from hypothesis import strategies as st
 
 from regio_forecast.artifact import dumps_model
 from regio_forecast.errors import ConfigError, DataError
-from regio_forecast.features import PRIMARY_FEATURE_CODES, FeatureMatrix
 from regio_forecast.ingest import RegionalDataset, split_train_test
-from regio_forecast.knn import InstanceStore, KnnConfig, fit_knn, predict_knn_batch
-from regio_forecast.mtl import (
-    build_design_matrix,
-    predict_monitoring,
-    rotate_regions,
-    train_mtl,
-    transform_design,
-)
+from regio_forecast.knn import InstanceStore, KnnConfig, predict_knn_batch
+from regio_forecast.mtl import predict_monitoring, rotate_regions, train_mtl
+from regio_forecast.scaling import apply_quantile_scaler, l2_normalize_rows
 from regio_forecast.synth import SyntheticSpec, generate_regions
 
 from oracles import minmax_vote_oracle
 
 
 def scaled(model, datasets):
-    """Scaled design rows and raw target counts of every day in ``datasets``, in order."""
-    primary = FeatureMatrix(np.vstack([ds.features for ds in datasets]),
-                            PRIMARY_FEATURE_CODES)
-    x = transform_design(model.feature_scaler,
-                         build_design_matrix(primary, model.selected_features))
+    """Unit feature rows and raw target counts of every day in ``datasets``, in order."""
+    raw = np.vstack([ds.columns(model.selected_features) for ds in datasets])
+    x = l2_normalize_rows(apply_quantile_scaler(model.feature_scaler, raw))
     return x, np.vstack([ds.targets for ds in datasets])
 
 
@@ -121,7 +113,7 @@ def test_lambda_one_equals_union_knn(small_datasets, rng):
                          generic_weight=1.0)
 
     x, y = scaled(model, [*small_datasets[1:], ds.subset(split.train_indices)])
-    union_store = fit_knn(x, y)
+    union_store = InstanceStore(x, y)
 
     for _ in range(100):
         q = rng.normal(size=x.shape[1])
@@ -138,7 +130,7 @@ def test_lambda_zero_equals_dedicated_only_knn(small_datasets, rng):
                          generic_weight=0.0)
 
     x, y = scaled(model, [ds.subset(split.train_indices)])
-    dedicated_only = fit_knn(x, y)
+    dedicated_only = InstanceStore(x, y)
 
     assert len(model.store) == len(split.train_indices)
     for _ in range(100):
@@ -170,7 +162,7 @@ def vote_cases(draw):
                             min_size=n, max_size=n))
     queries = np.array(draw(st.lists(point, min_size=1, max_size=4)))
     k = draw(st.one_of(st.just(1), st.integers(1, n), st.integers(n + 1, n + 5)))
-    return fit_knn(features, targets, weights=np.array(weights)), queries, KnnConfig(k=k)
+    return InstanceStore(features, targets, weights=np.array(weights)), queries, KnnConfig(k=k)
 
 
 @settings(deadline=None, max_examples=300, derandomize=True)

@@ -122,7 +122,7 @@ def test_forecast_series_composition(trained_small_model, small_datasets):
     forecast = forecast_series(model, test, 0.75, 200.0)
     assert len(forecast) == test.n_rows
     rows = csv_rows(forecast)
-    for i, chc_value in enumerate(test.feature_matrix().column("feat_11")):
+    for i, chc_value in enumerate(test.columns(["feat_11"])[:, 0]):
         chc = int(round(chc_value))
         assert forecast.hsp_ratio[i] == pytest.approx(forecast.predicted_hospitalized[i] / chc)
         assert forecast.kits[i] <= 0.75 * 200.0 + 1e-9
@@ -155,7 +155,7 @@ def test_forecast_series_saturation_everywhere(trained_small_model, small_datase
     ds = small_datasets[0]
     test = ds.subset(split.test_indices)
     hospitalized = predict_monitoring(model, test)[:, TARGET_COLUMNS.index("hospitalizations")]
-    chcs = [int(round(c)) for c in test.feature_matrix().column("feat_11")]
+    chcs = [int(round(c)) for c in test.columns(["feat_11"])[:, 0]]
     saturated = [i for i, (h, c) in enumerate(zip(hospitalized, chcs)) if h / c > 1.0]
     forecast = forecast_series(model, test, 1.0, 320.0)
     for i in saturated:

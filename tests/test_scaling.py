@@ -4,7 +4,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from regio_forecast.errors import DataError
-from regio_forecast.features import FeatureMatrix
 from regio_forecast.scaling import (
     CDF_CLIP_HI,
     CDF_CLIP_LO,
@@ -17,36 +16,40 @@ from regio_forecast.scaling import (
 from oracles import bisection_normal_ppf, empirical_cdf_prob, interp_quantile
 
 
-def column_matrix(values, code="x"):
-    return FeatureMatrix(np.asarray(values, dtype=float)[:, None], (code,))
+def column_matrix(values):
+    return np.asarray(values, dtype=float)[:, None]
+
+
+def fit_column(values, code="x"):
+    return fit_quantile_scaler(column_matrix(values), (code,))
 
 
 # --- normal quantile step of the quantile scaler ----------------------
 
 def test_ppf_median_is_zero():
-    scaler = fit_quantile_scaler(column_matrix(np.arange(1.0, 102.0)))    # 101 landmarks
-    assert apply_quantile_scaler(scaler, column_matrix([51.0])).values[0, 0] == 0.0
+    scaler = fit_column(np.arange(1.0, 102.0))    # 101 landmarks
+    assert apply_quantile_scaler(scaler, column_matrix([51.0]))[0, 0] == 0.0
 
 
 def test_ppf_0975_matches_bisection_oracle():
     oracle = bisection_normal_ppf(0.975)
     assert abs(oracle - 1.959964) < 1e-6          # frozen from the oracle
-    scaler = fit_quantile_scaler(column_matrix(np.arange(1.0, 42.0)))     # 41 landmarks
-    z = apply_quantile_scaler(scaler, column_matrix([40.0])).values[0, 0]   # p = 39/40
+    scaler = fit_column(np.arange(1.0, 42.0))     # 41 landmarks
+    z = apply_quantile_scaler(scaler, column_matrix([40.0]))[0, 0]   # p = 39/40
     assert abs(z - oracle) < 1e-8
 
 
 def test_ppf_against_bisection_oracle_grid():
     """At every landmark, and inside the tail segments, z is the oracle's Phi^-1(clip(p))."""
     rng = np.random.default_rng(99)
-    scaler = fit_quantile_scaler(column_matrix(rng.lognormal(0.0, 1.0, 2000)))
+    scaler = fit_column(rng.lognormal(0.0, 1.0, 2000))
     lm = scaler.landmarks[0]
     tails = np.concatenate([                # tails, where Phi^-1 is hardest
         lm[0] + rng.uniform(1e-4, 1.0, 100) * (lm[1] - lm[0]),
         lm[-1] - rng.uniform(1e-4, 1.0, 100) * (lm[-1] - lm[-2]),
     ])
     xs = np.concatenate([lm, tails])
-    z = apply_quantile_scaler(scaler, column_matrix(xs)).values[:, 0]
+    z = apply_quantile_scaler(scaler, column_matrix(xs))[:, 0]
     for x, z_x in zip(xs, z):
         p = min(max(empirical_cdf_prob(lm, x), CDF_CLIP_LO), CDF_CLIP_HI)
         assert abs(z_x - bisection_normal_ppf(p)) <= 1e-8
@@ -57,7 +60,7 @@ def test_ppf_symmetry(p):
     lm = np.linspace(-1.0, 1.0, 101)
     scaler = QuantileNormalScaler(("x",), ((lm - lm[::-1]) / 2)[None, :])
     x = 2.0 * p - 1.0
-    z = apply_quantile_scaler(scaler, column_matrix([x, -x])).values[:, 0]
+    z = apply_quantile_scaler(scaler, column_matrix([x, -x]))[:, 0]
     assert abs(z[0] + z[1]) <= 1e-8
 
 
@@ -65,7 +68,7 @@ def test_ppf_symmetry(p):
 
 def test_fit_landmarks_match_interp_oracle():
     data = np.linspace(1.0, 100.0, 101)     # 101 rows give 101 landmarks
-    scaler = fit_quantile_scaler(column_matrix(data))
+    scaler = fit_column(data)
     probs = np.linspace(0, 1, 101)
     expected = [interp_quantile(np.sort(data), p) for p in probs]
     assert np.allclose(scaler.landmarks[0], expected, atol=1e-12)
@@ -88,28 +91,27 @@ def test_fit_landmarks_bit_identical_to_numpy_quantile(rows):
         rng.integers(-2, 3, rows) * 1.5,
         np.where(rng.random(rows) < 0.5, -0.0, 0.0),
     ])
-    m = FeatureMatrix(values, ("a", "b", "c", "d"))
-    scaler = fit_quantile_scaler(m)
+    scaler = fit_quantile_scaler(values, ("a", "b", "c", "d"))
     assert scaler.n_quantiles == min(1000, rows)
     expected = np.quantile(values, scaler.probabilities, axis=0).T
     assert np.array_equal(scaler.landmarks, expected)
 
 
 def test_fit_constant_column_all_landmarks_equal():
-    scaler = fit_quantile_scaler(column_matrix([5.0] * 7))
+    scaler = fit_column([5.0] * 7)
     assert np.all(scaler.landmarks[0] == 5.0)
 
 
 def test_fit_single_row_rejected():
     with pytest.raises(DataError, match="^need at least 2 training rows to fit quantiles, got 1$"):
-        fit_quantile_scaler(column_matrix([1.0]))
+        fit_column([1.0])
 
 
 def test_transform_median_maps_near_zero():
     data = np.arange(1.0, 101.0)
-    scaler = fit_quantile_scaler(column_matrix(data))
+    scaler = fit_column(data)
     median = float(np.median(data))
-    z = apply_quantile_scaler(scaler, column_matrix([median])).values[0, 0]
+    z = apply_quantile_scaler(scaler, column_matrix([median]))[0, 0]
     # oracle: empirical CDF composed with the normal quantile function
     p = empirical_cdf_prob(np.sort(data), median)
     assert abs(z - bisection_normal_ppf(max(min(p, 1 - 1e-7), 1e-7))) < 1e-8
@@ -118,23 +120,23 @@ def test_transform_median_maps_near_zero():
 
 def test_transform_clips_below_training_minimum():
     data = np.arange(1.0, 101.0)
-    scaler = fit_quantile_scaler(column_matrix(data))
-    below = apply_quantile_scaler(scaler, column_matrix([-50.0])).values[0, 0]
-    at_min = apply_quantile_scaler(scaler, column_matrix([1.0])).values[0, 0]
+    scaler = fit_column(data)
+    below = apply_quantile_scaler(scaler, column_matrix([-50.0]))[0, 0]
+    at_min = apply_quantile_scaler(scaler, column_matrix([1.0]))[0, 0]
     assert below == at_min
 
 
 def test_transform_constant_training_column_maps_to_zero():
-    scaler = fit_quantile_scaler(column_matrix([5.0, 5.0, 5.0]))
+    scaler = fit_column([5.0, 5.0, 5.0])
     out = apply_quantile_scaler(scaler, column_matrix([5.0, 7.0, -2.0]))
-    assert np.all(out.values == 0.0)
+    assert np.all(out == 0.0)
 
 
 def test_transform_column_mismatch():
-    scaler = fit_quantile_scaler(column_matrix([1.0, 2.0, 3.0], code="a"))
+    scaler = fit_column([1.0, 2.0, 3.0], code="a")
     with pytest.raises(DataError,
-                       match=r"^matrix columns \('b',\) do not match fitted columns \('a',\)$"):
-        apply_quantile_scaler(scaler, column_matrix([1.0], code="b"))
+                       match=r"^values of shape \(1, 2\) do not match fitted columns \('a',\)$"):
+        apply_quantile_scaler(scaler, np.ones((1, 2)))
 
 
 def test_training_matrix_statistics():
@@ -145,8 +147,7 @@ def test_training_matrix_statistics():
         rng.normal(5.0, 2.0, 362),
         rng.exponential(3.0, 362),
     ])
-    m = FeatureMatrix(values, ("a", "b", "c"))
-    z = apply_quantile_scaler(fit_quantile_scaler(m), m).values
+    z = apply_quantile_scaler(fit_quantile_scaler(values, ("a", "b", "c")), values)
     assert np.all(np.abs(z.mean(axis=0)) < 0.05)
     assert np.all((z.std(axis=0) >= 0.85) & (z.std(axis=0) <= 1.15))
 
@@ -156,8 +157,8 @@ def test_training_matrix_statistics():
        st.floats(-1e6, 1e6), st.floats(-1e6, 1e6))
 def test_transform_monotone(train, x1, x2):
     lo, hi = min(x1, x2), max(x1, x2)
-    scaler = fit_quantile_scaler(column_matrix(train))
-    out = apply_quantile_scaler(scaler, column_matrix([lo, hi])).values
+    scaler = fit_column(train)
+    out = apply_quantile_scaler(scaler, column_matrix([lo, hi]))
     assert out[0, 0] <= out[1, 0]
 
 
