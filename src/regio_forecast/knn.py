@@ -71,7 +71,7 @@ class InstanceStore:
         if t.shape[0] != n or w.shape != (n,) or tags.shape != (n,):
             raise DataError(f"instance counts disagree across store fields: {n} feature rows, "
                             f"{t.shape[0]} target rows, {len(tags)} tags, {len(w)} weights")
-        if np.any(w <= 0):
+        if not np.all(w > 0):      # NaN fails the comparison too
             raise DataError("source weights must be strictly positive")
         for arr in (f, t, w, tags):
             arr.setflags(write=False)

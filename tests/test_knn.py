@@ -40,7 +40,9 @@ def test_fit_memorizes_rows(rng):
      "2 tags, 3 weights$"),
     ((np.ones((3, 2)), np.ones((3, 1)), None, [1.0, 0.0, 1.0]),
      "^source weights must be strictly positive$"),
-], ids=["one_dimensional", "targets", "tags", "zero_weight"])
+    ((np.ones((3, 2)), np.ones((3, 1)), None, [1.0, np.nan, 1.0]),
+     "^source weights must be strictly positive$"),
+], ids=["one_dimensional", "targets", "tags", "zero_weight", "nan_weight"])
 def test_store_rejects_inconsistent_fields(fields, message):
     with pytest.raises(DataError, match=message):
         InstanceStore(*fields)

@@ -107,6 +107,12 @@ def test_fit_single_row_rejected():
         fit_column([1.0])
 
 
+def test_fit_rejects_non_finite_values():
+    values = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, np.inf]])
+    with pytest.raises(DataError, match="^non-finite value at row 2, column 'b'$"):
+        fit_quantile_scaler(values, ("a", "b"))
+
+
 def test_transform_median_maps_near_zero():
     data = np.arange(1.0, 101.0)
     scaler = fit_column(data)
