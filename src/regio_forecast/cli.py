@@ -151,7 +151,8 @@ def _train(cfg: RunConfig):
     case_ds = _case_dataset(datasets, cfg)
     case = case_ds.region
     split = split_train_test(case_ds, cfg.test_days, cfg.seed)
-    selection = _selection(cfg, case_ds)
+    # ranked selection scores relevance on the training days only
+    selection = _selection(cfg, case_ds.subset(split.train_indices))
     model, report = train_mtl(
         datasets, case, split.train_indices,
         KnnConfig(k=cfg.k), cfg.generic_weight, selection)

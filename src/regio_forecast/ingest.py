@@ -346,14 +346,19 @@ def parse_regional_csv(path: str | Path, region: RegionId) -> RegionalDataset:
 
 
 def write_regional_csv(ds: RegionalDataset, path: str | Path) -> None:
-    """Serialize a dataset in the exact ingest schema (round-trips losslessly)."""
-    path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_HEADER)
-        for date, features, targets in zip(ds.dates, ds.features.tolist(),
-                                           ds.targets.tolist()):
-            writer.writerow([date.isoformat()] + [repr(v) for v in features] + targets)
+    """Serialize a dataset in the exact ingest schema (round-trips losslessly).
+
+    The bytes are those ``csv.writer`` gives: no cell needs quoting, lines
+    end with CRLF, features are written by ``repr`` and the integer targets
+    as integers.
+    """
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
+        fh.write(",".join(CSV_HEADER) + "\r\n")
+        fh.writelines(
+            date.isoformat() + "," + ",".join(map(repr, features))
+            + "," + ",".join(map(str, targets)) + "\r\n"
+            for date, features, targets in zip(ds.dates, ds.features.tolist(),
+                                               ds.targets.tolist()))
 
 
 @dataclass(frozen=True)

@@ -8,13 +8,18 @@ are fixed; only k is configurable. Each instance carries a positive source
 weight so pooled instances from other regions can be up- or down-weighted
 as a group.
 
-Neighbor search takes queries in blocks. One matrix product gives every
-approximate squared distance of a block, a partition finds each query's
-k-th smallest, and every instance within a forward-error margin of it is
-shortlisted. The shortlist is then ranked by exact distance, computed as
-an exhaustive scan would compute it, so predictions, ties and the
-zero-distance rule match the scan bit for bit. The test suite holds a
-plain-loop oracle of the same contract that validates the predictor.
+Neighbor search (``neighbours``) takes queries in blocks. One matrix
+product of the queries [-2q, 1] with the augmented store [F^T; ||x||^2]
+gives every approximate squared distance of a block, less each query's
+own ||q||^2. Minima across 16 slabs of each row bound its k-th smallest
+approximation from above without partitioning the whole row, and every
+instance within a forward-error margin of that bound is shortlisted. The
+shortlists are packed into one padded matrix and ranked by exact
+distance, computed as an exhaustive scan would compute it, so neighbors,
+distances and ties match the scan bit for bit. ``predict_knn_batch`` is
+one vectorized vote over the resulting (queries, k) arrays. The test
+suite holds a plain-loop oracle of the same contract that validates the
+predictor.
 """
 
 from __future__ import annotations
@@ -92,21 +97,31 @@ class InstanceStore:
 # (2 MB of float64), so memory does not grow with the number of queries.
 _BLOCK_CELLS = 2 ** 18
 
+# The shortlist bound views each row of approximations as this many slabs
+# and takes the minimum across them at every position (see neighbours).
+_SLABS = 16
 
-def predict_knn_batch(store: InstanceStore, queries: np.ndarray, cfg: KnnConfig) -> np.ndarray:
-    """Predict one target vector per row of a query matrix.
 
-    For each query the min(k, |store|) nearest instances by Euclidean
-    distance vote with weight source_weight / distance; ties at equal
-    distance prefer the earlier-inserted instance. If any selected neighbor
-    sits at distance exactly 0, the prediction is the source-weighted mean
-    of the zero-distance instances alone.
+def neighbours(store: InstanceStore, queries: np.ndarray,
+               k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Indices and distances of each query's k nearest instances.
 
-    A block of queries gets approximate squared distances from one matrix
-    product, ||q||^2 + ||x||^2 - 2 q.x. Every instance within a rounding
-    margin of the k-th smallest approximation is shortlisted, and the
-    shortlist is ranked by exact distance, so the output equals that of
-    an exhaustive scan bit for bit.
+    Returns ``(idx, dist)``, both of shape ``(len(queries), min(k, |store|))``.
+    Row i lists query i's neighbors by ascending Euclidean distance, ties
+    going to the earlier-inserted (lower) index, and the distances are
+    computed as an exhaustive scan computes them. So both arrays equal a
+    stable sort of the full scan bit for bit.
+
+    Per block of queries, one matrix product of [-2q, 1] with the augmented
+    store [F^T; ||x||^2] gives ||x||^2 - 2 q.x, the squared distance less
+    the per-query constant ||q||^2. The first 16·m approximations of a
+    row (m = n // 16) are viewed as 16 slabs of m; the minimum across the
+    slabs at each of the m positions is the approximation of a different
+    instance, so the k-th smallest of the m minima bounds the row's k-th
+    smallest approximation from above (with m < k, a partition of the
+    whole row gives it). Every instance within a rounding margin of that
+    bound is shortlisted, and the shortlist is re-ranked by exact distance
+    in a padded (block, longest shortlist) matrix.
     """
     queries = np.asarray(queries, dtype=np.float64)
     if queries.ndim != 2:
@@ -114,55 +129,100 @@ def predict_knn_batch(store: InstanceStore, queries: np.ndarray, cfg: KnnConfig)
     n, d = store.features.shape
     if queries.shape[1] != d:
         raise DataError(f"query has {queries.shape[1]} dims, store has {d}")
-    k = min(cfg.k, n)
+    if k < 1:
+        raise ConfigError(f"k must be >= 1, got {k}")
+    k = min(k, n)
     x_sq = np.einsum("ij,ij->i", store.features, store.features)
-    # Shortlist margin M. The expansion and the exact re-rank's sum of
-    # squared differences each lie within (d + 2)·eps·(||q||^2 + ||x||^2) of
-    # the true squared distance. So the k smallest approximations belong to
-    # instances whose re-rank value is at most kth + M, and an instance that
-    # ties or beats the k-th re-ranked distance has an approximation of at
-    # most kth + 2M (the square root adds a few ulps). M = 4·(d + 4)·eps·
-    # (||q||^2 + max ||x||^2) covers this with room to spare; the subnormal
-    # term covers products that underflow.
+    augmented = np.vstack([store.features.T, x_sq])     # (d + 1, n)
+    # Shortlist margin M, with S = ||q||^2 + ||x||^2 and u = eps / 2, to
+    # first order, and kth the k-th smallest approximation of a query. The
+    # computed ||x||^2 carries its own rounding, within d·u·||x||^2. The
+    # product sums d + 1 terms: -2q_i·x_i (scaling by -2 is exact) and
+    # ||x||^2 times 1. Their magnitudes add up to at most
+    # 2·sum|q_i·x_i| + ||x||^2 <= 2S, so the sum adds at most (d + 1)·u·2S. Each
+    # approximation is thus within (1.5d + 1)·eps·S of ||x||^2 - 2 q.x,
+    # the true squared distance less ||q||^2, which is the same for every
+    # instance of a query and so does not change the order. The exact
+    # re-rank's sum of squared differences is within (d + 2)·eps·S of the
+    # true squared distance. So the k smallest approximations belong to
+    # instances whose re-rank value is at most kth + ||q||^2 +
+    # (2.5d + 3)·eps·S, and an instance that ties or beats the k-th
+    # re-ranked distance has an approximation of at most kth +
+    # (5d + 6)·eps·S, plus a few eps·S for the square root and for
+    # rounding the bound itself. With M = 4·(d + 4)·eps·(||q||^2 +
+    # max ||x||^2), 2M = (8d + 32)·eps·max S covers this with room to
+    # spare; the subnormal term covers products that underflow. The slab
+    # bound is at least kth, so it shortlists a superset. A query with
+    # 4·(||q||^2 + max ||x||^2) finite has every term, partial sum and
+    # bound finite.
     eps, tiny = np.finfo(np.float64).eps, np.finfo(np.float64).smallest_subnormal
     x_sq_max = x_sq.max()
-    out = np.empty((queries.shape[0], store.targets.shape[1]))
+    idx = np.empty((queries.shape[0], k), dtype=np.intp)
+    dist = np.empty((queries.shape[0], k))
     step = max(1, _BLOCK_CELLS // n)
+    slab = n // _SLABS
+    block = np.empty((min(step, queries.shape[0]), n))    # reused by every block
     for start in range(0, queries.shape[0], step):
         q = queries[start:start + step]
+        b = q.shape[0]
         with np.errstate(over="ignore", invalid="ignore"):
             q_sq = np.einsum("ij,ij->i", q, q)
-            approx = q @ store.features.T
-            approx *= -2.0
-            approx += x_sq
-            approx += q_sq[:, None]
-            margin = 4 * (d + 4) * (eps * (q_sq + x_sq_max) + tiny)
-            bound = np.partition(approx, k - 1, axis=1)[:, k - 1] + 2 * margin
+            approx = np.matmul(np.hstack([-2.0 * q, np.ones((b, 1))]), augmented, out=block[:b])
+            if slab < k:
+                kth = np.partition(approx, k - 1, axis=1)[:, k - 1]
+            else:
+                minima = approx[:, :_SLABS * slab].reshape(b, _SLABS, slab).min(axis=1)
+                kth = np.partition(minima, k - 1, axis=1)[:, k - 1]
+            bound = kth + 8 * (d + 4) * (eps * (q_sq + x_sq_max) + tiny)
             shortlist = approx <= bound[:, None]
-        # values beyond ~1e154 overflow when squared; such rows scan everything
-        shortlist[~(np.isfinite(bound) & np.isfinite(approx).all(axis=1))] = True
-        for i, (query, mask) in enumerate(zip(q, shortlist), start=start):
-            out[i] = _nearest_vote(store, query, np.flatnonzero(mask), k)
+            # values beyond ~1e154 overflow when squared; such rows scan everything
+            shortlist[~np.isfinite(4 * (q_sq + x_sq_max))] = True
+        # hits come ordered by query, then by ascending instance index
+        rows, cols = np.divmod(np.flatnonzero(shortlist), n)
+        exact = np.empty(cols.shape[0])
+        # a block of full scans (after an overflow) re-ranks every row: take
+        # its differences in slices of at most about _BLOCK_CELLS values
+        chunk = max(1, _BLOCK_CELLS // max(d, 1))
+        for s in range(0, cols.shape[0], chunk):
+            diffs = store.features[cols[s:s + chunk]] - q[rows[s:s + chunk]]
+            exact[s:s + chunk] = np.sqrt(np.einsum("ij,ij->i", diffs, diffs))
+        pos = np.arange(rows.shape[0]) - np.searchsorted(rows, rows)
+        padded = np.full((b, pos.max() + 1), np.inf)
+        padded[rows, pos] = exact
+        members = np.zeros(padded.shape, dtype=np.intp)
+        members[rows, pos] = cols
+        # a padded row was shortlisted, so its hits are finite and sort ahead
+        # of the inf padding; a row that scans everything has no padding
+        order = np.argsort(padded, axis=1, kind="stable")[:, :k]
+        idx[start:start + b] = np.take_along_axis(members, order, axis=1)
+        dist[start:start + b] = np.take_along_axis(padded, order, axis=1)
+    return idx, dist
+
+
+def predict_knn_batch(store: InstanceStore, queries: np.ndarray, cfg: KnnConfig) -> np.ndarray:
+    """Predict one target vector per row of a query matrix.
+
+    For each query the min(k, |store|) nearest instances by Euclidean
+    distance (``neighbours``) vote with weight source_weight / distance;
+    ties at equal distance prefer the earlier-inserted instance. If any
+    selected neighbor sits at distance exactly 0, the prediction is the
+    source-weighted mean of the zero-distance instances alone.
+    """
+    idx, dist = neighbours(store, queries, cfg.k)
+    # zero-distance hits lead each row; summing only that prefix keeps the
+    # grouping numpy's pairwise sum gives to a vote of just those instances
+    zeros = np.count_nonzero(dist == 0.0, axis=1)
+    out = np.empty((idx.shape[0], store.targets.shape[1]))
+    far = zeros == 0
+    out[far] = _weighted_mean(store.weights[idx[far]] / dist[far], store.targets[idx[far]])
+    for z in np.unique(zeros[~far]):
+        near = zeros == z
+        out[near] = _weighted_mean(store.weights[idx[near, :z]], store.targets[idx[near, :z]])
     return out
 
 
-def _nearest_vote(store: InstanceStore, query: np.ndarray, candidates: np.ndarray,
-                  k: int) -> np.ndarray:
-    """Vote of the k nearest among ascending ``candidates`` by exact distance."""
-    diffs = store.features[candidates] - query
-    dist = np.sqrt(np.einsum("ij,ij->i", diffs, diffs))
-    # candidates ascend, so a stable sort keeps earlier-inserted instances first
-    order = np.argsort(dist, kind="stable")[:k]
-    nd = dist[order]
-    nw = store.weights[candidates[order]]
-    ny = store.targets[candidates[order]]
-    zero = nd == 0.0
-    if np.any(zero):
-        if zero.sum() == 1:
-            return ny[zero][0]
-        w = nw[zero]
-        return (w[:, None] * ny[zero]).sum(axis=0) / w.sum()
-    if k == 1:
-        return ny[0]
-    w = nw / nd
-    return (w[:, None] * ny).sum(axis=0) / w.sum()
+def _weighted_mean(w: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Row means of ``y`` (r, c, m) weighted by ``w`` (r, c); one voter gives its target."""
+    if w.shape[1] == 1:
+        return y[:, 0]
+    return (w[:, :, None] * y).sum(axis=1) / w.sum(axis=1)[:, None]

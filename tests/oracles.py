@@ -227,6 +227,16 @@ def read_csv_oracle(path, region):
     return [dates[i] for i in order], values[:, :n_features], values[:, n_features:]
 
 
+def write_csv_oracle(ds, path):
+    """Write a dataset with ``csv.writer``, row by row, in the ingest schema."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(CSV_HEADER)
+        for date, features, targets in zip(ds.dates, ds.features.tolist(),
+                                           ds.targets.tolist()):
+            writer.writerow([date.isoformat()] + [repr(v) for v in features] + targets)
+
+
 def ppe_kits_oracle(hospitalized: float, chc_count: float, capacity: float,
                     personnel: float) -> float:
     """One day's kit demand, branch by branch in plain floats."""

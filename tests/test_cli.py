@@ -12,6 +12,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from regio_forecast.cli import main
+from regio_forecast.features import DERIVED_FEATURE_CODES, PRIMARY_FEATURE_CODES, score_relevance
+from regio_forecast.ingest import (
+    RegionalDataset, parse_regional_csv, region_by_name, split_train_test, write_regional_csv)
 
 
 @pytest.fixture(scope="module")
@@ -708,12 +711,38 @@ def test_train_ranked_selection_end_to_end(data_dir, tmp_path):
                 "--out", out]) == 0
     doc = json.loads((out / "model.json").read_text())
     assert tuple(doc["selected_features"]) == (
-        "d13", "d11", "feat_19", "feat_20", "feat_17", "feat_16", "feat_14",
-        "feat_15", "feat_12")
+        "d13", "d11", "feat_20", "feat_19", "feat_14", "feat_17", "feat_16",
+        "feat_12", "feat_15")
     assert run(["relevance", "--data-dir", data_dir, "--case-study", "alberta",
                 "--out", out]) == 0
     assert hashlib.sha256((out / "relevance.csv").read_bytes()).hexdigest() == (
         "645b6e1d44f7261fbaf5c0f3a10ed1cbb308cda05fe310ffb3be6f7afc51f8e6")
+
+
+def test_ranked_selection_ignores_held_out_targets(data_dir, tmp_path):
+    """Relevance is scored on the training days, so the held-out days'
+    targets cannot move the selected features."""
+    alberta = region_by_name("alberta")
+    ds = parse_regional_csv(data_dir / "alberta.csv", alberta)
+    test = list(split_train_test(ds, 16, 0).test_indices)
+    targets = ds.targets.copy()
+    targets[test] = np.random.default_rng(0).integers(0, 10 ** 6, size=(16, 4))
+    changed = RegionalDataset(alberta, ds.dates, ds.features, targets)
+    codes = PRIMARY_FEATURE_CODES + DERIVED_FEATURE_CODES
+    # scored on all days, the new targets do move the top 9
+    assert (score_relevance(changed.columns(codes), codes, targets).top(9)
+            != score_relevance(ds.columns(codes), codes, ds.targets).top(9))
+    changed_dir = tmp_path / "changed"
+    shutil.copytree(data_dir, changed_dir)
+    write_regional_csv(changed, changed_dir / "alberta.csv")
+    selected = []
+    for root in (data_dir, changed_dir):
+        out = tmp_path / f"out_{root.name}"
+        assert run(["train", "--data-dir", root, "--case-study", "alberta", "--seed", "0",
+                    "--test-days", "16", "--selection", "ranked", "--top-n", "9",
+                    "--out", out]) == 0
+        selected.append(json.loads((out / "model.json").read_text())["selected_features"])
+    assert selected[0] == selected[1]
 
 
 def test_console_entry_point_smoke(tmp_path):

@@ -22,7 +22,7 @@ from regio_forecast.ingest import (
 from regio_forecast.mtl import train_mtl
 from regio_forecast.synth import SyntheticSpec, generate_regions
 
-from oracles import first_bad_cell, read_csv_oracle
+from oracles import first_bad_cell, read_csv_oracle, write_csv_oracle
 
 
 def make_row(day, feat_02=1.0, deaths=0):
@@ -62,6 +62,24 @@ def test_parse_well_formed_file(tmp_path):
     assert parsed.n_rows == 362
     dates = parsed.dates
     assert all(a < b for a, b in zip(dates, dates[1:]))
+
+
+def test_writer_matches_csv_module_bytes(tmp_path):
+    """The one-call writer gives the bytes of csv.writer, row by row."""
+    synthetic = generate_regions(SyntheticSpec(regions=1, rows=120, seed=5))[0]
+    edge = (1e-05, -0.0, 1e+16, 5e-324, -1.5e-300, 1.7976931348623157e308, 0.1, 2.0)
+    rows = [make_row(day) for day in range(len(edge))]
+    for (_, features, targets), value in zip(rows, edge):
+        features[[0, 2, 12, 26]] = value          # feat_01, feat_03, feat_13, feat_27
+        targets[0] = 2 ** 53 - 1
+    for ds in (synthetic, make_dataset(*rows)):
+        write_regional_csv(ds, tmp_path / "bulk.csv")
+        write_csv_oracle(ds, tmp_path / "rows.csv")
+        assert (tmp_path / "bulk.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+    lines = (tmp_path / "bulk.csv").read_bytes().split(b"\r\n")
+    assert lines[1].startswith(b"2020-01-25,1e-05,1.0,1e-05,")
+    assert b",-0.0,1.0,-0.0," in lines[2] and b",1e+16,1.0,1e+16," in lines[3]
+    assert lines[1].endswith(b",9007199254740991,1,1,0") and lines[-1] == b""
 
 
 def test_parse_roundtrip_identical(tmp_path):

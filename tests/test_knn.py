@@ -3,7 +3,7 @@ import pytest
 
 from regio_forecast import knn
 from regio_forecast.errors import ConfigError, DataError
-from regio_forecast.knn import InstanceStore, KnnConfig, predict_knn_batch
+from regio_forecast.knn import InstanceStore, KnnConfig, neighbours, predict_knn_batch
 
 from oracles import knn_oracle
 
@@ -195,6 +195,92 @@ def test_matches_exhaustive_scan_bit_for_bit(rng, monkeypatch):
         batch = predict_knn_batch(store, queries, cfg)
         for row, q in zip(batch, queries):
             assert np.array_equal(row, _exhaustive_scan(store, q, cfg))
+
+
+def _branch_cases(rng, k, above):
+    """(instances, queries) with n >= 16·k (the slab-minimum bound) or n < 16·k
+    (the partition of the whole row), covering ties, duplicates, zero rows and
+    values beyond 1e154, a tight cluster far from the origin and unit rows."""
+    threshold = knn._SLABS * k
+    for trial in range(14):
+        n = int(rng.integers(threshold, threshold + 300) if above
+                else rng.integers(1, threshold))
+        d = int(rng.integers(1, 14))
+        kind = trial % 7
+        # low-resolution grid coordinates force distance ties
+        x = rng.integers(0, 3, size=(n, d)).astype(float)
+        queries = np.vstack([x[rng.integers(n, size=3)],
+                             rng.integers(0, 3, size=(3, d)).astype(float)])
+        if kind == 1:
+            # more than k copies of one point, where n allows
+            x = rng.normal(size=(n, d))
+            point = rng.normal(size=d)
+            x[rng.permutation(n)[:k + 3]] = point
+            queries = np.vstack([point, point, point + 1e-9, rng.normal(size=(3, d))])
+        elif kind == 2:
+            # all-zero rows among general ones
+            x = rng.normal(size=(n, d))
+            x[rng.random(n) < 0.5] = 0.0
+            queries = np.vstack([np.zeros((2, d)), x[rng.integers(n, size=2)],
+                                 rng.normal(size=(2, d))])
+        elif kind == 3:
+            # stored rows beyond 1e154 among ordinary ones: every query scans all
+            x[rng.random(n) < 0.3, 0] = 1e154
+            queries[::2, 0] = 1e154
+        elif kind == 4:
+            # queries beyond 1e154 scan all, in the same blocks as shortlisted ones
+            queries[::2, 0] = 1e154
+        elif kind == 5:
+            # the product cancels badly: the margin decides the shortlist
+            x = 1e4 + rng.normal(size=(n, d)) * 1e-5
+            queries = np.vstack([x[rng.integers(n, size=3)], 1e4 + rng.normal(size=(3, d)) * 1e-5])
+        elif kind == 6:
+            # L2-normalized rows, as monitoring models store them
+            x = rng.normal(size=(n, d))
+            x /= np.linalg.norm(x, axis=1, keepdims=True)
+            queries = np.vstack([x[rng.integers(n, size=3)], rng.normal(size=(3, d))])
+        yield x, queries
+
+
+@pytest.mark.parametrize("above", [False, True], ids=["below_16k", "from_16k"])
+@pytest.mark.parametrize("k", [1, 6, 9, 50])
+def test_both_shortlist_bounds_match_exhaustive_scan_bit_for_bit(rng, monkeypatch, k, above):
+    monkeypatch.setattr(knn, "_BLOCK_CELLS", 4000)     # several queries per block
+    cfg = KnnConfig(k=k)
+    for x, queries in _branch_cases(rng, k, above):
+        n = x.shape[0]
+        store = InstanceStore(x, rng.normal(size=(n, 4)), weights=rng.uniform(0.1, 3.0, size=n))
+        batch = predict_knn_batch(store, queries, cfg)
+        for row, q in zip(batch, queries):
+            assert np.array_equal(row, _exhaustive_scan(store, q, cfg))
+
+
+@pytest.mark.parametrize("above", [False, True], ids=["below_16k", "from_16k"])
+@pytest.mark.parametrize("k", [1, 6, 9, 50])
+def test_neighbours_are_the_stable_scan_order(rng, monkeypatch, k, above):
+    """idx and dist are the first k of a stable sort of all exact distances:
+    ties go to the lower index."""
+    monkeypatch.setattr(knn, "_BLOCK_CELLS", 4000)
+    for x, queries in _branch_cases(rng, k, above):
+        store = InstanceStore(x, np.zeros((x.shape[0], 1)))
+        idx, dist = neighbours(store, queries, k)
+        assert idx.shape == dist.shape == (len(queries), min(k, len(store)))
+        for i, q in enumerate(queries):
+            diffs = x - q
+            scan = np.sqrt(np.einsum("ij,ij->i", diffs, diffs))
+            order = np.argsort(scan, kind="stable")[:k]
+            assert np.array_equal(idx[i], order)
+            assert np.array_equal(dist[i], scan[order])
+
+
+def test_neighbours_rejects_bad_k_and_shapes():
+    store = two_point_store()
+    with pytest.raises(ConfigError, match="^k must be >= 1, got 0$"):
+        neighbours(store, [[0.0]], 0)
+    with pytest.raises(DataError, match=r"^queries must be 2-D, got shape \(1,\)$"):
+        neighbours(store, [0.0], 1)
+    idx, dist = neighbours(store, np.empty((0, 1)), 3)
+    assert idx.shape == dist.shape == (0, 2)
 
 
 def test_k_larger_than_store_uses_all():
