@@ -152,6 +152,9 @@ def _train(cfg: RunConfig):
     case = case_ds.region
     split = split_train_test(case_ds, cfg.test_days, cfg.seed)
     # ranked selection scores relevance on the training days only
+    if cfg.selection == "ranked" and len(split.train_indices) < 3:
+        raise ConfigError(f"--selection ranked needs at least 3 training days; "
+                          f"--test-days {cfg.test_days} leaves {len(split.train_indices)}")
     selection = _selection(cfg, case_ds.subset(split.train_indices))
     model, report = train_mtl(
         datasets, case, split.train_indices,

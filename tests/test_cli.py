@@ -745,6 +745,16 @@ def test_ranked_selection_ignores_held_out_targets(data_dir, tmp_path):
     assert selected[0] == selected[1]
 
 
+@pytest.mark.parametrize("command", ["train", "evaluate"])
+def test_ranked_selection_with_two_training_days_exits_2(command, data_dir, tmp_path, capsys):
+    code = run([command, "--data-dir", data_dir, "--case-study", "alberta",
+                "--test-days", "78", "--selection", "ranked", "--out", tmp_path / "x"])
+    assert code == 2
+    assert capsys.readouterr().err == ("config error: --selection ranked needs at least "
+                                       "3 training days; --test-days 78 leaves 2\n")
+    assert not (tmp_path / "x").exists()
+
+
 def test_console_entry_point_smoke(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "regio_forecast.cli", "synth",

@@ -198,8 +198,8 @@ def test_matches_exhaustive_scan_bit_for_bit(rng, monkeypatch):
 
 
 def _branch_cases(rng, k, above):
-    """(instances, queries) with n >= 16·k (the slab-minimum bound) or n < 16·k
-    (the partition of the whole row), covering ties, duplicates, zero rows and
+    """(instances, queries) with n >= 16·k (16 slabs) or n < 16·k (fewer slabs,
+    down to one, the whole row), covering ties, duplicates, zero rows and
     values beyond 1e154, a tight cluster far from the origin and unit rows."""
     threshold = knn._SLABS * k
     for trial in range(14):
