@@ -143,9 +143,10 @@ def load_model(path: str | Path) -> MtlModel:
         raise
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text (byte 0x{exc.object[exc.start]:02x})") from None
-    except (AttributeError, TypeError, ValueError, OverflowError, ConfigError) as exc:
-        # not JSON, a field of the wrong type or an array that does not
-        # decode, 1e999 where an integer belongs, or k < 1
+    except (AttributeError, TypeError, ValueError, OverflowError, RecursionError,
+            ConfigError) as exc:
+        # not JSON or nested too deep, a field of the wrong type or an array
+        # that does not decode, 1e999 where an integer belongs, or k < 1
         raise DataError(f"{path}: malformed model artifact ({exc})") from None
     numbers = {
         "store.features": model.store.features,

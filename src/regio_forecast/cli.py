@@ -81,7 +81,7 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
         except UnicodeDecodeError as exc:
             raise ConfigError(f"{args.config}: not UTF-8 text "
                               f"(byte 0x{exc.object[exc.start]:02x})") from None
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, json.JSONDecodeError, RecursionError) as exc:   # or nested too deep
             raise ConfigError(f"cannot read config file {args.config}: {exc}") from None
         if not isinstance(doc, dict):
             raise ConfigError(f"{args.config}: config must be a JSON object")
@@ -95,12 +95,12 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
                 raise ConfigError(f"{args.config}: config key {key!r} must be "
                                   f"{types[key][-1].__name__}, got {value!r}")
         cfg = dataclasses.replace(cfg, **doc)
-    overrides = {}
-    for field in dataclasses.fields(RunConfig):
-        value = getattr(args, field.name, None)
-        if value is not None:
-            overrides[field.name] = value
-    return dataclasses.replace(cfg, **overrides)
+    cfg = dataclasses.replace(cfg, **{f.name: getattr(args, f.name)
+                                      for f in dataclasses.fields(RunConfig)
+                                      if getattr(args, f.name, None) is not None})
+    if cfg.seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {cfg.seed}")
+    return cfg
 
 
 def _load_datasets(data_dir: str) -> list[RegionalDataset]:

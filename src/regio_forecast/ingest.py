@@ -4,11 +4,12 @@ One CSV per region, UTF-8, comma-separated, with the exact header::
 
     date,feat_01,...,feat_27,infections,hospitalizations,recoveries,deaths
 
-Dates are ISO-8601. A cell may be empty in real-world exports; empty cells
-are forward-filled from the previous day within the same column, and a
-file whose first row has an empty cell is rejected (daily administrative
-series behave like step functions, so the previous value is the best
-available estimate).
+Dates are ISO-8601, in any row order; rows are sorted by date. A cell may
+be empty in real-world exports; empty cells are forward-filled along the
+dates from the previous day within the same column, and a file with an
+empty cell on its earliest date is rejected (daily administrative series
+behave like step functions, so the previous value is the best available
+estimate).
 
 Every RegionalDataset, whether parsed, generated, subset or built by a
 caller, holds these rules when it is constructed: every cell is finite,
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -235,76 +237,63 @@ def _first_bad_cell(features: np.ndarray, targets: np.ndarray,
     return row, code, detail
 
 
-def _read_table(records: list[list[str]]) -> tuple[list[int], list[dt.date], np.ndarray]:
-    """Row numbers, dates and the (n, 31) cell values of the data rows.
+def _read_table(records: list[list[str]]
+                ) -> tuple[list[int], list[dt.date], np.ndarray, np.ndarray | None]:
+    """Row numbers, dates, (n, 31) cell values and empty-cell mask of the data rows.
 
-    One conversion reads every cell of the file with Python's float
-    syntax. A file it cannot read whole (an empty cell to forward-fill,
-    text that is no number or date, a wrong cell count) is read again by
-    ``_read_rows``, which reports the first fault in row-major order.
+    One loop checks cell counts and ISO dates up to the first row fault;
+    one numpy call (Python's float syntax) converts the cells before it.
+    Only if that fails are they read one by one: an empty cell becomes
+    NaN, marked in the mask (None otherwise), and text that is no number
+    raises DataError, so the first text fault in row-major order wins.
     """
-    rows = [i for i, record in enumerate(records, start=1) if any(map(str.strip, record))]
-    data = [records[i - 1] for i in rows]
-    try:
-        values = np.array([record[1:] for record in data], dtype=np.float64)
-        dates = [dt.date.fromisoformat(record[0].strip()) for record in data]
-        if values.shape == (len(data), len(CSV_HEADER) - 1):
-            return rows, dates, values
-    except ValueError:
-        pass
-    rows, dates, table = _read_rows(records)
-    return rows, dates, np.array(table)
-
-
-def _read_rows(records) -> tuple[list[int], list[dt.date], list[list[float]]]:
-    """Row numbers, dates and cell values of the data rows, empty cells forward-filled.
-
-    Only text is checked here: the cell count, the ISO date, that each
-    cell is a number, and that the first row has no empty cell.
-    """
-    rows: list[int] = []
-    dates: list[dt.date] = []
-    table: list[list[float]] = []
+    rows, dates, cells, fault = [], [], [], None
     for row_number, record in enumerate(records, start=1):
-        if not record or all(cell.strip() == "" for cell in record):
+        if not any(map(str.strip, record)):
             continue
         if len(record) != len(CSV_HEADER):
-            raise _bad_value(f"row {row_number}", "row",
-                             f"expected {len(CSV_HEADER)} cells, got {len(record)}")
+            fault = _bad_value(f"row {row_number}", "row",
+                               f"expected {len(CSV_HEADER)} cells, got {len(record)}")
+            break
         try:
             dates.append(dt.date.fromisoformat(record[0].strip()))
         except ValueError:
-            raise _bad_value(f"row {row_number}", "date", record[0]) from None
-
-        cells: list[float] = []
-        for offset, code in enumerate(CSV_HEADER[1:], start=1):
-            text = record[offset].strip()
-            if text == "":
-                if not table:
-                    raise _bad_value(f"row {row_number}", code,
-                                     "missing cell in first data row (nothing to forward-fill)")
-                cells.append(table[-1][offset - 1])
-                continue
-            try:
-                cells.append(float(text))
-            except ValueError:
-                raise _bad_value(f"row {row_number}", code, text) from None
+            fault = _bad_value(f"row {row_number}", "date", record[0])
+            break
         rows.append(row_number)
-        table.append(cells)
-    return rows, dates, table
+        cells.append(record[1:])
+    try:
+        values, empty = np.array(cells, dtype=np.float64), None
+    except ValueError:
+        # Python strings, not a numpy str_ array, which drops trailing NULs.
+        flat, blank = [], []
+        for row_number, record in zip(rows, cells):
+            for code, text in zip(CSV_HEADER[1:], record):
+                text = text.strip()
+                blank.append(not text)
+                try:
+                    flat.append(float(text) if text else math.nan)
+                except ValueError:
+                    raise _bad_value(f"row {row_number}", code, text) from None
+        values = np.array(flat).reshape(len(cells), -1)
+        empty = np.array(blank).reshape(values.shape)
+    if fault is not None:
+        raise fault
+    return rows, dates, values, empty
 
 
 def parse_regional_csv(path: str | Path, region: RegionId) -> RegionalDataset:
     """Parse and validate one region's CSV into a RegionalDataset.
 
-    Rows come back sorted by date. A missing or misordered header column,
-    an empty file, a bad cell (named by data row number and column) or a
-    repeated date raises DataError, its message starting with the file
-    path; so do bytes that are not UTF-8 and quoting that the csv module
-    cannot read. Text faults (cell count, date, number syntax, an empty
-    first-row cell) are found first, the first one in row-major order; the
-    cell rules of RegionalDataset then run on the whole table in file
-    order, so a text fault anywhere is reported before a rule violation.
+    Rows are sorted by date (stable), then empty cells take the previous
+    day's value. A missing or misordered header column, an empty file, a
+    bad cell (named by data row number and column) or a repeated date
+    raises DataError, its message starting with the file path; so do
+    bytes that are not UTF-8 and quoting that the csv module cannot read.
+    A file with several faults reports the first of: a text fault (cell
+    count, date, number syntax) in row-major order; an empty cell on the
+    earliest date; the first cell by date that breaks a RegionalDataset
+    rule; a repeated date.
     """
     path = Path(path)
     try:
@@ -321,18 +310,30 @@ def parse_regional_csv(path: str | Path, region: RegionId) -> RegionalDataset:
                 raise DataError(
                     "header columns out of order or extra; expected exactly: "
                     + ",".join(CSV_HEADER))
-            rows, dates, values = _read_table(list(reader))
+            rows, dates, values, empty = _read_table(list(reader))
         if not rows:
             raise DataError("header but no data rows")
-        n_features = len(PRIMARY_FEATURE_CODES)
-        bad = _first_bad_cell(values[:, :n_features], values[:, n_features:], region)
-        if bad is not None:
-            row, code, detail = bad
-            raise _bad_value(f"row {rows[row]}", code, detail)
         order = sorted(range(len(dates)), key=dates.__getitem__)
-        for a, b in zip(order, order[1:]):
-            if dates[a] == dates[b]:
-                raise DataError(f"duplicate date in dataset: {dates[a]}")
+        rows, dates = [rows[i] for i in order], [dates[i] for i in order]
+        values = values[order]
+        if empty is not None:
+            empty = empty[order]
+            if empty[0].any():
+                raise _bad_value(f"row {rows[0]}", CSV_HEADER[1 + int(empty[0].argmax())],
+                                 "missing cell on the earliest date (nothing to forward-fill)")
+            source = np.where(empty, 0, np.arange(len(rows))[:, None])
+            values = np.take_along_axis(values, np.maximum.accumulate(source, axis=0), axis=0)
+        features, targets = np.hsplit(values, [len(PRIMARY_FEATURE_CODES)])
+        try:
+            return RegionalDataset(region, tuple(dates), features, targets)
+        except DataError:
+            # Name the file row of the first bad cell by date, else the repeated date.
+            bad = _first_bad_cell(features, targets, region)
+            if bad is None:
+                repeated = next(a for a, b in zip(dates, dates[1:]) if a == b)
+                raise DataError(f"duplicate date in dataset: {repeated}") from None
+            row, code, detail = bad
+            raise _bad_value(f"row {rows[row]}", code, detail) from None
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text (byte 0x{exc.object[exc.start]:02x})") from None
     except csv.Error as exc:     # e.g. an unclosed quote running past the field limit
@@ -340,9 +341,6 @@ def parse_regional_csv(path: str | Path, region: RegionId) -> RegionalDataset:
     except DataError as exc:
         exc.args = (f"{path}: {exc}",)
         raise
-    values = values[order]
-    return RegionalDataset(region, tuple(dates[i] for i in order),
-                           values[:, :n_features], values[:, n_features:])
 
 
 def write_regional_csv(ds: RegionalDataset, path: str | Path) -> None:

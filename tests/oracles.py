@@ -175,9 +175,12 @@ def first_bad_cell(features, targets, region):
 def read_csv_oracle(path, region):
     """(dates, features, targets) of a regional CSV with a valid header, sorted by date.
 
-    Reads cell by cell with ``float``: blank rows are skipped but keep
-    their row number, empty cells take the previous row's value, and the
-    first fault raises DataError with the parser's message.
+    Reads cell by cell with ``float`` and raises DataError with the
+    parser's message at the first of: a text fault (cell count, date or
+    number syntax; blank rows are skipped but keep their row number) in
+    row-major order; after a stable sort by date, an empty cell on the
+    earliest date, which has no previous day to take its value from; the
+    first invalid cell by date, named by its file row; a repeated date.
     """
     def fault(row, column, detail):
         detail = f": {detail}" if detail else ""
@@ -185,7 +188,7 @@ def read_csv_oracle(path, region):
 
     with open(path, newline="", encoding="utf-8") as fh:
         records = list(csv.reader(fh))[1:]
-    rows, dates, table = [], [], []
+    days = []                                   # (date, file row, cells or None when empty)
     for number, record in enumerate(records, start=1):
         if all(cell.strip() == "" for cell in record):
             continue
@@ -196,35 +199,36 @@ def read_csv_oracle(path, region):
         except ValueError:
             raise fault(number, "date", record[0]) from None
         cells = []
-        for j, (code, text) in enumerate(zip(CSV_HEADER[1:], record[1:])):
+        for code, text in zip(CSV_HEADER[1:], record[1:]):
             text = text.strip()
-            if text == "" and not table:
-                raise fault(number, code,
-                            "missing cell in first data row (nothing to forward-fill)")
             if text == "":
-                cells.append(table[-1][j])
+                cells.append(None)
                 continue
             try:
                 cells.append(float(text))
             except ValueError:
                 raise fault(number, code, text) from None
-        rows.append(number)
-        dates.append(date)
-        table.append(cells)
-    if not table:
+        days.append((date, number, cells))
+    if not days:
         raise DataError(f"{path}: header but no data rows")
-    values = np.array(table)
+    days = sorted(days, key=lambda day: day[0])
+    for i, (_, number, cells) in enumerate(days):
+        for j, code in enumerate(CSV_HEADER[1:]):
+            if cells[j] is None and i == 0:
+                raise fault(number, code,
+                            "missing cell on the earliest date (nothing to forward-fill)")
+            if cells[j] is None:
+                cells[j] = days[i - 1][2][j]
+    values = np.array([cells for _, _, cells in days])
     n_features = len(CSV_HEADER) - 1 - len(TARGET_COLUMNS)
     bad = first_bad_cell(values[:, :n_features], values[:, n_features:], region)
     if bad is not None:
         row, code, detail = bad
-        raise fault(rows[row], code, detail)
-    order = sorted(range(len(dates)), key=lambda i: dates[i])
-    for a, b in zip(order, order[1:]):
-        if dates[a] == dates[b]:
-            raise DataError(f"{path}: duplicate date in dataset: {dates[a]}")
-    values = values[order]
-    return [dates[i] for i in order], values[:, :n_features], values[:, n_features:]
+        raise fault(days[row][1], code, detail)
+    for (a, _, _), (b, _, _) in zip(days, days[1:]):
+        if a == b:
+            raise DataError(f"{path}: duplicate date in dataset: {a}")
+    return [date for date, _, _ in days], values[:, :n_features], values[:, n_features:]
 
 
 def write_csv_oracle(ds, path):

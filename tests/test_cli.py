@@ -371,6 +371,58 @@ def test_bad_header_or_dates_exit_3_naming_the_file(data_dir, tmp_path, capsys,
     assert f"{path}: {message}" in capsys.readouterr().err
 
 
+def test_missing_cell_on_earliest_date_exits_3_naming_its_row(data_dir, tmp_path, capsys):
+    bad_dir = tmp_path / "bad_data"
+    shutil.copytree(data_dir, bad_dir)
+    path = bad_dir / "alberta.csv"
+    lines = path.read_text().splitlines()
+    earliest = lines[1].split(",")
+    earliest[5] = ""                                 # feat_05
+    lines[1:4] = lines[2:4] + [",".join(earliest)]   # the earliest date on file row 3
+    path.write_text("\n".join(lines) + "\n")
+    code = run(["train", "--data-dir", bad_dir, "--case-study", "alberta",
+                "--test-days", "16", "--out", tmp_path / "x"])
+    assert code == 3
+    assert capsys.readouterr().err == (
+        f"data error: {path}: bad value at row 3, column 'feat_05': "
+        "missing cell on the earliest date (nothing to forward-fill)\n")
+
+
+@pytest.mark.parametrize("command", ["synth", "train", "evaluate", "rotate"])
+def test_negative_seed_exits_2(data_dir, tmp_path, capsys, command):
+    common = ["--data-dir", data_dir, "--case-study", "alberta", "--test-days", "16",
+              "--bootstrap", "10", "--out", tmp_path / "x"]
+    assert run([command, "--seed", "-1"] + common) == 2
+    assert capsys.readouterr().err == "config error: seed must be >= 0, got -1\n"
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"seed": -3}))
+    assert run([command, "--config", cfg] + common) == 2
+    assert capsys.readouterr().err == "config error: seed must be >= 0, got -3\n"
+    assert not (tmp_path / "x").exists()
+
+
+def _deeply_nested_json(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000 + "]" * 200_000)
+    return path
+
+
+def test_deeply_nested_config_exits_2(data_dir, tmp_path, capsys):
+    deep = _deeply_nested_json(tmp_path)
+    assert run(["train", "--config", deep, "--data-dir", data_dir,
+                "--out", tmp_path / "x"]) == 2
+    assert f"config error: cannot read config file {deep}: maximum recursion depth exceeded" \
+        in capsys.readouterr().err
+
+
+def test_deeply_nested_artifact_exits_3(data_dir, tmp_path, capsys):
+    deep = _deeply_nested_json(tmp_path)
+    assert run(["predict", "--model", deep, "--input", data_dir / "alberta.csv",
+                "--out", tmp_path / "x"]) == 3
+    assert f"data error: {deep}: malformed model artifact (maximum recursion depth exceeded" \
+        in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("token", ["Infinity", "-Infinity", "NaN", "1e999"])
 def test_non_finite_number_in_artifact_exits_3(data_dir, tmp_path, capsys, token):
     out = tmp_path / "model_out7"

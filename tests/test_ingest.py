@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from regio_forecast import ingest
 from regio_forecast.errors import ConfigError, DataError
 from regio_forecast.ingest import (
     CSV_HEADER,
@@ -151,7 +152,7 @@ def test_parse_rejects_missing_cell_in_first_row(tmp_path):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(DataError, match=(
             r"alberta\.csv: bad value at row 1, column 'feat_02': "
-            r"missing cell in first data row \(nothing to forward-fill\)$")):
+            r"missing cell on the earliest date \(nothing to forward-fill\)$")):
         parse_regional_csv(path, ds.region)
 
 
@@ -203,6 +204,50 @@ def test_parse_reports_text_fault_before_value_fault(tmp_path):
     with pytest.raises(DataError,
                        match=r"alberta\.csv: bad value at row 5, column 'feat_12': abc$"):
         parse_regional_csv(path, region_by_code(0))
+
+
+def write_in_file_order(path, rows, order):
+    """Write Alberta ``rows`` (in date order) with data row ``order[i]`` as file row i + 1."""
+    write_regional_csv(make_dataset(*rows), path)
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(lines[:1] + [lines[1 + i] for i in order]) + "\n")
+
+
+def test_forward_fill_follows_dates_not_file_order(tmp_path):
+    rows = [make_row(day) for day in range(3)]
+    for (_, features, _), feat_01 in zip(rows, (1.006, 3.5, 6.788)):
+        features[0] = feat_01
+    path = tmp_path / "alberta.csv"
+    write_in_file_order(path, rows, [0, 2, 1])
+    set_cell(path, 3, "feat_01", "")                 # 2020-01-26, the third file row
+    parsed = parse_regional_csv(path, region_by_code(0))
+    assert parsed.dates == tuple(date for date, _, _ in rows)
+    assert parsed.columns(["feat_01"])[:, 0].tolist() == [1.006, 1.006, 6.788]
+
+
+def test_missing_cell_on_earliest_date_names_its_file_row(tmp_path):
+    path = tmp_path / "alberta.csv"
+    write_in_file_order(path, [make_row(day) for day in range(4)], [1, 2, 0, 3])
+    set_cell(path, 3, "feat_05", "")                 # 2020-01-25, the third file row
+    set_cell(path, 1, "feat_02", "")                 # 2020-01-26 could take 01-25's value
+    with pytest.raises(DataError, match=(
+            r"alberta\.csv: bad value at row 3, column 'feat_05': "
+            r"missing cell on the earliest date \(nothing to forward-fill\)$")):
+        parse_regional_csv(path, region_by_code(0))
+
+
+def test_valid_file_is_checked_once(tmp_path, monkeypatch):
+    path = tmp_path / "alberta.csv"
+    write_regional_csv(generate_regions(SyntheticSpec(regions=1, rows=30, seed=1))[0], path)
+    calls = []
+    checked = ingest._first_bad_cell
+    monkeypatch.setattr(ingest, "_first_bad_cell",
+                        lambda *args: calls.append(args) or checked(*args))
+    parse_regional_csv(path, region_by_code(0))
+    assert len(calls) == 1
+    set_cell(path, 4, "feat_03", "")                 # and once for a file with a gap
+    parse_regional_csv(path, region_by_code(0))
+    assert len(calls) == 2
 
 
 def test_validate_clean_dataset(small_datasets):
@@ -258,21 +303,26 @@ def test_construction_matches_cell_oracle(n_rows, edits):
 
 
 # Cell texts for the bulk-conversion test: numbers that float() reads
-# although they are padded or unusual, and text that it rejects, that
-# overflows or that the parser forward-fills.
+# although they are padded, quoted or unusual, and text that it rejects,
+# that overflows or that the parser forward-fills.
 _ODD_NUMBERS = [" 1 ", "\t0\x0b", "\xa02.0\u3000", "1_0", "\u0661", "\uff12", "-0",
-                "1e-400", "3.0e0", "+1.", ".5"]
-_BAD_TEXTS = ["", " ", "\xa0", "1e999", "NaN", "-inf", "iNfInItY", "0x10", "nan(1)",
-              "abc", "1__0", "1\x00", "\t0\n"]
+                "1e-400", "3.0e0", "+1.", ".5", '"1.0"', '" 2 "']
+_BAD_TEXTS = ["", " ", "\xa0", '""', "1e999", "NaN", "-inf", "iNfInItY", "0x10", "nan(1)",
+              "abc", "1__0", "1\x00", "\t0\n", "#", "#1", "1#", '"1,5"']
 
 
 @st.composite
 def csv_bodies(draw):
-    """Data lines of an Alberta CSV: valid days with edited cells, blank and short rows."""
+    """Data lines of an Alberta CSV: shuffled and repeated days, edited cells, odd rows."""
     odd, bad = st.sampled_from(_ODD_NUMBERS), st.sampled_from(_BAD_TEXTS)
+    n_rows = draw(st.integers(1, 5))
     lines = []
-    for day in range(draw(st.integers(1, 5))):
+    for day in draw(st.one_of(st.just(range(n_rows)), st.permutations(range(n_rows)),
+                              st.lists(st.integers(0, n_rows - 1),
+                                       min_size=n_rows, max_size=n_rows))):
         date, features, targets = make_row(day)
+        features[[0, 2, 11]] = day + 0.25    # feat_01, feat_03, feat_12 tell the days apart
+        targets[0] = day
         cells = [date.isoformat()] + [repr(float(v)) for v in features] + \
             [str(int(v)) for v in targets]
         for col, text in draw(st.lists(st.tuples(st.integers(0, 31),
