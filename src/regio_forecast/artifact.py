@@ -28,7 +28,9 @@ import json
 import math
 import os
 import tempfile
+from contextlib import contextmanager
 from pathlib import Path
+from typing import Iterator, TextIO
 
 import numpy as np
 
@@ -123,12 +125,17 @@ def _knn_config(d: dict) -> KnnConfig:
     return KnnConfig(k=d["k"])
 
 
+_JSON_LAYOUT = {"sort_keys": True, "separators": (",", ":")}
+
+
 def dumps_model(model: MtlModel) -> str:
-    return json.dumps(model_to_dict(model), sort_keys=True, separators=(",", ":"))
+    return json.dumps(model_to_dict(model), **_JSON_LAYOUT)
 
 
 def save_model(model: MtlModel, path: str | Path) -> None:
-    atomic_write_text(path, dumps_model(model))
+    """Write ``dumps_model``'s text, streamed into the file rather than built first."""
+    with _atomic_open(path) as fh:
+        json.dump(model_to_dict(model), fh, **_JSON_LAYOUT)
 
 
 def load_model(path: str | Path) -> MtlModel:
@@ -162,15 +169,22 @@ def load_model(path: str | Path) -> MtlModel:
     return model
 
 
-def atomic_write_text(path: str | Path, text: str) -> None:
-    """Write via a sibling temp file and rename, so readers never see partial output."""
+@contextmanager
+def _atomic_open(path: str | Path) -> Iterator[TextIO]:
+    """A text file at a sibling temp path, renamed to ``path`` when the block succeeds."""
     path = Path(path)
     fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), prefix=f".{path.name}.")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def atomic_write_text(path: str | Path, text: str) -> None:
+    """Write via a sibling temp file and rename, so readers never see partial output."""
+    with _atomic_open(path) as fh:
+        fh.write(text)

@@ -1,6 +1,7 @@
 """Regional daily datasets: valid by construction, read from CSV, split.
 
-One CSV per region, UTF-8, comma-separated, with the exact header::
+One CSV per region, UTF-8 (a byte-order mark is allowed), comma-separated,
+with the exact header::
 
     date,feat_01,...,feat_27,infections,hospitalizations,recoveries,deaths
 
@@ -10,6 +11,10 @@ dates from the previous day within the same column, and a file with an
 empty cell on its earliest date is rejected (daily administrative series
 behave like step functions, so the previous value is the best available
 estimate).
+
+A file's body is read by one ``np.loadtxt`` call; a file that it rejects
+(an empty cell among them) or whose table breaks a rule is read again by
+``csv.reader`` and a row loop, the one place that words a parse error.
 
 Every RegionalDataset, whether parsed, generated, subset or built by a
 caller, holds these rules when it is constructed: every cell is finite,
@@ -24,10 +29,10 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
-import math
+import itertools
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -237,17 +242,49 @@ def _first_bad_cell(features: np.ndarray, targets: np.ndarray,
     return row, code, detail
 
 
+def _date_ordinal(text: str) -> int:
+    return dt.date.fromisoformat(text.strip()).toordinal()
+
+
+def _load_dataset(lines: Iterator[str], region: RegionId) -> RegionalDataset | None:
+    """The dataset of the data lines as numpy's C reader takes them, or None.
+
+    One ``np.loadtxt`` call reads the cells (Python's float syntax without
+    ``_`` or non-ASCII digits) and the ISO dates. Whatever it rejects (an
+    empty or odd cell, a cell count that varies, a bad date, no data rows)
+    and a table that breaks a RegionalDataset rule, a width other than 32
+    among them, give None, so the row loop of ``_read_table`` stays the
+    only source of error messages.
+    """
+    first = next((line for line in lines if line.strip()), None)
+    if first is None:                       # loadtxt would warn of no data
+        return None
+    try:
+        table = np.loadtxt(itertools.chain([first], lines), delimiter=",", comments=None,
+                           quotechar='"', ndmin=2, converters={0: _date_ordinal})
+    except ValueError:
+        return None
+    table = table[np.argsort(table[:, 0], kind="stable")]
+    dates = tuple(map(dt.date.fromordinal, table[:, 0].astype(np.int64).tolist()))
+    try:
+        return RegionalDataset(region, dates, table[:, 1:1 + len(PRIMARY_FEATURE_CODES)],
+                               table[:, 1 + len(PRIMARY_FEATURE_CODES):])
+    except DataError:
+        return None
+
+
 def _read_table(records: list[list[str]]
                 ) -> tuple[list[int], list[dt.date], np.ndarray, np.ndarray | None]:
     """Row numbers, dates, (n, 31) cell values and empty-cell mask of the data rows.
 
-    One loop checks cell counts and ISO dates up to the first row fault;
-    one numpy call (Python's float syntax) converts the cells before it.
-    Only if that fails are they read one by one: an empty cell becomes
-    NaN, marked in the mask (None otherwise), and text that is no number
-    raises DataError, so the first text fault in row-major order wins.
+    One loop checks cell counts and ISO dates up to the first row fault
+    and sets each blank cell to NaN, marked in the mask (None if there is
+    none); one numpy call (Python's float syntax) converts the cells
+    before the fault. Only if that fails are they read one by one, and
+    text that is no number raises DataError, so the first text fault in
+    row-major order wins.
     """
-    rows, dates, cells, fault = [], [], [], None
+    rows, dates, cells, blanks, fault = [], [], [], [], None
     for row_number, record in enumerate(records, start=1):
         if not any(map(str.strip, record)):
             continue
@@ -260,46 +297,57 @@ def _read_table(records: list[list[str]]
         except ValueError:
             fault = _bad_value(f"row {row_number}", "date", record[0])
             break
+        texts = record[1:]
+        if not all(map(str.strip, texts)):
+            blank = [not text.strip() for text in texts]
+            blanks.append((len(cells), blank))
+            texts = ["nan" if gap else text for gap, text in zip(blank, texts)]
         rows.append(row_number)
-        cells.append(record[1:])
+        cells.append(texts)
     try:
-        values, empty = np.array(cells, dtype=np.float64), None
+        values = np.array(cells, dtype=np.float64)
     except ValueError:
         # Python strings, not a numpy str_ array, which drops trailing NULs.
-        flat, blank = [], []
+        flat = []
         for row_number, record in zip(rows, cells):
             for code, text in zip(CSV_HEADER[1:], record):
                 text = text.strip()
-                blank.append(not text)
                 try:
-                    flat.append(float(text) if text else math.nan)
+                    flat.append(float(text))
                 except ValueError:
                     raise _bad_value(f"row {row_number}", code, text) from None
         values = np.array(flat).reshape(len(cells), -1)
-        empty = np.array(blank).reshape(values.shape)
     if fault is not None:
         raise fault
+    empty = None
+    if blanks:
+        empty = np.zeros(values.shape, dtype=bool)
+        for i, blank in blanks:
+            empty[i] = blank
     return rows, dates, values, empty
 
 
 def parse_regional_csv(path: str | Path, region: RegionId) -> RegionalDataset:
     """Parse and validate one region's CSV into a RegionalDataset.
 
-    Rows are sorted by date (stable), then empty cells take the previous
-    day's value. A missing or misordered header column, an empty file, a
-    bad cell (named by data row number and column) or a repeated date
-    raises DataError, its message starting with the file path; so do
-    bytes that are not UTF-8 and quoting that the csv module cannot read.
-    A file with several faults reports the first of: a text fault (cell
-    count, date, number syntax) in row-major order; an empty cell on the
-    earliest date; the first cell by date that breaks a RegionalDataset
-    rule; a repeated date.
+    The file is UTF-8, with or without a byte-order mark. Its body is read
+    by one ``np.loadtxt`` call; only when that rejects it (say, for an
+    empty cell) or the table breaks a rule is the file read again with
+    ``csv.reader`` and a row loop, which words every error. Rows are
+    sorted by date (stable), then empty cells take the previous day's
+    value. A missing or misordered header column, an empty file, a bad
+    cell (named by data row number and column) or a repeated date raises
+    DataError, its message starting with the file path; so do bytes that
+    are not UTF-8 and quoting that the csv module cannot read. A file with
+    several faults reports the first of: a text fault (cell count, date,
+    number syntax) in row-major order; an empty cell on the earliest
+    date; the first cell by date that breaks a RegionalDataset rule; a
+    repeated date.
     """
     path = Path(path)
     try:
-        with path.open(newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
+        with path.open(newline="", encoding="utf-8-sig") as fh:
+            header = next(csv.reader(fh), None)
             if header is None:
                 raise DataError("file is empty")
             header = tuple(h.strip() for h in header)
@@ -310,7 +358,11 @@ def parse_regional_csv(path: str | Path, region: RegionId) -> RegionalDataset:
                 raise DataError(
                     "header columns out of order or extra; expected exactly: "
                     + ",".join(CSV_HEADER))
-            rows, dates, values, empty = _read_table(list(reader))
+            dataset = _load_dataset(fh, region)
+            if dataset is not None:
+                return dataset
+            fh.seek(0)
+            rows, dates, values, empty = _read_table(list(csv.reader(fh))[1:])
         if not rows:
             raise DataError("header but no data rows")
         order = sorted(range(len(dates)), key=dates.__getitem__)

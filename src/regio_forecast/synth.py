@@ -26,6 +26,9 @@ from .ingest import RegionalDataset, region_by_code, write_regional_csv
 
 DEFAULT_START_DATE = dt.date(2020, 1, 25)
 
+# Most days a generated series can hold: its last date is datetime.date.max.
+MAX_ROWS = (dt.date.max - DEFAULT_START_DATE).days + 1
+
 # Per-target amplitude of the latent curve: infections, hospitalizations,
 # recoveries, deaths.
 TARGET_SCALES = (900.0, 210.0, 720.0, 28.0)
@@ -63,6 +66,9 @@ class SyntheticSpec:
             raise ConfigError(f"regions must be in [1, 10], got {self.regions}")
         if self.rows < 10:
             raise ConfigError(f"rows must be >= 10, got {self.rows}")
+        if self.rows > MAX_ROWS:
+            raise ConfigError(f"rows must be <= {MAX_ROWS} (the last date must fit in "
+                              f"datetime.date), got {self.rows}")
         if not 0 <= self.noise < np.inf:
             raise ConfigError(f"noise must be finite and >= 0, got {self.noise}")
 

@@ -186,7 +186,7 @@ def read_csv_oracle(path, region):
         detail = f": {detail}" if detail else ""
         return DataError(f"{path}: bad value at row {row}, column {column!r}{detail}")
 
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         records = list(csv.reader(fh))[1:]
     days = []                                   # (date, file row, cells or None when empty)
     for number, record in enumerate(records, start=1):

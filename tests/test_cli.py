@@ -254,6 +254,15 @@ def test_synth_non_finite_noise_exits_2(tmp_path, capsys, noise):
     assert not list(tmp_path.glob("*.csv"))
 
 
+def test_synth_rows_past_the_last_date_exit_2(tmp_path, capsys):
+    # rejected before anything is allocated
+    assert run(["synth", "--rows", "99999999999999", "--out", tmp_path]) == 2
+    assert capsys.readouterr().err == (
+        "config error: rows must be <= 2914611 (the last date must fit in datetime.date), "
+        "got 99999999999999\n")
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_unknown_artifact_version_exits_3(data_dir, tmp_path):
     out = tmp_path / "model_out3"
     assert run(["train", "--data-dir", data_dir, "--case-study", "alberta",
@@ -369,6 +378,19 @@ def test_bad_header_or_dates_exit_3_naming_the_file(data_dir, tmp_path, capsys,
                 "--test-days", "16", "--out", tmp_path / "x"])
     assert code == 3
     assert f"{path}: {message}" in capsys.readouterr().err
+
+
+def test_byte_order_mark_is_read_as_utf8(data_dir, tmp_path):
+    """A file saved as Excel's "CSV UTF-8" trains the same model as the plain file."""
+    bom_dir = tmp_path / "bom_data"
+    shutil.copytree(data_dir, bom_dir)
+    for path in bom_dir.glob("*.csv"):
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    for data, out in ((data_dir, tmp_path / "plain"), (bom_dir, tmp_path / "bom")):
+        assert run(["train", "--data-dir", data, "--case-study", "alberta",
+                    "--test-days", "16", "--out", out]) == 0
+    assert (tmp_path / "bom" / "model.json").read_bytes() == \
+        (tmp_path / "plain" / "model.json").read_bytes()
 
 
 def test_missing_cell_on_earliest_date_exits_3_naming_its_row(data_dir, tmp_path, capsys):

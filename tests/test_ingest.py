@@ -116,6 +116,7 @@ def test_parse_duplicate_date(tmp_path):
         parse_regional_csv(path, region_by_code(0))
 
 
+@pytest.mark.filterwarnings("error")                # loadtxt warns of a body with no data
 def test_parse_empty_file(tmp_path):
     path = tmp_path / "empty.csv"
     path.write_text("")
@@ -306,19 +307,24 @@ def test_construction_matches_cell_oracle(n_rows, edits):
 # although they are padded, quoted or unusual, and text that it rejects,
 # that overflows or that the parser forward-fills.
 _ODD_NUMBERS = [" 1 ", "\t0\x0b", "\xa02.0\u3000", "1_0", "\u0661", "\uff12", "-0",
-                "1e-400", "3.0e0", "+1.", ".5", '"1.0"', '" 2 "']
-_BAD_TEXTS = ["", " ", "\xa0", '""', "1e999", "NaN", "-inf", "iNfInItY", "0x10", "nan(1)",
-              "abc", "1__0", "1\x00", "\t0\n", "#", "#1", "1#", '"1,5"']
+                "1e-400", "3.0e0", "+1.", ".5", '"1.0"', '" 2 "', '"1"2', '"1\n"', '"\r\n2"',
+                "\x1c1\x1f"]
+_BAD_TEXTS = ["", " ", "\xa0", '""', "1e999", "NaN", "-inf", "iNfInItY", "0x10", "0x1p0",
+              "nan(1)", "abc", "1__0", "1_000_", "1\x00", "\t0\n", "#", "#1", "1#", '"1,5"',
+              '"1""2"', '"1\n2"']
 
 
 @st.composite
 def csv_bodies(draw):
-    """Data lines of an Alberta CSV: shuffled and repeated days, edited cells, odd rows."""
+    """An Alberta CSV: shuffled and repeated days, edited cells, odd rows and line ends.
+
+    The text may start with a UTF-8 byte-order mark and may hold no data row.
+    """
     odd, bad = st.sampled_from(_ODD_NUMBERS), st.sampled_from(_BAD_TEXTS)
-    n_rows = draw(st.integers(1, 5))
-    lines = []
+    n_rows = draw(st.integers(0, 5))
+    lines = [",".join(CSV_HEADER)]
     for day in draw(st.one_of(st.just(range(n_rows)), st.permutations(range(n_rows)),
-                              st.lists(st.integers(0, n_rows - 1),
+                              st.lists(st.integers(0, max(n_rows - 1, 0)),
                                        min_size=n_rows, max_size=n_rows))):
         date, features, targets = make_row(day)
         features[[0, 2, 11]] = day + 0.25    # feat_01, feat_03, feat_12 tell the days apart
@@ -332,15 +338,17 @@ def csv_bodies(draw):
         cells = cells[:width] + ["0"] * (width - 32)
         lines.append(draw(st.sampled_from([None] * 6 + ["", ",,,", " , "])))
         lines.append(",".join(cells))
-    return [line for line in lines if line is not None]
+    bom = draw(st.sampled_from(["", "", "\ufeff"]))
+    return bom + "".join(line + draw(st.sampled_from(["\n", "\r\n"]))
+                         for line in lines if line is not None)
 
 
 @settings(deadline=None, max_examples=400, derandomize=True)
 @given(csv_bodies())
-def test_bulk_parse_matches_row_by_row_oracle(lines):
+def test_bulk_parse_matches_row_by_row_oracle(text):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "alberta.csv"
-        path.write_text("\n".join([",".join(CSV_HEADER)] + lines) + "\n", encoding="utf-8")
+        path.write_bytes(text.encode("utf-8"))
         region = region_by_code(0)
         try:
             expected = read_csv_oracle(path, region)
@@ -354,6 +362,81 @@ def test_bulk_parse_matches_row_by_row_oracle(lines):
         assert list(ds.dates) == dates
         assert ds.features.tobytes() == features.tobytes()
         assert np.array_equal(ds.targets, targets)
+
+
+def count_row_loop_reads(monkeypatch):
+    """Calls to the row loop that reads a file numpy's C reader rejected."""
+    calls = []
+    read = ingest._read_table
+    monkeypatch.setattr(ingest, "_read_table", lambda records: calls.append(1) or read(records))
+    return calls
+
+
+def test_clean_file_never_reaches_the_row_loop(tmp_path, monkeypatch):
+    calls = count_row_loop_reads(monkeypatch)
+    ds = generate_regions(SyntheticSpec(regions=1, rows=60, seed=4))[0]
+    path = tmp_path / "alberta.csv"
+    write_regional_csv(ds, path)
+    assert parse_regional_csv(path, ds.region).features.tobytes() == ds.features.tobytes()
+    # unsorted rows, quoted and padded cells, LF line ends and a byte-order mark
+    lines = path.read_text().splitlines()
+    lines[1:] = lines[:0:-1]
+    cells = lines[5].split(",")
+    cells[0], cells[1] = f" {cells[0]} ", f'"{cells[1]}"'
+    cells[12], cells[29] = f" {cells[12]}\t", f'"{cells[29]}"'
+    lines[5] = ",".join(cells)
+    path.write_bytes(("\ufeff" + "\n".join(lines) + "\n").encode("utf-8"))
+    parsed = parse_regional_csv(path, ds.region)
+    assert parsed.dates == ds.dates
+    assert parsed.features.tobytes() == ds.features.tobytes()
+    assert np.array_equal(parsed.targets, ds.targets)
+    assert calls == []
+
+
+@pytest.mark.parametrize("column, text", [
+    ("feat_03", ""), ("infections", " "), ("feat_12", "1_0"), ("feat_01", "\u0661"),
+    ("date", "2020-01-40"), ("row", None)])
+def test_rejected_file_takes_the_row_loop_and_matches_the_oracle(tmp_path, monkeypatch,
+                                                                 column, text):
+    path = tmp_path / "alberta.csv"
+    write_regional_csv(generate_regions(SyntheticSpec(regions=1, rows=40, seed=2))[0], path)
+    if column == "row":                              # a row one cell short
+        lines = path.read_text().splitlines()
+        lines[30] = lines[30].rsplit(",", 1)[0]
+        path.write_text("\n".join(lines) + "\n")
+    else:
+        set_cell(path, 30, column, text)
+    region = region_by_code(0)
+    calls = count_row_loop_reads(monkeypatch)
+    try:
+        dates, features, targets = read_csv_oracle(path, region)
+    except DataError as exc:
+        with pytest.raises(DataError) as err:
+            parse_regional_csv(path, region)
+        assert str(err.value) == str(exc)
+    else:
+        ds = parse_regional_csv(path, region)
+        assert list(ds.dates) == dates
+        assert ds.features.tobytes() == features.tobytes()
+        assert np.array_equal(ds.targets, targets)
+    assert calls == [1]
+
+
+def test_gap_is_filled_in_one_conversion(tmp_path, monkeypatch):
+    """A blank cell reaches numpy as "nan", so no cell is converted on its own."""
+    path = tmp_path / "alberta.csv"
+    write_regional_csv(generate_regions(SyntheticSpec(regions=1, rows=40, seed=2))[0], path)
+    set_cell(path, 30, "feat_05", "")
+    set_cell(path, 31, "deaths", " \t")
+    floats = []
+    monkeypatch.setattr(ingest, "float", lambda text: floats.append(text) or float(text),
+                        raising=False)
+    ds = parse_regional_csv(path, region_by_code(0))
+    assert floats == []
+    assert ds.features[29, 4] == ds.features[28, 4] and ds.targets[30, 3] == ds.targets[29, 3]
+    set_cell(path, 32, "feat_06", "nan")             # a literal nan is no gap
+    with pytest.raises(DataError, match=r"row 32, column 'feat_06': nan is not finite$"):
+        parse_regional_csv(path, region_by_code(0))
 
 
 def test_split_sizes_and_determinism():

@@ -5,7 +5,7 @@ from regio_forecast.errors import ConfigError
 from regio_forecast.evaluation import r2
 from regio_forecast.ingest import parse_regional_csv, region_by_name, split_train_test
 from regio_forecast.mtl import predict_monitoring, train_mtl
-from regio_forecast.synth import SyntheticSpec, generate_regions, write_region_files
+from regio_forecast.synth import MAX_ROWS, SyntheticSpec, generate_regions, write_region_files
 
 
 def test_spec_validation():
@@ -13,6 +13,11 @@ def test_spec_validation():
         SyntheticSpec(regions=0)
     with pytest.raises(ConfigError, match="^rows must be >= 10, got 5$"):
         SyntheticSpec(rows=5)
+    assert SyntheticSpec(rows=MAX_ROWS).rows == MAX_ROWS      # its last date is 9999-12-31
+    with pytest.raises(ConfigError, match=f"^rows must be <= {MAX_ROWS} "
+                                          r"\(the last date must fit in datetime\.date\), "
+                                          f"got {MAX_ROWS + 1}$"):
+        SyntheticSpec(rows=MAX_ROWS + 1)
     for noise in (-0.1, float("nan"), float("inf")):
         with pytest.raises(ConfigError, match=f"^noise must be finite and >= 0, got {noise}$"):
             SyntheticSpec(noise=noise)
