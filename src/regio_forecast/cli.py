@@ -164,15 +164,16 @@ def _train(cfg: RunConfig):
 
 def cmd_train(cfg: RunConfig) -> int:
     datasets, case, _, split, model, report = _train(cfg)
-    out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
-    save_model(model, out / "model.json")
     doc = dataclasses.asdict(report)
     doc["case_study"] = case.name
     doc["pooled_regions"] = sorted(
         ds.region.name for ds in datasets if ds.region.code != case.code)
     doc["test_days_held_out"] = len(split.test_indices)
     doc["seed"] = cfg.seed
+    del datasets, _          # free the parsed tables before the artifact is encoded
+    out = Path(cfg.out)
+    out.mkdir(parents=True, exist_ok=True)
+    save_model(model, out / "model.json")
     atomic_write_text(out / "train_report.json", json.dumps(doc, indent=2, sort_keys=True))
     log.info("model written to %s", out / "model.json")
     print(f"trained {case.name}: generic={report.generic_instances} "
@@ -218,19 +219,24 @@ def cmd_rotate(cfg: RunConfig) -> int:
     return 0
 
 
+def _predictions_csv(dates, counts: np.ndarray) -> str:
+    """One row per day: the target counts to 6 decimals, then each rounded."""
+    lines = ["date," + ",".join(TARGET_COLUMNS)
+             + "," + ",".join(f"{t}_rounded" for t in TARGET_COLUMNS)]
+    row = "%s" + ",%.6f" * len(TARGET_COLUMNS) + ",%d" * len(TARGET_COLUMNS)
+    for date, day, rounded in zip(dates, counts.tolist(),
+                                  np.rint(counts).astype(np.int64).tolist()):
+        lines.append(row % (date.isoformat(), *day, *rounded))
+    return "\n".join(lines) + "\n"
+
+
 def cmd_predict(cfg: RunConfig, model_path: str, input_csv: str) -> int:
     model = load_model(model_path)
     ds = parse_regional_csv(input_csv, model.case_study)
-    counts = predict_monitoring(model, ds)
-    lines = ["date," + ",".join(TARGET_COLUMNS)
-             + "," + ",".join(f"{t}_rounded" for t in TARGET_COLUMNS)]
-    for date, day, rounded in zip(ds.dates, counts, np.rint(counts).astype(np.int64)):
-        reals = ",".join(f"{v:.6f}" for v in day)
-        ints = ",".join(str(int(v)) for v in rounded)
-        lines.append(f"{date.isoformat()},{reals},{ints}")
+    text = _predictions_csv(ds.dates, predict_monitoring(model, ds))
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
-    atomic_write_text(out / "predictions.csv", "\n".join(lines) + "\n")
+    atomic_write_text(out / "predictions.csv", text)
     print(f"wrote {ds.n_rows} prediction rows -> {out / 'predictions.csv'}")
     return 0
 

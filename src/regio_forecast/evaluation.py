@@ -79,6 +79,12 @@ def rmse(y, y_hat):
 METRIC_FUNCTIONS: dict[str, Callable] = {"r2": r2, "evs": evs, "mae": mae, "rmse": rmse}
 
 
+# Resamples are drawn and scored in blocks of about this many indices, so
+# each temporary (64 kB of float64) comes from the heap rather than from
+# fresh pages that are returned to the system after every block.
+_BOOTSTRAP_CELLS = 2 ** 13
+
+
 @dataclass(frozen=True)
 class BootstrapConfig:
     replicates: int = 1000
@@ -107,9 +113,10 @@ def bootstrap_interval(y, y_hat, metric: Callable, cfg: BootstrapConfig) -> Inte
     """Pairs bootstrap of a metric over (actual, prediction) index pairs.
 
     mid is the metric on the full sample. One generator seeded with
-    ``cfg.seed`` draws a (replicates, n) index matrix, and one metric call
-    scores every row; rows with constant actuals score NaN under r2 and
-    evs and are skipped. low/top are percentile bounds of the rest.
+    ``cfg.seed`` draws the (replicates, n) index matrix in blocks of rows,
+    which give the same indices as one draw, and one metric call scores
+    each block; rows with constant actuals score NaN under r2 and evs and
+    are skipped. low/top are percentile bounds of the rest.
     """
     y, y_hat = _check_pair(np.ravel(y), np.ravel(y_hat), 2)
     if not (np.all(np.isfinite(y)) and np.all(np.isfinite(y_hat))):
@@ -119,8 +126,12 @@ def bootstrap_interval(y, y_hat, metric: Callable, cfg: BootstrapConfig) -> Inte
     if math.isnan(mid):
         raise DataError(f"actuals are constant; {name} is undefined")
 
-    idx = np.random.default_rng(cfg.seed).integers(0, len(y), size=(cfg.replicates, len(y)))
-    values = metric(y[idx], y_hat[idx])
+    rng = np.random.default_rng(cfg.seed)
+    rows = max(1, _BOOTSTRAP_CELLS // len(y))
+    values = np.empty(cfg.replicates)
+    for start in range(0, cfg.replicates, rows):
+        idx = rng.integers(0, len(y), size=(min(rows, cfg.replicates - start), len(y)))
+        values[start:start + len(idx)] = metric(y[idx], y_hat[idx])
     values = values[~np.isnan(values)]
     if values.size == 0:
         raise DataError(f"all {cfg.replicates} bootstrap replicates had constant actuals; "

@@ -13,7 +13,8 @@ behave like step functions, so the previous value is the best available
 estimate).
 
 A file's body is read by one ``np.loadtxt`` call; a file that it rejects
-(an empty cell among them) or whose table breaks a rule is read again by
+(an empty cell among them), whose table breaks a rule or that may hold a
+cell longer than the ``csv`` module's field limit is read again by
 ``csv.reader`` and a row loop, the one place that words a parse error.
 
 Every RegionalDataset, whether parsed, generated, subset or built by a
@@ -29,10 +30,9 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
-import itertools
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -246,7 +246,7 @@ def _date_ordinal(text: str) -> int:
     return dt.date.fromisoformat(text.strip()).toordinal()
 
 
-def _load_dataset(lines: Iterator[str], region: RegionId) -> RegionalDataset | None:
+def _load_dataset(lines: Iterable[str], region: RegionId) -> RegionalDataset | None:
     """The dataset of the data lines as numpy's C reader takes them, or None.
 
     One ``np.loadtxt`` call reads the cells (Python's float syntax without
@@ -254,13 +254,19 @@ def _load_dataset(lines: Iterator[str], region: RegionId) -> RegionalDataset | N
     empty or odd cell, a cell count that varies, a bad date, no data rows)
     and a table that breaks a RegionalDataset rule, a width other than 32
     among them, give None, so the row loop of ``_read_table`` stays the
-    only source of error messages.
+    only source of error messages. So do a line longer than the csv
+    module's field limit and a quoted cell that runs past a line end,
+    which could hold a field longer than that limit: ``csv.reader``
+    refuses such a field, and ``loadtxt`` has no limit.
     """
-    first = next((line for line in lines if line.strip()), None)
-    if first is None:                       # loadtxt would warn of no data
+    lines = list(lines)
+    if not any(map(str.strip, lines)):      # loadtxt would warn of no data
+        return None
+    if max(map(len, lines)) > csv.field_size_limit() or (
+            '"' in "".join(lines) and any(line.count('"') % 2 for line in lines)):
         return None
     try:
-        table = np.loadtxt(itertools.chain([first], lines), delimiter=",", comments=None,
+        table = np.loadtxt(lines, delimiter=",", comments=None,
                            quotechar='"', ndmin=2, converters={0: _date_ordinal})
     except ValueError:
         return None

@@ -8,13 +8,15 @@ are fixed; only k is configurable. Each instance carries a positive source
 weight so pooled instances from other regions can be up- or down-weighted
 as a group.
 
-Neighbor search (``neighbours``) takes queries in blocks. One matrix
-product of the queries [-2q, 1] with the augmented store [F^T; ||x||^2]
-gives every approximate squared distance of a block, less each query's
-own ||q||^2. Minima across 16 slabs of each row bound its k-th smallest
-approximation from above without partitioning the whole row, and every
-instance within a forward-error margin of that bound is shortlisted. The
-shortlists are packed into one padded matrix and ranked by exact
+Neighbor search (``neighbours``) takes queries in blocks. One float32
+matrix product of the augmented store [F, ||x||^2] with the queries
+[-2q, 1] gives every approximate squared distance of a block, less each
+query's own ||q||^2. Minima across 16 slabs of a query's approximations
+bound its k-th smallest from above without partitioning them all. The
+minima, not all n approximations, are compared with that bound plus a
+float32 forward-error margin, and the slab values are read only where a
+minimum passes; every instance within the margin is shortlisted. The
+shortlists are packed into one padded matrix and ranked by exact float64
 distance, computed as an exhaustive scan would compute it, so neighbors,
 distances and ties match the scan bit for bit. ``predict_knn_batch`` is
 one vectorized vote over the resulting (queries, k) arrays. The test
@@ -93,9 +95,9 @@ class InstanceStore:
         return self.features.shape[1]
 
 
-# Queries are handled in blocks of about this many approximate distances
-# (2 MB of float64), so memory does not grow with the number of queries.
-_BLOCK_CELLS = 2 ** 18
+# Queries are handled in blocks of about this many float32 approximations
+# (4 MB), so memory does not grow with the number of queries.
+_BLOCK_CELLS = 2 ** 20
 
 # The shortlist bound views each row of approximations as this many slabs
 # and takes the minimum across them at every position (see neighbours).
@@ -112,17 +114,21 @@ def neighbours(store: InstanceStore, queries: np.ndarray,
     computed as an exhaustive scan computes them. So both arrays equal a
     stable sort of the full scan bit for bit.
 
-    Per block of queries, one matrix product of [-2q, 1] with the augmented
-    store [F^T; ||x||^2] gives ||x||^2 - 2 q.x, the squared distance less
-    the per-query constant ||q||^2. The first 16·m approximations of a
-    row (m = n // 16) are viewed as 16 slabs of m; the minimum across the
-    slabs at each of the m positions is the approximation of a different
-    instance, so the k-th smallest of the m minima bounds the row's k-th
-    smallest approximation from above. A store of fewer than 16·k rows is
-    one slab, whose minima are the row itself, so the bound is exact.
-    Every instance within a rounding margin of the bound is shortlisted,
-    and the shortlist is re-ranked by exact distance in a padded (block,
-    longest shortlist) matrix.
+    Per block of queries, one float32 matrix product of the augmented
+    store [F, ||x||^2] with [-2q, 1] approximates ||x||^2 - 2 q.x, the
+    squared distance less the per-query constant ||q||^2. The first 16·m
+    approximations of a query (m = n // 16) are viewed as 16 slabs of m;
+    the minimum across the slabs at each of the m positions is the
+    approximation of a different instance, so the k-th smallest of the m
+    minima bounds the query's k-th smallest approximation from above. A
+    store of fewer than 16·k rows is one slab, whose minima are the
+    approximations themselves, so the bound is exact. Every instance whose
+    approximation lies within a float32 rounding margin of the bound is
+    shortlisted: the m minima are compared with it, the 16 slab values are
+    read only at the positions whose minimum passes (a slab value within
+    the bound puts its minimum within it too), and the last n - 16·m
+    instances are compared directly. The shortlist is re-ranked by exact
+    float64 distance in a padded (block, longest shortlist) matrix.
     """
     queries = np.asarray(queries, dtype=np.float64)
     if queries.ndim != 2:
@@ -134,60 +140,74 @@ def neighbours(store: InstanceStore, queries: np.ndarray,
         raise ConfigError(f"k must be >= 1, got {k}")
     k = min(k, n)
     x_sq = np.einsum("ij,ij->i", store.features, store.features)
-    augmented = np.vstack([store.features.T, x_sq])     # (d + 1, n)
-    # Shortlist margin M, with S = ||q||^2 + ||x||^2 and u = eps / 2, to
-    # first order, and kth the k-th smallest approximation of a query. The
-    # computed ||x||^2 carries its own rounding, within d·u·||x||^2. The
-    # product sums d + 1 terms: -2q_i·x_i (scaling by -2 is exact) and
-    # ||x||^2 times 1. Their magnitudes add up to at most
-    # 2·sum|q_i·x_i| + ||x||^2 <= 2S, so the sum adds at most (d + 1)·u·2S. Each
-    # approximation is thus within (1.5d + 1)·eps·S of ||x||^2 - 2 q.x,
-    # the true squared distance less ||q||^2, which is the same for every
-    # instance of a query and so does not change the order. The exact
-    # re-rank's sum of squared differences is within (d + 2)·eps·S of the
-    # true squared distance. So the k smallest approximations belong to
-    # instances whose re-rank value is at most kth + ||q||^2 +
-    # (2.5d + 3)·eps·S, and an instance that ties or beats the k-th
-    # re-ranked distance has an approximation of at most kth +
-    # (5d + 6)·eps·S, plus a few eps·S for the square root and for
-    # rounding the bound itself. With M = 4·(d + 4)·eps·(||q||^2 +
-    # max ||x||^2), 2M = (8d + 32)·eps·max S covers this with room to
-    # spare; the subnormal term covers products that underflow. The slab
-    # bound is at least kth, so it shortlists a superset. A query with
-    # 4·(||q||^2 + max ||x||^2) finite has every term, partial sum and
-    # bound finite.
-    eps, tiny = np.finfo(np.float64).eps, np.finfo(np.float64).smallest_subnormal
     x_sq_max = x_sq.max()
-    idx = np.empty((queries.shape[0], k), dtype=np.intp)
-    dist = np.empty((queries.shape[0], k))
+    with np.errstate(over="ignore"):        # such stores scan everything (below)
+        augmented = np.hstack([store.features, x_sq[:, None]]).astype(np.float32)   # (n, d + 1)
+    # Shortlist margin M. Let u = 2^-24 and t = 2^-149 be float32's unit
+    # roundoff and smallest subnormal, g_j = j·u / (1 - j·u), S = ||q||^2 +
+    # max ||x||^2, and T = ||x||^2 - 2 q.x, the true squared distance less
+    # ||q||^2 (the same for every instance of a query, so it does not change
+    # the order). Rounding v to float32 moves it by at most u|v| + t/2, and
+    # |v|·t <= u·v^2 + t^2/u.
+    # - Inputs: -2q_i (exact in float64), x_i and ||x||^2 (within
+    #   1.01·d·2^-53·||x||^2 in float64) are rounded to float32, so the exact
+    #   product of the rounded factors is within 4u·sum|q_i x_i| + u||q||^2
+    #   + 1.51u||x||^2 + t/2 <= 3.52u·S + t/2 of T, up to terms below t·2^-100.
+    # - Sum: the d + 1 terms' magnitudes add up to at most 2S·(1 + 3u) + t/2.
+    #   Any summation order, with or without FMA, adds at most g_{d+1} times
+    #   that (Higham, Accuracy and Stability of Numerical Algorithms, 3.1).
+    #   Under gradual underflow each of the d products that rounds in the
+    #   subnormal range adds at most t/2 more; sums that underflow are exact.
+    # So each approximation is within E = (3.52u + 2(1 + 3u)·g_{d+1})·S +
+    # (d + 1)(1 + g_{d+1})·t/2 of its T. The k instances behind the k
+    # smallest slab minima have T <= kth + E, kth being the k-th smallest
+    # minimum. The exact float64 re-rank (below) orders instances by true
+    # squared distance up to e = (2d + 11)·2^-52·S. So an instance that ties
+    # or beats the k-th re-ranked distance has T <= kth + E + e and an
+    # approximation of at most kth + 2E + e. As g_{d+5} >= g_{d+1} + 4u, M =
+    # 4·g_{d+5}·S + (d + 2)(1 + g_{d+5})·t·(1 + S) covers that, and the
+    # rounding of the bound in float64 and then up to float32, while
+    # g_{d+1} < 1/3. With 4S within float32 range every factor, product,
+    # partial sum and bound is finite. A query beyond it (norms past about
+    # 1e19), and every query of a store of 4 million or more columns, scans
+    # every instance.
+    u, t = 2.0 ** -24, float(np.finfo(np.float32).smallest_subnormal)
+    g = (d + 5) * u / (1 - (d + 5) * u)
+    limit = float(np.finfo(np.float32).max) if (d + 5) * u < 0.25 else -np.inf
+    nq = queries.shape[0]
+    idx = np.empty((nq, k), dtype=np.intp)
+    dist = np.empty((nq, k))
     step = max(1, _BLOCK_CELLS // n)
     # with n < 16·k one slab, the whole row, gives the exact k-th smallest;
     # between 2 and 15 slabs of about k rows would bound it loosely
     slabs = _SLABS if n >= _SLABS * k else 1
     m = n // slabs                                        # >= k
-    block = np.empty((min(step, queries.shape[0]), n))    # reused by every block
-    for start in range(0, queries.shape[0], step):
+    block = np.empty((n, min(step, nq)), dtype=np.float32)   # reused by every block
+    rhs = np.ones((d + 1, min(step, nq)), dtype=np.float32)  # [-2q, 1]^T
+    for start in range(0, nq, step):
         q = queries[start:start + step]
         b = q.shape[0]
         with np.errstate(over="ignore", invalid="ignore"):
-            q_sq = np.einsum("ij,ij->i", q, q)
-            approx = np.matmul(np.hstack([-2.0 * q, np.ones((b, 1))]), augmented, out=block[:b])
-            minima = approx[:, :slabs * m].reshape(b, slabs, m).min(axis=1)
-            kth = np.partition(minima, k - 1, axis=1)[:, k - 1]
-            bound = kth + 8 * (d + 4) * (eps * (q_sq + x_sq_max) + tiny)
-            shortlist = approx <= bound[:, None]
-            # values beyond ~1e154 overflow when squared; such rows scan everything
-            shortlist[~np.isfinite(4 * (q_sq + x_sq_max))] = True
-        # hits come ordered by query, then by ascending instance index; 2-D
-        # np.nonzero gives the same arrays but is ~15x slower on this mask
-        rows, cols = np.divmod(np.flatnonzero(shortlist), n)
-        exact = np.empty(cols.shape[0])
-        # a block of full scans (after an overflow) re-ranks every row: take
-        # its differences in slices of at most about _BLOCK_CELLS values
-        chunk = max(1, _BLOCK_CELLS // max(d, 1))
-        for s in range(0, cols.shape[0], chunk):
-            diffs = store.features[cols[s:s + chunk]] - q[rows[s:s + chunk]]
-            exact[s:s + chunk] = np.sqrt(np.einsum("ij,ij->i", diffs, diffs))
+            s = np.einsum("ij,ij->i", q, q) + x_sq_max
+            full = ~(4 * s <= limit)                      # NaN too
+            rhs[:d, :b] = -2.0 * q.T
+            # one column per query: the (n, b) product is the faster layout
+            approx = np.matmul(augmented, rhs[:, :b], out=block[:, :b])
+            minima = np.ascontiguousarray(approx[:slabs * m].reshape(slabs, m, b).min(axis=0).T)
+            bound = np.partition(minima, k - 1, axis=1)[:, k - 1] + (
+                4 * g * s + (d + 2) * (1 + g) * t * (1 + s))
+            bound32 = np.nextafter(bound.astype(np.float32), np.float32(np.inf))  # rounded up
+            bound32[full] = np.nan                        # shortlists nothing
+            # read the 16 slab values only where the minimum passes
+            rows, pos = np.divmod(np.flatnonzero(minima <= bound32[:, None]), m)
+            cols = pos[:, None] + m * np.arange(slabs)
+            hits = (rows[:, None] * n + cols)[approx[cols, rows[:, None]] <= bound32[rows, None]]
+            tail_cols, tail_rows = np.nonzero(approx[slabs * m:] <= bound32)
+            everything = (np.flatnonzero(full)[:, None] * n + np.arange(n)).ravel()
+        # hits ordered by query, then by ascending instance index
+        rows, cols = np.divmod(np.sort(np.concatenate(
+            [hits, tail_rows * n + slabs * m + tail_cols, everything])), n)
+        exact = _exact_distances(store.features, q, rows, cols)
         pos = np.arange(rows.shape[0]) - np.searchsorted(rows, rows)
         padded = np.full((b, pos.max() + 1), np.inf)
         padded[rows, pos] = exact
@@ -199,6 +219,21 @@ def neighbours(store: InstanceStore, queries: np.ndarray,
         idx[start:start + b] = np.take_along_axis(members, order, axis=1)
         dist[start:start + b] = np.take_along_axis(padded, order, axis=1)
     return idx, dist
+
+
+def _exact_distances(features: np.ndarray, queries: np.ndarray,
+                     rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Distance of instance ``cols[i]`` to query ``rows[i]``, as a full scan computes it.
+
+    The differences are taken in slices of at most about _BLOCK_CELLS / 2
+    float64 values, so a block of full scans keeps to the block budget.
+    """
+    exact = np.empty(cols.shape[0])
+    chunk = max(1, _BLOCK_CELLS // (2 * max(features.shape[1], 1)))
+    for s in range(0, cols.shape[0], chunk):
+        diffs = features[cols[s:s + chunk]] - queries[rows[s:s + chunk]]
+        exact[s:s + chunk] = np.sqrt(np.einsum("ij,ij->i", diffs, diffs))
+    return exact
 
 
 def predict_knn_batch(store: InstanceStore, queries: np.ndarray, cfg: KnnConfig) -> np.ndarray:

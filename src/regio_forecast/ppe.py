@@ -81,8 +81,8 @@ def forecast_series(
 def forecast_to_csv(forecast: PpeForecast) -> str:
     """One row per day; ``kits_ceil`` and the five item columns are the kits ceiled."""
     lines = [PPE_CSV_HEADER]
+    row = "%s,%.6f,%.6f,%.6f" + ",%d" * 6                # kits_ceil, then the five items
     for date, h, ratio, kits in zip(forecast.dates, forecast.predicted_hospitalized.tolist(),
                                     forecast.hsp_ratio.tolist(), forecast.kits.tolist()):
-        whole = ",".join([str(math.ceil(kits))] * 6)   # kits_ceil, then the five items
-        lines.append(f"{date.isoformat()},{h:.6f},{ratio:.6f},{kits:.6f},{whole}")
+        lines.append(row % ((date.isoformat(), h, ratio, kits) + (math.ceil(kits),) * 6))
     return "\n".join(lines) + "\n"

@@ -145,7 +145,7 @@ def apply_quantile_scaler(scaler: QuantileNormalScaler, values: np.ndarray) -> n
     p = np.empty(values.shape)
     for j in range(values.shape[1]):
         p[:, j] = _empirical_cdf(scaler.landmarks[j], probs, values[:, j])
-    return ndtri(np.clip(p, CDF_CLIP_LO, CDF_CLIP_HI))
+    return ndtri(np.clip(p, CDF_CLIP_LO, CDF_CLIP_HI, out=p), out=p)
 
 
 # Inside this range the plain sum of squares neither overflows nor loses

@@ -143,6 +143,30 @@ def metric_oracle(name: str, y, y_hat) -> float:
     return 1.0 - sum((r - mean_r) ** 2 for r in res) / ss_tot   # evs; the 1/n cancels
 
 
+def bootstrap_oracle(y, y_hat, metric, replicates: int, seed: int):
+    """(low, mid, top, skipped) of a pairs bootstrap from one (replicates, n) draw.
+
+    One generator seeded with ``seed`` draws the whole index matrix at once
+    and one metric call scores it; NaN rows (constant actuals under r2 and
+    evs) are skipped, and low/top are the 2.5th and 97.5th percentiles of
+    the rest. Raises DataError as ``bootstrap_interval`` does.
+    """
+    y, y_hat = np.asarray(y, dtype=np.float64), np.asarray(y_hat, dtype=np.float64)
+    mid = float(metric(y, y_hat))
+    name = {"evs": "explained variance"}.get(metric.__name__, metric.__name__)
+    if math.isnan(mid):
+        raise DataError(f"actuals are constant; {name} is undefined")
+    idx = np.random.default_rng(seed).integers(0, len(y), size=(replicates, len(y)))
+    values = metric(y[idx], y_hat[idx])
+    values = values[~np.isnan(values)]
+    if values.size == 0:
+        raise DataError(f"all {replicates} bootstrap replicates had constant actuals; "
+                        f"{name} is undefined")
+    alpha = 1.0 - 0.95                  # as the package rounds it
+    low, top = np.percentile(values, [100 * alpha / 2, 100 * (1 - alpha / 2)])
+    return float(low), mid, float(top), replicates - values.size
+
+
 def cell_problem(code: str, value, region) -> str | None:
     """Why ``value`` is invalid in column ``code`` of a ``region`` dataset, or None."""
     if not math.isfinite(value):
@@ -239,6 +263,27 @@ def write_csv_oracle(ds, path):
         for date, features, targets in zip(ds.dates, ds.features.tolist(),
                                            ds.targets.tolist()):
             writer.writerow([date.isoformat()] + [repr(v) for v in features] + targets)
+
+
+def predictions_csv_oracle(dates, counts) -> str:
+    """``predictions.csv`` text, value by value with f-strings and joins."""
+    lines = ["date," + ",".join(TARGET_COLUMNS)
+             + "," + ",".join(f"{t}_rounded" for t in TARGET_COLUMNS)]
+    for date, day, rounded in zip(dates, counts, np.rint(counts).astype(np.int64)):
+        reals = ",".join(f"{v:.6f}" for v in day)
+        ints = ",".join(str(int(v)) for v in rounded)
+        lines.append(f"{date.isoformat()},{reals},{ints}")
+    return "\n".join(lines) + "\n"
+
+
+def ppe_csv_oracle(header: str, forecast) -> str:
+    """``ppe_forecast.csv`` text, value by value with f-strings and joins."""
+    lines = [header]
+    for date, h, ratio, kits in zip(forecast.dates, forecast.predicted_hospitalized.tolist(),
+                                    forecast.hsp_ratio.tolist(), forecast.kits.tolist()):
+        whole = ",".join([str(math.ceil(kits))] * 6)
+        lines.append(f"{date.isoformat()},{h:.6f},{ratio:.6f},{kits:.6f},{whole}")
+    return "\n".join(lines) + "\n"
 
 
 def ppe_kits_oracle(hospitalized: float, chc_count: float, capacity: float,

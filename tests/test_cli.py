@@ -1,4 +1,5 @@
 import base64
+import datetime as dt
 import hashlib
 import json
 import shutil
@@ -11,10 +12,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from regio_forecast.cli import main
+from regio_forecast.cli import _predictions_csv, main
 from regio_forecast.features import DERIVED_FEATURE_CODES, PRIMARY_FEATURE_CODES, score_relevance
 from regio_forecast.ingest import (
     RegionalDataset, parse_regional_csv, region_by_name, split_train_test, write_regional_csv)
+
+from oracles import predictions_csv_oracle
 
 
 @pytest.fixture(scope="module")
@@ -846,3 +849,39 @@ def test_cli_import_leaves_scipy_stats_unloaded():
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("gap", [False, True], ids=["clean", "with_gap"])
+@pytest.mark.parametrize("cell", [
+    "0." + "0" * 140_000 + "1",                           # one line past the field limit
+    '"' + (" " * 999 + "\n") * 140 + '1"',                # short lines, one quoted cell
+], ids=["long_line", "quoted_over_lines"])
+def test_cell_past_csv_field_limit_exits_3(tmp_path, capsys, cell, gap):
+    """Both readers of a regional CSV refuse a cell longer than the csv
+    module's field limit, whether or not a gap sends the file to the row loop."""
+    assert run(["synth", "--regions", "1", "--rows", "12", "--out", tmp_path / "d"]) == 0
+    path = tmp_path / "d" / "alberta.csv"
+    lines = path.read_text().splitlines()
+    cells = lines[5].split(",")
+    cells[1] = cell                                       # feat_01
+    lines[5] = ",".join(cells)
+    if gap:
+        cells = lines[8].split(",")
+        cells[5] = ""                                     # feat_05, forward-filled
+        lines[8] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+    code = run(["relevance", "--data-dir", tmp_path / "d", "--case-study", "alberta",
+                "--out", tmp_path / "x"])
+    assert code == 3
+    assert capsys.readouterr().err == (
+        f"data error: {path}: malformed CSV: field larger than field limit (131072)\n")
+
+
+def test_prediction_rows_match_value_by_value_formatting():
+    # -0.0, halves that 6-decimal and integer rounding take either way, and 1e15
+    values = [-0.0, 0.0, 0.5, 1.5, 2.5, 5e-7, 1.5e-6, 1.0000005, 2.675, 0.1 + 0.2,
+              7.4999999, 123456.7890125, 1e15, 1e15 + 0.5, 3.0, 1e15 - 0.25]
+    counts = np.array(values).reshape(-1, 4)
+    counts = np.vstack([counts, counts[:, ::-1]])
+    dates = [dt.date(2021, 3, 1) + dt.timedelta(days=i) for i in range(len(counts))]
+    assert _predictions_csv(dates, counts) == predictions_csv_oracle(dates, counts)

@@ -1,4 +1,6 @@
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,7 +21,7 @@ from regio_forecast.evaluation import (
     rmse,
 )
 
-from oracles import metric_oracle
+from oracles import bootstrap_oracle, metric_oracle
 
 
 def test_r2_fixed_points():
@@ -214,6 +216,48 @@ def test_batched_metrics_match_rows_and_oracle(batch, seed):
                 bootstrap_interval(y, y_hat, metric, cfg)
         else:
             assert bootstrap_interval(y, y_hat, metric, cfg).skipped_replicates == skips
+
+
+@pytest.mark.parametrize("replicates", [1, 999, 1000])
+@pytest.mark.parametrize("n", [2, 54, 1715])
+def test_blocked_bootstrap_matches_one_draw(n, replicates):
+    """Drawing and scoring resamples in blocks of rows gives the single-draw
+    interval bit for bit, skipped constant resamples included."""
+    rng = np.random.default_rng(n * 10_007 + replicates)
+    y = rng.integers(0, 3, size=n).astype(np.float64)
+    y[:2] = 0.0, 1.0                  # with n = 2 half the resamples are constant
+    y_hat = y + rng.normal(size=n)
+    skipped = 0
+    for seed in (0, 7):
+        for metric in METRIC_FUNCTIONS.values():
+            try:
+                expected = bootstrap_oracle(y, y_hat, metric, replicates, seed)
+            except DataError as exc:
+                with pytest.raises(DataError, match=f"^{re.escape(str(exc))}$"):
+                    bootstrap_interval(y, y_hat, metric, BootstrapConfig(replicates, seed))
+                continue
+            iv = bootstrap_interval(y, y_hat, metric, BootstrapConfig(replicates, seed))
+            assert (iv.low, iv.mid, iv.top, iv.skipped_replicates) == expected
+            skipped += iv.skipped_replicates
+    assert skipped > 0 or n > 2 or replicates == 1
+
+
+def test_bootstrap_memory_stays_small():
+    """1000 resamples of 54 days peak under 512 KiB of allocations (one (B, n)
+    draw and its temporaries took about 2 MiB)."""
+    rng = np.random.default_rng(3)
+    y = rng.integers(0, 50, size=54).astype(np.float64)
+    y_hat = y + rng.normal(size=54)
+    cfg = BootstrapConfig(replicates=1000, seed=3)
+    for metric in METRIC_FUNCTIONS.values():
+        bootstrap_interval(y, y_hat, metric, cfg)          # first-call allocations
+        tracemalloc.start()
+        try:
+            bootstrap_interval(y, y_hat, metric, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 512 * 1024, metric.__name__
 
 
 def test_evaluate_model_report_shape(trained_small_model, small_datasets):

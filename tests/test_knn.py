@@ -200,13 +200,15 @@ def test_matches_exhaustive_scan_bit_for_bit(rng, monkeypatch):
 def _branch_cases(rng, k, above):
     """(instances, queries) with n >= 16·k (16 slabs) or n < 16·k (fewer slabs,
     down to one, the whole row), covering ties, duplicates, zero rows and
-    values beyond 1e154, a tight cluster far from the origin and unit rows."""
+    values beyond 1e154, a tight cluster far from the origin, unit rows, and
+    the float32 edges: norms near its overflow, components whose products
+    underflow or are subnormal, and near-ties under one float32 ulp."""
     threshold = knn._SLABS * k
-    for trial in range(14):
+    for trial in range(22):
         n = int(rng.integers(threshold, threshold + 300) if above
                 else rng.integers(1, threshold))
         d = int(rng.integers(1, 14))
-        kind = trial % 7
+        kind = trial % 11
         # low-resolution grid coordinates force distance ties
         x = rng.integers(0, 3, size=(n, d)).astype(float)
         queries = np.vstack([x[rng.integers(n, size=3)],
@@ -239,6 +241,45 @@ def _branch_cases(rng, k, above):
             x = rng.normal(size=(n, d))
             x /= np.linalg.norm(x, axis=1, keepdims=True)
             queries = np.vstack([x[rng.integers(n, size=3)], rng.normal(size=(3, d))])
+        elif kind == 7:
+            # norms of 1e17 to 1e20 among ordinary rows: the float32 product
+            # overflows past about 1e19, and every query of such a store scans all
+            top = rng.uniform(17, 20)
+            x = rng.normal(size=(n, d))
+            big = rng.random(n) < 0.3
+            x[big] *= 10.0 ** rng.uniform(17, top, size=(int(big.sum()), 1))
+            queries = np.vstack([x[rng.integers(n, size=2)], rng.normal(size=(2, d)),
+                                 rng.normal(size=(2, d)) * 10.0 ** rng.uniform(17, 20, (2, 1))])
+        elif kind == 8:
+            # components of 1e-23, whose squares underflow in float32, and of
+            # 1e-39 to 1e-45, float32 subnormals
+            scale = np.where(rng.random((n, d)) < 0.5, 1e-23,
+                             10.0 ** rng.uniform(-45, -39, size=(n, d)))
+            x = rng.normal(size=(n, d)) * scale
+            queries = np.vstack([x[rng.integers(n, size=2)], np.zeros((1, d)),
+                                 rng.normal(size=(3, d)) * 1e-23])
+        elif kind == 9:
+            # near-ties under a float32 ulp: 1 + 2^-24 is a float32 rounding
+            # midpoint, so offsets of 2^-45 from it round either way
+            q = rng.normal(size=d)
+            q[0] = 0.0
+            x = np.tile(q, (n, 1))
+            x[:, 0] = 1.0 + 2.0 ** -24 + rng.integers(-3, 4, size=n) * 2.0 ** -45
+            queries = np.vstack([q, q, x[rng.integers(n, size=2)], rng.normal(size=(2, d))])
+        elif kind == 10:
+            # float32 products rounding in the subnormal range against the
+            # order: each term -2q_i·x_i is (0.5 + 2^-6)·2^-149 for the nearer
+            # rows, which round up, and (0.5 - 2^-6)·2^-149, one of them 2^-149
+            # more, for the farther rows, which round down. Their
+            # approximations end up (d - 1)·2^-149 apart, which only the
+            # margin's subnormal term covers: u·S is far below 2^-149.
+            d = 13
+            f = np.full((n, d), 0.5 - 2.0 ** -6)
+            f[np.arange(n), rng.integers(d, size=n)] += 1.0
+            f[rng.integers(n, size=3)] = 0.5 + 2.0 ** -6
+            x = f * 2.0 ** -80
+            queries = np.vstack([np.full((2, d), -2.0 ** -70), x[rng.integers(n, size=2)],
+                                 np.zeros((2, d))])
         yield x, queries
 
 
@@ -271,6 +312,26 @@ def test_neighbours_are_the_stable_scan_order(rng, monkeypatch, k, above):
             order = np.argsort(scan, kind="stable")[:k]
             assert np.array_equal(idx[i], order)
             assert np.array_equal(dist[i], scan[order])
+
+
+def test_shortlists_stay_near_k(rng, monkeypatch):
+    """The float32 margin keeps the re-rank to about k exact distances a query:
+    a margin that grew into a near-full scan would still give right answers."""
+    x = rng.normal(size=(20_000, 13))
+    x /= np.linalg.norm(x, axis=1, keepdims=True)
+    store = InstanceStore(x, np.zeros((20_000, 1)))
+    queries = rng.normal(size=(500, 13))
+    queries /= np.linalg.norm(queries, axis=1, keepdims=True)
+    computed = []
+    exact_distances = knn._exact_distances
+
+    def counting(features, q, rows, cols):
+        computed.append(len(cols))
+        return exact_distances(features, q, rows, cols)
+
+    monkeypatch.setattr(knn, "_exact_distances", counting)
+    neighbours(store, queries, 6)
+    assert 6 * 500 <= sum(computed) <= 7 * 500
 
 
 def test_neighbours_rejects_bad_k_and_shapes():

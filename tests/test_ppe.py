@@ -14,13 +14,14 @@ from regio_forecast.features import PRIMARY_FEATURE_CODES, TARGET_COLUMNS
 from regio_forecast.ingest import RegionalDataset
 from regio_forecast.mtl import predict_monitoring
 from regio_forecast.ppe import (
+    PPE_CSV_HEADER,
     PpeForecast,
     forecast_series,
     forecast_to_csv,
     predict_ppe_kits,
 )
 
-from oracles import ppe_kits_oracle
+from oracles import ppe_csv_oracle, ppe_kits_oracle
 
 ITEM_COLUMNS = ("face_shields", "n95", "glove_pairs", "shoe_cover_pairs", "gowns")
 
@@ -179,3 +180,16 @@ def test_non_finite_or_negative_hospitalized_rejected(hospitalized):
     with pytest.raises(ConfigError,
                        match=rf"^hospitalized count must be finite and >= 0, got {hospitalized}$"):
         predict_ppe_kits(np.array([3.0, hospitalized]), 40, 0.75, 200)
+
+
+# -0.0, halves that 6-decimal and integer rounding take either way, and 1e15
+FORMAT_VALUES = [-0.0, 0.0, 0.5, 1.5, 2.5, 5e-7, 1.5e-6, 1.0000005, 2.675, 0.1 + 0.2,
+                 7.4999999, 123456.7890125, 1e15, 1e15 + 0.5, 3.0, 1e15 - 0.25]
+
+
+def test_forecast_csv_matches_value_by_value_formatting():
+    kits = np.array(FORMAT_VALUES)
+    forecast = PpeForecast(tuple(dt.date(2021, 3, 1) + dt.timedelta(days=i)
+                                 for i in range(len(kits))),
+                           np.roll(kits, 1), np.roll(kits, 2), kits)
+    assert forecast_to_csv(forecast) == ppe_csv_oracle(PPE_CSV_HEADER, forecast)
