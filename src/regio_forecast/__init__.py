@@ -11,11 +11,11 @@ imported from its module.
 """
 
 from .errors import ConfigError, DataError
-from .evaluation import r2
+from .evaluation import r2, rotate_regions
 from .features import DEFAULT_SELECTED_FEATURES, score_relevance
 from .ingest import parse_regional_csv, region_by_name, split_train_test
 from .knn import KnnConfig
-from .mtl import predict_monitoring, rotate_regions, train_mtl
+from .mtl import predict_monitoring, train_mtl
 from .ppe import forecast_series, predict_ppe_kits
 from .scaling import apply_quantile_scaler, fit_quantile_scaler, l2_normalize_rows
 from .synth import SyntheticSpec, generate_regions, write_region_files

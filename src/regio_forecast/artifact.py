@@ -14,11 +14,11 @@ A document of any other version, a missing field, bytes that are not
 UTF-8, a NaN or Infinity token, a literal that overflows to infinity
 (such as 1e999), an array with another dtype, a bad shape, bad base64 or
 a byte count that does not fill its shape, a non-finite stored number, a
-negative stored count, a k that is not a JSON integer >= 1, and selected
-features that are unknown or disagree with the scaler or the store raise
-DataError naming the file. Serialization is deterministic (sorted keys,
-fixed array bytes), so retraining on identical inputs produces
-byte-identical artifacts.
+negative stored count, a generic weight outside [0, 1], a k that is not
+a JSON integer >= 1, and selected features that are unknown or disagree
+with the scaler or the store raise DataError naming the file.
+Serialization is deterministic (sorted keys, fixed array bytes), so
+retraining on identical inputs produces byte-identical artifacts.
 """
 
 from __future__ import annotations
@@ -164,6 +164,9 @@ def load_model(path: str | Path) -> MtlModel:
     for name, values in numbers.items():
         if not np.all(np.isfinite(values)):
             raise DataError(f"{path}: model artifact holds a non-finite number ({name})")
+    if not 0 <= model.generic_weight <= 1:
+        raise DataError(f"{path}: model artifact's generic weight must be in [0, 1], "
+                        f"got {model.generic_weight}")
     if np.any(model.store.targets < 0):
         raise DataError(f"{path}: model artifact holds a negative count (store.targets)")
     return model

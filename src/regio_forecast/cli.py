@@ -27,6 +27,7 @@ from .evaluation import (
     evaluate_model,
     reports_to_long_csv,
     reports_to_target_table,
+    rotate_regions,
 )
 from .features import (
     DEFAULT_SELECTED_FEATURES,
@@ -45,7 +46,7 @@ from .ingest import (
     split_train_test,
 )
 from .knn import KnnConfig
-from .mtl import predict_monitoring, rotate_regions, train_mtl
+from .mtl import predict_monitoring, train_mtl
 from .ppe import forecast_series, forecast_to_csv
 from .synth import SyntheticSpec, write_region_files
 
@@ -182,12 +183,11 @@ def cmd_train(cfg: RunConfig) -> int:
 
 
 def cmd_evaluate(cfg: RunConfig) -> int:
+    bootstrap = BootstrapConfig(cfg.bootstrap, cfg.seed)   # a bad count is refused before training
     _, case, case_ds, split, model, report = _train(cfg)
     test = case_ds.subset(split.test_indices)
-    metric_report = evaluate_model(
-        model, test,
-        BootstrapConfig(cfg.bootstrap, cfg.seed),
-        training_time_seconds=report.fit_seconds)
+    metric_report = evaluate_model(model, test, bootstrap,
+                                   training_time_seconds=report.fit_seconds)
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     atomic_write_text(out / "evaluation.csv", reports_to_target_table([metric_report]))
@@ -316,6 +316,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = _load_config(args)
+        if args.command in ("evaluate", "rotate") and cfg.test_days < 2:   # r2 needs 2 days
+            raise ConfigError(f"--test-days must be >= 2 to score held-out days, "
+                              f"got {cfg.test_days}")
         if args.command == "synth":
             return cmd_synth(cfg, args.regions, args.rows, args.noise)
         if args.command == "train":

@@ -1,17 +1,21 @@
-"""Regression metrics and bootstrap prediction intervals.
+"""Regression metrics, bootstrap prediction intervals and the region rotation.
 
 Four metrics are reported per target: coefficient of determination (r2),
 explained variance score (evs), mean absolute error (mae), and root mean
 squared error (rmse). Each is bracketed by a (low, mid, top) interval:
 mid is the metric on the full test set, low/top are the 2.5th/97.5th
 percentiles (CONFIDENCE, fixed at 0.95) of a pairs bootstrap over the
-test points. Every metric reduces the last axis, so one call scores a
-whole (replicates, n) matrix of resamples. r2 and evs are NaN where the
+test days, with 1 to MAX_REPLICATES resamples; all 16 intervals of an
+evaluation share one draw of them. Every metric reduces the last axis, so
+one call scores a whole block of resamples. r2 and evs are NaN where the
 actuals are constant; the bootstrap skips and counts those resamples.
+``rotate_regions`` lets each region take a turn as the case study, with
+the pooled regions' generic weight in [0, 1].
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -20,10 +24,9 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 from .features import TARGET_COLUMNS
-from .ingest import RegionalDataset
-from .mtl import MtlModel, predict_monitoring
-
-METRIC_NAMES: tuple[str, ...] = ("r2", "evs", "mae", "rmse")
+from .ingest import RegionalDataset, split_train_test
+from .knn import KnnConfig
+from .mtl import MtlModel, predict_monitoring, train_mtl
 
 # Level of every bootstrap interval.
 CONFIDENCE = 0.95
@@ -81,8 +84,12 @@ METRIC_FUNCTIONS: dict[str, Callable] = {"r2": r2, "evs": evs, "mae": mae, "rmse
 
 # Resamples are drawn and scored in blocks of about this many indices, so
 # each temporary (64 kB of float64) comes from the heap rather than from
-# fresh pages that are returned to the system after every block.
+# fresh pages that are returned to the system after every block. Indices
+# are drawn as int32, half the size of the default int64.
 _BOOTSTRAP_CELLS = 2 ** 13
+
+# Most replicates an evaluation may ask for: a (4, 4, B) score array of 12.8 MB.
+MAX_REPLICATES = 100_000
 
 
 @dataclass(frozen=True)
@@ -91,8 +98,9 @@ class BootstrapConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.replicates < 1:
-            raise ConfigError(f"bootstrap replicates must be >= 1, got {self.replicates}")
+        if not 1 <= self.replicates <= MAX_REPLICATES:
+            raise ConfigError(f"bootstrap replicates must be in [1, {MAX_REPLICATES}], "
+                              f"got {self.replicates}")
 
 
 @dataclass(frozen=True)
@@ -109,38 +117,55 @@ class Interval:
     skipped_replicates: int = 0
 
 
-def bootstrap_interval(y, y_hat, metric: Callable, cfg: BootstrapConfig) -> Interval:
-    """Pairs bootstrap of a metric over (actual, prediction) index pairs.
+def bootstrap_intervals(actuals, predicted,
+                        cfg: BootstrapConfig) -> dict[str, dict[str, Interval]]:
+    """Pairs bootstrap over days of all four metrics of each target, on shared resamples.
 
-    mid is the metric on the full sample. One generator seeded with
-    ``cfg.seed`` draws the (replicates, n) index matrix in blocks of rows,
-    which give the same indices as one draw, and one metric call scores
-    each block; rows with constant actuals score NaN under r2 and evs and
-    are skipped. low/top are percentile bounds of the rest.
+    ``actuals`` and ``predicted`` are (n, 4) in TARGET_COLUMNS order; the
+    result maps target -> metric -> Interval. One generator, seeded from a
+    SeedSequence child of ``cfg.seed`` so that it never replays the split's
+    ``default_rng(seed)`` stream, draws the (replicates, n) day indices in
+    blocks of rows, which give the same indices as one draw. Every target
+    and metric is scored on the same resamples. Errors name the target;
+    the first in (target, metric) order is raised.
     """
-    y, y_hat = _check_pair(np.ravel(y), np.ravel(y_hat), 2)
-    if not (np.all(np.isfinite(y)) and np.all(np.isfinite(y_hat))):
-        raise DataError("metric inputs must be finite")
-    mid = float(metric(y, y_hat))
-    name = {"evs": "explained variance"}.get(metric.__name__, metric.__name__)
-    if math.isnan(mid):
-        raise DataError(f"actuals are constant; {name} is undefined")
+    try:   # every target has the same days, so the first one reports a problem with them
+        y, y_hat = _check_pair(np.transpose(actuals), np.transpose(predicted), 2)
+    except DataError as exc:
+        raise DataError(f"{TARGET_COLUMNS[0]}: {exc}") from None
+    finite = np.isfinite(y).all(axis=1) & np.isfinite(y_hat).all(axis=1)
+    scored = len(y) if finite.all() else int(np.argmin(finite))   # targets before a non-finite one
 
-    rng = np.random.default_rng(cfg.seed)
-    rows = max(1, _BOOTSTRAP_CELLS // len(y))
-    values = np.empty(cfg.replicates)
+    n = y.shape[1]
+    values = np.empty((scored, len(METRIC_FUNCTIONS), cfg.replicates))
+    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(1)[0])
+    rows = max(1, _BOOTSTRAP_CELLS // n)
     for start in range(0, cfg.replicates, rows):
-        idx = rng.integers(0, len(y), size=(min(rows, cfg.replicates - start), len(y)))
-        values[start:start + len(idx)] = metric(y[idx], y_hat[idx])
-    values = values[~np.isnan(values)]
-    if values.size == 0:
-        raise DataError(f"all {cfg.replicates} bootstrap replicates had constant actuals; "
-                        f"{name} is undefined")
+        idx = rng.integers(0, n, size=(min(rows, cfg.replicates - start), n), dtype=np.int32)
+        for t in range(scored):
+            y_t, y_hat_t = y[t][idx], y_hat[t][idx]
+            for m, metric in enumerate(METRIC_FUNCTIONS.values()):
+                values[t, m, start:start + len(idx)] = metric(y_t, y_hat_t)
 
     alpha = 1.0 - CONFIDENCE
-    low, top = np.percentile(values, [100 * alpha / 2, 100 * (1 - alpha / 2)])
-    return Interval(float(low), mid, float(top),
-                    skipped_replicates=cfg.replicates - values.size)
+    intervals: dict[str, dict[str, Interval]] = {}
+    for t, target in enumerate(TARGET_COLUMNS):
+        if t == scored:
+            raise DataError(f"{target}: metric inputs must be finite")
+        intervals[target] = {}
+        for (metric, fn), scores in zip(METRIC_FUNCTIONS.items(), values[t]):
+            name = {"evs": "explained variance"}.get(metric, metric)
+            mid = float(fn(y[t], y_hat[t]))
+            if math.isnan(mid):
+                raise DataError(f"{target}: actuals are constant; {name} is undefined")
+            scores = scores[~np.isnan(scores)]
+            if scores.size == 0:
+                raise DataError(f"{target}: all {cfg.replicates} bootstrap replicates had "
+                                f"constant actuals; {name} is undefined")
+            low, top = np.percentile(scores, [100 * alpha / 2, 100 * (1 - alpha / 2)])
+            intervals[target][metric] = Interval(float(low), mid, float(top),
+                                                 skipped_replicates=cfg.replicates - scores.size)
+    return intervals
 
 
 @dataclass(frozen=True)
@@ -159,11 +184,7 @@ class MetricReport:
             "province": self.region,
             "training_time_seconds": self.training_time_seconds,
             "targets": {
-                target: {
-                    metric: {"low": iv.low, "mid": iv.mid, "top": iv.top,
-                             "skipped_replicates": iv.skipped_replicates}
-                    for metric, iv in metrics.items()
-                }
+                target: {metric: dataclasses.asdict(iv) for metric, iv in metrics.items()}
                 for target, metrics in self.intervals.items()
             },
         }
@@ -179,22 +200,48 @@ def evaluate_model(
 
     Test days must be disjoint from the days the model trained on.
     """
-    predicted = predict_monitoring(model, test)
-    actuals = test.targets.astype(np.float64)
-
-    seeds = np.random.SeedSequence(cfg.seed).spawn(len(TARGET_COLUMNS) * len(METRIC_NAMES))
-    intervals: dict[str, dict[str, Interval]] = {}
-    for t_idx, target in enumerate(TARGET_COLUMNS):
-        intervals[target] = {}
-        for m_idx, metric in enumerate(METRIC_NAMES):
-            seed = seeds[t_idx * len(METRIC_NAMES) + m_idx].generate_state(1, np.uint64)[0]
-            try:
-                intervals[target][metric] = bootstrap_interval(
-                    actuals[:, t_idx], predicted[:, t_idx], METRIC_FUNCTIONS[metric],
-                    BootstrapConfig(cfg.replicates, int(seed)))
-            except DataError as exc:
-                raise DataError(f"{model.case_study.name}, {target}: {exc}") from None
+    try:
+        intervals = bootstrap_intervals(test.targets, predict_monitoring(model, test), cfg)
+    except DataError as exc:
+        raise DataError(f"{model.case_study.name}, {exc}") from None
     return MetricReport(model.case_study.name, intervals, training_time_seconds)
+
+
+def rotate_regions(
+    datasets: Sequence[RegionalDataset],
+    cfg: KnnConfig = KnnConfig(),
+    test_size: int = 54,
+    seed: int = 0,
+    generic_weight: float = 1.0,
+    bootstrap_replicates: int = 1000,
+) -> list[MetricReport]:
+    """Let every region take a turn as the case study and evaluate it.
+
+    For each region the remaining datasets form the pool, a held-out
+    split of ``test_size`` days is predicted on the default feature
+    selection, and metric intervals are computed. Returns one MetricReport
+    per region, in dataset order. Each region's split and bootstrap seed
+    derives from the master seed, so a fixed seed reproduces every number.
+    """
+    datasets = list(datasets)
+    if len(datasets) < 2:
+        raise DataError("region rotation needs at least 2 datasets")
+
+    reports = []
+    for ds in datasets:
+        case = ds.region
+        # the split draws from this seed's stream, the bootstrap from a child of it
+        region_seed = int(np.random.SeedSequence(seed, spawn_key=(case.code, 0))
+                          .generate_state(1, np.uint64)[0])
+        split = split_train_test(ds, test_size, region_seed)
+        model, train_report = train_mtl(
+            datasets, case, split.train_indices, cfg, generic_weight)
+        reports.append(evaluate_model(
+            model, ds.subset(split.test_indices),
+            BootstrapConfig(bootstrap_replicates, region_seed),
+            training_time_seconds=train_report.fit_seconds,
+        ))
+    return reports
 
 
 def _csv_line(keys: Sequence[str], intervals: Sequence[Interval], tt_seconds: float) -> str:
@@ -224,13 +271,13 @@ def reports_to_target_table(reports: Sequence[MetricReport], target: str | None 
     target) pair, with a ``target`` column after ``province``.
     """
     keys = ["province"] if target else ["province", "target"]
-    header = keys + [f"{metric}_{bound}" for metric in METRIC_NAMES
+    header = keys + [f"{metric}_{bound}" for metric in METRIC_FUNCTIONS
                      for bound in ("low", "mid", "top")] + ["tt_seconds"]
     lines = [",".join(header)]
     for report in reports:
         for t in [target] if target else report.intervals:
             lines.append(_csv_line(
                 [report.region] if target else [report.region, t],
-                [report.interval(t, metric) for metric in METRIC_NAMES],
+                [report.interval(t, metric) for metric in METRIC_FUNCTIONS],
                 report.training_time_seconds))
     return "\n".join(lines) + "\n"

@@ -4,9 +4,9 @@ The paper trains a *generic* model on the pooled regions and transfers it
 into a *dedicated* model for the case-study region. The learner is kNN, so
 that transfer is a weighted union of instances: one store holds the rows
 of every other region at weight ``generic_weight``, followed by the
-case-study training rows at weight 1.0. Weight 1 is plain kNN on the
-union, and weight 0 drops the pooled rows, leaving kNN on the case study
-alone.
+case-study training rows at weight 1.0. The weight is in [0, 1]: 1 is
+plain kNN on the union, and 0 drops the pooled rows, leaving kNN on the
+case study alone.
 
 Training and prediction share one feature path: ``RegionalDataset.columns``
 gives the selected columns (a derived one is computed only when
@@ -19,7 +19,6 @@ them, so it is a non-negative count with no target scaling to undo.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass
 from typing import Sequence
@@ -28,7 +27,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 from .features import DEFAULT_SELECTED_FEATURES, DERIVED_FEATURE_CODES, PRIMARY_FEATURE_CODES
-from .ingest import RegionalDataset, RegionId, split_train_test
+from .ingest import RegionalDataset, RegionId
 from .knn import InstanceStore, KnnConfig, predict_knn_batch
 from .scaling import (
     QuantileNormalScaler,
@@ -108,8 +107,8 @@ def train_mtl(
     Instances keep that order, pool first, so kNN distance ties break the
     same way on every run.
     """
-    if not 0 <= generic_weight < math.inf:
-        raise ConfigError(f"generic weight must be finite and >= 0, got {generic_weight}")
+    if not 0 <= generic_weight <= 1:
+        raise ConfigError(f"generic weight must be in [0, 1], got {generic_weight}")
     case_ds = next((d for d in datasets if d.region.code == case_study.code), None)
     if case_ds is None:
         raise DataError(f"no dataset for case study {case_study.name!r}")
@@ -162,47 +161,3 @@ def predict_monitoring(model: MtlModel, ds: RegionalDataset) -> np.ndarray:
     raw = ds.columns(model.selected_features)
     x = l2_normalize_rows(apply_quantile_scaler(model.feature_scaler, raw))
     return predict_knn_batch(model.store, x, model.cfg)
-
-
-def rotate_regions(
-    datasets: Sequence[RegionalDataset],
-    cfg: KnnConfig = KnnConfig(),
-    test_size: int = 54,
-    seed: int = 0,
-    generic_weight: float = 1.0,
-    bootstrap_replicates: int = 1000,
-):
-    """Let every region take a turn as the case study and evaluate it.
-
-    For each region the remaining datasets form the pool, a held-out
-    split of ``test_size`` days is predicted on the default feature
-    selection, and metric intervals are computed. Returns one MetricReport
-    per region, in dataset order. Per-region split and bootstrap seeds
-    derive from the master seed, so a fixed seed reproduces every number.
-    """
-    from .evaluation import BootstrapConfig, evaluate_model  # cycle: evaluation uses predict_monitoring
-
-    datasets = list(datasets)
-    if len(datasets) < 2:
-        raise DataError("region rotation needs at least 2 datasets")
-
-    reports = []
-    for ds in datasets:
-        case = ds.region
-        split_seed = _derived_seed(seed, case.code, 0)
-        boot_seed = _derived_seed(seed, case.code, 1)
-        split = split_train_test(ds, test_size, split_seed)
-        model, train_report = train_mtl(
-            datasets, case, split.train_indices, cfg, generic_weight)
-        report = evaluate_model(
-            model, ds.subset(split.test_indices),
-            BootstrapConfig(replicates=bootstrap_replicates, seed=boot_seed),
-            training_time_seconds=train_report.fit_seconds,
-        )
-        reports.append(report)
-    return reports
-
-
-def _derived_seed(master: int, *key: int) -> int:
-    ss = np.random.SeedSequence(master, spawn_key=tuple(key))
-    return int(ss.generate_state(1, np.uint64)[0])

@@ -29,6 +29,9 @@ DEFAULT_START_DATE = dt.date(2020, 1, 25)
 # Most days a generated series can hold: its last date is datetime.date.max.
 MAX_ROWS = (dt.date.max - DEFAULT_START_DATE).days + 1
 
+# Largest relative noise; even at MAX_ROWS every generated cell stays finite.
+MAX_NOISE = 100.0
+
 # Per-target amplitude of the latent curve: infections, hospitalizations,
 # recoveries, deaths.
 TARGET_SCALES = (900.0, 210.0, 720.0, 28.0)
@@ -71,6 +74,8 @@ class SyntheticSpec:
                               f"datetime.date), got {self.rows}")
         if not 0 <= self.noise < np.inf:
             raise ConfigError(f"noise must be finite and >= 0, got {self.noise}")
+        if self.noise > MAX_NOISE:
+            raise ConfigError(f"noise must be <= {MAX_NOISE}, got {self.noise}")
 
 
 def _season(date: dt.date) -> int:

@@ -13,6 +13,7 @@ import math
 import numpy as np
 
 from regio_forecast.errors import DataError
+from regio_forecast.evaluation import METRIC_FUNCTIONS
 from regio_forecast.features import TARGET_COLUMNS
 from regio_forecast.ingest import CATEGORICAL_RANGES, CSV_HEADER, MAX_COUNT
 from regio_forecast.knn import InstanceStore, KnnConfig, predict_knn_batch
@@ -143,28 +144,42 @@ def metric_oracle(name: str, y, y_hat) -> float:
     return 1.0 - sum((r - mean_r) ** 2 for r in res) / ss_tot   # evs; the 1/n cancels
 
 
-def bootstrap_oracle(y, y_hat, metric, replicates: int, seed: int):
-    """(low, mid, top, skipped) of a pairs bootstrap from one (replicates, n) draw.
+def bootstrap_oracle(actuals, predicted, replicates: int, seed: int):
+    """{target: {metric: (low, mid, top, skipped)}} of a pairs bootstrap over days.
 
-    One generator seeded with ``seed`` draws the whole index matrix at once
-    and one metric call scores it; NaN rows (constant actuals under r2 and
-    evs) are skipped, and low/top are the 2.5th and 97.5th percentiles of
-    the rest. Raises DataError as ``bootstrap_interval`` does.
+    ``actuals`` and ``predicted`` are (n, 4) in TARGET_COLUMNS order. One
+    generator, seeded from the first SeedSequence child of ``seed``, draws
+    the whole (replicates, n) index matrix at once; then one (target,
+    metric) pair at a time, one metric call scores every resample of it.
+    NaN rows (constant actuals under r2 and evs) are skipped, and low/top
+    are the 2.5th and 97.5th percentiles of the rest. Raises DataError as
+    ``bootstrap_intervals`` does, at the first failing pair.
     """
-    y, y_hat = np.asarray(y, dtype=np.float64), np.asarray(y_hat, dtype=np.float64)
-    mid = float(metric(y, y_hat))
-    name = {"evs": "explained variance"}.get(metric.__name__, metric.__name__)
-    if math.isnan(mid):
-        raise DataError(f"actuals are constant; {name} is undefined")
-    idx = np.random.default_rng(seed).integers(0, len(y), size=(replicates, len(y)))
-    values = metric(y[idx], y_hat[idx])
-    values = values[~np.isnan(values)]
-    if values.size == 0:
-        raise DataError(f"all {replicates} bootstrap replicates had constant actuals; "
-                        f"{name} is undefined")
+    actuals = np.asarray(actuals, dtype=np.float64)
+    predicted = np.asarray(predicted, dtype=np.float64)
+    n = len(actuals)
+    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+    idx = rng.integers(0, n, size=(replicates, n), dtype=np.int32)
     alpha = 1.0 - 0.95                  # as the package rounds it
-    low, top = np.percentile(values, [100 * alpha / 2, 100 * (1 - alpha / 2)])
-    return float(low), mid, float(top), replicates - values.size
+    result = {}
+    for t, target in enumerate(TARGET_COLUMNS):
+        y, y_hat = actuals[:, t].copy(), predicted[:, t].copy()
+        if not (np.all(np.isfinite(y)) and np.all(np.isfinite(y_hat))):
+            raise DataError(f"{target}: metric inputs must be finite")
+        result[target] = {}
+        for name, metric in METRIC_FUNCTIONS.items():
+            label = {"evs": "explained variance"}.get(name, name)
+            mid = float(metric(y, y_hat))
+            if math.isnan(mid):
+                raise DataError(f"{target}: actuals are constant; {label} is undefined")
+            values = metric(y[idx], y_hat[idx])
+            values = values[~np.isnan(values)]
+            if values.size == 0:
+                raise DataError(f"{target}: all {replicates} bootstrap replicates had "
+                                f"constant actuals; {label} is undefined")
+            low, top = np.percentile(values, [100 * alpha / 2, 100 * (1 - alpha / 2)])
+            result[target][name] = (float(low), mid, float(top), replicates - values.size)
+    return result
 
 
 def cell_problem(code: str, value, region) -> str | None:

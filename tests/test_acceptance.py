@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from regio_forecast.cli import main as cli_main
-from regio_forecast.evaluation import BootstrapConfig, bootstrap_interval, evs, mae, r2, rmse
+from regio_forecast.evaluation import BootstrapConfig, bootstrap_intervals, evs, mae, r2, rmse
 from regio_forecast.ingest import (
     parse_regional_csv,
     region_by_name,
@@ -190,13 +190,14 @@ def test_metric_identities():
         assert r2(y, np.full(3, y.mean())) == 0.0
         assert evs(y, np.full(3, y.mean())) == 0.0
 
-        y = rng.normal(size=54)
-        y_hat = y + rng.normal(scale=0.4, size=54)
+        y = rng.normal(size=(54, 4))
+        y_hat = y + rng.normal(scale=0.4, size=(54, 4))
         cfg = BootstrapConfig(replicates=1000, seed=7)
-        for metric in (r2, evs, mae, rmse):
-            iv = bootstrap_interval(y, y_hat, metric, cfg)
-            assert iv.low <= iv.mid <= iv.top
-            assert bootstrap_interval(y, y_hat, metric, cfg) == iv
+        intervals = bootstrap_intervals(y, y_hat, cfg)
+        for metrics in intervals.values():
+            for iv in metrics.values():
+                assert iv.low <= iv.mid <= iv.top
+        assert bootstrap_intervals(y, y_hat, cfg) == intervals
 
 
 def test_synthetic_transfer_benefit():

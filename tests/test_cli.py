@@ -1,18 +1,22 @@
+import argparse
 import base64
 import datetime as dt
 import hashlib
 import json
+import os
 import shutil
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from regio_forecast.cli import _predictions_csv, main
+import regio_forecast
+from regio_forecast.cli import _predictions_csv, build_parser, main
 from regio_forecast.features import DERIVED_FEATURE_CODES, PRIMARY_FEATURE_CODES, score_relevance
 from regio_forecast.ingest import (
     RegionalDataset, parse_regional_csv, region_by_name, split_train_test, write_regional_csv)
@@ -80,6 +84,32 @@ def test_bad_test_days_exits_2(data_dir, tmp_path):
     code = run(["train", "--data-dir", data_dir, "--case-study", "alberta",
                 "--test-days", "80", "--out", tmp_path / "x"])
     assert code == 2
+
+
+@pytest.mark.parametrize("command, flag, value, message", [
+    ("evaluate", "--bootstrap", "100000000000",
+     "bootstrap replicates must be in [1, 100000], got 100000000000"),
+    ("rotate", "--bootstrap", "100000000000",
+     "bootstrap replicates must be in [1, 100000], got 100000000000"),
+    ("evaluate", "--test-days", "1", "--test-days must be >= 2 to score held-out days, got 1"),
+    ("rotate", "--test-days", "1", "--test-days must be >= 2 to score held-out days, got 1"),
+    ("train", "--generic-weight", "1e308", "generic weight must be in [0, 1], got 1e+308"),
+    ("train", "--generic-weight", "1.5", "generic weight must be in [0, 1], got 1.5"),
+    ("synth", "--noise", "1e308", "noise must be <= 100.0, got 1e+308"),
+], ids=["evaluate-bootstrap", "rotate-bootstrap", "evaluate-test-days", "rotate-test-days",
+        "train-generic-weight-1e308", "train-generic-weight-1.5", "synth-noise"])
+def test_out_of_range_flag_exits_2_naming_it(data_dir, tmp_path, capsys,
+                                             command, flag, value, message):
+    code = run([command, "--data-dir", data_dir, "--case-study", "alberta", "--test-days", "16",
+                flag, value, "--out", tmp_path / "x"])
+    assert code == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "x").exists()
+
+
+def test_train_keeps_a_single_held_out_day(data_dir, tmp_path):
+    assert run(["train", "--data-dir", data_dir, "--case-study", "alberta",
+                "--test-days", "1", "--out", tmp_path / "x"]) == 0
 
 
 def test_missing_data_dir_exits_3(tmp_path):
@@ -446,6 +476,22 @@ def test_deeply_nested_artifact_exits_3(data_dir, tmp_path, capsys):
                 "--out", tmp_path / "x"]) == 3
     assert f"data error: {deep}: malformed model artifact (maximum recursion depth exceeded" \
         in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("weight", [1.5, 1e308])
+def test_artifact_generic_weight_outside_unit_range_exits_3(data_dir, tmp_path, capsys, weight):
+    out = tmp_path / "model_out"
+    assert run(["train", "--data-dir", data_dir, "--case-study", "alberta",
+                "--test-days", "16", "--out", out]) == 0
+    doc = json.loads((out / "model.json").read_text())
+    doc["generic_weight"] = weight
+    bad = tmp_path / "bad_model.json"
+    bad.write_text(json.dumps(doc))
+    assert run(["predict", "--model", bad, "--input", data_dir / "alberta.csv",
+                "--out", tmp_path / "x"]) == 3
+    assert capsys.readouterr().err == (f"data error: {bad}: model artifact's generic weight "
+                                       f"must be in [0, 1], got {weight}\n")
+    assert not (tmp_path / "x").exists()
 
 
 @pytest.mark.parametrize("token", ["Infinity", "-Infinity", "NaN", "1e999"])
@@ -885,3 +931,55 @@ def test_prediction_rows_match_value_by_value_formatting():
     counts = np.vstack([counts, counts[:, ::-1]])
     dates = [dt.date(2021, 3, 1) + dt.timedelta(days=i) for i in range(len(counts))]
     assert _predictions_csv(dates, counts) == predictions_csv_oracle(dates, counts)
+
+
+# Runs CLI argument lists read from stdin under a 2 GiB address-space limit,
+# so a value that makes the program allocate without bound fails fast; prints
+# [argv, exit code, stderr] for each.
+_SWEEP_CHILD = """
+import contextlib, io, json, resource, sys, warnings
+from regio_forecast.cli import main
+resource.setrlimit(resource.RLIMIT_AS, (2 << 30, resource.getrlimit(resource.RLIMIT_AS)[1]))
+warnings.simplefilter("always")
+results = []
+for argv in json.load(sys.stdin):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:      # argparse refused the value
+            code = exc.code
+    results.append([argv, code, err.getvalue()])
+print(json.dumps(results))
+"""
+
+
+def test_every_numeric_flag_value_exits_0_2_or_3_without_warnings(tmp_path):
+    """Each int or float flag of each subcommand, set to an extreme value,
+    is accepted, refused as configuration or refused as data, with no
+    warning printed on the way."""
+    data, out, model_dir = tmp_path / "data", tmp_path / "out", tmp_path / "model"
+    assert run(["synth", "--regions", "3", "--rows", "30", "--seed", "5", "--out", data]) == 0
+    assert run(["train", "--data-dir", data, "--case-study", "alberta", "--test-days", "5",
+                "--out", model_dir]) == 0
+    series = ["--model", model_dir / "model.json", "--input", data / "alberta.csv"]
+    bases = {"synth": ["--regions", "1", "--rows", "10"], "predict": series, "ppe": series}
+    regional = ["--data-dir", data, "--case-study", "alberta", "--test-days", "5",
+                "--bootstrap", "20"]
+    commands = next(a for a in build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    cases = [[command, *map(str, bases.get(command, regional)), "--out", str(out),
+              action.option_strings[0], value]
+             for command, parser in commands.items()
+             for action in parser._actions if action.type in (int, float)
+             for value in ("0", "-1", str(2**31), str(10**11), "1e308", "nan", "inf")]
+    assert len(cases) >= 7 * 7 * 6          # 7 values of 6 shared flags on 7 subcommands
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": str(Path(regio_forecast.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", _SWEEP_CHILD], input=json.dumps(cases),
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    bad = [f"{' '.join(argv[:1] + argv[-2:])}: exit {code}: {err.strip()[-300:]}"
+           for argv, code, err in json.loads(proc.stdout)
+           if code not in (0, 2, 3) or "Warning" in err]
+    assert not bad, "\n".join(bad)

@@ -7,11 +7,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from regio_forecast.errors import DataError
+from regio_forecast.errors import ConfigError, DataError
 from regio_forecast.evaluation import (
+    MAX_REPLICATES,
     METRIC_FUNCTIONS,
     BootstrapConfig,
-    bootstrap_interval,
+    bootstrap_intervals,
     evaluate_model,
     evs,
     mae,
@@ -20,6 +21,7 @@ from regio_forecast.evaluation import (
     reports_to_target_table,
     rmse,
 )
+from regio_forecast.features import TARGET_COLUMNS
 
 from oracles import bootstrap_oracle, metric_oracle
 
@@ -88,72 +90,125 @@ def test_metric_permutation_invariance(rng):
         assert metric(y, y_hat) == pytest.approx(metric(y[perm], y_hat[perm]))
 
 
+def targets(*series):
+    """An (n, 4) array of target columns; a single series fills all four."""
+    return np.column_stack(series * (4 // len(series)))
+
+
+def all_intervals(intervals):
+    return [iv for metrics in intervals.values() for iv in metrics.values()]
+
+
 def test_bootstrap_perfect_predictions():
-    y = np.arange(10.0)
-    iv = bootstrap_interval(y, y, r2, BootstrapConfig(replicates=200, seed=1))
-    assert (iv.low, iv.mid, iv.top) == (1.0, 1.0, 1.0)
+    y = targets(np.arange(10.0))
+    intervals = bootstrap_intervals(y, y, BootstrapConfig(replicates=200, seed=1))
+    assert list(intervals) == list(TARGET_COLUMNS)
+    for metrics in intervals.values():
+        assert list(metrics) == ["r2", "evs", "mae", "rmse"]
+        iv = metrics["r2"]
+        assert (iv.low, iv.mid, iv.top) == (1.0, 1.0, 1.0)
 
 
 def test_bootstrap_single_replicate_low_equals_top(rng):
-    y = rng.normal(size=12)
-    y_hat = y + rng.normal(size=12)
-    iv = bootstrap_interval(y, y_hat, mae, BootstrapConfig(replicates=1, seed=4))
-    assert iv.low == iv.top
+    y = rng.normal(size=(12, 4))
+    y_hat = y + rng.normal(size=(12, 4))
+    for iv in all_intervals(bootstrap_intervals(y, y_hat, BootstrapConfig(replicates=1, seed=4))):
+        assert iv.low == iv.top
 
 
 def test_bootstrap_deterministic(rng):
-    y = rng.normal(size=20)
-    y_hat = y + rng.normal(size=20)
+    y = rng.normal(size=(20, 4))
+    y_hat = y + rng.normal(size=(20, 4))
     cfg = BootstrapConfig(replicates=300, seed=11)
-    a = bootstrap_interval(y, y_hat, rmse, cfg)
-    b = bootstrap_interval(y, y_hat, rmse, cfg)
+    a = bootstrap_intervals(y, y_hat, cfg)
+    b = bootstrap_intervals(y, y_hat, cfg)
     assert a == b
-    c = bootstrap_interval(y, y_hat, rmse, BootstrapConfig(replicates=300, seed=12))
-    assert c != a
+    c = bootstrap_intervals(y, y_hat, BootstrapConfig(replicates=300, seed=12))
+    assert all(x != z for x, z in zip(all_intervals(a), all_intervals(c)))
 
 
 def test_bootstrap_ordering(rng):
     for seed in range(5):
         r = np.random.default_rng(seed)
-        y = r.normal(size=54)
-        y_hat = y + r.normal(scale=0.5, size=54)
-        for metric in (r2, evs, mae, rmse):
-            iv = bootstrap_interval(y, y_hat, metric,
-                                    BootstrapConfig(replicates=1000, seed=seed))
+        y = r.normal(size=(54, 4))
+        y_hat = y + r.normal(scale=0.5, size=(54, 4))
+        for iv in all_intervals(bootstrap_intervals(y, y_hat,
+                                                    BootstrapConfig(replicates=1000, seed=seed))):
             assert iv.low <= iv.mid <= iv.top
 
 
 def test_bootstrap_skips_degenerate_replicates():
     # nearly-constant actuals: many resamples have zero variance
-    y = np.array([1.0, 1.0, 1.0, 2.0])
-    y_hat = np.array([1.0, 1.1, 0.9, 1.8])
-    iv = bootstrap_interval(y, y_hat, r2, BootstrapConfig(replicates=500, seed=2))
-    assert iv.skipped_replicates > 0
+    y = targets(np.array([1.0, 1.0, 1.0, 2.0]))
+    y_hat = targets(np.array([1.0, 1.1, 0.9, 1.8]))
+    intervals = bootstrap_intervals(y, y_hat, BootstrapConfig(replicates=500, seed=2))
+    assert intervals["infections"]["r2"].skipped_replicates > 0
+
+
+def test_r2_and_evs_skip_the_same_resamples(trained_small_model, small_datasets):
+    """Integer counts on 3 held-out days leave about one resample in nine
+    with constant actuals; r2 and evs of a target score the same resamples,
+    so they skip the same ones."""
+    model, _, split = trained_small_model
+    test = small_datasets[0].subset(split.test_indices[3:6])
+    assert np.all(test.targets == np.rint(test.targets))
+    report = evaluate_model(model, test, BootstrapConfig(replicates=400, seed=3))
+    for target in report.intervals:
+        skipped = report.interval(target, "r2").skipped_replicates
+        assert skipped > 0
+        assert report.interval(target, "evs").skipped_replicates == skipped
 
 
 def test_bootstrap_all_degenerate():
     # constant actuals fail in the full-sample metric itself
-    with pytest.raises(DataError, match="^actuals are constant; r2 is undefined$"):
-        bootstrap_interval([3.0, 3.0], [2.0, 4.0], r2,
-                           BootstrapConfig(replicates=20, seed=0))
-    with pytest.raises(DataError, match="^actuals are constant; explained variance is undefined$"):
-        bootstrap_interval([3.0, 3.0], [2.0, 4.0], evs,
-                           BootstrapConfig(replicates=20, seed=0))
+    with pytest.raises(DataError, match="^infections: actuals are constant; r2 is undefined$"):
+        bootstrap_intervals(targets(np.array([3.0, 3.0])), targets(np.array([2.0, 4.0])),
+                            BootstrapConfig(replicates=20, seed=0))
+    # a spread that underflows only when divided by n: r2 is defined, evs is not
+    y = targets(np.array([0.0, 0.0, 4e-162]))
+    with pytest.raises(DataError, match=("^infections: actuals are constant; "
+                                         "explained variance is undefined$")):
+        bootstrap_intervals(y, y, BootstrapConfig(replicates=20, seed=0))
     # seed 0's single (1, 2) index draw is [[1, 1]] -> constant actuals
-    # (a search of seeds 0-9 finds 0, 4, 5 and 7)
-    with pytest.raises(DataError, match=("^all 1 bootstrap replicates had constant actuals; "
-                                         "r2 is undefined$")):
-        bootstrap_interval([1.0, 2.0], [1.0, 2.0], r2,
-                           BootstrapConfig(replicates=1, seed=0))
+    # (a search of seeds 0-9 finds 0, 3, 5, 8 and 9)
+    with pytest.raises(DataError, match=("^infections: all 1 bootstrap replicates had "
+                                         "constant actuals; r2 is undefined$")):
+        bootstrap_intervals(targets(np.array([1.0, 2.0])), targets(np.array([1.0, 2.0])),
+                            BootstrapConfig(replicates=1, seed=0))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_bootstrap_rejects_non_finite_inputs(bad):
     # a NaN mid would otherwise read as constant actuals
-    with pytest.raises(DataError, match="^metric inputs must be finite$"):
-        bootstrap_interval([1.0, bad, 3.0], [1.0, 2.0, 3.0], mae, BootstrapConfig(replicates=10))
-    with pytest.raises(DataError, match="^metric inputs must be finite$"):
-        bootstrap_interval([1.0, 2.0, 3.0], [1.0, bad, 3.0], r2, BootstrapConfig(replicates=10))
+    good = np.array([1.0, 2.0, 3.0])
+    cfg = BootstrapConfig(replicates=10)
+    with pytest.raises(DataError, match="^infections: metric inputs must be finite$"):
+        bootstrap_intervals(targets(np.array([1.0, bad, 3.0]), good, good, good),
+                            targets(good), cfg)
+    # the targets before the first non-finite one are scored without a warning
+    with pytest.raises(DataError, match="^hospitalizations: metric inputs must be finite$"):
+        bootstrap_intervals(targets(good), targets(good, np.array([1.0, bad, 3.0]), good, good),
+                            cfg)
+    # an earlier target's failure is reported first, in (target, metric) order
+    with pytest.raises(DataError,
+                       match="^hospitalizations: actuals are constant; r2 is undefined$"):
+        bootstrap_intervals(targets(good, np.full(3, 2.0), good, np.array([1.0, bad, 3.0])),
+                            targets(good), cfg)
+
+
+@pytest.mark.parametrize("days", [0, 1])
+def test_bootstrap_needs_two_days(days):
+    y = np.zeros((days, 4))
+    detail = "metric inputs are empty" if days == 0 else "need at least 2 points, got 1"
+    with pytest.raises(DataError, match=f"^infections: {detail}$"):
+        bootstrap_intervals(y, y, BootstrapConfig(replicates=10))
+
+
+@pytest.mark.parametrize("replicates", [0, MAX_REPLICATES + 1, 10 ** 11])
+def test_bootstrap_replicates_are_bounded(replicates):
+    with pytest.raises(ConfigError, match=(rf"^bootstrap replicates must be in "
+                                           rf"\[1, {MAX_REPLICATES}\], got {replicates}$")):
+        BootstrapConfig(replicates=replicates)
 
 
 @st.composite
@@ -200,64 +255,65 @@ def test_batched_metrics_match_rows_and_oracle(batch, seed):
         assert np.array_equal(np.isnan(values), constant if name in ("r2", "evs") else
                               np.zeros(len(idx), dtype=bool))
 
-    # bootstrap_interval draws one (B, n) index matrix from its seed and skips the constant rows
+    # bootstrap_intervals draws one (B, n) index matrix from its seed and skips the constant rows
     b, n = 40, len(y)
-    draws = np.random.default_rng(seed).integers(0, n, size=(b, n))
+    draws = np.random.default_rng(
+        np.random.SeedSequence(seed).spawn(1)[0]).integers(0, n, size=(b, n))
     skips = sum(len({y[i] for i in row}) == 1 for row in draws)
-    for name, metric in METRIC_FUNCTIONS.items():
-        cfg = BootstrapConfig(replicates=b, seed=seed)
-        if name in ("mae", "rmse"):
-            assert bootstrap_interval(y, y_hat, metric, cfg).skipped_replicates == 0
-        elif len(set(y)) == 1:
-            with pytest.raises(DataError, match="^actuals are constant; "):
-                bootstrap_interval(y, y_hat, metric, cfg)
-        elif skips == b:
-            with pytest.raises(DataError, match=f"^all {b} bootstrap replicates"):
-                bootstrap_interval(y, y_hat, metric, cfg)
-        else:
-            assert bootstrap_interval(y, y_hat, metric, cfg).skipped_replicates == skips
+    cfg = BootstrapConfig(replicates=b, seed=seed)
+    if len(set(y)) == 1:
+        with pytest.raises(DataError, match="^infections: actuals are constant; r2 "):
+            bootstrap_intervals(targets(y), targets(y_hat), cfg)
+    elif skips == b:
+        with pytest.raises(DataError, match=f"^infections: all {b} bootstrap replicates"):
+            bootstrap_intervals(targets(y), targets(y_hat), cfg)
+    else:
+        for metrics in bootstrap_intervals(targets(y), targets(y_hat), cfg).values():
+            for name, iv in metrics.items():
+                assert iv.skipped_replicates == (skips if name in ("r2", "evs") else 0)
 
 
 @pytest.mark.parametrize("replicates", [1, 999, 1000])
 @pytest.mark.parametrize("n", [2, 54, 1715])
 def test_blocked_bootstrap_matches_one_draw(n, replicates):
-    """Drawing and scoring resamples in blocks of rows gives the single-draw
-    interval bit for bit, skipped constant resamples included."""
+    """Drawing resamples in blocks of rows and scoring every target on each
+    block gives the single-draw intervals bit for bit, skipped constant
+    resamples and the first error included."""
     rng = np.random.default_rng(n * 10_007 + replicates)
-    y = rng.integers(0, 3, size=n).astype(np.float64)
-    y[:2] = 0.0, 1.0                  # with n = 2 half the resamples are constant
-    y_hat = y + rng.normal(size=n)
+    y = rng.integers(0, 3, size=(n, 4)).astype(np.float64)
+    y[:2] = [[0.0], [1.0]]            # with n = 2 half the resamples are constant
+    y_hat = y + rng.normal(size=(n, 4))
     skipped = 0
     for seed in (0, 7):
-        for metric in METRIC_FUNCTIONS.values():
-            try:
-                expected = bootstrap_oracle(y, y_hat, metric, replicates, seed)
-            except DataError as exc:
-                with pytest.raises(DataError, match=f"^{re.escape(str(exc))}$"):
-                    bootstrap_interval(y, y_hat, metric, BootstrapConfig(replicates, seed))
-                continue
-            iv = bootstrap_interval(y, y_hat, metric, BootstrapConfig(replicates, seed))
-            assert (iv.low, iv.mid, iv.top, iv.skipped_replicates) == expected
-            skipped += iv.skipped_replicates
+        try:
+            expected = bootstrap_oracle(y, y_hat, replicates, seed)
+        except DataError as exc:
+            with pytest.raises(DataError, match=f"^{re.escape(str(exc))}$"):
+                bootstrap_intervals(y, y_hat, BootstrapConfig(replicates, seed))
+            continue
+        intervals = bootstrap_intervals(y, y_hat, BootstrapConfig(replicates, seed))
+        assert {target: {metric: (iv.low, iv.mid, iv.top, iv.skipped_replicates)
+                         for metric, iv in metrics.items()}
+                for target, metrics in intervals.items()} == expected
+        skipped += sum(iv.skipped_replicates for iv in all_intervals(intervals))
     assert skipped > 0 or n > 2 or replicates == 1
 
 
 def test_bootstrap_memory_stays_small():
-    """1000 resamples of 54 days peak under 512 KiB of allocations (one (B, n)
-    draw and its temporaries took about 2 MiB)."""
+    """1000 resamples of 54 days of 4 targets peak under 512 KiB of
+    allocations (one (B, n) draw and its temporaries took about 2 MiB)."""
     rng = np.random.default_rng(3)
-    y = rng.integers(0, 50, size=54).astype(np.float64)
-    y_hat = y + rng.normal(size=54)
+    y = rng.integers(0, 50, size=(54, 4)).astype(np.float64)
+    y_hat = y + rng.normal(size=(54, 4))
     cfg = BootstrapConfig(replicates=1000, seed=3)
-    for metric in METRIC_FUNCTIONS.values():
-        bootstrap_interval(y, y_hat, metric, cfg)          # first-call allocations
-        tracemalloc.start()
-        try:
-            bootstrap_interval(y, y_hat, metric, cfg)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 512 * 1024, metric.__name__
+    bootstrap_intervals(y, y_hat, cfg)          # first-call allocations
+    tracemalloc.start()
+    try:
+        bootstrap_intervals(y, y_hat, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 512 * 1024, peak
 
 
 def test_evaluate_model_report_shape(trained_small_model, small_datasets):

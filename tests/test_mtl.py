@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -7,9 +8,10 @@ from hypothesis import strategies as st
 
 from regio_forecast.artifact import dumps_model
 from regio_forecast.errors import ConfigError, DataError
+from regio_forecast.evaluation import rotate_regions
 from regio_forecast.ingest import RegionalDataset, split_train_test
 from regio_forecast.knn import InstanceStore, KnnConfig, predict_knn_batch
-from regio_forecast.mtl import predict_monitoring, rotate_regions, train_mtl
+from regio_forecast.mtl import predict_monitoring, train_mtl
 from regio_forecast.scaling import apply_quantile_scaler, l2_normalize_rows
 from regio_forecast.synth import SyntheticSpec, generate_regions
 
@@ -94,9 +96,11 @@ def test_transfer_zero_weight_drops_instances(small_datasets):
 
 
 def test_transfer_negative_weight(small_datasets):
-    with pytest.raises(ConfigError, match="^generic weight must be finite and >= 0, got -0.5$"):
-        train_mtl(small_datasets, small_datasets[0].region, range(10),
-                  generic_weight=-0.5)
+    for weight in (-0.5, 1.5, 1e308, float("nan")):
+        message = f"generic weight must be in [0, 1], got {weight}"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            train_mtl(small_datasets, small_datasets[0].region, range(10),
+                      generic_weight=weight)
 
 
 def test_train_mtl_empty_case(small_datasets):
