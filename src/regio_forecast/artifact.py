@@ -1,36 +1,39 @@
-"""Model artifact I/O: one JSON document per trained model.
+"""Model artifact I/O: a JSON header line per trained model, then its raw arrays.
 
-The document embeds everything needed to predict: the kNN neighbor count,
-selected feature codes, the fitted quantile feature scaler, the one
-instance store (pooled-region instances, then the case-study instances,
-with their raw target counts and region tags), the case-study region, and
-the generic transfer weight. Each numeric array is an object
-``{"dtype": "<f8" | "<i8", "shape": [...], "b64": ...}`` holding the
-base64 of its little-endian bytes, so it round-trips exactly. The store's
-vote weights are not written: they are 1.0 on case-study rows and the
-generic weight on pooled rows, and loading derives them from the tags.
+The layout (version "6") follows NumPy's ``.npy`` format and safetensors:
+one line of sorted-key JSON, at most MAX_HEADER_BYTES bytes before its
+newline, then the arrays and nothing after them. The header holds the
+version, the kNN neighbor count ``k``, the selected ``feature_codes``
+(which are the quantile scaler's columns), the ``generic_weight``, the
+``case_study`` region and the ``shapes`` of the arrays. The arrays follow
+in ARRAYS order, each as the C-order bytes of its fixed dtype, so each
+starts where the one before it ends: the scaler's ``landmarks``, then the
+instance store's ``features``, raw ``targets`` and ``source_tags`` (region
+codes). The store's vote weights are not written: they are 1.0 on
+case-study rows and the generic weight on pooled rows, and loading
+derives them from the tags. Retraining on identical inputs produces
+byte-identical artifacts.
 
-A document of any other version, a missing field, bytes that are not
-UTF-8, a NaN or Infinity token, a literal that overflows to infinity
-(such as 1e999), an array with another dtype, a bad shape, bad base64 or
-a byte count that does not fill its shape, a non-finite stored number, a
-negative stored count, a generic weight outside [0, 1], a k that is not
-a JSON integer >= 1, and selected features that are unknown or disagree
-with the scaler or the store raise DataError naming the file.
-Serialization is deterministic (sorted keys, fixed array bytes), so
-retraining on identical inputs produces byte-identical artifacts.
+Loading raises DataError naming the file for: no header line (a version 5
+file is one JSON document with no newline, to be retrained), another
+version, a missing field, a header that is not UTF-8, a NaN or Infinity
+token or a literal that overflows (1e999), a k or region code that is not
+a JSON integer, a k below 1, a generic weight that is not a JSON number in
+[0, 1], a shape that is not a list of non-negative integers, a body whose
+length is not the sum of the shapes' byte counts, a non-finite stored
+number, a negative count, and feature codes that are unknown, repeat or
+do not match the store's width.
 """
 
 from __future__ import annotations
 
-import base64
 import json
 import math
 import os
 import tempfile
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterator, TextIO
+from typing import BinaryIO, Iterator
 
 import numpy as np
 
@@ -40,102 +43,78 @@ from .knn import InstanceStore, KnnConfig
 from .mtl import MtlModel, source_weights
 from .scaling import QuantileNormalScaler
 
-ARTIFACT_VERSION = "5"
+ARTIFACT_VERSION = "6"
+MAX_HEADER_BYTES = 1 << 16
+# the arrays in file order, with their dtypes
+ARRAYS = {"landmarks": "<f8", "features": "<f8", "targets": "<f8", "source_tags": "<i8"}
 
 
-def encode_array(values: np.ndarray, dtype: str) -> dict:
-    """``values`` as ``dtype`` ("<f8" or "<i8"): its shape and the base64 of its bytes."""
-    a = np.ascontiguousarray(values, dtype=dtype)
-    return {"dtype": dtype, "shape": list(a.shape),
-            "b64": base64.b64encode(a.tobytes()).decode("ascii")}
-
-
-def decode_array(d: dict, name: str, dtype: str) -> np.ndarray:
-    """The read-only array of an ``encode_array`` object, whose dtype must be ``dtype``.
-
-    A field that does not decode raises ValueError, and a missing key
-    KeyError, naming ``name``.
-    """
-    try:
-        found, shape, text = d["dtype"], d["shape"], d["b64"]
-    except KeyError as exc:
-        raise KeyError(f"{name}.{exc.args[0]}") from None
-    if found != dtype:
-        raise ValueError(f"{name}: dtype {found!r}, expected {dtype!r}")
-    if type(shape) is not list or not all(type(s) is int and s >= 0 for s in shape):
-        raise ValueError(f"{name}: shape {shape!r} is not a list of non-negative integers")
-    try:
-        raw = base64.b64decode(text, validate=True)
-    except ValueError as exc:
-        raise ValueError(f"{name}: bad base64 ({exc})") from None
-    if len(raw) != math.prod(shape) * np.dtype(dtype).itemsize:
-        raise ValueError(f"{name}: {len(raw)} bytes do not fill shape {shape} of {dtype}")
-    return np.frombuffer(raw, dtype=dtype).reshape(shape)
-
-
-def model_to_dict(model: MtlModel) -> dict:
-    return {
+def save_model(model: MtlModel, path: str | Path) -> None:
+    """Write the header line, then each array's bytes in ARRAYS order."""
+    arrays = [np.ascontiguousarray(values, dtype=dtype) for values, dtype in zip(
+        (model.feature_scaler.landmarks, model.store.features, model.store.targets,
+         model.store.source_tags), ARRAYS.values())]
+    header = {
         "version": ARTIFACT_VERSION,
-        "config": {"k": model.cfg.k},
-        "selected_features": list(model.selected_features),
+        "k": model.cfg.k,
+        "feature_codes": list(model.selected_features),
         "generic_weight": model.generic_weight,
         "case_study": {"code": model.case_study.code, "name": model.case_study.name},
-        "feature_scaler": {
-            "column_codes": list(model.feature_scaler.column_codes),
-            "landmarks": encode_array(model.feature_scaler.landmarks, "<f8"),
-        },
-        "store": {
-            "features": encode_array(model.store.features, "<f8"),
-            "targets": encode_array(model.store.targets, "<f8"),
-            "source_tags": encode_array(model.store.source_tags, "<i8"),
-        },
+        "shapes": {name: list(a.shape) for name, a in zip(ARRAYS, arrays)},
     }
+    with _atomic_open(path) as fh:
+        fh.write(json.dumps(header, sort_keys=True, separators=(",", ":")).encode() + b"\n")
+        for a in arrays:
+            fh.write(a.data)
 
 
-def model_from_dict(doc: dict) -> MtlModel:
-    version = doc.get("version")
+def _field(header: dict, dotted: str, what: str, types: tuple[type, ...]):
+    """The header's field at ``dotted`` (keys joined by dots), which must be a JSON ``what``."""
+    value = header
+    for key in dotted.split("."):
+        try:
+            value = value[key]
+        except KeyError:
+            raise KeyError(dotted) from None
+    if type(value) not in types:   # int() would take 6.9, "6" and true
+        raise TypeError(f"{dotted} must be a JSON {what}, got {value!r}")
+    return value
+
+
+def _model(header: dict, body: bytes) -> MtlModel:
+    """The model of a parsed header and the bytes after it."""
+    version = header.get("version")
     if version != ARTIFACT_VERSION:
         raise DataError(f"model artifact version {version!r} not supported "
                         f"(expected {ARTIFACT_VERSION!r})")
     try:
-        case = doc["case_study"]
-        case_study = RegionId(int(case["code"]), case["name"])
-        generic_weight = float(doc["generic_weight"])
-        store, scaler = doc["store"], doc["feature_scaler"]
-        tags = decode_array(store["source_tags"], "store.source_tags", "<i8")
-        return MtlModel(
-            store=InstanceStore(decode_array(store["features"], "store.features", "<f8"),
-                                decode_array(store["targets"], "store.targets", "<f8"),
-                                tags, source_weights(tags, case_study, generic_weight)),
-            feature_scaler=QuantileNormalScaler(
-                tuple(scaler["column_codes"]),
-                decode_array(scaler["landmarks"], "feature_scaler.landmarks", "<f8")),
-            selected_features=tuple(doc["selected_features"]),
-            cfg=_knn_config(doc["config"]),
-            generic_weight=generic_weight,
-            case_study=case_study,
-        )
+        case_study = RegionId(_field(header, "case_study.code", "integer", (int,)),
+                              _field(header, "case_study.name", "string", (str,)))
+        generic_weight = float(_field(header, "generic_weight", "number", (int, float)))
+        codes = tuple(_field(header, "feature_codes", "list", (list,)))
+        k = _field(header, "k", "integer", (int,))
+        shapes = {name: _field(header, f"shapes.{name}", "list", (list,)) for name in ARRAYS}
     except KeyError as exc:
         raise DataError(f"model artifact is missing field {exc}") from None
-
-
-def _knn_config(d: dict) -> KnnConfig:
-    if type(d["k"]) is not int:   # int() would take 6.9, "6" and true
-        raise TypeError(f"config.k must be a JSON integer, got {d['k']!r}")
-    return KnnConfig(k=d["k"])
-
-
-_JSON_LAYOUT = {"sort_keys": True, "separators": (",", ":")}
-
-
-def dumps_model(model: MtlModel) -> str:
-    return json.dumps(model_to_dict(model), **_JSON_LAYOUT)
-
-
-def save_model(model: MtlModel, path: str | Path) -> None:
-    """Write ``dumps_model``'s text, streamed into the file rather than built first."""
-    with _atomic_open(path) as fh:
-        json.dump(model_to_dict(model), fh, **_JSON_LAYOUT)
+    offsets, end = {}, 0
+    for name, shape in shapes.items():
+        if not all(type(s) is int and s >= 0 for s in shape):
+            raise ValueError(f"shapes.{name}: {shape!r} is not a list of non-negative integers")
+        offsets[name] = end
+        end += math.prod(shape) * np.dtype(ARRAYS[name]).itemsize
+    if len(body) != end:
+        raise ValueError(f"{len(body)} bytes follow the header, the shapes need {end}")
+    arrays = {name: np.frombuffer(body, ARRAYS[name], math.prod(shape), offsets[name])
+              .reshape(shape) for name, shape in shapes.items()}
+    tags = arrays["source_tags"]
+    return MtlModel(
+        store=InstanceStore(arrays["features"], arrays["targets"], tags,
+                            source_weights(tags, case_study, generic_weight)),
+        feature_scaler=QuantileNormalScaler(codes, arrays["landmarks"]),
+        cfg=KnnConfig(k=k),
+        generic_weight=generic_weight,
+        case_study=case_study,
+    )
 
 
 def load_model(path: str | Path) -> MtlModel:
@@ -143,8 +122,15 @@ def load_model(path: str | Path) -> MtlModel:
         raise DataError(f"model artifact holds a non-finite number ({token})")
 
     try:
-        with Path(path).open(encoding="utf-8") as fh:
-            model = model_from_dict(json.load(fh, parse_constant=non_finite))
+        with Path(path).open("rb") as fh:
+            line = fh.readline(MAX_HEADER_BYTES + 1)
+            if not line.endswith(b"\n"):
+                raise DataError(
+                    f"no header line of at most {MAX_HEADER_BYTES} bytes; not a version "
+                    f"{ARTIFACT_VERSION} model artifact (retrain a model saved by an older "
+                    "version)")
+            header = json.loads(line.decode("utf-8"), parse_constant=non_finite)
+            model = _model(header, fh.read())
     except DataError as exc:
         exc.args = (f"{path}: {exc}",)
         raise
@@ -152,13 +138,13 @@ def load_model(path: str | Path) -> MtlModel:
         raise DataError(f"{path}: not UTF-8 text (byte 0x{exc.object[exc.start]:02x})") from None
     except (AttributeError, TypeError, ValueError, OverflowError, RecursionError,
             ConfigError) as exc:
-        # not JSON or nested too deep, a field of the wrong type or an array
-        # that does not decode, 1e999 where an integer belongs, or k < 1
+        # not JSON or nested too deep, a field of the wrong type, shapes that
+        # do not fit the body, 1e999 where an integer belongs, or k < 1
         raise DataError(f"{path}: malformed model artifact ({exc})") from None
     numbers = {
-        "store.features": model.store.features,
-        "store.targets": model.store.targets,
-        "feature_scaler.landmarks": model.feature_scaler.landmarks,
+        "features": model.store.features,
+        "targets": model.store.targets,
+        "landmarks": model.feature_scaler.landmarks,
         "generic_weight": model.generic_weight,
     }
     for name, values in numbers.items():
@@ -168,17 +154,17 @@ def load_model(path: str | Path) -> MtlModel:
         raise DataError(f"{path}: model artifact's generic weight must be in [0, 1], "
                         f"got {model.generic_weight}")
     if np.any(model.store.targets < 0):
-        raise DataError(f"{path}: model artifact holds a negative count (store.targets)")
+        raise DataError(f"{path}: model artifact holds a negative count (targets)")
     return model
 
 
 @contextmanager
-def _atomic_open(path: str | Path) -> Iterator[TextIO]:
-    """A text file at a sibling temp path, renamed to ``path`` when the block succeeds."""
+def _atomic_open(path: str | Path) -> Iterator[BinaryIO]:
+    """A binary file at a sibling temp path, renamed to ``path`` when the block succeeds."""
     path = Path(path)
     fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), prefix=f".{path.name}.")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+        with os.fdopen(fd, "wb") as fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:
@@ -190,4 +176,4 @@ def _atomic_open(path: str | Path) -> Iterator[TextIO]:
 def atomic_write_text(path: str | Path, text: str) -> None:
     """Write via a sibling temp file and rename, so readers never see partial output."""
     with _atomic_open(path) as fh:
-        fh.write(text)
+        fh.write(text.encode("utf-8"))

@@ -64,15 +64,17 @@ class MtlModel:
 
     store: InstanceStore
     feature_scaler: QuantileNormalScaler
-    selected_features: tuple[str, ...]
     cfg: KnnConfig
     generic_weight: float
     case_study: RegionId
 
+    @property
+    def selected_features(self) -> tuple[str, ...]:
+        """The selected feature codes: the feature scaler's columns."""
+        return self.feature_scaler.column_codes
+
     def __post_init__(self):
         codes = self.selected_features
-        if codes != self.feature_scaler.column_codes:
-            raise DataError("selected features differ from the feature scaler's columns")
         unknown = [c for c in codes if c not in PRIMARY_FEATURE_CODES + DERIVED_FEATURE_CODES]
         if unknown:
             raise DataError(f"unknown selected feature codes: {unknown}")
@@ -136,7 +138,6 @@ def train_mtl(
     model = MtlModel(
         store=store,
         feature_scaler=feature_scaler,
-        selected_features=selection,
         cfg=cfg,
         generic_weight=float(generic_weight),
         case_study=case_study,

@@ -8,7 +8,9 @@ model's target scaling around the package's own vote.
 
 import csv
 import datetime as dt
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 
@@ -309,3 +311,30 @@ def ppe_kits_oracle(hospitalized: float, chc_count: float, capacity: float,
     if ratio > 1.0:
         return ceiling * 1.0
     return ceiling * ratio
+
+
+# the arrays of a version 6 model file, in file order, with their dtypes
+ARTIFACT_ARRAYS = (("landmarks", "<f8"), ("features", "<f8"), ("targets", "<f8"),
+                   ("source_tags", "<i8"))
+
+
+def read_artifact_oracle(path):
+    """The header and the writable arrays (by name) of a version 6 model file, sliced by hand."""
+    data = Path(path).read_bytes()
+    at = data.index(b"\n") + 1
+    header = json.loads(data[:at])
+    arrays = {}
+    for name, dtype in ARTIFACT_ARRAYS:
+        shape = header["shapes"][name]
+        size = math.prod(shape) * 8
+        arrays[name] = np.frombuffer(data[at:at + size], dtype=dtype).reshape(shape).copy()
+        at += size
+    assert at == len(data), "bytes after the last array"
+    return header, arrays
+
+
+def artifact_bytes_oracle(header, arrays) -> bytes:
+    """A model file: ``header`` (a dict, or its JSON text) on one line, then ``arrays``."""
+    text = header if isinstance(header, str) else json.dumps(header)
+    return text.encode("utf-8") + b"\n" + b"".join(
+        np.asarray(arrays[name], dtype=dtype).tobytes() for name, dtype in ARTIFACT_ARRAYS)

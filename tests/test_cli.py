@@ -1,5 +1,4 @@
 import argparse
-import base64
 import datetime as dt
 import hashlib
 import json
@@ -21,7 +20,7 @@ from regio_forecast.features import DERIVED_FEATURE_CODES, PRIMARY_FEATURE_CODES
 from regio_forecast.ingest import (
     RegionalDataset, parse_regional_csv, region_by_name, split_train_test, write_regional_csv)
 
-from oracles import predictions_csv_oracle
+from oracles import artifact_bytes_oracle, predictions_csv_oracle, read_artifact_oracle
 
 
 @pytest.fixture(scope="module")
@@ -36,17 +35,6 @@ def run(args):
     return main([str(a) for a in args])
 
 
-def decoded(field):
-    """The writable array of an artifact's {"dtype", "shape", "b64"} object."""
-    raw = base64.b64decode(field["b64"], validate=True)
-    return np.frombuffer(raw, dtype=field["dtype"]).reshape(field["shape"]).copy()
-
-
-def encoded(values):
-    return {"dtype": values.dtype.str, "shape": list(values.shape),
-            "b64": base64.b64encode(values.tobytes()).decode("ascii")}
-
-
 def test_synth_writes_parseable_files(data_dir):
     files = sorted(p.name for p in data_dir.glob("*.csv"))
     assert files == ["alberta.csv", "british_columbia.csv", "manitoba.csv"]
@@ -57,9 +45,9 @@ def test_train_writes_artifact_and_report(data_dir, tmp_path):
     code = run(["train", "--data-dir", data_dir, "--case-study", "alberta",
                 "--test-days", "16", "--seed", "3", "--out", out])
     assert code == 0
-    doc = json.loads((out / "model.json").read_text())
-    assert doc["version"] == "5"
-    assert doc["case_study"]["name"] == "Alberta"
+    header, _ = read_artifact_oracle(out / "model.json")
+    assert header["version"] == "6"
+    assert header["case_study"]["name"] == "Alberta"
     report = json.loads((out / "train_report.json").read_text())
     assert not {"target_mins", "target_maxs"} & set(report)
     assert report["pooled_regions"] == ["British Columbia", "Manitoba"]
@@ -300,10 +288,10 @@ def test_unknown_artifact_version_exits_3(data_dir, tmp_path):
     out = tmp_path / "model_out3"
     assert run(["train", "--data-dir", data_dir, "--case-study", "alberta",
                 "--test-days", "16", "--out", out]) == 0
-    doc = json.loads((out / "model.json").read_text())
-    doc["version"] = "999"
+    header, arrays = read_artifact_oracle(out / "model.json")
+    header["version"] = "999"
     bad = tmp_path / "bad_model.json"
-    bad.write_text(json.dumps(doc))
+    bad.write_bytes(artifact_bytes_oracle(header, arrays))
     code = run(["predict", "--model", bad, "--input", data_dir / "alberta.csv",
                 "--out", tmp_path / "x"])
     assert code == 3
@@ -313,38 +301,45 @@ def test_version_1_artifact_exits_3(data_dir, tmp_path, capsys):
     out = tmp_path / "model_out4"
     assert run(["train", "--data-dir", data_dir, "--case-study", "alberta",
                 "--test-days", "16", "--out", out]) == 0
-    doc = json.loads((out / "model.json").read_text())
+    header, arrays = read_artifact_oracle(out / "model.json")
+    del header["shapes"]
     for version in ("1", "2", "3", "4"):     # checked before any other field is read
-        doc["version"] = version
+        header["version"] = version
         old = tmp_path / f"v{version}_model.json"
-        old.write_text(json.dumps(doc))
+        old.write_bytes(artifact_bytes_oracle(header, arrays))
         code = run(["predict", "--model", old, "--input", data_dir / "alberta.csv",
                     "--out", tmp_path / "x"])
         assert code == 3
-        assert (f"{old}: model artifact version '{version}' not supported (expected '5')"
+        assert (f"{old}: model artifact version '{version}' not supported (expected '6')"
                 in capsys.readouterr().err)
-    doc["version"] = "5"
-    del doc["store"]
-    old.write_text(json.dumps(doc))
+    header["version"] = "6"
+    old.write_bytes(artifact_bytes_oracle(header, arrays))
     assert run(["predict", "--model", old, "--input", data_dir / "alberta.csv",
                 "--out", tmp_path / "x"]) == 3
-    assert f"{old}: model artifact is missing field 'store'" in capsys.readouterr().err
+    assert f"{old}: model artifact is missing field 'shapes.landmarks'" \
+        in capsys.readouterr().err
+    v5 = tmp_path / "v5_model.json"      # one JSON document, arrays in base64, no newline
+    v5.write_text(json.dumps({"version": "5", "config": {"k": 6}, "store": {
+        "targets": {"dtype": "<f8", "shape": [1, 4], "b64": "A" * 44}}}))
+    assert run(["predict", "--model", v5, "--input", data_dir / "alberta.csv",
+                "--out", tmp_path / "x"]) == 3
+    assert capsys.readouterr().err == (
+        f"data error: {v5}: no header line of at most 65536 bytes; not a version 6 model "
+        "artifact (retrain a model saved by an older version)\n")
 
 
 def test_negative_store_target_exits_3(data_dir, tmp_path, capsys):
     out = tmp_path / "model_out"
     assert run(["train", "--data-dir", data_dir, "--case-study", "alberta",
                 "--test-days", "16", "--out", out]) == 0
-    doc = json.loads((out / "model.json").read_text())
-    targets = decoded(doc["store"]["targets"])
-    targets[7, 2] = -1.0
-    doc["store"]["targets"] = encoded(targets)
+    header, arrays = read_artifact_oracle(out / "model.json")
+    arrays["targets"][7, 2] = -1.0
     bad = tmp_path / "bad_model.json"
-    bad.write_text(json.dumps(doc))
+    bad.write_bytes(artifact_bytes_oracle(header, arrays))
     code = run(["predict", "--model", bad, "--input", data_dir / "alberta.csv",
                 "--out", tmp_path / "x"])
     assert code == 3
-    assert f"{bad}: model artifact holds a negative count (store.targets)" \
+    assert f"{bad}: model artifact holds a negative count (targets)" \
         in capsys.readouterr().err
     assert not (tmp_path / "x" / "predictions.csv").exists()
 
@@ -471,7 +466,8 @@ def test_deeply_nested_config_exits_2(data_dir, tmp_path, capsys):
 
 
 def test_deeply_nested_artifact_exits_3(data_dir, tmp_path, capsys):
-    deep = _deeply_nested_json(tmp_path)
+    deep = tmp_path / "deep_model.json"
+    deep.write_text("[" * 20_000 + "]" * 20_000 + "\n")     # fits in the header line
     assert run(["predict", "--model", deep, "--input", data_dir / "alberta.csv",
                 "--out", tmp_path / "x"]) == 3
     assert f"data error: {deep}: malformed model artifact (maximum recursion depth exceeded" \
@@ -483,10 +479,10 @@ def test_artifact_generic_weight_outside_unit_range_exits_3(data_dir, tmp_path, 
     out = tmp_path / "model_out"
     assert run(["train", "--data-dir", data_dir, "--case-study", "alberta",
                 "--test-days", "16", "--out", out]) == 0
-    doc = json.loads((out / "model.json").read_text())
-    doc["generic_weight"] = weight
+    header, arrays = read_artifact_oracle(out / "model.json")
+    header["generic_weight"] = weight
     bad = tmp_path / "bad_model.json"
-    bad.write_text(json.dumps(doc))
+    bad.write_bytes(artifact_bytes_oracle(header, arrays))
     assert run(["predict", "--model", bad, "--input", data_dir / "alberta.csv",
                 "--out", tmp_path / "x"]) == 3
     assert capsys.readouterr().err == (f"data error: {bad}: model artifact's generic weight "
@@ -499,11 +495,11 @@ def test_non_finite_number_in_artifact_exits_3(data_dir, tmp_path, capsys, token
     out = tmp_path / "model_out7"
     assert run(["train", "--data-dir", data_dir, "--case-study", "alberta",
                 "--test-days", "16", "--out", out]) == 0
-    doc = json.loads((out / "model.json").read_text())
-    doc["generic_weight"] = "TOKEN"
+    header, arrays = read_artifact_oracle(out / "model.json")
+    header["generic_weight"] = "TOKEN"
     bad = tmp_path / "bad_model.json"
-    bad.write_text(json.dumps(doc).replace('"TOKEN"', token))
-    assert token in bad.read_text()
+    bad.write_bytes(artifact_bytes_oracle(json.dumps(header).replace('"TOKEN"', token), arrays))
+    assert token.encode("ascii") in bad.read_bytes()
     code = run(["predict", "--model", bad, "--input", data_dir / "alberta.csv",
                 "--out", tmp_path / "x"])
     assert code == 3
@@ -515,12 +511,12 @@ def test_non_finite_number_in_artifact_exits_3(data_dir, tmp_path, capsys, token
 
 
 @pytest.mark.parametrize("field, cell, value", [
-    (("store", "features"), (5, 3), np.nan),
-    (("store", "features"), (0, 0), np.inf),
-    (("store", "features"), (-1, -1), -np.inf),
-    (("feature_scaler", "landmarks"), (2, 7), np.nan),
-    (("feature_scaler", "landmarks"), (0, -1), np.inf),
-    (("feature_scaler", "landmarks"), (4, 0), -np.inf),
+    ("features", (5, 3), np.nan),
+    ("features", (0, 0), np.inf),
+    ("features", (-1, -1), -np.inf),
+    ("landmarks", (2, 7), np.nan),
+    ("landmarks", (0, -1), np.inf),
+    ("landmarks", (4, 0), -np.inf),
 ], ids=["features_nan", "features_inf", "features_-inf", "landmarks_nan", "landmarks_inf",
         "landmarks_-inf"])
 def test_non_finite_array_value_in_artifact_exits_3(data_dir, tmp_path, capsys,
@@ -528,79 +524,78 @@ def test_non_finite_array_value_in_artifact_exits_3(data_dir, tmp_path, capsys,
     out = tmp_path / "model_out7"
     assert run(["train", "--data-dir", data_dir, "--case-study", "alberta",
                 "--test-days", "16", "--out", out]) == 0
-    doc = json.loads((out / "model.json").read_text())
-    values = decoded(doc[field[0]][field[1]])
-    values[cell] = value     # ends of a landmark row, so the row stays sorted
-    doc[field[0]][field[1]] = encoded(values)
+    header, arrays = read_artifact_oracle(out / "model.json")
+    arrays[field][cell] = value     # ends of a landmark row, so the row stays sorted
     bad = tmp_path / "bad_model.json"
-    bad.write_text(json.dumps(doc))
+    bad.write_bytes(artifact_bytes_oracle(header, arrays))
     code = run(["predict", "--model", bad, "--input", data_dir / "alberta.csv",
                 "--out", tmp_path / "x"])
     assert code == 3
-    assert (f"{bad}: model artifact holds a non-finite number ({'.'.join(field)})"
+    assert (f"{bad}: model artifact holds a non-finite number ({field})"
             in capsys.readouterr().err)
     assert not (tmp_path / "x" / "predictions.csv").exists()
 
 
 @pytest.mark.parametrize("field, value", [
-    (("store", "source_tags", "shape"), "1e999"),
+    (("shapes", "source_tags"), "1e999"),
     (("case_study", "code"), "1e999"),
-    (("config", "k"), '"six"'),
-    (("store", "features", "b64"), '"abc"'),
+    (("k",), '"six"'),
+    (("shapes", "features"), '"abc"'),
+    # Alberta is region 0: int() would load each of these as Alberta
+    (("case_study", "code"), "0.0"),
+    (("case_study", "code"), '"0"'),
+    (("case_study", "code"), "false"),
+    (("generic_weight",), '"1.0"'),
+    (("generic_weight",), "true"),
 ])
 def test_malformed_artifact_field_exits_3(data_dir, tmp_path, capsys, field, value):
     out = tmp_path / "model_out8"
     assert run(["train", "--data-dir", data_dir, "--case-study", "alberta",
                 "--test-days", "16", "--out", out]) == 0
-    doc = json.loads((out / "model.json").read_text())
-    parent = doc
+    header, arrays = read_artifact_oracle(out / "model.json")
+    parent = header
     for key in field[:-1]:
         parent = parent[key]
     parent[field[-1]] = "TOKEN"
     bad = tmp_path / "bad_model.json"
-    bad.write_text(json.dumps(doc).replace('"TOKEN"', value))
+    bad.write_bytes(artifact_bytes_oracle(json.dumps(header).replace('"TOKEN"', value), arrays))
     code = run(["predict", "--model", bad, "--input", data_dir / "alberta.csv",
                 "--out", tmp_path / "x"])
     assert code == 3
     assert f"{bad}: malformed model artifact" in capsys.readouterr().err
 
 
-def _codes_to_feat_99(doc):
-    doc["selected_features"][0] = doc["feature_scaler"]["column_codes"][0] = "feat_99"
-
-
-def _repeat_first_code(doc):
-    doc["selected_features"][1] = doc["feature_scaler"]["column_codes"][1] = "feat_05"
+def _store_one_column_short(header, arrays):
+    arrays["features"] = arrays["features"][:, :-1]
+    header["shapes"]["features"][1] -= 1
 
 
 @pytest.mark.parametrize("mutate, message", [
-    (lambda doc: doc["config"].update(k=0), "(k must be >= 1, got 0)"),
-    (lambda doc: doc["config"].update(k=-3), "(k must be >= 1, got -3)"),
-    (lambda doc: doc["config"].update(k=6.9), "(config.k must be a JSON integer, got 6.9)"),
-    (lambda doc: doc["config"].update(k="6"), "(config.k must be a JSON integer, got '6')"),
-    (lambda doc: doc["config"].update(k=True), "(config.k must be a JSON integer, got True)"),
-    (lambda doc: doc.update(selected_features="feat_05"),
-     "selected features differ from the feature scaler's columns"),
-    (lambda doc: doc["selected_features"].__setitem__(0, "feat_99"),
-     "selected features differ from the feature scaler's columns"),
-    (_codes_to_feat_99, "unknown selected feature codes: ['feat_99']"),
-    (_repeat_first_code, "selected feature codes repeat: ['feat_05', 'feat_05', "),
-    (lambda doc: doc["selected_features"].pop(),
-     "selected features differ from the feature scaler's columns"),
-    (lambda doc: doc["store"].update(features=encoded(decoded(doc["store"]["features"])[:, :-1])),
-     "store has 12 feature columns for 13 selected features"),
+    (lambda header, _: header.update(k=0), "(k must be >= 1, got 0)"),
+    (lambda header, _: header.update(k=-3), "(k must be >= 1, got -3)"),
+    (lambda header, _: header.update(k=6.9), "(k must be a JSON integer, got 6.9)"),
+    (lambda header, _: header.update(k="6"), "(k must be a JSON integer, got '6')"),
+    (lambda header, _: header.update(k=True), "(k must be a JSON integer, got True)"),
+    (lambda header, _: header.update(feature_codes="feat_05"),
+     "(feature_codes must be a JSON list, got 'feat_05')"),
+    (lambda header, _: header["feature_codes"].__setitem__(0, "feat_99"),
+     "unknown selected feature codes: ['feat_99']"),
+    (lambda header, _: header["feature_codes"].__setitem__(1, "feat_05"),
+     "selected feature codes repeat: ['feat_05', 'feat_05', "),
+    (lambda header, _: header["feature_codes"].pop(),
+     "landmark array shape does not match column codes"),
+    (_store_one_column_short, "store has 12 feature columns for 13 selected features"),
 ], ids=["k_0", "k_-3", "k_6.9", "k_string", "k_true", "features_string",
-        "feature_unknown", "feature_unknown_to_scaler_too", "feature_repeated",
-        "feature_missing", "store_one_column_short"])
+        "feature_unknown", "feature_repeated", "feature_missing", "store_one_column_short"])
 def test_inconsistent_artifact_exits_3_naming_the_file(data_dir, tmp_path, capsys,
                                                        mutate, message):
     out = tmp_path / "model_out10"
     assert run(["train", "--data-dir", data_dir, "--case-study", "alberta",
                 "--test-days", "16", "--out", out]) == 0
-    doc = json.loads((out / "model.json").read_text())
-    mutate(doc)
+    header, arrays = read_artifact_oracle(out / "model.json")
+    mutate(header, arrays)
     bad = tmp_path / "bad_model.json"
-    bad.write_text(json.dumps(doc))
+    bad.write_bytes(artifact_bytes_oracle(header, arrays))
     code = run(["predict", "--model", bad, "--input", data_dir / "alberta.csv",
                 "--out", tmp_path / "x"])
     assert code == 3
@@ -610,52 +605,44 @@ def test_inconsistent_artifact_exits_3_naming_the_file(data_dir, tmp_path, capsy
 
 
 _NOT_A_SHAPE = "is not a list of non-negative integers)"
+_NOT_A_LIST = "shapes.features must be a JSON list, got "
 
 
-def _features_shape(shape):
-    return lambda doc: doc["store"]["features"].update(shape=shape)
-
-
-def _features_bytes(transform):
-    def mutate(doc):
-        raw = base64.b64decode(doc["store"]["features"]["b64"])
-        doc["store"]["features"]["b64"] = base64.b64encode(transform(raw)).decode("ascii")
+def _shape(name, shape):
+    def mutate(header, raw):
+        header["shapes"][name] = shape
+        return raw
     return mutate
 
 
+# the fixture's arrays: landmarks 13 x 224, features 224 x 13, targets 224 x 4, 224 tags
+_BODY = (13 * 224 + 224 * 13 + 224 * 4 + 224) * 8
+
+
+def _sizes(found, needed):
+    return f"{found} bytes follow the header, the shapes need {needed})"
+
+
 @pytest.mark.parametrize("mutate, message", [
-    (lambda doc: doc["store"]["features"].update(b64="!!!!"),
-     "store.features: bad base64 (Only base64 data is allowed))"),
-    (lambda doc: doc["feature_scaler"]["landmarks"].update(b64="QUJD=A=="),
-     "feature_scaler.landmarks: bad base64 (Discontinuous padding not allowed))"),
-    (_features_bytes(lambda raw: raw[:-8]),
-     "store.features: 23288 bytes do not fill shape [224, 13] of <f8)"),
-    (_features_bytes(lambda raw: raw + b"\0"),
-     "store.features: 23297 bytes do not fill shape [224, 13] of <f8)"),
-    (lambda doc: doc["store"]["targets"]["shape"].__setitem__(0, 3),
-     "store.targets: 7168 bytes do not fill shape [3, 4] of <f8)"),
-    (lambda doc: doc["store"]["features"].update(dtype="<f4"),
-     "store.features: dtype '<f4', expected '<f8')"),
-    (lambda doc: doc["store"]["source_tags"].update(dtype="<f8"),
-     "store.source_tags: dtype '<f8', expected '<i8')"),
-    (lambda doc: doc["feature_scaler"]["landmarks"].update(dtype=">f8"),
-     "feature_scaler.landmarks: dtype '>f8', expected '<f8')"),
-    (_features_shape("224, 13"), "store.features: shape '224, 13' " + _NOT_A_SHAPE),
-    (_features_shape([224, -13]), "store.features: shape [224, -13] " + _NOT_A_SHAPE),
-    (_features_shape([224.0, 13]), "store.features: shape [224.0, 13] " + _NOT_A_SHAPE),
-    (_features_shape([224, True]), "store.features: shape [224, True] " + _NOT_A_SHAPE),
-    (_features_shape(None), "store.features: shape None " + _NOT_A_SHAPE),
-], ids=["bad_base64", "bad_padding", "bytes_short", "bytes_long", "shape_too_small",
-        "dtype_f4", "tags_dtype_f8", "big_endian", "shape_string", "shape_negative",
+    (lambda _, raw: raw[:-8], _sizes(_BODY - 8, _BODY)),
+    (lambda _, raw: raw + b"\0", _sizes(_BODY + 1, _BODY)),
+    (_shape("targets", [3, 4]), _sizes(_BODY, _BODY - 221 * 4 * 8)),
+    (_shape("features", "224, 13"), _NOT_A_LIST + "'224, 13')"),
+    (_shape("features", [224, -13]), "shapes.features: [224, -13] " + _NOT_A_SHAPE),
+    (_shape("features", [224.0, 13]), "shapes.features: [224.0, 13] " + _NOT_A_SHAPE),
+    (_shape("features", [224, True]), "shapes.features: [224, True] " + _NOT_A_SHAPE),
+    (_shape("features", None), _NOT_A_LIST + "None)"),
+], ids=["bytes_short", "bytes_long", "shape_too_small", "shape_string", "shape_negative",
         "shape_float", "shape_bool", "shape_null"])
 def test_undecodable_artifact_array_exits_3(data_dir, tmp_path, capsys, mutate, message):
     out = tmp_path / "model_out11"
     assert run(["train", "--data-dir", data_dir, "--case-study", "alberta",
                 "--test-days", "16", "--out", out]) == 0
-    doc = json.loads((out / "model.json").read_text())
-    mutate(doc)
+    line, raw = (out / "model.json").read_bytes().split(b"\n", 1)
+    header = json.loads(line)
+    raw = mutate(header, raw)
     bad = tmp_path / "bad_model.json"
-    bad.write_text(json.dumps(doc))
+    bad.write_bytes(json.dumps(header).encode("ascii") + b"\n" + raw)
     code = run(["predict", "--model", bad, "--input", data_dir / "alberta.csv",
                 "--out", tmp_path / "x"])
     assert code == 3
@@ -668,13 +655,12 @@ def test_pooled_tag_in_dedicated_only_artifact_exits_3(data_dir, tmp_path, capsy
     out = tmp_path / "model_out12"
     assert run(["train", "--data-dir", data_dir, "--case-study", "alberta",
                 "--generic-weight", "0", "--test-days", "16", "--out", out]) == 0
-    doc = json.loads((out / "model.json").read_text())
-    tags = decoded(doc["store"]["source_tags"])
+    header, arrays = read_artifact_oracle(out / "model.json")
+    tags = arrays["source_tags"]
     assert set(tags.tolist()) == {0}
     tags[3] = 1                 # British Columbia
-    doc["store"]["source_tags"] = encoded(tags)
     bad = tmp_path / "bad_model.json"
-    bad.write_text(json.dumps(doc))
+    bad.write_bytes(artifact_bytes_oracle(header, arrays))
     code = run(["predict", "--model", bad, "--input", data_dir / "alberta.csv",
                 "--out", tmp_path / "x"])
     assert code == 3
@@ -686,11 +672,12 @@ def test_zero_row_store_artifact_exits_3(data_dir, tmp_path, capsys):
     out = tmp_path / "model_out13"
     assert run(["train", "--data-dir", data_dir, "--case-study", "alberta",
                 "--test-days", "16", "--out", out]) == 0
-    doc = json.loads((out / "model.json").read_text())
+    header, arrays = read_artifact_oracle(out / "model.json")
     for name in ("features", "targets", "source_tags"):
-        doc["store"][name] = encoded(decoded(doc["store"][name])[:0])
+        arrays[name] = arrays[name][:0]
+        header["shapes"][name][0] = 0
     bad = tmp_path / "bad_model.json"
-    bad.write_text(json.dumps(doc))
+    bad.write_bytes(artifact_bytes_oracle(header, arrays))
     code = run(["predict", "--model", bad, "--input", data_dir / "alberta.csv",
                 "--out", tmp_path / "x"])
     assert code == 3
@@ -832,8 +819,8 @@ def test_train_ranked_selection_end_to_end(data_dir, tmp_path):
     assert run(["train", "--data-dir", data_dir, "--case-study", "alberta",
                 "--test-days", "16", "--selection", "ranked", "--top-n", "9",
                 "--out", out]) == 0
-    doc = json.loads((out / "model.json").read_text())
-    assert tuple(doc["selected_features"]) == (
+    header, _ = read_artifact_oracle(out / "model.json")
+    assert tuple(header["feature_codes"]) == (
         "d13", "d11", "feat_20", "feat_19", "feat_14", "feat_17", "feat_16",
         "feat_12", "feat_15")
     assert run(["relevance", "--data-dir", data_dir, "--case-study", "alberta",
@@ -864,7 +851,7 @@ def test_ranked_selection_ignores_held_out_targets(data_dir, tmp_path):
         assert run(["train", "--data-dir", root, "--case-study", "alberta", "--seed", "0",
                     "--test-days", "16", "--selection", "ranked", "--top-n", "9",
                     "--out", out]) == 0
-        selected.append(json.loads((out / "model.json").read_text())["selected_features"])
+        selected.append(read_artifact_oracle(out / "model.json")[0]["feature_codes"])
     assert selected[0] == selected[1]
 
 
