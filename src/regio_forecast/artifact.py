@@ -8,21 +8,18 @@ version, the kNN neighbor count ``k``, the selected ``feature_codes``
 ``case_study`` region and the ``shapes`` of the arrays. The arrays follow
 in ARRAYS order, each as the C-order bytes of its fixed dtype, so each
 starts where the one before it ends: the scaler's ``landmarks``, then the
-instance store's ``features``, raw ``targets`` and ``source_tags`` (region
-codes). The store's vote weights are not written: they are 1.0 on
-case-study rows and the generic weight on pooled rows, and loading
-derives them from the tags. Retraining on identical inputs produces
-byte-identical artifacts.
+model's ``features``, raw ``targets`` and ``source_tags`` (region codes).
+Vote weights are not written: the model derives them from the tags.
+Retraining on identical inputs produces byte-identical artifacts.
 
-Loading raises DataError naming the file for: no header line (a version 5
-file is one JSON document with no newline, to be retrained), another
-version, a missing field, a header that is not UTF-8, a NaN or Infinity
-token or a literal that overflows (1e999), a k or region code that is not
-a JSON integer, a k below 1, a generic weight that is not a JSON number in
-[0, 1], a shape that is not a list of non-negative integers, a body whose
-length is not the sum of the shapes' byte counts, a non-finite stored
-number, a negative count, and feature codes that are unknown, repeat or
-do not match the store's width.
+Loading reads the body into one buffer, of which the arrays are views,
+and checks only the layout. It raises DataError naming the file for: no
+header line (a version 5 file is one JSON document with no newline, to be
+retrained), another version, a header that is not UTF-8 or holds a NaN or
+Infinity token, a missing field or one of the wrong JSON type, a shape
+that is not a list of non-negative integers, and a body whose length is
+not the sum of the shapes' byte counts. ``MtlModel`` checks every other
+rule, and its refusals name the file too.
 """
 
 from __future__ import annotations
@@ -30,7 +27,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import tempfile
 from contextlib import contextmanager
 from pathlib import Path
 from typing import BinaryIO, Iterator
@@ -39,8 +35,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 from .ingest import RegionId
-from .knn import InstanceStore, KnnConfig
-from .mtl import MtlModel, source_weights
+from .mtl import MtlModel
 from .scaling import QuantileNormalScaler
 
 ARTIFACT_VERSION = "6"
@@ -52,11 +47,11 @@ ARRAYS = {"landmarks": "<f8", "features": "<f8", "targets": "<f8", "source_tags"
 def save_model(model: MtlModel, path: str | Path) -> None:
     """Write the header line, then each array's bytes in ARRAYS order."""
     arrays = [np.ascontiguousarray(values, dtype=dtype) for values, dtype in zip(
-        (model.feature_scaler.landmarks, model.store.features, model.store.targets,
-         model.store.source_tags), ARRAYS.values())]
+        (model.feature_scaler.landmarks, model.features, model.targets, model.source_tags),
+        ARRAYS.values())]
     header = {
         "version": ARTIFACT_VERSION,
-        "k": model.cfg.k,
+        "k": model.k,
         "feature_codes": list(model.selected_features),
         "generic_weight": model.generic_weight,
         "case_study": {"code": model.case_study.code, "name": model.case_study.name},
@@ -81,7 +76,7 @@ def _field(header: dict, dotted: str, what: str, types: tuple[type, ...]):
     return value
 
 
-def _model(header: dict, body: bytes) -> MtlModel:
+def _model(header: dict, body: bytearray) -> MtlModel:
     """The model of a parsed header and the bytes after it."""
     version = header.get("version")
     if version != ARTIFACT_VERSION:
@@ -106,15 +101,8 @@ def _model(header: dict, body: bytes) -> MtlModel:
         raise ValueError(f"{len(body)} bytes follow the header, the shapes need {end}")
     arrays = {name: np.frombuffer(body, ARRAYS[name], math.prod(shape), offsets[name])
               .reshape(shape) for name, shape in shapes.items()}
-    tags = arrays["source_tags"]
-    return MtlModel(
-        store=InstanceStore(arrays["features"], arrays["targets"], tags,
-                            source_weights(tags, case_study, generic_weight)),
-        feature_scaler=QuantileNormalScaler(codes, arrays["landmarks"]),
-        cfg=KnnConfig(k=k),
-        generic_weight=generic_weight,
-        case_study=case_study,
-    )
+    return MtlModel(QuantileNormalScaler(codes, arrays["landmarks"]), arrays["features"],
+                    arrays["targets"], arrays["source_tags"], k, generic_weight, case_study)
 
 
 def load_model(path: str | Path) -> MtlModel:
@@ -130,7 +118,10 @@ def load_model(path: str | Path) -> MtlModel:
                     f"{ARTIFACT_VERSION} model artifact (retrain a model saved by an older "
                     "version)")
             header = json.loads(line.decode("utf-8"), parse_constant=non_finite)
-            model = _model(header, fh.read())
+            body = bytearray(max(0, os.fstat(fh.fileno()).st_size - len(line)))  # 0 for a pipe
+            del body[fh.readinto(body):]
+            body += fh.read()       # what the size did not count: a pipe's body, or growth
+            return _model(header, body)
     except DataError as exc:
         exc.args = (f"{path}: {exc}",)
         raise
@@ -141,28 +132,15 @@ def load_model(path: str | Path) -> MtlModel:
         # not JSON or nested too deep, a field of the wrong type, shapes that
         # do not fit the body, 1e999 where an integer belongs, or k < 1
         raise DataError(f"{path}: malformed model artifact ({exc})") from None
-    numbers = {
-        "features": model.store.features,
-        "targets": model.store.targets,
-        "landmarks": model.feature_scaler.landmarks,
-        "generic_weight": model.generic_weight,
-    }
-    for name, values in numbers.items():
-        if not np.all(np.isfinite(values)):
-            raise DataError(f"{path}: model artifact holds a non-finite number ({name})")
-    if not 0 <= model.generic_weight <= 1:
-        raise DataError(f"{path}: model artifact's generic weight must be in [0, 1], "
-                        f"got {model.generic_weight}")
-    if np.any(model.store.targets < 0):
-        raise DataError(f"{path}: model artifact holds a negative count (targets)")
-    return model
 
 
 @contextmanager
 def _atomic_open(path: str | Path) -> Iterator[BinaryIO]:
     """A binary file at a sibling temp path, renamed to ``path`` when the block succeeds."""
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), prefix=f".{path.name}.")
+    tmp = path.with_name(f".{path.name}.{os.urandom(6).hex()}")
+    # unlike mkstemp's 0600, mode 0666 lets the umask decide, as open() would
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
             yield fh

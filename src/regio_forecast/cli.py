@@ -1,6 +1,8 @@
 """Command-line driver.
 
 Subcommands: synth, train, evaluate, rotate, predict, ppe, relevance.
+Each subcommand takes only the flags it reads; any other flag is a usage
+error (exit 2). A --config file may hold keys a command does not read.
 Configuration precedence is flag > config file (JSON via --config) >
 built-in default, and every run's randomness flows from one master seed.
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 internal
@@ -45,7 +47,6 @@ from .ingest import (
     region_by_name,
     split_train_test,
 )
-from .knn import KnnConfig
 from .mtl import predict_monitoring, train_mtl
 from .ppe import forecast_series, forecast_to_csv
 from .synth import SyntheticSpec, write_region_files
@@ -158,8 +159,7 @@ def _train(cfg: RunConfig):
                           f"--test-days {cfg.test_days} leaves {len(split.train_indices)}")
     selection = _selection(cfg, case_ds.subset(split.train_indices))
     model, report = train_mtl(
-        datasets, case, split.train_indices,
-        KnnConfig(k=cfg.k), cfg.generic_weight, selection)
+        datasets, case, split.train_indices, cfg.k, cfg.generic_weight, selection)
     return datasets, case, case_ds, split, model, report
 
 
@@ -199,13 +199,9 @@ def cmd_evaluate(cfg: RunConfig) -> int:
 
 
 def cmd_rotate(cfg: RunConfig) -> int:
-    if cfg.selection != "default":
-        raise ConfigError(f"rotate uses the default feature selection; "
-                          f"--selection {cfg.selection} is not supported")
     datasets = _load_datasets(cfg.data_dir)
     reports = rotate_regions(
-        datasets, KnnConfig(k=cfg.k), cfg.test_days, cfg.seed,
-        cfg.generic_weight, cfg.bootstrap)
+        datasets, cfg.k, cfg.test_days, cfg.seed, cfg.generic_weight, cfg.bootstrap)
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     for target in TARGET_COLUMNS:
@@ -270,50 +266,54 @@ def cmd_synth(cfg: RunConfig, regions: int, rows: int, noise: float) -> int:
     return 0
 
 
+# Each subcommand's help and the RunConfig flags it reads, and the
+# argparse options of the flags that are not plain strings
+_TRAIN_FLAGS = ("data-dir", "case-study", "k", "generic-weight", "test-days", "seed",
+                "selection", "top-n", "out")
+_COMMANDS = {
+    "synth": ("generate synthetic regional CSVs", ("seed", "out")),
+    "train": ("train a model for the case study", _TRAIN_FLAGS),
+    "evaluate": ("train and score held-out days", _TRAIN_FLAGS + ("bootstrap",)),
+    "rotate": ("evaluate every region as the case study",
+               ("data-dir", "k", "generic-weight", "test-days", "seed", "bootstrap", "out")),
+    "predict": ("predict daily counts", ("out",)),
+    "ppe": ("predict daily PPE kit demand", ("out",)),
+    "relevance": ("export feature relevance scores", ("data-dir", "case-study", "out")),
+}
+_FLAG_OPTIONS = {"k": {"type": int}, "generic-weight": {"type": float},
+                 "test-days": {"type": int}, "seed": {"type": int}, "bootstrap": {"type": int},
+                 "selection": {"choices": ["default", "ranked"]}, "top-n": {"type": int}}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="regio-forecast",
         description="Regional epidemic monitoring and PPE demand prediction.")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="JSON config file (flags override it)")
-    common.add_argument("--data-dir", dest="data_dir")
-    common.add_argument("--case-study", dest="case_study")
-    common.add_argument("--k", type=int)
-    common.add_argument("--generic-weight", dest="generic_weight", type=float)
-    common.add_argument("--test-days", dest="test_days", type=int)
-    common.add_argument("--seed", type=int)
-    common.add_argument("--bootstrap", type=int)
-    common.add_argument("--selection", choices=["default", "ranked"])
-    common.add_argument("--top-n", dest="top_n", type=int)
-    common.add_argument("--out")
-
     sub = parser.add_subparsers(dest="command", required=True)
-    p = sub.add_parser("synth", parents=[common], help="generate synthetic regional CSVs")
-    p.add_argument("--regions", type=int, default=7)
-    p.add_argument("--rows", type=int, default=362)
-    p.add_argument("--noise", type=float, default=0.05)
-    sub.add_parser("train", parents=[common], help="train a model for the case study")
-    sub.add_parser("evaluate", parents=[common], help="train and score held-out days")
-    sub.add_parser("rotate", parents=[common],
-                   help="evaluate every region as the case study")
-    p = sub.add_parser("predict", parents=[common], help="predict daily counts")
-    p.add_argument("--model", required=True)
-    p.add_argument("--input", required=True)
-    p = sub.add_parser("ppe", parents=[common], help="predict daily PPE kit demand")
-    p.add_argument("--model", required=True)
-    p.add_argument("--input", required=True)
-    p.add_argument("--capacity", dest="ppe_operating_capacity", type=float)
-    p.add_argument("--personnel", dest="ppe_personnel", type=float)
-    sub.add_parser("relevance", parents=[common],
-                   help="export feature relevance scores")
+    commands = {}
+    for name, (help_text, flags) in _COMMANDS.items():
+        p = commands[name] = sub.add_parser(name, help=help_text)
+        p.add_argument("--config", help="JSON config file (flags override it)")
+        for flag in flags:
+            p.add_argument(f"--{flag}", **_FLAG_OPTIONS.get(flag, {}))
+    commands["synth"].add_argument("--regions", type=int, default=7)
+    commands["synth"].add_argument("--rows", type=int, default=362)
+    commands["synth"].add_argument("--noise", type=float, default=0.05)
+    for name in ("predict", "ppe"):
+        commands[name].add_argument("--model", required=True)
+        commands[name].add_argument("--input", required=True)
+    commands["ppe"].add_argument("--capacity", dest="ppe_operating_capacity", type=float)
+    commands["ppe"].add_argument("--personnel", dest="ppe_personnel", type=float)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(level=os.environ.get("REGIO_FORECAST_LOG", "WARNING").upper(),
                         format="%(levelname)s %(name)s: %(message)s")
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:       # argparse printed a usage error (2) or the help (0)
+        return exc.code
     try:
         cfg = _load_config(args)
         if args.command in ("evaluate", "rotate") and cfg.test_days < 2:   # r2 needs 2 days

@@ -25,7 +25,6 @@ import numpy as np
 from .errors import ConfigError, DataError
 from .features import TARGET_COLUMNS
 from .ingest import RegionalDataset, split_train_test
-from .knn import KnnConfig
 from .mtl import MtlModel, predict_monitoring, train_mtl
 
 # Level of every bootstrap interval.
@@ -209,7 +208,7 @@ def evaluate_model(
 
 def rotate_regions(
     datasets: Sequence[RegionalDataset],
-    cfg: KnnConfig = KnnConfig(),
+    k: int = 6,
     test_size: int = 54,
     seed: int = 0,
     generic_weight: float = 1.0,
@@ -235,7 +234,7 @@ def rotate_regions(
                           .generate_state(1, np.uint64)[0])
         split = split_train_test(ds, test_size, region_seed)
         model, train_report = train_mtl(
-            datasets, case, split.train_indices, cfg, generic_weight)
+            datasets, case, split.train_indices, k, generic_weight)
         reports.append(evaluate_model(
             model, ds.subset(split.test_indices),
             BootstrapConfig(bootstrap_replicates, region_seed),

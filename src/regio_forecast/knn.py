@@ -1,12 +1,11 @@
-"""Distance-weighted k-nearest-neighbor multi-output regression.
+"""Distance-weighted k-nearest-neighbor multi-output regression over plain arrays.
 
-The learner is instance-based: the model is an InstanceStore of the
-training rows, built directly from them with no fitting step, and a
-prediction is the inverse-distance-weighted mean of the k nearest stored
-targets. The metric (Euclidean) and the vote weighting (inverse distance)
-are fixed; only k is configurable. Each instance carries a positive source
-weight so pooled instances from other regions can be up- or down-weighted
-as a group.
+The learner is instance-based: the training rows are the model, with no
+fitting step, and a prediction is the inverse-distance-weighted mean of
+the k nearest stored targets. The metric (Euclidean) and the vote
+weighting (inverse distance) are fixed; only k is a parameter. Each
+instance votes with a positive source weight. ``mtl.MtlModel`` owns and
+checks the arrays; ``neighbours`` checks only what its search needs.
 
 Neighbor search (``neighbours``) takes queries in blocks. One float32
 matrix product of the augmented store [F, ||x||^2] with the queries
@@ -26,73 +25,9 @@ predictor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ConfigError, DataError
-
-
-@dataclass(frozen=True)
-class KnnConfig:
-    """Neighbor count of the inverse-distance Euclidean vote."""
-
-    k: int = 6
-
-    def __post_init__(self):
-        if self.k < 1:
-            raise ConfigError(f"k must be >= 1, got {self.k}")
-
-
-@dataclass(frozen=True)
-class InstanceStore:
-    """Training instances with per-instance source weights.
-
-    ``source_tags`` records where each instance came from as an integer
-    (the region code in a monitoring model); -1, the default, marks an
-    untagged instance. ``weights`` default to 1.0.
-    """
-
-    features: np.ndarray                    # (n, d)
-    targets: np.ndarray                     # (n, m)
-    source_tags: np.ndarray | None = None   # (n,) int
-    weights: np.ndarray | None = None       # (n,), all > 0
-
-    def __post_init__(self):
-        # contiguous storage so identical values give identical predictions
-        try:
-            f = np.ascontiguousarray(self.features, dtype=np.float64)
-            t = np.ascontiguousarray(self.targets, dtype=np.float64)
-        except ValueError as exc:
-            raise DataError(f"ragged training rows: {exc}") from None
-        if f.ndim != 2 or t.ndim != 2:
-            raise DataError(f"features and targets must be 2-D, "
-                            f"got shapes {f.shape} and {t.shape}")
-        n = f.shape[0]
-        if n == 0:
-            raise DataError("cannot fit on zero rows")
-        tags = np.full(n, -1) if self.source_tags is None else self.source_tags
-        tags = np.ascontiguousarray(tags, dtype=np.int64)
-        w = np.ascontiguousarray(np.ones(n) if self.weights is None else self.weights,
-                                 dtype=np.float64)
-        if t.shape[0] != n or w.shape != (n,) or tags.shape != (n,):
-            raise DataError(f"instance counts disagree across store fields: {n} feature rows, "
-                            f"{t.shape[0]} target rows, {len(tags)} tags, {len(w)} weights")
-        if not np.all(w > 0):      # NaN fails the comparison too
-            raise DataError("source weights must be strictly positive")
-        for arr in (f, t, w, tags):
-            arr.setflags(write=False)
-        object.__setattr__(self, "features", f)
-        object.__setattr__(self, "targets", t)
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "source_tags", tags)
-
-    def __len__(self) -> int:
-        return self.features.shape[0]
-
-    @property
-    def dimension(self) -> int:
-        return self.features.shape[1]
 
 
 # Queries are handled in blocks of about this many float32 approximations
@@ -104,11 +39,11 @@ _BLOCK_CELLS = 2 ** 20
 _SLABS = 16
 
 
-def neighbours(store: InstanceStore, queries: np.ndarray,
+def neighbours(features: np.ndarray, queries: np.ndarray,
                k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Indices and distances of each query's k nearest instances.
+    """Indices and distances of each query's k nearest rows of ``features``.
 
-    Returns ``(idx, dist)``, both of shape ``(len(queries), min(k, |store|))``.
+    Returns ``(idx, dist)``, both of shape ``(len(queries), min(k, n))``.
     Row i lists query i's neighbors by ascending Euclidean distance, ties
     going to the earlier-inserted (lower) index, and the distances are
     computed as an exhaustive scan computes them. So both arrays equal a
@@ -130,19 +65,22 @@ def neighbours(store: InstanceStore, queries: np.ndarray,
     instances are compared directly. The shortlist is re-ranked by exact
     float64 distance in a padded (block, longest shortlist) matrix.
     """
+    features = np.ascontiguousarray(features, dtype=np.float64)
     queries = np.asarray(queries, dtype=np.float64)
+    if features.ndim != 2 or features.shape[0] == 0:
+        raise DataError(f"features must be a non-empty 2-D array, got shape {features.shape}")
     if queries.ndim != 2:
         raise DataError(f"queries must be 2-D, got shape {queries.shape}")
-    n, d = store.features.shape
+    n, d = features.shape
     if queries.shape[1] != d:
         raise DataError(f"query has {queries.shape[1]} dims, store has {d}")
     if k < 1:
         raise ConfigError(f"k must be >= 1, got {k}")
     k = min(k, n)
-    x_sq = np.einsum("ij,ij->i", store.features, store.features)
+    x_sq = np.einsum("ij,ij->i", features, features)
     x_sq_max = x_sq.max()
     with np.errstate(over="ignore"):        # such stores scan everything (below)
-        augmented = np.hstack([store.features, x_sq[:, None]]).astype(np.float32)   # (n, d + 1)
+        augmented = np.hstack([features, x_sq[:, None]]).astype(np.float32)   # (n, d + 1)
     # Shortlist margin M. Let u = 2^-24 and t = 2^-149 be float32's unit
     # roundoff and smallest subnormal, g_j = j·u / (1 - j·u), S = ||q||^2 +
     # max ||x||^2, and T = ||x||^2 - 2 q.x, the true squared distance less
@@ -207,7 +145,7 @@ def neighbours(store: InstanceStore, queries: np.ndarray,
         # hits ordered by query, then by ascending instance index
         rows, cols = np.divmod(np.sort(np.concatenate(
             [hits, tail_rows * n + slabs * m + tail_cols, everything])), n)
-        exact = _exact_distances(store.features, q, rows, cols)
+        exact = _exact_distances(features, q, rows, cols)
         pos = np.arange(rows.shape[0]) - np.searchsorted(rows, rows)
         padded = np.full((b, pos.max() + 1), np.inf)
         padded[rows, pos] = exact
@@ -236,25 +174,27 @@ def _exact_distances(features: np.ndarray, queries: np.ndarray,
     return exact
 
 
-def predict_knn_batch(store: InstanceStore, queries: np.ndarray, cfg: KnnConfig) -> np.ndarray:
+def predict_knn_batch(features: np.ndarray, targets: np.ndarray, weights: np.ndarray,
+                      queries: np.ndarray, k: int) -> np.ndarray:
     """Predict one target vector per row of a query matrix.
 
-    For each query the min(k, |store|) nearest instances by Euclidean
-    distance (``neighbours``) vote with weight source_weight / distance;
-    ties at equal distance prefer the earlier-inserted instance. If any
-    selected neighbor sits at distance exactly 0, the prediction is the
-    source-weighted mean of the zero-distance instances alone.
+    For each query the min(k, n) nearest rows of ``features`` by Euclidean
+    distance (``neighbours``) vote their ``targets`` with weight
+    ``weights`` / distance; ties at equal distance prefer the
+    earlier-inserted instance. If any selected neighbor sits at distance
+    exactly 0, the prediction is the weighted mean of the zero-distance
+    instances alone.
     """
-    idx, dist = neighbours(store, queries, cfg.k)
+    idx, dist = neighbours(features, queries, k)
     # zero-distance hits lead each row; summing only that prefix keeps the
     # grouping numpy's pairwise sum gives to a vote of just those instances
     zeros = np.count_nonzero(dist == 0.0, axis=1)
-    out = np.empty((idx.shape[0], store.targets.shape[1]))
+    out = np.empty((idx.shape[0], targets.shape[1]))
     far = zeros == 0
-    out[far] = _weighted_mean(store.weights[idx[far]] / dist[far], store.targets[idx[far]])
+    out[far] = _weighted_mean(weights[idx[far]] / dist[far], targets[idx[far]])
     for z in np.unique(zeros[~far]):
         near = zeros == z
-        out[near] = _weighted_mean(store.weights[idx[near, :z]], store.targets[idx[near, :z]])
+        out[near] = _weighted_mean(weights[idx[near, :z]], targets[idx[near, :z]])
     return out
 
 

@@ -6,7 +6,8 @@ that transfer is a weighted union of instances: one store holds the rows
 of every other region at weight ``generic_weight``, followed by the
 case-study training rows at weight 1.0. The weight is in [0, 1]: 1 is
 plain kNN on the union, and 0 drops the pooled rows, leaving kNN on the
-case study alone.
+case study alone. ``MtlModel`` is that store; it derives each vote weight
+from the instance's region tag and checks every rule, trained or loaded.
 
 Training and prediction share one feature path: ``RegionalDataset.columns``
 gives the selected columns (a derived one is computed only when
@@ -28,7 +29,7 @@ import numpy as np
 from .errors import ConfigError, DataError
 from .features import DEFAULT_SELECTED_FEATURES, DERIVED_FEATURE_CODES, PRIMARY_FEATURE_CODES
 from .ingest import RegionalDataset, RegionId
-from .knn import InstanceStore, KnnConfig, predict_knn_batch
+from .knn import predict_knn_batch
 from .scaling import (
     QuantileNormalScaler,
     apply_quantile_scaler,
@@ -54,17 +55,20 @@ class TrainReport:
 
 @dataclass(frozen=True)
 class MtlModel:
-    """Trained monitoring model for one case-study region.
+    """Trained monitoring model for one case-study region: its instance store and scaler.
 
-    ``store`` holds the pooled-region instances at ``generic_weight``
-    (none when it is 0), then the case-study training instances at weight
-    1.0; its source tags are region codes, so its weights follow from them
-    (``source_weights``).
+    The store holds unit ``features`` rows, raw ``targets`` counts and
+    ``source_tags`` (region codes): the pooled-region instances (none when
+    ``generic_weight`` is 0), then the case-study training instances. Their
+    vote weights follow from the tags (``weights``). The messages name the
+    artifact, the one source of a model that training did not check.
     """
 
-    store: InstanceStore
     feature_scaler: QuantileNormalScaler
-    cfg: KnnConfig
+    features: np.ndarray        # (n, len(selected_features))
+    targets: np.ndarray         # (n, 4)
+    source_tags: np.ndarray     # (n,) int
+    k: int
     generic_weight: float
     case_study: RegionId
 
@@ -73,20 +77,56 @@ class MtlModel:
         """The selected feature codes: the feature scaler's columns."""
         return self.feature_scaler.column_codes
 
+    @property
+    def weights(self) -> np.ndarray:
+        """Vote weight of each instance (``source_weights`` of its tag)."""
+        return source_weights(self.source_tags, self.case_study, self.generic_weight)
+
     def __post_init__(self):
+        # contiguous read-only storage so identical values give identical predictions
+        try:
+            f = np.ascontiguousarray(self.features, dtype=np.float64)
+            t = np.ascontiguousarray(self.targets, dtype=np.float64)
+        except ValueError as exc:
+            raise DataError(f"ragged training rows: {exc}") from None
+        tags = np.ascontiguousarray(self.source_tags, dtype=np.int64)
+        if f.ndim != 2 or t.ndim != 2:
+            raise DataError(f"features and targets must be 2-D, "
+                            f"got shapes {f.shape} and {t.shape}")
+        n = f.shape[0]
+        if n == 0:
+            raise DataError("cannot fit on zero rows")
+        if t.shape[0] != n or tags.shape != (n,):
+            raise DataError(f"instance counts disagree across store fields: {n} feature rows, "
+                            f"{t.shape[0]} target rows, {len(tags)} tags")
+        for name, arr in (("features", f), ("targets", t), ("source_tags", tags)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+        if not np.all(self.weights > 0):      # NaN fails the comparison too
+            raise DataError("source weights must be strictly positive")
+        if type(self.k) is not int:           # bool is an int subclass
+            raise ConfigError(f"k must be an integer, got {self.k!r}")
+        if self.k < 1:
+            raise ConfigError(f"k must be >= 1, got {self.k}")
         codes = self.selected_features
         unknown = [c for c in codes if c not in PRIMARY_FEATURE_CODES + DERIVED_FEATURE_CODES]
         if unknown:
             raise DataError(f"unknown selected feature codes: {unknown}")
         if len(set(codes)) != len(codes):
             raise DataError(f"selected feature codes repeat: {list(codes)}")
-        if self.store.dimension != len(codes):
-            raise DataError(f"store has {self.store.dimension} feature columns "
+        if f.shape[1] != len(codes):
+            raise DataError(f"store has {f.shape[1]} feature columns "
                             f"for {len(codes)} selected features")
-        if not np.array_equal(self.store.weights, source_weights(
-                self.store.source_tags, self.case_study, self.generic_weight)):
-            raise DataError("store weights are not 1.0 on case-study rows "
-                            "and the generic weight on pooled rows")
+        numbers = {"features": f, "targets": t, "landmarks": self.feature_scaler.landmarks,
+                   "generic_weight": self.generic_weight}
+        for name, values in numbers.items():
+            if not np.all(np.isfinite(values)):
+                raise DataError(f"model artifact holds a non-finite number ({name})")
+        if not 0 <= self.generic_weight <= 1:
+            raise DataError(f"model artifact's generic weight must be in [0, 1], "
+                            f"got {self.generic_weight}")
+        if np.any(t < 0):
+            raise DataError("model artifact holds a negative count (targets)")
 
 
 def source_weights(source_tags: np.ndarray, case_study: RegionId,
@@ -99,7 +139,7 @@ def train_mtl(
     datasets: Sequence[RegionalDataset],
     case_study: RegionId,
     case_train_indices: Sequence[int],
-    cfg: KnnConfig = KnnConfig(),
+    k: int = 6,
     generic_weight: float = 1.0,
     selection: Sequence[str] = DEFAULT_SELECTED_FEATURES,
 ) -> tuple[MtlModel, TrainReport]:
@@ -111,6 +151,8 @@ def train_mtl(
     """
     if not 0 <= generic_weight <= 1:
         raise ConfigError(f"generic weight must be in [0, 1], got {generic_weight}")
+    if k < 1:
+        raise ConfigError(f"k must be >= 1, got {k}")
     case_ds = next((d for d in datasets if d.region.code == case_study.code), None)
     if case_ds is None:
         raise DataError(f"no dataset for case study {case_study.name!r}")
@@ -124,7 +166,6 @@ def train_mtl(
     n_pool = sum(d.n_rows for d in pool)
     targets = np.vstack([d.targets for d in pool] + [case.targets])
     tags = np.concatenate([np.full(d.n_rows, d.region.code) for d in pool + [case]])
-    weights = source_weights(tags, case_study, generic_weight)
 
     t0 = time.perf_counter()
     raw = np.vstack([d.columns(selection) for d in pool + [case]])
@@ -132,24 +173,17 @@ def train_mtl(
     # zero-weight instances cannot vote, so they are dropped, not stored
     keep = slice(n_pool if generic_weight == 0 else 0, None)
     unit_rows = l2_normalize_rows(apply_quantile_scaler(feature_scaler, raw))
-    store = InstanceStore(unit_rows[keep], targets[keep], tags[keep], weights[keep])
+    model = MtlModel(feature_scaler, unit_rows[keep], targets[keep], tags[keep], k,
+                     float(generic_weight), case_study)
     fit_seconds = time.perf_counter() - t0
 
-    model = MtlModel(
-        store=store,
-        feature_scaler=feature_scaler,
-        cfg=cfg,
-        generic_weight=float(generic_weight),
-        case_study=case_study,
-    )
-    report = TrainReport(
+    return model, TrainReport(
         generic_instances=n_pool,
-        dedicated_instances=len(store),
+        dedicated_instances=len(model.targets),
         case_train_rows=case.n_rows,
         fit_seconds=fit_seconds,
         n_quantiles=feature_scaler.n_quantiles,
     )
-    return model, report
 
 
 def predict_monitoring(model: MtlModel, ds: RegionalDataset) -> np.ndarray:
@@ -157,8 +191,8 @@ def predict_monitoring(model: MtlModel, ds: RegionalDataset) -> np.ndarray:
 
     Returns the (n, 4) float counts in TARGET_COLUMNS order. Pipeline:
     compute the model's columns, apply the fitted scaler, normalize each
-    row to unit length, then let the store's nearest instances vote.
+    row to unit length, then let the model's nearest instances vote.
     """
     raw = ds.columns(model.selected_features)
     x = l2_normalize_rows(apply_quantile_scaler(model.feature_scaler, raw))
-    return predict_knn_batch(model.store, x, model.cfg)
+    return predict_knn_batch(model.features, model.targets, model.weights, x, model.k)

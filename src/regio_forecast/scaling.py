@@ -50,7 +50,7 @@ class QuantileNormalScaler:
             raise DataError("landmark array shape does not match column codes")
         if lm.shape[1] < 2:
             raise DataError("at least 2 quantile landmarks per column are required")
-        if np.any(np.diff(lm, axis=1) < 0):
+        if np.any(lm[:, 1:] < lm[:, :-1]):       # compared in place, with no float temporary
             raise DataError("landmarks must be sorted non-decreasing per column")
         lm.setflags(write=False)
         object.__setattr__(self, "landmarks", lm)

@@ -18,7 +18,7 @@ from regio_forecast.errors import DataError
 from regio_forecast.evaluation import METRIC_FUNCTIONS
 from regio_forecast.features import TARGET_COLUMNS
 from regio_forecast.ingest import CATEGORICAL_RANGES, CSV_HEADER, MAX_COUNT
-from regio_forecast.knn import InstanceStore, KnnConfig, predict_knn_batch
+from regio_forecast.knn import predict_knn_batch
 
 
 def normal_cdf(x: float) -> float:
@@ -66,7 +66,8 @@ def empirical_cdf_prob(sorted_values: np.ndarray, x: float) -> float:
     return ((below - 1) + t) / (n - 1)
 
 
-def knn_oracle(store: InstanceStore, query: np.ndarray, cfg: KnnConfig) -> np.ndarray:
+def knn_oracle(features: np.ndarray, targets: np.ndarray, weights: np.ndarray,
+               query: np.ndarray, k: int) -> np.ndarray:
     """Reference kNN predictor: exhaustive scan with an explicit exact sort.
 
     Implements, for one query, the same contract as
@@ -74,53 +75,54 @@ def knn_oracle(store: InstanceStore, query: np.ndarray, cfg: KnnConfig) -> np.nd
     two can cross-check each other.
     """
     query = [float(v) for v in np.asarray(query).ravel()]
-    if len(query) != store.dimension:
+    n, dimension = features.shape
+    if len(query) != dimension:
         raise DataError(
-            f"query has {len(query)} dims, store has {store.dimension}")
+            f"query has {len(query)} dims, store has {dimension}")
     distances = []
-    for i in range(len(store)):
+    for i in range(n):
         s = 0.0
-        for a, b in zip(store.features[i], query):
+        for a, b in zip(features[i], query):
             s += (float(a) - b) ** 2
         distances.append(math.sqrt(s))
 
-    k = min(cfg.k, len(store))
-    ranked = sorted(range(len(store)), key=lambda i: (distances[i], i))[:k]
+    k = min(k, n)
+    ranked = sorted(range(n), key=lambda i: (distances[i], i))[:k]
 
-    m = store.targets.shape[1]
+    m = targets.shape[1]
     exact = [i for i in ranked if distances[i] == 0.0]
     if exact:
         if len(exact) == 1:
-            return np.array([float(store.targets[exact[0], j]) for j in range(m)])
-        total_w = sum(float(store.weights[i]) for i in exact)
+            return np.array([float(targets[exact[0], j]) for j in range(m)])
+        total_w = sum(float(weights[i]) for i in exact)
         return np.array([
-            sum(float(store.weights[i]) * float(store.targets[i, j]) for i in exact) / total_w
+            sum(float(weights[i]) * float(targets[i, j]) for i in exact) / total_w
             for j in range(m)
         ])
     if len(ranked) == 1:
-        return np.array([float(store.targets[ranked[0], j]) for j in range(m)])
-    total_w = sum(float(store.weights[i]) / distances[i] for i in ranked)
+        return np.array([float(targets[ranked[0], j]) for j in range(m)])
+    total_w = sum(float(weights[i]) / distances[i] for i in ranked)
     return np.array([
-        sum((float(store.weights[i]) / distances[i]) * float(store.targets[i, j])
+        sum((float(weights[i]) / distances[i]) * float(targets[i, j])
             for i in ranked) / total_w
         for j in range(m)
     ])
 
 
-def minmax_vote_oracle(store: InstanceStore, queries: np.ndarray, cfg: KnnConfig) -> np.ndarray:
+def minmax_vote_oracle(features: np.ndarray, targets: np.ndarray, weights: np.ndarray,
+                       queries: np.ndarray, k: int) -> np.ndarray:
     """The vote as models with min-max scaled targets gave it.
 
     Scale each stored target column onto [0, 1] by its minimum and maximum
     (a constant column maps to 0), vote with ``predict_knn_batch``, invert
     the scaling, then floor at 0.
     """
-    lo, hi = store.targets.min(axis=0), store.targets.max(axis=0)
+    lo, hi = targets.min(axis=0), targets.max(axis=0)
     span = hi - lo
     varies = span > 0
-    scaled = np.zeros_like(store.targets)
-    scaled[:, varies] = (store.targets[:, varies] - lo[varies]) / span[varies]
-    scaled_store = InstanceStore(store.features, scaled, store.source_tags, store.weights)
-    votes = predict_knn_batch(scaled_store, queries, cfg)
+    scaled = np.zeros_like(targets)
+    scaled[:, varies] = (targets[:, varies] - lo[varies]) / span[varies]
+    votes = predict_knn_batch(features, scaled, weights, queries, k)
     return np.maximum(votes * span + lo, 0.0)
 
 

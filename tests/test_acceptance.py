@@ -22,7 +22,7 @@ from regio_forecast.ingest import (
     region_by_name,
     split_train_test,
 )
-from regio_forecast.knn import InstanceStore, KnnConfig, predict_knn_batch
+from regio_forecast.knn import predict_knn_batch
 from regio_forecast.mtl import predict_monitoring, train_mtl
 from regio_forecast.ppe import predict_ppe_kits
 from regio_forecast.scaling import (
@@ -95,21 +95,19 @@ def test_knn_oracle_equivalence():
                 x = rng.normal(size=(n, d))
             y = rng.normal(size=(n, 3))
             w = rng.uniform(0.2, 4.0, size=n)
-            store = InstanceStore(x, y, weights=w)
             q = x[int(rng.integers(n))] if trial % 3 == 0 else \
                 rng.integers(0, 3, size=d).astype(float)
-            cfg = KnnConfig(k=int(rng.integers(1, 10)))
-            assert np.allclose(predict_knn_batch(store, [q], cfg)[0],
-                               knn_oracle(store, q, cfg), atol=1e-10)
+            k = int(rng.integers(1, 10))
+            assert np.allclose(predict_knn_batch(x, y, w, [q], k)[0],
+                               knn_oracle(x, y, w, q, k), atol=1e-10)
 
         for _ in range(100):
             n = int(rng.integers(2, 40))
             d = int(rng.integers(1, 6))
             x = np.unique(rng.normal(size=(n, d)), axis=0)
             y = rng.normal(size=(x.shape[0], 2))
-            store = InstanceStore(x, y)
             i = int(rng.integers(x.shape[0]))
-            assert np.array_equal(predict_knn_batch(store, [x[i]], KnnConfig(k=6))[0], y[i])
+            assert np.array_equal(predict_knn_batch(x, y, np.ones(len(y)), [x[i]], 6)[0], y[i])
 
         assert time.perf_counter() - started < 10.0
 
@@ -134,17 +132,18 @@ def test_transfer_algebra():
             return x, np.vstack([p.targets for p in parts])
 
         xu, yu = scaled(model_union, [*datasets[1:], case_train])
-        union_store = InstanceStore(xu, yu)
         xs, ys = scaled(model_solo, [case_train])
-        solo_store = InstanceStore(xs, ys)
+
+        def vote(m, x, y, q):
+            """The model's vote, and plain kNN's on (x, y) with its k."""
+            return (predict_knn_batch(m.features, m.targets, m.weights, [q], m.k)[0],
+                    predict_knn_batch(x, y, np.ones(len(y)), [q], m.k)[0])
 
         for _ in range(100):
             q = rng.normal(size=xu.shape[1])
             q /= np.linalg.norm(q)
-            assert np.allclose(predict_knn_batch(model_union.store, [q], model_union.cfg)[0],
-                               predict_knn_batch(union_store, [q], model_union.cfg)[0], atol=1e-10)
-            assert np.allclose(predict_knn_batch(model_solo.store, [q], model_solo.cfg)[0],
-                               predict_knn_batch(solo_store, [q], model_solo.cfg)[0], atol=1e-10)
+            assert np.allclose(*vote(model_union, xu, yu, q), atol=1e-10)
+            assert np.allclose(*vote(model_solo, xs, ys, q), atol=1e-10)
 
 
 def test_kit_demand_laws():

@@ -1,14 +1,22 @@
 import dataclasses
 import json
+import os
 import re
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import regio_forecast
 from regio_forecast.artifact import MAX_HEADER_BYTES, load_model, save_model
 from regio_forecast.errors import DataError
-from regio_forecast.knn import InstanceStore
-from regio_forecast.mtl import predict_monitoring, train_mtl
+from regio_forecast.features import DEFAULT_SELECTED_FEATURES
+from regio_forecast.ingest import region_by_name
+from regio_forecast.mtl import MtlModel, predict_monitoring, train_mtl
+from regio_forecast.scaling import QuantileNormalScaler
 
 from oracles import artifact_bytes_oracle, read_artifact_oracle
 
@@ -43,25 +51,24 @@ def test_artifact_layout(trained_small_model, tmp_path):
     }
     assert len(header["feature_codes"]) == 13
     assert body == b"".join([model.feature_scaler.landmarks.astype("<f8").tobytes(),
-                             model.store.features.astype("<f8").tobytes(),
-                             model.store.targets.astype("<f8").tobytes(),
-                             model.store.source_tags.astype("<i8").tobytes()])
+                             model.features.astype("<f8").tobytes(),
+                             model.targets.astype("<f8").tobytes(),
+                             model.source_tags.astype("<i8").tobytes()])
 
 
 def test_edge_values_roundtrip_bit_for_bit(trained_small_model, tmp_path):
     model, _, _ = trained_small_model
-    features = model.store.features.copy()
+    features = model.features.copy()
     features[:6, 0] = [-0.0, 5e-324, 1e-310, -1e308, np.pi, 2.0 ** -1074]
-    tags = model.store.source_tags.copy()
+    tags = model.source_tags.copy()
     tags[:3] = [-1, 9, 2 ** 62]       # pooled tags, so weights stay 1.0
-    edged = dataclasses.replace(model, store=InstanceStore(
-        features, model.store.targets, tags, model.store.weights))
+    edged = dataclasses.replace(model, features=features, source_tags=tags)
     path = tmp_path / "model.json"
     save_model(edged, path)
     clone = load_model(path)
-    assert clone.store.features.tobytes() == features.tobytes()
-    assert clone.store.source_tags.tobytes() == tags.tobytes()
-    assert not clone.store.features.flags.writeable
+    assert clone.features.tobytes() == features.tobytes()
+    assert clone.source_tags.tobytes() == tags.tobytes()
+    assert not clone.features.flags.writeable
 
 
 def _saved_parts(model, tmp_path):
@@ -116,8 +123,8 @@ def _header_cuts(data, _):
 def _array_boundary_cuts(data, model):
     """Cuts at the start and end of each array, and one byte either side."""
     at, ends = data.index(b"\n") + 1, []
-    for values in (model.feature_scaler.landmarks, model.store.features, model.store.targets,
-                   model.store.source_tags):
+    for values in (model.feature_scaler.landmarks, model.features, model.targets,
+                   model.source_tags):
         ends.append(at)
         at += values.nbytes
     assert at == len(data)
@@ -160,20 +167,87 @@ def test_header_of_the_largest_size_loads(trained_small_model, tmp_path):
     end = data.index(b"\n")
     padded = tmp_path / "padded.json"
     padded.write_bytes(data[:end].ljust(MAX_HEADER_BYTES) + data[end:])
-    assert load_model(padded).store.features.tobytes() == model.store.features.tobytes()
+    assert load_model(padded).features.tobytes() == model.features.tobytes()
+
+
+def test_model_loads_from_a_pipe(trained_small_model, tmp_path):
+    """A pipe's size reads 0, so the body is read to its end, not to that size."""
+    model, _, _ = trained_small_model
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    data = path.read_bytes()
+    assert len(data) < 1 << 16              # fits the pipe's buffer: no writer thread
+    r, w = os.pipe()
+    try:
+        os.write(w, data)
+        os.close(w)
+        clone = load_model(f"/dev/fd/{r}")
+    finally:
+        os.close(r)
+    assert clone.features.tobytes() == model.features.tobytes()
 
 
 def test_roundtrip_derives_store_weights(small_datasets, tmp_path):
     case = small_datasets[0]
     model, _ = train_mtl(small_datasets, case.region, range(30), generic_weight=0.5)
-    assert set(model.store.weights.tolist()) == {0.5, 1.0}
+    assert set(model.weights.tolist()) == {0.5, 1.0}
     path = tmp_path / "model.json"
     save_model(model, path)
     clone = load_model(path)
     for name in ("features", "targets", "source_tags", "weights"):
-        a, b = getattr(clone.store, name), getattr(model.store, name)
+        a, b = getattr(clone, name), getattr(model, name)
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
     assert clone.feature_scaler.landmarks.tobytes() == model.feature_scaler.landmarks.tobytes()
     assert clone.generic_weight == 0.5
     test = case.subset(range(30, case.n_rows))
     assert np.array_equal(predict_monitoring(clone, test), predict_monitoring(model, test))
+
+
+# Writes a model and a text file in the directory argv[2] under the umask
+# argv[1] (octal), then prints both files' permission bits.
+_UMASK_CHILD = """
+import os, sys
+from pathlib import Path
+from regio_forecast.artifact import atomic_write_text, load_model, save_model
+os.umask(int(sys.argv[1], 8))
+out = Path(sys.argv[2])
+save_model(load_model(out / "source.json"), out / "model.json")
+atomic_write_text(out / "report.json", "{}")
+print(" ".join(oct((out / name).stat().st_mode & 0o777) for name in ("model.json", "report.json")))
+"""
+
+
+@pytest.mark.parametrize("umask, mode", [("022", "0o644"), ("077", "0o600")])
+def test_outputs_get_the_umask_mode(trained_small_model, tmp_path, umask, mode):
+    model, _, _ = trained_small_model
+    save_model(model, tmp_path / "source.json")
+    env = {**os.environ, "PYTHONPATH": str(Path(regio_forecast.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", _UMASK_CHILD, umask, str(tmp_path)],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [mode, mode]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["model.json", "report.json",
+                                                          "source.json"]
+
+
+def test_load_holds_the_body_in_memory_once(tmp_path):
+    """The arrays are views of one buffer: no second copy of the body."""
+    rng = np.random.default_rng(3)
+    n, codes = 8000, DEFAULT_SELECTED_FEATURES
+    landmarks = np.sort(rng.normal(size=(len(codes), 1000)), axis=1)
+    model = MtlModel(QuantileNormalScaler(codes, landmarks), rng.normal(size=(n, len(codes))),
+                     rng.integers(0, 100, size=(n, 4)), np.zeros(n, dtype=int), 6, 1.0,
+                     region_by_name("alberta"))
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    body = len(path.read_bytes().split(b"\n", 1)[1])
+    assert body >= 1 << 20
+    tracemalloc.start()
+    try:
+        clone = load_model(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert clone.features.tobytes() == model.features.tobytes()
+    assert not clone.targets.flags.writeable and not clone.feature_scaler.landmarks.flags.writeable
+    assert peak < 1.25 * body

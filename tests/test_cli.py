@@ -88,8 +88,10 @@ def test_bad_test_days_exits_2(data_dir, tmp_path):
         "train-generic-weight-1e308", "train-generic-weight-1.5", "synth-noise"])
 def test_out_of_range_flag_exits_2_naming_it(data_dir, tmp_path, capsys,
                                              command, flag, value, message):
-    code = run([command, "--data-dir", data_dir, "--case-study", "alberta", "--test-days", "16",
-                flag, value, "--out", tmp_path / "x"])
+    # each command gets only the flags it reads
+    regional = {"synth": [], "rotate": ["--data-dir", data_dir, "--test-days", "16"]}.get(
+        command, ["--data-dir", data_dir, "--case-study", "alberta", "--test-days", "16"])
+    code = run([command, *regional, flag, value, "--out", tmp_path / "x"])
     assert code == 2
     assert capsys.readouterr().err == f"config error: {message}\n"
     assert not (tmp_path / "x").exists()
@@ -440,8 +442,10 @@ def test_missing_cell_on_earliest_date_exits_3_naming_its_row(data_dir, tmp_path
 
 @pytest.mark.parametrize("command", ["synth", "train", "evaluate", "rotate"])
 def test_negative_seed_exits_2(data_dir, tmp_path, capsys, command):
-    common = ["--data-dir", data_dir, "--case-study", "alberta", "--test-days", "16",
-              "--bootstrap", "10", "--out", tmp_path / "x"]
+    case = ["--data-dir", data_dir, "--case-study", "alberta", "--test-days", "16"]
+    common = {"synth": [], "train": case, "evaluate": case + ["--bootstrap", "10"],
+              "rotate": ["--data-dir", data_dir, "--test-days", "16", "--bootstrap", "10"]
+              }[command] + ["--out", tmp_path / "x"]
     assert run([command, "--seed", "-1"] + common) == 2
     assert capsys.readouterr().err == "config error: seed must be >= 0, got -1\n"
     cfg = tmp_path / "run.json"
@@ -748,6 +752,35 @@ def test_duplicate_region_files_exit_3(data_dir, tmp_path, capsys):
     assert "MANITOBA.csv" in err and "manitoba.csv" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["predict", "--model", "m.json", "--input", "a.csv", "--k", "0", "--generic-weight", "5",
+     "--test-days", "1"],
+    ["synth", "--k", "0", "--bootstrap", "-5", "--selection", "ranked"],
+    ["relevance", "--data-dir", "d", "--k", "-4", "--top-n", "0"],
+    ["train", "--data-dir", "d", "--bootstrap", "0"],
+    ["predict", "--model", "m.json", "--input", "a.csv", "--k", "0"],
+], ids=["predict", "synth", "relevance", "train", "predict-k"])
+def test_flag_the_command_does_not_read_exits_2(tmp_path, capsys, argv):
+    assert run(argv + ["--out", tmp_path / "x"]) == 2
+    assert "error: unrecognized arguments: --" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+def test_one_config_file_serves_every_command(data_dir, tmp_path):
+    """A config file may hold keys a command does not read."""
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({
+        "data_dir": str(data_dir), "case_study": "alberta", "k": 5, "generic_weight": 0.5,
+        "test_days": 16, "seed": 2, "bootstrap": 20, "selection": "default", "top_n": 9,
+        "out": str(tmp_path / "run"), "ppe_operating_capacity": 0.5, "ppe_personnel": 50.0}))
+    model, series = tmp_path / "run" / "model.json", data_dir / "alberta.csv"
+    for argv in (["train"], ["evaluate"], ["rotate"], ["relevance"],
+                 ["predict", "--model", model, "--input", series],
+                 ["ppe", "--model", model, "--input", series]):
+        assert run(argv + ["--config", cfg]) == 0, argv
+    assert read_artifact_oracle(model)[0]["k"] == 5
+
+
 def test_rotate_ranked_selection_exits_2(data_dir, tmp_path, capsys):
     code = run(["rotate", "--data-dir", data_dir, "--test-days", "12",
                 "--bootstrap", "20", "--selection", "ranked", "--top-n", "5",
@@ -950,17 +983,19 @@ def test_every_numeric_flag_value_exits_0_2_or_3_without_warnings(tmp_path):
     assert run(["train", "--data-dir", data, "--case-study", "alberta", "--test-days", "5",
                 "--out", model_dir]) == 0
     series = ["--model", model_dir / "model.json", "--input", data / "alberta.csv"]
-    bases = {"synth": ["--regions", "1", "--rows", "10"], "predict": series, "ppe": series}
-    regional = ["--data-dir", data, "--case-study", "alberta", "--test-days", "5",
-                "--bootstrap", "20"]
+    case = ["--data-dir", data, "--case-study", "alberta", "--test-days", "5"]
+    bases = {"synth": ["--regions", "1", "--rows", "10"], "predict": series, "ppe": series,
+             "train": case, "evaluate": case + ["--bootstrap", "20"], "relevance": case[:4],
+             "rotate": ["--data-dir", data, "--test-days", "5", "--bootstrap", "20"]}
     commands = next(a for a in build_parser()._actions
                     if isinstance(a, argparse._SubParsersAction)).choices
-    cases = [[command, *map(str, bases.get(command, regional)), "--out", str(out),
+    cases = [[command, *map(str, bases[command]), "--out", str(out),
               action.option_strings[0], value]
              for command, parser in commands.items()
              for action in parser._actions if action.type in (int, float)
              for value in ("0", "-1", str(2**31), str(10**11), "1e308", "nan", "inf")]
-    assert len(cases) >= 7 * 7 * 6          # 7 values of 6 shared flags on 7 subcommands
+    # 7 values of each int or float flag: synth 4, train 5, evaluate 6, rotate 5, ppe 2
+    assert len(cases) == 7 * 22
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
            "PYTHONPATH": str(Path(regio_forecast.__file__).parents[1])}
     proc = subprocess.run([sys.executable, "-c", _SWEEP_CHILD], input=json.dumps(cases),

@@ -464,7 +464,7 @@ def test_split_bad_test_size(small_datasets):
 def test_pool_excludes_case_study(small_datasets):
     case = small_datasets[0]
     model, report = train_mtl(small_datasets, case.region, range(10))
-    pooled = model.store.source_tags[:report.generic_instances]
+    pooled = model.source_tags[:report.generic_instances]
     assert set(pooled.tolist()) == {ds.region.code for ds in small_datasets[1:]}
     assert report.generic_instances == sum(ds.n_rows for ds in small_datasets[1:])
 
@@ -480,7 +480,7 @@ def test_pool_keeps_all_when_exclude_absent(small_datasets):
     two, case = list(small_datasets[:2]), small_datasets[2]
     model, report = train_mtl(two + [case], case.region, range(10))
     assert report.generic_instances == sum(ds.n_rows for ds in two)
-    pooled = model.store.source_tags[:report.generic_instances]
+    pooled = model.source_tags[:report.generic_instances]
     assert set(pooled.tolist()) == {ds.region.code for ds in two}
 
 

@@ -3,30 +3,55 @@ import pytest
 
 from regio_forecast import knn
 from regio_forecast.errors import ConfigError, DataError
-from regio_forecast.knn import InstanceStore, KnnConfig, neighbours, predict_knn_batch
+from regio_forecast.features import PRIMARY_FEATURE_CODES
+from regio_forecast.ingest import region_by_name
+from regio_forecast.knn import neighbours, predict_knn_batch
+from regio_forecast.mtl import MtlModel
+from regio_forecast.scaling import QuantileNormalScaler
 
 from oracles import knn_oracle
 
+ALBERTA = region_by_name("alberta")     # region code 0
+
 
 def two_point_store():
-    return InstanceStore(np.array([[0.0], [1.0]]), np.array([[0.0], [10.0]]))
+    """Features, targets and vote weights of two instances."""
+    return np.array([[0.0], [1.0]]), np.array([[0.0], [10.0]]), np.ones(2)
+
+
+def unweighted(x, y):
+    return x, y, np.ones(len(x))
+
+
+def model(features, targets, tags=None, generic_weight=1.0, width=2, k=6):
+    """A hand-built model whose scaler names the first ``width`` primary features."""
+    scaler = QuantileNormalScaler(PRIMARY_FEATURE_CODES[:width], np.zeros((width, 2)))
+    tags = np.zeros(len(targets), dtype=int) if tags is None else tags
+    return MtlModel(scaler, features, targets, tags, k, generic_weight, ALBERTA)
 
 
 def test_config_validation():
-    with pytest.raises(ConfigError, match="^k must be >= 1, got 0$"):
-        KnnConfig(k=0)
-    assert KnnConfig().k == 6
+    store = two_point_store()
+    for k in (0, -1):
+        with pytest.raises(ConfigError, match=f"^k must be >= 1, got {k}$"):
+            predict_knn_batch(*store, [[0.0]], k)
+        with pytest.raises(ConfigError, match=f"^k must be >= 1, got {k}$"):
+            model(np.ones((3, 2)), np.ones((3, 1)), k=k)
+    with pytest.raises(ConfigError, match="^k must be an integer, got True$"):
+        model(np.ones((3, 2)), np.ones((3, 1)), k=True)
 
 
 def test_fit_memorizes_rows(rng):
     x = rng.normal(size=(308, 13))
-    y = rng.normal(size=(308, 4))
-    store = InstanceStore(x, y)
-    assert len(store) == 308
-    assert np.array_equal(store.features, x)
-    assert np.array_equal(store.targets, y)
-    assert np.all(store.weights == 1.0)
-    assert np.all(store.source_tags == -1)
+    y = rng.uniform(0, 100, size=(308, 4))
+    tags = np.where(np.arange(308) < 200, 3, 0)     # pooled rows, then Alberta's
+    m = model(x, y, tags, generic_weight=0.5, width=13)
+    assert len(m.targets) == 308
+    assert np.array_equal(m.features, x)
+    assert np.array_equal(m.targets, y)
+    assert np.array_equal(m.source_tags, tags)
+    assert np.array_equal(m.weights, np.where(tags == 0, 1.0, 0.5))
+    assert not m.features.flags.writeable and not m.source_tags.flags.writeable
 
 
 @pytest.mark.parametrize("fields, message", [
@@ -34,50 +59,53 @@ def test_fit_memorizes_rows(rng):
      r"^features and targets must be 2-D, got shapes \(3,\) and \(3, 1\)$"),
     ((np.ones((3, 2)), np.ones((2, 1))),
      "^instance counts disagree across store fields: 3 feature rows, 2 target rows, "
-     "3 tags, 3 weights$"),
+     "2 tags$"),
     ((np.ones((3, 2)), np.ones((3, 1)), [0, 1]),
      "^instance counts disagree across store fields: 3 feature rows, 3 target rows, "
-     "2 tags, 3 weights$"),
-    ((np.ones((3, 2)), np.ones((3, 1)), None, [1.0, 0.0, 1.0]),
+     "2 tags$"),
+    ((np.ones((3, 2)), np.ones((3, 1)), [0, 1, 0], 0.0),
      "^source weights must be strictly positive$"),
-    ((np.ones((3, 2)), np.ones((3, 1)), None, [1.0, np.nan, 1.0]),
+    ((np.ones((3, 2)), np.ones((3, 1)), [0, 1, 0], np.nan),
      "^source weights must be strictly positive$"),
 ], ids=["one_dimensional", "targets", "tags", "zero_weight", "nan_weight"])
 def test_store_rejects_inconsistent_fields(fields, message):
     with pytest.raises(DataError, match=message):
-        InstanceStore(*fields)
+        model(*fields)
 
 
 def test_fit_empty_rejected():
     with pytest.raises(DataError, match="^cannot fit on zero rows$"):
-        InstanceStore(np.empty((0, 3)), np.empty((0, 1)))
+        model(np.empty((0, 3)), np.empty((0, 1)), width=3)
+    with pytest.raises(DataError, match=r"^features must be a non-empty 2-D array, "
+                                        r"got shape \(0, 3\)$"):
+        neighbours(np.empty((0, 3)), np.zeros((1, 3)), 1)
 
 
 def test_fit_ragged_rows_rejected():
     with pytest.raises(DataError, match="^ragged training rows: "):
-        InstanceStore([[1.0] * 13, [1.0] * 12], [[0.0], [0.0]])
+        model([[1.0] * 13, [1.0] * 12], [[0.0], [0.0]], width=13)
 
 
 def test_predict_exact_match_short_circuit():
     store = two_point_store()
-    assert predict_knn_batch(store, [[0.0]], KnnConfig(k=2))[0, 0] == 0.0
+    assert predict_knn_batch(*store, [[0.0]], 2)[0, 0] == 0.0
 
 
 def test_predict_equidistant_mean():
     store = two_point_store()
-    assert predict_knn_batch(store, [[0.5]], KnnConfig(k=2))[0, 0] == pytest.approx(5.0)
+    assert predict_knn_batch(*store, [[0.5]], 2)[0, 0] == pytest.approx(5.0)
 
 
 def test_predict_inverse_distance_weights():
     # w = 1/d: (4*0 + (4/3)*10) / (4 + 4/3) = 2.5
     store = two_point_store()
-    assert predict_knn_batch(store, [[0.25]], KnnConfig(k=2))[0, 0] == pytest.approx(2.5)
+    assert predict_knn_batch(*store, [[0.25]], 2)[0, 0] == pytest.approx(2.5)
 
 
 def test_predict_dimension_mismatch():
     store = two_point_store()
     with pytest.raises(DataError, match="^query has 2 dims, store has 1$"):
-        predict_knn_batch(store, [[0.0, 1.0]], KnnConfig(k=1))
+        predict_knn_batch(*store, [[0.0, 1.0]], 1)
 
 
 def _oracle_cases(rng):
@@ -134,13 +162,12 @@ def _oracle_cases(rng):
 def test_oracle_equivalence_random_cases(rng):
     """Predictor equals the plain-loop oracle: exact matches, tied and
     near-tied distances, duplicated points and all-zero rows."""
-    cfgs = [KnnConfig(k=k) for k in (1, 2, 6, 50)]
     for trial, (x, q) in enumerate(_oracle_cases(rng)):
         n = x.shape[0]
-        store = InstanceStore(x, rng.normal(size=(n, 2)), weights=rng.uniform(0.1, 3.0, size=n))
-        cfg = cfgs[trial % len(cfgs)]
-        assert np.allclose(predict_knn_batch(store, [q], cfg)[0],
-                           knn_oracle(store, q, cfg), atol=1e-10)
+        store = x, rng.normal(size=(n, 2)), rng.uniform(0.1, 3.0, size=n)
+        k = (1, 2, 6, 50)[trial % 4]
+        assert np.allclose(predict_knn_batch(*store, [q], k)[0],
+                           knn_oracle(*store, q, k), atol=1e-10)
 
 
 def test_overflowing_store_matches_oracle(rng):
@@ -152,19 +179,20 @@ def test_overflowing_store_matches_oracle(rng):
         x[:, 0] = 1e200
         q = rng.integers(0, 3, size=d).astype(float)
         q[0] = 1e200
-        store = InstanceStore(x, rng.normal(size=(n, 2)), weights=rng.uniform(0.1, 3.0, size=n))
-        cfg = KnnConfig(k=(1, 2, 6)[trial % 3])
-        assert np.allclose(predict_knn_batch(store, [q], cfg)[0],
-                           knn_oracle(store, q, cfg), atol=1e-10)
+        store = x, rng.normal(size=(n, 2)), rng.uniform(0.1, 3.0, size=n)
+        k = (1, 2, 6)[trial % 3]
+        assert np.allclose(predict_knn_batch(*store, [q], k)[0],
+                           knn_oracle(*store, q, k), atol=1e-10)
 
 
-def _exhaustive_scan(store, query, cfg):
+def _exhaustive_scan(store, query, k):
     """Full-store distances and a stable sort: the scan the shortlist replaces."""
-    diffs = store.features - query
+    features, targets, weights = store
+    diffs = features - query
     d = np.sqrt(np.einsum("ij,ij->i", diffs, diffs))
-    k = min(cfg.k, len(store))
+    k = min(k, len(features))
     order = np.argsort(d, kind="stable")[:k]
-    nd, nw, ny = d[order], store.weights[order], store.targets[order]
+    nd, nw, ny = d[order], weights[order], targets[order]
     zero = nd == 0.0
     if np.any(zero):
         if zero.sum() == 1:
@@ -188,13 +216,13 @@ def test_matches_exhaustive_scan_bit_for_bit(rng, monkeypatch):
         else:
             x = rng.normal(size=(n, d))
             x /= np.linalg.norm(x, axis=1, keepdims=True)
-        store = InstanceStore(x, rng.normal(size=(n, 4)), weights=rng.uniform(0.1, 3.0, size=n))
+        store = x, rng.normal(size=(n, 4)), rng.uniform(0.1, 3.0, size=n)
         queries = np.vstack([x[rng.integers(n, size=5)],
                              x.mean(axis=0) + rng.normal(size=(5, d)) * x.std()])
-        cfg = KnnConfig(k=(1, 2, 6, 50)[trial % 4])
-        batch = predict_knn_batch(store, queries, cfg)
+        k = (1, 2, 6, 50)[trial % 4]
+        batch = predict_knn_batch(*store, queries, k)
         for row, q in zip(batch, queries):
-            assert np.array_equal(row, _exhaustive_scan(store, q, cfg))
+            assert np.array_equal(row, _exhaustive_scan(store, q, k))
 
 
 def _branch_cases(rng, k, above):
@@ -287,13 +315,12 @@ def _branch_cases(rng, k, above):
 @pytest.mark.parametrize("k", [1, 6, 9, 50])
 def test_both_shortlist_bounds_match_exhaustive_scan_bit_for_bit(rng, monkeypatch, k, above):
     monkeypatch.setattr(knn, "_BLOCK_CELLS", 4000)     # several queries per block
-    cfg = KnnConfig(k=k)
     for x, queries in _branch_cases(rng, k, above):
         n = x.shape[0]
-        store = InstanceStore(x, rng.normal(size=(n, 4)), weights=rng.uniform(0.1, 3.0, size=n))
-        batch = predict_knn_batch(store, queries, cfg)
+        store = x, rng.normal(size=(n, 4)), rng.uniform(0.1, 3.0, size=n)
+        batch = predict_knn_batch(*store, queries, k)
         for row, q in zip(batch, queries):
-            assert np.array_equal(row, _exhaustive_scan(store, q, cfg))
+            assert np.array_equal(row, _exhaustive_scan(store, q, k))
 
 
 @pytest.mark.parametrize("above", [False, True], ids=["below_16k", "from_16k"])
@@ -303,9 +330,8 @@ def test_neighbours_are_the_stable_scan_order(rng, monkeypatch, k, above):
     ties go to the lower index."""
     monkeypatch.setattr(knn, "_BLOCK_CELLS", 4000)
     for x, queries in _branch_cases(rng, k, above):
-        store = InstanceStore(x, np.zeros((x.shape[0], 1)))
-        idx, dist = neighbours(store, queries, k)
-        assert idx.shape == dist.shape == (len(queries), min(k, len(store)))
+        idx, dist = neighbours(x, queries, k)
+        assert idx.shape == dist.shape == (len(queries), min(k, len(x)))
         for i, q in enumerate(queries):
             diffs = x - q
             scan = np.sqrt(np.einsum("ij,ij->i", diffs, diffs))
@@ -319,7 +345,6 @@ def test_shortlists_stay_near_k(rng, monkeypatch):
     a margin that grew into a near-full scan would still give right answers."""
     x = rng.normal(size=(20_000, 13))
     x /= np.linalg.norm(x, axis=1, keepdims=True)
-    store = InstanceStore(x, np.zeros((20_000, 1)))
     queries = rng.normal(size=(500, 13))
     queries /= np.linalg.norm(queries, axis=1, keepdims=True)
     computed = []
@@ -330,29 +355,32 @@ def test_shortlists_stay_near_k(rng, monkeypatch):
         return exact_distances(features, q, rows, cols)
 
     monkeypatch.setattr(knn, "_exact_distances", counting)
-    neighbours(store, queries, 6)
+    neighbours(x, queries, 6)
     assert 6 * 500 <= sum(computed) <= 7 * 500
 
 
 def test_neighbours_rejects_bad_k_and_shapes():
-    store = two_point_store()
+    features = two_point_store()[0]
     with pytest.raises(ConfigError, match="^k must be >= 1, got 0$"):
-        neighbours(store, [[0.0]], 0)
+        neighbours(features, [[0.0]], 0)
     with pytest.raises(DataError, match=r"^queries must be 2-D, got shape \(1,\)$"):
-        neighbours(store, [0.0], 1)
-    idx, dist = neighbours(store, np.empty((0, 1)), 3)
+        neighbours(features, [0.0], 1)
+    with pytest.raises(DataError, match=r"^features must be a non-empty 2-D array, "
+                                        r"got shape \(2,\)$"):
+        neighbours(features.ravel(), [[0.0]], 1)
+    idx, dist = neighbours(features, np.empty((0, 1)), 3)
     assert idx.shape == dist.shape == (0, 2)
 
 
 def test_k_larger_than_store_uses_all():
     store = two_point_store()
-    out = predict_knn_batch(store, [[0.5]], KnnConfig(k=10))[0]
+    out = predict_knn_batch(*store, [[0.5]], 10)[0]
     assert out[0] == pytest.approx(5.0)
 
 
 def test_single_instance_store(rng):
-    store = InstanceStore(np.array([[1.0, 2.0]]), np.array([[7.0]]))
-    assert predict_knn_batch(store, [rng.normal(size=2)], KnnConfig(k=6))[0, 0] == 7.0
+    store = np.array([[1.0, 2.0]]), np.array([[7.0]]), np.ones(1)
+    assert predict_knn_batch(*store, [rng.normal(size=2)], 6)[0, 0] == 7.0
 
 
 def test_interpolation_at_training_points(rng):
@@ -362,17 +390,15 @@ def test_interpolation_at_training_points(rng):
         d = int(rng.integers(1, 5))
         x = np.unique(rng.normal(size=(n, d)), axis=0)
         y = rng.normal(size=(x.shape[0], 3))
-        store = InstanceStore(x, y)
         i = int(rng.integers(x.shape[0]))
-        assert np.array_equal(predict_knn_batch(store, [x[i]], KnnConfig(k=4))[0], y[i])
+        assert np.array_equal(predict_knn_batch(*unweighted(x, y), [x[i]], 4)[0], y[i])
 
 
 def test_prediction_within_neighbor_hull(rng):
     for _ in range(50):
         x = rng.normal(size=(20, 3))
         y = rng.normal(size=(20, 2))
-        store = InstanceStore(x, y)
-        out = predict_knn_batch(store, [rng.normal(size=3)], KnnConfig(k=5))[0]
+        out = predict_knn_batch(*unweighted(x, y), [rng.normal(size=3)], 5)[0]
         assert np.all(out <= y.max(axis=0) + 1e-12)
         assert np.all(out >= y.min(axis=0) - 1e-12)
 
@@ -381,24 +407,22 @@ def test_permutation_invariance_generic_position(rng):
     x = rng.normal(size=(25, 4))
     y = rng.normal(size=(25, 2))
     perm = rng.permutation(25)
-    store_a = InstanceStore(x, y)
-    store_b = InstanceStore(x[perm], y[perm])
+    store_a = unweighted(x, y)
+    store_b = unweighted(x[perm], y[perm])
     for _ in range(20):
         q = rng.normal(size=4)
-        assert np.allclose(predict_knn_batch(store_a, [q], KnnConfig(k=6))[0],
-                           predict_knn_batch(store_b, [q], KnnConfig(k=6))[0], atol=1e-12)
+        assert np.allclose(predict_knn_batch(*store_a, [q], 6)[0],
+                           predict_knn_batch(*store_b, [q], 6)[0], atol=1e-12)
 
 
 def test_weight_scaling_invariance(rng):
     x = rng.normal(size=(20, 3))
     y = rng.normal(size=(20, 2))
     w = rng.uniform(0.5, 2.0, size=20)
-    store_a = InstanceStore(x, y, weights=w)
-    store_b = InstanceStore(x, y, weights=w * 37.5)
     for _ in range(20):
         q = rng.normal(size=3)
-        assert np.allclose(predict_knn_batch(store_a, [q], KnnConfig(k=5))[0],
-                           predict_knn_batch(store_b, [q], KnnConfig(k=5))[0], atol=1e-12)
+        assert np.allclose(predict_knn_batch(x, y, w, [q], 5)[0],
+                           predict_knn_batch(x, y, w * 37.5, [q], 5)[0], atol=1e-12)
 
 
 def test_batch_prediction_matches_single(rng, monkeypatch):
@@ -406,9 +430,9 @@ def test_batch_prediction_matches_single(rng, monkeypatch):
     monkeypatch.setattr(knn, "_BLOCK_CELLS", 40)     # 2 queries per block of 15 instances
     x = rng.integers(0, 3, size=(15, 3)).astype(float)
     y = rng.normal(size=(15, 2))
-    store = InstanceStore(x, y, weights=rng.uniform(0.5, 2.0, size=15))
+    store = x, y, rng.uniform(0.5, 2.0, size=15)
     queries = np.vstack([x[:3], rng.integers(0, 3, size=(3, 3)), rng.normal(size=(3, 3))])
-    batch = predict_knn_batch(store, queries, KnnConfig(k=4))
+    batch = predict_knn_batch(*store, queries, 4)
     assert batch.shape == (9, 2)
     for i, q in enumerate(queries):
-        assert np.array_equal(batch[i], predict_knn_batch(store, [q], KnnConfig(k=4))[0])
+        assert np.array_equal(batch[i], predict_knn_batch(*store, [q], 4)[0])

@@ -6,13 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from regio_forecast import mtl
 from regio_forecast.artifact import save_model
 from regio_forecast.errors import ConfigError, DataError
 from regio_forecast.evaluation import rotate_regions
 from regio_forecast.ingest import RegionalDataset, split_train_test
-from regio_forecast.knn import InstanceStore, KnnConfig, predict_knn_batch
-from regio_forecast.mtl import predict_monitoring, train_mtl
-from regio_forecast.scaling import apply_quantile_scaler, l2_normalize_rows
+from regio_forecast.knn import predict_knn_batch
+from regio_forecast.mtl import MtlModel, predict_monitoring, train_mtl
+from regio_forecast.scaling import QuantileNormalScaler, apply_quantile_scaler, l2_normalize_rows
 from regio_forecast.synth import SyntheticSpec, generate_regions
 
 from oracles import minmax_vote_oracle
@@ -34,7 +35,7 @@ def test_store_cardinalities_full_scale():
     assert report.generic_instances == 6 * 362 == 2172
     assert report.case_train_rows == 308
     assert report.dedicated_instances == 2172 + 308 == 2480
-    assert len(model.store) == 2480
+    assert len(model.features) == len(model.targets) == len(model.source_tags) == 2480
 
 
 def test_train_generic_empty_pool(small_datasets):
@@ -57,42 +58,40 @@ def test_train_mtl_case_study_leak(small_datasets):
 def test_train_mtl_single_pool_region(small_datasets):
     case, other = small_datasets[0], small_datasets[1]
     model, report = train_mtl([case, other], case.region, range(10))
-    pooled = model.store.source_tags != case.region.code
+    pooled = model.source_tags != case.region.code
     assert pooled.sum() == report.generic_instances == other.n_rows
-    assert set(model.store.source_tags[pooled].tolist()) == {other.region.code}
+    assert set(model.source_tags[pooled].tolist()) == {other.region.code}
 
 
 def test_transfer_weights_scaled(small_datasets):
     case = small_datasets[0]
     model, report = train_mtl(small_datasets, case.region, range(10),
                               generic_weight=0.25)
-    pooled = model.store.source_tags != case.region.code
-    assert np.allclose(model.store.weights[pooled], 0.25)
+    pooled = model.source_tags != case.region.code
+    assert np.allclose(model.weights[pooled], 0.25)
     assert pooled.sum() == report.generic_instances
-    assert np.all(model.store.weights[~pooled] == 1.0)
+    assert np.all(model.weights[~pooled] == 1.0)
 
 
 def test_model_store_weights_must_follow_the_tags(small_datasets):
-    # the artifact does not store weights; loading derives them from the tags
+    # the weights are no field of the model: they follow from its tags, so
+    # neither training nor loading can store weights off that rule
     case = small_datasets[0]
     model, _ = train_mtl(small_datasets, case.region, range(10), generic_weight=0.25)
-    store = model.store
-    weights = store.weights.copy()
-    weights[0] = 0.5        # a pooled row
-    off_rule = InstanceStore(store.features, store.targets, store.source_tags, weights)
-    with pytest.raises(DataError, match="^store weights are not 1.0 on case-study rows "
-                                        "and the generic weight on pooled rows$"):
-        dataclasses.replace(model, store=off_rule)
-    with pytest.raises(DataError, match="^store weights are not 1.0"):
-        dataclasses.replace(model, generic_weight=0.5)
+    assert "weights" not in {f.name for f in dataclasses.fields(MtlModel)}
+    pooled = model.source_tags != case.region.code
+    moved = dataclasses.replace(model, generic_weight=0.5)
+    assert np.array_equal(moved.weights, np.where(pooled, 0.5, 1.0))
+    with pytest.raises(TypeError, match="weights"):
+        dataclasses.replace(model, weights=model.weights)
 
 
 def test_transfer_zero_weight_drops_instances(small_datasets):
     case = small_datasets[0]
     model, report = train_mtl(small_datasets, case.region, range(10),
                               generic_weight=0.0)
-    assert len(model.store) == report.case_train_rows == 10
-    assert set(model.store.source_tags.tolist()) == {case.region.code}
+    assert len(model.targets) == report.case_train_rows == 10
+    assert set(model.source_tags.tolist()) == {case.region.code}
 
 
 def test_transfer_negative_weight(small_datasets):
@@ -117,13 +116,12 @@ def test_lambda_one_equals_union_knn(small_datasets, rng):
                          generic_weight=1.0)
 
     x, y = scaled(model, [*small_datasets[1:], ds.subset(split.train_indices)])
-    union_store = InstanceStore(x, y)
 
     for _ in range(100):
         q = rng.normal(size=x.shape[1])
         q /= np.linalg.norm(q)
-        a = predict_knn_batch(model.store, [q], model.cfg)[0]
-        b = predict_knn_batch(union_store, [q], model.cfg)[0]
+        a = predict_knn_batch(model.features, model.targets, model.weights, [q], model.k)[0]
+        b = predict_knn_batch(x, y, np.ones(len(y)), [q], model.k)[0]
         assert np.allclose(a, b, atol=1e-10)
 
 
@@ -134,14 +132,13 @@ def test_lambda_zero_equals_dedicated_only_knn(small_datasets, rng):
                          generic_weight=0.0)
 
     x, y = scaled(model, [ds.subset(split.train_indices)])
-    dedicated_only = InstanceStore(x, y)
 
-    assert len(model.store) == len(split.train_indices)
+    assert len(model.targets) == len(split.train_indices)
     for _ in range(100):
         q = rng.normal(size=x.shape[1])
         q /= np.linalg.norm(q)
-        a = predict_knn_batch(model.store, [q], model.cfg)[0]
-        b = predict_knn_batch(dedicated_only, [q], model.cfg)[0]
+        a = predict_knn_batch(model.features, model.targets, model.weights, [q], model.k)[0]
+        b = predict_knn_batch(x, y, np.ones(len(y)), [q], model.k)[0]
         assert np.allclose(a, b, atol=1e-10)
 
 
@@ -166,23 +163,23 @@ def vote_cases(draw):
                             min_size=n, max_size=n))
     queries = np.array(draw(st.lists(point, min_size=1, max_size=4)))
     k = draw(st.one_of(st.just(1), st.integers(1, n), st.integers(n + 1, n + 5)))
-    return InstanceStore(features, targets, weights=np.array(weights)), queries, KnnConfig(k=k)
+    return (features, targets, np.array(weights)), queries, k
 
 
 @settings(deadline=None, max_examples=300, derandomize=True)
 @given(vote_cases())
 def test_raw_target_vote_matches_minmax_oracle(case):
     """Voting on raw counts gives the min-max scale, vote, invert, floor result."""
-    store, queries, cfg = case
-    raw = predict_knn_batch(store, queries, cfg)
+    store, queries, k = case
+    raw = predict_knn_batch(*store, queries, k)
     assert np.all(raw >= 0.0)
-    assert np.all(np.abs(raw - minmax_vote_oracle(store, queries, cfg)) <= 1e-12 * raw)
+    assert np.all(np.abs(raw - minmax_vote_oracle(*store, queries, k)) <= 1e-12 * raw)
 
 
 def test_pool_instances_never_carry_case_tag(trained_small_model, small_datasets):
     model, report, _ = trained_small_model
     case_code = small_datasets[0].region.code
-    tags = model.store.source_tags
+    tags = model.source_tags
     assert case_code not in set(tags[:report.generic_instances].tolist())
     assert np.all(tags[report.generic_instances:] == case_code)
 
@@ -241,3 +238,96 @@ def test_rotate_deterministic():
         for target in ra.intervals:
             for metric in ra.intervals[target]:
                 assert ra.intervals[target][metric] == rb.intervals[target][metric]
+
+
+def _landmarks_with(cell, value):
+    def change(model):
+        lm = model.feature_scaler.landmarks.copy()
+        lm[cell] = value            # an end of a landmark row, so the row stays sorted
+        return {"feature_scaler": QuantileNormalScaler(model.selected_features, lm)}
+    return change
+
+
+def _array_with(name, cell, value):
+    def change(model):
+        values = getattr(model, name).copy()
+        values[cell] = value
+        return {name: values}
+    return change
+
+
+def _codes(edit):
+    def change(model):
+        codes = list(model.selected_features)
+        edit(codes)
+        return {"feature_scaler": QuantileNormalScaler(codes, model.feature_scaler.landmarks)}
+    return change
+
+
+# The refusal of each rule a loaded artifact is checked by, as MtlModel words it
+@pytest.mark.parametrize("change, error, message", [
+    (_array_with("features", (5, 3), np.nan), DataError,
+     "model artifact holds a non-finite number (features)"),
+    (_array_with("features", (0, 0), -np.inf), DataError,
+     "model artifact holds a non-finite number (features)"),
+    (_landmarks_with((2, 0), np.nan), DataError,
+     "model artifact holds a non-finite number (landmarks)"),
+    (_landmarks_with((0, -1), np.inf), DataError,
+     "model artifact holds a non-finite number (landmarks)"),
+    (_array_with("targets", (7, 2), -1.0), DataError,
+     "model artifact holds a negative count (targets)"),
+    (lambda m: {"k": 0}, ConfigError, "k must be >= 1, got 0"),
+    (lambda m: {"k": True}, ConfigError, "k must be an integer, got True"),
+    (lambda m: {"generic_weight": 1.5}, DataError,
+     "model artifact's generic weight must be in [0, 1], got 1.5"),
+    (lambda m: {"generic_weight": float("nan")}, DataError,
+     "source weights must be strictly positive"),
+    (lambda m: {"features": m.features[:0], "targets": m.targets[:0],
+                "source_tags": m.source_tags[:0]}, DataError, "cannot fit on zero rows"),
+    (lambda m: {"features": [list(m.features[0]), list(m.features[1, :-1])]}, DataError,
+     "ragged training rows: "),
+    (lambda m: {"targets": m.targets[1:]}, DataError,
+     "instance counts disagree across store fields: 224 feature rows, 223 target rows, "
+     "224 tags"),
+    (lambda m: {"features": m.features[:, :-1]}, DataError,
+     "store has 12 feature columns for 13 selected features"),
+    (_codes(lambda codes: codes.__setitem__(0, "feat_99")), DataError,
+     "unknown selected feature codes: ['feat_99']"),
+    (_codes(lambda codes: codes.__setitem__(1, codes[0])), DataError,
+     "selected feature codes repeat: "),
+    (lambda m: {"generic_weight": 0.0}, DataError, "source weights must be strictly positive"),
+], ids=["features_nan", "features_-inf", "landmarks_nan", "landmarks_inf", "negative_target",
+        "k_0", "k_true", "generic_weight_1.5", "generic_weight_nan", "zero_rows", "ragged_rows",
+        "mismatched_counts", "width", "unknown_code", "repeated_code", "pooled_at_weight_0"])
+def test_trained_model_is_refused_by_every_artifact_rule(trained_small_model, change, error,
+                                                         message):
+    """A trained model changed to break one rule fails the same check, with
+    the same message, as an artifact loaded with that fault."""
+    model, _, _ = trained_small_model
+    with pytest.raises(error, match=f"^{re.escape(message)}"):
+        dataclasses.replace(model, **change(model))
+
+
+@pytest.mark.parametrize("kwargs, indices, error, message", [
+    ({"k": 0}, range(10), ConfigError, "k must be >= 1, got 0"),
+    ({"k": True}, range(10), ConfigError, "k must be an integer, got True"),
+    ({"generic_weight": 1.5}, range(10), ConfigError, "generic weight must be in [0, 1], got 1.5"),
+    ({"generic_weight": float("nan")}, range(10), ConfigError,
+     "generic weight must be in [0, 1], got nan"),
+    ({}, [], DataError, "no training rows for case study 'Alberta'"),
+    ({"selection": ("feat_99",) * 13}, range(10), ConfigError, "unknown feature code: 'feat_99'"),
+    ({"selection": ("feat_05",) * 13}, range(10), DataError, "selected feature codes repeat: "),
+], ids=["k_0", "k_true", "generic_weight_1.5", "generic_weight_nan", "zero_rows",
+        "unknown_code", "repeated_code"])
+def test_train_mtl_refuses_what_a_model_refuses(small_datasets, kwargs, indices, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}"):
+        train_mtl(small_datasets, small_datasets[0].region, indices, **kwargs)
+
+
+def test_train_mtl_refuses_k_before_it_builds_anything(small_datasets, monkeypatch):
+    def fit(*_):
+        raise AssertionError("the scaler was fitted")
+
+    monkeypatch.setattr(mtl, "fit_quantile_scaler", fit)
+    with pytest.raises(ConfigError, match="^k must be >= 1, got 0$"):
+        train_mtl(small_datasets, small_datasets[0].region, range(10), k=0)
