@@ -148,10 +148,19 @@ def _selection(cfg: RunConfig, case_ds: RegionalDataset) -> tuple[str, ...]:
     raise ConfigError(f"selection must be 'default' or 'ranked', got {cfg.selection!r}")
 
 
+def _check_test_days(cfg: RunConfig, datasets: list[RegionalDataset]) -> None:
+    """Every dataset that will be split keeps at least one day on each side."""
+    for ds in datasets:
+        if not 0 < cfg.test_days < ds.n_rows:
+            raise ConfigError(f"--test-days must be in [1, {ds.n_rows - 1}] for {ds.region.name}, "
+                              f"which has {ds.n_rows} days; got {cfg.test_days}")
+
+
 def _train(cfg: RunConfig):
     datasets = _load_datasets(cfg.data_dir)
     case_ds = _case_dataset(datasets, cfg)
     case = case_ds.region
+    _check_test_days(cfg, [case_ds])
     split = split_train_test(case_ds, cfg.test_days, cfg.seed)
     # ranked selection scores relevance on the training days only
     if cfg.selection == "ranked" and len(split.train_indices) < 3:
@@ -199,7 +208,9 @@ def cmd_evaluate(cfg: RunConfig) -> int:
 
 
 def cmd_rotate(cfg: RunConfig) -> int:
+    BootstrapConfig(cfg.bootstrap, cfg.seed)   # a bad count is refused before training
     datasets = _load_datasets(cfg.data_dir)
+    _check_test_days(cfg, datasets)
     reports = rotate_regions(
         datasets, cfg.k, cfg.test_days, cfg.seed, cfg.generic_weight, cfg.bootstrap)
     out = Path(cfg.out)

@@ -6,9 +6,12 @@ squared error (rmse). Each is bracketed by a (low, mid, top) interval:
 mid is the metric on the full test set, low/top are the 2.5th/97.5th
 percentiles (CONFIDENCE, fixed at 0.95) of a pairs bootstrap over the
 test days, with 1 to MAX_REPLICATES resamples; all 16 intervals of an
-evaluation share one draw of them. Every metric reduces the last axis, so
-one call scores a whole block of resamples. r2 and evs are NaN where the
-actuals are constant; the bootstrap skips and counts those resamples.
+evaluation share one draw of them. The bootstrap scores each resample
+from how often it drew each day: one matrix product gives every
+resample's sums, the metrics follow from them, and one sort of the scores
+gives every percentile. r2 and evs are NaN where the actuals are
+constant, which is tested exactly; the bootstrap skips and counts those
+resamples.
 ``rotate_regions`` lets each region take a turn as the case study, with
 the pooled regions' generic weight in [0, 1].
 """
@@ -26,6 +29,7 @@ from .errors import ConfigError, DataError
 from .features import TARGET_COLUMNS
 from .ingest import RegionalDataset, split_train_test
 from .mtl import MtlModel, predict_monitoring, train_mtl
+from .scaling import linear_quantiles
 
 # Level of every bootstrap interval.
 CONFIDENCE = 0.95
@@ -50,7 +54,12 @@ def _spread(y, spread):
     Equality is tested exactly: equal float actuals can leave a spread of
     rounding noise instead of 0.
     """
-    return np.where(np.all(y == y[..., :1], axis=-1) | (spread == 0), np.nan, spread)
+    return _defined_spread(np.all(y == y[..., :1], axis=-1), spread)
+
+
+def _defined_spread(constant, spread):
+    """``spread``, with NaN where ``constant`` is true or the spread is 0."""
+    return np.where(constant | (spread == 0), np.nan, spread)
 
 
 def r2(y, y_hat):
@@ -81,8 +90,8 @@ def rmse(y, y_hat):
 METRIC_FUNCTIONS: dict[str, Callable] = {"r2": r2, "evs": evs, "mae": mae, "rmse": rmse}
 
 
-# Resamples are drawn and scored in blocks of about this many indices, so
-# each temporary (64 kB of float64) comes from the heap rather than from
+# Resamples are drawn and counted in blocks of about this many indices, so
+# each temporary (64 kB of int64) comes from the heap rather than from
 # fresh pages that are returned to the system after every block. Indices
 # are drawn as int32, half the size of the default int64.
 _BOOTSTRAP_CELLS = 2 ** 13
@@ -124,9 +133,15 @@ def bootstrap_intervals(actuals, predicted,
     result maps target -> metric -> Interval. One generator, seeded from a
     SeedSequence child of ``cfg.seed`` so that it never replays the split's
     ``default_rng(seed)`` stream, draws the (replicates, n) day indices in
-    blocks of rows, which give the same indices as one draw. Every target
-    and metric is scored on the same resamples. Errors name the target;
-    the first in (target, metric) order is raised.
+    blocks of rows, which give the same indices as one draw. Each block
+    becomes a (rows, n) matrix of how often each day was drawn, and one
+    product with six per-day terms per target gives every resample's sums:
+    the actual centred on its full-sample mean and its square, the
+    residual centred likewise and its square, the squared and the absolute
+    residual. A resample is constant for a target when the first and last
+    days it drew, in that target's value order, hold equal actuals; r2
+    and evs skip those resamples. ``mid`` is the metric on all days. Errors
+    name the target; the first in (target, metric) order is raised.
     """
     try:   # every target has the same days, so the first one reports a problem with them
         y, y_hat = _check_pair(np.transpose(actuals), np.transpose(predicted), 2)
@@ -135,35 +150,65 @@ def bootstrap_intervals(actuals, predicted,
     finite = np.isfinite(y).all(axis=1) & np.isfinite(y_hat).all(axis=1)
     scored = len(y) if finite.all() else int(np.argmin(finite))   # targets before a non-finite one
 
+    y, y_hat = np.ascontiguousarray(y[:scored]), np.ascontiguousarray(y_hat[:scored])
     n = y.shape[1]
-    values = np.empty((scored, len(METRIC_FUNCTIONS), cfg.replicates))
+    a = y - y.mean(axis=1, keepdims=True)
+    e = y - y_hat
+    c = e - e.mean(axis=1, keepdims=True)
+    terms = np.concatenate([a, a * a, c, c * c, e * e, np.abs(e)]).T      # (n, 6 * scored)
+    order = np.argsort(y, axis=1, kind="stable")                          # days by value
+    ordered = np.take_along_axis(y, order, axis=1)
+    order = np.stack([order, order[:, ::-1]])              # ascending, then descending
+    targets = np.arange(scored)
+
+    values = np.empty((cfg.replicates, scored, len(METRIC_FUNCTIONS)))
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(1)[0])
     rows = max(1, _BOOTSTRAP_CELLS // n)
     for start in range(0, cfg.replicates, rows):
-        idx = rng.integers(0, n, size=(min(rows, cfg.replicates - start), n), dtype=np.int32)
-        for t in range(scored):
-            y_t, y_hat_t = y[t][idx], y_hat[t][idx]
-            for m, metric in enumerate(METRIC_FUNCTIONS.values()):
-                values[t, m, start:start + len(idx)] = metric(y_t, y_hat_t)
+        b = min(rows, cfg.replicates - start)
+        idx = rng.integers(0, n, size=(b, n), dtype=np.int32)
+        idx += np.arange(0, b * n, n, dtype=np.int32)[:, None]        # row r counts in r*n..r*n+n-1
+        counts = np.bincount(idx.ravel(), minlength=b * n).reshape(b, n)
+        sums = (counts.astype(np.float64) @ terms).reshape(b, 6, scored)
+        sa, saa, sc, scc, see, sabs = sums.transpose(1, 0, 2)
+        # the first drawn day in each target's ascending and descending value order
+        ends = (counts > 0)[:, order].argmax(axis=3)                   # (b, 2, scored)
+        constant = ordered[targets, ends[:, 0]] == ordered[targets, n - 1 - ends[:, 1]]
+        ss_tot = _defined_spread(constant, saa - sa * sa / n)
+        with np.errstate(over="ignore"):   # nearly constant actuals
+            values[start:start + b, :, 0] = 1.0 - see / ss_tot
+            values[start:start + b, :, 1] = 1.0 - (scc - sc * sc / n) / ss_tot
+        values[start:start + b, :, 2] = sabs / n
+        values[start:start + b, :, 3] = np.sqrt(see / n)
 
+    # numpy's percentile rule on each column's non-NaN scores, which sort to the front
+    values = values.reshape(cfg.replicates, -1)
+    kept = np.count_nonzero(~np.isnan(values), axis=0)
+    values.sort(axis=0)
     alpha = 1.0 - CONFIDENCE
+    probs = np.array([100 * alpha / 2, 100 * (1 - alpha / 2)]) / 100    # as np.percentile has them
+    low, top = linear_quantiles(values, probs, kept).reshape(2, scored, len(METRIC_FUNCTIONS))
+    kept = kept.reshape(scored, len(METRIC_FUNCTIONS))
+
+    # each row of a metric's call on C-ordered rows gives the 1-D value bit for bit
+    mids = [fn(y, y_hat) for fn in METRIC_FUNCTIONS.values()]
+
     intervals: dict[str, dict[str, Interval]] = {}
     for t, target in enumerate(TARGET_COLUMNS):
         if t == scored:
             raise DataError(f"{target}: metric inputs must be finite")
         intervals[target] = {}
-        for (metric, fn), scores in zip(METRIC_FUNCTIONS.items(), values[t]):
+        for m, metric in enumerate(METRIC_FUNCTIONS):
             name = {"evs": "explained variance"}.get(metric, metric)
-            mid = float(fn(y[t], y_hat[t]))
+            mid = float(mids[m][t])
             if math.isnan(mid):
                 raise DataError(f"{target}: actuals are constant; {name} is undefined")
-            scores = scores[~np.isnan(scores)]
-            if scores.size == 0:
+            if kept[t, m] == 0:
                 raise DataError(f"{target}: all {cfg.replicates} bootstrap replicates had "
                                 f"constant actuals; {name} is undefined")
-            low, top = np.percentile(scores, [100 * alpha / 2, 100 * (1 - alpha / 2)])
-            intervals[target][metric] = Interval(float(low), mid, float(top),
-                                                 skipped_replicates=cfg.replicates - scores.size)
+            intervals[target][metric] = Interval(
+                float(low[t, m]), mid, float(top[t, m]),
+                skipped_replicates=cfg.replicates - int(kept[t, m]))
     return intervals
 
 

@@ -79,24 +79,28 @@ def fit_quantile_scaler(values: np.ndarray, codes: Sequence[str]) -> QuantileNor
         i, j = np.argwhere(~np.isfinite(values))[0]
         raise DataError(f"non-finite value at row {i}, column {codes[j]!r}")
     probs = np.linspace(0.0, 1.0, min(1000, n_rows))
-    landmarks = _linear_quantiles(np.sort(values, axis=0), probs).T
+    landmarks = linear_quantiles(np.sort(values, axis=0), probs).T
     return QuantileNormalScaler(column_codes=tuple(codes), landmarks=landmarks)
 
 
-def _linear_quantiles(ordered: np.ndarray, probs: np.ndarray) -> np.ndarray:
+def linear_quantiles(ordered: np.ndarray, probs: np.ndarray,
+                     counts: np.ndarray | None = None) -> np.ndarray:
     """``np.quantile(values, probs, axis=0)`` from the column-sorted values.
 
+    Each column's quantiles are taken over its first ``counts[j]`` values
+    (all rows by default), so NaN, which sorts last, can be left out.
     Uses numpy's default (linear) rule with its rounding: virtual index
     (n - 1)·p, then a + (b - a)·t, or b - (b - a)·(1 - t) where t >= 0.5.
     The values match np.quantile's to the bit (only a zero drawn from tied
-    -0.0 and 0.0 may carry the other sign), without a partition per
-    probability.
+    -0.0 and 0.0, or from a single -0.0, may carry the other sign), without
+    a partition per probability.
     """
-    n = ordered.shape[0]
-    virtual = (n - 1) * probs
-    lo = np.minimum(np.floor(virtual), n - 2).astype(np.intp)
-    t = (virtual - lo)[:, None]
-    a, b = ordered[lo], ordered[lo + 1]
+    n = np.atleast_1d(ordered.shape[0] if counts is None else counts)
+    virtual = np.multiply.outer(probs, n - 1)               # (probs, 1) or (probs, columns)
+    lo = np.clip(np.floor(virtual), 0, np.maximum(n - 2, 0)).astype(np.intp)
+    t = virtual - lo
+    a = np.take_along_axis(ordered, lo, axis=0)
+    b = np.take_along_axis(ordered, np.minimum(lo + 1, n - 1), axis=0)
     diff = b - a
     return np.where(t >= 0.5, b - diff * (1 - t), a + diff * t)
 
@@ -107,8 +111,12 @@ def _empirical_cdf(landmarks: np.ndarray, probs: np.ndarray, x: np.ndarray) -> n
     Values are clipped to the landmark range first. A value equal to one
     or more landmarks maps to the mean probability of the tied block;
     anywhere else the CDF is linear between the bracketing landmarks.
+    The landmarks are searched for the values in sorted order, which is
+    faster, and the results are put back in the order of ``x``; each
+    value's arithmetic does not depend on the order.
     """
-    x = np.clip(x, landmarks[0], landmarks[-1])
+    order = np.argsort(x)
+    x = np.clip(x[order], landmarks[0], landmarks[-1])
     lo = np.searchsorted(landmarks, x, side="left")
     hi = np.searchsorted(landmarks, x, side="right")
     p = np.empty_like(x, dtype=np.float64)
@@ -125,7 +133,9 @@ def _empirical_cdf(landmarks: np.ndarray, probs: np.ndarray, x: np.ndarray) -> n
         x1 = landmarks[idx]
         t = (x[interp] - x0) / (x1 - x0)
         p[interp] = probs[idx - 1] + t * (probs[idx] - probs[idx - 1])
-    return p
+    out = np.empty_like(p)
+    out[order] = p
+    return out
 
 
 def apply_quantile_scaler(scaler: QuantileNormalScaler, values: np.ndarray) -> np.ndarray:

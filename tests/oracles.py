@@ -6,6 +6,7 @@ under test. The one exception, ``minmax_vote_oracle``, keeps an earlier
 model's target scaling around the package's own vote.
 """
 
+import bisect
 import csv
 import datetime as dt
 import json
@@ -64,6 +65,22 @@ def empirical_cdf_prob(sorted_values: np.ndarray, x: float) -> float:
     x0, x1 = sorted_values[below - 1], sorted_values[below]
     t = (x - x0) / (x1 - x0)
     return ((below - 1) + t) / (n - 1)
+
+
+def landmark_cdf_oracle(landmarks, probs, x: float) -> float:
+    """The quantile scaler's interpolated CDF at one value, with ``bisect``.
+
+    ``x`` is clipped to the landmark range. A value equal to landmarks
+    takes the mean of the first and last tied probabilities; any other
+    value is interpolated linearly between the bracketing landmarks.
+    """
+    landmarks, probs = [float(v) for v in landmarks], [float(p) for p in probs]
+    x = min(max(x, landmarks[0]), landmarks[-1])
+    lo, hi = bisect.bisect_left(landmarks, x), bisect.bisect_right(landmarks, x)
+    if hi > lo:
+        return 0.5 * (probs[lo] + probs[hi - 1])
+    t = (x - landmarks[lo - 1]) / (landmarks[lo] - landmarks[lo - 1])
+    return probs[lo - 1] + t * (probs[lo] - probs[lo - 1])
 
 
 def knn_oracle(features: np.ndarray, targets: np.ndarray, weights: np.ndarray,
@@ -154,10 +171,13 @@ def bootstrap_oracle(actuals, predicted, replicates: int, seed: int):
     ``actuals`` and ``predicted`` are (n, 4) in TARGET_COLUMNS order. One
     generator, seeded from the first SeedSequence child of ``seed``, draws
     the whole (replicates, n) index matrix at once; then one (target,
-    metric) pair at a time, one metric call scores every resample of it.
-    NaN rows (constant actuals under r2 and evs) are skipped, and low/top
-    are the 2.5th and 97.5th percentiles of the rest. Raises DataError as
-    ``bootstrap_intervals`` does, at the first failing pair.
+    metric) pair at a time, one metric call scores every gathered resample
+    of it. NaN rows (constant actuals under r2 and evs) are skipped, and
+    low/top are ``np.percentile``'s 2.5th and 97.5th percentiles of the
+    rest. ``bootstrap_intervals`` scores the same resamples from their day
+    counts, so mid, the skipped counts and the DataError raised at the
+    first failing pair are equal, while low/top differ by the rounding of
+    the regrouped sums.
     """
     actuals = np.asarray(actuals, dtype=np.float64)
     predicted = np.asarray(predicted, dtype=np.float64)

@@ -15,6 +15,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import regio_forecast
+import regio_forecast.cli
+import regio_forecast.evaluation
 from regio_forecast.cli import _predictions_csv, build_parser, main
 from regio_forecast.features import DERIVED_FEATURE_CODES, PRIMARY_FEATURE_CODES, score_relevance
 from regio_forecast.ingest import (
@@ -94,6 +96,39 @@ def test_out_of_range_flag_exits_2_naming_it(data_dir, tmp_path, capsys,
     code = run([command, *regional, flag, value, "--out", tmp_path / "x"])
     assert code == 2
     assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.fixture
+def train_calls(monkeypatch):
+    """The number of ``train_mtl`` calls, from ``train``/``evaluate`` and from ``rotate``."""
+    calls = []
+    for module in (regio_forecast.cli, regio_forecast.evaluation):
+        real = module.train_mtl
+        monkeypatch.setattr(module, "train_mtl",
+                            lambda *a, real=real, **kw: calls.append(a) or real(*a, **kw))
+    return calls
+
+
+def test_rotate_refuses_bad_bootstrap_before_training(data_dir, tmp_path, capsys, train_calls):
+    assert run(["rotate", "--data-dir", data_dir, "--test-days", "16", "--bootstrap", "0",
+                "--out", tmp_path / "x"]) == 2
+    assert capsys.readouterr().err == \
+        "config error: bootstrap replicates must be in [1, 100000], got 0\n"
+    assert train_calls == []
+
+
+@pytest.mark.parametrize("command, days", [("train", 400), ("train", 80), ("train", 0),
+                                           ("evaluate", 400), ("rotate", 400)])
+def test_test_days_beyond_the_data_exits_2_naming_flag_and_region(
+        data_dir, tmp_path, capsys, train_calls, command, days):
+    case = [] if command == "rotate" else ["--case-study", "manitoba"]
+    assert run([command, "--data-dir", data_dir, *case, "--test-days", days,
+                "--out", tmp_path / "x"]) == 2
+    region = "Alberta" if command == "rotate" else "Manitoba"   # rotate checks files in order
+    assert capsys.readouterr().err == (f"config error: --test-days must be in [1, 79] for "
+                                       f"{region}, which has 80 days; got {days}\n")
+    assert train_calls == []
     assert not (tmp_path / "x").exists()
 
 

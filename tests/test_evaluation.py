@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from regio_forecast.errors import ConfigError, DataError
 from regio_forecast.evaluation import (
+    CONFIDENCE,
     MAX_REPLICATES,
     METRIC_FUNCTIONS,
     BootstrapConfig,
@@ -22,6 +23,7 @@ from regio_forecast.evaluation import (
     rmse,
 )
 from regio_forecast.features import TARGET_COLUMNS
+from regio_forecast.scaling import linear_quantiles
 
 from oracles import bootstrap_oracle, metric_oracle
 
@@ -276,9 +278,10 @@ def test_batched_metrics_match_rows_and_oracle(batch, seed):
 @pytest.mark.parametrize("replicates", [1, 999, 1000])
 @pytest.mark.parametrize("n", [2, 54, 1715])
 def test_blocked_bootstrap_matches_one_draw(n, replicates):
-    """Drawing resamples in blocks of rows and scoring every target on each
-    block gives the single-draw intervals bit for bit, skipped constant
-    resamples and the first error included."""
+    """Counting resamples in blocks of rows and scoring every target on each
+    block matches gathering every (target, metric) pair from the single
+    draw: mid, skipped constant resamples and the first error exactly, and
+    low/top to 1e-9 of their scale, since the sums are grouped otherwise."""
     rng = np.random.default_rng(n * 10_007 + replicates)
     y = rng.integers(0, 3, size=(n, 4)).astype(np.float64)
     y[:2] = [[0.0], [1.0]]            # with n = 2 half the resamples are constant
@@ -292,11 +295,72 @@ def test_blocked_bootstrap_matches_one_draw(n, replicates):
                 bootstrap_intervals(y, y_hat, BootstrapConfig(replicates, seed))
             continue
         intervals = bootstrap_intervals(y, y_hat, BootstrapConfig(replicates, seed))
-        assert {target: {metric: (iv.low, iv.mid, iv.top, iv.skipped_replicates)
-                         for metric, iv in metrics.items()}
-                for target, metrics in intervals.items()} == expected
+        assert list(intervals) == list(expected)
+        for target, metrics in intervals.items():
+            assert list(metrics) == list(expected[target])
+            for metric, iv in metrics.items():
+                low, mid, top, skips = expected[target][metric]
+                assert (iv.mid, iv.skipped_replicates) == (mid, skips)
+                for got, want in ((iv.low, low), (iv.top, top)):
+                    assert abs(got - want) <= 1e-9 * max(1.0, abs(want)), (target, metric)
         skipped += sum(iv.skipped_replicates for iv in all_intervals(intervals))
     assert skipped > 0 or n > 2 or replicates == 1
+
+
+@pytest.mark.parametrize("bias", [1e2, 1e4, 1e5])
+def test_bootstrap_matches_oracle_under_biased_predictions(bias):
+    """Predictions off by a constant far above their spread: evs takes the
+    residual centred on its mean, so the regrouped sums stay within 1e-9
+    (an uncentred residual sum of squares was 1e-7 off at a bias of 1e4)."""
+    rng = np.random.default_rng(5)
+    y = rng.integers(0, 3, size=(54, 4)).astype(np.float64)
+    y_hat = y + bias + rng.normal(size=(54, 4))
+    expected = bootstrap_oracle(y, y_hat, 1000, 1)
+    for target, metrics in bootstrap_intervals(y, y_hat, BootstrapConfig(1000, 1)).items():
+        for metric, iv in metrics.items():
+            low, mid, top, _ = expected[target][metric]
+            assert iv.mid == mid
+            for got, want in ((iv.low, low), (iv.top, top)):
+                assert abs(got - want) <= 1e-9 * max(1.0, abs(want)), (target, metric)
+
+
+def test_constant_resamples_are_found_exactly_where_moments_round():
+    """With actuals of 0.1 and 1/3, a resample that drew only one of the
+    values has constant actuals, but its centred moment variance is
+    rounding noise (about -7e-18), not 0. Such resamples are still skipped,
+    each of them, and no r2 or evs above 1 slips through."""
+    y = targets(np.array([0.1, 0.1, 1 / 3, 1 / 3, 1 / 3]))
+    y_hat = y + np.array([0.05, -0.02, 0.01, 0.0, -0.04])[:, None]
+    b, n = 200, len(y)
+    draws = np.random.default_rng(np.random.SeedSequence(0).spawn(1)[0]).integers(
+        0, n, size=(b, n))
+    constant = np.array([len(set(y[row, 0])) == 1 for row in draws])
+    counts = np.array([np.bincount(row, minlength=n) for row in draws], dtype=np.float64)
+    a = y[:, 0] - y[:, 0].mean()
+    moment = counts @ (a * a) - (counts @ a) ** 2 / n
+    assert constant.sum() > 0 and np.all(moment[constant] != 0)
+    for metrics in bootstrap_intervals(y, y_hat, BootstrapConfig(b, 0)).values():
+        for name, iv in metrics.items():
+            assert iv.skipped_replicates == (constant.sum() if name in ("r2", "evs") else 0)
+            assert name not in ("r2", "evs") or iv.top <= 1.0
+
+
+@pytest.mark.parametrize("replicates", [1, 2, 7, 1000])
+def test_sorted_percentiles_equal_numpy_with_nan_gaps(replicates):
+    """The bootstrap's quantiles of each column's non-NaN values, taken from
+    one sort of the whole score array, equal np.percentile bit for bit."""
+    rng = np.random.default_rng(replicates)
+    scores = rng.normal(size=(replicates, 16)) * 10.0 ** rng.integers(-3, 4, size=16)
+    scores[rng.random(scores.shape) < rng.random(16)] = np.nan      # a gap rate per column
+    scores[1:, 0] = np.nan                                          # one value left
+    scores[:, 1] = rng.normal()                                     # no gap, all equal
+    kept = np.count_nonzero(~np.isnan(scores), axis=0)
+    alpha = 1.0 - CONFIDENCE
+    q = [100 * alpha / 2, 100 * (1 - alpha / 2)]
+    got = linear_quantiles(np.sort(scores, axis=0), np.array(q) / 100, kept)
+    for j in np.flatnonzero(kept):
+        expected = np.percentile(scores[:, j][~np.isnan(scores[:, j])], q)
+        assert got[:, j].tobytes() == expected.tobytes(), j
 
 
 def test_bootstrap_memory_stays_small():

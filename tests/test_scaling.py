@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.special import ndtri
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -13,7 +14,7 @@ from regio_forecast.scaling import (
     l2_normalize_rows,
 )
 
-from oracles import bisection_normal_ppf, empirical_cdf_prob, interp_quantile
+from oracles import bisection_normal_ppf, empirical_cdf_prob, interp_quantile, landmark_cdf_oracle
 
 
 def column_matrix(values):
@@ -136,6 +137,44 @@ def test_transform_constant_training_column_maps_to_zero():
     scaler = fit_column([5.0, 5.0, 5.0])
     out = apply_quantile_scaler(scaler, column_matrix([5.0, 7.0, -2.0]))
     assert np.all(out == 0.0)
+
+
+def _awkward_columns(rng, rows):
+    """Training and query columns with ties, landmark hits, values outside
+    the training range, -0.0 next to 0.0 and a constant column."""
+    train = np.column_stack([
+        rng.normal(size=rows),
+        rng.integers(-3, 4, size=rows).astype(float),          # heavy ties
+        np.full(rows, 2.5),                                    # constant
+        np.array([-0.0, 0.0, 1.0])[rng.integers(0, 3, size=rows)],
+        rng.lognormal(size=rows)])
+    scaler = fit_quantile_scaler(train, ("a", "b", "c", "d", "e"))
+    queries = np.vstack([
+        train,
+        scaler.landmarks.T,                                    # every landmark
+        scaler.landmarks.T[::7] * 1.5 - 1.0,                   # in between and outside
+        [[-1e9, -10.0, -0.0, -0.0, 0.0], [1e9, 10.0, 2.5, 0.0, 1e9]]])
+    return scaler, queries
+
+
+@pytest.mark.parametrize("rows", [2, 9, 1500])
+def test_transform_row_permutation_is_bit_identical(rows):
+    rng = np.random.default_rng(rows)
+    scaler, queries = _awkward_columns(rng, rows)
+    perm = rng.permutation(len(queries))
+    out = apply_quantile_scaler(scaler, queries)
+    assert apply_quantile_scaler(scaler, queries[perm]).tobytes() == out[perm].tobytes()
+
+
+@pytest.mark.parametrize("rows", [2, 9, 1500])
+def test_transform_matches_per_value_oracle(rows):
+    scaler, queries = _awkward_columns(np.random.default_rng(rows + 1), rows)
+    out = apply_quantile_scaler(scaler, queries)
+    probs = scaler.probabilities
+    for j, landmarks in enumerate(scaler.landmarks):
+        p = np.array([landmark_cdf_oracle(landmarks, probs, x) for x in queries[:, j].tolist()])
+        expected = ndtri(np.clip(p, CDF_CLIP_LO, CDF_CLIP_HI))
+        assert out[:, j].tobytes() == expected.tobytes(), j
 
 
 def test_transform_column_mismatch():
