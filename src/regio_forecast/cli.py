@@ -226,14 +226,14 @@ def cmd_rotate(cfg: RunConfig) -> int:
     return 0
 
 
-def _predictions_csv(dates, counts: np.ndarray) -> str:
-    """One row per day: the target counts to 6 decimals, then each rounded."""
+def _predictions_csv(dates: np.ndarray, counts: np.ndarray) -> str:
+    """One row per ``datetime64[D]`` day: the target counts to 6 decimals, then each rounded."""
     lines = ["date," + ",".join(TARGET_COLUMNS)
              + "," + ",".join(f"{t}_rounded" for t in TARGET_COLUMNS)]
     row = "%s" + ",%.6f" * len(TARGET_COLUMNS) + ",%d" * len(TARGET_COLUMNS)
-    for date, day, rounded in zip(dates, counts.tolist(),
+    for date, day, rounded in zip(np.datetime_as_string(dates).tolist(), counts.tolist(),
                                   np.rint(counts).astype(np.int64).tolist()):
-        lines.append(row % (date.isoformat(), *day, *rounded))
+        lines.append(row % (date, *day, *rounded))
     return "\n".join(lines) + "\n"
 
 
@@ -332,19 +332,11 @@ def main(argv: list[str] | None = None) -> int:
                               f"got {cfg.test_days}")
         if args.command == "synth":
             return cmd_synth(cfg, args.regions, args.rows, args.noise)
-        if args.command == "train":
-            return cmd_train(cfg)
-        if args.command == "evaluate":
-            return cmd_evaluate(cfg)
-        if args.command == "rotate":
-            return cmd_rotate(cfg)
-        if args.command == "predict":
-            return cmd_predict(cfg, args.model, args.input)
-        if args.command == "ppe":
-            return cmd_ppe(cfg, args.model, args.input)
-        if args.command == "relevance":
-            return cmd_relevance(cfg)
-        raise ConfigError(f"unknown command {args.command!r}")
+        if args.command in ("predict", "ppe"):
+            return {"predict": cmd_predict, "ppe": cmd_ppe}[args.command](
+                cfg, args.model, args.input)
+        return {"train": cmd_train, "evaluate": cmd_evaluate, "rotate": cmd_rotate,
+                "relevance": cmd_relevance}[args.command](cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

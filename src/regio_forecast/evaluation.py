@@ -89,6 +89,8 @@ def rmse(y, y_hat):
 
 METRIC_FUNCTIONS: dict[str, Callable] = {"r2": r2, "evs": evs, "mae": mae, "rmse": rmse}
 
+# How error messages name each metric.
+_NAMES = {"r2": "r2", "evs": "explained variance", "mae": "mae", "rmse": "rmse"}
 
 # Resamples are drawn and counted in blocks of about this many indices, so
 # each temporary (64 kB of int64) comes from the heap rather than from
@@ -140,28 +142,40 @@ def bootstrap_intervals(actuals, predicted,
     residual centred likewise and its square, the squared and the absolute
     residual. A resample is constant for a target when the first and last
     days it drew, in that target's value order, hold equal actuals; r2
-    and evs skip those resamples. ``mid`` is the metric on all days. Errors
-    name the target; the first in (target, metric) order is raised.
+    and evs skip those resamples. ``mid`` is the metric on all days.
+    Errors name the target. Non-finite inputs and constant actuals (a NaN
+    ``mid``) are raised before any draw, the first in (target, metric)
+    order; only "all N bootstrap replicates had constant actuals" follows it.
     """
     try:   # every target has the same days, so the first one reports a problem with them
         y, y_hat = _check_pair(np.transpose(actuals), np.transpose(predicted), 2)
     except DataError as exc:
         raise DataError(f"{TARGET_COLUMNS[0]}: {exc}") from None
+    if y.shape[:-1] != (len(TARGET_COLUMNS),):
+        raise DataError(f"need (n, {len(TARGET_COLUMNS)}) actuals, got {np.shape(actuals)}")
     finite = np.isfinite(y).all(axis=1) & np.isfinite(y_hat).all(axis=1)
-    scored = len(y) if finite.all() else int(np.argmin(finite))   # targets before a non-finite one
+    y, y_hat = np.ascontiguousarray(y), np.ascontiguousarray(y_hat)
+    # each row of a metric's call on C-ordered rows gives the 1-D value bit for bit
+    with np.errstate(invalid="ignore"):     # a non-finite target's mids are never read
+        mids = np.stack([fn(y, y_hat) for fn in METRIC_FUNCTIONS.values()], axis=1)
+    for t, target in enumerate(TARGET_COLUMNS):
+        if not finite[t]:
+            raise DataError(f"{target}: metric inputs must be finite")
+        for m, metric in enumerate(METRIC_FUNCTIONS):
+            if math.isnan(mids[t, m]):
+                raise DataError(f"{target}: actuals are constant; {_NAMES[metric]} is undefined")
 
-    y, y_hat = np.ascontiguousarray(y[:scored]), np.ascontiguousarray(y_hat[:scored])
-    n = y.shape[1]
+    n_targets, n = y.shape
     a = y - y.mean(axis=1, keepdims=True)
     e = y - y_hat
     c = e - e.mean(axis=1, keepdims=True)
-    terms = np.concatenate([a, a * a, c, c * c, e * e, np.abs(e)]).T      # (n, 6 * scored)
+    terms = np.concatenate([a, a * a, c, c * c, e * e, np.abs(e)]).T      # (n, 6 * n_targets)
     order = np.argsort(y, axis=1, kind="stable")                          # days by value
     ordered = np.take_along_axis(y, order, axis=1)
     order = np.stack([order, order[:, ::-1]])              # ascending, then descending
-    targets = np.arange(scored)
+    targets = np.arange(n_targets)
 
-    values = np.empty((cfg.replicates, scored, len(METRIC_FUNCTIONS)))
+    values = np.empty((cfg.replicates, n_targets, len(METRIC_FUNCTIONS)))
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(1)[0])
     rows = max(1, _BOOTSTRAP_CELLS // n)
     for start in range(0, cfg.replicates, rows):
@@ -169,10 +183,10 @@ def bootstrap_intervals(actuals, predicted,
         idx = rng.integers(0, n, size=(b, n), dtype=np.int32)
         idx += np.arange(0, b * n, n, dtype=np.int32)[:, None]        # row r counts in r*n..r*n+n-1
         counts = np.bincount(idx.ravel(), minlength=b * n).reshape(b, n)
-        sums = (counts.astype(np.float64) @ terms).reshape(b, 6, scored)
+        sums = (counts.astype(np.float64) @ terms).reshape(b, 6, n_targets)
         sa, saa, sc, scc, see, sabs = sums.transpose(1, 0, 2)
         # the first drawn day in each target's ascending and descending value order
-        ends = (counts > 0)[:, order].argmax(axis=3)                   # (b, 2, scored)
+        ends = (counts > 0)[:, order].argmax(axis=3)                   # (b, 2, n_targets)
         constant = ordered[targets, ends[:, 0]] == ordered[targets, n - 1 - ends[:, 1]]
         ss_tot = _defined_spread(constant, saa - sa * sa / n)
         with np.errstate(over="ignore"):   # nearly constant actuals
@@ -187,27 +201,18 @@ def bootstrap_intervals(actuals, predicted,
     values.sort(axis=0)
     alpha = 1.0 - CONFIDENCE
     probs = np.array([100 * alpha / 2, 100 * (1 - alpha / 2)]) / 100    # as np.percentile has them
-    low, top = linear_quantiles(values, probs, kept).reshape(2, scored, len(METRIC_FUNCTIONS))
-    kept = kept.reshape(scored, len(METRIC_FUNCTIONS))
-
-    # each row of a metric's call on C-ordered rows gives the 1-D value bit for bit
-    mids = [fn(y, y_hat) for fn in METRIC_FUNCTIONS.values()]
+    low, top = linear_quantiles(values, probs, kept).reshape(2, n_targets, len(METRIC_FUNCTIONS))
+    kept = kept.reshape(n_targets, len(METRIC_FUNCTIONS))
 
     intervals: dict[str, dict[str, Interval]] = {}
     for t, target in enumerate(TARGET_COLUMNS):
-        if t == scored:
-            raise DataError(f"{target}: metric inputs must be finite")
         intervals[target] = {}
         for m, metric in enumerate(METRIC_FUNCTIONS):
-            name = {"evs": "explained variance"}.get(metric, metric)
-            mid = float(mids[m][t])
-            if math.isnan(mid):
-                raise DataError(f"{target}: actuals are constant; {name} is undefined")
             if kept[t, m] == 0:
                 raise DataError(f"{target}: all {cfg.replicates} bootstrap replicates had "
-                                f"constant actuals; {name} is undefined")
+                                f"constant actuals; {_NAMES[metric]} is undefined")
             intervals[target][metric] = Interval(
-                float(low[t, m]), mid, float(top[t, m]),
+                float(low[t, m]), float(mids[t, m]), float(top[t, m]),
                 skipped_replicates=cfg.replicates - int(kept[t, m]))
     return intervals
 
@@ -277,7 +282,10 @@ def rotate_regions(
         # the split draws from this seed's stream, the bootstrap from a child of it
         region_seed = int(np.random.SeedSequence(seed, spawn_key=(case.code, 0))
                           .generate_state(1, np.uint64)[0])
-        split = split_train_test(ds, test_size, region_seed)
+        try:
+            split = split_train_test(ds, test_size, region_seed)
+        except ConfigError as exc:
+            raise ConfigError(f"{case.name}: {exc}") from None
         model, train_report = train_mtl(
             datasets, case, split.train_indices, k, generic_weight)
         reports.append(evaluate_model(

@@ -5,7 +5,8 @@ with the exact header::
 
     date,feat_01,...,feat_27,infections,hospitalizations,recoveries,deaths
 
-Dates are ISO-8601, in any row order; rows are sorted by date. A cell may
+Dates are ISO-8601 as ``datetime.date`` parses them, in any row order;
+rows are sorted by date, held as a ``datetime64[D]`` array. A cell may
 be empty in real-world exports; empty cells are forward-filled along the
 dates from the previous day within the same column, and a file with an
 empty cell on its earliest date is rejected (daily administrative series
@@ -22,8 +23,8 @@ caller, holds these rules when it is constructed: every cell is finite,
 categorical cells lie in CATEGORICAL_RANGES, ``feat_04`` holds the code of
 the dataset's region, ``feat_11`` (health centres) is an integer count in
 [1, MAX_COUNT], targets are integer counts in [0, MAX_COUNT], and dates
-strictly increase. A violation raises DataError naming the first bad
-cell in row-major order.
+are days of ``datetime.date`` (no NaT) that strictly increase. A violation
+raises DataError naming the first bad cell in row-major order.
 """
 
 from __future__ import annotations
@@ -93,9 +94,7 @@ class RegionId:
 
 
 def region_by_code(code: int) -> RegionId:
-    if code not in REGION_ENCODINGS:
-        raise DataError(f"unknown region code: {code}")
-    return RegionId(code, REGION_ENCODINGS[code])
+    return RegionId(code, REGION_ENCODINGS.get(code, ""))
 
 
 def region_by_name(name: str) -> RegionId:
@@ -110,21 +109,27 @@ def region_by_name(name: str) -> RegionId:
 class RegionalDataset:
     """All daily records of one region, ordered by date, held as columns.
 
-    ``features`` is a read-only (n, 27) float array ordered by
-    PRIMARY_FEATURE_CODES and ``targets`` a read-only (n, 4) int array
-    ordered by TARGET_COLUMNS; row i of both belongs to ``dates[i]``.
-    Construction enforces the module's cell and date rules, so a dataset
-    that exists is valid; the DataError names the date and column of the
-    first bad cell.
+    ``dates`` is a read-only 1-D ``datetime64[D]`` array (any sequence of
+    ``datetime.date`` or ISO strings is converted), ``features`` a
+    read-only (n, 27) float array ordered by PRIMARY_FEATURE_CODES and
+    ``targets`` a read-only (n, 4) int array ordered by TARGET_COLUMNS;
+    row i of both belongs to ``dates[i]``. Construction enforces the
+    module's cell and date rules, so a dataset that exists is valid; the
+    DataError names the date and column of the first bad cell.
     """
 
     region: RegionId
-    dates: tuple[dt.date, ...]
+    dates: np.ndarray
     features: np.ndarray
     targets: np.ndarray
 
     def __post_init__(self):
-        dates = tuple(self.dates)
+        try:
+            dates = np.array(self.dates, dtype="datetime64[D]")
+        except (TypeError, ValueError) as exc:
+            raise DataError(f"dates: {exc}") from None
+        if dates.ndim != 1:
+            raise DataError(f"dates must be 1-D, got shape {dates.shape}")
         f = np.array(self.features, dtype=np.float64)
         t = np.asarray(self.targets)    # checked before the int cast, which hides NaN
         n = len(dates)
@@ -133,18 +138,20 @@ class RegionalDataset:
                             f"and ({n}, {len(TARGET_COLUMNS)}) targets, "
                             f"got {f.shape} and {t.shape}")
         bad = _first_bad_cell(f, t, self.region)
-        late = next((i for i in range(1, n) if not dates[i - 1] < dates[i]), None)
-        if late is not None and (bad is None or late <= bad[0]):
-            raise _bad_value(str(dates[late]), "date", f"not after {dates[late - 1]}")
+        bad_day = ~((_FIRST_DAY <= dates) & (dates <= _LAST_DAY))   # NaT compares False
+        bad_day[1:] |= ~(np.diff(dates) > 0)
+        day = int(bad_day.argmax()) if bad_day.any() else None
+        if day is not None and (bad is None or day <= bad[0]):
+            if not _FIRST_DAY <= dates[day] <= _LAST_DAY:
+                raise DataError(f"dates[{day}] is {dates[day]}, not a day in "
+                                f"{_FIRST_DAY} .. {_LAST_DAY}")
+            raise _bad_value(str(dates[day]), "date", f"not after {dates[day - 1]}")
         if bad is not None:
             row, code, detail = bad
             raise _bad_value(str(dates[row]), code, detail)
-        t = t.astype(np.int64)
-        f.setflags(write=False)
-        t.setflags(write=False)
-        object.__setattr__(self, "dates", dates)
-        object.__setattr__(self, "features", f)
-        object.__setattr__(self, "targets", t)
+        for name, array in (("dates", dates), ("features", f), ("targets", t.astype(np.int64))):
+            array.setflags(write=False)
+            object.__setattr__(self, name, array)
 
     @property
     def n_rows(self) -> int:
@@ -176,12 +183,15 @@ class RegionalDataset:
 
     def subset(self, indices: Sequence[int]) -> "RegionalDataset":
         idx = np.asarray(indices, dtype=np.intp)
-        return RegionalDataset(self.region, tuple(self.dates[i] for i in idx),
-                               self.features[idx], self.targets[idx])
+        return RegionalDataset(self.region, self.dates[idx], self.features[idx],
+                               self.targets[idx])
 
 
 # Largest count stored exactly in both the parsed float and int64.
 MAX_COUNT = 2 ** 53
+
+# The days a date may name: those of datetime.date, which the CSV readers parse.
+_FIRST_DAY, _LAST_DAY = np.datetime64(dt.date.min), np.datetime64(dt.date.max)
 
 _DERIVED_FORMULAS = {f.code: f.formula for f in DEFAULT_DERIVED_REGISTRY}
 _REGION_COLUMN = PRIMARY_FEATURE_CODES.index("feat_04")
@@ -243,7 +253,8 @@ def _first_bad_cell(features: np.ndarray, targets: np.ndarray,
 
 
 def _date_ordinal(text: str) -> int:
-    return dt.date.fromisoformat(text.strip()).toordinal()
+    """Days from 1970-01-01 to an ISO date, as ``datetime.date`` reads it (ValueError if not)."""
+    return dt.date.fromisoformat(text.strip()).toordinal() - 719163
 
 
 def _load_dataset(lines: Iterable[str], region: RegionId) -> RegionalDataset | None:
@@ -271,17 +282,17 @@ def _load_dataset(lines: Iterable[str], region: RegionId) -> RegionalDataset | N
     except ValueError:
         return None
     table = table[np.argsort(table[:, 0], kind="stable")]
-    dates = tuple(map(dt.date.fromordinal, table[:, 0].astype(np.int64).tolist()))
     try:
-        return RegionalDataset(region, dates, table[:, 1:1 + len(PRIMARY_FEATURE_CODES)],
+        return RegionalDataset(region, table[:, 0].astype("datetime64[D]"),
+                               table[:, 1:1 + len(PRIMARY_FEATURE_CODES)],
                                table[:, 1 + len(PRIMARY_FEATURE_CODES):])
     except DataError:
         return None
 
 
 def _read_table(records: list[list[str]]
-                ) -> tuple[list[int], list[dt.date], np.ndarray, np.ndarray | None]:
-    """Row numbers, dates, (n, 31) cell values and empty-cell mask of the data rows.
+                ) -> tuple[list[int], list[int], np.ndarray, np.ndarray | None]:
+    """Row numbers, day numbers, (n, 31) cell values and empty-cell mask of the data rows.
 
     One loop checks cell counts and ISO dates up to the first row fault
     and sets each blank cell to NaN, marked in the mask (None if there is
@@ -290,7 +301,7 @@ def _read_table(records: list[list[str]]
     text that is no number raises DataError, so the first text fault in
     row-major order wins.
     """
-    rows, dates, cells, blanks, fault = [], [], [], [], None
+    rows, dates, cells, blanks, fault = [], [], [], {}, None
     for row_number, record in enumerate(records, start=1):
         if not any(map(str.strip, record)):
             continue
@@ -299,14 +310,13 @@ def _read_table(records: list[list[str]]
                                f"expected {len(CSV_HEADER)} cells, got {len(record)}")
             break
         try:
-            dates.append(dt.date.fromisoformat(record[0].strip()))
+            dates.append(_date_ordinal(record[0]))
         except ValueError:
             fault = _bad_value(f"row {row_number}", "date", record[0])
             break
         texts = record[1:]
         if not all(map(str.strip, texts)):
-            blank = [not text.strip() for text in texts]
-            blanks.append((len(cells), blank))
+            blank = blanks[len(cells)] = [not text.strip() for text in texts]
             texts = ["nan" if gap else text for gap, text in zip(blank, texts)]
         rows.append(row_number)
         cells.append(texts)
@@ -328,8 +338,7 @@ def _read_table(records: list[list[str]]
     empty = None
     if blanks:
         empty = np.zeros(values.shape, dtype=bool)
-        for i, blank in blanks:
-            empty[i] = blank
+        empty[list(blanks)] = list(blanks.values())
     return rows, dates, values, empty
 
 
@@ -371,8 +380,8 @@ def parse_regional_csv(path: str | Path, region: RegionId) -> RegionalDataset:
             rows, dates, values, empty = _read_table(list(csv.reader(fh))[1:])
         if not rows:
             raise DataError("header but no data rows")
-        order = sorted(range(len(dates)), key=dates.__getitem__)
-        rows, dates = [rows[i] for i in order], [dates[i] for i in order]
+        order = np.argsort(dates, kind="stable")
+        rows, dates = np.array(rows)[order], np.array(dates, "datetime64[D]")[order]
         values = values[order]
         if empty is not None:
             empty = empty[order]
@@ -383,12 +392,12 @@ def parse_regional_csv(path: str | Path, region: RegionId) -> RegionalDataset:
             values = np.take_along_axis(values, np.maximum.accumulate(source, axis=0), axis=0)
         features, targets = np.hsplit(values, [len(PRIMARY_FEATURE_CODES)])
         try:
-            return RegionalDataset(region, tuple(dates), features, targets)
+            return RegionalDataset(region, dates, features, targets)
         except DataError:
             # Name the file row of the first bad cell by date, else the repeated date.
             bad = _first_bad_cell(features, targets, region)
             if bad is None:
-                repeated = next(a for a, b in zip(dates, dates[1:]) if a == b)
+                repeated = dates[int(np.argmax(np.diff(dates) == 0))]
                 raise DataError(f"duplicate date in dataset: {repeated}") from None
             row, code, detail = bad
             raise _bad_value(f"row {rows[row]}", code, detail) from None
@@ -411,10 +420,10 @@ def write_regional_csv(ds: RegionalDataset, path: str | Path) -> None:
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(CSV_HEADER) + "\r\n")
         fh.writelines(
-            date.isoformat() + "," + ",".join(map(repr, features))
-            + "," + ",".join(map(str, targets)) + "\r\n"
-            for date, features, targets in zip(ds.dates, ds.features.tolist(),
-                                               ds.targets.tolist()))
+            date + "," + ",".join(map(repr, features)) + "," + ",".join(map(str, targets))
+            + "\r\n" for date, features, targets in zip(
+                np.datetime_as_string(ds.dates).tolist(), ds.features.tolist(),
+                ds.targets.tolist()))
 
 
 @dataclass(frozen=True)
@@ -434,10 +443,6 @@ def split_train_test(ds: RegionalDataset, test_size: int, seed: int) -> TrainTes
     n = ds.n_rows
     if not 0 < test_size < n:
         raise ConfigError(f"test_size must be in (0, {n}), got {test_size}")
-    rng = np.random.default_rng(seed)
-    test = np.sort(rng.choice(n, size=test_size, replace=False))
-    mask = np.ones(n, dtype=bool)
-    mask[test] = False
-    train = np.nonzero(mask)[0]
-    return TrainTestSplit(tuple(int(i) for i in train),
-                          tuple(int(i) for i in test), seed)
+    test = np.sort(np.random.default_rng(seed).choice(n, size=test_size, replace=False))
+    train = np.setdiff1d(np.arange(n), test, assume_unique=True)
+    return TrainTestSplit(tuple(train.tolist()), tuple(test.tolist()), seed)

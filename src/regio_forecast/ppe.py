@@ -10,7 +10,6 @@ isolation gown, so the CSV's five item columns each equal ``kits_ceil``.
 
 from __future__ import annotations
 
-import datetime as dt
 import math
 from dataclasses import dataclass
 
@@ -45,12 +44,18 @@ def predict_ppe_kits(hospitalized, chc_count, operating_capacity, personnel) -> 
 
 @dataclass(frozen=True)
 class PpeForecast:
-    """Daily kit demand; element i of each array belongs to ``dates[i]``."""
+    """Daily kit demand; element i of each array belongs to ``dates[i]``.
 
-    dates: tuple[dt.date, ...]
+    ``dates`` is ``datetime64[D]``; other sequences of days are converted.
+    """
+
+    dates: np.ndarray
     predicted_hospitalized: np.ndarray
     hsp_ratio: np.ndarray          # predicted hospitalized per health centre
     kits: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "dates", np.asarray(self.dates, dtype="datetime64[D]"))
 
     def __len__(self) -> int:
         return len(self.dates)
@@ -82,7 +87,8 @@ def forecast_to_csv(forecast: PpeForecast) -> str:
     """One row per day; ``kits_ceil`` and the five item columns are the kits ceiled."""
     lines = [PPE_CSV_HEADER]
     row = "%s,%.6f,%.6f,%.6f" + ",%d" * 6                # kits_ceil, then the five items
-    for date, h, ratio, kits in zip(forecast.dates, forecast.predicted_hospitalized.tolist(),
+    for date, h, ratio, kits in zip(np.datetime_as_string(forecast.dates).tolist(),
+                                    forecast.predicted_hospitalized.tolist(),
                                     forecast.hsp_ratio.tolist(), forecast.kits.tolist()):
-        lines.append(row % ((date.isoformat(), h, ratio, kits) + (math.ceil(kits),) * 6))
+        lines.append(row % ((date, h, ratio, kits) + (math.ceil(kits),) * 6))
     return "\n".join(lines) + "\n"

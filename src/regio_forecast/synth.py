@@ -78,12 +78,6 @@ class SyntheticSpec:
             raise ConfigError(f"noise must be <= {MAX_NOISE}, got {self.noise}")
 
 
-def _season(date: dt.date) -> int:
-    # 1 = spring, 2 = summer, 3 = autumn, 4 = winter
-    return {3: 1, 4: 1, 5: 1, 6: 2, 7: 2, 8: 2,
-            9: 3, 10: 3, 11: 3, 12: 4, 1: 4, 2: 4}[date.month]
-
-
 def _shared_latent(rows: int, rng: np.random.Generator) -> np.ndarray:
     """Two-wave intensity curve on [0, 1], identical across regions."""
     t = np.arange(rows)
@@ -103,7 +97,11 @@ def generate_regions(spec: SyntheticSpec) -> list[RegionalDataset]:
     shared_rng = np.random.default_rng(master.spawn(1)[0])
     latent = _shared_latent(spec.rows, shared_rng)
     t = np.arange(spec.rows)
-    dates = [DEFAULT_START_DATE + dt.timedelta(days=int(i)) for i in t]
+    dates = np.datetime64(DEFAULT_START_DATE) + t
+    # 1 = spring (March-May), 2 = summer, 3 = autumn, 4 = winter (December-February)
+    month = dates.astype("datetime64[M]").astype(np.int64) % 12        # 0 = January
+    season = ((month + 10) % 12 // 3 + 1).astype(np.float64)
+    weekend = ((dates.astype(np.int64) + 3) % 7 >= 5).astype(np.float64)   # 1970-01-01: Thursday
     wave_boundary = int(np.argmin(
         latent[int(0.35 * spec.rows):int(0.70 * spec.rows)])) + int(0.35 * spec.rows)
 
@@ -114,10 +112,10 @@ def generate_regions(spec: SyntheticSpec) -> list[RegionalDataset]:
         # Administrative columns: small fixed per-region offsets under a
         # comparable daily revision jitter, so pooled ranks interleave.
         static_offsets = {c: 0.008 * rng.standard_normal() for c in _STATIC_BASES}
-        statics = {}
+        features = {}
         for col, base in _STATIC_BASES.items():
             jitter = 0.5 * spec.noise * rng.standard_normal(spec.rows)
-            statics[col] = base * (1.0 + static_offsets[col] + jitter)
+            features[col] = base * (1.0 + static_offsets[col] + jitter)
 
         # Region intensity: the shared curve with a slow amplitude wiggle.
         phase = 2 * np.pi * rng.random()
@@ -135,18 +133,15 @@ def generate_regions(spec: SyntheticSpec) -> list[RegionalDataset]:
             series = scale * amplitude * intensity * (1.0 + spec.noise * eps)
             targets[:, j] = np.maximum(np.rint(series), 0).astype(np.int64)
 
-        features = {}
         grad = np.gradient(intensity)
         features["feat_01"] = np.clip(
             1.0 + 22.0 * grad + 0.06 * spec.noise * rng.standard_normal(spec.rows), 0.05, None)
-        features["feat_02"] = np.array([_season(d) for d in dates], dtype=np.float64)
-        features["feat_03"] = statics["feat_03"]
+        features["feat_02"] = season
         features["feat_04"] = np.full(spec.rows, float(code))
         features["feat_05"] = np.where(t < wave_boundary, 1.0, 2.0)
 
         doses = np.zeros(spec.rows)
-        ramp_start = int(0.86 * spec.rows)
-        ramp = np.arange(spec.rows) - ramp_start
+        ramp = t - int(0.86 * spec.rows)
         active = ramp > 0
         doses[active] = (40.0 * ramp[active]
                          * (1.0 + spec.noise * np.abs(rng.standard_normal(active.sum()))))
@@ -157,9 +152,7 @@ def generate_regions(spec: SyntheticSpec) -> list[RegionalDataset]:
         features["feat_08"] = np.select(
             [intensity > 0.50, intensity > 0.15], [2.0, 1.0], default=0.0)
         features["feat_09"] = np.where(t >= int(0.25 * spec.rows), 1.0, 0.0)
-        features["feat_10"] = np.array(
-            [1.0 if d.weekday() >= 5 else 0.0 for d in dates])
-        features["feat_11"] = statics["feat_11"]
+        features["feat_10"] = weekend
 
         mobility_pull = (10.0, 8.0, 6.0, 9.0, 8.5)
         for col, pull in zip(("feat_12", "feat_13", "feat_14", "feat_15", "feat_16"),
@@ -169,17 +162,13 @@ def generate_regions(spec: SyntheticSpec) -> list[RegionalDataset]:
         features["feat_17"] = (4.0 + 16.0 * intensity
                                + 1.5 * spec.noise * rng.standard_normal(spec.rows))
 
-        features["feat_18"] = statics["feat_18"] * (1.0 - 0.6 * intensity)
+        features["feat_18"] = features["feat_18"] * (1.0 - 0.6 * intensity)
         features["feat_19"] = np.clip(
             61.0 - 9.0 * intensity + 0.5 * spec.noise * rng.standard_normal(spec.rows),
             0.0, 100.0)
         features["feat_20"] = np.clip(
             5.5 + 9.0 * intensity + 0.5 * spec.noise * rng.standard_normal(spec.rows),
             0.0, 100.0)
-        for col in ("feat_21", "feat_22", "feat_23", "feat_24",
-                    "feat_25", "feat_26", "feat_27"):
-            features[col] = statics[col]
-
         for col in _INTEGER_FEATURES:
             features[col] = np.maximum(np.rint(features[col]), 0.0)
         # at least one health centre per region, always

@@ -299,7 +299,7 @@ def write_csv_oracle(ds, path):
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_HEADER)
-        for date, features, targets in zip(ds.dates, ds.features.tolist(),
+        for date, features, targets in zip(ds.dates.tolist(), ds.features.tolist(),
                                            ds.targets.tolist()):
             writer.writerow([date.isoformat()] + [repr(v) for v in features] + targets)
 
@@ -308,7 +308,7 @@ def predictions_csv_oracle(dates, counts) -> str:
     """``predictions.csv`` text, value by value with f-strings and joins."""
     lines = ["date," + ",".join(TARGET_COLUMNS)
              + "," + ",".join(f"{t}_rounded" for t in TARGET_COLUMNS)]
-    for date, day, rounded in zip(dates, counts, np.rint(counts).astype(np.int64)):
+    for date, day, rounded in zip(dates.tolist(), counts, np.rint(counts).astype(np.int64)):
         reals = ",".join(f"{v:.6f}" for v in day)
         ints = ",".join(str(int(v)) for v in rounded)
         lines.append(f"{date.isoformat()},{reals},{ints}")
@@ -318,7 +318,8 @@ def predictions_csv_oracle(dates, counts) -> str:
 def ppe_csv_oracle(header: str, forecast) -> str:
     """``ppe_forecast.csv`` text, value by value with f-strings and joins."""
     lines = [header]
-    for date, h, ratio, kits in zip(forecast.dates, forecast.predicted_hospitalized.tolist(),
+    for date, h, ratio, kits in zip(forecast.dates.tolist(),
+                                    forecast.predicted_hospitalized.tolist(),
                                     forecast.hsp_ratio.tolist(), forecast.kits.tolist()):
         whole = ",".join([str(math.ceil(kits))] * 6)
         lines.append(f"{date.isoformat()},{h:.6f},{ratio:.6f},{kits:.6f},{whole}")

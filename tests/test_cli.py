@@ -984,7 +984,7 @@ def test_prediction_rows_match_value_by_value_formatting():
               7.4999999, 123456.7890125, 1e15, 1e15 + 0.5, 3.0, 1e15 - 0.25]
     counts = np.array(values).reshape(-1, 4)
     counts = np.vstack([counts, counts[:, ::-1]])
-    dates = [dt.date(2021, 3, 1) + dt.timedelta(days=i) for i in range(len(counts))]
+    dates = np.datetime64("2021-03-01") + np.arange(len(counts))
     assert _predictions_csv(dates, counts) == predictions_csv_oracle(dates, counts)
 
 
@@ -1040,3 +1040,10 @@ def test_every_numeric_flag_value_exits_0_2_or_3_without_warnings(tmp_path):
            for argv, code, err in json.loads(proc.stdout)
            if code not in (0, 2, 3) or "Warning" in err]
     assert not bad, "\n".join(bad)
+
+
+def test_prediction_rows_print_the_extreme_dates_as_isoformat():
+    days = [dt.date.min, dt.date.max]
+    text = _predictions_csv(np.array(days, dtype="datetime64[D]"), np.zeros((2, 4)))
+    assert [line.split(",")[0] for line in text.splitlines()[1:]] == [
+        day.isoformat() for day in days]

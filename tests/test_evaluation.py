@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from regio_forecast import evaluation
 from regio_forecast.errors import ConfigError, DataError
 from regio_forecast.evaluation import (
     CONFIDENCE,
@@ -21,9 +22,11 @@ from regio_forecast.evaluation import (
     reports_to_long_csv,
     reports_to_target_table,
     rmse,
+    rotate_regions,
 )
 from regio_forecast.features import TARGET_COLUMNS
 from regio_forecast.scaling import linear_quantiles
+from regio_forecast.synth import SyntheticSpec, generate_regions
 
 from oracles import bootstrap_oracle, metric_oracle
 
@@ -196,6 +199,42 @@ def test_bootstrap_rejects_non_finite_inputs(bad):
                        match="^hospitalizations: actuals are constant; r2 is undefined$"):
         bootstrap_intervals(targets(good, np.full(3, 2.0), good, np.array([1.0, bad, 3.0])),
                             targets(good), cfg)
+
+
+class NoDraws:
+    """A generator that fails when anything is drawn from it."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"drew from the generator ({name})")
+
+
+def test_bootstrap_input_faults_are_raised_before_any_draw(monkeypatch):
+    monkeypatch.setattr(evaluation.np.random, "default_rng", lambda *args: NoDraws())
+    good, constant, bad = np.array([1.0, 2.0, 3.0]), np.full(3, 2.0), np.array([1.0, np.nan, 3.0])
+    cfg = BootstrapConfig(replicates=10)
+    for actuals, predicted, message in [
+            (targets(bad, good, good, good), targets(good),
+             "infections: metric inputs must be finite"),
+            (targets(good), targets(good, good, good, bad), "deaths: metric inputs must be finite"),
+            (targets(good, constant, good, bad), targets(good),
+             "hospitalizations: actuals are constant; r2 is undefined")]:
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            bootstrap_intervals(actuals, predicted, cfg)
+    with pytest.raises(AssertionError, match="drew from the generator"):
+        bootstrap_intervals(targets(good), targets(good), cfg)
+
+
+@pytest.mark.parametrize("shape", [(3,), (3, 2), (3, 5)])
+def test_bootstrap_needs_four_target_columns(shape):
+    y = np.arange(np.prod(shape), dtype=float).reshape(shape)
+    with pytest.raises(DataError, match=rf"^need \(n, 4\) actuals, got {re.escape(str(shape))}$"):
+        bootstrap_intervals(y, y, BootstrapConfig(replicates=10))
+
+
+def test_rotation_names_the_region_of_a_bad_test_size():
+    datasets = generate_regions(SyntheticSpec(regions=2, rows=30, seed=0))
+    with pytest.raises(ConfigError, match=r"^Alberta: test_size must be in \(0, 30\), got 40$"):
+        rotate_regions(datasets, test_size=40, bootstrap_replicates=10)
 
 
 @pytest.mark.parametrize("days", [0, 1])

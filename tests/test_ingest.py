@@ -88,7 +88,7 @@ def test_parse_roundtrip_identical(tmp_path):
     path = tmp_path / "alberta.csv"
     write_regional_csv(ds, path)
     back = parse_regional_csv(path, ds.region)
-    assert back.dates == ds.dates
+    assert np.array_equal(back.dates, ds.dates)
     assert np.array_equal(back.targets, ds.targets)
     # reals round-trip bit-exactly through repr, comfortably within 1e-12
     assert np.array_equal(back.features, ds.features)
@@ -222,7 +222,7 @@ def test_forward_fill_follows_dates_not_file_order(tmp_path):
     write_in_file_order(path, rows, [0, 2, 1])
     set_cell(path, 3, "feat_01", "")                 # 2020-01-26, the third file row
     parsed = parse_regional_csv(path, region_by_code(0))
-    assert parsed.dates == tuple(date for date, _, _ in rows)
+    assert parsed.dates.tolist() == [date for date, _, _ in rows]
     assert parsed.columns(["feat_01"])[:, 0].tolist() == [1.006, 1.006, 6.788]
 
 
@@ -359,7 +359,7 @@ def test_bulk_parse_matches_row_by_row_oracle(text):
             return
         ds = parse_regional_csv(path, region)
         dates, features, targets = expected
-        assert list(ds.dates) == dates
+        assert ds.dates.tolist() == dates
         assert ds.features.tobytes() == features.tobytes()
         assert np.array_equal(ds.targets, targets)
 
@@ -387,7 +387,7 @@ def test_clean_file_never_reaches_the_row_loop(tmp_path, monkeypatch):
     lines[5] = ",".join(cells)
     path.write_bytes(("\ufeff" + "\n".join(lines) + "\n").encode("utf-8"))
     parsed = parse_regional_csv(path, ds.region)
-    assert parsed.dates == ds.dates
+    assert np.array_equal(parsed.dates, ds.dates)
     assert parsed.features.tobytes() == ds.features.tobytes()
     assert np.array_equal(parsed.targets, ds.targets)
     assert calls == []
@@ -416,7 +416,7 @@ def test_rejected_file_takes_the_row_loop_and_matches_the_oracle(tmp_path, monke
         assert str(err.value) == str(exc)
     else:
         ds = parse_regional_csv(path, region)
-        assert list(ds.dates) == dates
+        assert ds.dates.tolist() == dates
         assert ds.features.tobytes() == features.tobytes()
         assert np.array_equal(ds.targets, targets)
     assert calls == [1]
@@ -489,4 +489,83 @@ def test_dataset_subset(small_datasets):
     sub = ds.subset([0, 2, 4])
     assert sub.n_rows == 3
     assert sub.region == ds.region
-    assert sub.dates == (ds.dates[0], ds.dates[2], ds.dates[4])
+    assert np.array_equal(sub.dates, ds.dates[[0, 2, 4]])
+
+
+def assert_read_only_days(dates):
+    assert dates.dtype == np.dtype("datetime64[D]") and dates.ndim == 1
+    with pytest.raises(ValueError, match="read-only"):
+        dates[0] = dates[-1]
+
+
+def test_every_construction_route_holds_read_only_days(tmp_path, monkeypatch):
+    rows = [make_row(day) for day in range(4)]
+    built = make_dataset(*rows)                      # from a tuple of datetime.date
+    path = tmp_path / "alberta.csv"
+    write_regional_csv(built, path)
+    calls = count_row_loop_reads(monkeypatch)
+    parsed = parse_regional_csv(path, built.region)
+    set_cell(path, 3, "feat_03", "")                 # an empty cell takes the row loop
+    filled = parse_regional_csv(path, built.region)
+    assert calls == [1]
+    generated = generate_regions(SyntheticSpec(regions=1, rows=10, seed=0))[0]
+    subset = built.subset([0, 1, 3])
+    for ds in (built, parsed, filled, generated, subset):
+        assert_read_only_days(ds.dates)
+    days = [date for date, _, _ in rows]
+    assert built.dates.tolist() == parsed.dates.tolist() == filled.dates.tolist() == days
+    assert subset.dates.tolist() == [days[0], days[1], days[3]]
+    assert generated.dates.tolist() == [dt.date(2020, 1, 25) + dt.timedelta(days=i)
+                                        for i in range(10)]
+
+
+def test_construction_copies_the_callers_dates():
+    rows = [make_row(day) for day in range(3)]
+    dates = np.array([date for date, _, _ in rows], dtype="datetime64[D]")
+    ds = RegionalDataset(region_by_code(0), dates, np.array([f for _, f, _ in rows]),
+                         np.array([t for _, _, t in rows]))
+    dates[0] = np.datetime64("2000-01-01")
+    assert ds.dates.tolist()[0] == rows[0][0]
+
+
+@pytest.mark.parametrize("n_rows, row, value", [
+    (1, 0, "NaT"), (3, 1, "NaT"), (3, 2, "NaT"), (2, 1, "10000-01-01"),
+    (2, 0, "0000-12-31")])
+def test_day_outside_datetime_date_is_rejected(n_rows, row, value):
+    rows = [make_row(day) for day in range(n_rows)]
+    dates = np.array([date for date, _, _ in rows], dtype="datetime64[D]")
+    dates[row] = np.datetime64(value, "D")
+    with pytest.raises(DataError, match=(rf"^dates\[{row}\] is {value}, not a day in "
+                                         r"0001-01-01 \.\. 9999-12-31$")):
+        RegionalDataset(region_by_code(0), dates, np.array([f for _, f, _ in rows]),
+                        np.array([t for _, _, t in rows]))
+
+
+def test_dates_that_are_no_days_are_rejected():
+    rows = [make_row(day) for day in range(2)]
+    features, targets = np.array([f for _, f, _ in rows]), np.array([t for _, _, t in rows])
+    column = np.array([[date] for date, _, _ in rows], dtype="datetime64[D]")
+    with pytest.raises(DataError, match=r"^dates must be 1-D, got shape \(2, 1\)$"):
+        RegionalDataset(region_by_code(0), column, features, targets)
+    with pytest.raises(DataError, match=r"^dates: "):
+        RegionalDataset(region_by_code(0), ["2020-01-25", "day two"], features, targets)
+
+
+@pytest.mark.parametrize("gap", [False, True])
+def test_extreme_dates_round_trip(tmp_path, monkeypatch, gap):
+    rows = [make_row(day) for day in range(2)]
+    days = [dt.date.min, dt.date.max]
+    ds = RegionalDataset(region_by_code(0), days, np.array([f for _, f, _ in rows]),
+                         np.array([t for _, _, t in rows]))
+    path = tmp_path / "alberta.csv"
+    write_regional_csv(ds, path)
+    lines = path.read_text().splitlines()
+    assert [line.split(",")[0] for line in lines[1:]] == ["0001-01-01", "9999-12-31"]
+    if gap:
+        set_cell(path, 2, "feat_03", "")
+    calls = count_row_loop_reads(monkeypatch)
+    parsed = parse_regional_csv(path, ds.region)
+    assert calls == ([1] if gap else [])
+    assert parsed.dates.tolist() == days
+    assert np.array_equal(parsed.features, ds.features)
+    assert np.array_equal(parsed.targets, ds.targets)

@@ -172,7 +172,7 @@ def test_forecast_csv_schema(trained_small_model, small_datasets):
     assert lines[0] == ("date,predicted_hospitalized,hsp_ratio,kits,kits_ceil,"
                         "face_shields,n95,glove_pairs,shoe_cover_pairs,gowns")
     assert len(lines) == 6
-    assert lines[1].split(",")[0] == test.dates[0].isoformat()
+    assert lines[1].split(",")[0] == test.dates.tolist()[0].isoformat()
 
 
 @pytest.mark.parametrize("hospitalized", [math.nan, math.inf, -math.inf, -1.0])
@@ -193,3 +193,16 @@ def test_forecast_csv_matches_value_by_value_formatting():
                                  for i in range(len(kits))),
                            np.roll(kits, 1), np.roll(kits, 2), kits)
     assert forecast_to_csv(forecast) == ppe_csv_oracle(PPE_CSV_HEADER, forecast)
+
+
+def test_forecast_csv_prints_the_extreme_dates_as_isoformat():
+    days = (dt.date.min, dt.date.max)
+    forecast = PpeForecast(days, np.zeros(2), np.zeros(2), np.zeros(2))
+    assert forecast.dates.dtype == np.dtype("datetime64[D]")
+    assert [row["date"] for row in csv_rows(forecast)] == [day.isoformat() for day in days]
+
+
+def test_forecast_holds_the_datasets_dates(trained_small_model, small_datasets):
+    model, _, split = trained_small_model
+    test = small_datasets[0].subset(split.test_indices[:5])
+    assert np.shares_memory(forecast_series(model, test, 0.75, 200.0).dates, test.dates)

@@ -33,8 +33,16 @@ def test_files_parse_back(tmp_path):
 
 def test_default_window_matches_reference_range():
     ds = generate_regions(SyntheticSpec(regions=1, rows=362, seed=0))[0]
-    assert ds.dates[0].isoformat() == "2020-01-25"
-    assert ds.dates[-1].isoformat() == "2021-01-20"
+    assert ds.dates.tolist()[0].isoformat() == "2020-01-25"
+    assert ds.dates.tolist()[-1].isoformat() == "2021-01-20"
+
+
+def test_season_and_weekend_follow_the_calendar():
+    ds = generate_regions(SyntheticSpec(regions=1, rows=400, seed=0))[0]
+    season = {12: 4, 1: 4, 2: 4, 3: 1, 4: 1, 5: 1, 6: 2, 7: 2, 8: 2, 9: 3, 10: 3, 11: 3}
+    days = ds.dates.tolist()
+    assert ds.columns(["feat_02"])[:, 0].tolist() == [float(season[d.month]) for d in days]
+    assert ds.columns(["feat_10"])[:, 0].tolist() == [float(d.weekday() >= 5) for d in days]
 
 
 def test_generation_deterministic(tmp_path):
