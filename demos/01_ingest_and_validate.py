@@ -19,11 +19,11 @@ from regio_forecast import (
     write_region_files,
 )
 
-workdir = Path(tempfile.mkdtemp(prefix="regio_demo_"))
-paths = write_region_files(SyntheticSpec(regions=3, rows=362, seed=1), workdir)
-print(f"wrote {len(paths)} region files under {workdir}")
-
-datasets = [parse_regional_csv(p, region_by_name(p.stem)) for p in paths]
+# The files live only as long as this block; the datasets hold every value.
+with tempfile.TemporaryDirectory(prefix="regio_demo_") as workdir:
+    paths = write_region_files(SyntheticSpec(regions=3, rows=362, seed=1), Path(workdir))
+    print(f"wrote {len(paths)} region files under {workdir}")
+    datasets = [parse_regional_csv(p, region_by_name(p.stem)) for p in paths]
 for ds in datasets:
     print(f"{ds.region.name}: {ds.n_rows} rows ({ds.dates[0]} .. {ds.dates[-1]})")
 

@@ -208,7 +208,6 @@ def cmd_evaluate(cfg: RunConfig) -> int:
 
 
 def cmd_rotate(cfg: RunConfig) -> int:
-    BootstrapConfig(cfg.bootstrap, cfg.seed)   # a bad count is refused before training
     datasets = _load_datasets(cfg.data_dir)
     _check_test_days(cfg, datasets)
     reports = rotate_regions(

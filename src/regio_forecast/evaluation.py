@@ -143,9 +143,9 @@ def bootstrap_intervals(actuals, predicted,
     residual. A resample is constant for a target when the first and last
     days it drew, in that target's value order, hold equal actuals; r2
     and evs skip those resamples. ``mid`` is the metric on all days.
-    Errors name the target. Non-finite inputs and constant actuals (a NaN
-    ``mid``) are raised before any draw, the first in (target, metric)
-    order; only "all N bootstrap replicates had constant actuals" follows it.
+    Errors name the target. Non-finite inputs and a NaN ``mid`` (constant
+    actuals, or a spread that overflows) are raised before any draw, the
+    first in (target, metric) order; only the all-replicates-skipped error follows.
     """
     try:   # every target has the same days, so the first one reports a problem with them
         y, y_hat = _check_pair(np.transpose(actuals), np.transpose(predicted), 2)
@@ -156,14 +156,16 @@ def bootstrap_intervals(actuals, predicted,
     finite = np.isfinite(y).all(axis=1) & np.isfinite(y_hat).all(axis=1)
     y, y_hat = np.ascontiguousarray(y), np.ascontiguousarray(y_hat)
     # each row of a metric's call on C-ordered rows gives the 1-D value bit for bit
-    with np.errstate(invalid="ignore"):     # a non-finite target's mids are never read
+    with np.errstate(invalid="ignore", over="ignore"):   # such inputs are refused below
         mids = np.stack([fn(y, y_hat) for fn in METRIC_FUNCTIONS.values()], axis=1)
+        overflow = np.isinf(np.var(y, axis=1))
     for t, target in enumerate(TARGET_COLUMNS):
         if not finite[t]:
             raise DataError(f"{target}: metric inputs must be finite")
         for m, metric in enumerate(METRIC_FUNCTIONS):
             if math.isnan(mids[t, m]):
-                raise DataError(f"{target}: actuals are constant; {_NAMES[metric]} is undefined")
+                why = "actuals' spread overflows float64" if overflow[t] else "actuals are constant"
+                raise DataError(f"{target}: {why}; {_NAMES[metric]} is undefined")
 
     n_targets, n = y.shape
     a = y - y.mean(axis=1, keepdims=True)
@@ -275,6 +277,7 @@ def rotate_regions(
     datasets = list(datasets)
     if len(datasets) < 2:
         raise DataError("region rotation needs at least 2 datasets")
+    bootstrap = BootstrapConfig(bootstrap_replicates)   # a bad count is refused before training
 
     reports = []
     for ds in datasets:
@@ -290,7 +293,7 @@ def rotate_regions(
             datasets, case, split.train_indices, k, generic_weight)
         reports.append(evaluate_model(
             model, ds.subset(split.test_indices),
-            BootstrapConfig(bootstrap_replicates, region_seed),
+            dataclasses.replace(bootstrap, seed=region_seed),
             training_time_seconds=train_report.fit_seconds,
         ))
     return reports

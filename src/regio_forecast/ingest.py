@@ -24,7 +24,8 @@ categorical cells lie in CATEGORICAL_RANGES, ``feat_04`` holds the code of
 the dataset's region, ``feat_11`` (health centres) is an integer count in
 [1, MAX_COUNT], targets are integer counts in [0, MAX_COUNT], and dates
 are days of ``datetime.date`` (no NaT) that strictly increase. A violation
-raises DataError naming the first bad cell in row-major order.
+raises DataError naming the first bad cell in row-major order. A split
+(``split_train_test``) is two sorted, read-only arrays of day indices.
 """
 
 from __future__ import annotations
@@ -181,7 +182,7 @@ class RegionalDataset:
                              f"derived value {out[row, j]} is not finite")
         return out
 
-    def subset(self, indices: Sequence[int]) -> "RegionalDataset":
+    def subset(self, indices: np.ndarray | Sequence[int]) -> "RegionalDataset":
         idx = np.asarray(indices, dtype=np.intp)
         return RegionalDataset(self.region, self.dates[idx], self.features[idx],
                                self.targets[idx])
@@ -426,23 +427,25 @@ def write_regional_csv(ds: RegionalDataset, path: str | Path) -> None:
                 ds.targets.tolist()))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TrainTestSplit:
-    """Disjoint train/test index sets into one regional dataset."""
+    """Sorted, read-only ``intp`` day indices into one dataset: disjoint, together every day."""
 
-    train_indices: tuple[int, ...]
-    test_indices: tuple[int, ...]
-    seed: int
+    train_indices: np.ndarray
+    test_indices: np.ndarray
 
 
 def split_train_test(ds: RegionalDataset, test_size: int, seed: int) -> TrainTestSplit:
-    """Sample ``test_size`` day indices uniformly without replacement.
+    """Hold out ``test_size`` days drawn uniformly without replacement.
 
     The same (dataset, test_size, seed) always produces the same split.
     """
     n = ds.n_rows
     if not 0 < test_size < n:
         raise ConfigError(f"test_size must be in (0, {n}), got {test_size}")
-    test = np.sort(np.random.default_rng(seed).choice(n, size=test_size, replace=False))
-    train = np.setdiff1d(np.arange(n), test, assume_unique=True)
-    return TrainTestSplit(tuple(train.tolist()), tuple(test.tolist()), seed)
+    held_out = np.zeros(n, dtype=bool)
+    held_out[np.random.default_rng(seed).choice(n, size=test_size, replace=False)] = True
+    train, test = np.flatnonzero(~held_out), np.flatnonzero(held_out)
+    train.setflags(write=False)
+    test.setflags(write=False)
+    return TrainTestSplit(train, test)

@@ -12,10 +12,11 @@ from the instance's region tag and checks every rule, trained or loaded.
 Training and prediction share one feature path: ``RegionalDataset.columns``
 gives the selected columns (a derived one is computed only when
 selected), the quantile scaler maps each column, and each row is scaled
-to unit length. The scaler is fitted once, on pool plus case-study
-*training* rows; held-out rows are only ever transformed with the fitted
-state. The store holds raw target counts: a vote is a weighted mean of
-them, so it is a non-negative count with no target scaling to undo.
+to unit length. The scaler is fitted once, on exactly the stored rows
+(case-study *training* rows, after the pool unless the weight is 0);
+held-out rows are only ever transformed with the fitted state. The store
+holds raw target counts: a vote is a weighted mean of them, so it is a
+non-negative count with no target scaling to undo.
 """
 
 from __future__ import annotations
@@ -79,8 +80,8 @@ class MtlModel:
 
     @property
     def weights(self) -> np.ndarray:
-        """Vote weight of each instance (``source_weights`` of its tag)."""
-        return source_weights(self.source_tags, self.case_study, self.generic_weight)
+        """Vote weight of each instance: 1.0 if tagged ``case_study``, else ``generic_weight``."""
+        return np.where(self.source_tags == self.case_study.code, 1.0, float(self.generic_weight))
 
     def __post_init__(self):
         # contiguous read-only storage so identical values give identical predictions
@@ -129,16 +130,10 @@ class MtlModel:
             raise DataError("model artifact holds a negative count (targets)")
 
 
-def source_weights(source_tags: np.ndarray, case_study: RegionId,
-                   generic_weight: float) -> np.ndarray:
-    """Vote weight of each instance: 1.0 if tagged ``case_study``, else ``generic_weight``."""
-    return np.where(source_tags == case_study.code, 1.0, float(generic_weight))
-
-
 def train_mtl(
     datasets: Sequence[RegionalDataset],
     case_study: RegionId,
-    case_train_indices: Sequence[int],
+    case_train_indices: np.ndarray | Sequence[int],
     k: int = 6,
     generic_weight: float = 1.0,
     selection: Sequence[str] = DEFAULT_SELECTED_FEATURES,
@@ -147,7 +142,8 @@ def train_mtl(
 
     Every dataset of another region joins the pool, in the given order.
     Instances keep that order, pool first, so kNN distance ties break the
-    same way on every run.
+    same way on every run. At generic weight 0 the model stores, and fits
+    its scaler on, the case-study rows alone; the report counts the pool.
     """
     if not 0 <= generic_weight <= 1:
         raise ConfigError(f"generic weight must be in [0, 1], got {generic_weight}")
@@ -163,22 +159,20 @@ def train_mtl(
     if not pool:
         raise DataError("training needs at least one region besides the case study")
     selection = tuple(selection)
-    n_pool = sum(d.n_rows for d in pool)
-    targets = np.vstack([d.targets for d in pool] + [case.targets])
-    tags = np.concatenate([np.full(d.n_rows, d.region.code) for d in pool + [case]])
+    stored = pool + [case] if generic_weight > 0 else [case]
+    targets = np.vstack([d.targets for d in stored])
+    tags = np.concatenate([np.full(d.n_rows, d.region.code) for d in stored])
 
     t0 = time.perf_counter()
-    raw = np.vstack([d.columns(selection) for d in pool + [case]])
+    raw = np.vstack([d.columns(selection) for d in stored])
     feature_scaler = fit_quantile_scaler(raw, selection)
-    # zero-weight instances cannot vote, so they are dropped, not stored
-    keep = slice(n_pool if generic_weight == 0 else 0, None)
     unit_rows = l2_normalize_rows(apply_quantile_scaler(feature_scaler, raw))
-    model = MtlModel(feature_scaler, unit_rows[keep], targets[keep], tags[keep], k,
-                     float(generic_weight), case_study)
+    model = MtlModel(feature_scaler, unit_rows, targets, tags, k, float(generic_weight),
+                     case_study)
     fit_seconds = time.perf_counter() - t0
 
     return model, TrainReport(
-        generic_instances=n_pool,
+        generic_instances=sum(d.n_rows for d in pool),
         dedicated_instances=len(model.targets),
         case_train_rows=case.n_rows,
         fit_seconds=fit_seconds,

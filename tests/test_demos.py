@@ -24,6 +24,7 @@ def test_demo_runs(demo, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
     runpy.run_path(str(demo), run_name="__main__")
+    assert not list(tmp_path.glob("regio_demo_*")), "the demo left its work directory behind"
 
 
 def _root_imports(source: str) -> set[str]:

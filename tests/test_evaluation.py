@@ -182,6 +182,20 @@ def test_bootstrap_all_degenerate():
                             BootstrapConfig(replicates=1, seed=0))
 
 
+def test_bootstrap_names_a_spread_that_overflows():
+    # finite, varying actuals whose squared sums overflow: inf / inf is no constant
+    y, y_hat = np.array([1e200, -1e200, 0.0]), np.array([-1e200, 1e200, 0.0])
+    good = np.array([1.0, 2.0, 3.0])
+    with pytest.raises(DataError, match=("^infections: actuals' spread overflows float64; "
+                                         "r2 is undefined$")):
+        bootstrap_intervals(targets(y, good, good, good), targets(y_hat, good, good, good),
+                            BootstrapConfig(replicates=20, seed=0))
+    with pytest.raises(DataError, match=("^recoveries: actuals' spread overflows float64; "
+                                         "r2 is undefined$")):
+        bootstrap_intervals(targets(good, good, y, good), targets(good, good, y_hat, good),
+                            BootstrapConfig(replicates=20, seed=0))
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_bootstrap_rejects_non_finite_inputs(bad):
     # a NaN mid would otherwise read as constant actuals
@@ -229,6 +243,20 @@ def test_bootstrap_needs_four_target_columns(shape):
     y = np.arange(np.prod(shape), dtype=float).reshape(shape)
     with pytest.raises(DataError, match=rf"^need \(n, 4\) actuals, got {re.escape(str(shape))}$"):
         bootstrap_intervals(y, y, BootstrapConfig(replicates=10))
+
+
+def test_rotation_refuses_a_bad_replicate_count_before_training(monkeypatch):
+    calls = []
+    real = evaluation.train_mtl
+    monkeypatch.setattr(evaluation, "train_mtl",
+                        lambda *a, **kw: calls.append(a) or real(*a, **kw))
+    datasets = generate_regions(SyntheticSpec(regions=2, rows=30, seed=0))
+    with pytest.raises(ConfigError,
+                       match=r"^bootstrap replicates must be in \[1, 100000\], got 0$"):
+        rotate_regions(datasets, test_size=10, bootstrap_replicates=0)
+    assert calls == []
+    rotate_regions(datasets, test_size=10, bootstrap_replicates=10)
+    assert len(calls) == 2
 
 
 def test_rotation_names_the_region_of_a_bad_test_size():

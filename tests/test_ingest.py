@@ -1,3 +1,4 @@
+import dataclasses
 import datetime as dt
 import re
 import tempfile
@@ -446,10 +447,32 @@ def test_split_sizes_and_determinism():
     assert len(split.test_indices) == 54
     assert not set(split.train_indices) & set(split.test_indices)
     again = split_train_test(ds, 54, seed=1)
-    assert again.train_indices == split.train_indices
-    assert again.test_indices == split.test_indices
+    assert np.array_equal(again.train_indices, split.train_indices)
+    assert np.array_equal(again.test_indices, split.test_indices)
     other = split_train_test(ds, 54, seed=2)
-    assert other.test_indices != split.test_indices
+    assert not np.array_equal(other.test_indices, split.test_indices)
+
+
+@pytest.mark.parametrize("test_size, seed", [(1, 0), (54, 1), (54, 9), (361, 3)])
+def test_split_is_two_sorted_read_only_index_arrays(test_size, seed):
+    ds = generate_regions(SyntheticSpec(regions=1, rows=362, seed=2))[0]
+    split = split_train_test(ds, test_size, seed)
+    assert [f.name for f in dataclasses.fields(split)] == ["train_indices", "test_indices"]
+    train, test = split.train_indices, split.test_indices
+    for part in (train, test):
+        assert part.dtype == np.intp and part.ndim == 1
+        assert np.all(np.diff(part) > 0)
+        assert not part.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            part[0] = 0
+    assert len(test) == test_size
+    assert np.array_equal(np.sort(np.concatenate([train, test])), np.arange(ds.n_rows))
+    # the held-out days are the seed's draw, in day order
+    drawn = np.random.default_rng(seed).choice(ds.n_rows, size=test_size, replace=False)
+    assert np.array_equal(test, np.sort(drawn))
+    again = split_train_test(ds, test_size, seed)
+    assert np.array_equal(again.train_indices, train)
+    assert np.array_equal(again.test_indices, test)
 
 
 def test_split_bad_test_size(small_datasets):

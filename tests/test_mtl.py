@@ -13,7 +13,8 @@ from regio_forecast.evaluation import rotate_regions
 from regio_forecast.ingest import RegionalDataset, split_train_test
 from regio_forecast.knn import predict_knn_batch
 from regio_forecast.mtl import MtlModel, predict_monitoring, train_mtl
-from regio_forecast.scaling import QuantileNormalScaler, apply_quantile_scaler, l2_normalize_rows
+from regio_forecast.scaling import (
+    QuantileNormalScaler, apply_quantile_scaler, fit_quantile_scaler, l2_normalize_rows)
 from regio_forecast.synth import SyntheticSpec, generate_regions
 
 from oracles import minmax_vote_oracle
@@ -92,6 +93,23 @@ def test_transfer_zero_weight_drops_instances(small_datasets):
                               generic_weight=0.0)
     assert len(model.targets) == report.case_train_rows == 10
     assert set(model.source_tags.tolist()) == {case.region.code}
+
+
+@pytest.mark.parametrize("weight", [0.0, 0.25, 1.0])
+def test_scaler_is_fitted_on_exactly_the_stored_rows(small_datasets, weight):
+    """At weight 0 neither the store nor the scaler sees a pooled row."""
+    ds = small_datasets[0]
+    split = split_train_test(ds, 16, seed=7)
+    model, report = train_mtl(small_datasets, ds.region, split.train_indices,
+                              generic_weight=weight)
+    parts = ([] if weight == 0 else list(small_datasets[1:])) + [ds.subset(split.train_indices)]
+    raw = np.vstack([p.columns(model.selected_features) for p in parts])
+    expected = fit_quantile_scaler(raw, model.selected_features)
+    assert np.array_equal(model.feature_scaler.landmarks, expected.landmarks)
+    assert model.feature_scaler.n_quantiles == report.n_quantiles == min(1000, len(raw))
+    assert len(model.targets) == report.dedicated_instances == len(raw)
+    assert report.generic_instances == 2 * 80
+    assert report.case_train_rows == len(split.train_indices) == 64
 
 
 def test_transfer_negative_weight(small_datasets):
