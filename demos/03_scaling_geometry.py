@@ -22,10 +22,10 @@ for j, code in enumerate(names):
     col = raw[:, j]
     print(f"  {code:12s} mean={col.mean():12.2f} median={np.median(col):12.2f}")
 
-scaler = fit_quantile_scaler(raw, names)
-z = apply_quantile_scaler(scaler, raw)
-print("\nafter the quantile-normal transform:")
-for j, code in enumerate(scaler.column_codes):
+landmarks = fit_quantile_scaler(raw, names)      # one sorted row of landmarks per column
+z = apply_quantile_scaler(landmarks, raw)
+print(f"\nafter the quantile-normal transform ({landmarks.shape[1]} landmarks per column):")
+for j, code in enumerate(names):
     col = z[:, j]
     print(f"  {code:12s} mean={col.mean():7.4f} std={col.std():6.4f}")
 
@@ -49,6 +49,7 @@ print(f"\nweighted vote, raw vs min-max round trip: max difference "
 
 print("\na training quantile at probability p maps to the normal quantile of p:")
 picks = [9, 180, 351]
-probe = scaler.landmarks.T[picks]
-for p, row in zip(scaler.probabilities[picks], apply_quantile_scaler(scaler, probe)):
+probs = np.linspace(0.0, 1.0, landmarks.shape[1])   # landmark j sits at probability probs[j]
+probe = landmarks.T[picks]
+for p, row in zip(probs[picks], apply_quantile_scaler(landmarks, probe)):
     print(f"  p={p:.3f}: {row[0]: .6f}")

@@ -3,13 +3,14 @@
 The layout (version "6") follows NumPy's ``.npy`` format and safetensors:
 one line of sorted-key JSON, at most MAX_HEADER_BYTES bytes before its
 newline, then the arrays and nothing after them. The header holds the
-version, the kNN neighbor count ``k``, the selected ``feature_codes``
-(which are the quantile scaler's columns), the ``generic_weight``, the
-``case_study`` region and the ``shapes`` of the arrays. The arrays follow
-in ARRAYS order, each as the C-order bytes of its fixed dtype, so each
-starts where the one before it ends: the scaler's ``landmarks``, then the
-model's ``features``, raw ``targets`` and ``source_tags`` (region codes).
-Vote weights are not written: the model derives them from the tags.
+version, the kNN neighbor count ``k``, the ``feature_codes`` (the model's
+``selected_features``, one per landmark row), the ``generic_weight``, the
+``case_study`` region and the ``shapes`` of the arrays. The arrays are
+the ``MtlModel`` fields that ARRAYS names, in its order, each as the
+C-order bytes of its fixed dtype, so each starts where the one before it
+ends: the quantile ``landmarks``, the unit ``features`` rows, the raw
+``targets`` and the ``source_tags`` (region codes). Vote weights are not
+written: the model derives them from the tags.
 Retraining on identical inputs produces byte-identical artifacts.
 
 Loading reads the body into one buffer, of which the arrays are views,
@@ -36,30 +37,28 @@ import numpy as np
 from .errors import ConfigError, DataError
 from .ingest import RegionId
 from .mtl import MtlModel
-from .scaling import QuantileNormalScaler
 
 ARTIFACT_VERSION = "6"
 MAX_HEADER_BYTES = 1 << 16
-# the arrays in file order, with their dtypes
+# the model's array fields in file order, with their dtypes
 ARRAYS = {"landmarks": "<f8", "features": "<f8", "targets": "<f8", "source_tags": "<i8"}
 
 
 def save_model(model: MtlModel, path: str | Path) -> None:
     """Write the header line, then each array's bytes in ARRAYS order."""
-    arrays = [np.ascontiguousarray(values, dtype=dtype) for values, dtype in zip(
-        (model.feature_scaler.landmarks, model.features, model.targets, model.source_tags),
-        ARRAYS.values())]
+    arrays = {name: np.ascontiguousarray(getattr(model, name), dtype)
+              for name, dtype in ARRAYS.items()}
     header = {
         "version": ARTIFACT_VERSION,
         "k": model.k,
         "feature_codes": list(model.selected_features),
         "generic_weight": model.generic_weight,
         "case_study": {"code": model.case_study.code, "name": model.case_study.name},
-        "shapes": {name: list(a.shape) for name, a in zip(ARRAYS, arrays)},
+        "shapes": {name: list(a.shape) for name, a in arrays.items()},
     }
     with _atomic_open(path) as fh:
         fh.write(json.dumps(header, sort_keys=True, separators=(",", ":")).encode() + b"\n")
-        for a in arrays:
+        for a in arrays.values():
             fh.write(a.data)
 
 
@@ -101,8 +100,7 @@ def _model(header: dict, body: bytearray) -> MtlModel:
         raise ValueError(f"{len(body)} bytes follow the header, the shapes need {end}")
     arrays = {name: np.frombuffer(body, ARRAYS[name], math.prod(shape), offsets[name])
               .reshape(shape) for name, shape in shapes.items()}
-    return MtlModel(QuantileNormalScaler(codes, arrays["landmarks"]), arrays["features"],
-                    arrays["targets"], arrays["source_tags"], k, generic_weight, case_study)
+    return MtlModel(codes, **arrays, k=k, generic_weight=generic_weight, case_study=case_study)
 
 
 def load_model(path: str | Path) -> MtlModel:

@@ -33,8 +33,7 @@ from .evaluation import (
 )
 from .features import (
     DEFAULT_SELECTED_FEATURES,
-    DERIVED_FEATURE_CODES,
-    PRIMARY_FEATURE_CODES,
+    FEATURE_CODES,
     TARGET_COLUMNS,
     RelevanceReport,
     score_relevance,
@@ -136,8 +135,7 @@ def _case_dataset(datasets: list[RegionalDataset], cfg: RunConfig) -> RegionalDa
 
 def _relevance(case_ds: RegionalDataset) -> RelevanceReport:
     """Relevance scores of the case study's 27 primary and 17 derived features."""
-    codes = PRIMARY_FEATURE_CODES + DERIVED_FEATURE_CODES
-    return score_relevance(case_ds.columns(codes), codes, case_ds.targets)
+    return score_relevance(case_ds.columns(FEATURE_CODES), FEATURE_CODES, case_ds.targets)
 
 
 def _selection(cfg: RunConfig, case_ds: RegionalDataset) -> tuple[str, ...]:

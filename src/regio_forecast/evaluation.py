@@ -143,9 +143,10 @@ def bootstrap_intervals(actuals, predicted,
     residual. A resample is constant for a target when the first and last
     days it drew, in that target's value order, hold equal actuals; r2
     and evs skip those resamples. ``mid`` is the metric on all days.
-    Errors name the target. Non-finite inputs and a NaN ``mid`` (constant
-    actuals, or a spread that overflows) are raised before any draw, the
-    first in (target, metric) order; only the all-replicates-skipped error follows.
+    Errors name the target. Non-finite inputs, a NaN ``mid`` (constant
+    actuals), and a non-finite ``mid`` or per-day term that a resample could
+    overflow (the actuals' spread, or the residuals) are raised before any
+    draw, the first in (target, metric) order; only the all-replicates-skipped error follows.
     """
     try:   # every target has the same days, so the first one reports a problem with them
         y, y_hat = _check_pair(np.transpose(actuals), np.transpose(predicted), 2)
@@ -155,23 +156,33 @@ def bootstrap_intervals(actuals, predicted,
         raise DataError(f"need (n, {len(TARGET_COLUMNS)}) actuals, got {np.shape(actuals)}")
     finite = np.isfinite(y).all(axis=1) & np.isfinite(y_hat).all(axis=1)
     y, y_hat = np.ascontiguousarray(y), np.ascontiguousarray(y_hat)
+    n_targets, n = y.shape
     # each row of a metric's call on C-ordered rows gives the 1-D value bit for bit
     with np.errstate(invalid="ignore", over="ignore"):   # such inputs are refused below
         mids = np.stack([fn(y, y_hat) for fn in METRIC_FUNCTIONS.values()], axis=1)
-        overflow = np.isinf(np.var(y, axis=1))
+        a = y - y.mean(axis=1, keepdims=True)
+        e = y - y_hat
+        c = e - e.mean(axis=1, keepdims=True)
+        parts = [a, a * a, c, c * c, e * e, np.abs(e)]
+        # a resample sums a term over n draws and squares the sums of a and c,
+        # so each term's n * n multiple must be finite
+        over = [~np.isfinite(n * n * part).all(axis=1) for part in parts]
+    spread_over, residuals_over = over[0] | over[1], np.any(over[2:], axis=0)
     for t, target in enumerate(TARGET_COLUMNS):
         if not finite[t]:
             raise DataError(f"{target}: metric inputs must be finite")
         for m, metric in enumerate(METRIC_FUNCTIONS):
-            if math.isnan(mids[t, m]):
-                why = "actuals' spread overflows float64" if overflow[t] else "actuals are constant"
-                raise DataError(f"{target}: {why}; {_NAMES[metric]} is undefined")
+            if spread_over[t]:      # named by r2, the first metric, which sums the spread
+                why = "actuals' spread overflows float64"
+            elif math.isnan(mids[t, m]):
+                why = "actuals are constant"
+            elif residuals_over[t] or not math.isfinite(mids[t, m]):
+                why = "residuals overflow float64"
+            else:
+                continue
+            raise DataError(f"{target}: {why}; {_NAMES[metric]} is undefined")
 
-    n_targets, n = y.shape
-    a = y - y.mean(axis=1, keepdims=True)
-    e = y - y_hat
-    c = e - e.mean(axis=1, keepdims=True)
-    terms = np.concatenate([a, a * a, c, c * c, e * e, np.abs(e)]).T      # (n, 6 * n_targets)
+    terms = np.concatenate(parts).T                                      # (n, 6 * n_targets)
     order = np.argsort(y, axis=1, kind="stable")                          # days by value
     ordered = np.take_along_axis(y, order, axis=1)
     order = np.stack([order, order[:, ::-1]])              # ascending, then descending

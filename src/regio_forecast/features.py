@@ -1,8 +1,9 @@
-"""Feature space: the column codes, the derived-feature registry, relevance.
+"""Feature space: the column codes, the derived-feature formulas, relevance.
 
-The raw daily record carries 27 primary features. A registry of 17 derived
-features (ratios and proportions over the primary ones) names 44 codes in
-all. A model trains on a selection of them, by default 13 primary columns;
+The raw daily record carries 27 primary features. DERIVED_FORMULAS maps
+17 derived codes to their formulas (ratios and proportions over the
+primary ones), so FEATURE_CODES names 44 codes in all. A model trains on
+a selection of them, by default 13 primary columns;
 ``RegionalDataset.columns`` evaluates a derived formula only when the
 selection names its code. Relevance scoring ranks all 44 against the
 targets, and ``RelevanceReport.top`` picks the ranked selection.
@@ -18,7 +19,6 @@ import numpy as np
 from .errors import ConfigError, DataError
 
 PRIMARY_FEATURE_CODES: tuple[str, ...] = tuple(f"feat_{i:02d}" for i in range(1, 28))
-DERIVED_FEATURE_CODES: tuple[str, ...] = tuple(f"d{i:02d}" for i in range(1, 18))
 TARGET_COLUMNS: tuple[str, ...] = ("infections", "hospitalizations", "recoveries", "deaths")
 
 # The default 13-column model feature space, in relevance-rank order:
@@ -46,56 +46,39 @@ def _total_population(c: dict[str, np.ndarray]) -> np.ndarray:
             + c["feat_25"] + c["feat_26"] + c["feat_27"])
 
 
-@dataclass(frozen=True)
-class DerivedFeature:
-    code: str
-    name: str
-    formula: Callable[[dict[str, np.ndarray]], np.ndarray]
-
-
-# Ratios and proportions over the primary columns only. Divisions by a
-# quantity that can legitimately be zero go through _safe_div; the small
-# epsilons below keep rate ratios finite without masking the zero case.
-DEFAULT_DERIVED_REGISTRY: tuple[DerivedFeature, ...] = (
-    DerivedFeature("d01", "total_population",
-                   _total_population),
-    DerivedFeature("d02", "male_fraction",
-                   lambda c: _safe_div(c["feat_22"] + c["feat_23"] + c["feat_24"],
-                                       _total_population(c))),
-    DerivedFeature("d03", "female_fraction",
-                   lambda c: _safe_div(c["feat_25"] + c["feat_26"] + c["feat_27"],
-                                       _total_population(c))),
-    DerivedFeature("d04", "youth_fraction",
-                   lambda c: _safe_div(c["feat_22"] + c["feat_25"], _total_population(c))),
-    DerivedFeature("d05", "middle_fraction",
-                   lambda c: _safe_div(c["feat_23"] + c["feat_26"], _total_population(c))),
-    DerivedFeature("d06", "senior_fraction",
-                   lambda c: _safe_div(c["feat_24"] + c["feat_27"], _total_population(c))),
-    DerivedFeature("d07", "population_density",
-                   lambda c: _safe_div(_total_population(c), c["feat_03"])),
-    DerivedFeature("d08", "chc_per_100k",
-                   lambda c: _safe_div(1e5 * c["feat_11"], _total_population(c))),
-    DerivedFeature("d09", "vaccine_coverage",
-                   lambda c: _safe_div(c["feat_06"], _total_population(c))),
-    DerivedFeature("d10", "labor_participation",
-                   lambda c: _safe_div(c["feat_21"], _total_population(c))),
-    DerivedFeature("d11", "employ_unemploy_ratio",
-                   lambda c: c["feat_19"] / (c["feat_20"] + 1e-9)),
-    DerivedFeature("d12", "travelers_per_100k",
-                   lambda c: _safe_div(1e5 * c["feat_18"], _total_population(c))),
-    DerivedFeature("d13", "mobility_composite",
-                   lambda c: (c["feat_12"] + c["feat_13"] + c["feat_14"]
-                              + c["feat_15"] + c["feat_16"] + c["feat_17"]) / 6.0),
-    DerivedFeature("d14", "retail_residential_ratio",
-                   lambda c: c["feat_12"] / (np.abs(c["feat_17"]) + 1.0)),
-    DerivedFeature("d15", "workplace_residential_ratio",
-                   lambda c: c["feat_16"] / (np.abs(c["feat_17"]) + 1.0)),
-    DerivedFeature("d16", "transit_per_labor",
-                   lambda c: c["feat_15"] / (c["feat_21"] + 1e-9)),
-    DerivedFeature("d17", "rt_mobility",
-                   lambda c: c["feat_01"] * (c["feat_12"] + c["feat_13"] + c["feat_14"]
-                                             + c["feat_15"] + c["feat_16"] + c["feat_17"]) / 6.0),
-)
+# Each derived code's formula over the primary columns, its name in a
+# comment. Divisions by a quantity that can legitimately be zero go
+# through _safe_div; the small epsilons below keep rate ratios finite
+# without masking the zero case.
+DERIVED_FORMULAS: dict[str, Callable[[dict[str, np.ndarray]], np.ndarray]] = {
+    "d01": _total_population,  # total_population
+    "d02": lambda c: _safe_div(c["feat_22"] + c["feat_23"] + c["feat_24"],  # male_fraction
+                               _total_population(c)),
+    "d03": lambda c: _safe_div(c["feat_25"] + c["feat_26"] + c["feat_27"],  # female_fraction
+                               _total_population(c)),
+    "d04": lambda c: _safe_div(c["feat_22"] + c["feat_25"],  # youth_fraction
+                               _total_population(c)),
+    "d05": lambda c: _safe_div(c["feat_23"] + c["feat_26"],  # middle_fraction
+                               _total_population(c)),
+    "d06": lambda c: _safe_div(c["feat_24"] + c["feat_27"],  # senior_fraction
+                               _total_population(c)),
+    "d07": lambda c: _safe_div(_total_population(c), c["feat_03"]),  # population_density
+    "d08": lambda c: _safe_div(1e5 * c["feat_11"], _total_population(c)),  # chc_per_100k
+    "d09": lambda c: _safe_div(c["feat_06"], _total_population(c)),  # vaccine_coverage
+    "d10": lambda c: _safe_div(c["feat_21"], _total_population(c)),  # labor_participation
+    "d11": lambda c: c["feat_19"] / (c["feat_20"] + 1e-9),  # employ_unemploy_ratio
+    "d12": lambda c: _safe_div(1e5 * c["feat_18"], _total_population(c)),  # travelers_per_100k
+    "d13": lambda c: (c["feat_12"] + c["feat_13"] + c["feat_14"]  # mobility_composite
+                      + c["feat_15"] + c["feat_16"] + c["feat_17"]) / 6.0,
+    "d14": lambda c: c["feat_12"] / (np.abs(c["feat_17"]) + 1.0),  # retail_residential_ratio
+    "d15": lambda c: c["feat_16"] / (np.abs(c["feat_17"]) + 1.0),  # workplace_residential_ratio
+    "d16": lambda c: c["feat_15"] / (c["feat_21"] + 1e-9),  # transit_per_labor
+    "d17": lambda c: c["feat_01"] * (c["feat_12"] + c["feat_13"] + c["feat_14"]  # rt_mobility
+                                     + c["feat_15"] + c["feat_16"] + c["feat_17"]) / 6.0,
+}
+DERIVED_FEATURE_CODES: tuple[str, ...] = tuple(DERIVED_FORMULAS)
+# Every code a model may select, and relevance ranks: primary, then derived.
+FEATURE_CODES: tuple[str, ...] = PRIMARY_FEATURE_CODES + DERIVED_FEATURE_CODES
 
 
 @dataclass(frozen=True)

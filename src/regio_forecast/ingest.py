@@ -13,10 +13,11 @@ empty cell on its earliest date is rejected (daily administrative series
 behave like step functions, so the previous value is the best available
 estimate).
 
-A file's body is read by one ``np.loadtxt`` call; a file that it rejects
-(an empty cell among them), whose table breaks a rule or that may hold a
-cell longer than the ``csv`` module's field limit is read again by
-``csv.reader`` and a row loop, the one place that words a parse error.
+A file's body is read by one ``np.loadtxt`` call; a body that it rejects
+(an empty cell among them) or that may hold a cell longer than the
+``csv`` module's field limit is read again by ``csv.reader`` and a row
+loop, the one place that words a parse error. Both tables then share one
+sort, forward fill and validation.
 
 Every RegionalDataset, whether parsed, generated, subset or built by a
 caller, holds these rules when it is constructed: every cell is finite,
@@ -34,12 +35,12 @@ import csv
 import datetime as dt
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .features import DEFAULT_DERIVED_REGISTRY, PRIMARY_FEATURE_CODES, TARGET_COLUMNS
+from .features import DERIVED_FORMULAS, PRIMARY_FEATURE_CODES, TARGET_COLUMNS
 
 CSV_HEADER: tuple[str, ...] = ("date",) + PRIMARY_FEATURE_CODES + TARGET_COLUMNS
 
@@ -170,9 +171,9 @@ class RegionalDataset:
         for j, code in enumerate(codes):
             if code in primary:
                 out[:, j] = primary[code]
-            elif code in _DERIVED_FORMULAS:
+            elif code in DERIVED_FORMULAS:
                 with np.errstate(all="ignore"):    # a non-finite result is reported below
-                    out[:, j] = _DERIVED_FORMULAS[code](primary)
+                    out[:, j] = DERIVED_FORMULAS[code](primary)
             else:
                 raise ConfigError(f"unknown feature code: {code!r}")
         bad = ~np.isfinite(out)
@@ -194,7 +195,6 @@ MAX_COUNT = 2 ** 53
 # The days a date may name: those of datetime.date, which the CSV readers parse.
 _FIRST_DAY, _LAST_DAY = np.datetime64(dt.date.min), np.datetime64(dt.date.max)
 
-_DERIVED_FORMULAS = {f.code: f.formula for f in DEFAULT_DERIVED_REGISTRY}
 _REGION_COLUMN = PRIMARY_FEATURE_CODES.index("feat_04")
 _CENTRES_COLUMN = PRIMARY_FEATURE_CODES.index("feat_11")
 
@@ -258,20 +258,19 @@ def _date_ordinal(text: str) -> int:
     return dt.date.fromisoformat(text.strip()).toordinal() - 719163
 
 
-def _load_dataset(lines: Iterable[str], region: RegionId) -> RegionalDataset | None:
-    """The dataset of the data lines as numpy's C reader takes them, or None.
+def _load_table(lines: list[str]) -> tuple[np.ndarray, np.ndarray] | None:
+    """Day numbers and (n, 31) cell values of the data lines numpy's C reader takes, or None.
 
     One ``np.loadtxt`` call reads the cells (Python's float syntax without
-    ``_`` or non-ASCII digits) and the ISO dates. Whatever it rejects (an
-    empty or odd cell, a cell count that varies, a bad date, no data rows)
-    and a table that breaks a RegionalDataset rule, a width other than 32
-    among them, give None, so the row loop of ``_read_table`` stays the
-    only source of error messages. So do a line longer than the csv
-    module's field limit and a quoted cell that runs past a line end,
-    which could hold a field longer than that limit: ``csv.reader``
-    refuses such a field, and ``loadtxt`` has no limit.
+    ``_`` or non-ASCII digits) and the ISO dates, skipping only empty
+    lines. Whatever it rejects (an empty or odd cell, a cell count that
+    varies, a bad date, no data rows) and a width other than 32 give None,
+    so the row loop of ``_read_table`` stays the only source of text-fault
+    messages. So do a line longer than the csv module's field limit and a
+    quoted cell that runs past a line end, which could hold a field longer
+    than that limit: ``csv.reader`` refuses such a field, and ``loadtxt``
+    has no limit.
     """
-    lines = list(lines)
     if not any(map(str.strip, lines)):      # loadtxt would warn of no data
         return None
     if max(map(len, lines)) > csv.field_size_limit() or (
@@ -282,13 +281,9 @@ def _load_dataset(lines: Iterable[str], region: RegionId) -> RegionalDataset | N
                            quotechar='"', ndmin=2, converters={0: _date_ordinal})
     except ValueError:
         return None
-    table = table[np.argsort(table[:, 0], kind="stable")]
-    try:
-        return RegionalDataset(region, table[:, 0].astype("datetime64[D]"),
-                               table[:, 1:1 + len(PRIMARY_FEATURE_CODES)],
-                               table[:, 1 + len(PRIMARY_FEATURE_CODES):])
-    except DataError:
+    if table.shape[1] != len(CSV_HEADER):
         return None
+    return table[:, 0].astype(np.int64), table[:, 1:]
 
 
 def _read_table(records: list[list[str]]
@@ -346,19 +341,19 @@ def _read_table(records: list[list[str]]
 def parse_regional_csv(path: str | Path, region: RegionId) -> RegionalDataset:
     """Parse and validate one region's CSV into a RegionalDataset.
 
-    The file is UTF-8, with or without a byte-order mark. Its body is read
-    by one ``np.loadtxt`` call; only when that rejects it (say, for an
-    empty cell) or the table breaks a rule is the file read again with
-    ``csv.reader`` and a row loop, which words every error. Rows are
-    sorted by date (stable), then empty cells take the previous day's
-    value. A missing or misordered header column, an empty file, a bad
-    cell (named by data row number and column) or a repeated date raises
-    DataError, its message starting with the file path; so do bytes that
-    are not UTF-8 and quoting that the csv module cannot read. A file with
-    several faults reports the first of: a text fault (cell count, date,
-    number syntax) in row-major order; an empty cell on the earliest
-    date; the first cell by date that breaks a RegionalDataset rule; a
-    repeated date.
+    The file is UTF-8, with or without a byte-order mark. Its body lines
+    are read by one ``np.loadtxt`` call; only when that rejects them (say,
+    for an empty cell) does ``csv.reader`` read them again in a row loop,
+    which words every text fault. Either table then takes the same path:
+    rows are sorted by date (stable), empty cells take the previous day's
+    value, and the RegionalDataset checks the cells. A missing or
+    misordered header column, an empty file, a bad cell (named by data row
+    number and column) or a repeated date raises DataError, its message
+    starting with the file path; so do bytes that are not UTF-8 and
+    quoting that the csv module cannot read. A file with several faults
+    reports the first of: a text fault (cell count, date, number syntax)
+    in row-major order; an empty cell on the earliest date; the first cell
+    by date that breaks a RegionalDataset rule; a repeated date.
     """
     path = Path(path)
     try:
@@ -374,20 +369,20 @@ def parse_regional_csv(path: str | Path, region: RegionId) -> RegionalDataset:
                 raise DataError(
                     "header columns out of order or extra; expected exactly: "
                     + ",".join(CSV_HEADER))
-            dataset = _load_dataset(fh, region)
-            if dataset is not None:
-                return dataset
-            fh.seek(0)
-            rows, dates, values, empty = _read_table(list(csv.reader(fh))[1:])
-        if not rows:
-            raise DataError("header but no data rows")
+            lines = fh.readlines()
+        table = _load_table(lines)
+        if table is None:
+            rows, dates, values, empty = _read_table(list(csv.reader(lines)))
+            if not rows:
+                raise DataError("header but no data rows")
+        else:
+            (dates, values), rows, empty = table, None, None
         order = np.argsort(dates, kind="stable")
-        rows, dates = np.array(rows)[order], np.array(dates, "datetime64[D]")[order]
-        values = values[order]
+        dates, values = np.array(dates, "datetime64[D]")[order], values[order]
         if empty is not None:
             empty = empty[order]
             if empty[0].any():
-                raise _bad_value(f"row {rows[0]}", CSV_HEADER[1 + int(empty[0].argmax())],
+                raise _bad_value(f"row {rows[order[0]]}", CSV_HEADER[1 + int(empty[0].argmax())],
                                  "missing cell on the earliest date (nothing to forward-fill)")
             source = np.where(empty, 0, np.arange(len(rows))[:, None])
             values = np.take_along_axis(values, np.maximum.accumulate(source, axis=0), axis=0)
@@ -400,8 +395,10 @@ def parse_regional_csv(path: str | Path, region: RegionId) -> RegionalDataset:
             if bad is None:
                 repeated = dates[int(np.argmax(np.diff(dates) == 0))]
                 raise DataError(f"duplicate date in dataset: {repeated}") from None
+            if rows is None:    # loadtxt read each line but the empty ones as a row
+                rows = [i for i, line in enumerate(lines, 1) if line.strip("\r\n")]
             row, code, detail = bad
-            raise _bad_value(f"row {rows[row]}", code, detail) from None
+            raise _bad_value(f"row {rows[order[row]]}", code, detail) from None
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text (byte 0x{exc.object[exc.start]:02x})") from None
     except csv.Error as exc:     # e.g. an unclosed quote running past the field limit

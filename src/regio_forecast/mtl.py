@@ -6,15 +6,16 @@ that transfer is a weighted union of instances: one store holds the rows
 of every other region at weight ``generic_weight``, followed by the
 case-study training rows at weight 1.0. The weight is in [0, 1]: 1 is
 plain kNN on the union, and 0 drops the pooled rows, leaving kNN on the
-case study alone. ``MtlModel`` is that store; it derives each vote weight
-from the instance's region tag and checks every rule, trained or loaded.
+case study alone. ``MtlModel`` is that store together with the quantile
+landmarks that scaled it; it derives each vote weight from the instance's
+region tag and checks every rule, trained or loaded.
 
 Training and prediction share one feature path: ``RegionalDataset.columns``
 gives the selected columns (a derived one is computed only when
-selected), the quantile scaler maps each column, and each row is scaled
-to unit length. The scaler is fitted once, on exactly the stored rows
+selected), the model's landmarks map each column, and each row is scaled
+to unit length. The landmarks are fitted once, on exactly the stored rows
 (case-study *training* rows, after the pool unless the weight is 0);
-held-out rows are only ever transformed with the fitted state. The store
+held-out rows are only ever transformed with them. The store
 holds raw target counts: a vote is a weighted mean of them, so it is a
 non-negative count with no target scaling to undo.
 """
@@ -28,15 +29,11 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .features import DEFAULT_SELECTED_FEATURES, DERIVED_FEATURE_CODES, PRIMARY_FEATURE_CODES
+from .features import DEFAULT_SELECTED_FEATURES, FEATURE_CODES
 from .ingest import RegionalDataset, RegionId
 from .knn import predict_knn_batch
-from .scaling import (
-    QuantileNormalScaler,
-    apply_quantile_scaler,
-    fit_quantile_scaler,
-    l2_normalize_rows,
-)
+from .scaling import (apply_quantile_scaler, checked_landmarks, fit_quantile_scaler,
+                      l2_normalize_rows)
 
 
 @dataclass(frozen=True)
@@ -56,8 +53,9 @@ class TrainReport:
 
 @dataclass(frozen=True)
 class MtlModel:
-    """Trained monitoring model for one case-study region: its instance store and scaler.
+    """Trained monitoring model for one case-study region: its landmarks and instance store.
 
+    ``landmarks`` holds a row of quantile landmarks per selected feature.
     The store holds unit ``features`` rows, raw ``targets`` counts and
     ``source_tags`` (region codes): the pooled-region instances (none when
     ``generic_weight`` is 0), then the case-study training instances. Their
@@ -65,7 +63,8 @@ class MtlModel:
     artifact, the one source of a model that training did not check.
     """
 
-    feature_scaler: QuantileNormalScaler
+    selected_features: tuple[str, ...]
+    landmarks: np.ndarray       # (len(selected_features), n_quantiles), each row sorted
     features: np.ndarray        # (n, len(selected_features))
     targets: np.ndarray         # (n, 4)
     source_tags: np.ndarray     # (n,) int
@@ -74,16 +73,13 @@ class MtlModel:
     case_study: RegionId
 
     @property
-    def selected_features(self) -> tuple[str, ...]:
-        """The selected feature codes: the feature scaler's columns."""
-        return self.feature_scaler.column_codes
-
-    @property
     def weights(self) -> np.ndarray:
         """Vote weight of each instance: 1.0 if tagged ``case_study``, else ``generic_weight``."""
         return np.where(self.source_tags == self.case_study.code, 1.0, float(self.generic_weight))
 
     def __post_init__(self):
+        codes = tuple(self.selected_features)
+        lm = checked_landmarks(self.landmarks, len(codes))
         # contiguous read-only storage so identical values give identical predictions
         try:
             f = np.ascontiguousarray(self.features, dtype=np.float64)
@@ -100,7 +96,9 @@ class MtlModel:
         if t.shape[0] != n or tags.shape != (n,):
             raise DataError(f"instance counts disagree across store fields: {n} feature rows, "
                             f"{t.shape[0]} target rows, {len(tags)} tags")
-        for name, arr in (("features", f), ("targets", t), ("source_tags", tags)):
+        object.__setattr__(self, "selected_features", codes)
+        for name, arr in (("landmarks", lm), ("features", f), ("targets", t),
+                          ("source_tags", tags)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         if not np.all(self.weights > 0):      # NaN fails the comparison too
@@ -109,8 +107,7 @@ class MtlModel:
             raise ConfigError(f"k must be an integer, got {self.k!r}")
         if self.k < 1:
             raise ConfigError(f"k must be >= 1, got {self.k}")
-        codes = self.selected_features
-        unknown = [c for c in codes if c not in PRIMARY_FEATURE_CODES + DERIVED_FEATURE_CODES]
+        unknown = [c for c in codes if c not in FEATURE_CODES]
         if unknown:
             raise DataError(f"unknown selected feature codes: {unknown}")
         if len(set(codes)) != len(codes):
@@ -118,7 +115,7 @@ class MtlModel:
         if f.shape[1] != len(codes):
             raise DataError(f"store has {f.shape[1]} feature columns "
                             f"for {len(codes)} selected features")
-        numbers = {"features": f, "targets": t, "landmarks": self.feature_scaler.landmarks,
+        numbers = {"features": f, "targets": t, "landmarks": lm,
                    "generic_weight": self.generic_weight}
         for name, values in numbers.items():
             if not np.all(np.isfinite(values)):
@@ -143,7 +140,7 @@ def train_mtl(
     Every dataset of another region joins the pool, in the given order.
     Instances keep that order, pool first, so kNN distance ties break the
     same way on every run. At generic weight 0 the model stores, and fits
-    its scaler on, the case-study rows alone; the report counts the pool.
+    its landmarks on, the case-study rows alone; the report counts the pool.
     """
     if not 0 <= generic_weight <= 1:
         raise ConfigError(f"generic weight must be in [0, 1], got {generic_weight}")
@@ -165,9 +162,9 @@ def train_mtl(
 
     t0 = time.perf_counter()
     raw = np.vstack([d.columns(selection) for d in stored])
-    feature_scaler = fit_quantile_scaler(raw, selection)
-    unit_rows = l2_normalize_rows(apply_quantile_scaler(feature_scaler, raw))
-    model = MtlModel(feature_scaler, unit_rows, targets, tags, k, float(generic_weight),
+    landmarks = fit_quantile_scaler(raw, selection)
+    unit_rows = l2_normalize_rows(apply_quantile_scaler(landmarks, raw))
+    model = MtlModel(selection, landmarks, unit_rows, targets, tags, k, float(generic_weight),
                      case_study)
     fit_seconds = time.perf_counter() - t0
 
@@ -176,7 +173,7 @@ def train_mtl(
         dedicated_instances=len(model.targets),
         case_train_rows=case.n_rows,
         fit_seconds=fit_seconds,
-        n_quantiles=feature_scaler.n_quantiles,
+        n_quantiles=landmarks.shape[1],
     )
 
 
@@ -184,9 +181,9 @@ def predict_monitoring(model: MtlModel, ds: RegionalDataset) -> np.ndarray:
     """Predict (infections, hospitalizations, recoveries, deaths) per day of ``ds``.
 
     Returns the (n, 4) float counts in TARGET_COLUMNS order. Pipeline:
-    compute the model's columns, apply the fitted scaler, normalize each
+    compute the model's columns, map them through its landmarks, normalize each
     row to unit length, then let the model's nearest instances vote.
     """
     raw = ds.columns(model.selected_features)
-    x = l2_normalize_rows(apply_quantile_scaler(model.feature_scaler, raw))
+    x = l2_normalize_rows(apply_quantile_scaler(model.landmarks, raw))
     return predict_knn_batch(model.features, model.targets, model.weights, x, model.k)

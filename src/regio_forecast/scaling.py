@@ -10,15 +10,15 @@ Two transforms are provided:
 * row-wise L2 normalization, so every sample becomes a unit vector (an
   all-zero row stays zero).
 
-The quantile scaler is fitted on training rows only and is immutable
-afterwards; applying it to new data never refits anything. Targets are not
+The quantile scaler's fitted state is one read-only (columns, landmarks)
+array, fitted on training rows only; ``checked_landmarks`` holds its
+rules, and applying it to new data never refits anything. Targets are not
 scaled: the kNN vote is a weighted mean of stored counts, which commutes
 with any per-column affine map.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -32,44 +32,30 @@ CDF_CLIP_LO = 1e-7
 CDF_CLIP_HI = 1.0 - 1e-7
 
 
-@dataclass(frozen=True)
-class QuantileNormalScaler:
-    """Fitted state of the quantile-to-normal feature transform.
+def checked_landmarks(landmarks: np.ndarray, n_columns: int | None = None) -> np.ndarray:
+    """``landmarks`` as a C-contiguous float64 array, after checking the landmark rules.
 
-    ``landmarks[j]`` holds the empirical quantiles of training column j at
-    ``n_quantiles`` equally spaced probabilities in [0, 1]; they are the
-    interpolation nodes of the training CDF estimate.
+    The array is 2-D with one row per column (``n_columns`` rows, when
+    given), each row holds at least 2 landmarks and is sorted
+    non-decreasing. DataError names the first rule broken.
     """
-
-    column_codes: tuple[str, ...]
-    landmarks: np.ndarray          # (n_columns, n_quantiles), each row sorted
-
-    def __post_init__(self):
-        lm = np.ascontiguousarray(self.landmarks, dtype=np.float64)
-        if lm.ndim != 2 or lm.shape[0] != len(self.column_codes):
-            raise DataError("landmark array shape does not match column codes")
-        if lm.shape[1] < 2:
-            raise DataError("at least 2 quantile landmarks per column are required")
-        if np.any(lm[:, 1:] < lm[:, :-1]):       # compared in place, with no float temporary
-            raise DataError("landmarks must be sorted non-decreasing per column")
-        lm.setflags(write=False)
-        object.__setattr__(self, "landmarks", lm)
-
-    @property
-    def n_quantiles(self) -> int:
-        return self.landmarks.shape[1]
-
-    @property
-    def probabilities(self) -> np.ndarray:
-        return np.linspace(0.0, 1.0, self.n_quantiles)
+    lm = np.ascontiguousarray(landmarks, dtype=np.float64)
+    if lm.ndim != 2 or n_columns not in (None, lm.shape[0]):
+        raise DataError("landmark array shape does not match column codes")
+    if lm.shape[1] < 2:
+        raise DataError("at least 2 quantile landmarks per column are required")
+    if np.any(lm[:, 1:] < lm[:, :-1]):       # compared in place, with no float temporary
+        raise DataError("landmarks must be sorted non-decreasing per column")
+    return lm
 
 
-def fit_quantile_scaler(values: np.ndarray, codes: Sequence[str]) -> QuantileNormalScaler:
-    """Fit per-column quantile landmarks on training ``values``, whose columns ``codes`` name.
+def fit_quantile_scaler(values: np.ndarray, codes: Sequence[str]) -> np.ndarray:
+    """Per-column quantile landmarks of training ``values``, whose columns ``codes`` name.
 
-    Landmarks are the empirical quantiles at min(1000, row count) equally
-    spaced probabilities, computed with linear interpolation between order
-    statistics.
+    Row j of the read-only (len(codes), min(1000, rows)) result holds the
+    empirical quantiles of column j at equally spaced probabilities in
+    [0, 1], computed with linear interpolation between order statistics;
+    they are the interpolation nodes of the training CDF estimate.
     """
     values = np.asarray(values, dtype=np.float64)
     n_rows = values.shape[0]
@@ -79,8 +65,9 @@ def fit_quantile_scaler(values: np.ndarray, codes: Sequence[str]) -> QuantileNor
         i, j = np.argwhere(~np.isfinite(values))[0]
         raise DataError(f"non-finite value at row {i}, column {codes[j]!r}")
     probs = np.linspace(0.0, 1.0, min(1000, n_rows))
-    landmarks = linear_quantiles(np.sort(values, axis=0), probs).T
-    return QuantileNormalScaler(column_codes=tuple(codes), landmarks=landmarks)
+    landmarks = np.ascontiguousarray(linear_quantiles(np.sort(values, axis=0), probs).T)
+    landmarks.setflags(write=False)
+    return landmarks
 
 
 def linear_quantiles(ordered: np.ndarray, probs: np.ndarray,
@@ -138,23 +125,25 @@ def _empirical_cdf(landmarks: np.ndarray, probs: np.ndarray, x: np.ndarray) -> n
     return out
 
 
-def apply_quantile_scaler(scaler: QuantileNormalScaler, values: np.ndarray) -> np.ndarray:
+def apply_quantile_scaler(landmarks: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Map each column through the fitted CDF and the normal quantile function (ndtri).
 
-    ``values`` has one column per fitted column, in the scaler's order.
-    Out-of-range values are clipped to the training range before mapping,
-    and CDF outputs are clipped to [CDF_CLIP_LO, CDF_CLIP_HI] so results
-    stay finite.
+    ``landmarks`` is ``fit_quantile_scaler``'s array, checked by
+    ``checked_landmarks``; ``values`` has one column per landmark row, in
+    its order. Out-of-range values are clipped to the training range
+    before mapping, and CDF outputs are clipped to [CDF_CLIP_LO,
+    CDF_CLIP_HI] so results stay finite.
     A column that was constant at fit time maps to 0 everywhere.
     """
+    landmarks = checked_landmarks(landmarks)
     values = np.asarray(values, dtype=np.float64)
-    if values.ndim != 2 or values.shape[1] != len(scaler.column_codes):
+    if values.ndim != 2 or values.shape[1] != len(landmarks):
         raise DataError(f"values of shape {values.shape} do not match "
-                        f"fitted columns {scaler.column_codes}")
-    probs = scaler.probabilities
+                        f"fitted column count {len(landmarks)}")
+    probs = np.linspace(0.0, 1.0, landmarks.shape[1])
     p = np.empty(values.shape)
     for j in range(values.shape[1]):
-        p[:, j] = _empirical_cdf(scaler.landmarks[j], probs, values[:, j])
+        p[:, j] = _empirical_cdf(landmarks[j], probs, values[:, j])
     return ndtri(np.clip(p, CDF_CLIP_LO, CDF_CLIP_HI, out=p), out=p)
 
 

@@ -60,8 +60,8 @@ def test_scaling_suite():
             rng.exponential(2.5, 362),
             rng.beta(2.0, 5.0, 362),
         ])
-        scaler = fit_quantile_scaler(values, ("a", "b", "c", "d"))
-        z = apply_quantile_scaler(scaler, values)
+        landmarks = fit_quantile_scaler(values, ("a", "b", "c", "d"))
+        z = apply_quantile_scaler(landmarks, values)
         assert np.all(np.abs(z.mean(axis=0)) < 0.05)
         stds = z.std(axis=0)
         assert np.all((stds >= 0.85) & (stds <= 1.15))
@@ -71,8 +71,8 @@ def test_scaling_suite():
         assert np.all(np.abs(norms[np.any(z, axis=1)] - 1.0) <= 1e-9)
 
         # at each landmark, z is the oracle's Phi^-1 of the clipped landmark probability
-        at_landmarks = apply_quantile_scaler(scaler, scaler.landmarks.T)
-        ps = np.clip(scaler.probabilities, CDF_CLIP_LO, CDF_CLIP_HI)
+        at_landmarks = apply_quantile_scaler(landmarks, landmarks.T)
+        ps = np.clip(np.linspace(0.0, 1.0, landmarks.shape[1]), CDF_CLIP_LO, CDF_CLIP_HI)
         for j in range(values.shape[1]):
             for p, z_p in zip(ps, at_landmarks[:, j]):
                 assert abs(z_p - bisection_normal_ppf(float(p))) <= 1e-8
@@ -128,7 +128,7 @@ def test_transfer_algebra():
 
         def scaled(model, parts):
             raw = np.vstack([p.columns(model.selected_features) for p in parts])
-            x = l2_normalize_rows(apply_quantile_scaler(model.feature_scaler, raw))
+            x = l2_normalize_rows(apply_quantile_scaler(model.landmarks, raw))
             return x, np.vstack([p.targets for p in parts])
 
         xu, yu = scaled(model_union, [*datasets[1:], case_train])

@@ -11,12 +11,13 @@ import numpy as np
 import pytest
 
 import regio_forecast
-from regio_forecast.artifact import MAX_HEADER_BYTES, load_model, save_model
+from regio_forecast.artifact import ARRAYS, MAX_HEADER_BYTES, load_model, save_model
+from regio_forecast.cli import main
 from regio_forecast.errors import DataError
 from regio_forecast.features import DEFAULT_SELECTED_FEATURES
-from regio_forecast.ingest import region_by_name
+from regio_forecast.ingest import region_by_name, write_regional_csv
 from regio_forecast.mtl import MtlModel, predict_monitoring, train_mtl
-from regio_forecast.scaling import QuantileNormalScaler
+from regio_forecast.scaling import apply_quantile_scaler
 
 from oracles import artifact_bytes_oracle, read_artifact_oracle
 
@@ -43,17 +44,29 @@ def test_artifact_layout(trained_small_model, tmp_path):
     assert header == {
         "version": "6",
         "k": 6,
-        "feature_codes": list(model.feature_scaler.column_codes),
+        "feature_codes": list(model.selected_features),
         "generic_weight": 1.0,
         "case_study": {"code": 0, "name": "Alberta"},
         "shapes": {"landmarks": [13, 224], "features": [224, 13], "targets": [224, 4],
                    "source_tags": [224]},
     }
     assert len(header["feature_codes"]) == 13
-    assert body == b"".join([model.feature_scaler.landmarks.astype("<f8").tobytes(),
+    assert body == b"".join([model.landmarks.astype("<f8").tobytes(),
                              model.features.astype("<f8").tobytes(),
                              model.targets.astype("<f8").tobytes(),
                              model.source_tags.astype("<i8").tobytes()])
+
+
+def test_save_model_writes_the_model_arrays_that_ARRAYS_names(trained_small_model, tmp_path):
+    model, _, _ = trained_small_model
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    line = path.read_bytes().split(b"\n", 1)[0]
+    assert path.read_bytes() == line + b"\n" + b"".join(
+        np.ascontiguousarray(getattr(model, name), dtype).tobytes()
+        for name, dtype in ARRAYS.items())
+    assert json.loads(line)["shapes"] == {name: list(getattr(model, name).shape)
+                                          for name in ARRAYS}
 
 
 def test_edge_values_roundtrip_bit_for_bit(trained_small_model, tmp_path):
@@ -80,6 +93,60 @@ def _saved_parts(model, tmp_path):
 def _refused(path, message):
     with pytest.raises(DataError, match=f"^{re.escape(f'{path}: {message}')}"):
         load_model(path)
+
+
+def _unsorted(lm):
+    lm[3, 10], lm[3, 11] = lm[3, 11] + 1.0, lm[3, 10]
+    return lm
+
+
+_SHAPE = "landmark array shape does not match column codes"
+
+
+# each landmark rule, broken in a trained model's landmarks (13 x 224)
+@pytest.mark.parametrize("change, message", [
+    (lambda lm: lm.ravel(), _SHAPE),
+    (lambda lm: lm[:, :1], "at least 2 quantile landmarks per column are required"),
+    (_unsorted, "landmarks must be sorted non-decreasing per column"),
+], ids=["one_dimension", "one_landmark", "unsorted"])
+def test_each_landmark_rule_is_refused_alike_everywhere(trained_small_model, small_datasets,
+                                                        tmp_path, capsys, change, message):
+    """The model, a loaded artifact (exit 3, naming the file) and the
+    scaler's apply refuse broken landmarks with one message."""
+    model, _, _ = trained_small_model
+    landmarks = np.ascontiguousarray(change(model.landmarks.copy()))
+    with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+        dataclasses.replace(model, landmarks=landmarks)
+    with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+        apply_quantile_scaler(landmarks, np.zeros((2, len(model.selected_features))))
+    header, arrays = _saved_parts(model, tmp_path)
+    arrays["landmarks"] = landmarks
+    header["shapes"]["landmarks"] = list(landmarks.shape)
+    bad, series = tmp_path / "bad.json", tmp_path / "alberta.csv"
+    bad.write_bytes(artifact_bytes_oracle(header, arrays))
+    _refused(bad, message)
+    write_regional_csv(small_datasets[0], series)
+    capsys.readouterr()
+    assert main(["predict", "--model", str(bad), "--input", str(series),
+                 "--out", str(tmp_path / "out")]) == 3
+    assert f"{bad}: {message}" in capsys.readouterr().err
+
+
+def test_landmark_rows_must_match_the_codes(trained_small_model, tmp_path):
+    """One landmark row short: the model and a loaded artifact name the
+    rule; the scaler's apply, which knows no codes, names the column count."""
+    model, _, _ = trained_small_model
+    landmarks = model.landmarks[:-1]
+    with pytest.raises(DataError, match=f"^{re.escape(_SHAPE)}$"):
+        dataclasses.replace(model, landmarks=landmarks)
+    header, arrays = _saved_parts(model, tmp_path)
+    arrays["landmarks"], header["shapes"]["landmarks"] = landmarks, [12, 224]
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(artifact_bytes_oracle(header, arrays))
+    _refused(bad, _SHAPE)
+    with pytest.raises(DataError, match=(r"^values of shape \(2, 13\) do not match "
+                                         r"fitted column count 12$")):
+        apply_quantile_scaler(landmarks, np.zeros((2, 13)))
 
 
 def test_unknown_version_rejected(trained_small_model, tmp_path):
@@ -123,7 +190,7 @@ def _header_cuts(data, _):
 def _array_boundary_cuts(data, model):
     """Cuts at the start and end of each array, and one byte either side."""
     at, ends = data.index(b"\n") + 1, []
-    for values in (model.feature_scaler.landmarks, model.features, model.targets,
+    for values in (model.landmarks, model.features, model.targets,
                    model.source_tags):
         ends.append(at)
         at += values.nbytes
@@ -197,7 +264,7 @@ def test_roundtrip_derives_store_weights(small_datasets, tmp_path):
     for name in ("features", "targets", "source_tags", "weights"):
         a, b = getattr(clone, name), getattr(model, name)
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
-    assert clone.feature_scaler.landmarks.tobytes() == model.feature_scaler.landmarks.tobytes()
+    assert clone.landmarks.tobytes() == model.landmarks.tobytes()
     assert clone.generic_weight == 0.5
     test = case.subset(range(30, case.n_rows))
     assert np.array_equal(predict_monitoring(clone, test), predict_monitoring(model, test))
@@ -235,7 +302,7 @@ def test_load_holds_the_body_in_memory_once(tmp_path):
     rng = np.random.default_rng(3)
     n, codes = 8000, DEFAULT_SELECTED_FEATURES
     landmarks = np.sort(rng.normal(size=(len(codes), 1000)), axis=1)
-    model = MtlModel(QuantileNormalScaler(codes, landmarks), rng.normal(size=(n, len(codes))),
+    model = MtlModel(codes, landmarks, rng.normal(size=(n, len(codes))),
                      rng.integers(0, 100, size=(n, 4)), np.zeros(n, dtype=int), 6, 1.0,
                      region_by_name("alberta"))
     path = tmp_path / "model.json"
@@ -249,5 +316,5 @@ def test_load_holds_the_body_in_memory_once(tmp_path):
     finally:
         tracemalloc.stop()
     assert clone.features.tobytes() == model.features.tobytes()
-    assert not clone.targets.flags.writeable and not clone.feature_scaler.landmarks.flags.writeable
+    assert not clone.targets.flags.writeable and not clone.landmarks.flags.writeable
     assert peak < 1.25 * body

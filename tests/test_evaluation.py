@@ -196,6 +196,26 @@ def test_bootstrap_names_a_spread_that_overflows():
                             BootstrapConfig(replicates=20, seed=0))
 
 
+def test_bootstrap_names_residuals_that_overflow():
+    # finite, varying actuals and finite predictions whose residuals overflow:
+    # r2's mid is -inf, and rmse's draw would square them
+    good, wild = np.array([1.0, 2.0, 3.0]), np.array([1e200, -1e200, 0.0])
+    with pytest.raises(DataError, match=("^infections: residuals overflow float64; "
+                                         "r2 is undefined$")):
+        bootstrap_intervals(targets(good), targets(wild, good, good, good),
+                            BootstrapConfig(replicates=10, seed=0))
+    with pytest.raises(DataError, match=("^recoveries: residuals overflow float64; "
+                                         "r2 is undefined$")):
+        bootstrap_intervals(targets(good), targets(good, good, wild, good),
+                            BootstrapConfig(replicates=10, seed=0))
+    # a spread that is finite over all days, but not over a resample that
+    # draws one day three times
+    y = np.array([7e153, -7e153, 0.0])
+    with pytest.raises(DataError, match=("^infections: actuals' spread overflows float64; "
+                                         "r2 is undefined$")):
+        bootstrap_intervals(targets(y), targets(y), BootstrapConfig(replicates=10, seed=0))
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_bootstrap_rejects_non_finite_inputs(bad):
     # a NaN mid would otherwise read as constant actuals

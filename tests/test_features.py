@@ -5,9 +5,10 @@ import pytest
 
 from regio_forecast.errors import ConfigError, DataError
 from regio_forecast.features import (
-    DEFAULT_DERIVED_REGISTRY,
     DEFAULT_SELECTED_FEATURES,
     DERIVED_FEATURE_CODES,
+    DERIVED_FORMULAS,
+    FEATURE_CODES,
     PRIMARY_FEATURE_CODES,
     TARGET_COLUMNS,
     RelevanceReport,
@@ -59,7 +60,8 @@ def test_derived_zero_mobility_composite():
 def test_derived_shape_and_codes():
     ds = primary_dataset([{}, {}, {}])
     assert ds.columns(DERIVED_FEATURE_CODES).shape == (3, 17)
-    assert tuple(f.code for f in DEFAULT_DERIVED_REGISTRY) == DERIVED_FEATURE_CODES
+    assert tuple(DERIVED_FORMULAS) == DERIVED_FEATURE_CODES
+    assert FEATURE_CODES == PRIMARY_FEATURE_CODES + DERIVED_FEATURE_CODES
     assert DERIVED_FEATURE_CODES == tuple(f"d{i:02d}" for i in range(1, 18))
 
 

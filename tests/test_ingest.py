@@ -423,6 +423,32 @@ def test_rejected_file_takes_the_row_loop_and_matches_the_oracle(tmp_path, monke
     assert calls == [1]
 
 
+@pytest.mark.parametrize("fault", ["cell_rule", "repeated_date"])
+def test_table_fault_never_reaches_the_row_loop_and_matches_the_oracle(tmp_path, monkeypatch,
+                                                                      fault):
+    """A body numpy's C reader takes whole, whose only fault is a cell rule
+    or a repeated date, is named from that table. Its rows are out of date
+    order, after two empty lines that loadtxt skips but that keep their
+    row numbers."""
+    path = tmp_path / "alberta.csv"
+    write_regional_csv(generate_regions(SyntheticSpec(regions=1, rows=40, seed=2))[0], path)
+    if fault == "cell_rule":
+        set_cell(path, 30, "feat_02", "7.0")
+    else:
+        set_cell(path, 30, "date", path.read_text().splitlines()[12].split(",")[0])
+    lines = path.read_text().splitlines()
+    path.write_bytes("\r\n".join([lines[0], "", "", *lines[:0:-1]]).encode() + b"\r\n")
+    region = region_by_code(0)
+    calls = count_row_loop_reads(monkeypatch)
+    with pytest.raises(DataError) as expected:
+        read_csv_oracle(path, region)
+    with pytest.raises(DataError) as err:
+        parse_regional_csv(path, region)
+    assert str(err.value) == str(expected.value)
+    assert ("column 'feat_02'" if fault == "cell_rule" else "duplicate date") in str(err.value)
+    assert calls == []
+
+
 def test_gap_is_filled_in_one_conversion(tmp_path, monkeypatch):
     """A blank cell reaches numpy as "nan", so no cell is converted on its own."""
     path = tmp_path / "alberta.csv"

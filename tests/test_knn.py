@@ -7,7 +7,6 @@ from regio_forecast.features import PRIMARY_FEATURE_CODES
 from regio_forecast.ingest import region_by_name
 from regio_forecast.knn import neighbours, predict_knn_batch
 from regio_forecast.mtl import MtlModel
-from regio_forecast.scaling import QuantileNormalScaler
 
 from oracles import knn_oracle
 
@@ -24,10 +23,10 @@ def unweighted(x, y):
 
 
 def model(features, targets, tags=None, generic_weight=1.0, width=2, k=6):
-    """A hand-built model whose scaler names the first ``width`` primary features."""
-    scaler = QuantileNormalScaler(PRIMARY_FEATURE_CODES[:width], np.zeros((width, 2)))
+    """A hand-built model that selects the first ``width`` primary features."""
     tags = np.zeros(len(targets), dtype=int) if tags is None else tags
-    return MtlModel(scaler, features, targets, tags, k, generic_weight, ALBERTA)
+    return MtlModel(PRIMARY_FEATURE_CODES[:width], np.zeros((width, 2)), features, targets,
+                    tags, k, generic_weight, ALBERTA)
 
 
 def test_config_validation():

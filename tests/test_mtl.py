@@ -7,14 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from regio_forecast import mtl
-from regio_forecast.artifact import save_model
+from regio_forecast.artifact import ARRAYS, save_model
 from regio_forecast.errors import ConfigError, DataError
 from regio_forecast.evaluation import rotate_regions
 from regio_forecast.ingest import RegionalDataset, split_train_test
 from regio_forecast.knn import predict_knn_batch
 from regio_forecast.mtl import MtlModel, predict_monitoring, train_mtl
 from regio_forecast.scaling import (
-    QuantileNormalScaler, apply_quantile_scaler, fit_quantile_scaler, l2_normalize_rows)
+    apply_quantile_scaler, fit_quantile_scaler, l2_normalize_rows)
 from regio_forecast.synth import SyntheticSpec, generate_regions
 
 from oracles import minmax_vote_oracle
@@ -23,8 +23,15 @@ from oracles import minmax_vote_oracle
 def scaled(model, datasets):
     """Unit feature rows and raw target counts of every day in ``datasets``, in order."""
     raw = np.vstack([ds.columns(model.selected_features) for ds in datasets])
-    x = l2_normalize_rows(apply_quantile_scaler(model.feature_scaler, raw))
+    x = l2_normalize_rows(apply_quantile_scaler(model.landmarks, raw))
     return x, np.vstack([ds.targets for ds in datasets])
+
+
+def test_model_fields_are_the_codes_the_artifact_arrays_and_the_settings():
+    names = [field.name for field in dataclasses.fields(MtlModel)]
+    assert names == ["selected_features", "landmarks", "features", "targets", "source_tags",
+                     "k", "generic_weight", "case_study"]
+    assert names[1:5] == list(ARRAYS)
 
 
 def test_store_cardinalities_full_scale():
@@ -105,8 +112,8 @@ def test_scaler_is_fitted_on_exactly_the_stored_rows(small_datasets, weight):
     parts = ([] if weight == 0 else list(small_datasets[1:])) + [ds.subset(split.train_indices)]
     raw = np.vstack([p.columns(model.selected_features) for p in parts])
     expected = fit_quantile_scaler(raw, model.selected_features)
-    assert np.array_equal(model.feature_scaler.landmarks, expected.landmarks)
-    assert model.feature_scaler.n_quantiles == report.n_quantiles == min(1000, len(raw))
+    assert np.array_equal(model.landmarks, expected)
+    assert model.landmarks.shape[1] == report.n_quantiles == min(1000, len(raw))
     assert len(model.targets) == report.dedicated_instances == len(raw)
     assert report.generic_instances == 2 * 80
     assert report.case_train_rows == len(split.train_indices) == 64
@@ -260,9 +267,9 @@ def test_rotate_deterministic():
 
 def _landmarks_with(cell, value):
     def change(model):
-        lm = model.feature_scaler.landmarks.copy()
+        lm = model.landmarks.copy()
         lm[cell] = value            # an end of a landmark row, so the row stays sorted
-        return {"feature_scaler": QuantileNormalScaler(model.selected_features, lm)}
+        return {"landmarks": lm}
     return change
 
 
@@ -278,7 +285,7 @@ def _codes(edit):
     def change(model):
         codes = list(model.selected_features)
         edit(codes)
-        return {"feature_scaler": QuantileNormalScaler(codes, model.feature_scaler.landmarks)}
+        return {"selected_features": codes}
     return change
 
 

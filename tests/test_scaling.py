@@ -8,7 +8,6 @@ from regio_forecast.errors import DataError
 from regio_forecast.scaling import (
     CDF_CLIP_HI,
     CDF_CLIP_LO,
-    QuantileNormalScaler,
     apply_quantile_scaler,
     fit_quantile_scaler,
     l2_normalize_rows,
@@ -28,29 +27,29 @@ def fit_column(values, code="x"):
 # --- normal quantile step of the quantile scaler ----------------------
 
 def test_ppf_median_is_zero():
-    scaler = fit_column(np.arange(1.0, 102.0))    # 101 landmarks
-    assert apply_quantile_scaler(scaler, column_matrix([51.0]))[0, 0] == 0.0
+    landmarks = fit_column(np.arange(1.0, 102.0))     # 101 landmarks
+    assert apply_quantile_scaler(landmarks, column_matrix([51.0]))[0, 0] == 0.0
 
 
 def test_ppf_0975_matches_bisection_oracle():
     oracle = bisection_normal_ppf(0.975)
     assert abs(oracle - 1.959964) < 1e-6          # frozen from the oracle
-    scaler = fit_column(np.arange(1.0, 42.0))     # 41 landmarks
-    z = apply_quantile_scaler(scaler, column_matrix([40.0]))[0, 0]   # p = 39/40
+    landmarks = fit_column(np.arange(1.0, 42.0))      # 41 landmarks
+    z = apply_quantile_scaler(landmarks, column_matrix([40.0]))[0, 0]   # p = 39/40
     assert abs(z - oracle) < 1e-8
 
 
 def test_ppf_against_bisection_oracle_grid():
     """At every landmark, and inside the tail segments, z is the oracle's Phi^-1(clip(p))."""
     rng = np.random.default_rng(99)
-    scaler = fit_column(rng.lognormal(0.0, 1.0, 2000))
-    lm = scaler.landmarks[0]
+    landmarks = fit_column(rng.lognormal(0.0, 1.0, 2000))
+    lm = landmarks[0]
     tails = np.concatenate([                # tails, where Phi^-1 is hardest
         lm[0] + rng.uniform(1e-4, 1.0, 100) * (lm[1] - lm[0]),
         lm[-1] - rng.uniform(1e-4, 1.0, 100) * (lm[-1] - lm[-2]),
     ])
     xs = np.concatenate([lm, tails])
-    z = apply_quantile_scaler(scaler, column_matrix(xs))[:, 0]
+    z = apply_quantile_scaler(landmarks, column_matrix(xs))[:, 0]
     for x, z_x in zip(xs, z):
         p = min(max(empirical_cdf_prob(lm, x), CDF_CLIP_LO), CDF_CLIP_HI)
         assert abs(z_x - bisection_normal_ppf(p)) <= 1e-8
@@ -59,9 +58,9 @@ def test_ppf_against_bisection_oracle_grid():
 @given(st.floats(1e-6, 1 - 1e-6))
 def test_ppf_symmetry(p):
     lm = np.linspace(-1.0, 1.0, 101)
-    scaler = QuantileNormalScaler(("x",), ((lm - lm[::-1]) / 2)[None, :])
+    landmarks = ((lm - lm[::-1]) / 2)[None, :]
     x = 2.0 * p - 1.0
-    z = apply_quantile_scaler(scaler, column_matrix([x, -x]))[:, 0]
+    z = apply_quantile_scaler(landmarks, column_matrix([x, -x]))[:, 0]
     assert abs(z[0] + z[1]) <= 1e-8
 
 
@@ -69,14 +68,14 @@ def test_ppf_symmetry(p):
 
 def test_fit_landmarks_match_interp_oracle():
     data = np.linspace(1.0, 100.0, 101)     # 101 rows give 101 landmarks
-    scaler = fit_column(data)
+    landmarks = fit_column(data)
     probs = np.linspace(0, 1, 101)
     expected = [interp_quantile(np.sort(data), p) for p in probs]
-    assert np.allclose(scaler.landmarks[0], expected, atol=1e-12)
+    assert np.allclose(landmarks[0], expected, atol=1e-12)
     # spot values: 1, 1.99, ..., 100
-    assert scaler.landmarks[0][0] == 1.0
-    assert abs(scaler.landmarks[0][1] - 1.99) < 1e-12
-    assert scaler.landmarks[0][-1] == 100.0
+    assert landmarks[0][0] == 1.0
+    assert abs(landmarks[0][1] - 1.99) < 1e-12
+    assert landmarks[0][-1] == 100.0
 
 
 @pytest.mark.parametrize("rows", [2480, 19715, 1001, 1000, 999, 7, 2])
@@ -92,15 +91,15 @@ def test_fit_landmarks_bit_identical_to_numpy_quantile(rows):
         rng.integers(-2, 3, rows) * 1.5,
         np.where(rng.random(rows) < 0.5, -0.0, 0.0),
     ])
-    scaler = fit_quantile_scaler(values, ("a", "b", "c", "d"))
-    assert scaler.n_quantiles == min(1000, rows)
-    expected = np.quantile(values, scaler.probabilities, axis=0).T
-    assert np.array_equal(scaler.landmarks, expected)
+    landmarks = fit_quantile_scaler(values, ("a", "b", "c", "d"))
+    assert landmarks.shape[1] == min(1000, rows)
+    expected = np.quantile(values, np.linspace(0.0, 1.0, landmarks.shape[1]), axis=0).T
+    assert np.array_equal(landmarks, expected)
 
 
 def test_fit_constant_column_all_landmarks_equal():
-    scaler = fit_column([5.0] * 7)
-    assert np.all(scaler.landmarks[0] == 5.0)
+    landmarks = fit_column([5.0] * 7)
+    assert np.all(landmarks[0] == 5.0)
 
 
 def test_fit_single_row_rejected():
@@ -116,9 +115,9 @@ def test_fit_rejects_non_finite_values():
 
 def test_transform_median_maps_near_zero():
     data = np.arange(1.0, 101.0)
-    scaler = fit_column(data)
+    landmarks = fit_column(data)
     median = float(np.median(data))
-    z = apply_quantile_scaler(scaler, column_matrix([median]))[0, 0]
+    z = apply_quantile_scaler(landmarks, column_matrix([median]))[0, 0]
     # oracle: empirical CDF composed with the normal quantile function
     p = empirical_cdf_prob(np.sort(data), median)
     assert abs(z - bisection_normal_ppf(max(min(p, 1 - 1e-7), 1e-7))) < 1e-8
@@ -127,15 +126,15 @@ def test_transform_median_maps_near_zero():
 
 def test_transform_clips_below_training_minimum():
     data = np.arange(1.0, 101.0)
-    scaler = fit_column(data)
-    below = apply_quantile_scaler(scaler, column_matrix([-50.0]))[0, 0]
-    at_min = apply_quantile_scaler(scaler, column_matrix([1.0]))[0, 0]
+    landmarks = fit_column(data)
+    below = apply_quantile_scaler(landmarks, column_matrix([-50.0]))[0, 0]
+    at_min = apply_quantile_scaler(landmarks, column_matrix([1.0]))[0, 0]
     assert below == at_min
 
 
 def test_transform_constant_training_column_maps_to_zero():
-    scaler = fit_column([5.0, 5.0, 5.0])
-    out = apply_quantile_scaler(scaler, column_matrix([5.0, 7.0, -2.0]))
+    landmarks = fit_column([5.0, 5.0, 5.0])
+    out = apply_quantile_scaler(landmarks, column_matrix([5.0, 7.0, -2.0]))
     assert np.all(out == 0.0)
 
 
@@ -148,40 +147,40 @@ def _awkward_columns(rng, rows):
         np.full(rows, 2.5),                                    # constant
         np.array([-0.0, 0.0, 1.0])[rng.integers(0, 3, size=rows)],
         rng.lognormal(size=rows)])
-    scaler = fit_quantile_scaler(train, ("a", "b", "c", "d", "e"))
+    landmarks = fit_quantile_scaler(train, ("a", "b", "c", "d", "e"))
     queries = np.vstack([
         train,
-        scaler.landmarks.T,                                    # every landmark
-        scaler.landmarks.T[::7] * 1.5 - 1.0,                   # in between and outside
+        landmarks.T,                                           # every landmark
+        landmarks.T[::7] * 1.5 - 1.0,                          # in between and outside
         [[-1e9, -10.0, -0.0, -0.0, 0.0], [1e9, 10.0, 2.5, 0.0, 1e9]]])
-    return scaler, queries
+    return landmarks, queries
 
 
 @pytest.mark.parametrize("rows", [2, 9, 1500])
 def test_transform_row_permutation_is_bit_identical(rows):
     rng = np.random.default_rng(rows)
-    scaler, queries = _awkward_columns(rng, rows)
+    landmarks, queries = _awkward_columns(rng, rows)
     perm = rng.permutation(len(queries))
-    out = apply_quantile_scaler(scaler, queries)
-    assert apply_quantile_scaler(scaler, queries[perm]).tobytes() == out[perm].tobytes()
+    out = apply_quantile_scaler(landmarks, queries)
+    assert apply_quantile_scaler(landmarks, queries[perm]).tobytes() == out[perm].tobytes()
 
 
 @pytest.mark.parametrize("rows", [2, 9, 1500])
 def test_transform_matches_per_value_oracle(rows):
-    scaler, queries = _awkward_columns(np.random.default_rng(rows + 1), rows)
-    out = apply_quantile_scaler(scaler, queries)
-    probs = scaler.probabilities
-    for j, landmarks in enumerate(scaler.landmarks):
-        p = np.array([landmark_cdf_oracle(landmarks, probs, x) for x in queries[:, j].tolist()])
+    landmarks, queries = _awkward_columns(np.random.default_rng(rows + 1), rows)
+    out = apply_quantile_scaler(landmarks, queries)
+    probs = np.linspace(0.0, 1.0, landmarks.shape[1])
+    for j, row in enumerate(landmarks):
+        p = np.array([landmark_cdf_oracle(row, probs, x) for x in queries[:, j].tolist()])
         expected = ndtri(np.clip(p, CDF_CLIP_LO, CDF_CLIP_HI))
         assert out[:, j].tobytes() == expected.tobytes(), j
 
 
 def test_transform_column_mismatch():
-    scaler = fit_column([1.0, 2.0, 3.0], code="a")
+    landmarks = fit_column([1.0, 2.0, 3.0], code="a")
     with pytest.raises(DataError,
-                       match=r"^values of shape \(1, 2\) do not match fitted columns \('a',\)$"):
-        apply_quantile_scaler(scaler, np.ones((1, 2)))
+                       match=r"^values of shape \(1, 2\) do not match fitted column count 1$"):
+        apply_quantile_scaler(landmarks, np.ones((1, 2)))
 
 
 def test_training_matrix_statistics():
@@ -202,8 +201,8 @@ def test_training_matrix_statistics():
        st.floats(-1e6, 1e6), st.floats(-1e6, 1e6))
 def test_transform_monotone(train, x1, x2):
     lo, hi = min(x1, x2), max(x1, x2)
-    scaler = fit_column(train)
-    out = apply_quantile_scaler(scaler, column_matrix([lo, hi]))
+    landmarks = fit_column(train)
+    out = apply_quantile_scaler(landmarks, column_matrix([lo, hi]))
     assert out[0, 0] <= out[1, 0]
 
 
