@@ -81,7 +81,7 @@ DERIVED_FEATURE_CODES: tuple[str, ...] = tuple(DERIVED_FORMULAS)
 FEATURE_CODES: tuple[str, ...] = PRIMARY_FEATURE_CODES + DERIVED_FEATURE_CODES
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RelevanceReport:
     """Per-(feature, target) relevance scores in [0, 1].
 

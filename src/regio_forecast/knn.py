@@ -21,9 +21,18 @@ distances and ties match the scan bit for bit. ``predict_knn_batch`` is
 one vectorized vote over the resulting (queries, k) arrays. The test
 suite holds a plain-loop oracle of the same contract that validates the
 predictor.
+
+A query equal to a stored row, up to signed zero and coordinates below
+2^-484, is answered without the scan. Its zero-distance instances decide
+its vote, and a zero distance needs equal row keys (``_row_hashes``), so
+``predict_knn_batch`` looks each query's hash up among the store's and
+checks the candidates' exact distances. Only the queries with no
+instance at distance 0 go to ``neighbours``.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -37,6 +46,24 @@ _BLOCK_CELLS = 2 ** 20
 # The shortlist bound views each row of approximations as this many slabs
 # and takes the minimum across them at every position (see neighbours).
 _SLABS = 16
+
+# Row keys read a coordinate below this magnitude as 0 (see _row_hashes).
+_TINY = 2.0 ** -484
+
+
+def _checked(features, queries, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """``features`` and ``queries`` as float64 arrays, once their shapes and ``k`` pass."""
+    features = np.ascontiguousarray(features, dtype=np.float64)
+    queries = np.asarray(queries, dtype=np.float64)
+    if features.ndim != 2 or features.shape[0] == 0:
+        raise DataError(f"features must be a non-empty 2-D array, got shape {features.shape}")
+    if queries.ndim != 2:
+        raise DataError(f"queries must be 2-D, got shape {queries.shape}")
+    if queries.shape[1] != features.shape[1]:
+        raise DataError(f"query has {queries.shape[1]} dims, store has {features.shape[1]}")
+    if k < 1:
+        raise ConfigError(f"k must be >= 1, got {k}")
+    return features, queries
 
 
 def neighbours(features: np.ndarray, queries: np.ndarray,
@@ -65,17 +92,8 @@ def neighbours(features: np.ndarray, queries: np.ndarray,
     instances are compared directly. The shortlist is re-ranked by exact
     float64 distance in a padded (block, longest shortlist) matrix.
     """
-    features = np.ascontiguousarray(features, dtype=np.float64)
-    queries = np.asarray(queries, dtype=np.float64)
-    if features.ndim != 2 or features.shape[0] == 0:
-        raise DataError(f"features must be a non-empty 2-D array, got shape {features.shape}")
-    if queries.ndim != 2:
-        raise DataError(f"queries must be 2-D, got shape {queries.shape}")
+    features, queries = _checked(features, queries, k)
     n, d = features.shape
-    if queries.shape[1] != d:
-        raise DataError(f"query has {queries.shape[1]} dims, store has {d}")
-    if k < 1:
-        raise ConfigError(f"k must be >= 1, got {k}")
     k = min(k, n)
     x_sq = np.einsum("ij,ij->i", features, features)
     x_sq_max = x_sq.max()
@@ -174,6 +192,66 @@ def _exact_distances(features: np.ndarray, queries: np.ndarray,
     return exact
 
 
+def _row_hashes(x: np.ndarray) -> np.ndarray:
+    """One uint64 per row of ``x``: rows at exact distance 0 from each other hash alike.
+
+    A row's key is the float64 bits of its coordinates, with every |v| <
+    2^-484 read as 0 (which also folds -0.0 into 0.0). Coordinates with
+    different keys differ by at least 2^-537, whose square is at least
+    2^-1074, the smallest subnormal, so their distance is never 0. The
+    hash is a fixed random linear form of the keys, each folded onto its
+    low half; rows that share a hash are only candidates, which
+    ``_zero_distance_instances`` checks.
+    """
+    keys = np.where(np.abs(x) < _TINY, 0.0, x).view(np.uint64)
+    keys ^= keys >> np.uint64(32)     # so the high bits also move the low ones
+    return np.einsum("ij,j->i", keys, _multipliers(x.shape[1]))
+
+
+@functools.cache
+def _multipliers(d: int) -> np.ndarray:
+    """The same d random uint64 factors on every call."""
+    m = np.random.default_rng(0).integers(0, 2 ** 64, size=d, dtype=np.uint64, endpoint=False)
+    m.setflags(write=False)
+    return m
+
+
+def _zero_distance_instances(features: np.ndarray, queries: np.ndarray,
+                             k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Of the z instances at exact distance 0 from a query, the first min(k, z) by index.
+
+    Returns ``(rows, cols)``: query ``rows[i]`` lies at distance 0 from
+    instance ``cols[i]``, ordered by query, then by ascending index. A
+    candidate shares the query's hash (``_row_hashes``) and is kept only
+    where ``_exact_distances`` gives exactly 0.0. A stable argsort of the
+    store's hashes is taken only when some query's hash is present; the
+    candidates are checked for blocks of queries of about _BLOCK_CELLS.
+    """
+    none = np.empty(0, dtype=np.intp)
+    stored = _row_hashes(features)
+    wanted = _row_hashes(queries)
+    ranked = np.sort(stored)
+    found = ranked[np.searchsorted(ranked, wanted).clip(max=len(ranked) - 1)] == wanted
+    asked = np.flatnonzero(found)
+    if asked.size == 0:
+        return none, none
+    order = np.argsort(stored, kind="stable")           # equal hashes in index order
+    lo = np.searchsorted(ranked, wanted[asked])
+    counts = np.searchsorted(ranked, wanted[asked], side="right") - lo
+    step = max(1, _BLOCK_CELLS // int(counts.max()))
+    rows, cols = [none], [none]
+    for s in range(0, asked.size, step):
+        c = counts[s:s + step]
+        r = np.repeat(asked[s:s + step], c)
+        i = order[np.arange(r.size) + np.repeat(lo[s:s + step] - (np.cumsum(c) - c), c)]
+        hit = _exact_distances(features, queries, r, i) == 0.0
+        r, i = r[hit], i[hit]
+        first = np.arange(r.size) - np.searchsorted(r, r) < k
+        rows.append(r[first])
+        cols.append(i[first])
+    return np.concatenate(rows), np.concatenate(cols)
+
+
 def predict_knn_batch(features: np.ndarray, targets: np.ndarray, weights: np.ndarray,
                       queries: np.ndarray, k: int) -> np.ndarray:
     """Predict one target vector per row of a query matrix.
@@ -184,17 +262,28 @@ def predict_knn_batch(features: np.ndarray, targets: np.ndarray, weights: np.nda
     earlier-inserted instance. If any selected neighbor sits at distance
     exactly 0, the prediction is the weighted mean of the zero-distance
     instances alone.
+
+    Those instances are found first, without the scan: a query equal to a
+    stored row (up to signed zero and coordinates below 2^-484) with z
+    instances at distance 0 is voted from the first min(k, z) of them by
+    index, which the scan's stable order would rank first. Only the
+    queries with none go to ``neighbours``. The output equals a vote over
+    ``neighbours`` for every query bit for bit.
     """
-    idx, dist = neighbours(features, queries, k)
-    # zero-distance hits lead each row; summing only that prefix keeps the
-    # grouping numpy's pairwise sum gives to a vote of just those instances
-    zeros = np.count_nonzero(dist == 0.0, axis=1)
-    out = np.empty((idx.shape[0], targets.shape[1]))
-    far = zeros == 0
-    out[far] = _weighted_mean(weights[idx[far]] / dist[far], targets[idx[far]])
-    for z in np.unique(zeros[~far]):
-        near = zeros == z
-        out[near] = _weighted_mean(weights[idx[near, :z]], targets[idx[near, :z]])
+    features, queries = _checked(features, queries, k)
+    rows, cols = _zero_distance_instances(features, queries, k)
+    zeros = np.bincount(rows, minlength=queries.shape[0])
+    out = np.empty((queries.shape[0], targets.shape[1]))
+    far = np.flatnonzero(zeros == 0)
+    if far.size:
+        idx, dist = neighbours(features, queries[far], k)
+        out[far] = _weighted_mean(weights[idx] / dist, targets[idx])
+    # grouping by z keeps the grouping numpy's pairwise sum gives to a vote
+    # of just those instances
+    counts = zeros[rows]
+    for z in np.unique(counts):
+        voters = cols[counts == z].reshape(-1, z)
+        out[zeros == z] = _weighted_mean(weights[voters], targets[voters])
     return out
 
 

@@ -51,7 +51,7 @@ class TrainReport:
     n_quantiles: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MtlModel:
     """Trained monitoring model for one case-study region: its landmarks and instance store.
 
@@ -163,7 +163,10 @@ def train_mtl(
     t0 = time.perf_counter()
     raw = np.vstack([d.columns(selection) for d in stored])
     landmarks = fit_quantile_scaler(raw, selection)
-    unit_rows = l2_normalize_rows(apply_quantile_scaler(landmarks, raw))
+    scaled = apply_quantile_scaler(landmarks, raw)
+    del raw                 # free each matrix once the next is built: a lower training peak
+    unit_rows = l2_normalize_rows(scaled)
+    del scaled
     model = MtlModel(selection, landmarks, unit_rows, targets, tags, k, float(generic_weight),
                      case_study)
     fit_seconds = time.perf_counter() - t0

@@ -42,7 +42,7 @@ def predict_ppe_kits(hospitalized, chc_count, operating_capacity, personnel) -> 
     return capacity * personnel * np.minimum(hospitalized / chc, 1.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PpeForecast:
     """Daily kit demand; element i of each array belongs to ``dates[i]``.
 

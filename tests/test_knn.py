@@ -435,3 +435,173 @@ def test_batch_prediction_matches_single(rng, monkeypatch):
     assert batch.shape == (9, 2)
     for i, q in enumerate(queries):
         assert np.array_equal(batch[i], predict_knn_batch(*store, [q], 4)[0])
+
+
+def _scan_vote(store, queries, k):
+    """The vote over ``neighbours`` for every query, grouped by the number
+    of zero-distance neighbours: what stored-day queries must still get."""
+    features, targets, weights = store
+    idx, dist = neighbours(features, queries, k)
+    zeros = np.count_nonzero(dist == 0.0, axis=1)
+    out = np.empty((idx.shape[0], targets.shape[1]))
+    far = zeros == 0
+    out[far] = knn._weighted_mean(weights[idx[far]] / dist[far], targets[idx[far]])
+    for z in np.unique(zeros[~far]):
+        near = zeros == z
+        out[near] = knn._weighted_mean(weights[idx[near, :z]], targets[idx[near, :z]])
+    return out
+
+
+def _assert_matches_scan(store, queries, k):
+    """The batch equals the full-scan vote, row by row the exhaustive scan,
+    and, where a finite query sits on a stored point, the plain-loop oracle,
+    all bit for bit; elsewhere the oracle within rounding."""
+    queries = np.asarray(queries, dtype=float)
+    batch = predict_knn_batch(*store, queries, k)
+    np.testing.assert_array_equal(batch, _scan_vote(store, queries, k))
+    for row, q in zip(batch, queries):
+        np.testing.assert_array_equal(row, _exhaustive_scan(store, q, k))
+        if not (np.all(np.isfinite(q)) and np.all(np.isfinite(store[0]))):
+            continue        # the oracle's sort has no order for NaN distances
+        oracle = knn_oracle(*store, q, k)
+        diffs = store[0] - q
+        if np.any(np.einsum("ij,ij->i", diffs, diffs) == 0.0):
+            np.testing.assert_array_equal(row, oracle)
+        else:
+            np.testing.assert_allclose(row, oracle, rtol=0, atol=1e-10)
+    return batch
+
+
+def _store(rng, x):
+    n = len(x)
+    return x, rng.normal(size=(n, 3)), rng.uniform(0.1, 3.0, size=n)
+
+
+@pytest.mark.parametrize("k", [1, 2, 6, 50])
+def test_mixed_batches_of_stored_and_new_points(rng, monkeypatch, k):
+    monkeypatch.setattr(knn, "_BLOCK_CELLS", 600)      # several blocks on both paths
+    for trial in range(12):
+        n = int(rng.integers(1, 200))
+        d = int(rng.integers(1, 14))
+        x = (rng.integers(0, 3, size=(n, d)).astype(float) if trial % 2
+             else rng.normal(size=(n, d)))
+        queries = np.vstack([x[rng.integers(n, size=6)], rng.normal(size=(4, d)),
+                             x[rng.integers(n, size=3)] + 1e-12])
+        _assert_matches_scan(_store(rng, x), queries[rng.permutation(len(queries))], k)
+
+
+@pytest.mark.parametrize("k", [1, 3, 6])
+def test_point_stored_more_than_k_times(rng, monkeypatch, k):
+    monkeypatch.setattr(knn, "_BLOCK_CELLS", 50)       # one duplicated group per block
+    x = rng.normal(size=(40, 4))
+    point = rng.normal(size=4)
+    x[rng.permutation(40)[:k + 4]] = point
+    x[rng.permutation(40)[:2]] = 0.0
+    queries = np.vstack([point, rng.normal(size=4), point, np.zeros(4), x[:3]])
+    batch = _assert_matches_scan(_store(rng, x), queries, k)
+    assert np.array_equal(batch[0], batch[2])
+
+
+def test_signed_zeros_are_the_same_point(rng):
+    x = np.array([[-0.0, 1.0], [0.0, -0.0], [2.0, 0.0], [0.5, 0.5], [0.0, 1.0]])
+    queries = np.array([[0.0, 1.0], [-0.0, 0.0], [0.0, -0.0], [2.0, -0.0], [-0.0, -1.0]])
+    for k in (1, 2, 6):
+        _assert_matches_scan(_store(rng, x), queries, k)
+
+
+@pytest.mark.parametrize("k", [1, 6])
+def test_coordinates_near_two_to_minus_484(rng, k):
+    """Below 2^-484 a coordinate keys as 0: 2^-538 and 1e-170 lie at distance
+    exactly 0 from 0 (their squares underflow), while 1e-150, 2^-537 and the
+    float below 2^-484 share the key of 0 but not its distance. 2^-484 has
+    its own key, and the float below it lies 2^-537 away."""
+    tiny = 2.0 ** -484
+    below = np.nextafter(tiny, 0.0)
+    values = [0.0, -0.0, 2.0 ** -538, -1e-170, 1e-150, 2.0 ** -537, below, tiny, -tiny, 1.0]
+    x = np.array([[v, w] for v in values for w in (0.0, 1.0)])
+    queries = np.vstack([x, [[tiny, 0.0], [below, 1.0], [2.0 ** -600, 2.0 ** -600]]])
+    _assert_matches_scan(_store(rng, x), queries, k)
+    # both rows share the key of 0; only the second lies at distance 0
+    store = _store(rng, np.array([[1e-150], [2.0 ** -538]]))
+    assert np.array_equal(predict_knn_batch(*store, [[0.0]], 2)[0], store[1][1])
+
+
+def test_nan_queries_and_nan_rows_are_scanned(rng):
+    x = rng.normal(size=(30, 3))
+    x[4] = np.nan
+    x[7, 1] = np.nan
+    queries = np.vstack([x[[0, 4, 7, 9]], [[np.nan, 0.0, 0.0]], rng.normal(size=(2, 3))])
+    for k in (1, 6):
+        _assert_matches_scan(_store(rng, x), queries, k)
+
+
+@pytest.mark.parametrize("collide", [
+    lambda x: np.zeros(len(x), dtype=np.uint64),
+    lambda x: (np.abs(x).sum(axis=1) > 1.0).astype(np.uint64),
+], ids=["one_hash", "two_hashes"])
+def test_colliding_hashes_are_checked_by_distance(rng, monkeypatch, collide):
+    monkeypatch.setattr(knn, "_row_hashes", collide)
+    monkeypatch.setattr(knn, "_BLOCK_CELLS", 100)
+    for k in (1, 2, 6):
+        x = rng.integers(0, 3, size=(60, 3)).astype(float)
+        queries = np.vstack([x[rng.integers(60, size=5)], rng.normal(size=(3, 3)),
+                             rng.integers(0, 3, size=(4, 3)).astype(float)])
+        _assert_matches_scan(_store(rng, x), queries, k)
+
+
+def test_neighbours_scans_only_the_unmatched_queries(rng, monkeypatch):
+    x = rng.normal(size=(50, 5))
+    store = _store(rng, x)
+    queries = np.vstack([x[3], rng.normal(size=5), x[10], x[10], rng.normal(size=(2, 5))])
+    scanned = []
+    scan = knn.neighbours
+
+    def spy(features, q, k):
+        scanned.append(np.array(q))
+        return scan(features, q, k)
+
+    monkeypatch.setattr(knn, "neighbours", spy)
+    predict_knn_batch(*store, queries, 6)
+    assert len(scanned) == 1
+    assert np.array_equal(scanned[0], queries[[1, 4, 5]])
+    scanned.clear()
+    predict_knn_batch(*store, x[[5, 0, 5, 49]], 6)
+    predict_knn_batch(*store, np.empty((0, 5)), 6)
+    assert scanned == []
+
+
+def test_batch_checks_keep_their_messages_and_order():
+    store = two_point_store()
+    cases = [
+        ((np.empty((0, 1)), [[0.0]], 0),
+         DataError, r"^features must be a non-empty 2-D array, got shape \(0, 1\)$"),
+        ((store[0].ravel(), [0.0], 0),
+         DataError, r"^features must be a non-empty 2-D array, got shape \(2,\)$"),
+        ((store[0], [0.0], 0), DataError, r"^queries must be 2-D, got shape \(1,\)$"),
+        ((store[0], [[0.0, 1.0]], 0), DataError, "^query has 2 dims, store has 1$"),
+        ((store[0], [[0.0]], 0), ConfigError, "^k must be >= 1, got 0$"),
+    ]
+    for (features, queries, k), error, message in cases:
+        with pytest.raises(error, match=message):
+            predict_knn_batch(features, store[1], store[2], queries, k)
+        with pytest.raises(error, match=message):
+            neighbours(features, queries, k)
+
+
+def test_stored_point_checks_keep_to_the_block_budget(rng, monkeypatch):
+    """Candidates are checked for blocks of queries of about _BLOCK_CELLS, so
+    a point stored and asked many times never holds every pair at once."""
+    monkeypatch.setattr(knn, "_BLOCK_CELLS", 1000)
+    x = np.zeros((300, 3))
+    x[::2] = rng.normal(size=(150, 3))
+    checked = []
+    exact_distances = knn._exact_distances
+
+    def counting(features, q, rows, cols):
+        checked.append(len(cols))
+        return exact_distances(features, q, rows, cols)
+
+    monkeypatch.setattr(knn, "_exact_distances", counting)
+    out = predict_knn_batch(*_store(rng, x), np.zeros((40, 3)), 6)
+    assert sum(checked) == 40 * 150 and max(checked) <= 1000
+    assert np.array_equal(out, np.tile(out[0], (40, 1)))
