@@ -7,6 +7,8 @@ Configuration precedence is flag > config file (JSON via --config) >
 built-in default, and every run's randomness flows from one master seed.
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 internal
 error. Set REGIO_FORECAST_LOG to DEBUG/INFO/WARNING to control logging.
+``train``, ``evaluate`` and ``rotate`` train through ``evaluation.train_held_out``;
+the CLI refuses bad flags before any training, reads the files, writes the outputs.
 """
 
 from __future__ import annotations
@@ -30,23 +32,17 @@ from .evaluation import (
     reports_to_long_csv,
     reports_to_target_table,
     rotate_regions,
+    train_held_out,
 )
-from .features import (
-    DEFAULT_SELECTED_FEATURES,
-    FEATURE_CODES,
-    TARGET_COLUMNS,
-    RelevanceReport,
-    score_relevance,
-)
+from .features import FEATURE_CODES, TARGET_COLUMNS, score_relevance
 from .ingest import (
     REGION_ENCODINGS,
     RegionalDataset,
     normalize_region_name,
     parse_regional_csv,
     region_by_name,
-    split_train_test,
 )
-from .mtl import predict_monitoring, train_mtl
+from .mtl import predict_monitoring
 from .ppe import forecast_series, forecast_to_csv
 from .synth import SyntheticSpec, write_region_files
 
@@ -133,19 +129,6 @@ def _case_dataset(datasets: list[RegionalDataset], cfg: RunConfig) -> RegionalDa
         f"case-study file missing: expected {case.file_stem}.csv in {cfg.data_dir}")
 
 
-def _relevance(case_ds: RegionalDataset) -> RelevanceReport:
-    """Relevance scores of the case study's 27 primary and 17 derived features."""
-    return score_relevance(case_ds.columns(FEATURE_CODES), FEATURE_CODES, case_ds.targets)
-
-
-def _selection(cfg: RunConfig, case_ds: RegionalDataset) -> tuple[str, ...]:
-    if cfg.selection == "default":
-        return DEFAULT_SELECTED_FEATURES
-    if cfg.selection == "ranked":
-        return _relevance(case_ds).top(cfg.top_n)
-    raise ConfigError(f"selection must be 'default' or 'ranked', got {cfg.selection!r}")
-
-
 def _check_test_days(cfg: RunConfig, datasets: list[RegionalDataset]) -> None:
     """Every dataset that will be split keeps at least one day on each side."""
     for ds in datasets:
@@ -157,28 +140,29 @@ def _check_test_days(cfg: RunConfig, datasets: list[RegionalDataset]) -> None:
 def _train(cfg: RunConfig):
     datasets = _load_datasets(cfg.data_dir)
     case_ds = _case_dataset(datasets, cfg)
-    case = case_ds.region
     _check_test_days(cfg, [case_ds])
-    split = split_train_test(case_ds, cfg.test_days, cfg.seed)
-    # ranked selection scores relevance on the training days only
-    if cfg.selection == "ranked" and len(split.train_indices) < 3:
+    if cfg.selection not in ("default", "ranked"):
+        raise ConfigError(f"selection must be 'default' or 'ranked', got {cfg.selection!r}")
+    train_days = case_ds.n_rows - cfg.test_days
+    if cfg.selection == "ranked" and train_days < 3:   # relevance is scored on these days
         raise ConfigError(f"--selection ranked needs at least 3 training days; "
-                          f"--test-days {cfg.test_days} leaves {len(split.train_indices)}")
-    selection = _selection(cfg, case_ds.subset(split.train_indices))
-    model, report = train_mtl(
-        datasets, case, split.train_indices, cfg.k, cfg.generic_weight, selection)
-    return datasets, case, case_ds, split, model, report
+                          f"--test-days {cfg.test_days} leaves {train_days}")
+    top_n = cfg.top_n if cfg.selection == "ranked" else None
+    split, model, report = train_held_out(
+        datasets, case_ds, cfg.test_days, cfg.seed, cfg.k, cfg.generic_weight, top_n)
+    return datasets, case_ds, split, model, report
 
 
 def cmd_train(cfg: RunConfig) -> int:
-    datasets, case, _, split, model, report = _train(cfg)
+    datasets, case_ds, split, model, report = _train(cfg)
+    case = model.case_study
     doc = dataclasses.asdict(report)
     doc["case_study"] = case.name
     doc["pooled_regions"] = sorted(
         ds.region.name for ds in datasets if ds.region.code != case.code)
     doc["test_days_held_out"] = len(split.test_indices)
     doc["seed"] = cfg.seed
-    del datasets, _          # free the parsed tables before the artifact is encoded
+    del datasets, case_ds    # free the parsed tables before the artifact is encoded
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     save_model(model, out / "model.json")
@@ -191,17 +175,16 @@ def cmd_train(cfg: RunConfig) -> int:
 
 def cmd_evaluate(cfg: RunConfig) -> int:
     bootstrap = BootstrapConfig(cfg.bootstrap, cfg.seed)   # a bad count is refused before training
-    _, case, case_ds, split, model, report = _train(cfg)
+    _, case_ds, split, model, report = _train(cfg)
     test = case_ds.subset(split.test_indices)
-    metric_report = evaluate_model(model, test, bootstrap,
-                                   training_time_seconds=report.fit_seconds)
+    metric_report = evaluate_model(model, test, bootstrap, report.fit_seconds)
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     atomic_write_text(out / "evaluation.csv", reports_to_target_table([metric_report]))
     atomic_write_text(out / "evaluation_long.csv", reports_to_long_csv([metric_report]))
     atomic_write_text(out / "evaluation.json",
                       json.dumps(metric_report.to_json_dict(), indent=2, sort_keys=True))
-    print(f"evaluated {case.name} on {test.n_rows} held-out days -> {out}")
+    print(f"evaluated {case_ds.region.name} on {test.n_rows} held-out days -> {out}")
     return 0
 
 
@@ -258,7 +241,7 @@ def cmd_ppe(cfg: RunConfig, model_path: str, input_csv: str) -> int:
 
 def cmd_relevance(cfg: RunConfig) -> int:
     case_ds = _case_dataset(_load_datasets(cfg.data_dir), cfg)
-    report = _relevance(case_ds)
+    report = score_relevance(case_ds.columns(FEATURE_CODES), FEATURE_CODES, case_ds.targets)
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     atomic_write_text(out / "relevance.csv", report.to_csv_text())

@@ -12,8 +12,9 @@ resample's sums, the metrics follow from them, and one sort of the scores
 gives every percentile. r2 and evs are NaN where the actuals are
 constant, which is tested exactly; the bootstrap skips and counts those
 resamples.
-``rotate_regions`` lets each region take a turn as the case study, with
-the pooled regions' generic weight in [0, 1].
+``train_held_out`` is the one case-study protocol (hold out days, select
+features, train with the other regions pooled); ``rotate_regions`` runs it
+with each region in turn as the case study.
 """
 
 from __future__ import annotations
@@ -26,9 +27,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .features import TARGET_COLUMNS
-from .ingest import RegionalDataset, split_train_test
-from .mtl import MtlModel, predict_monitoring, train_mtl
+from .features import DEFAULT_SELECTED_FEATURES, FEATURE_CODES, TARGET_COLUMNS, score_relevance
+from .ingest import RegionalDataset, TrainTestSplit, split_train_test
+from .mtl import MtlModel, TrainReport, predict_monitoring, train_mtl
 from .scaling import linear_quantiles
 
 # Level of every bootstrap interval.
@@ -269,21 +270,38 @@ def evaluate_model(
     return MetricReport(model.case_study.name, intervals, training_time_seconds)
 
 
-def rotate_regions(
-    datasets: Sequence[RegionalDataset],
-    k: int = 6,
-    test_size: int = 54,
-    seed: int = 0,
-    generic_weight: float = 1.0,
-    bootstrap_replicates: int = 1000,
-) -> list[MetricReport]:
+def train_held_out(datasets: Sequence[RegionalDataset], case_ds: RegionalDataset,
+                   test_size: int, seed: int, k: int = 6, generic_weight: float = 1.0,
+                   top_n: int | None = None) -> tuple[TrainTestSplit, MtlModel, TrainReport]:
+    """Hold out ``test_size`` days of ``case_ds`` drawn at ``seed``, then ``train_mtl``.
+
+    A bad split size is refused naming the region. The features are
+    DEFAULT_SELECTED_FEATURES or, given ``top_n``, the codes most relevant
+    on the training days alone; every other dataset is pooled.
+    """
+    try:
+        split = split_train_test(case_ds, test_size, seed)
+    except ConfigError as exc:
+        raise ConfigError(f"{case_ds.region.name}: {exc}") from None
+    selection = DEFAULT_SELECTED_FEATURES
+    if top_n is not None:
+        train = case_ds.subset(split.train_indices)
+        selection = score_relevance(train.columns(FEATURE_CODES), FEATURE_CODES,
+                                    train.targets).top(top_n)
+    model, report = train_mtl(
+        datasets, case_ds.region, split.train_indices, k, generic_weight, selection)
+    return split, model, report
+
+
+def rotate_regions(datasets: Sequence[RegionalDataset], k: int = 6, test_size: int = 54,
+                   seed: int = 0, generic_weight: float = 1.0,
+                   bootstrap_replicates: int = 1000) -> list[MetricReport]:
     """Let every region take a turn as the case study and evaluate it.
 
-    For each region the remaining datasets form the pool, a held-out
-    split of ``test_size`` days is predicted on the default feature
-    selection, and metric intervals are computed. Returns one MetricReport
-    per region, in dataset order. Each region's split and bootstrap seed
-    derives from the master seed, so a fixed seed reproduces every number.
+    Each turn runs ``train_held_out`` on the default feature selection and
+    scores the held-out days. Returns one MetricReport per region, in
+    dataset order. Each region's split and bootstrap seed derives from the
+    master seed, so a fixed seed reproduces every number.
     """
     datasets = list(datasets)
     if len(datasets) < 2:
@@ -292,21 +310,14 @@ def rotate_regions(
 
     reports = []
     for ds in datasets:
-        case = ds.region
         # the split draws from this seed's stream, the bootstrap from a child of it
-        region_seed = int(np.random.SeedSequence(seed, spawn_key=(case.code, 0))
+        region_seed = int(np.random.SeedSequence(seed, spawn_key=(ds.region.code, 0))
                           .generate_state(1, np.uint64)[0])
-        try:
-            split = split_train_test(ds, test_size, region_seed)
-        except ConfigError as exc:
-            raise ConfigError(f"{case.name}: {exc}") from None
-        model, train_report = train_mtl(
-            datasets, case, split.train_indices, k, generic_weight)
-        reports.append(evaluate_model(
-            model, ds.subset(split.test_indices),
-            dataclasses.replace(bootstrap, seed=region_seed),
-            training_time_seconds=train_report.fit_seconds,
-        ))
+        split, model, train_report = train_held_out(
+            datasets, ds, test_size, region_seed, k, generic_weight)
+        reports.append(evaluate_model(model, ds.subset(split.test_indices),
+                                      dataclasses.replace(bootstrap, seed=region_seed),
+                                      train_report.fit_seconds))
     return reports
 
 

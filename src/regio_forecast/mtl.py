@@ -29,7 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .features import DEFAULT_SELECTED_FEATURES, FEATURE_CODES
+from .features import DEFAULT_SELECTED_FEATURES, FEATURE_CODES, TARGET_COLUMNS
 from .ingest import RegionalDataset, RegionId
 from .knn import predict_knn_batch
 from .scaling import (apply_quantile_scaler, checked_landmarks, fit_quantile_scaler,
@@ -66,7 +66,7 @@ class MtlModel:
     selected_features: tuple[str, ...]
     landmarks: np.ndarray       # (len(selected_features), n_quantiles), each row sorted
     features: np.ndarray        # (n, len(selected_features))
-    targets: np.ndarray         # (n, 4)
+    targets: np.ndarray         # (n, len(TARGET_COLUMNS))
     source_tags: np.ndarray     # (n,) int
     k: int
     generic_weight: float
@@ -115,6 +115,8 @@ class MtlModel:
         if f.shape[1] != len(codes):
             raise DataError(f"store has {f.shape[1]} feature columns "
                             f"for {len(codes)} selected features")
+        if t.shape[1] != len(TARGET_COLUMNS):
+            raise DataError(f"store has {t.shape[1]} target columns, not {len(TARGET_COLUMNS)}")
         numbers = {"features": f, "targets": t, "landmarks": lm,
                    "generic_weight": self.generic_weight}
         for name, values in numbers.items():
@@ -137,24 +139,28 @@ def train_mtl(
 ) -> tuple[MtlModel, TrainReport]:
     """Train the model for ``case_study`` on its rows ``case_train_indices``.
 
-    Every dataset of another region joins the pool, in the given order.
-    Instances keep that order, pool first, so kNN distance ties break the
-    same way on every run. At generic weight 0 the model stores, and fits
-    its landmarks on, the case-study rows alone; the report counts the pool.
+    Every dataset of another region joins the pool, in the given order; no
+    region may have two datasets. Instances keep that order, pool first, so
+    kNN distance ties break the same way on every run. At generic weight 0
+    the model stores, and fits its landmarks on, the case-study rows alone;
+    the report counts the pool.
     """
     if not 0 <= generic_weight <= 1:
         raise ConfigError(f"generic weight must be in [0, 1], got {generic_weight}")
     if k < 1:
         raise ConfigError(f"k must be >= 1, got {k}")
-    case_ds = next((d for d in datasets if d.region.code == case_study.code), None)
-    if case_ds is None:
-        raise DataError(f"no dataset for case study {case_study.name!r}")
-    case = case_ds.subset(case_train_indices)
-    if case.n_rows == 0:
-        raise DataError(f"no training rows for case study {case_study.name!r}")
     pool = [d for d in datasets if d.region.code != case_study.code]
+    if len(pool) == len(datasets):
+        raise DataError(f"no dataset for case study {case_study.name!r}")
     if not pool:
         raise DataError("training needs at least one region besides the case study")
+    by_code: dict[int, RegionalDataset] = {}
+    for d in datasets:
+        if by_code.setdefault(d.region.code, d) is not d:
+            raise DataError(f"more than one dataset of region {d.region.name!r}")
+    case = by_code[case_study.code].subset(case_train_indices)
+    if case.n_rows == 0:
+        raise DataError(f"no training rows for case study {case_study.name!r}")
     selection = tuple(selection)
     stored = pool + [case] if generic_weight > 0 else [case]
     targets = np.vstack([d.targets for d in stored])

@@ -318,3 +318,27 @@ def test_load_holds_the_body_in_memory_once(tmp_path):
     assert clone.features.tobytes() == model.features.tobytes()
     assert not clone.targets.flags.writeable and not clone.landmarks.flags.writeable
     assert peak < 1.25 * body
+
+
+@pytest.mark.parametrize("width", [3, 5])
+def test_targets_of_another_width_are_refused_everywhere(trained_small_model, small_datasets,
+                                                         tmp_path, capsys, width):
+    """A loaded artifact whose targets are not four columns is refused by
+    load_model, predict and ppe (exit 3, naming the file), as by MtlModel."""
+    model, _, _ = trained_small_model
+    message = f"store has {width} target columns, not 4"
+    targets = np.ascontiguousarray(np.resize(model.targets, (len(model.targets), width)))
+    with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+        dataclasses.replace(model, targets=targets)
+    header, arrays = _saved_parts(model, tmp_path)
+    arrays["targets"], header["shapes"]["targets"] = targets, list(targets.shape)
+    bad, series = tmp_path / "bad.json", tmp_path / "alberta.csv"
+    bad.write_bytes(artifact_bytes_oracle(header, arrays))
+    _refused(bad, message)
+    write_regional_csv(small_datasets[0], series)
+    for command in ("predict", "ppe"):
+        capsys.readouterr()
+        assert main([command, "--model", str(bad), "--input", str(series),
+                     "--out", str(tmp_path / command)]) == 3
+        assert capsys.readouterr().err == f"data error: {bad}: {message}\n"
+        assert not (tmp_path / command).exists()

@@ -101,12 +101,12 @@ def test_out_of_range_flag_exits_2_naming_it(data_dir, tmp_path, capsys,
 
 @pytest.fixture
 def train_calls(monkeypatch):
-    """The number of ``train_mtl`` calls, from ``train``/``evaluate`` and from ``rotate``."""
+    """The ``train_mtl`` calls of ``train``, ``evaluate`` and ``rotate``, which all train
+    through ``evaluation.train_held_out``."""
     calls = []
-    for module in (regio_forecast.cli, regio_forecast.evaluation):
-        real = module.train_mtl
-        monkeypatch.setattr(module, "train_mtl",
-                            lambda *a, real=real, **kw: calls.append(a) or real(*a, **kw))
+    real = regio_forecast.evaluation.train_mtl
+    monkeypatch.setattr(regio_forecast.evaluation, "train_mtl",
+                        lambda *a, **kw: calls.append(a) or real(*a, **kw))
     return calls
 
 
@@ -1047,3 +1047,31 @@ def test_prediction_rows_print_the_extreme_dates_as_isoformat():
     text = _predictions_csv(np.array(days, dtype="datetime64[D]"), np.zeros((2, 4)))
     assert [line.split(",")[0] for line in text.splitlines()[1:]] == [
         day.isoformat() for day in days]
+
+
+@pytest.mark.parametrize("command, argv, cases, top_n", [
+    ("train", ["--case-study", "alberta", "--selection", "ranked", "--top-n", "9"],
+     ["Alberta"], 9),
+    ("evaluate", ["--case-study", "manitoba", "--bootstrap", "10"], ["Manitoba"], None),
+    ("rotate", ["--bootstrap", "10"], ["Alberta", "British Columbia", "Manitoba"], None),
+])
+def test_train_evaluate_and_rotate_train_through_train_held_out(
+        data_dir, tmp_path, monkeypatch, command, argv, cases, top_n):
+    seen = []
+    real = regio_forecast.evaluation.train_held_out
+
+    def spy(datasets, case_ds, test_size, seed, k=6, generic_weight=1.0, top_n=None):
+        seen.append((case_ds.region.name, test_size, seed, k, generic_weight, top_n))
+        return real(datasets, case_ds, test_size, seed, k, generic_weight, top_n)
+
+    monkeypatch.setattr(regio_forecast.evaluation, "train_held_out", spy)
+    monkeypatch.setattr(regio_forecast.cli, "train_held_out", spy)
+    assert run([command, "--data-dir", data_dir, *argv, "--test-days", "16", "--seed", "3",
+                "--k", "5", "--generic-weight", "0.5", "--out", tmp_path / "x"]) == 0
+    assert [(name, days, k, w, n) for name, days, _, k, w, n in seen] == [
+        (name, 16, 5, 0.5, top_n) for name in cases]
+    seeds = [seed for _, _, seed, *_ in seen]
+    if command == "rotate":       # each region's turn draws at a seed of its own
+        assert len(set(seeds)) == len(cases)
+    else:
+        assert seeds == [3]

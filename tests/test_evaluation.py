@@ -23,8 +23,12 @@ from regio_forecast.evaluation import (
     reports_to_target_table,
     rmse,
     rotate_regions,
+    train_held_out,
 )
-from regio_forecast.features import TARGET_COLUMNS
+from regio_forecast.features import (
+    DEFAULT_SELECTED_FEATURES, FEATURE_CODES, TARGET_COLUMNS, score_relevance)
+from regio_forecast.ingest import split_train_test
+from regio_forecast.mtl import train_mtl
 from regio_forecast.scaling import linear_quantiles
 from regio_forecast.synth import SyntheticSpec, generate_regions
 
@@ -511,3 +515,55 @@ def test_csv_exports(trained_small_model, small_datasets):
     assert header[0] == "province" and header[-1] == "tt_seconds"
     assert len(header) == 14                       # 4 metrics x 3 bounds + 2
     assert len(wide.strip().splitlines()) == 2
+
+
+
+@pytest.mark.parametrize("rows", [30, 20], ids=["same_length", "shorter_copy"])
+def test_rotation_refuses_a_repeated_region_before_any_turn(rows):
+    """Two Alberta datasets would make Alberta's turn train on one copy's
+    rows under the other copy's split; the rotation is refused instead."""
+    a, b = generate_regions(SyntheticSpec(regions=2, rows=30, seed=0))
+    again = generate_regions(SyntheticSpec(regions=1, rows=rows, seed=5))[0]
+    for datasets in ([a, b, again], [again, b, a]):
+        with pytest.raises(DataError, match="^more than one dataset of region 'Alberta'$"):
+            rotate_regions(datasets, test_size=10, bootstrap_replicates=10)
+
+
+@pytest.mark.parametrize("top_n", [None, 9])
+def test_train_held_out_is_the_split_the_selection_and_train_mtl(small_datasets, top_n):
+    case = small_datasets[1]
+    split, model, report = train_held_out(small_datasets, case, 16, 3, k=5,
+                                          generic_weight=0.5, top_n=top_n)
+    expected = split_train_test(case, 16, 3)
+    assert np.array_equal(split.train_indices, expected.train_indices)
+    assert np.array_equal(split.test_indices, expected.test_indices)
+    train = case.subset(expected.train_indices)
+    selection = DEFAULT_SELECTED_FEATURES if top_n is None else score_relevance(
+        train.columns(FEATURE_CODES), FEATURE_CODES, train.targets).top(top_n)
+    direct, direct_report = train_mtl(small_datasets, case.region, expected.train_indices,
+                                      5, 0.5, selection)
+    assert model.selected_features == selection
+    for name in ("landmarks", "features", "targets", "source_tags"):
+        assert np.array_equal(getattr(model, name), getattr(direct, name))
+    assert (model.k, model.generic_weight, model.case_study) == (5, 0.5, case.region)
+    assert report.dedicated_instances == direct_report.dedicated_instances
+
+
+def test_train_held_out_names_the_region_of_a_bad_test_size(small_datasets):
+    with pytest.raises(ConfigError, match=r"^British Columbia: test_size must be in "
+                                          r"\(0, 80\), got 80$"):
+        train_held_out(small_datasets, small_datasets[1], 80, 0)
+
+
+def test_rotation_turns_are_train_held_out_at_each_region_seed(monkeypatch):
+    calls = []
+    real = evaluation.train_held_out
+    monkeypatch.setattr(evaluation, "train_held_out",
+                        lambda *a, **kw: calls.append((a, kw)) or real(*a, **kw))
+    datasets = generate_regions(SyntheticSpec(regions=3, rows=30, seed=0))
+    rotate_regions(datasets, k=4, test_size=10, seed=2, generic_weight=0.5,
+                   bootstrap_replicates=10)
+    assert [(a[1].region.name, a[2:], kw) for a, kw in calls] == [
+        (ds.region.name, (10, int(np.random.SeedSequence(2, spawn_key=(ds.region.code, 0))
+                                  .generate_state(1, np.uint64)[0]), 4, 0.5), {})
+        for ds in datasets]

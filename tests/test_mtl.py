@@ -356,3 +356,22 @@ def test_train_mtl_refuses_k_before_it_builds_anything(small_datasets, monkeypat
     monkeypatch.setattr(mtl, "fit_quantile_scaler", fit)
     with pytest.raises(ConfigError, match="^k must be >= 1, got 0$"):
         train_mtl(small_datasets, small_datasets[0].region, range(10), k=0)
+
+
+@pytest.mark.parametrize("width", [3, 5])
+def test_model_refuses_targets_of_another_width(trained_small_model, width):
+    model, _, _ = trained_small_model
+    targets = np.resize(model.targets, (len(model.targets), width))
+    with pytest.raises(DataError, match=f"^store has {width} target columns, not 4$"):
+        dataclasses.replace(model, targets=targets)
+
+
+@pytest.mark.parametrize("rows", [80, 40], ids=["same_length", "shorter_copy"])
+def test_train_mtl_refuses_a_repeated_region(small_datasets, rows):
+    """Two datasets of one region are refused whichever comes first, also when
+    the first is too short for the training indices."""
+    a, b, _ = small_datasets
+    again = generate_regions(SyntheticSpec(regions=1, rows=rows, seed=99))[0]     # Alberta
+    for datasets in ([a, b, again], [again, b, a]):
+        with pytest.raises(DataError, match="^more than one dataset of region 'Alberta'$"):
+            train_mtl(datasets, a.region, range(60))

@@ -3,6 +3,7 @@ import pytest
 
 from regio_forecast.errors import ConfigError
 from regio_forecast.evaluation import r2
+from regio_forecast.features import score_relevance
 from regio_forecast.ingest import parse_regional_csv, region_by_name, split_train_test
 from regio_forecast.mtl import predict_monitoring, train_mtl
 from regio_forecast.synth import MAX_ROWS, SyntheticSpec, generate_regions, write_region_files
@@ -74,3 +75,27 @@ def test_targets_are_nonnegative_integers(small_datasets):
         t = ds.targets.astype(float)
         assert np.all(t >= 0)
         assert np.array_equal(t, np.rint(t))
+
+
+# What generate_regions plants: these columns follow the shared intensity
+# that drives every target, and these are a per-region constant under
+# per-day jitter.
+PLANTED_DRIVERS = ("feat_07", "feat_08", "feat_12", "feat_13", "feat_14", "feat_15", "feat_16",
+                   "feat_17", "feat_19", "feat_20")
+CONSTANT_COLUMNS = ("feat_03", "feat_11", "feat_21", "feat_22", "feat_23", "feat_24",
+                    "feat_25", "feat_26", "feat_27")
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("regions, rows, test_days", [(7, 362, 54), (10, 2000, 285)],
+                         ids=["monitor_paper", "serve_large"])
+def test_planted_drivers_outrank_constant_columns_on_training_days(regions, rows, test_days,
+                                                                    seed):
+    """Relevance scored on each region's training days puts every planted
+    driver above every constant column, for every target."""
+    codes = PLANTED_DRIVERS + CONSTANT_COLUMNS
+    for ds in generate_regions(SyntheticSpec(regions=regions, rows=rows, seed=seed)):
+        train = ds.subset(split_train_test(ds, test_days, seed).train_indices)
+        report = score_relevance(train.columns(codes), codes, train.targets)
+        drivers, constant = np.split(report.scores, [len(PLANTED_DRIVERS)])
+        assert np.all(drivers.min(axis=0) > constant.max(axis=0)), ds.region.name
