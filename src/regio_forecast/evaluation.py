@@ -275,9 +275,9 @@ def train_held_out(datasets: Sequence[RegionalDataset], case_ds: RegionalDataset
                    top_n: int | None = None) -> tuple[TrainTestSplit, MtlModel, TrainReport]:
     """Hold out ``test_size`` days of ``case_ds`` drawn at ``seed``, then ``train_mtl``.
 
-    A bad split size is refused naming the region. The features are
-    DEFAULT_SELECTED_FEATURES or, given ``top_n``, the codes most relevant
-    on the training days alone; every other dataset is pooled.
+    A bad split size is refused naming the region. The features are the
+    default ones or, given ``top_n``, the codes most relevant on the training
+    days alone. Every other dataset is pooled; one of ``case_ds``'s region is refused.
     """
     try:
         split = split_train_test(case_ds, test_size, seed)
@@ -288,8 +288,8 @@ def train_held_out(datasets: Sequence[RegionalDataset], case_ds: RegionalDataset
         train = case_ds.subset(split.train_indices)
         selection = score_relevance(train.columns(FEATURE_CODES), FEATURE_CODES,
                                     train.targets).top(top_n)
-    model, report = train_mtl(
-        datasets, case_ds.region, split.train_indices, k, generic_weight, selection)
+    model, report = train_mtl([d for d in datasets if d is not case_ds] + [case_ds],
+                              case_ds.region, split.train_indices, k, generic_weight, selection)
     return split, model, report
 
 

@@ -567,3 +567,15 @@ def test_rotation_turns_are_train_held_out_at_each_region_seed(monkeypatch):
         (ds.region.name, (10, int(np.random.SeedSequence(2, spawn_key=(ds.region.code, 0))
                                   .generate_state(1, np.uint64)[0]), 4, 0.5), {})
         for ds in datasets]
+
+
+def test_train_held_out_pools_every_dataset_but_the_case_study(small_datasets):
+    """The case study's own rows are the ones trained on, whether or not
+    ``datasets`` holds it; another dataset of its region is refused."""
+    a, b, c = small_datasets
+    _, model, _ = train_held_out([b, c], a, 16, 0)
+    _, direct, _ = train_held_out(small_datasets, a, 16, 0)
+    assert np.array_equal(model.targets, direct.targets)
+    again = generate_regions(SyntheticSpec(regions=1, rows=80, seed=99))[0]     # Alberta
+    with pytest.raises(DataError, match="^more than one dataset of region 'Alberta'$"):
+        train_held_out([again, b, c], a, 16, 0)
