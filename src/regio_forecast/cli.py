@@ -58,15 +58,16 @@ class RunConfig:
     test_days: int = 54
     seed: int = 0
     bootstrap: int = 1000
-    selection: str = "default"      # "default" (curated 13 columns) or "ranked"
-    top_n: int = 13
+    top_n: int | None = None        # None: the default 13 columns; N: the N most relevant
     out: str = "out"
     ppe_operating_capacity: float = 0.75
     ppe_personnel: float = 200.0
 
 
-# JSON value types accepted for each RunConfig field type; an int is a float too.
-_JSON_TYPES = {"int": (int,), "float": (int, float), "str": (str,)}
+# JSON value types accepted for each RunConfig field type; an int is a float too,
+# and null leaves an optional int at its default.
+_JSON_TYPES = {"int": (int,), "float": (int, float), "str": (str,),
+               "int | None": (type(None), int)}
 
 
 def _load_config(args: argparse.Namespace) -> RunConfig:
@@ -141,15 +142,12 @@ def _train(cfg: RunConfig):
     datasets = _load_datasets(cfg.data_dir)
     case_ds = _case_dataset(datasets, cfg)
     _check_test_days(cfg, [case_ds])
-    if cfg.selection not in ("default", "ranked"):
-        raise ConfigError(f"selection must be 'default' or 'ranked', got {cfg.selection!r}")
     train_days = case_ds.n_rows - cfg.test_days
-    if cfg.selection == "ranked" and train_days < 3:   # relevance is scored on these days
-        raise ConfigError(f"--selection ranked needs at least 3 training days; "
+    if cfg.top_n is not None and train_days < 3:   # relevance is scored on these days
+        raise ConfigError(f"--top-n needs at least 3 training days; "
                           f"--test-days {cfg.test_days} leaves {train_days}")
-    top_n = cfg.top_n if cfg.selection == "ranked" else None
     split, model, report = train_held_out(
-        datasets, case_ds, cfg.test_days, cfg.seed, cfg.k, cfg.generic_weight, top_n)
+        datasets, case_ds, cfg.test_days, cfg.seed, cfg.k, cfg.generic_weight, cfg.top_n)
     return datasets, case_ds, split, model, report
 
 
@@ -260,7 +258,7 @@ def cmd_synth(cfg: RunConfig, regions: int, rows: int, noise: float) -> int:
 # Each subcommand's help and the RunConfig flags it reads, and the
 # argparse options of the flags that are not plain strings
 _TRAIN_FLAGS = ("data-dir", "case-study", "k", "generic-weight", "test-days", "seed",
-                "selection", "top-n", "out")
+                "top-n", "out")
 _COMMANDS = {
     "synth": ("generate synthetic regional CSVs", ("seed", "out")),
     "train": ("train a model for the case study", _TRAIN_FLAGS),
@@ -273,7 +271,7 @@ _COMMANDS = {
 }
 _FLAG_OPTIONS = {"k": {"type": int}, "generic-weight": {"type": float},
                  "test-days": {"type": int}, "seed": {"type": int}, "bootstrap": {"type": int},
-                 "selection": {"choices": ["default", "ranked"]}, "top-n": {"type": int}}
+                 "top-n": {"type": int}}
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -17,8 +17,10 @@ from hypothesis import strategies as st
 import regio_forecast
 import regio_forecast.cli
 import regio_forecast.evaluation
-from regio_forecast.cli import _predictions_csv, build_parser, main
-from regio_forecast.features import DERIVED_FEATURE_CODES, PRIMARY_FEATURE_CODES, score_relevance
+from regio_forecast.cli import _load_datasets, _predictions_csv, build_parser, main
+from regio_forecast.evaluation import train_held_out
+from regio_forecast.features import (
+    DEFAULT_SELECTED_FEATURES, DERIVED_FEATURE_CODES, PRIMARY_FEATURE_CODES, score_relevance)
 from regio_forecast.ingest import (
     RegionalDataset, parse_regional_csv, region_by_name, split_train_test, write_regional_csv)
 
@@ -164,7 +166,8 @@ def test_unknown_config_key_exits_2(data_dir, tmp_path):
 
 @pytest.mark.parametrize("key, value", [
     ("k", "six"), ("k", 6.0), ("k", True), ("generic_weight", False),
-    ("generic_weight", "1"), ("case_study", 3), ("out", None),
+    ("generic_weight", "1"), ("case_study", 3), ("out", None), ("top_n", True),
+    ("top_n", 9.0),
 ])
 def test_config_value_of_wrong_type_exits_2(data_dir, tmp_path, capsys, key, value):
     cfg = tmp_path / "bad.json"
@@ -790,7 +793,7 @@ def test_duplicate_region_files_exit_3(data_dir, tmp_path, capsys):
 @pytest.mark.parametrize("argv", [
     ["predict", "--model", "m.json", "--input", "a.csv", "--k", "0", "--generic-weight", "5",
      "--test-days", "1"],
-    ["synth", "--k", "0", "--bootstrap", "-5", "--selection", "ranked"],
+    ["synth", "--k", "0", "--bootstrap", "-5", "--top-n", "5"],
     ["relevance", "--data-dir", "d", "--k", "-4", "--top-n", "0"],
     ["train", "--data-dir", "d", "--bootstrap", "0"],
     ["predict", "--model", "m.json", "--input", "a.csv", "--k", "0"],
@@ -806,7 +809,7 @@ def test_one_config_file_serves_every_command(data_dir, tmp_path):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({
         "data_dir": str(data_dir), "case_study": "alberta", "k": 5, "generic_weight": 0.5,
-        "test_days": 16, "seed": 2, "bootstrap": 20, "selection": "default", "top_n": 9,
+        "test_days": 16, "seed": 2, "bootstrap": 20, "top_n": 9,
         "out": str(tmp_path / "run"), "ppe_operating_capacity": 0.5, "ppe_personnel": 50.0}))
     model, series = tmp_path / "run" / "model.json", data_dir / "alberta.csv"
     for argv in (["train"], ["evaluate"], ["rotate"], ["relevance"],
@@ -818,10 +821,9 @@ def test_one_config_file_serves_every_command(data_dir, tmp_path):
 
 def test_rotate_ranked_selection_exits_2(data_dir, tmp_path, capsys):
     code = run(["rotate", "--data-dir", data_dir, "--test-days", "12",
-                "--bootstrap", "20", "--selection", "ranked", "--top-n", "5",
-                "--out", tmp_path / "x"])
+                "--bootstrap", "20", "--top-n", "5", "--out", tmp_path / "x"])
     assert code == 2
-    assert "--selection ranked" in capsys.readouterr().err
+    assert "unrecognized arguments: --top-n 5" in capsys.readouterr().err
     assert not (tmp_path / "x").exists()
 
 
@@ -885,8 +887,7 @@ def test_non_finite_derived_value_names_region_date_and_code(zero_unemployment_d
 def test_train_ranked_selection_end_to_end(data_dir, tmp_path):
     out = tmp_path / "ranked"
     assert run(["train", "--data-dir", data_dir, "--case-study", "alberta",
-                "--test-days", "16", "--selection", "ranked", "--top-n", "9",
-                "--out", out]) == 0
+                "--test-days", "16", "--top-n", "9", "--out", out]) == 0
     header, _ = read_artifact_oracle(out / "model.json")
     assert tuple(header["feature_codes"]) == (
         "d13", "d11", "feat_20", "feat_19", "feat_14", "feat_17", "feat_16",
@@ -917,18 +918,52 @@ def test_ranked_selection_ignores_held_out_targets(data_dir, tmp_path):
     for root in (data_dir, changed_dir):
         out = tmp_path / f"out_{root.name}"
         assert run(["train", "--data-dir", root, "--case-study", "alberta", "--seed", "0",
-                    "--test-days", "16", "--selection", "ranked", "--top-n", "9",
-                    "--out", out]) == 0
+                    "--test-days", "16", "--top-n", "9", "--out", out]) == 0
         selected.append(read_artifact_oracle(out / "model.json")[0]["feature_codes"])
     assert selected[0] == selected[1]
+
+
+@pytest.mark.parametrize("argv, config, top_n", [
+    (["--top-n", "9"], {}, 9),
+    ([], {"top_n": 9}, 9),
+    (["--top-n", "9"], {"top_n": 5}, 9),
+    ([], {"top_n": None}, None),
+    ([], {}, None),
+], ids=["flag", "config", "flag-over-config", "config-null", "config-without-key"])
+def test_top_n_alone_selects_what_train_held_out_selects(data_dir, tmp_path, argv, config,
+                                                         top_n):
+    cfg, out = tmp_path / "run.json", tmp_path / "out"
+    cfg.write_text(json.dumps(config))
+    assert run(["train", "--config", cfg, "--data-dir", data_dir, "--case-study", "alberta",
+                "--test-days", "16", *argv, "--out", out]) == 0
+    datasets = _load_datasets(str(data_dir))
+    case = next(ds for ds in datasets if ds.region.name == "Alberta")
+    _, model, _ = train_held_out(datasets, case, 16, 0, top_n=top_n)
+    stored = tuple(read_artifact_oracle(out / "model.json")[0]["feature_codes"])
+    assert stored == model.selected_features
+    assert (stored == DEFAULT_SELECTED_FEATURES) == (top_n is None)
+    assert len(stored) == (top_n or len(DEFAULT_SELECTED_FEATURES))
+
+
+@pytest.mark.parametrize("argv, config, message", [
+    (["--selection", "ranked"], {}, "error: unrecognized arguments: --selection ranked"),
+    ([], {"selection": "ranked"}, "config error: unknown config keys: ['selection']"),
+], ids=["flag", "config-key"])
+def test_selection_is_not_an_option(data_dir, tmp_path, capsys, argv, config, message):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(config))
+    assert run(["train", "--config", cfg, "--data-dir", data_dir, "--case-study", "alberta",
+                "--test-days", "16", *argv, "--out", tmp_path / "x"]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
 
 
 @pytest.mark.parametrize("command", ["train", "evaluate"])
 def test_ranked_selection_with_two_training_days_exits_2(command, data_dir, tmp_path, capsys):
     code = run([command, "--data-dir", data_dir, "--case-study", "alberta",
-                "--test-days", "78", "--selection", "ranked", "--out", tmp_path / "x"])
+                "--test-days", "78", "--top-n", "13", "--out", tmp_path / "x"])
     assert code == 2
-    assert capsys.readouterr().err == ("config error: --selection ranked needs at least "
+    assert capsys.readouterr().err == ("config error: --top-n needs at least "
                                        "3 training days; --test-days 78 leaves 2\n")
     assert not (tmp_path / "x").exists()
 
@@ -1050,7 +1085,7 @@ def test_prediction_rows_print_the_extreme_dates_as_isoformat():
 
 
 @pytest.mark.parametrize("command, argv, cases, top_n", [
-    ("train", ["--case-study", "alberta", "--selection", "ranked", "--top-n", "9"],
+    ("train", ["--case-study", "alberta", "--top-n", "9"],
      ["Alberta"], 9),
     ("evaluate", ["--case-study", "manitoba", "--bootstrap", "10"], ["Manitoba"], None),
     ("rotate", ["--bootstrap", "10"], ["Alberta", "British Columbia", "Manitoba"], None),
