@@ -131,11 +131,15 @@ def _case_dataset(datasets: list[RegionalDataset], cfg: RunConfig) -> RegionalDa
 
 
 def _check_test_days(cfg: RunConfig, datasets: list[RegionalDataset]) -> None:
-    """Every dataset that will be split keeps at least one day on each side."""
+    """Every dataset that will be split keeps at least one day on each side, and two
+    training days at generic weight 0, where the scaler is fitted on them alone."""
     for ds in datasets:
         if not 0 < cfg.test_days < ds.n_rows:
             raise ConfigError(f"--test-days must be in [1, {ds.n_rows - 1}] for {ds.region.name}, "
                               f"which has {ds.n_rows} days; got {cfg.test_days}")
+        if cfg.generic_weight == 0 and ds.n_rows - cfg.test_days < 2:
+            raise ConfigError(f"--generic-weight 0 needs at least 2 training days; --test-days "
+                              f"{cfg.test_days} leaves 1 of {ds.region.name}'s {ds.n_rows}")
 
 
 def _train(cfg: RunConfig):

@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 from .features import DEFAULT_SELECTED_FEATURES, FEATURE_CODES, TARGET_COLUMNS
-from .ingest import RegionalDataset, RegionId
+from .ingest import REGION_ENCODINGS, RegionalDataset, RegionId
 from .knn import predict_knn_batch
 from .scaling import (apply_quantile_scaler, checked_landmarks, fit_quantile_scaler,
                       l2_normalize_rows)
@@ -57,10 +57,11 @@ class MtlModel:
 
     ``landmarks`` holds a row of quantile landmarks per selected feature.
     The store holds unit ``features`` rows, raw ``targets`` counts and
-    ``source_tags`` (region codes): the pooled-region instances (none when
-    ``generic_weight`` is 0), then the case-study training instances. Their
-    vote weights follow from the tags (``weights``). The messages name the
-    artifact, the one source of a model that training did not check.
+    ``source_tags`` (region codes, each a key of ``REGION_ENCODINGS``): the
+    pooled-region instances (none when ``generic_weight`` is 0), then the
+    case-study training instances. Their vote weights follow from the tags
+    (``weights``). The messages name the artifact, the one source of a
+    model that training did not check.
     """
 
     selected_features: tuple[str, ...]
@@ -101,6 +102,9 @@ class MtlModel:
                           ("source_tags", tags)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+        known = np.isin(tags, tuple(REGION_ENCODINGS))
+        if not known.all():
+            raise DataError(f"source tags name no region: {np.unique(tags[~known]).tolist()}")
         if not np.all(self.weights > 0):      # NaN fails the comparison too
             raise DataError("source weights must be strictly positive")
         if type(self.k) is not int:           # bool is an int subclass

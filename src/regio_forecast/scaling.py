@@ -92,10 +92,12 @@ def linear_quantiles(ordered: np.ndarray, probs: np.ndarray,
     return np.where(t >= 0.5, b - diff * (1 - t), a + diff * t)
 
 
-def _empirical_cdf(landmarks: np.ndarray, probs: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Interpolated training CDF for one column.
+def _empirical_cdf(landmarks: np.ndarray, probs: np.ndarray, x: np.ndarray,
+                   column: int) -> np.ndarray:
+    """Interpolated training CDF for the values ``x`` of column ``column``.
 
-    Values are clipped to the landmark range first. A value equal to one
+    A NaN, which sorts last, is refused naming its row and the column.
+    Other values are clipped to the landmark range first. A value equal to one
     or more landmarks maps to the mean probability of the tied block;
     anywhere else the CDF is linear between the bracketing landmarks.
     The landmarks are searched for the values in sorted order, which is
@@ -103,7 +105,10 @@ def _empirical_cdf(landmarks: np.ndarray, probs: np.ndarray, x: np.ndarray) -> n
     value's arithmetic does not depend on the order.
     """
     order = np.argsort(x)
-    x = np.clip(x[order], landmarks[0], landmarks[-1])
+    x = x[order]
+    if len(x) and np.isnan(x[-1]):
+        raise DataError(f"value at row {order[np.isnan(x)].min()}, column {column} is NaN")
+    np.clip(x, landmarks[0], landmarks[-1], out=x)
     lo = np.searchsorted(landmarks, x, side="left")
     hi = np.searchsorted(landmarks, x, side="right")
     p = np.empty_like(x, dtype=np.float64)
@@ -130,9 +135,10 @@ def apply_quantile_scaler(landmarks: np.ndarray, values: np.ndarray) -> np.ndarr
 
     ``landmarks`` is ``fit_quantile_scaler``'s array, checked by
     ``checked_landmarks``; ``values`` has one column per landmark row, in
-    its order. Out-of-range values are clipped to the training range
-    before mapping, and CDF outputs are clipped to [CDF_CLIP_LO,
-    CDF_CLIP_HI] so results stay finite.
+    its order. Out-of-range values, ±inf included, are clipped to the
+    training range before mapping, and CDF outputs are clipped to
+    [CDF_CLIP_LO, CDF_CLIP_HI] so results stay finite; a NaN raises
+    DataError naming its row and column index.
     A column that was constant at fit time maps to 0 everywhere.
     """
     landmarks = checked_landmarks(landmarks)
@@ -143,7 +149,7 @@ def apply_quantile_scaler(landmarks: np.ndarray, values: np.ndarray) -> np.ndarr
     probs = np.linspace(0.0, 1.0, landmarks.shape[1])
     p = np.empty(values.shape)
     for j in range(values.shape[1]):
-        p[:, j] = _empirical_cdf(landmarks[j], probs, values[:, j])
+        p[:, j] = _empirical_cdf(landmarks[j], probs, values[:, j], j)
     return ndtri(np.clip(p, CDF_CLIP_LO, CDF_CLIP_HI, out=p), out=p)
 
 

@@ -74,7 +74,7 @@ def test_edge_values_roundtrip_bit_for_bit(trained_small_model, tmp_path):
     features = model.features.copy()
     features[:6, 0] = [-0.0, 5e-324, 1e-310, -1e308, np.pi, 2.0 ** -1074]
     tags = model.source_tags.copy()
-    tags[:3] = [-1, 9, 2 ** 62]       # pooled tags, so weights stay 1.0
+    tags[:3] = [1, 9, 2]              # pooled tags, so weights stay 1.0
     edged = dataclasses.replace(model, features=features, source_tags=tags)
     path = tmp_path / "model.json"
     save_model(edged, path)
@@ -82,6 +82,11 @@ def test_edge_values_roundtrip_bit_for_bit(trained_small_model, tmp_path):
     assert clone.features.tobytes() == features.tobytes()
     assert clone.source_tags.tobytes() == tags.tobytes()
     assert not clone.features.flags.writeable
+    # tags past any region code are refused, and the message shows them decoded exactly
+    header, arrays = read_artifact_oracle(path)
+    arrays["source_tags"][:3] = [-1, 9, 2 ** 62]
+    path.write_bytes(artifact_bytes_oracle(header, arrays))
+    _refused(path, f"source tags name no region: [-1, {2 ** 62}]")
 
 
 def _saved_parts(model, tmp_path):

@@ -134,6 +134,24 @@ def test_test_days_beyond_the_data_exits_2_naming_flag_and_region(
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize("command", ["train", "evaluate", "rotate"])
+def test_one_training_day_at_generic_weight_0_exits_2_before_training(
+        data_dir, tmp_path, capsys, train_calls, command):
+    """At weight 0 the scaler is fitted on the case study's training days
+    alone, so each region that is split must keep two; rotate checks every region."""
+    short_dir = tmp_path / "short"
+    shutil.copytree(data_dir, short_dir)
+    lines = (short_dir / "manitoba.csv").read_text().splitlines()
+    (short_dir / "manitoba.csv").write_text("\n".join(lines[:41]) + "\n")    # 40 days
+    case = [] if command == "rotate" else ["--case-study", "manitoba"]
+    assert run([command, "--data-dir", short_dir, *case, "--generic-weight", "0",
+                "--test-days", "39", "--out", tmp_path / "x"]) == 2
+    assert capsys.readouterr().err == ("config error: --generic-weight 0 needs at least 2 "
+                                       "training days; --test-days 39 leaves 1 of Manitoba's 40\n")
+    assert train_calls == []
+    assert not (tmp_path / "x").exists()
+
+
 def test_train_keeps_a_single_held_out_day(data_dir, tmp_path):
     assert run(["train", "--data-dir", data_dir, "--case-study", "alberta",
                 "--test-days", "1", "--out", tmp_path / "x"]) == 0
@@ -708,6 +726,21 @@ def test_pooled_tag_in_dedicated_only_artifact_exits_3(data_dir, tmp_path, capsy
     assert code == 3
     assert f"{bad}: source weights must be strictly positive" in capsys.readouterr().err
     assert not (tmp_path / "x" / "predictions.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["predict", "ppe"])
+def test_artifact_tag_of_no_region_exits_3_naming_the_file(data_dir, tmp_path, capsys, command):
+    out = tmp_path / "model_out"
+    assert run(["train", "--data-dir", data_dir, "--case-study", "alberta",
+                "--test-days", "16", "--out", out]) == 0
+    header, arrays = read_artifact_oracle(out / "model.json")
+    arrays["source_tags"][[0, 7]] = [99, 10]      # pooled rows, voting at the generic weight
+    bad = tmp_path / "bad_model.json"
+    bad.write_bytes(artifact_bytes_oracle(header, arrays))
+    assert run([command, "--model", bad, "--input", data_dir / "alberta.csv",
+                "--out", tmp_path / "x"]) == 3
+    assert capsys.readouterr().err == f"data error: {bad}: source tags name no region: [10, 99]\n"
+    assert not (tmp_path / "x").exists()
 
 
 def test_zero_row_store_artifact_exits_3(data_dir, tmp_path, capsys):

@@ -321,9 +321,13 @@ def _codes(edit):
     (_codes(lambda codes: codes.__setitem__(1, codes[0])), DataError,
      "selected feature codes repeat: "),
     (lambda m: {"generic_weight": 0.0}, DataError, "source weights must be strictly positive"),
+    (_array_with("source_tags", (9,), 99), DataError, "source tags name no region: [99]"),
+    (lambda m: {"features": m.features[:3], "targets": m.targets[:3],
+                "source_tags": [99, 5, -1]}, DataError, "source tags name no region: [-1, 99]"),
 ], ids=["features_nan", "features_-inf", "landmarks_nan", "landmarks_inf", "negative_target",
         "k_0", "k_true", "generic_weight_1.5", "generic_weight_nan", "zero_rows", "ragged_rows",
-        "mismatched_counts", "width", "unknown_code", "repeated_code", "pooled_at_weight_0"])
+        "mismatched_counts", "width", "unknown_code", "repeated_code", "pooled_at_weight_0",
+        "unknown_tag", "unknown_tags"])
 def test_trained_model_is_refused_by_every_artifact_rule(trained_small_model, change, error,
                                                          message):
     """A trained model changed to break one rule fails the same check, with

@@ -132,6 +132,22 @@ def test_transform_clips_below_training_minimum():
     assert below == at_min
 
 
+@pytest.mark.parametrize("rows, column", [([0], 0), ([17, 3, 49], 1), ([49], 1)])
+def test_transform_refuses_nan_naming_its_row_and_column(rows, column):
+    rng = np.random.default_rng(0)
+    landmarks = fit_quantile_scaler(rng.normal(size=(50, 2)), ("a", "b"))
+    values = rng.normal(size=(50, 2))
+    values[rows, column] = np.nan
+    with pytest.raises(DataError, match=f"^value at row {min(rows)}, column {column} is NaN$"):
+        apply_quantile_scaler(landmarks, values)
+
+
+def test_transform_clips_infinities_to_the_training_range():
+    landmarks = fit_column(np.arange(1.0, 101.0))
+    out = apply_quantile_scaler(landmarks, column_matrix([np.inf, -np.inf, 100.0, 1.0]))
+    assert out[:2].tobytes() == out[2:].tobytes()
+
+
 def test_transform_constant_training_column_maps_to_zero():
     landmarks = fit_column([5.0, 5.0, 5.0])
     out = apply_quantile_scaler(landmarks, column_matrix([5.0, 7.0, -2.0]))
