@@ -97,18 +97,17 @@ def _empirical_cdf(landmarks: np.ndarray, probs: np.ndarray, x: np.ndarray,
     """Interpolated training CDF for the values ``x`` of column ``column``.
 
     A NaN, which sorts last, is refused naming its row and the column.
-    Other values are clipped to the landmark range first. A value equal to one
-    or more landmarks maps to the mean probability of the tied block;
+    Other values are clipped to the landmark range first. A value equal
+    to one or more landmarks maps to the mean probability of the tied block;
     anywhere else the CDF is linear between the bracketing landmarks.
     The landmarks are searched for the values in sorted order, which is
     faster, and the results are put back in the order of ``x``; each
     value's arithmetic does not depend on the order.
     """
     order = np.argsort(x)
-    x = x[order]
+    x = np.clip(x[order], landmarks[0], landmarks[-1])     # a NaN stays NaN
     if len(x) and np.isnan(x[-1]):
         raise DataError(f"value at row {order[np.isnan(x)].min()}, column {column} is NaN")
-    np.clip(x, landmarks[0], landmarks[-1], out=x)
     lo = np.searchsorted(landmarks, x, side="left")
     hi = np.searchsorted(landmarks, x, side="right")
     p = np.empty_like(x, dtype=np.float64)
