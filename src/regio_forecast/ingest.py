@@ -5,27 +5,33 @@ with the exact header::
 
     date,feat_01,...,feat_27,infections,hospitalizations,recoveries,deaths
 
-Dates are ISO-8601 as ``datetime.date`` parses them, in any row order;
-rows are sorted by date, held as a ``datetime64[D]`` array. A cell may
-be empty in real-world exports; empty cells are forward-filled along the
-dates from the previous day within the same column, and a file with an
-empty cell on its earliest date is rejected (daily administrative series
-behave like step functions, so the previous value is the best available
-estimate).
+Dates are ``YYYY-MM-DD`` (ASCII digits, surrounding whitespace allowed)
+naming a day of ``datetime.date``, in any row order; rows are sorted by
+date, held as a ``datetime64[D]`` array. Other ISO-8601 forms, such as
+``20200105`` or the week date ``2020-W01-1``, are bad dates on every
+supported Python. A cell may be empty in real-world exports; empty cells
+are forward-filled along the dates from the previous day within the same
+column, and a file with an empty cell on its earliest date is rejected
+(daily administrative series behave like step functions, so the previous
+value is the best available estimate).
 
-A file's body is read by one ``np.loadtxt`` call; a body that it rejects
-(an empty cell among them) or that may hold a cell longer than the
-``csv`` module's field limit is read again by ``csv.reader`` and a row
-loop, the one place that words a parse error. Both tables then share one
-sort, forward fill and validation.
+A file is decoded once, from its bytes, and its lines are split where a
+file opened with ``newline=""`` splits them: at ``\\r\\n``, ``\\r`` and
+``\\n``. Its body is read by one ``np.loadtxt`` call; a body that it
+rejects (an empty cell among them) or that may hold a cell longer than
+the ``csv`` module's field limit is read again by ``csv.reader`` and a
+row loop, the one place that words a parse error. Both tables then share
+one forward fill and validation, and a sort when their dates are out of
+order. Each distinct date text is converted once per process.
 
 Every RegionalDataset, whether parsed, generated, subset or built by a
 caller, holds these rules when it is constructed: every cell is finite,
 categorical cells lie in CATEGORICAL_RANGES, ``feat_04`` holds the code of
 the dataset's region, ``feat_11`` (health centres) is an integer count in
 [1, MAX_COUNT], targets are integer counts in [0, MAX_COUNT], and dates
-are days of ``datetime.date`` (no NaT) that strictly increase. A violation
-raises DataError naming the first bad cell in row-major order. A split
+are days of ``datetime.date`` (no NaT) that strictly increase. One pass
+over the table checks them; only a table that fails it is searched for
+the first bad cell in row-major order, which the DataError names. A split
 (``split_train_test``) is two sorted, read-only arrays of day indices.
 """
 
@@ -33,6 +39,9 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
+import functools
+import io
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -198,6 +207,12 @@ _FIRST_DAY, _LAST_DAY = np.datetime64(dt.date.min), np.datetime64(dt.date.max)
 _REGION_COLUMN = PRIMARY_FEATURE_CODES.index("feat_04")
 _CENTRES_COLUMN = PRIMARY_FEATURE_CODES.index("feat_11")
 
+# The categorical columns and the bounds of their enumerated sets. Each set
+# is a run of consecutive integers, so a whole number within its bounds is in it.
+_CATEGORICAL_COLUMNS = [PRIMARY_FEATURE_CODES.index(code) for code in CATEGORICAL_RANGES]
+_CATEGORICAL_LOW, _CATEGORICAL_HIGH = np.array(
+    [(min(allowed), max(allowed)) for allowed in CATEGORICAL_RANGES.values()], dtype=np.float64).T
+
 
 def _bad_value(where: str, column: str, detail: str) -> DataError:
     """The error for a bad cell at ``where``: a file's data row, or a date."""
@@ -205,17 +220,28 @@ def _bad_value(where: str, column: str, detail: str) -> DataError:
     return DataError(f"{message}: {detail}" if detail else message)
 
 
-def _first_bad_cell(features: np.ndarray, targets: np.ndarray,
-                    region: RegionId) -> tuple[int, str, str] | None:
-    """Row index, column code and detail of the first invalid cell, row-major.
+def _cells_valid(features: np.ndarray, targets: np.ndarray, region: RegionId) -> bool:
+    """Whether every cell holds the module's rules, in one pass that builds no per-rule mask.
 
-    Each rule is a mask over the (n, 31) table of features then targets.
-    A cell that breaks several rules is reported under the first of:
-    not finite, outside its categorical range, a ``feat_04`` other than
-    ``region``'s code, a ``feat_11`` that is no integer in [1, MAX_COUNT],
-    not an integer count up to MAX_COUNT, negative. Integer targets are
-    compared as integers, so no count is rounded.
+    A whole number in [0, MAX_COUNT] is finite, so targets need no test of
+    their own for that.
     """
+    centres = features[:, _CENTRES_COLUMN]
+    categorical = features[:, _CATEGORICAL_COLUMNS]
+    with np.errstate(invalid="ignore"):
+        return bool(np.isfinite(features).all()
+                    and (features[:, _REGION_COLUMN] == region.code).all()
+                    and ((categorical >= _CATEGORICAL_LOW) & (categorical <= _CATEGORICAL_HIGH)
+                         & (categorical == np.floor(categorical))).all()
+                    and ((centres >= 1) & (centres <= MAX_COUNT)
+                         & (centres == np.floor(centres))).all()
+                    and ((targets >= 0) & (targets <= MAX_COUNT)
+                         & (targets == np.floor(targets))).all())
+
+
+def _rule_masks(features: np.ndarray, targets: np.ndarray,
+                region: RegionId) -> tuple[np.ndarray, ...]:
+    """One (n, 31) mask per rule over the table of features then targets, in report order."""
     n_features = features.shape[1]
     codes = CSV_HEADER[1:]
     shape = (features.shape[0], len(codes))
@@ -232,10 +258,29 @@ def _first_bad_cell(features: np.ndarray, targets: np.ndarray,
                                           | (centres > MAX_COUNT))
         not_count[:, n_features:] = (targets != np.floor(targets)) | (targets > MAX_COUNT)
         negative[:, n_features:] = targets < 0
-    bad = nonfinite | off_range | foreign | no_centres | not_count | negative
-    if not bad.any():
+    return nonfinite, off_range, foreign, no_centres, not_count, negative
+
+
+def _first_bad_cell(features: np.ndarray, targets: np.ndarray,
+                    region: RegionId) -> tuple[int, str, str] | None:
+    """Row index, column code and detail of the first invalid cell, row-major.
+
+    ``_cells_valid`` checks the table first; only a table that fails it
+    gets ``_rule_masks``. A cell that breaks several rules is reported
+    under the first of: not finite, outside its categorical range, a
+    ``feat_04`` other than ``region``'s code, a ``feat_11`` that is no
+    integer in [1, MAX_COUNT], not an integer count up to MAX_COUNT,
+    negative. Integer targets are compared as integers, so no count is
+    rounded.
+    """
+    if _cells_valid(features, targets, region):
         return None
-    row, col = divmod(int(bad.argmax()), shape[1])
+    masks = _rule_masks(features, targets, region)
+    nonfinite, off_range, foreign, no_centres, not_count, _ = masks
+    bad = np.logical_or.reduce(masks)
+    n_features = features.shape[1]
+    codes = CSV_HEADER[1:]
+    row, col = divmod(int(bad.argmax()), len(codes))
     code = codes[col]
     value = (features[row, col] if col < n_features else targets[row, col - n_features]).item()
     if nonfinite[row, col]:
@@ -253,28 +298,76 @@ def _first_bad_cell(features: np.ndarray, targets: np.ndarray,
     return row, code, detail
 
 
+_ISO_DAY = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
+
+
+@functools.lru_cache(maxsize=1 << 14)
 def _date_ordinal(text: str) -> int:
-    """Days from 1970-01-01 to an ISO date, as ``datetime.date`` reads it (ValueError if not)."""
-    return dt.date.fromisoformat(text.strip()).toordinal() - 719163
+    """Days from 1970-01-01 to a ``YYYY-MM-DD`` date, padded or not (ValueError if not one).
+
+    Pooled files repeat one calendar, so each distinct text is converted
+    once; a bad date is not cached and raises again.
+    """
+    day = text.strip()
+    if not _ISO_DAY.fullmatch(day):
+        raise ValueError(f"not a YYYY-MM-DD date: {text!r}")
+    return dt.date.fromisoformat(day).toordinal() - 719163
 
 
-def _load_table(lines: list[str]) -> tuple[np.ndarray, np.ndarray] | None:
+# A line as a file opened with newline="" reads it: up to \r\n, \r or \n, or to the end.
+_LINE = re.compile(r"[^\r\n]*(?:\r\n?|\n)|[^\r\n]+")
+
+
+def _lines(text: str) -> io.StringIO:
+    """``text`` as a file opened with ``newline=""``: its lines end at ``\\r\\n``, ``\\r`` or ``\\n``."""
+    return io.StringIO(text, newline="")
+
+
+def _header_and_body(text: str) -> tuple[list[str] | None, str]:
+    """The first CSV record of ``text`` (None if there is none) and the text after it.
+
+    ``csv.reader`` takes the lines one at a time, as many as the record
+    spans, so the rest of the text is never split.
+    """
+    end = 0
+
+    def lines():
+        nonlocal end
+        for line in _LINE.finditer(text):
+            end = line.end()
+            yield line.group()
+
+    return next(csv.reader(lines()), None), text[end:]
+
+
+def _load_table(body: str) -> tuple[np.ndarray, np.ndarray] | None:
     """Day numbers and (n, 31) cell values of the data lines numpy's C reader takes, or None.
 
     One ``np.loadtxt`` call reads the cells (Python's float syntax without
-    ``_`` or non-ASCII digits) and the ISO dates, skipping only empty
-    lines. Whatever it rejects (an empty or odd cell, a cell count that
-    varies, a bad date, no data rows) and a width other than 32 give None,
-    so the row loop of ``_read_table`` stays the only source of text-fault
+    ``_`` or non-ASCII digits) and the dates, skipping only empty lines.
+    Whatever it rejects (an empty or odd cell, a cell count that varies, a
+    bad date, no data rows) and a width other than 32 give None, so the
+    row loop of ``_read_table`` stays the only source of text-fault
     messages. So do a line longer than the csv module's field limit and a
     quoted cell that runs past a line end, which could hold a field longer
     than that limit: ``csv.reader`` refuses such a field, and ``loadtxt``
     has no limit.
+
+    Only a body that holds a quote is split into its exact lines, which
+    the quote check needs. Any other body is split at ``\\n``, or at ``\\r``
+    when it has no ``\\n``; ``loadtxt`` refuses a line holding a ``\\r``
+    before its end, so a body mixing lone ``\\r`` with ``\\n`` takes the row
+    loop, and one that ``loadtxt`` takes was split at its exact lines.
     """
-    if not any(map(str.strip, lines)):      # loadtxt would warn of no data
+    if not body or body.isspace():          # loadtxt would warn of no data
         return None
-    if max(map(len, lines)) > csv.field_size_limit() or (
-            '"' in "".join(lines) and any(line.count('"') % 2 for line in lines)):
+    if '"' in body:
+        lines = _lines(body).readlines()
+        if any(line.count('"') % 2 for line in lines):
+            return None
+    else:
+        lines = body.split("\n" if "\n" in body else "\r")
+    if max(map(len, lines)) > csv.field_size_limit():
         return None
     try:
         table = np.loadtxt(lines, delimiter=",", comments=None,
@@ -341,46 +434,50 @@ def _read_table(records: list[list[str]]
 def parse_regional_csv(path: str | Path, region: RegionId) -> RegionalDataset:
     """Parse and validate one region's CSV into a RegionalDataset.
 
-    The file is UTF-8, with or without a byte-order mark. Its body lines
-    are read by one ``np.loadtxt`` call; only when that rejects them (say,
-    for an empty cell) does ``csv.reader`` read them again in a row loop,
-    which words every text fault. Either table then takes the same path:
-    rows are sorted by date (stable), empty cells take the previous day's
-    value, and the RegionalDataset checks the cells. A missing or
-    misordered header column, an empty file, a bad cell (named by data row
-    number and column) or a repeated date raises DataError, its message
-    starting with the file path; so do bytes that are not UTF-8 and
-    quoting that the csv module cannot read. A file with several faults
-    reports the first of: a text fault (cell count, date, number syntax)
-    in row-major order; an empty cell on the earliest date; the first cell
-    by date that breaks a RegionalDataset rule; a repeated date.
+    The file is UTF-8, with or without a byte-order mark, and is decoded
+    once. Its body lines are read by one ``np.loadtxt`` call; only when
+    that rejects them (say, for an empty cell) does ``csv.reader`` read
+    them again in a row loop, which words every text fault. Either table
+    then takes the same path: rows out of date order are sorted by date
+    (stable), empty cells take the previous day's value, and the
+    RegionalDataset checks the cells. A missing or misordered header
+    column, an empty file, a bad cell (named by data row number and
+    column) or a repeated date raises DataError, its message starting with
+    the file path; so do bytes that are not UTF-8, wherever they are in
+    the file, and quoting that the csv module cannot read. A file with
+    several faults reports the first of: bytes that are not UTF-8; a
+    header fault; a text fault (cell count, date, number syntax) in
+    row-major order; an empty cell on the earliest date; the first cell by
+    date that breaks a RegionalDataset rule; a repeated date.
     """
     path = Path(path)
     try:
-        with path.open(newline="", encoding="utf-8-sig") as fh:
-            header = next(csv.reader(fh), None)
-            if header is None:
-                raise DataError("file is empty")
-            header = tuple(h.strip() for h in header)
-            for col in CSV_HEADER:
-                if col not in header:
-                    raise DataError(f"required column missing from header: {col!r}")
-            if header != CSV_HEADER:
-                raise DataError(
-                    "header columns out of order or extra; expected exactly: "
-                    + ",".join(CSV_HEADER))
-            lines = fh.readlines()
-        table = _load_table(lines)
+        header, body = _header_and_body(path.read_bytes().decode("utf-8-sig"))
+        if header is None:
+            raise DataError("file is empty")
+        header = tuple(h.strip() for h in header)
+        for col in CSV_HEADER:
+            if col not in header:
+                raise DataError(f"required column missing from header: {col!r}")
+        if header != CSV_HEADER:
+            raise DataError(
+                "header columns out of order or extra; expected exactly: "
+                + ",".join(CSV_HEADER))
+        table = _load_table(body)
         if table is None:
-            rows, dates, values, empty = _read_table(list(csv.reader(lines)))
+            rows, dates, values, empty = _read_table(list(csv.reader(_lines(body))))
             if not rows:
                 raise DataError("header but no data rows")
         else:
             (dates, values), rows, empty = table, None, None
-        order = np.argsort(dates, kind="stable")
-        dates, values = np.array(dates, "datetime64[D]")[order], values[order]
+        dates = np.array(dates, "datetime64[D]")
+        order = np.arange(len(dates))
+        if np.any(dates[1:] < dates[:-1]):
+            order = np.argsort(dates, kind="stable")
+            dates, values = dates[order], values[order]
+            if empty is not None:
+                empty = empty[order]
         if empty is not None:
-            empty = empty[order]
             if empty[0].any():
                 raise _bad_value(f"row {rows[order[0]]}", CSV_HEADER[1 + int(empty[0].argmax())],
                                  "missing cell on the earliest date (nothing to forward-fill)")
@@ -396,7 +493,7 @@ def parse_regional_csv(path: str | Path, region: RegionId) -> RegionalDataset:
                 repeated = dates[int(np.argmax(np.diff(dates) == 0))]
                 raise DataError(f"duplicate date in dataset: {repeated}") from None
             if rows is None:    # loadtxt read each line but the empty ones as a row
-                rows = [i for i, line in enumerate(lines, 1) if line.strip("\r\n")]
+                rows = [i for i, line in enumerate(_lines(body), 1) if line.strip("\r\n")]
             row, code, detail = bad
             raise _bad_value(f"row {rows[order[row]]}", code, detail) from None
     except UnicodeDecodeError as exc:

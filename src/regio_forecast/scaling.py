@@ -12,7 +12,10 @@ Two transforms are provided:
 
 The quantile scaler's fitted state is one read-only (columns, landmarks)
 array, fitted on training rows only; ``checked_landmarks`` holds its
-rules, and applying it to new data never refits anything. Targets are not
+rules, and applying it to new data never refits anything. Applying it
+finds each value's landmark with one left search; a value tied with
+landmarks reads its block's mean probability from a per-column table
+that the landmarks alone determine. Targets are not
 scaled: the kNN vote is a weighted mean of stored counts, which commutes
 with any per-column affine map.
 """
@@ -92,32 +95,40 @@ def linear_quantiles(ordered: np.ndarray, probs: np.ndarray,
     return np.where(t >= 0.5, b - diff * (1 - t), a + diff * t)
 
 
-def _empirical_cdf(landmarks: np.ndarray, probs: np.ndarray, x: np.ndarray,
-                   column: int) -> np.ndarray:
+def _tie_probabilities(landmarks: np.ndarray, probs: np.ndarray) -> np.ndarray:
+    """Per column, the mean probability of the tied block that starts at each landmark.
+
+    Entry (j, i) is the mean of ``probs`` over the landmarks of column j
+    equal to landmark i from i on; ``probs`` is an arithmetic sequence, so
+    that is the mean of the block's first and last entries.
+    """
+    n = landmarks.shape[1]
+    block_end = np.full(landmarks.shape, n - 1)
+    block_end[:, :-1] = np.where(landmarks[:, 1:] != landmarks[:, :-1], np.arange(n - 1), n - 1)
+    last = np.minimum.accumulate(block_end[:, ::-1], axis=1)[:, ::-1]
+    return 0.5 * (probs + probs[last])
+
+
+def _empirical_cdf(landmarks: np.ndarray, probs: np.ndarray, tie_probs: np.ndarray,
+                   x: np.ndarray, column: int) -> np.ndarray:
     """Interpolated training CDF for the values ``x`` of column ``column``.
 
     A NaN, which sorts last, is refused naming its row and the column.
     Other values are clipped to the landmark range first. A value equal
-    to one or more landmarks maps to the mean probability of the tied block;
-    anywhere else the CDF is linear between the bracketing landmarks.
-    The landmarks are searched for the values in sorted order, which is
-    faster, and the results are put back in the order of ``x``; each
-    value's arithmetic does not depend on the order.
+    to one or more landmarks maps to the mean probability of the tied
+    block, read from ``tie_probs`` at the block's first landmark; anywhere
+    else the CDF is linear between the bracketing landmarks. One left
+    search finds both. The landmarks are searched for the values in sorted
+    order, which is faster, and the results are put back in the order of
+    ``x``; each value's arithmetic does not depend on the order.
     """
     order = np.argsort(x)
     x = np.clip(x[order], landmarks[0], landmarks[-1])     # a NaN stays NaN
     if len(x) and np.isnan(x[-1]):
         raise DataError(f"value at row {order[np.isnan(x)].min()}, column {column} is NaN")
-    lo = np.searchsorted(landmarks, x, side="left")
-    hi = np.searchsorted(landmarks, x, side="right")
-    p = np.empty_like(x, dtype=np.float64)
-
-    exact = hi > lo
-    if np.any(exact):
-        # probs is an arithmetic sequence, so the block mean is the mean
-        # of its first and last entries.
-        p[exact] = 0.5 * (probs[lo[exact]] + probs[hi[exact] - 1])
-    interp = ~exact
+    lo = np.searchsorted(landmarks, x, side="left")         # x <= landmarks[-1], so lo < n
+    p = tie_probs[lo]
+    interp = landmarks[lo] != x
     if np.any(interp):
         idx = lo[interp]            # in [1, n-1]: x strictly inside a segment
         x0 = landmarks[idx - 1]
@@ -146,9 +157,10 @@ def apply_quantile_scaler(landmarks: np.ndarray, values: np.ndarray) -> np.ndarr
         raise DataError(f"values of shape {values.shape} do not match "
                         f"fitted column count {len(landmarks)}")
     probs = np.linspace(0.0, 1.0, landmarks.shape[1])
+    tie_probs = _tie_probabilities(landmarks, probs)
     p = np.empty(values.shape)
     for j in range(values.shape[1]):
-        p[:, j] = _empirical_cdf(landmarks[j], probs, values[:, j], j)
+        p[:, j] = _empirical_cdf(landmarks[j], probs, tie_probs[j], values[:, j], j)
     return ndtri(np.clip(p, CDF_CLIP_LO, CDF_CLIP_HI, out=p), out=p)
 
 

@@ -243,7 +243,9 @@ def read_csv_oracle(path, region):
     number syntax; blank rows are skipped but keep their row number) in
     row-major order; after a stable sort by date, an empty cell on the
     earliest date, which has no previous day to take its value from; the
-    first invalid cell by date, named by its file row; a repeated date.
+    first invalid cell by date, named by its file row; a repeated date. A
+    date is four, two and two ASCII digits joined by "-", padded or not,
+    naming a day of ``datetime.date``.
     """
     def fault(row, column, detail):
         detail = f": {detail}" if detail else ""
@@ -257,8 +259,12 @@ def read_csv_oracle(path, region):
             continue
         if len(record) != len(CSV_HEADER):
             raise fault(number, "row", f"expected {len(CSV_HEADER)} cells, got {len(record)}")
+        text = record[0].strip()
         try:
-            date = dt.date.fromisoformat(record[0].strip())
+            if [len(part) for part in text.split("-")] != [4, 2, 2] or not all(
+                    char in "0123456789" for char in text.replace("-", "")):
+                raise ValueError(text)
+            date = dt.date(int(text[:4]), int(text[5:7]), int(text[8:]))
         except ValueError:
             raise fault(number, "date", record[0]) from None
         cells = []

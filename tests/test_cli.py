@@ -423,6 +423,22 @@ def test_bad_cell_exits_3_naming_row_and_column(data_dir, tmp_path, capsys, colu
     assert f"{path}: bad value" in err          # names the file among the 3 loaded
 
 
+@pytest.mark.parametrize("text", ["20200129", "2020-W05-3"])
+def test_date_other_than_yyyy_mm_dd_exits_3(data_dir, tmp_path, capsys, text):
+    """Python 3.11's ``date.fromisoformat`` reads both as the day they replace; 3.10 does not."""
+    bad_dir = tmp_path / "bad_data"
+    shutil.copytree(data_dir, bad_dir)
+    path = bad_dir / "alberta.csv"
+    lines = path.read_text().splitlines()
+    assert lines[5].startswith("2020-01-29,")
+    lines[5] = text + lines[5][len("2020-01-29"):]
+    path.write_text("\n".join(lines) + "\n")
+    code = run(["train", "--data-dir", bad_dir, "--case-study", "alberta",
+                "--test-days", "16", "--out", tmp_path / "x"])
+    assert code == 3
+    assert f"{path}: bad value at row 5, column 'date': {text}\n" in capsys.readouterr().err
+
+
 def _rename_feat_02(lines):
     lines[0] = lines[0].replace("feat_02", "feat_2")
 

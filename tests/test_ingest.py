@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from regio_forecast import ingest
 from regio_forecast.errors import ConfigError, DataError
 from regio_forecast.ingest import (
+    CATEGORICAL_RANGES,
     CSV_HEADER,
     RegionalDataset,
     RegionId,
@@ -114,6 +115,54 @@ def test_parse_bad_categorical(tmp_path):
 def test_parse_duplicate_date(tmp_path):
     path = write_with_cell(tmp_path, 2, "date", "2020-01-25")    # the date of row 1
     with pytest.raises(DataError, match=r"alberta\.csv: duplicate date in dataset: 2020-01-25$"):
+        parse_regional_csv(path, region_by_code(0))
+
+
+@pytest.mark.parametrize("gap", [False, True], ids=["bulk", "row_loop"])
+@pytest.mark.parametrize("text", [
+    "20200127", "2020-W05-1", "2020W051", "2020-W05", "2020-1-27", "2020-01-27T00:00",
+    "\u0662\u0660\u0662\u0660-01-27", "2020-01-32", "0000-01-27"])
+def test_date_other_than_yyyy_mm_dd_is_a_bad_date(tmp_path, gap, text):
+    """Both readers and the oracle take YYYY-MM-DD alone, whatever else the
+    interpreter's ``date.fromisoformat`` reads (3.11 reads the first four
+    of these as 2020-01-27, the day they replace)."""
+    path = write_with_cell(tmp_path, 3, "date", text)
+    if gap:                                          # an empty cell takes the row loop
+        set_cell(path, 5, "feat_03", "")
+    message = f"{path}: bad value at row 3, column 'date': {text}"
+    with pytest.raises(DataError) as expected:
+        read_csv_oracle(path, region_by_code(0))
+    assert str(expected.value) == message
+    with pytest.raises(DataError) as err:
+        parse_regional_csv(path, region_by_code(0))
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("gap", [False, True], ids=["bulk", "row_loop"])
+def test_padded_yyyy_mm_dd_is_read_by_both_readers(tmp_path, monkeypatch, gap):
+    path = write_with_cell(tmp_path, 3, "date", " 2020-01-27\t")
+    if gap:
+        set_cell(path, 5, "feat_03", "")
+    calls = count_row_loop_reads(monkeypatch)
+    dates, features, targets = read_csv_oracle(path, region_by_code(0))
+    ds = parse_regional_csv(path, region_by_code(0))
+    assert calls == ([1] if gap else [])
+    assert ds.dates.tolist() == dates == [dt.date(2020, 1, 25 + day) for day in range(6)]
+    assert ds.features.tobytes() == features.tobytes()
+
+
+@pytest.mark.parametrize("row", [1, 55])
+def test_bytes_that_are_not_utf8_are_reported_before_any_other_fault(tmp_path, row):
+    """Wherever the byte is: row 55 of this file lies past the first 8 KiB,
+    which a text stream decodes before it reads the header."""
+    path = tmp_path / "alberta.csv"
+    write_regional_csv(generate_regions(SyntheticSpec(regions=1, rows=60, seed=3))[0], path)
+    lines = path.read_bytes().split(b"\r\n")
+    lines[0] = lines[0].replace(b"feat_02", b"feat_2")
+    lines[row] = lines[row].replace(b",", b",\xe9", 1)
+    assert len(b"\r\n".join(lines[:row])) > 8192 * (row > 1)
+    path.write_bytes(b"\r\n".join(lines))
+    with pytest.raises(DataError, match=rf"^{re.escape(str(path))}: not UTF-8 text \(byte 0xe9\)$"):
         parse_regional_csv(path, region_by_code(0))
 
 
@@ -304,12 +353,54 @@ def test_construction_matches_cell_oracle(n_rows, edits):
     assert str(err.value) == f"bad value at {dates[row]}, column {code!r}: {detail}"
 
 
+def test_enumerated_ranges_are_runs_of_consecutive_integers():
+    """The one-pass cell check tests a categorical cell against its set's bounds."""
+    for allowed in CATEGORICAL_RANGES.values():
+        assert allowed == frozenset(range(min(allowed), max(allowed) + 1))
+
+
+@pytest.fixture(scope="module")
+def workload_tables():
+    """Clean Alberta tables of 362 and 2000 days, as (dates, features then targets)."""
+    tables = {}
+    for n_rows in (362, 2000):
+        ds = generate_regions(SyntheticSpec(regions=1, rows=n_rows, seed=n_rows))[0]
+        table = np.hstack([ds.features, ds.targets.astype(np.float64)])
+        assert first_bad_cell(table[:, :27], table[:, 27:], ds.region) is None
+        tables[n_rows] = ds.dates, table
+    return tables
+
+
+@pytest.mark.parametrize("n_rows", [362, 2000])
+@pytest.mark.parametrize("column", [None, *_RULED_COLUMNS])
+def test_construction_matches_cell_oracle_at_workload_size(workload_tables, n_rows, column):
+    """A clean table, and each probe in the last row of one ruled column,
+    at the sizes the workloads parse. The rows before the last are clean
+    (the fixture checks them), so the oracle's first bad cell of the whole
+    table is that of its last row."""
+    dates, clean = workload_tables[n_rows]
+    region = region_by_code(0)
+    for probe in [None] if column is None else _PROBES:
+        table = clean.copy()
+        if probe is not None:
+            table[-1, column] = probe
+        expected = first_bad_cell(table[-1:, :27], table[-1:, 27:], region)
+        if expected is None:
+            ds = RegionalDataset(region, dates, table[:, :27], table[:, 27:])
+            assert np.array_equal(ds.targets, table[:, 27:])
+            continue
+        _, code, detail = expected
+        with pytest.raises(DataError) as err:
+            RegionalDataset(region, dates, table[:, :27], table[:, 27:])
+        assert str(err.value) == f"bad value at {dates[-1]}, column {code!r}: {detail}"
+
+
 # Cell texts for the bulk-conversion test: numbers that float() reads
 # although they are padded, quoted or unusual, and text that it rejects,
 # that overflows or that the parser forward-fills.
 _ODD_NUMBERS = [" 1 ", "\t0\x0b", "\xa02.0\u3000", "1_0", "\u0661", "\uff12", "-0",
                 "1e-400", "3.0e0", "+1.", ".5", '"1.0"', '" 2 "', '"1"2', '"1\n"', '"\r\n2"',
-                "\x1c1\x1f"]
+                "\x1c1\x1f", "\u20281", "2\x85", "\x0c3\x0c"]
 _BAD_TEXTS = ["", " ", "\xa0", '""', "1e999", "NaN", "-inf", "iNfInItY", "0x10", "0x1p0",
               "nan(1)", "abc", "1__0", "1_000_", "1\x00", "\t0\n", "#", "#1", "1#", '"1,5"',
               '"1""2"', '"1\n2"']
@@ -319,7 +410,9 @@ _BAD_TEXTS = ["", " ", "\xa0", '""', "1e999", "NaN", "-inf", "iNfInItY", "0x10",
 def csv_bodies(draw):
     """An Alberta CSV: shuffled and repeated days, edited cells, odd rows and line ends.
 
-    The text may start with a UTF-8 byte-order mark and may hold no data row.
+    Lines end with ``\n``, ``\r\n`` or a lone ``\r``, and the last may have
+    no line end. The text may start with a UTF-8 byte-order mark and may
+    hold no data row.
     """
     odd, bad = st.sampled_from(_ODD_NUMBERS), st.sampled_from(_BAD_TEXTS)
     n_rows = draw(st.integers(0, 5))
@@ -340,8 +433,10 @@ def csv_bodies(draw):
         lines.append(draw(st.sampled_from([None] * 6 + ["", ",,,", " , "])))
         lines.append(",".join(cells))
     bom = draw(st.sampled_from(["", "", "\ufeff"]))
-    return bom + "".join(line + draw(st.sampled_from(["\n", "\r\n"]))
-                         for line in lines if line is not None)
+    lines = [line for line in lines if line is not None]
+    ends = [draw(st.sampled_from(["\n", "\r\n", "\n", "\r\n", "\r"])) for _ in lines]
+    ends[-1] = draw(st.sampled_from([ends[-1], ends[-1], ""]))
+    return bom + "".join(line + end for line, end in zip(lines, ends))
 
 
 @settings(deadline=None, max_examples=400, derandomize=True)
@@ -392,6 +487,86 @@ def test_clean_file_never_reaches_the_row_loop(tmp_path, monkeypatch):
     assert parsed.features.tobytes() == ds.features.tobytes()
     assert np.array_equal(parsed.targets, ds.targets)
     assert calls == []
+
+
+@pytest.mark.parametrize("last_end", [True, False], ids=["ended", "unended"])
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+def test_bulk_read_splits_lines_where_a_text_file_does(tmp_path, monkeypatch, end, last_end):
+    r"""Lone \r ends a line; \x0b, \x0c, \x1c-\x1f, \x85 and \u2028, which
+    ``str.splitlines`` would split at, are padding that numpy's C reader
+    and float() both skip, so such a file never reaches the row loop."""
+    ds = generate_regions(SyntheticSpec(regions=1, rows=40, seed=8))[0]
+    path = tmp_path / "alberta.csv"
+    write_regional_csv(ds, path)
+    lines = [line.split(",") for line in path.read_bytes().decode().split("\r\n")[:-1]]
+    for row, column, pad in [(5, "feat_01", "\x0b"), (7, "feat_12", "\u2028"),
+                             (9, "deaths", "\x85"), (11, "feat_03", "\x0c"),
+                             (13, "feat_20", "\x1c"), (13, "feat_21", "\x1f")]:
+        col = CSV_HEADER.index(column)
+        lines[row][col] = pad + lines[row][col] + pad
+    text = end.join(map(",".join, lines)) + (end if last_end else "")
+    path.write_bytes(text.encode("utf-8"))
+    calls = count_row_loop_reads(monkeypatch)
+    dates, features, targets = read_csv_oracle(path, ds.region)
+    parsed = parse_regional_csv(path, ds.region)
+    assert calls == []
+    assert parsed.dates.tolist() == dates == ds.dates.tolist()
+    assert parsed.features.tobytes() == features.tobytes() == ds.features.tobytes()
+    assert np.array_equal(parsed.targets, targets) and np.array_equal(parsed.targets, ds.targets)
+
+
+def count_fast_path_work(monkeypatch):
+    """Calls made while parsing: byte reads, decodes, date sorts, rule masks and row loops."""
+    calls = {"reads": [], "decodes": [], "sorts": [], "masks": [],
+             "row_loop": count_row_loop_reads(monkeypatch)}
+
+    class CountedBytes(bytes):
+        def decode(self, *args, **kwargs):
+            calls["decodes"].append(args)
+            return super().decode(*args, **kwargs)
+
+    read_bytes, argsort, masks = Path.read_bytes, np.argsort, ingest._rule_masks
+    monkeypatch.setattr(Path, "read_bytes",
+                        lambda path: calls["reads"].append(path) or CountedBytes(read_bytes(path)))
+    monkeypatch.setattr(np, "argsort",
+                        lambda a, *args, **kwargs: calls["sorts"].append(len(a))
+                        or argsort(a, *args, **kwargs))
+    monkeypatch.setattr(ingest, "_rule_masks",
+                        lambda *args: calls["masks"].append(1) or masks(*args))
+    return calls
+
+
+@pytest.mark.parametrize("shuffled", [False, True])
+def test_clean_file_is_decoded_once_and_sorted_only_out_of_order(tmp_path, monkeypatch,
+                                                                 shuffled):
+    ds = generate_regions(SyntheticSpec(regions=1, rows=2000, seed=4))[0]
+    path = tmp_path / "alberta.csv"
+    write_regional_csv(ds, path)
+    if shuffled:
+        lines = path.read_bytes().split(b"\r\n")
+        lines[1:-1] = [lines[1 + i] for i in np.random.default_rng(4).permutation(2000)]
+        path.write_bytes(b"\r\n".join(lines))
+    calls = count_fast_path_work(monkeypatch)
+    parsed = parse_regional_csv(path, ds.region)
+    assert parsed.features.tobytes() == ds.features.tobytes()
+    assert np.array_equal(parsed.dates, ds.dates)
+    assert calls == {"reads": [path], "decodes": [("utf-8-sig",)],
+                     "sorts": [2000] if shuffled else [], "masks": [], "row_loop": []}
+
+
+def test_pooled_calendar_is_converted_once(tmp_path):
+    """Files of one calendar convert each date text once, in either reader."""
+    datasets = generate_regions(SyntheticSpec(regions=3, rows=50, seed=6))
+    paths = [tmp_path / f"{ds.region.file_stem}.csv" for ds in datasets]
+    for ds, path in zip(datasets, paths):
+        write_regional_csv(ds, path)
+    set_cell(paths[2], 7, "feat_03", "")             # the third file takes the row loop
+    ingest._date_ordinal.cache_clear()
+    for ds, path in zip(datasets, paths):
+        parse_regional_csv(path, ds.region)
+    info = ingest._date_ordinal.cache_info()
+    # the third file's dates up to its gap are read by loadtxt too, from the cache
+    assert info.misses == 50 and info.hits >= 100
 
 
 @pytest.mark.parametrize("column, text", [
