@@ -29,10 +29,13 @@ caller, holds these rules when it is constructed: every cell is finite,
 categorical cells lie in CATEGORICAL_RANGES, ``feat_04`` holds the code of
 the dataset's region, ``feat_11`` (health centres) is an integer count in
 [1, MAX_COUNT], targets are integer counts in [0, MAX_COUNT], and dates
-are days of ``datetime.date`` (no NaT) that strictly increase. One pass
-over the table checks them; only a table that fails it is searched for
-the first bad cell in row-major order, which the DataError names. A split
-(``split_train_test``) is two sorted, read-only arrays of day indices.
+are days of ``datetime.date`` (no NaT) that strictly increase. Each cell
+rule is written once, in the ordered list ``_RULES``: its columns, a
+vectorized pass test and the detail of a failing value. One pass over the
+list checks a table; only a table that fails it gets a mask per rule, from
+the same entries, to find the first bad cell in row-major order, which the
+DataError names. A split (``split_train_test``) is two sorted, read-only
+arrays of day indices.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ import io
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -204,15 +207,6 @@ MAX_COUNT = 2 ** 53
 # The days a date may name: those of datetime.date, which the CSV readers parse.
 _FIRST_DAY, _LAST_DAY = np.datetime64(dt.date.min), np.datetime64(dt.date.max)
 
-_REGION_COLUMN = PRIMARY_FEATURE_CODES.index("feat_04")
-_CENTRES_COLUMN = PRIMARY_FEATURE_CODES.index("feat_11")
-
-# The categorical columns and the bounds of their enumerated sets. Each set
-# is a run of consecutive integers, so a whole number within its bounds is in it.
-_CATEGORICAL_COLUMNS = [PRIMARY_FEATURE_CODES.index(code) for code in CATEGORICAL_RANGES]
-_CATEGORICAL_LOW, _CATEGORICAL_HIGH = np.array(
-    [(min(allowed), max(allowed)) for allowed in CATEGORICAL_RANGES.values()], dtype=np.float64).T
-
 
 def _bad_value(where: str, column: str, detail: str) -> DataError:
     """The error for a bad cell at ``where``: a file's data row, or a date."""
@@ -220,82 +214,84 @@ def _bad_value(where: str, column: str, detail: str) -> DataError:
     return DataError(f"{message}: {detail}" if detail else message)
 
 
-def _cells_valid(features: np.ndarray, targets: np.ndarray, region: RegionId) -> bool:
-    """Whether every cell holds the module's rules, in one pass that builds no per-rule mask.
+# The columns of the (n, 31) table the cell rules read: features, then targets.
+_CODES = CSV_HEADER[1:]
+_CATEGORICAL_BOUNDS = np.array(
+    [(min(allowed), max(allowed)) for allowed in CATEGORICAL_RANGES.values()], dtype=np.float64).T
 
-    A whole number in [0, MAX_COUNT] is finite, so targets need no test of
-    their own for that.
-    """
-    centres = features[:, _CENTRES_COLUMN]
-    categorical = features[:, _CATEGORICAL_COLUMNS]
+
+def _whole_in(x: np.ndarray, low, high) -> np.ndarray:
+    """Where ``x`` holds a whole number in [low, high]; NaN is in no range."""
+    return (x >= low) & (x <= high) & (x == np.floor(x))
+
+
+def _rule(codes: Sequence[str], passes: Callable, detail: Callable) -> tuple:
+    """A rule over the table columns ``codes``, held as spans: (part, its columns
+    there, a slice if all, and their table indices) for features 0 and targets 1."""
+    spans = []
+    for part, names, first in ((0, PRIMARY_FEATURE_CODES, 0),
+                               (1, TARGET_COLUMNS, len(PRIMARY_FEATURE_CODES))):
+        columns = [names.index(code) for code in codes if code in names]
+        if columns:
+            spans.append((part, slice(None) if len(columns) == len(names) else columns,
+                          np.add(columns, first)))
+    return spans, passes, detail
+
+
+# The cell rules in report order, each with the pass test of a block of its
+# cells and the detail of a failing value: a cell that breaks several rules
+# is reported under the first. Each categorical set is a run of consecutive
+# integers, so a whole number within its bounds is in it. Targets keep their
+# own dtype, so an int64 count is compared with MAX_COUNT as an integer.
+_RULES = (
+    _rule(_CODES, lambda x, region: np.isfinite(x),
+          lambda value, code, region: f"{value} is not finite"),
+    _rule(tuple(CATEGORICAL_RANGES), lambda x, region: _whole_in(x, *_CATEGORICAL_BOUNDS),
+          lambda value, code, region:
+          f"{value} not in enumerated range {sorted(CATEGORICAL_RANGES[code])}"),
+    _rule(("feat_04",), lambda x, region: x == region.code,
+          lambda value, code, region:
+          f"region code {int(value)} does not match {region.name} ({region.code})"),
+    _rule(("feat_11",), lambda x, region: _whole_in(x, 1, MAX_COUNT),
+          lambda value, code, region: f"{value} is not a health centre count in [1, {MAX_COUNT}]"),
+    _rule(TARGET_COLUMNS, lambda x, region: _whole_in(x, -np.inf, MAX_COUNT),
+          lambda value, code, region: f"{value} is not an integer count up to {MAX_COUNT}"),
+    _rule(TARGET_COLUMNS, lambda x, region: x >= 0,
+          lambda value, code, region: f"{value} is negative"),
+)
+
+
+def _rule_masks(features: np.ndarray, targets: np.ndarray, region: RegionId) -> np.ndarray:
+    """The (rules, n, 31) masks of the cells that break each rule, in report order."""
+    parts = (features, targets)
+    masks = np.zeros((len(_RULES), len(features), len(_CODES)), dtype=bool)
     with np.errstate(invalid="ignore"):
-        return bool(np.isfinite(features).all()
-                    and (features[:, _REGION_COLUMN] == region.code).all()
-                    and ((categorical >= _CATEGORICAL_LOW) & (categorical <= _CATEGORICAL_HIGH)
-                         & (categorical == np.floor(categorical))).all()
-                    and ((centres >= 1) & (centres <= MAX_COUNT)
-                         & (centres == np.floor(centres))).all()
-                    and ((targets >= 0) & (targets <= MAX_COUNT)
-                         & (targets == np.floor(targets))).all())
-
-
-def _rule_masks(features: np.ndarray, targets: np.ndarray,
-                region: RegionId) -> tuple[np.ndarray, ...]:
-    """One (n, 31) mask per rule over the table of features then targets, in report order."""
-    n_features = features.shape[1]
-    codes = CSV_HEADER[1:]
-    shape = (features.shape[0], len(codes))
-    off_range, foreign, no_centres, not_count, negative = (
-        np.zeros(shape, dtype=bool) for _ in range(5))
-    with np.errstate(invalid="ignore"):
-        nonfinite = ~np.hstack([np.isfinite(features), np.isfinite(targets)])
-        for code, allowed in CATEGORICAL_RANGES.items():
-            j = codes.index(code)
-            off_range[:, j] = ~np.isin(features[:, j], sorted(allowed))
-        foreign[:, _REGION_COLUMN] = features[:, _REGION_COLUMN] != region.code
-        centres = features[:, _CENTRES_COLUMN]
-        no_centres[:, _CENTRES_COLUMN] = ((centres != np.floor(centres)) | (centres < 1)
-                                          | (centres > MAX_COUNT))
-        not_count[:, n_features:] = (targets != np.floor(targets)) | (targets > MAX_COUNT)
-        negative[:, n_features:] = targets < 0
-    return nonfinite, off_range, foreign, no_centres, not_count, negative
+        for mask, (spans, passes, _) in zip(masks, _RULES):
+            for part, columns, table_columns in spans:
+                mask[:, table_columns] = ~passes(parts[part][:, columns], region)
+    return masks
 
 
 def _first_bad_cell(features: np.ndarray, targets: np.ndarray,
                     region: RegionId) -> tuple[int, str, str] | None:
-    """Row index, column code and detail of the first invalid cell, row-major.
+    """Row index, column code and detail of the first cell that breaks a rule, row-major.
 
-    ``_cells_valid`` checks the table first; only a table that fails it
-    gets ``_rule_masks``. A cell that breaks several rules is reported
-    under the first of: not finite, outside its categorical range, a
-    ``feat_04`` other than ``region``'s code, a ``feat_11`` that is no
-    integer in [1, MAX_COUNT], not an integer count up to MAX_COUNT,
-    negative. Integer targets are compared as integers, so no count is
-    rounded.
+    One pass runs each rule's test over its cells and stops at the first
+    block that fails, building no (n, 31) mask; only a table that fails it
+    gets ``_rule_masks``. The detail is that of the first rule, in
+    ``_RULES`` order, that the cell breaks.
     """
-    if _cells_valid(features, targets, region):
-        return None
+    parts = (features, targets)
+    with np.errstate(invalid="ignore"):
+        if all(passes(parts[part][:, columns], region).all()
+               for spans, passes, _ in _RULES for part, columns, _ in spans):
+            return None
     masks = _rule_masks(features, targets, region)
-    nonfinite, off_range, foreign, no_centres, not_count, _ = masks
-    bad = np.logical_or.reduce(masks)
+    row, col = divmod(int(masks.any(axis=0).argmax()), len(_CODES))
     n_features = features.shape[1]
-    codes = CSV_HEADER[1:]
-    row, col = divmod(int(bad.argmax()), len(codes))
-    code = codes[col]
     value = (features[row, col] if col < n_features else targets[row, col - n_features]).item()
-    if nonfinite[row, col]:
-        detail = f"{value} is not finite"
-    elif off_range[row, col]:
-        detail = f"{value} not in enumerated range {sorted(CATEGORICAL_RANGES[code])}"
-    elif foreign[row, col]:
-        detail = f"region code {int(value)} does not match {region.name} ({region.code})"
-    elif no_centres[row, col]:
-        detail = f"{value} is not a health centre count in [1, {MAX_COUNT}]"
-    elif not_count[row, col]:
-        detail = f"{value} is not an integer count up to {MAX_COUNT}"
-    else:
-        detail = f"{value} is negative"
-    return row, code, detail
+    detail = _RULES[int(masks[:, row, col].argmax())][2]
+    return row, _CODES[col], detail(value, _CODES[col], region)
 
 
 _ISO_DAY = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")

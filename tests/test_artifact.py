@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 import regio_forecast
-from regio_forecast.artifact import ARRAYS, MAX_HEADER_BYTES, load_model, save_model
+from regio_forecast.artifact import (
+    ARRAYS, MAX_HEADER_BYTES, _atomic_open, load_model, save_model)
 from regio_forecast.cli import main
 from regio_forecast.errors import DataError
 from regio_forecast.features import DEFAULT_SELECTED_FEATURES
@@ -300,6 +301,19 @@ def test_outputs_get_the_umask_mode(trained_small_model, tmp_path, umask, mode):
     assert proc.stdout.split() == [mode, mode]
     assert sorted(p.name for p in tmp_path.iterdir()) == ["model.json", "report.json",
                                                           "source.json"]
+
+
+@pytest.mark.parametrize("existing", [None, b"old bytes"], ids=["new", "existing"])
+def test_failed_write_removes_its_temp_file_and_keeps_the_target(tmp_path, existing):
+    target = tmp_path / "model.json"
+    if existing is not None:
+        target.write_bytes(existing)
+    with pytest.raises(RuntimeError, match="^planted fault$"):
+        with _atomic_open(target) as fh:
+            fh.write(b"partial")
+            raise RuntimeError("planted fault")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ([] if existing is None else [target.name])
+    assert existing is None or target.read_bytes() == existing
 
 
 def test_load_holds_the_body_in_memory_once(tmp_path):

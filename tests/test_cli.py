@@ -2,6 +2,7 @@ import argparse
 import datetime as dt
 import hashlib
 import json
+import logging
 import os
 import shutil
 import subprocess
@@ -201,6 +202,43 @@ def test_non_utf8_config_exits_2(data_dir, tmp_path, capsys):
     assert run(["train", "--config", cfg, "--data-dir", data_dir,
                 "--out", tmp_path / "x"]) == 2
     assert f"{cfg}: not UTF-8 text (byte 0xe9)" in capsys.readouterr().err
+
+
+def test_config_holding_a_json_array_exits_2(data_dir, tmp_path, capsys):
+    cfg = tmp_path / "list.json"
+    cfg.write_text('["case_study", "alberta"]')
+    assert run(["train", "--config", cfg, "--data-dir", data_dir,
+                "--out", tmp_path / "x"]) == 2
+    assert capsys.readouterr().err == f"config error: {cfg}: config must be a JSON object\n"
+
+
+def test_unknown_csv_is_skipped_with_a_warning(data_dir, tmp_path, caplog):
+    root = tmp_path / "data"
+    shutil.copytree(data_dir, root)
+    (root / "notes.csv").write_text("not a region\n")
+    with caplog.at_level(logging.WARNING, logger="regio_forecast"):
+        datasets = _load_datasets(str(root))
+    assert [ds.region.name for ds in datasets] == ["Alberta", "British Columbia", "Manitoba"]
+    assert caplog.messages == ["skipping notes.csv: not a known region file"]
+
+
+def test_directory_without_region_files_exits_3(tmp_path, capsys):
+    root = tmp_path / "data"
+    root.mkdir()
+    (root / "notes.csv").write_text("not a region\n")
+    assert run(["train", "--data-dir", root, "--case-study", "alberta",
+                "--out", tmp_path / "x"]) == 3
+    assert capsys.readouterr().err == f"data error: no regional CSV files found in {root}\n"
+    assert not (tmp_path / "x").exists()
+
+
+def test_unexpected_exception_in_a_command_exits_4(tmp_path, monkeypatch, capsys):
+    def broken(*args):
+        raise RuntimeError("planted fault")
+
+    monkeypatch.setattr(regio_forecast.cli, "cmd_synth", broken)
+    assert run(["synth", "--regions", "1", "--rows", "12", "--out", tmp_path / "d"]) == 4
+    assert capsys.readouterr().err == "internal error: planted fault\n"
 
 
 def test_evaluate_single_region(data_dir, tmp_path):
@@ -1017,11 +1055,17 @@ def test_ranked_selection_with_two_training_days_exits_2(command, data_dir, tmp_
     assert not (tmp_path / "x").exists()
 
 
+def package_env():
+    """The environment with the package's source directory on ``PYTHONPATH``, so a
+    child process imports it from an uninstalled checkout too."""
+    return {**os.environ, "PYTHONPATH": str(Path(regio_forecast.__file__).parents[1])}
+
+
 def test_console_entry_point_smoke(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "regio_forecast.cli", "synth",
          "--regions", "1", "--rows", "12", "--out", str(tmp_path / "d")],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=package_env())
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "d" / "alberta.csv").exists()
 
@@ -1031,7 +1075,7 @@ def test_cli_import_leaves_scipy_stats_unloaded():
     proc = subprocess.run(
         [sys.executable, "-c",
          "import sys, regio_forecast.cli; print('scipy.stats' in sys.modules)"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=package_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
 
@@ -1115,8 +1159,7 @@ def test_every_numeric_flag_value_exits_0_2_or_3_without_warnings(tmp_path):
              for value in ("0", "-1", str(2**31), str(10**11), "1e308", "nan", "inf")]
     # 7 values of each int or float flag: synth 4, train 5, evaluate 6, rotate 5, ppe 2
     assert len(cases) == 7 * 22
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
-           "PYTHONPATH": str(Path(regio_forecast.__file__).parents[1])}
+    env = {**package_env(), "OPENBLAS_NUM_THREADS": "1"}
     proc = subprocess.run([sys.executable, "-c", _SWEEP_CHILD], input=json.dumps(cases),
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr

@@ -149,6 +149,18 @@ def test_relevance_report_rejects_scores_outside_unit_interval(bad):
         RelevanceReport(("a", "b"), ("t",), np.array([[bad], [0.5]]))
 
 
+def test_relevance_report_rejects_a_mis_shaped_score_matrix():
+    with pytest.raises(DataError, match="^score matrix shape does not match codes/targets$"):
+        RelevanceReport(("a", "b"), ("t",), np.full((2, 2), 0.5))
+
+
+def test_relevance_score_of_an_unknown_code_is_a_config_error():
+    report = RelevanceReport(("a", "b"), ("t",), np.array([[1.0], [0.5]]))
+    assert report.score("b", "t") == 0.5
+    with pytest.raises(ConfigError, match="^unknown feature code: 'feat_99'$"):
+        report.score("feat_99", "t")
+
+
 def test_relevance_invariant_under_monotone_transform():
     rng = np.random.default_rng(2)
     base = rng.normal(size=(40, 2))

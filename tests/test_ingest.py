@@ -314,6 +314,29 @@ def test_validate_negative_death_count():
         make_dataset(make_row(0), make_row(1, deaths=-2))
 
 
+@pytest.mark.parametrize("count", [2 ** 53 + 1, 2 ** 63 - 1])
+def test_int64_count_past_max_count_is_refused_unrounded(count):
+    """As a float, 2**53 + 1 rounds to MAX_COUNT and would pass; int64 targets are compared
+    as integers, in the one-pass check and in the per-rule masks alike."""
+    with pytest.raises(DataError, match=(f"^bad value at 2020-01-26, column 'deaths': {count} "
+                                         "is not an integer count up to 9007199254740992$")):
+        make_dataset(make_row(0), make_row(1, deaths=count))
+
+
+def test_int64_count_of_max_count_is_accepted():
+    ds = make_dataset(make_row(0, deaths=2 ** 53))
+    assert ds.targets.dtype == np.int64 and ds.targets[0, 3] == 2 ** 53
+
+
+@pytest.mark.parametrize("features, targets", [((2, 26), (2, 4)), ((2, 27), (2, 3)),
+                                               ((3, 27), (3, 4))])
+def test_mismatched_shapes_are_refused(features, targets):
+    dates = [dt.date(2020, 1, 25), dt.date(2020, 1, 26)]
+    with pytest.raises(DataError, match=re.escape(
+            f"2 dates need (2, 27) features and (2, 4) targets, got {features} and {targets}")):
+        RegionalDataset(region_by_code(0), dates, np.ones(features), np.ones(targets))
+
+
 def test_validate_duplicate_date():
     with pytest.raises(DataError,
                        match="^bad value at 2020-01-25, column 'date': not after 2020-01-25$"):

@@ -54,6 +54,12 @@ def test_train_generic_empty_pool(small_datasets):
         train_mtl([case, case.subset(range(20))], case.region, range(10))
 
 
+def test_train_without_the_case_study_dataset(small_datasets):
+    case = small_datasets[0]
+    with pytest.raises(DataError, match="^no dataset for case study 'Alberta'$"):
+        train_mtl(small_datasets[1:], case.region, range(10))
+
+
 def test_train_mtl_case_study_leak(small_datasets):
     case, other = small_datasets[0], small_datasets[1]
     # the case study's rows cannot be filed under another region: feat_04 disagrees
