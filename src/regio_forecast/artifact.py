@@ -136,6 +136,7 @@ def load_model(path: str | Path) -> MtlModel:
 def _atomic_open(path: str | Path) -> Iterator[BinaryIO]:
     """A binary file at a sibling temp path, renamed to ``path`` when the block succeeds."""
     path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)     # missing directories are made
     tmp = path.with_name(f".{path.name}.{os.urandom(6).hex()}")
     # unlike mkstemp's 0600, mode 0666 lets the umask decide, as open() would
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)

@@ -7,8 +7,9 @@ Configuration precedence is flag > config file (JSON via --config) >
 built-in default, and every run's randomness flows from one master seed.
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 internal
 error. Set REGIO_FORECAST_LOG to DEBUG/INFO/WARNING to control logging.
-``train``, ``evaluate`` and ``rotate`` train through ``evaluation.train_held_out``;
-the CLI refuses bad flags before any training, reads the files, writes the outputs.
+``train``, ``evaluate`` and ``rotate`` train through ``evaluation.train_held_out``, after
+bad flags are refused. Each ``cmd_<name>`` returns its message and {file name: text},
+and ``main`` writes those files into ``--out``, then prints the message.
 """
 
 from __future__ import annotations
@@ -35,14 +36,8 @@ from .evaluation import (
     train_held_out,
 )
 from .features import FEATURE_CODES, TARGET_COLUMNS, score_relevance
-from .ingest import (
-    REGION_ENCODINGS,
-    RegionalDataset,
-    normalize_region_name,
-    parse_regional_csv,
-    region_by_name,
-)
-from .mtl import predict_monitoring
+from .ingest import RegionalDataset, parse_regional_csv, region_by_name
+from .mtl import MtlModel, predict_monitoring
 from .ppe import forecast_series, forecast_to_csv
 from .synth import SyntheticSpec, write_region_files
 
@@ -105,17 +100,17 @@ def _load_datasets(data_dir: str) -> list[RegionalDataset]:
     root = Path(data_dir)
     if not root.is_dir():
         raise DataError(f"data directory not found: {root}")
-    stems = {normalize_region_name(name): name for name in REGION_ENCODINGS.values()}
     datasets, files = [], {}
     for path in sorted(root.glob("*.csv")):
-        key = normalize_region_name(path.stem)
-        if key not in stems:
+        try:
+            region = region_by_name(path.stem)
+        except ConfigError:
             log.warning("skipping %s: not a known region file", path.name)
             continue
-        if key in files:
-            raise DataError(f"{files[key]} and {path} are both files of {stems[key]}")
-        files[key] = path
-        datasets.append(parse_regional_csv(path, region_by_name(stems[key])))
+        if region.code in files:
+            raise DataError(f"{files[region.code]} and {path} are both files of {region.name}")
+        files[region.code] = path
+        datasets.append(parse_regional_csv(path, region))
     if not datasets:
         raise DataError(f"no regional CSV files found in {root}")
     return datasets
@@ -155,7 +150,7 @@ def _train(cfg: RunConfig):
     return datasets, case_ds, split, model, report
 
 
-def cmd_train(cfg: RunConfig) -> int:
+def cmd_train(cfg: RunConfig, args: argparse.Namespace) -> tuple[str, dict[str, str]]:
     datasets, case_ds, split, model, report = _train(cfg)
     case = model.case_study
     doc = dataclasses.asdict(report)
@@ -165,47 +160,36 @@ def cmd_train(cfg: RunConfig) -> int:
     doc["test_days_held_out"] = len(split.test_indices)
     doc["seed"] = cfg.seed
     del datasets, case_ds    # free the parsed tables before the artifact is encoded
-    out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
-    save_model(model, out / "model.json")
-    atomic_write_text(out / "train_report.json", json.dumps(doc, indent=2, sort_keys=True))
-    log.info("model written to %s", out / "model.json")
-    print(f"trained {case.name}: generic={report.generic_instances} "
-          f"dedicated={report.dedicated_instances} -> {out / 'model.json'}")
-    return 0
+    path = Path(cfg.out) / "model.json"
+    save_model(model, path)  # streamed, so the encoded artifact is never one string
+    log.info("model written to %s", path)
+    return (f"trained {case.name}: generic={report.generic_instances} "
+            f"dedicated={report.dedicated_instances} -> {path}",
+            {"train_report.json": json.dumps(doc, indent=2, sort_keys=True)})
 
 
-def cmd_evaluate(cfg: RunConfig) -> int:
+def cmd_evaluate(cfg: RunConfig, args: argparse.Namespace) -> tuple[str, dict[str, str]]:
     bootstrap = BootstrapConfig(cfg.bootstrap, cfg.seed)   # a bad count is refused before training
     _, case_ds, split, model, report = _train(cfg)
     test = case_ds.subset(split.test_indices)
     metric_report = evaluate_model(model, test, bootstrap, report.fit_seconds)
-    out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
-    atomic_write_text(out / "evaluation.csv", reports_to_target_table([metric_report]))
-    atomic_write_text(out / "evaluation_long.csv", reports_to_long_csv([metric_report]))
-    atomic_write_text(out / "evaluation.json",
-                      json.dumps(metric_report.to_json_dict(), indent=2, sort_keys=True))
-    print(f"evaluated {case_ds.region.name} on {test.n_rows} held-out days -> {out}")
-    return 0
+    return (f"evaluated {case_ds.region.name} on {test.n_rows} held-out days -> {Path(cfg.out)}",
+            {"evaluation.csv": reports_to_target_table([metric_report]),
+             "evaluation_long.csv": reports_to_long_csv([metric_report]),
+             "evaluation.json": json.dumps(metric_report.to_json_dict(), indent=2, sort_keys=True)})
 
 
-def cmd_rotate(cfg: RunConfig) -> int:
+def cmd_rotate(cfg: RunConfig, args: argparse.Namespace) -> tuple[str, dict[str, str]]:
     datasets = _load_datasets(cfg.data_dir)
     _check_test_days(cfg, datasets)
     reports = rotate_regions(
         datasets, cfg.k, cfg.test_days, cfg.seed, cfg.generic_weight, cfg.bootstrap)
-    out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
-    for target in TARGET_COLUMNS:
-        atomic_write_text(out / f"monitoring_{target}.csv",
-                          reports_to_target_table(reports, target))
-    atomic_write_text(out / "rotation_long.csv", reports_to_long_csv(reports))
-    atomic_write_text(
-        out / "rotation.json",
-        json.dumps([r.to_json_dict() for r in reports], indent=2, sort_keys=True))
-    print(f"rotated {len(reports)} regions -> {out}")
-    return 0
+    files = {f"monitoring_{target}.csv": reports_to_target_table(reports, target)
+             for target in TARGET_COLUMNS}
+    files["rotation_long.csv"] = reports_to_long_csv(reports)
+    files["rotation.json"] = json.dumps([r.to_json_dict() for r in reports], indent=2,
+                                        sort_keys=True)
+    return f"rotated {len(reports)} regions -> {Path(cfg.out)}", files
 
 
 def _predictions_csv(dates: np.ndarray, counts: np.ndarray) -> str:
@@ -219,63 +203,59 @@ def _predictions_csv(dates: np.ndarray, counts: np.ndarray) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_predict(cfg: RunConfig, model_path: str, input_csv: str) -> int:
-    model = load_model(model_path)
-    ds = parse_regional_csv(input_csv, model.case_study)
+def _model_and_input(args: argparse.Namespace) -> tuple[MtlModel, RegionalDataset]:
+    """The --model artifact and the --input file, read as the model's case study."""
+    model = load_model(args.model)
+    return model, parse_regional_csv(args.input, model.case_study)
+
+
+def cmd_predict(cfg: RunConfig, args: argparse.Namespace) -> tuple[str, dict[str, str]]:
+    model, ds = _model_and_input(args)
     text = _predictions_csv(ds.dates, predict_monitoring(model, ds))
-    out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
-    atomic_write_text(out / "predictions.csv", text)
-    print(f"wrote {ds.n_rows} prediction rows -> {out / 'predictions.csv'}")
-    return 0
+    return (f"wrote {ds.n_rows} prediction rows -> {Path(cfg.out) / 'predictions.csv'}",
+            {"predictions.csv": text})
 
 
-def cmd_ppe(cfg: RunConfig, model_path: str, input_csv: str) -> int:
-    model = load_model(model_path)
-    ds = parse_regional_csv(input_csv, model.case_study)
+def cmd_ppe(cfg: RunConfig, args: argparse.Namespace) -> tuple[str, dict[str, str]]:
+    model, ds = _model_and_input(args)
     forecast = forecast_series(model, ds, cfg.ppe_operating_capacity, cfg.ppe_personnel)
-    out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
-    atomic_write_text(out / "ppe_forecast.csv", forecast_to_csv(forecast))
-    print(f"wrote {len(forecast)} PPE demand rows -> {out / 'ppe_forecast.csv'}")
-    return 0
+    return (f"wrote {len(forecast)} PPE demand rows -> {Path(cfg.out) / 'ppe_forecast.csv'}",
+            {"ppe_forecast.csv": forecast_to_csv(forecast)})
 
 
-def cmd_relevance(cfg: RunConfig) -> int:
+def cmd_relevance(cfg: RunConfig, args: argparse.Namespace) -> tuple[str, dict[str, str]]:
     case_ds = _case_dataset(_load_datasets(cfg.data_dir), cfg)
     report = score_relevance(case_ds.columns(FEATURE_CODES), FEATURE_CODES, case_ds.targets)
-    out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
-    atomic_write_text(out / "relevance.csv", report.to_csv_text())
-    print(f"scored {len(report.feature_codes)} features for {case_ds.region.name} "
-          f"-> {out / 'relevance.csv'}")
-    return 0
+    return (f"scored {len(report.feature_codes)} features for {case_ds.region.name} "
+            f"-> {Path(cfg.out) / 'relevance.csv'}", {"relevance.csv": report.to_csv_text()})
 
 
-def cmd_synth(cfg: RunConfig, regions: int, rows: int, noise: float) -> int:
-    spec = SyntheticSpec(regions=regions, rows=rows, noise=noise, seed=cfg.seed)
+def cmd_synth(cfg: RunConfig, args: argparse.Namespace) -> tuple[str, dict[str, str]]:
+    spec = SyntheticSpec(regions=args.regions, rows=args.rows, noise=args.noise, seed=cfg.seed)
     paths = write_region_files(spec, cfg.out)
-    print(f"wrote {len(paths)} regional files -> {cfg.out}")
-    return 0
+    return f"wrote {len(paths)} regional files -> {cfg.out}", {}
 
 
-# Each subcommand's help and the RunConfig flags it reads, and the
-# argparse options of the flags that are not plain strings
+# Each subcommand's help and its flags in parser order, and the argparse
+# options of every flag that is not an optional plain string
 _TRAIN_FLAGS = ("data-dir", "case-study", "k", "generic-weight", "test-days", "seed",
                 "top-n", "out")
 _COMMANDS = {
-    "synth": ("generate synthetic regional CSVs", ("seed", "out")),
+    "synth": ("generate synthetic regional CSVs", ("seed", "out", "regions", "rows", "noise")),
     "train": ("train a model for the case study", _TRAIN_FLAGS),
     "evaluate": ("train and score held-out days", _TRAIN_FLAGS + ("bootstrap",)),
     "rotate": ("evaluate every region as the case study",
                ("data-dir", "k", "generic-weight", "test-days", "seed", "bootstrap", "out")),
-    "predict": ("predict daily counts", ("out",)),
-    "ppe": ("predict daily PPE kit demand", ("out",)),
+    "predict": ("predict daily counts", ("out", "model", "input")),
+    "ppe": ("predict daily PPE kit demand", ("out", "model", "input", "capacity", "personnel")),
     "relevance": ("export feature relevance scores", ("data-dir", "case-study", "out")),
 }
-_FLAG_OPTIONS = {"k": {"type": int}, "generic-weight": {"type": float},
-                 "test-days": {"type": int}, "seed": {"type": int}, "bootstrap": {"type": int},
-                 "top-n": {"type": int}}
+_FLAG_OPTIONS = {"k": {"type": int}, "generic-weight": {"type": float}, "test-days": {"type": int},
+                 "seed": {"type": int}, "bootstrap": {"type": int}, "top-n": {"type": int},
+                 "regions": {"type": int, "default": 7}, "rows": {"type": int, "default": 362},
+                 "noise": {"type": float, "default": 0.05}, "model": {"required": True},
+                 "input": {"required": True}, "personnel": {"dest": "ppe_personnel", "type": float},
+                 "capacity": {"dest": "ppe_operating_capacity", "type": float}}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -283,20 +263,11 @@ def build_parser() -> argparse.ArgumentParser:
         prog="regio-forecast",
         description="Regional epidemic monitoring and PPE demand prediction.")
     sub = parser.add_subparsers(dest="command", required=True)
-    commands = {}
     for name, (help_text, flags) in _COMMANDS.items():
-        p = commands[name] = sub.add_parser(name, help=help_text)
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="JSON config file (flags override it)")
         for flag in flags:
             p.add_argument(f"--{flag}", **_FLAG_OPTIONS.get(flag, {}))
-    commands["synth"].add_argument("--regions", type=int, default=7)
-    commands["synth"].add_argument("--rows", type=int, default=362)
-    commands["synth"].add_argument("--noise", type=float, default=0.05)
-    for name in ("predict", "ppe"):
-        commands[name].add_argument("--model", required=True)
-        commands[name].add_argument("--input", required=True)
-    commands["ppe"].add_argument("--capacity", dest="ppe_operating_capacity", type=float)
-    commands["ppe"].add_argument("--personnel", dest="ppe_personnel", type=float)
     return parser
 
 
@@ -312,13 +283,11 @@ def main(argv: list[str] | None = None) -> int:
         if args.command in ("evaluate", "rotate") and cfg.test_days < 2:   # r2 needs 2 days
             raise ConfigError(f"--test-days must be >= 2 to score held-out days, "
                               f"got {cfg.test_days}")
-        if args.command == "synth":
-            return cmd_synth(cfg, args.regions, args.rows, args.noise)
-        if args.command in ("predict", "ppe"):
-            return {"predict": cmd_predict, "ppe": cmd_ppe}[args.command](
-                cfg, args.model, args.input)
-        return {"train": cmd_train, "evaluate": cmd_evaluate, "rotate": cmd_rotate,
-                "relevance": cmd_relevance}[args.command](cfg)
+        message, files = globals()[f"cmd_{args.command}"](cfg, args)   # looked up per call
+        for name, text in files.items():
+            atomic_write_text(Path(cfg.out) / name, text)
+        print(message)
+        return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -146,6 +146,8 @@ class RegionalDataset:
             raise DataError(f"dates must be 1-D, got shape {dates.shape}")
         f = np.array(self.features, dtype=np.float64)
         t = np.asarray(self.targets)    # checked before the int cast, which hides NaN
+        if t.dtype.kind not in "biuf":    # str, or ints past int64 as objects
+            raise DataError(f"targets must be numbers, got dtype {t.dtype}")
         n = len(dates)
         if f.shape != (n, len(PRIMARY_FEATURE_CODES)) or t.shape != (n, len(TARGET_COLUMNS)):
             raise DataError(f"{n} dates need ({n}, {len(PRIMARY_FEATURE_CODES)}) features "
@@ -408,16 +410,15 @@ def _read_table(records: list[list[str]]
     try:
         values = np.array(cells, dtype=np.float64)
     except ValueError:
-        # Python strings, not a numpy str_ array, which drops trailing NULs.
-        flat = []
+        # Name the first cell float() refuses; numpy reads a str with float()'s syntax.
         for row_number, record in zip(rows, cells):
             for code, text in zip(CSV_HEADER[1:], record):
                 text = text.strip()
                 try:
-                    flat.append(float(text))
+                    float(text)
                 except ValueError:
                     raise _bad_value(f"row {row_number}", code, text) from None
-        values = np.array(flat).reshape(len(cells), -1)
+        raise
     if fault is not None:
         raise fault
     empty = None

@@ -11,11 +11,11 @@ isolation gown, so the CSV's five item columns each equal ``kits_ceil``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, DataError
 from .features import PRIMARY_FEATURE_CODES, TARGET_COLUMNS
 from .ingest import RegionalDataset
 from .mtl import MtlModel, predict_monitoring
@@ -47,6 +47,7 @@ class PpeForecast:
     """Daily kit demand; element i of each array belongs to ``dates[i]``.
 
     ``dates`` is ``datetime64[D]``; other sequences of days are converted.
+    The four arrays are read-only views, 1-D and of one length.
     """
 
     dates: np.ndarray
@@ -55,7 +56,14 @@ class PpeForecast:
     kits: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "dates", np.asarray(self.dates, dtype="datetime64[D]"))
+        arrays = [np.asarray(self.dates, dtype="datetime64[D]").view()]
+        arrays += [np.asarray(getattr(self, f.name)).view() for f in fields(self)[1:]]
+        if arrays[0].ndim != 1 or len({a.shape for a in arrays}) != 1:
+            raise DataError(f"dates, predicted_hospitalized, hsp_ratio and kits must be 1-D "
+                            f"and of one length, got shapes {[a.shape for a in arrays]}")
+        for f, array in zip(fields(self), arrays):    # views: the caller's arrays stay writable
+            array.setflags(write=False)
+            object.__setattr__(self, f.name, array)
 
     def __len__(self) -> int:
         return len(self.dates)

@@ -1,5 +1,6 @@
 import argparse
 import datetime as dt
+import errno
 import hashlib
 import json
 import logging
@@ -1202,3 +1203,56 @@ def test_train_evaluate_and_rotate_train_through_train_held_out(
         assert len(set(seeds)) == len(cases)
     else:
         assert seeds == [3]
+
+
+# What each command writes into --out (synth run with --regions 2)
+COMMAND_FILES = {
+    "synth": {"alberta.csv", "british_columbia.csv"},
+    "train": {"model.json", "train_report.json"},
+    "evaluate": {"evaluation.csv", "evaluation_long.csv", "evaluation.json"},
+    "rotate": {"monitoring_infections.csv", "monitoring_hospitalizations.csv",
+               "monitoring_recoveries.csv", "monitoring_deaths.csv", "rotation_long.csv",
+               "rotation.json"},
+    "predict": {"predictions.csv"},
+    "ppe": {"ppe_forecast.csv"},
+    "relevance": {"relevance.csv"},
+}
+
+
+@pytest.fixture(scope="module")
+def command_args(data_dir, tmp_path_factory):
+    """Each command's flags, apart from --out, for a run that succeeds."""
+    model_dir = tmp_path_factory.mktemp("cli_model")
+    case = ["--data-dir", data_dir, "--case-study", "alberta", "--test-days", "16"]
+    assert run(["train", *case, "--out", model_dir]) == 0
+    series = ["--model", model_dir / "model.json", "--input", data_dir / "alberta.csv"]
+    return {"synth": ["--regions", "2", "--rows", "20"], "train": case,
+            "evaluate": case + ["--bootstrap", "20"],
+            "rotate": ["--data-dir", data_dir, "--test-days", "16", "--bootstrap", "20"],
+            "predict": series, "ppe": series, "relevance": case[:4]}
+
+
+def test_every_command_has_its_function():
+    assert set(COMMAND_FILES) == set(regio_forecast.cli._COMMANDS)
+    missing = [name for name in regio_forecast.cli._COMMANDS
+               if not callable(getattr(regio_forecast.cli, f"cmd_{name}", None))]
+    assert not missing
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_FILES))
+def test_command_makes_a_nested_out_and_writes_only_its_files(command_args, tmp_path, command):
+    out = tmp_path / "a" / "b" / "c"
+    assert run([command, *command_args[command], "--out", out]) == 0
+    assert {p.name for p in out.iterdir()} == COMMAND_FILES[command]     # no .<name>.* left
+    assert {p for p in tmp_path.rglob("*") if p.is_dir()} == {
+        tmp_path / "a", tmp_path / "a" / "b", out}
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_FILES))
+def test_out_naming_an_existing_file_exits_3(command_args, tmp_path, capsys, command):
+    out = tmp_path / "taken"
+    out.write_text("kept\n")
+    assert run([command, *command_args[command], "--out", out]) == 3
+    assert capsys.readouterr().err == (
+        f"data error: [Errno {errno.EEXIST}] {os.strerror(errno.EEXIST)}: '{out}'\n")
+    assert list(tmp_path.iterdir()) == [out] and out.read_text() == "kept\n"

@@ -323,6 +323,14 @@ def test_int64_count_past_max_count_is_refused_unrounded(count):
         make_dataset(make_row(0), make_row(1, deaths=count))
 
 
+@pytest.mark.parametrize("targets, dtype", [([["1", "1", "1", "1"]], "<U1"),
+                                           ([[2 ** 64, 1, 1, 1]], "object")])
+def test_non_numeric_targets_are_refused_naming_the_dtype(targets, dtype):
+    date, features, _ = make_row(0)
+    with pytest.raises(DataError, match=f"^targets must be numbers, got dtype {dtype}$"):
+        RegionalDataset(region_by_code(0), [date], [features], targets)
+
+
 def test_int64_count_of_max_count_is_accepted():
     ds = make_dataset(make_row(0, deaths=2 ** 53))
     assert ds.targets.dtype == np.int64 and ds.targets[0, 3] == 2 ** 53

@@ -206,3 +206,28 @@ def test_forecast_holds_the_datasets_dates(trained_small_model, small_datasets):
     model, _, split = trained_small_model
     test = small_datasets[0].subset(split.test_indices[:5])
     assert np.shares_memory(forecast_series(model, test, 0.75, 200.0).dates, test.dates)
+
+
+def test_forecast_arrays_are_read_only_views_of_the_callers_arrays():
+    kits = np.array([1.0, 2.0])
+    forecast = PpeForecast(np.array(["2021-03-01", "2021-03-02"], dtype="datetime64[D]"),
+                           np.zeros(2), np.ones(2), kits)
+    for name in ("dates", "predicted_hospitalized", "hsp_ratio", "kits"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(forecast, name)[0] = getattr(forecast, name)[1]
+    assert np.shares_memory(forecast.kits, kits) and kits.flags.writeable
+
+
+DAYS = (dt.date(2021, 3, 1), dt.date(2021, 3, 2))
+
+
+@pytest.mark.parametrize("dates, kits, shapes", [
+    (DAYS[:1], np.zeros(2), "(1,), (2,), (2,), (2,)"),
+    (DAYS, np.zeros(1), "(2,), (2,), (2,), (1,)"),
+    ((DAYS, DAYS), np.zeros(2), "(2, 2), (2,), (2,), (2,)"),
+], ids=["short-dates", "short-kits", "2-D-dates"])
+def test_forecast_refuses_arrays_of_another_shape(dates, kits, shapes):
+    with pytest.raises(DataError, match=re.escape(
+            "dates, predicted_hospitalized, hsp_ratio and kits must be 1-D and of one length, "
+            f"got shapes [{shapes}]")):
+        PpeForecast(dates, np.zeros(2), np.zeros(2), kits)
