@@ -6,7 +6,7 @@ error (exit 2). A --config file may hold keys a command does not read.
 Configuration precedence is flag > config file (JSON via --config) >
 built-in default, and every run's randomness flows from one master seed.
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 internal
-error. Set REGIO_FORECAST_LOG to DEBUG/INFO/WARNING to control logging.
+error. Set REGIO_FORECAST_LOG to DEBUG/INFO/WARNING to control logging (exit 2 if unknown).
 ``train``, ``evaluate`` and ``rotate`` train through ``evaluation.train_held_out``, after
 bad flags are refused. Each ``cmd_<name>`` returns its message and {file name: text},
 and ``main`` writes those files into ``--out``, then prints the message.
@@ -272,13 +272,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    logging.basicConfig(level=os.environ.get("REGIO_FORECAST_LOG", "WARNING").upper(),
-                        format="%(levelname)s %(name)s: %(message)s")
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:       # argparse printed a usage error (2) or the help (0)
         return exc.code
     try:
+        level = os.environ.get("REGIO_FORECAST_LOG", "WARNING")
+        if level.upper() not in ("DEBUG", "INFO", "WARNING", "ERROR", "CRITICAL"):
+            raise ConfigError(f"REGIO_FORECAST_LOG must be DEBUG, INFO, WARNING, ERROR or "
+                              f"CRITICAL (any case), got {level!r}")
+        logging.basicConfig(level=level.upper(), format="%(levelname)s %(name)s: %(message)s")
         cfg = _load_config(args)
         if args.command in ("evaluate", "rotate") and cfg.test_days < 2:   # r2 needs 2 days
             raise ConfigError(f"--test-days must be >= 2 to score held-out days, "

@@ -17,8 +17,9 @@ value is the best available estimate).
 
 A file is decoded once, from its bytes, and its lines are split where a
 file opened with ``newline=""`` splits them: at ``\\r\\n``, ``\\r`` and
-``\\n``. Its body is read by one ``np.loadtxt`` call; a body that it
-rejects (an empty cell among them) or that may hold a cell longer than
+``\\n``. The header is the first line (a line break ends it, even in a
+quoted cell); the rest is read by one ``np.loadtxt`` call. A body that
+it rejects (an empty cell among them) or that may hold a cell longer than
 the ``csv`` module's field limit is read again by ``csv.reader`` and a
 row loop, the one place that words a parse error. Both tables then share
 one forward fill and validation, and a sort when their dates are out of
@@ -144,10 +145,11 @@ class RegionalDataset:
             raise DataError(f"dates: {exc}") from None
         if dates.ndim != 1:
             raise DataError(f"dates must be 1-D, got shape {dates.shape}")
-        f = np.array(self.features, dtype=np.float64)
-        t = np.asarray(self.targets)    # checked before the int cast, which hides NaN
-        if t.dtype.kind not in "biuf":    # str, or ints past int64 as objects
-            raise DataError(f"targets must be numbers, got dtype {t.dtype}")
+        f, t = np.asarray(self.features), np.asarray(self.targets)   # checked before the casts
+        for name, array in (("features", f), ("targets", t)):    # the int cast hides NaN
+            if array.dtype.kind not in "biuf":    # str, or ints past int64 as objects
+                raise DataError(f"{name} must be numbers, got dtype {array.dtype}")
+        f = f.astype(np.float64)
         n = len(dates)
         if f.shape != (n, len(PRIMARY_FEATURE_CODES)) or t.shape != (n, len(TARGET_COLUMNS)):
             raise DataError(f"{n} dates need ({n}, {len(PRIMARY_FEATURE_CODES)}) features "
@@ -199,6 +201,10 @@ class RegionalDataset:
 
     def subset(self, indices: np.ndarray | Sequence[int]) -> "RegionalDataset":
         idx = np.asarray(indices, dtype=np.intp)
+        outside = (idx < 0) | (idx >= self.n_rows)
+        if outside.any():
+            raise DataError(f"day index {idx[outside][0]} is not in [0, {self.n_rows}) "
+                            f"for {self.region.name}")
         return RegionalDataset(self.region, self.dates[idx], self.features[idx],
                                self.targets[idx])
 
@@ -316,28 +322,6 @@ def _date_ordinal(text: str) -> int:
 _LINE = re.compile(r"[^\r\n]*(?:\r\n?|\n)|[^\r\n]+")
 
 
-def _lines(text: str) -> io.StringIO:
-    """``text`` as a file opened with ``newline=""``: its lines end at ``\\r\\n``, ``\\r`` or ``\\n``."""
-    return io.StringIO(text, newline="")
-
-
-def _header_and_body(text: str) -> tuple[list[str] | None, str]:
-    """The first CSV record of ``text`` (None if there is none) and the text after it.
-
-    ``csv.reader`` takes the lines one at a time, as many as the record
-    spans, so the rest of the text is never split.
-    """
-    end = 0
-
-    def lines():
-        nonlocal end
-        for line in _LINE.finditer(text):
-            end = line.end()
-            yield line.group()
-
-    return next(csv.reader(lines()), None), text[end:]
-
-
 def _load_table(body: str) -> tuple[np.ndarray, np.ndarray] | None:
     """Day numbers and (n, 31) cell values of the data lines numpy's C reader takes, or None.
 
@@ -360,7 +344,7 @@ def _load_table(body: str) -> tuple[np.ndarray, np.ndarray] | None:
     if not body or body.isspace():          # loadtxt would warn of no data
         return None
     if '"' in body:
-        lines = _lines(body).readlines()
+        lines = io.StringIO(body, newline="").readlines()
         if any(line.count('"') % 2 for line in lines):
             return None
     else:
@@ -377,19 +361,18 @@ def _load_table(body: str) -> tuple[np.ndarray, np.ndarray] | None:
     return table[:, 0].astype(np.int64), table[:, 1:]
 
 
-def _read_table(records: list[list[str]]
-                ) -> tuple[list[int], list[int], np.ndarray, np.ndarray | None]:
-    """Row numbers, day numbers, (n, 31) cell values and empty-cell mask of the data rows.
+def _read_table(body: str) -> tuple[list[int], list[int], np.ndarray, np.ndarray | None]:
+    """Row numbers, day numbers, (n, 31) cell values and empty-cell mask of the data lines.
 
-    One loop checks cell counts and ISO dates up to the first row fault
-    and sets each blank cell to NaN, marked in the mask (None if there is
-    none); one numpy call (Python's float syntax) converts the cells
-    before the fault. Only if that fails are they read one by one, and
-    text that is no number raises DataError, so the first text fault in
-    row-major order wins.
+    ``csv.reader`` reads every record of ``body``. One loop checks cell
+    counts and ISO dates up to the first row fault and sets each blank
+    cell to NaN, marked in the mask (None if there is none); one numpy
+    call (Python's float syntax) converts the cells before the fault. Only
+    if that fails are they read one by one, and text that is no number
+    raises DataError, so the first text fault in row-major order wins.
     """
     rows, dates, cells, blanks, fault = [], [], [], {}, None
-    for row_number, record in enumerate(records, start=1):
+    for row_number, record in enumerate(list(csv.reader(io.StringIO(body, newline=""))), 1):
         if not any(map(str.strip, record)):
             continue
         if len(record) != len(CSV_HEADER):
@@ -432,8 +415,9 @@ def parse_regional_csv(path: str | Path, region: RegionId) -> RegionalDataset:
     """Parse and validate one region's CSV into a RegionalDataset.
 
     The file is UTF-8, with or without a byte-order mark, and is decoded
-    once. Its body lines are read by one ``np.loadtxt`` call; only when
-    that rejects them (say, for an empty cell) does ``csv.reader`` read
+    once. Its first line is the header, so a quoted header cell cannot hold
+    a line break. The body lines are read by one ``np.loadtxt`` call; only
+    when that rejects them (say, for an empty cell) does ``csv.reader`` read
     them again in a row loop, which words every text fault. Either table
     then takes the same path: rows out of date order are sorted by date
     (stable), empty cells take the previous day's value, and the
@@ -449,10 +433,12 @@ def parse_regional_csv(path: str | Path, region: RegionId) -> RegionalDataset:
     """
     path = Path(path)
     try:
-        header, body = _header_and_body(path.read_bytes().decode("utf-8-sig"))
-        if header is None:
+        text = path.read_bytes().decode("utf-8-sig")
+        if not text:
             raise DataError("file is empty")
-        header = tuple(h.strip() for h in header)
+        end = _LINE.match(text).end()                  # the header is the first line
+        header = tuple(h.strip() for h in next(csv.reader([text[:end]])))
+        body = text[end:]
         for col in CSV_HEADER:
             if col not in header:
                 raise DataError(f"required column missing from header: {col!r}")
@@ -462,7 +448,7 @@ def parse_regional_csv(path: str | Path, region: RegionId) -> RegionalDataset:
                 + ",".join(CSV_HEADER))
         table = _load_table(body)
         if table is None:
-            rows, dates, values, empty = _read_table(list(csv.reader(_lines(body))))
+            rows, dates, values, empty = _read_table(body)
             if not rows:
                 raise DataError("header but no data rows")
         else:
@@ -490,7 +476,8 @@ def parse_regional_csv(path: str | Path, region: RegionId) -> RegionalDataset:
                 repeated = dates[int(np.argmax(np.diff(dates) == 0))]
                 raise DataError(f"duplicate date in dataset: {repeated}") from None
             if rows is None:    # loadtxt read each line but the empty ones as a row
-                rows = [i for i, line in enumerate(_lines(body), 1) if line.strip("\r\n")]
+                lines = enumerate(io.StringIO(body, newline=""), 1)
+                rows = [i for i, line in lines if line.strip("\r\n")]
             row, code, detail = bad
             raise _bad_value(f"row {rows[order[row]]}", code, detail) from None
     except UnicodeDecodeError as exc:

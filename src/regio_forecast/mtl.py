@@ -107,10 +107,7 @@ class MtlModel:
             raise DataError(f"source tags name no region: {np.unique(tags[~known]).tolist()}")
         if not np.all(self.weights > 0):      # NaN fails the comparison too
             raise DataError("source weights must be strictly positive")
-        if type(self.k) is not int:           # bool is an int subclass
-            raise ConfigError(f"k must be an integer, got {self.k!r}")
-        if self.k < 1:
-            raise ConfigError(f"k must be >= 1, got {self.k}")
+        _check_k(self.k)
         unknown = [c for c in codes if c not in FEATURE_CODES]
         if unknown:
             raise DataError(f"unknown selected feature codes: {unknown}")
@@ -133,6 +130,13 @@ class MtlModel:
             raise DataError("model artifact holds a negative count (targets)")
 
 
+def _check_k(k) -> None:
+    if type(k) is not int:           # bool is an int subclass
+        raise ConfigError(f"k must be an integer, got {k!r}")
+    if k < 1:
+        raise ConfigError(f"k must be >= 1, got {k}")
+
+
 def train_mtl(
     datasets: Sequence[RegionalDataset],
     case_study: RegionId,
@@ -151,8 +155,7 @@ def train_mtl(
     """
     if not 0 <= generic_weight <= 1:
         raise ConfigError(f"generic weight must be in [0, 1], got {generic_weight}")
-    if k < 1:
-        raise ConfigError(f"k must be >= 1, got {k}")
+    _check_k(k)
     pool = [d for d in datasets if d.region.code != case_study.code]
     if len(pool) == len(datasets):
         raise DataError(f"no dataset for case study {case_study.name!r}")

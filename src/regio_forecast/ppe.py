@@ -47,7 +47,8 @@ class PpeForecast:
     """Daily kit demand; element i of each array belongs to ``dates[i]``.
 
     ``dates`` is ``datetime64[D]``; other sequences of days are converted.
-    The four arrays are read-only views, 1-D and of one length.
+    The four arrays are read-only views, 1-D and of one length; the dates
+    hold no NaT, and the values are finite and >= 0.
     """
 
     dates: np.ndarray
@@ -62,6 +63,10 @@ class PpeForecast:
             raise DataError(f"dates, predicted_hospitalized, hsp_ratio and kits must be 1-D "
                             f"and of one length, got shapes {[a.shape for a in arrays]}")
         for f, array in zip(fields(self), arrays):    # views: the caller's arrays stay writable
+            bad = np.isnat(array) if f.name == "dates" else ~((array >= 0) & (array < math.inf))
+            if bad.any():
+                rule = "a day" if f.name == "dates" else "a finite value >= 0"
+                raise DataError(f"{f.name}[{bad.argmax()}] is {array[bad.argmax()]}, not {rule}")
             array.setflags(write=False)
             object.__setattr__(self, f.name, array)
 

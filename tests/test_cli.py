@@ -1256,3 +1256,16 @@ def test_out_naming_an_existing_file_exits_3(command_args, tmp_path, capsys, com
     assert capsys.readouterr().err == (
         f"data error: [Errno {errno.EEXIST}] {os.strerror(errno.EEXIST)}: '{out}'\n")
     assert list(tmp_path.iterdir()) == [out] and out.read_text() == "kept\n"
+
+
+@pytest.mark.parametrize("level, code", [("verbose", 2), ("10", 2), ("info", 0), ("Debug", 0)])
+def test_log_level_variable_is_checked_before_any_work(data_dir, tmp_path, capsys, monkeypatch,
+                                                       level, code):
+    monkeypatch.setenv("REGIO_FORECAST_LOG", level)
+    assert run(["relevance", "--data-dir", data_dir, "--case-study", "alberta",
+                "--out", tmp_path / "out"]) == code
+    err = capsys.readouterr().err
+    if code:
+        assert err == ("config error: REGIO_FORECAST_LOG must be DEBUG, INFO, WARNING, ERROR "
+                       f"or CRITICAL (any case), got {level!r}\n")
+        assert not (tmp_path / "out").exists()

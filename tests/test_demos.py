@@ -44,3 +44,14 @@ def test_package_root_exports_exactly_the_documented_names():
     exported = {name for name, value in vars(regio_forecast).items()
                 if not name.startswith("_") and not inspect.ismodule(value)}
     assert exported == documented
+
+
+def test_readme_python_examples_run_in_order():
+    """The second block reads the first block's ``datasets`` and ``case``."""
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    namespace = {}
+    for source in re.findall(r"```python\n(.*?)```", readme, flags=re.S):
+        exec(compile(source, "README.md", "exec"), namespace)
+    assert namespace["counts"].shape == (54, 4) and (namespace["counts"] >= 0).all()
+    assert namespace["forecast"].kits.shape == (54,)
+    assert len(namespace["ranked"].selected_features) == 9

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from regio_forecast import ingest
+from regio_forecast.cli import main
 from regio_forecast.errors import ConfigError, DataError
 from regio_forecast.ingest import (
     CATEGORICAL_RANGES,
@@ -103,6 +104,35 @@ def test_parse_missing_column(tmp_path):
     with pytest.raises(DataError, match=f"^{re.escape(str(path))}: "
                                         "required column missing from header: 'feat_05'$"):
         parse_regional_csv(path, region_by_code(0))
+
+
+def write_with_header(tmp_path, header):
+    """Write 6 valid Alberta days under the header text ``header``."""
+    path = write_with_cell(tmp_path, 1, "date", "2020-01-25")
+    path.write_text(header + path.read_text().split("\n", 1)[1], newline="")
+    return path
+
+
+@pytest.mark.parametrize("end", ["\r\n", "\r", "\n"], ids=["crlf", "cr", "lf"])
+def test_header_quoted_cell_holding_a_line_break_exits_3(tmp_path, capsys, end):
+    """The header is the file's first line: a line break ends it even in a quoted cell."""
+    path = write_with_header(tmp_path, f'"date{end}",' + ",".join(CSV_HEADER[1:]) + "\n")
+    message = f"{path}: required column missing from header: 'feat_01'"
+    with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+        parse_regional_csv(path, region_by_code(0))
+    assert main(["relevance", "--data-dir", str(tmp_path), "--case-study", "alberta",
+                 "--out", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err == f"data error: {message}\n"
+
+
+def test_header_of_quoted_cells_on_one_line_parses(tmp_path):
+    plain = parse_regional_csv(write_with_header(tmp_path, ",".join(CSV_HEADER) + "\r\n"),
+                               region_by_code(0))
+    quoted = ",".join(f'" {code}"' for code in CSV_HEADER) + "\r\n"
+    parsed = parse_regional_csv(write_with_header(tmp_path, quoted), region_by_code(0))
+    assert np.array_equal(parsed.dates, plain.dates)
+    assert parsed.features.tobytes() == plain.features.tobytes()
+    assert np.array_equal(parsed.targets, plain.targets)
 
 
 def test_parse_bad_categorical(tmp_path):
@@ -329,6 +359,17 @@ def test_non_numeric_targets_are_refused_naming_the_dtype(targets, dtype):
     date, features, _ = make_row(0)
     with pytest.raises(DataError, match=f"^targets must be numbers, got dtype {dtype}$"):
         RegionalDataset(region_by_code(0), [date], [features], targets)
+
+
+@pytest.mark.parametrize("text, dtype", [("abc", "<U3"), ("1", "<U1")])
+def test_non_numeric_features_are_refused_naming_the_dtype(text, dtype):
+    date, features, targets = make_row(0)
+    with pytest.raises(DataError, match=f"^features must be numbers, got dtype {dtype}$"):
+        RegionalDataset(region_by_code(0), [date], [[text] * 27], [targets])
+    cells = np.array([features], dtype=object)
+    cells[0, 0] = text                                  # feat_01
+    with pytest.raises(DataError, match="^features must be numbers, got dtype object$"):
+        RegionalDataset(region_by_code(0), [date], cells, [targets])
 
 
 def test_int64_count_of_max_count_is_accepted():
@@ -745,6 +786,16 @@ def test_dataset_subset(small_datasets):
     assert sub.n_rows == 3
     assert sub.region == ds.region
     assert np.array_equal(sub.dates, ds.dates[[0, 2, 4]])
+
+
+@pytest.mark.parametrize("index", [20, 25, -1, -21])
+def test_subset_refuses_a_day_index_outside_the_dataset(index):
+    datasets = generate_regions(SyntheticSpec(regions=2, rows=20, seed=2))
+    message = f"^day index {index} is not in \\[0, 20\\) for Alberta$"
+    with pytest.raises(DataError, match=message):
+        datasets[0].subset([0, index, 3])
+    with pytest.raises(DataError, match=message):
+        train_mtl(datasets, datasets[0].region, [index])
 
 
 def assert_read_only_days(dates):

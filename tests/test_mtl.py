@@ -368,6 +368,16 @@ def test_train_mtl_refuses_k_before_it_builds_anything(small_datasets, monkeypat
         train_mtl(small_datasets, small_datasets[0].region, range(10), k=0)
 
 
+@pytest.mark.parametrize("k, message", [("6", "k must be an integer, got '6'"),
+                                        (6.0, "k must be an integer, got 6.0"),
+                                        (-1, "k must be >= 1, got -1")])
+def test_train_mtl_refuses_a_k_of_another_type_before_it_builds_anything(
+        small_datasets, monkeypatch, k, message):
+    monkeypatch.setattr(mtl, "fit_quantile_scaler", lambda *_: pytest.fail("scaler fitted"))
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        train_mtl(small_datasets, small_datasets[0].region, range(10), k=k)
+
+
 @pytest.mark.parametrize("width", [3, 5])
 def test_model_refuses_targets_of_another_width(trained_small_model, width):
     model, _, _ = trained_small_model

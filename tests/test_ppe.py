@@ -231,3 +231,19 @@ def test_forecast_refuses_arrays_of_another_shape(dates, kits, shapes):
             "dates, predicted_hospitalized, hsp_ratio and kits must be 1-D and of one length, "
             f"got shapes [{shapes}]")):
         PpeForecast(dates, np.zeros(2), np.zeros(2), kits)
+
+
+
+def test_forecast_refuses_a_nat_date():
+    with pytest.raises(DataError, match=r"^dates\[0\] is NaT, not a day$"):
+        PpeForecast(["NaT", "2021-03-02"], np.ones(2), np.ones(2), np.ones(2))
+
+
+@pytest.mark.parametrize("field", ["predicted_hospitalized", "hsp_ratio", "kits"])
+@pytest.mark.parametrize("value", [-2.0, math.nan, math.inf, -math.inf])
+def test_forecast_refuses_values_not_finite_or_negative(field, value):
+    values = {name: np.ones(2) for name in ("predicted_hospitalized", "hsp_ratio", "kits")}
+    values[field] = np.array([1.0, value])
+    message = f"{field}[1] is {value}, not a finite value >= 0"
+    with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+        PpeForecast(DAYS, **values)
