@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .artifact import atomic_write_text, load_model, save_model
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, as_int
 from .evaluation import (
     BootstrapConfig,
     evaluate_model,
@@ -91,8 +91,7 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
     cfg = dataclasses.replace(cfg, **{f.name: getattr(args, f.name)
                                       for f in dataclasses.fields(RunConfig)
                                       if getattr(args, f.name, None) is not None})
-    if cfg.seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {cfg.seed}")
+    as_int(cfg.seed, "seed", 0)
     return cfg
 
 

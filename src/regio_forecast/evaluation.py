@@ -26,7 +26,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, as_array, as_int
 from .features import DEFAULT_SELECTED_FEATURES, FEATURE_CODES, TARGET_COLUMNS, score_relevance
 from .ingest import RegionalDataset, TrainTestSplit, split_train_test
 from .mtl import MtlModel, TrainReport, predict_monitoring, train_mtl
@@ -37,8 +37,8 @@ CONFIDENCE = 0.95
 
 
 def _check_pair(y, y_hat, min_len: int):
-    y = np.atleast_1d(np.asarray(y, dtype=np.float64))
-    y_hat = np.atleast_1d(np.asarray(y_hat, dtype=np.float64))
+    y = np.atleast_1d(as_array(y, "actuals", "biuf", dtype=np.float64))
+    y_hat = np.atleast_1d(as_array(y_hat, "predictions", "biuf", dtype=np.float64))
     if y.shape != y_hat.shape:
         raise DataError(f"{' x '.join(map(str, y.shape))} actuals vs "
                         f"{' x '.join(map(str, y_hat.shape))} predictions")
@@ -109,9 +109,8 @@ class BootstrapConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not 1 <= self.replicates <= MAX_REPLICATES:
-            raise ConfigError(f"bootstrap replicates must be in [1, {MAX_REPLICATES}], "
-                              f"got {self.replicates}")
+        as_int(self.replicates, "bootstrap replicates", 1, MAX_REPLICATES)
+        as_int(self.seed, "seed", 0)
 
 
 @dataclass(frozen=True)
@@ -150,13 +149,13 @@ def bootstrap_intervals(actuals, predicted,
     draw, the first in (target, metric) order; only the all-replicates-skipped error follows.
     """
     try:   # every target has the same days, so the first one reports a problem with them
-        y, y_hat = _check_pair(np.transpose(actuals), np.transpose(predicted), 2)
+        y, y_hat = _check_pair(as_array(actuals, "actuals", "biuf").T,
+                               as_array(predicted, "predictions", "biuf").T, 2)
     except DataError as exc:
         raise DataError(f"{TARGET_COLUMNS[0]}: {exc}") from None
     if y.shape[:-1] != (len(TARGET_COLUMNS),):
         raise DataError(f"need (n, {len(TARGET_COLUMNS)}) actuals, got {np.shape(actuals)}")
     finite = np.isfinite(y).all(axis=1) & np.isfinite(y_hat).all(axis=1)
-    y, y_hat = np.ascontiguousarray(y), np.ascontiguousarray(y_hat)
     n_targets, n = y.shape
     # each row of a metric's call on C-ordered rows gives the 1-D value bit for bit
     with np.errstate(invalid="ignore", over="ignore"):   # such inputs are refused below
@@ -306,7 +305,7 @@ def rotate_regions(datasets: Sequence[RegionalDataset], k: int = 6, test_size: i
     datasets = list(datasets)
     if len(datasets) < 2:
         raise DataError("region rotation needs at least 2 datasets")
-    bootstrap = BootstrapConfig(bootstrap_replicates)   # a bad count is refused before training
+    bootstrap = BootstrapConfig(bootstrap_replicates, seed)   # refused before training if bad
 
     reports = []
     for ds in datasets:

@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, as_array, as_int
 
 PRIMARY_FEATURE_CODES: tuple[str, ...] = tuple(f"feat_{i:02d}" for i in range(1, 28))
 TARGET_COLUMNS: tuple[str, ...] = ("infections", "hospitalizations", "recoveries", "deaths")
@@ -34,8 +34,6 @@ DEFAULT_SELECTED_FEATURES: tuple[str, ...] = (
 
 def _safe_div(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     """Elementwise division that yields 0 where the denominator is 0."""
-    num = np.asarray(num, dtype=np.float64)
-    den = np.asarray(den, dtype=np.float64)
     out = np.zeros(np.broadcast(num, den).shape)
     np.divide(num, den, out=out, where=den != 0)
     return out
@@ -94,7 +92,7 @@ class RelevanceReport:
     scores: np.ndarray             # (n_features, n_targets)
 
     def __post_init__(self):
-        s = np.asarray(self.scores, dtype=np.float64)
+        s = as_array(self.scores, "scores", "biuf", dtype=np.float64)
         if s.shape != (len(self.feature_codes), len(self.target_names)):
             raise DataError("score matrix shape does not match codes/targets")
         if not np.all((0 <= s) & (s <= 1)):     # NaN fails both comparisons
@@ -103,22 +101,18 @@ class RelevanceReport:
         object.__setattr__(self, "scores", s)
 
     def score(self, code: str, target: str) -> float:
-        if code not in self.feature_codes:
-            raise ConfigError(f"unknown feature code: {code!r}")
-        i = self.feature_codes.index(code)
-        j = self.target_names.index(target)
-        return float(self.scores[i, j])
+        return float(self.scores[_position(self.feature_codes, code, "feature code"),
+                                 _position(self.target_names, target, "target")])
 
     def ranking(self, target: str) -> tuple[str, ...]:
         """Feature codes sorted by descending score; ties keep column order."""
-        j = self.target_names.index(target)
+        j = _position(self.target_names, target, "target")
         order = np.argsort(-self.scores[:, j], kind="stable")
         return tuple(self.feature_codes[i] for i in order)
 
     def top(self, n: int) -> tuple[str, ...]:
         """The n codes of highest mean score across targets; ties keep column order."""
-        if not 1 <= n <= len(self.feature_codes):
-            raise ConfigError(f"top_n must be in [1, {len(self.feature_codes)}], got {n}")
+        n = as_int(n, "top_n", 1, len(self.feature_codes))
         order = np.argsort(-self.scores.mean(axis=1), kind="stable")
         return tuple(self.feature_codes[i] for i in order[:n])
 
@@ -131,6 +125,12 @@ class RelevanceReport:
         return "\n".join(lines) + "\n"
 
 
+def _position(names: Sequence[str], name: str, what: str) -> int:
+    if name not in names:
+        raise ConfigError(f"unknown {what}: {name!r}")
+    return names.index(name)
+
+
 def score_relevance(features: np.ndarray, codes: Sequence[str],
                     targets: np.ndarray) -> RelevanceReport:
     """Score each feature against each target by normalized |rank correlation|.
@@ -141,8 +141,8 @@ def score_relevance(features: np.ndarray, codes: Sequence[str],
     divided by the per-target maximum, so ranks are comparable across
     targets regardless of their scale. Constant columns score 0.
     """
-    features = np.asarray(features, dtype=np.float64)
-    targets = np.asarray(targets, dtype=np.float64)
+    features = as_array(features, "features", "biuf", dtype=np.float64)
+    targets = as_array(targets, "targets", "biuf", dtype=np.float64)
     if features.ndim != 2 or features.shape[1] != len(codes):
         raise DataError(f"{len(codes)} column codes for features of shape {features.shape}")
     if targets.ndim != 2 or targets.shape[1] != len(TARGET_COLUMNS):

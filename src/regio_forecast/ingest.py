@@ -52,7 +52,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, as_array, as_int
 from .features import DERIVED_FORMULAS, PRIMARY_FEATURE_CODES, TARGET_COLUMNS
 
 CSV_HEADER: tuple[str, ...] = ("date",) + PRIMARY_FEATURE_CODES + TARGET_COLUMNS
@@ -95,6 +95,7 @@ class RegionId:
     name: str
 
     def __post_init__(self):
+        object.__setattr__(self, "code", as_int(self.code, "region code"))
         if self.code not in REGION_ENCODINGS:
             raise DataError(f"unknown region code: {self.code}")
         if normalize_region_name(self.name) != normalize_region_name(REGION_ENCODINGS[self.code]):
@@ -139,17 +140,9 @@ class RegionalDataset:
     targets: np.ndarray
 
     def __post_init__(self):
-        try:
-            dates = np.array(self.dates, dtype="datetime64[D]")
-        except (TypeError, ValueError) as exc:
-            raise DataError(f"dates: {exc}") from None
-        if dates.ndim != 1:
-            raise DataError(f"dates must be 1-D, got shape {dates.shape}")
-        f, t = np.asarray(self.features), np.asarray(self.targets)   # checked before the casts
-        for name, array in (("features", f), ("targets", t)):    # the int cast hides NaN
-            if array.dtype.kind not in "biuf":    # str, or ints past int64 as objects
-                raise DataError(f"{name} must be numbers, got dtype {array.dtype}")
-        f = f.astype(np.float64)
+        dates = as_array(self.dates, "dates", "MOSU", 1, "datetime64[D]").copy()   # a copy, frozen below
+        f = as_array(self.features, "features", "biuf").astype(np.float64)
+        t = as_array(self.targets, "targets", "biuf")     # NaN is refused before the int cast
         n = len(dates)
         if f.shape != (n, len(PRIMARY_FEATURE_CODES)) or t.shape != (n, len(TARGET_COLUMNS)):
             raise DataError(f"{n} dates need ({n}, {len(PRIMARY_FEATURE_CODES)}) features "
@@ -200,7 +193,7 @@ class RegionalDataset:
         return out
 
     def subset(self, indices: np.ndarray | Sequence[int]) -> "RegionalDataset":
-        idx = np.asarray(indices, dtype=np.intp)
+        idx = as_array(indices, "day indices", "iu", 1, np.intp)
         outside = (idx < 0) | (idx >= self.n_rows)
         if outside.any():
             raise DataError(f"day index {idx[outside][0]} is not in [0, {self.n_rows}) "
@@ -512,6 +505,11 @@ class TrainTestSplit:
     train_indices: np.ndarray
     test_indices: np.ndarray
 
+    def __post_init__(self):
+        for name in ("train_indices", "test_indices"):
+            object.__setattr__(self, name, as_array(getattr(self, name), name, "iu", 1, np.intp))
+            getattr(self, name).setflags(write=False)
+
 
 def split_train_test(ds: RegionalDataset, test_size: int, seed: int) -> TrainTestSplit:
     """Hold out ``test_size`` days drawn uniformly without replacement.
@@ -519,11 +517,9 @@ def split_train_test(ds: RegionalDataset, test_size: int, seed: int) -> TrainTes
     The same (dataset, test_size, seed) always produces the same split.
     """
     n = ds.n_rows
-    if not 0 < test_size < n:
+    if not 0 < as_int(test_size, "test_size") < n:
         raise ConfigError(f"test_size must be in (0, {n}), got {test_size}")
     held_out = np.zeros(n, dtype=bool)
-    held_out[np.random.default_rng(seed).choice(n, size=test_size, replace=False)] = True
-    train, test = np.flatnonzero(~held_out), np.flatnonzero(held_out)
-    train.setflags(write=False)
-    test.setflags(write=False)
-    return TrainTestSplit(train, test)
+    rng = np.random.default_rng(as_int(seed, "seed", 0))
+    held_out[rng.choice(n, size=test_size, replace=False)] = True
+    return TrainTestSplit(np.flatnonzero(~held_out), np.flatnonzero(held_out))

@@ -36,7 +36,7 @@ import functools
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import DataError, as_array, as_int
 
 
 # Queries are handled in blocks of about this many float32 approximations
@@ -53,16 +53,13 @@ _TINY = 2.0 ** -484
 
 def _checked(features, queries, k: int) -> tuple[np.ndarray, np.ndarray]:
     """``features`` and ``queries`` as float64 arrays, once their shapes and ``k`` pass."""
-    features = np.ascontiguousarray(features, dtype=np.float64)
-    queries = np.asarray(queries, dtype=np.float64)
+    features = as_array(features, "features", "biuf", dtype=np.float64)
     if features.ndim != 2 or features.shape[0] == 0:
         raise DataError(f"features must be a non-empty 2-D array, got shape {features.shape}")
-    if queries.ndim != 2:
-        raise DataError(f"queries must be 2-D, got shape {queries.shape}")
+    queries = as_array(queries, "queries", "biuf", 2, np.float64)
     if queries.shape[1] != features.shape[1]:
         raise DataError(f"query has {queries.shape[1]} dims, store has {features.shape[1]}")
-    if k < 1:
-        raise ConfigError(f"k must be >= 1, got {k}")
+    as_int(k, "k", 1)
     return features, queries
 
 

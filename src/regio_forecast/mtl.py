@@ -28,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import DataError, as_array, as_float, as_int
 from .features import DEFAULT_SELECTED_FEATURES, FEATURE_CODES, TARGET_COLUMNS
 from .ingest import REGION_ENCODINGS, RegionalDataset, RegionId
 from .knn import predict_knn_batch
@@ -76,18 +76,15 @@ class MtlModel:
     @property
     def weights(self) -> np.ndarray:
         """Vote weight of each instance: 1.0 if tagged ``case_study``, else ``generic_weight``."""
-        return np.where(self.source_tags == self.case_study.code, 1.0, float(self.generic_weight))
+        return np.where(self.source_tags == self.case_study.code, 1.0, self.generic_weight)
 
     def __post_init__(self):
         codes = tuple(self.selected_features)
         lm = checked_landmarks(self.landmarks, len(codes))
-        # contiguous read-only storage so identical values give identical predictions
-        try:
-            f = np.ascontiguousarray(self.features, dtype=np.float64)
-            t = np.ascontiguousarray(self.targets, dtype=np.float64)
-        except ValueError as exc:
-            raise DataError(f"ragged training rows: {exc}") from None
-        tags = np.ascontiguousarray(self.source_tags, dtype=np.int64)
+        f = as_array(self.features, "training rows", "biuf", dtype=np.float64)
+        t = as_array(self.targets, "training targets", "biuf", dtype=np.float64)
+        tags = as_array(self.source_tags, "source tags", "iu", dtype=np.int64)
+        object.__setattr__(self, "generic_weight", as_float(self.generic_weight, "generic weight"))
         if f.ndim != 2 or t.ndim != 2:
             raise DataError(f"features and targets must be 2-D, "
                             f"got shapes {f.shape} and {t.shape}")
@@ -107,7 +104,7 @@ class MtlModel:
             raise DataError(f"source tags name no region: {np.unique(tags[~known]).tolist()}")
         if not np.all(self.weights > 0):      # NaN fails the comparison too
             raise DataError("source weights must be strictly positive")
-        _check_k(self.k)
+        object.__setattr__(self, "k", as_int(self.k, "k", 1))
         unknown = [c for c in codes if c not in FEATURE_CODES]
         if unknown:
             raise DataError(f"unknown selected feature codes: {unknown}")
@@ -130,13 +127,6 @@ class MtlModel:
             raise DataError("model artifact holds a negative count (targets)")
 
 
-def _check_k(k) -> None:
-    if type(k) is not int:           # bool is an int subclass
-        raise ConfigError(f"k must be an integer, got {k!r}")
-    if k < 1:
-        raise ConfigError(f"k must be >= 1, got {k}")
-
-
 def train_mtl(
     datasets: Sequence[RegionalDataset],
     case_study: RegionId,
@@ -153,9 +143,8 @@ def train_mtl(
     the model stores, and fits its landmarks on, the case-study rows alone;
     the report counts the pool.
     """
-    if not 0 <= generic_weight <= 1:
-        raise ConfigError(f"generic weight must be in [0, 1], got {generic_weight}")
-    _check_k(k)
+    generic_weight = as_float(generic_weight, "generic weight", 0, 1)
+    as_int(k, "k", 1)
     pool = [d for d in datasets if d.region.code != case_study.code]
     if len(pool) == len(datasets):
         raise DataError(f"no dataset for case study {case_study.name!r}")
@@ -180,7 +169,7 @@ def train_mtl(
     del raw                 # free each matrix once the next is built: a lower training peak
     unit_rows = l2_normalize_rows(scaled)
     del scaled
-    model = MtlModel(selection, landmarks, unit_rows, targets, tags, k, float(generic_weight),
+    model = MtlModel(selection, landmarks, unit_rows, targets, tags, k, generic_weight,
                      case_study)
     fit_seconds = time.perf_counter() - t0
 

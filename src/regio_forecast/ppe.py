@@ -15,7 +15,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, as_array
 from .features import PRIMARY_FEATURE_CODES, TARGET_COLUMNS
 from .ingest import RegionalDataset
 from .mtl import MtlModel, predict_monitoring
@@ -28,8 +28,9 @@ def predict_ppe_kits(hospitalized, chc_count, operating_capacity, personnel) -> 
     while r <= 1, and saturates at capacity x personnel once every centre
     has a patient. Both branches agree at r = 1.
     """
-    capacity, personnel, chc, hospitalized = (
-        np.asarray(a) for a in (operating_capacity, personnel, chc_count, hospitalized))
+    capacity, personnel, chc, hospitalized = (as_array(a, name, "biuf") for a, name in (
+        (operating_capacity, "operating capacity"), (personnel, "personnel"),
+        (chc_count, "health centre count"), (hospitalized, "hospitalized count")))
     for values, ok, rule in (
             (capacity, (0 <= capacity) & (capacity <= 1), "operating capacity must be in [0, 1]"),
             (personnel, (0 <= personnel) & (personnel < math.inf),
@@ -57,8 +58,8 @@ class PpeForecast:
     kits: np.ndarray
 
     def __post_init__(self):
-        arrays = [np.asarray(self.dates, dtype="datetime64[D]").view()]
-        arrays += [np.asarray(getattr(self, f.name)).view() for f in fields(self)[1:]]
+        arrays = [as_array(self.dates, "dates", "MOSU", dtype="datetime64[D]").view()]
+        arrays += [as_array(getattr(self, f.name), f.name, "biuf").view() for f in fields(self)[1:]]
         if arrays[0].ndim != 1 or len({a.shape for a in arrays}) != 1:
             raise DataError(f"dates, predicted_hospitalized, hsp_ratio and kits must be 1-D "
                             f"and of one length, got shapes {[a.shape for a in arrays]}")

@@ -27,7 +27,7 @@ from typing import Sequence
 import numpy as np
 from scipy.special import ndtri
 
-from .errors import DataError
+from .errors import DataError, as_array
 
 # Probabilities are clipped away from {0, 1} before the normal quantile
 # function so outputs stay finite.
@@ -42,7 +42,7 @@ def checked_landmarks(landmarks: np.ndarray, n_columns: int | None = None) -> np
     given), each row holds at least 2 landmarks and is sorted
     non-decreasing. DataError names the first rule broken.
     """
-    lm = np.ascontiguousarray(landmarks, dtype=np.float64)
+    lm = as_array(landmarks, "landmarks", "biuf", dtype=np.float64)
     if lm.ndim != 2 or n_columns not in (None, lm.shape[0]):
         raise DataError("landmark array shape does not match column codes")
     if lm.shape[1] < 2:
@@ -60,7 +60,7 @@ def fit_quantile_scaler(values: np.ndarray, codes: Sequence[str]) -> np.ndarray:
     [0, 1], computed with linear interpolation between order statistics;
     they are the interpolation nodes of the training CDF estimate.
     """
-    values = np.asarray(values, dtype=np.float64)
+    values = as_array(values, "values", "biuf", 2, np.float64)
     n_rows = values.shape[0]
     if n_rows < 2:
         raise DataError(f"need at least 2 training rows to fit quantiles, got {n_rows}")
@@ -152,7 +152,7 @@ def apply_quantile_scaler(landmarks: np.ndarray, values: np.ndarray) -> np.ndarr
     A column that was constant at fit time maps to 0 everywhere.
     """
     landmarks = checked_landmarks(landmarks)
-    values = np.asarray(values, dtype=np.float64)
+    values = as_array(values, "values", "biuf", dtype=np.float64)
     if values.ndim != 2 or values.shape[1] != len(landmarks):
         raise DataError(f"values of shape {values.shape} do not match "
                         f"fitted column count {len(landmarks)}")
@@ -175,7 +175,7 @@ def l2_normalize_rows(values: np.ndarray) -> np.ndarray:
     A row whose plain norm falls outside SAFE_NORM_RANGE is first divided
     by its largest absolute value, which keeps its direction.
     """
-    values = np.asarray(values, dtype=np.float64)
+    values = as_array(values, "values", "biuf", 2, np.float64)
     with np.errstate(over="ignore"):   # an overflowing row is rescaled below
         norms = np.linalg.norm(values, axis=1)
     unsafe = ~((norms > SAFE_NORM_RANGE[0]) & (norms < SAFE_NORM_RANGE[1]))

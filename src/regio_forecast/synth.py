@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, as_float, as_int
 from .ingest import RegionalDataset, region_by_code, write_regional_csv
 
 DEFAULT_START_DATE = dt.date(2020, 1, 25)
@@ -65,14 +65,12 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if not 1 <= self.regions <= 10:
-            raise ConfigError(f"regions must be in [1, 10], got {self.regions}")
-        if self.rows < 10:
-            raise ConfigError(f"rows must be >= 10, got {self.rows}")
-        if self.rows > MAX_ROWS:
+        as_int(self.regions, "regions", 1, 10)
+        as_int(self.seed, "seed", 0)
+        if as_int(self.rows, "rows", 10) > MAX_ROWS:
             raise ConfigError(f"rows must be <= {MAX_ROWS} (the last date must fit in "
                               f"datetime.date), got {self.rows}")
-        if not 0 <= self.noise < np.inf:
+        if not 0 <= as_float(self.noise, "noise") < np.inf:
             raise ConfigError(f"noise must be finite and >= 0, got {self.noise}")
         if self.noise > MAX_NOISE:
             raise ConfigError(f"noise must be <= {MAX_NOISE}, got {self.noise}")
