@@ -22,8 +22,9 @@ class DataError(Exception):
     """An input dataset, matrix, or artifact is malformed or unusable."""
 
 
-def as_array(value, name: str, kinds: str, ndim: int | None = None, dtype=None) -> np.ndarray:
-    """``value`` as a C-contiguous array of ``dtype``, uncopied if it already is one."""
+def as_array(value, name: str, kinds: str, ndim: int | None = None, dtype=None,
+             order: str = "C") -> np.ndarray:
+    """``value`` as a ``dtype`` array in ``order`` ("K" keeps its layout), uncopied if it is one."""
     array = None
     try:
         array = np.asarray(value)
@@ -32,7 +33,7 @@ def as_array(value, name: str, kinds: str, ndim: int | None = None, dtype=None) 
             raise DataError(f"{name} must be {what}, got dtype {array.dtype}")
         if ndim is not None and array.ndim != ndim:
             raise DataError(f"{name} must be {ndim}-D, got shape {array.shape}")
-        return np.asarray(array, dtype, order="C")
+        return np.asarray(array, dtype, order=order)
     except (TypeError, ValueError) as exc:      # ragged rows, or a text that names no day
         raise DataError(f"{'ragged ' if array is None else ''}{name}: {exc}") from None
 

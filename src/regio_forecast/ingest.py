@@ -33,9 +33,9 @@ the dataset's region, ``feat_11`` (health centres) is an integer count in
 are days of ``datetime.date`` (no NaT) that strictly increase. Each cell
 rule is written once, in the ordered list ``_RULES``: its columns, a
 vectorized pass test and the detail of a failing value. One pass over the
-list checks a table; only a table that fails it gets a mask per rule, from
-the same entries, to find the first bad cell in row-major order, which the
-DataError names. A split (``split_train_test``) is two sorted, read-only
+list checks a table and finds its first bad cell in row-major order. The
+DataError names the first fault by date, a repeated date before a bad
+cell of its row. A split (``split_train_test``) is two sorted, read-only
 arrays of day indices.
 """
 
@@ -131,7 +131,8 @@ class RegionalDataset:
     ``targets`` a read-only (n, 4) int array ordered by TARGET_COLUMNS;
     row i of both belongs to ``dates[i]``. Construction enforces the
     module's cell and date rules, so a dataset that exists is valid; the
-    DataError names the date and column of the first bad cell.
+    DataError names the date and column of the first fault by date and
+    carries them as ``cell``: (row index, column code, detail).
     """
 
     region: RegionId
@@ -141,8 +142,9 @@ class RegionalDataset:
 
     def __post_init__(self):
         dates = as_array(self.dates, "dates", "MOSU", 1, "datetime64[D]").copy()   # a copy, frozen below
-        f = as_array(self.features, "features", "biuf").astype(np.float64)
-        t = as_array(self.targets, "targets", "biuf")     # NaN is refused before the int cast
+        # the gate keeps a view's layout, so the cast is the one copy of a caller's array
+        f = as_array(self.features, "features", "biuf", order="K").astype(np.float64)
+        t = as_array(self.targets, "targets", "biuf", order="K")   # NaN is refused before the cast
         n = len(dates)
         if f.shape != (n, len(PRIMARY_FEATURE_CODES)) or t.shape != (n, len(TARGET_COLUMNS)):
             raise DataError(f"{n} dates need ({n}, {len(PRIMARY_FEATURE_CODES)}) features "
@@ -156,10 +158,11 @@ class RegionalDataset:
             if not _FIRST_DAY <= dates[day] <= _LAST_DAY:
                 raise DataError(f"dates[{day}] is {dates[day]}, not a day in "
                                 f"{_FIRST_DAY} .. {_LAST_DAY}")
-            raise _bad_value(str(dates[day]), "date", f"not after {dates[day - 1]}")
+            bad = day, "date", f"not after {dates[day - 1]}"
         if bad is not None:
-            row, code, detail = bad
-            raise _bad_value(str(dates[row]), code, detail)
+            error = _bad_value(str(dates[bad[0]]), *bad[1:])
+            error.cell = bad
+            raise error
         for name, array in (("dates", dates), ("features", f), ("targets", t.astype(np.int64))):
             array.setflags(write=False)
             object.__setattr__(self, name, array)
@@ -262,37 +265,27 @@ _RULES = (
 )
 
 
-def _rule_masks(features: np.ndarray, targets: np.ndarray, region: RegionId) -> np.ndarray:
-    """The (rules, n, 31) masks of the cells that break each rule, in report order."""
-    parts = (features, targets)
-    masks = np.zeros((len(_RULES), len(features), len(_CODES)), dtype=bool)
-    with np.errstate(invalid="ignore"):
-        for mask, (spans, passes, _) in zip(masks, _RULES):
-            for part, columns, table_columns in spans:
-                mask[:, table_columns] = ~passes(parts[part][:, columns], region)
-    return masks
-
-
 def _first_bad_cell(features: np.ndarray, targets: np.ndarray,
                     region: RegionId) -> tuple[int, str, str] | None:
     """Row index, column code and detail of the first cell that breaks a rule, row-major.
 
-    One pass runs each rule's test over its cells and stops at the first
-    block that fails, building no (n, 31) mask; only a table that fails it
-    gets ``_rule_masks``. The detail is that of the first rule, in
-    ``_RULES`` order, that the cell breaks.
+    Each rule's test runs once over each of its blocks. Of the first bad
+    cells of the blocks that fail, the lowest (row, column) is reported,
+    under the earliest rule in ``_RULES`` that it breaks.
     """
-    parts = (features, targets)
+    parts, found = (features, targets), []
     with np.errstate(invalid="ignore"):
-        if all(passes(parts[part][:, columns], region).all()
-               for spans, passes, _ in _RULES for part, columns, _ in spans):
-            return None
-    masks = _rule_masks(features, targets, region)
-    row, col = divmod(int(masks.any(axis=0).argmax()), len(_CODES))
-    n_features = features.shape[1]
-    value = (features[row, col] if col < n_features else targets[row, col - n_features]).item()
-    detail = _RULES[int(masks[:, row, col].argmax())][2]
-    return row, _CODES[col], detail(value, _CODES[col], region)
+        for rule, (spans, passes, _) in enumerate(_RULES):
+            for part, columns, table_columns in spans:
+                block = parts[part][:, columns]
+                ok = passes(block, region)
+                if not ok.all():
+                    row, j = divmod(int(ok.argmin()), ok.shape[1])
+                    found.append((row, int(table_columns[j]), rule, block[row, j].item()))
+    if not found:
+        return None
+    row, col, rule, value = min(found)
+    return row, _CODES[col], _RULES[rule][2](value, _CODES[col], region)
 
 
 _ISO_DAY = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
@@ -315,8 +308,8 @@ def _date_ordinal(text: str) -> int:
 _LINE = re.compile(r"[^\r\n]*(?:\r\n?|\n)|[^\r\n]+")
 
 
-def _load_table(body: str) -> tuple[np.ndarray, np.ndarray] | None:
-    """Day numbers and (n, 31) cell values of the data lines numpy's C reader takes, or None.
+def _load_table(body: str) -> tuple[list[str], np.ndarray, np.ndarray] | None:
+    """The lines, day numbers and (n, 31) cell values of a body numpy's C reader takes, or None.
 
     One ``np.loadtxt`` call reads the cells (Python's float syntax without
     ``_`` or non-ASCII digits) and the dates, skipping only empty lines.
@@ -351,20 +344,20 @@ def _load_table(body: str) -> tuple[np.ndarray, np.ndarray] | None:
         return None
     if table.shape[1] != len(CSV_HEADER):
         return None
-    return table[:, 0].astype(np.int64), table[:, 1:]
+    return lines, table[:, 0].astype(np.int64), table[:, 1:]
 
 
-def _read_table(body: str) -> tuple[list[int], list[int], np.ndarray, np.ndarray | None]:
+def _read_table(body: str) -> tuple[list[int], list[int], np.ndarray, np.ndarray]:
     """Row numbers, day numbers, (n, 31) cell values and empty-cell mask of the data lines.
 
     ``csv.reader`` reads every record of ``body``. One loop checks cell
     counts and ISO dates up to the first row fault and sets each blank
-    cell to NaN, marked in the mask (None if there is none); one numpy
+    cell to NaN, marked in the mask; one numpy
     call (Python's float syntax) converts the cells before the fault. Only
     if that fails are they read one by one, and text that is no number
     raises DataError, so the first text fault in row-major order wins.
     """
-    rows, dates, cells, blanks, fault = [], [], [], {}, None
+    rows, dates, cells, blanks, fault = [], [], [], [], None
     for row_number, record in enumerate(list(csv.reader(io.StringIO(body, newline=""))), 1):
         if not any(map(str.strip, record)):
             continue
@@ -379,8 +372,8 @@ def _read_table(body: str) -> tuple[list[int], list[int], np.ndarray, np.ndarray
             break
         texts = record[1:]
         if not all(map(str.strip, texts)):
-            blank = blanks[len(cells)] = [not text.strip() for text in texts]
-            texts = ["nan" if gap else text for gap, text in zip(blank, texts)]
+            blanks += [len(cells) * len(texts) + j for j, text in enumerate(texts) if not text.strip()]
+            texts = [text if text.strip() else "nan" for text in texts]
         rows.append(row_number)
         cells.append(texts)
     try:
@@ -397,10 +390,8 @@ def _read_table(body: str) -> tuple[list[int], list[int], np.ndarray, np.ndarray
         raise
     if fault is not None:
         raise fault
-    empty = None
-    if blanks:
-        empty = np.zeros(values.shape, dtype=bool)
-        empty[list(blanks)] = list(blanks.values())
+    empty = np.zeros(values.shape, dtype=bool)
+    empty.flat[blanks] = True
     return rows, dates, values, empty
 
 
@@ -421,8 +412,10 @@ def parse_regional_csv(path: str | Path, region: RegionId) -> RegionalDataset:
     the file, and quoting that the csv module cannot read. A file with
     several faults reports the first of: bytes that are not UTF-8; a
     header fault; a text fault (cell count, date, number syntax) in
-    row-major order; an empty cell on the earliest date; the first cell by
-    date that breaks a RegionalDataset rule; a repeated date.
+    row-major order; an empty cell on the earliest date; the first fault
+    by date that the RegionalDataset finds, a repeated date before a bad
+    cell of its row. A repeated date is named by the later of its file
+    rows: ``bad value at row R, column 'date': not after YYYY-MM-DD``.
     """
     path = Path(path)
     try:
@@ -445,7 +438,7 @@ def parse_regional_csv(path: str | Path, region: RegionId) -> RegionalDataset:
             if not rows:
                 raise DataError("header but no data rows")
         else:
-            (dates, values), rows, empty = table, None, None
+            (lines, dates, values), rows, empty = table, None, None
         dates = np.array(dates, "datetime64[D]")
         order = np.arange(len(dates))
         if np.any(dates[1:] < dates[:-1]):
@@ -462,16 +455,11 @@ def parse_regional_csv(path: str | Path, region: RegionId) -> RegionalDataset:
         features, targets = np.hsplit(values, [len(PRIMARY_FEATURE_CODES)])
         try:
             return RegionalDataset(region, dates, features, targets)
-        except DataError:
-            # Name the file row of the first bad cell by date, else the repeated date.
-            bad = _first_bad_cell(features, targets, region)
-            if bad is None:
-                repeated = dates[int(np.argmax(np.diff(dates) == 0))]
-                raise DataError(f"duplicate date in dataset: {repeated}") from None
+        except DataError as exc:
+            # The dataset names the first fault by date; name its file row instead.
+            row, code, detail = exc.cell
             if rows is None:    # loadtxt read each line but the empty ones as a row
-                lines = enumerate(io.StringIO(body, newline=""), 1)
-                rows = [i for i, line in lines if line.strip("\r\n")]
-            row, code, detail = bad
+                rows = [i for i, line in enumerate(lines, 1) if line.strip("\r\n")]
             raise _bad_value(f"row {rows[order[row]]}", code, detail) from None
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text (byte 0x{exc.object[exc.start]:02x})") from None

@@ -4,8 +4,8 @@ The learner is instance-based: the training rows are the model, with no
 fitting step, and a prediction is the inverse-distance-weighted mean of
 the k nearest stored targets. The metric (Euclidean) and the vote
 weighting (inverse distance) are fixed; only k is a parameter. Each
-instance votes with a positive source weight. ``mtl.MtlModel`` owns and
-checks the arrays; ``neighbours`` checks only what its search needs.
+instance votes with a finite, positive source weight. ``predict_knn_batch``
+checks all its arrays; ``neighbours`` checks only what its search needs.
 
 Neighbor search (``neighbours``) takes queries in blocks. One float32
 matrix product of the augmented store [F, ||x||^2] with the queries
@@ -255,7 +255,7 @@ def predict_knn_batch(features: np.ndarray, targets: np.ndarray, weights: np.nda
 
     For each query the min(k, n) nearest rows of ``features`` by Euclidean
     distance (``neighbours``) vote their ``targets`` with weight
-    ``weights`` / distance; ties at equal distance prefer the
+    ``weights`` / distance (finite, > 0); ties at equal distance prefer the
     earlier-inserted instance. If any selected neighbor sits at distance
     exactly 0, the prediction is the weighted mean of the zero-distance
     instances alone.
@@ -268,6 +268,13 @@ def predict_knn_batch(features: np.ndarray, targets: np.ndarray, weights: np.nda
     ``neighbours`` for every query bit for bit.
     """
     features, queries = _checked(features, queries, k)
+    targets = as_array(targets, "targets", "biuf", 2, np.float64)
+    weights = as_array(weights, "weights", "biuf", 1, np.float64)
+    for name, array in (("targets", targets), ("weights", weights)):
+        if len(array) != len(features):
+            raise DataError(f"{len(features)} stored rows need as many {name}, got {len(array)}")
+    if not np.all((weights > 0) & (weights < np.inf)):     # NaN fails too
+        raise DataError("weights must be finite and > 0")
     rows, cols = _zero_distance_instances(features, queries, k)
     zeros = np.bincount(rows, minlength=queries.shape[0])
     out = np.empty((queries.shape[0], targets.shape[1]))

@@ -185,10 +185,12 @@ def train_mtl(
 def predict_monitoring(model: MtlModel, ds: RegionalDataset) -> np.ndarray:
     """Predict (infections, hospitalizations, recoveries, deaths) per day of ``ds``.
 
-    Returns the (n, 4) float counts in TARGET_COLUMNS order. Pipeline:
-    compute the model's columns, map them through its landmarks, normalize each
-    row to unit length, then let the model's nearest instances vote.
+    Returns the (n, 4) float counts in TARGET_COLUMNS order: the model's
+    columns of ``ds``, a dataset of its case study (else DataError), scaled
+    by its landmarks and to unit rows, take its nearest instances' votes.
     """
+    if ds.region != model.case_study:
+        raise DataError(f"a {ds.region.name} dataset given to the {model.case_study.name} model")
     raw = ds.columns(model.selected_features)
     x = l2_normalize_rows(apply_quantile_scaler(model.landmarks, raw))
     return predict_knn_batch(model.features, model.targets, model.weights, x, model.k)

@@ -62,6 +62,8 @@ def fit_quantile_scaler(values: np.ndarray, codes: Sequence[str]) -> np.ndarray:
     """
     values = as_array(values, "values", "biuf", 2, np.float64)
     n_rows = values.shape[0]
+    if len(codes) != values.shape[1]:
+        raise DataError(f"{values.shape[1]} columns need as many codes, got {len(codes)}")
     if n_rows < 2:
         raise DataError(f"need at least 2 training rows to fit quantiles, got {n_rows}")
     if not np.all(np.isfinite(values)):

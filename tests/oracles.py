@@ -243,9 +243,10 @@ def read_csv_oracle(path, region):
     number syntax; blank rows are skipped but keep their row number) in
     row-major order; after a stable sort by date, an empty cell on the
     earliest date, which has no previous day to take its value from; the
-    first invalid cell by date, named by its file row; a repeated date. A
-    date is four, two and two ASCII digits joined by "-", padded or not,
-    naming a day of ``datetime.date``.
+    first fault by date, named by its file row: a date equal to the day
+    before it (the later of the two file rows), then the row's first
+    invalid cell. A date is four, two and two ASCII digits joined by "-",
+    padded or not, naming a day of ``datetime.date``.
     """
     def fault(row, column, detail):
         detail = f": {detail}" if detail else ""
@@ -288,15 +289,15 @@ def read_csv_oracle(path, region):
                             "missing cell on the earliest date (nothing to forward-fill)")
             if cells[j] is None:
                 cells[j] = days[i - 1][2][j]
+    for i, (date, number, cells) in enumerate(days):
+        if i and date == days[i - 1][0]:
+            raise fault(number, "date", f"not after {date}")
+        for code, value in zip(CSV_HEADER[1:], cells):
+            problem = cell_problem(code, value, region)
+            if problem:
+                raise fault(number, code, problem)
     values = np.array([cells for _, _, cells in days])
     n_features = len(CSV_HEADER) - 1 - len(TARGET_COLUMNS)
-    bad = first_bad_cell(values[:, :n_features], values[:, n_features:], region)
-    if bad is not None:
-        row, code, detail = bad
-        raise fault(days[row][1], code, detail)
-    for (a, _, _), (b, _, _) in zip(days, days[1:]):
-        if a == b:
-            raise DataError(f"{path}: duplicate date in dataset: {a}")
     return [date for date, _, _ in days], values[:, :n_features], values[:, n_features:]
 
 

@@ -501,7 +501,7 @@ def _unclosed_quote(lines):
 
 @pytest.mark.parametrize("mutate, message", [
     (_rename_feat_02, "required column missing from header: 'feat_02'"),
-    (_repeat_a_day, "duplicate date in dataset"),
+    (_repeat_a_day, "bad value at row 6, column 'date': not after"),
     (_swap_two_columns, "header columns out of order"),
     (_latin1_byte_in_header, "not UTF-8 text (byte 0xe9)"),
     (_unclosed_quote, "malformed CSV: field larger than field limit"),
@@ -519,6 +519,21 @@ def test_bad_header_or_dates_exit_3_naming_the_file(data_dir, tmp_path, capsys,
                 "--test-days", "16", "--out", tmp_path / "x"])
     assert code == 3
     assert f"{path}: {message}" in capsys.readouterr().err
+
+
+def test_repeated_date_exits_3_naming_the_later_row(data_dir, tmp_path, capsys):
+    bad_dir = tmp_path / "bad_data"
+    shutil.copytree(data_dir, bad_dir)
+    path = bad_dir / "manitoba.csv"
+    lines = path.read_text().splitlines()
+    day = lines[9].split(",")[0]
+    lines[10] = ",".join([day] + lines[10].split(",")[1:])     # data row 10 repeats row 9's day
+    path.write_text("\n".join(lines) + "\n")
+    code = run(["train", "--data-dir", bad_dir, "--case-study", "alberta",
+                "--test-days", "16", "--out", tmp_path / "x"])
+    assert code == 3
+    assert capsys.readouterr().err == (
+        f"data error: {path}: bad value at row 10, column 'date': not after {day}\n")
 
 
 def test_byte_order_mark_is_read_as_utf8(data_dir, tmp_path):

@@ -144,8 +144,24 @@ def test_parse_bad_categorical(tmp_path):
 
 def test_parse_duplicate_date(tmp_path):
     path = write_with_cell(tmp_path, 2, "date", "2020-01-25")    # the date of row 1
-    with pytest.raises(DataError, match=r"alberta\.csv: duplicate date in dataset: 2020-01-25$"):
+    with pytest.raises(DataError, match=(r"alberta\.csv: bad value at row 2, column 'date': "
+                                         r"not after 2020-01-25$")):
         parse_regional_csv(path, region_by_code(0))
+
+
+def test_repeated_date_before_a_later_bad_cell_is_reported(tmp_path):
+    """The first fault by date wins: a day that repeats comes before a bad cell on a later
+    day, even when that cell's file row comes first."""
+    path = tmp_path / "alberta.csv"
+    write_in_file_order(path, [make_row(day) for day in range(4)], [3, 0, 1, 2])
+    set_cell(path, 1, "feat_02", "7.0")              # 2020-01-28, the first file row
+    set_cell(path, 3, "date", "2020-01-25")          # 2020-01-26 becomes a second 01-25
+    with pytest.raises(DataError) as expected:
+        read_csv_oracle(path, region_by_code(0))
+    with pytest.raises(DataError, match=(r"alberta\.csv: bad value at row 3, column 'date': "
+                                         r"not after 2020-01-25$")) as err:
+        parse_regional_csv(path, region_by_code(0))
+    assert str(err.value) == str(expected.value)
 
 
 @pytest.mark.parametrize("gap", [False, True], ids=["bulk", "row_loop"])
@@ -331,6 +347,23 @@ def test_valid_file_is_checked_once(tmp_path, monkeypatch):
     assert len(calls) == 2
 
 
+@pytest.mark.parametrize("gap", [False, True], ids=["bulk", "row_loop"])
+def test_file_with_a_bad_cell_is_checked_once(tmp_path, monkeypatch, gap):
+    """The dataset's search names the fault; the parser does not search again."""
+    path = tmp_path / "alberta.csv"
+    write_regional_csv(generate_regions(SyntheticSpec(regions=1, rows=30, seed=1))[0], path)
+    set_cell(path, 9, "feat_02", "7.0")
+    if gap:                                          # an empty cell takes the row loop
+        set_cell(path, 4, "feat_03", "")
+    calls = []
+    checked = ingest._first_bad_cell
+    monkeypatch.setattr(ingest, "_first_bad_cell",
+                        lambda *args: calls.append(args) or checked(*args))
+    with pytest.raises(DataError, match=r"row 9, column 'feat_02': 7\.0 not in"):
+        parse_regional_csv(path, region_by_code(0))
+    assert len(calls) == 1
+
+
 def test_validate_clean_dataset(small_datasets):
     ds = small_datasets[0]
     again = RegionalDataset(ds.region, ds.dates, ds.features, ds.targets)
@@ -347,7 +380,7 @@ def test_validate_negative_death_count():
 @pytest.mark.parametrize("count", [2 ** 53 + 1, 2 ** 63 - 1])
 def test_int64_count_past_max_count_is_refused_unrounded(count):
     """As a float, 2**53 + 1 rounds to MAX_COUNT and would pass; int64 targets are compared
-    as integers, in the one-pass check and in the per-rule masks alike."""
+    as integers."""
     with pytest.raises(DataError, match=(f"^bad value at 2020-01-26, column 'deaths': {count} "
                                          "is not an integer count up to 9007199254740992$")):
         make_dataset(make_row(0), make_row(1, deaths=count))
@@ -588,8 +621,8 @@ def test_bulk_read_splits_lines_where_a_text_file_does(tmp_path, monkeypatch, en
 
 
 def count_fast_path_work(monkeypatch):
-    """Calls made while parsing: byte reads, decodes, date sorts, rule masks and row loops."""
-    calls = {"reads": [], "decodes": [], "sorts": [], "masks": [],
+    """Calls made while parsing: byte reads, decodes, date sorts, cell checks and row loops."""
+    calls = {"reads": [], "decodes": [], "sorts": [], "checks": [],
              "row_loop": count_row_loop_reads(monkeypatch)}
 
     class CountedBytes(bytes):
@@ -597,14 +630,14 @@ def count_fast_path_work(monkeypatch):
             calls["decodes"].append(args)
             return super().decode(*args, **kwargs)
 
-    read_bytes, argsort, masks = Path.read_bytes, np.argsort, ingest._rule_masks
+    read_bytes, argsort, check = Path.read_bytes, np.argsort, ingest._first_bad_cell
     monkeypatch.setattr(Path, "read_bytes",
                         lambda path: calls["reads"].append(path) or CountedBytes(read_bytes(path)))
     monkeypatch.setattr(np, "argsort",
                         lambda a, *args, **kwargs: calls["sorts"].append(len(a))
                         or argsort(a, *args, **kwargs))
-    monkeypatch.setattr(ingest, "_rule_masks",
-                        lambda *args: calls["masks"].append(1) or masks(*args))
+    monkeypatch.setattr(ingest, "_first_bad_cell",
+                        lambda *args: calls["checks"].append(1) or check(*args))
     return calls
 
 
@@ -623,7 +656,7 @@ def test_clean_file_is_decoded_once_and_sorted_only_out_of_order(tmp_path, monke
     assert parsed.features.tobytes() == ds.features.tobytes()
     assert np.array_equal(parsed.dates, ds.dates)
     assert calls == {"reads": [path], "decodes": [("utf-8-sig",)],
-                     "sorts": [2000] if shuffled else [], "masks": [], "row_loop": []}
+                     "sorts": [2000] if shuffled else [], "checks": [1], "row_loop": []}
 
 
 def test_pooled_calendar_is_converted_once(tmp_path):
@@ -692,7 +725,7 @@ def test_table_fault_never_reaches_the_row_loop_and_matches_the_oracle(tmp_path,
     with pytest.raises(DataError) as err:
         parse_regional_csv(path, region)
     assert str(err.value) == str(expected.value)
-    assert ("column 'feat_02'" if fault == "cell_rule" else "duplicate date") in str(err.value)
+    assert f"column {'feat_02' if fault == 'cell_rule' else 'date'!r}" in str(err.value)
     assert calls == []
 
 

@@ -4,9 +4,8 @@ The property test puts one hostile value (ragged rows, text, objects,
 fractional floats, bools, None, texts that name no day) in one array or
 scalar argument of a call whose other arguments are valid: the call must
 succeed or raise one of the two errors, never a bare numpy or Python
-error. ``predict_knn_batch``'s ``targets`` and ``weights`` are a model's
-checked arrays and are not drawn. The explicit tests pin the inputs that
-were once read wrongly without an error.
+error. The explicit tests pin the inputs that were once read wrongly
+without an error.
 """
 
 import dataclasses
@@ -25,7 +24,7 @@ from regio_forecast.ingest import (RegionalDataset, RegionId, TrainTestSplit, re
                                    split_train_test)
 from regio_forecast.knn import neighbours, predict_knn_batch
 from regio_forecast.mtl import predict_monitoring, train_mtl
-from regio_forecast.ppe import PpeForecast, predict_ppe_kits
+from regio_forecast.ppe import PpeForecast, forecast_series, predict_ppe_kits
 from regio_forecast.scaling import (apply_quantile_scaler, checked_landmarks,
                                     fit_quantile_scaler, l2_normalize_rows)
 from regio_forecast.synth import SyntheticSpec, generate_regions
@@ -85,6 +84,10 @@ CALLS = {
                                                     generic_weight=v),
     "predict_knn_batch.features": lambda v: predict_knn_batch(
         v, MODEL.targets, MODEL.weights, QUERIES, 3),
+    "predict_knn_batch.targets": lambda v: predict_knn_batch(
+        MODEL.features, v, MODEL.weights, QUERIES, 3),
+    "predict_knn_batch.weights": lambda v: predict_knn_batch(
+        MODEL.features, MODEL.targets, v, QUERIES, 3),
     "predict_knn_batch.queries": lambda v: predict_knn_batch(
         MODEL.features, MODEL.targets, MODEL.weights, v, 3),
     "predict_knn_batch.k": lambda v: predict_knn_batch(
@@ -243,3 +246,54 @@ def test_scalar_gates_name_the_value():
         train_mtl(DATASETS, DS.region, range(15), generic_weight="1")
     with pytest.raises(ConfigError, match="^top_n must be an integer, got 1.5$"):
         REPORT.top(1.5)
+
+
+N_STORED = len(MODEL.features)
+
+
+@pytest.mark.parametrize("targets, weights, message", [
+    (MODEL.targets[:5], MODEL.weights, f"{N_STORED} stored rows need as many targets, got 5"),
+    (MODEL.targets, MODEL.weights[:5], f"{N_STORED} stored rows need as many weights, got 5"),
+    (MODEL.targets[:, 0], MODEL.weights, rf"targets must be 2-D, got shape \({N_STORED},\)"),
+    (MODEL.targets, ["a", "b"], "weights must be numbers, got dtype <U1"),
+    (MODEL.targets, MODEL.weights[:, None], rf"weights must be 1-D, got shape \({N_STORED}, 1\)"),
+    (MODEL.targets, np.full(N_STORED, np.nan), "weights must be finite and > 0"),
+    (MODEL.targets, np.full(N_STORED, np.inf), "weights must be finite and > 0"),
+    (MODEL.targets, np.zeros(N_STORED), "weights must be finite and > 0"),
+    (MODEL.targets, np.full(N_STORED, -1.0), "weights must be finite and > 0"),
+], ids=["short_targets", "short_weights", "1d_targets", "text_weights", "2d_weights",
+        "nan_weights", "inf_weights", "zero_weights", "negative_weights"])
+def test_knn_vote_refuses_bad_targets_and_weights(targets, weights, message):
+    """Each once raised a bare IndexError or TypeError, or returned NaN or silent votes."""
+    with pytest.raises(DataError, match=f"^{message}$"):
+        predict_knn_batch(MODEL.features, targets, weights, QUERIES, 3)
+
+
+@pytest.mark.parametrize("values, codes, got", [
+    ([[1.0, np.nan], [2.0, 3.0]], ("a",), 1),
+    ([[1.0, 2.0], [2.0, 3.0]], ("a", "b", "c"), 3),
+])
+def test_quantile_fit_refuses_codes_that_do_not_name_each_column(values, codes, got):
+    with pytest.raises(DataError, match=f"^2 columns need as many codes, got {got}$"):
+        fit_quantile_scaler(values, codes)
+
+
+def test_dataset_copies_neither_freezes_nor_aliases_a_callers_arrays():
+    """A parsed table reaches the dataset as np.hsplit views; those and plain arrays are
+    copied, and the caller's arrays stay writable."""
+    table = np.hstack([DS.features, DS.targets]).astype(np.float64)
+    for features, targets in (np.hsplit(table, [27]), (DS.features.copy(), DS.targets.copy())):
+        ds = RegionalDataset(DS.region, DS.dates, features, targets)
+        for kept, given in ((ds.features, features), (ds.targets, targets)):
+            assert not np.shares_memory(kept, given)
+            assert given.flags.writeable and not kept.flags.writeable
+        assert np.array_equal(ds.features, DS.features) and np.array_equal(ds.targets, DS.targets)
+
+
+def test_model_refuses_a_dataset_of_another_region():
+    other = DATASETS[1]
+    message = f"^a {other.region.name} dataset given to the {DS.region.name} model$"
+    with pytest.raises(DataError, match=message):
+        predict_monitoring(MODEL, other)
+    with pytest.raises(DataError, match=message):
+        forecast_series(MODEL, other, 0.75, 200.0)
